@@ -25,9 +25,9 @@ accounting proves every candidate was trained exactly once across the two
 sweeps (one pays the misses, the fleet shares the hits).
 
 **chaos** — the ISSUE-7 hardening gate: runs the same two-sweep workload
-through a deterministically fault-injected queue + worker fleet (seeded
-worker raises, hangs, and sqlite lock errors — see
-:mod:`repro.parallel.faults`) and asserts every job reaches a terminal
+through a deterministically fault-injected queue + the service's process
+fleet (seeded worker raises, hangs, SIGKILLed worker processes, and sqlite
+lock errors — see :mod:`repro.parallel.faults`) and asserts every job reaches a terminal
 state, no candidate is trained twice, and the results match a fault-free
 run exactly.
 
@@ -140,7 +140,7 @@ def smoke_service() -> int:
         with service:
             client = connect(f"http://{host}:{port}")
             health = client.healthz()
-            assert health["ok"] and health["executor"] == "async"
+            assert health["ok"] and health["executor"] == "multiprocessing"
 
             start = time.perf_counter()
             # Two identical sweeps in flight at once, one fleet, one cache.
@@ -202,7 +202,7 @@ def smoke_chaos() -> int:
     from repro.api import Config, workload_to_wire
     from repro.core.cache import ResultCache
     from repro.core.results import SearchResult
-    from repro.parallel.async_executor import AsyncExecutor
+    from repro.parallel.executor import MultiprocessingExecutor
     from repro.parallel.faults import (
         FaultInjectingExecutor,
         FaultInjectingJobQueue,
@@ -223,12 +223,13 @@ def smoke_chaos() -> int:
         queue_args = dict(
             lease_seconds=1.0, max_attempts=5, backoff_base=0.02, backoff_cap=0.1
         )
+        # the fleet the service runs, forked before any sqlite handle exists
+        executor = MultiprocessingExecutor(2)
         if plan is None:
             queue = JobQueue(root, **queue_args)
-            executor = AsyncExecutor(2)
         else:
             queue = FaultInjectingJobQueue(root, plan, **queue_args)
-            executor = FaultInjectingExecutor(AsyncExecutor(2), plan)
+            executor = FaultInjectingExecutor(executor, plan)
         cache = ResultCache(root / "cache", flush_every=4, shared=True)
 
         def patient(fn, *args):
@@ -265,6 +266,7 @@ def smoke_chaos() -> int:
         11,
         worker_raises=0.15,
         worker_hangs=0.1,
+        worker_kills=0.2,
         queue_locks=0.1,
         hang_seconds=0.02,
         max_faults_per_kind=12,
@@ -282,6 +284,7 @@ def smoke_chaos() -> int:
         f"{[record.state for record in chaotic]}"
     )
     assert sum(injected.values()) > 0, "the chaos run must inject something"
+    assert injected["kill"] > 0, "the chaos run must lose a worker process"
     assert all(record.state in TERMINAL_STATES for record in chaotic), (
         f"every job must terminate, got {[r.state for r in chaotic]}"
     )

@@ -7,8 +7,9 @@
 #   tests       CLI smoke + tier-1 pytest
 #   bench-smoke tiny end-to-end search with warm-cache assertions, the
 #               service smoke (two concurrent sweeps sharing a cache), the
-#               chaos smoke (fault-injected service invariants), and the
-#               surrogate smoke + eval-reduction gate
+#               chaos smoke (fault-injected service invariants), the
+#               sweep-level benchmark's checks on the service path, and
+#               the surrogate smoke + eval-reduction gate
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -36,6 +37,7 @@ echo "=== job: bench-smoke ==="
 python scripts/ci_smoke.py --only search
 python scripts/ci_smoke.py --only service
 python scripts/ci_smoke.py --only chaos
+python3 benchmarks/e2e/run.py --workload service_mixed --seconds 3
 python scripts/ci_smoke.py --only workloads
 python scripts/ci_smoke.py --only surrogate
 python scripts/bench_report.py

@@ -171,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-concurrent", type=int, default=2,
                        help="sweeps multiplexed over the shared fleet")
     serve.add_argument("--workers", type=int, default=0,
-                       help="worker threads in the shared fleet "
-                            "(0 = all cores)")
+                       help="worker processes in the shared fleet, forked "
+                            "at start-up (0 = all cores)")
     serve.add_argument("--cache-max-entries", type=int, default=None,
                        help="LRU-bound the shared result cache; in-flight "
                             "and pinned entries are never evicted")
@@ -368,7 +368,7 @@ def _cmd_draw(args) -> int:
 
 def _cmd_serve(args) -> int:
     # Imported here so the three local subcommands never pay for the
-    # service stack (and its async executor) at import time.
+    # service stack at import time.
     from repro.service.server import serve
 
     if args.max_concurrent < 1:

@@ -505,10 +505,18 @@ class SearchRuntime:
         owned_keys: list[str] = []
         foreign_keys: list[str] = []
         for key in miss_positions:
-            if self.cache is None or self.cache.claim(key):
+            if self.cache is None:
                 owned_keys.append(key)
-            else:
+            elif not self.cache.claim(key):
                 foreign_keys.append(key)
+            elif self.cache.shared and key in self.cache:
+                # Our lookup missed just before the owner's put and our
+                # claim landed just after it: the result is stored, so
+                # collect it like any other tenant's work, don't retrain.
+                self.cache.unclaim(key)
+                foreign_keys.append(key)
+            else:
+                owned_keys.append(key)
 
         if owned_keys:
             jobs = [self._job_payload(candidates[miss_positions[key][0]], p)

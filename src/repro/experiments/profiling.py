@@ -3,8 +3,8 @@
 Fig. 4 — "Time to simulate circuits with serial and parallel quantum NAS
 procedure", depth on the x-axis, averaged over five runs on different ER
 graphs. Both arms really execute here: the serial arm uses
-:class:`SerialExecutor`, the parallel arm ``Pool.starmap_async`` via
-:class:`MultiprocessingExecutor`.
+:class:`SerialExecutor`, the parallel arm the paper's ``starmap_async``
+fan-out over :class:`MultiprocessingExecutor`'s process pool.
 
 Fig. 5 — "Time to simulate a graph with p = 2 with different number of
 cores" (8..64 in steps of 8) against a dashed serial line. Core counts

@@ -19,6 +19,7 @@ from repro.parallel.executor import (
     MultiprocessingExecutor,
     SerialExecutor,
     ThreadExecutor,
+    WorkerLostError,
     available_cores,
     make_executor,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "SerialExecutor",
     "MultiprocessingExecutor",
     "ThreadExecutor",
+    "WorkerLostError",
     "available_cores",
     "make_executor",
     "JobScheduler",

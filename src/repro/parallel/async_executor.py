@@ -1,5 +1,9 @@
 """Async executor: an asyncio/thread hybrid behind the ``Executor`` seam.
 
+No production path uses it any more (the service's fleet is
+:class:`~repro.parallel.executor.MultiprocessingExecutor`); it is kept
+because the benchmark harness's traced pass imports and patches it.
+
 The pool executors in :mod:`repro.parallel.executor` tie admission to OS
 resources: every in-flight job owns a process or rides a bounded thread
 queue, and the *caller* must meter submission (``JobScheduler`` caps
@@ -52,8 +56,10 @@ class AsyncExecutor(Executor):
     num_workers:
         OS threads that actually run jobs (and the semaphore width);
         defaults to the usable core count. Like :class:`ThreadExecutor`,
-        best suited to NumPy-bound work that releases the GIL — which is
-        exactly what candidate training is under the compiled engine.
+        suited to jobs that wait, not to candidate training, which holds
+        the interpreter lock (measured in ``docs/service.md``) — the
+        search service runs on
+        :class:`~repro.parallel.executor.MultiprocessingExecutor`.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`. When given,
         the executor tracks admission depth (``repro_executor_admitted``,

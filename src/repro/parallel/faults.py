@@ -7,13 +7,16 @@ repeatable nor cheap to stage. This module makes them both: a
 decision stream per fault kind, and two injectors consume it at the two
 seams the service runs through —
 
-* :class:`FaultInjectingExecutor` wraps any thread-backed
-  :class:`~repro.parallel.executor.Executor` and makes scheduled worker
-  attempts **raise** (:class:`InjectedFault`) or **hang** (sleep, then
-  raise — the attempt burns wall-clock and produces nothing, like a
-  worker that wedged and was abandoned). Both are *attempt* faults: the
-  retrying :class:`~repro.parallel.jobs.JobScheduler` above is what must
-  absorb them.
+* :class:`FaultInjectingExecutor` wraps any
+  :class:`~repro.parallel.executor.Executor` — the service's process
+  fleet included — and makes scheduled worker attempts **raise**
+  (:class:`InjectedFault`), **hang** (sleep, then raise — the attempt
+  burns wall-clock and produces nothing, like a worker that wedged and
+  was abandoned) or **kill** their worker process (``SIGKILL`` from
+  inside the job, what the OOM killer does; process-backed executors
+  only). All three are *attempt* faults: the retrying
+  :class:`~repro.parallel.jobs.JobScheduler` above is what must absorb
+  them.
 * :class:`FaultInjectingJobQueue` overrides the
   :class:`~repro.service.jobs.JobQueue` sqlite seam and makes scheduled
   statements raise ``sqlite3.OperationalError("database is locked")`` —
@@ -22,22 +25,29 @@ seams the service runs through —
 
 Determinism: each stream is a seeded ``random.Random`` consumed one draw
 per call under a lock, so a given (seed, rate) pair always faults the
-same *call indices* of each kind. Which logical operation lands on a
-faulting index still depends on thread interleaving — the invariants the
-chaos suite asserts (every job terminal, no candidate trained twice,
-results identical to a fault-free run) are exactly the ones that must
-hold for **every** interleaving.
+same *call indices* of each kind. Worker faults are drawn in the parent,
+at ``submit`` — the n-th submitted attempt gets the n-th decision, on
+whichever worker it lands — so with one submitting thread the schedule
+is exact. With several (sweep slots, queue statements) which logical
+operation lands on a faulting index still depends on their interleaving
+— the invariants the chaos suite asserts (every job terminal, no
+candidate trained twice, results identical to a fault-free run) are
+exactly the ones that must hold for **every** interleaving.
 
-The executor wrapper also counts ``completed`` — real, non-faulted
-executions of the wrapped function — which is the ground truth behind
-"no candidate was trained twice": under a correct cache/claim plane,
-``completed`` equals the number of unique candidates no matter how many
-faults were absorbed along the way.
+The executor wrapper also counts ``completed`` — attempts whose future
+settled with a result, i.e. real, non-faulted executions of the wrapped
+function — which is the ground truth behind "no candidate was trained
+twice": under a correct cache/claim plane, ``completed`` equals the
+number of unique candidates no matter how many faults were absorbed
+along the way.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import random
+import signal
 import sqlite3
 import threading
 import time
@@ -92,11 +102,11 @@ class FaultPlan:
     seed:
         Master seed; each kind derives its own ``random.Random`` from it,
         so raising one rate never shifts another kind's schedule.
-    worker_raises / worker_hangs / queue_locks:
-        Per-call fault probabilities for the three kinds.
+    worker_raises / worker_hangs / worker_kills / queue_locks:
+        Per-call fault probabilities for the four kinds.
     hang_seconds:
-        How long a hanging attempt occupies its worker thread before it
-        gives up (it then raises, producing nothing).
+        How long a hanging attempt occupies its worker before it gives
+        up (it then raises, producing nothing).
     max_faults_per_kind:
         Optional cap per stream — lets a chaos run guarantee forward
         progress under aggressive rates.
@@ -108,6 +118,7 @@ class FaultPlan:
         *,
         worker_raises: float = 0.0,
         worker_hangs: float = 0.0,
+        worker_kills: float = 0.0,
         queue_locks: float = 0.0,
         hang_seconds: float = 0.2,
         max_faults_per_kind: int | None = None,
@@ -121,19 +132,26 @@ class FaultPlan:
             "raise": _Stream(self.seed * 7919 + 1, worker_raises, max_faults_per_kind),
             "hang": _Stream(self.seed * 7919 + 2, worker_hangs, max_faults_per_kind),
             "lock": _Stream(self.seed * 7919 + 3, queue_locks, max_faults_per_kind),
+            "kill": _Stream(self.seed * 7919 + 4, worker_kills, max_faults_per_kind),
         }
 
-    def should_raise(self) -> bool:
+    def _draw(self, kind: str) -> bool:
         with self._lock:
-            return self._streams["raise"].next()
+            return self._streams[kind].next()
 
-    def should_hang(self) -> bool:
-        with self._lock:
-            return self._streams["hang"].next()
+    def should_raise(self) -> bool:
+        return self._draw("raise")
 
     def should_lock(self) -> bool:
-        with self._lock:
-            return self._streams["lock"].next()
+        return self._draw("lock")
+
+    def worker_fault(self) -> str | None:
+        """The fault, if any, of the next worker attempt. A stream is only
+        consulted when every kind before it let the attempt through."""
+        for kind in ("raise", "hang", "kill"):
+            if self._draw(kind):
+                return kind
+        return None
 
     @property
     def injected(self) -> dict[str, int]:
@@ -148,13 +166,29 @@ class FaultPlan:
             return {kind: stream.calls for kind, stream in self._streams.items()}
 
 
-class FaultInjectingExecutor(Executor):
-    """Wraps an executor so scheduled worker attempts raise or hang.
+def _attempt(fault: str | None, hang_seconds: float, fn: Callable, *args) -> Any:
+    """What the inner executor runs: ``fn(*args)``, or the fault decided
+    for this attempt at submit. Module-level, so a process pool can ship
+    it."""
+    if fault == "raise":
+        raise InjectedFault("injected worker raise")
+    if fault == "hang":
+        time.sleep(hang_seconds)
+        raise InjectedFault(f"injected worker hang ({hang_seconds}s, then gave up)")
+    if fault == "kill":
+        if multiprocessing.parent_process() is None:
+            raise InjectedFault("a kill fault needs a process-backed inner executor")
+        os.kill(os.getpid(), signal.SIGKILL)
+    return fn(*args)
 
-    Thread-backed inner executors only (the wrapper ships a bound method
-    as the job callable, which a process pool could not pickle) — which
-    matches the service fleet, the injection target. The wrapper borrows
-    the inner executor: closing it propagates ``tainted`` and closes the
+
+class FaultInjectingExecutor(Executor):
+    """Wraps an executor so scheduled worker attempts raise, hang or die.
+
+    The decision is drawn here, in the parent, and shipped with the job
+    as plain data, so the inner executor may be thread- or process-backed
+    (the service fleet, the injection target). The wrapper borrows the
+    inner executor: closing it propagates ``tainted`` and closes the
     inner pool.
     """
 
@@ -168,24 +202,20 @@ class FaultInjectingExecutor(Executor):
         #: real (non-faulted) completed executions of the wrapped function
         self.completed = 0
 
-    def _wrapped(self, fn: Callable, *args) -> Any:
-        if self.plan.should_raise():
-            raise InjectedFault("injected worker raise")
-        if self.plan.should_hang():
-            time.sleep(self.plan.hang_seconds)
-            raise InjectedFault(
-                f"injected worker hang ({self.plan.hang_seconds}s, then gave up)"
-            )
-        result = fn(*args)
-        with self._lock:
-            self.completed += 1
-        return result
+    def _count(self, future: Future) -> None:
+        if not future.cancelled() and future.exception() is None:
+            with self._lock:
+                self.completed += 1
 
     def submit(self, fn: Callable, *args) -> Future:
-        return self.inner.submit(self._wrapped, fn, *args)
+        future = self.inner.submit(
+            _attempt, self.plan.worker_fault(), self.plan.hang_seconds, fn, *args
+        )
+        future.add_done_callback(self._count)
+        return future
 
     def starmap(self, fn: Callable, jobs: Sequence[tuple]) -> list[Any]:
-        return self.inner.starmap(self._wrapped, [(fn, *job) for job in jobs])
+        return [future.result() for future in [self.submit(fn, *job) for job in jobs]]
 
     def close(self) -> None:
         self.inner.tainted = self.inner.tainted or self.tainted

@@ -6,7 +6,7 @@ ROADMAP's "serves heavy traffic" shape. Three layers, each usable alone:
 * :class:`~repro.service.jobs.JobQueue` — a persistent (sqlite) queue of
   submitted sweeps with crash-safe state transitions;
 * :class:`~repro.service.multiplexer.SweepMultiplexer` — N concurrent
-  sweeps multiplexed over **one** shared worker fleet (the async executor)
+  sweeps multiplexed over **one** shared fleet of worker processes
   and **one** shared multi-tenant result cache, so identical candidates
   across live sweeps are trained once;
 * :class:`~repro.service.server.SearchService` + its stdlib HTTP/JSON API

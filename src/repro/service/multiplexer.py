@@ -3,10 +3,11 @@
 A sweep used to own the whole process; here each is just a job. The
 multiplexer runs ``max_concurrent`` sweep slots (threads), each draining
 the persistent :class:`~repro.service.jobs.JobQueue`. Every slot drives
-the *same* :class:`~repro.parallel.async_executor.AsyncExecutor` — the
-asyncio dispatch plane admits all sweeps' jobs and its semaphore meters
-them onto one bounded worker fleet, so a wide sweep cannot starve the
-service and an idle one costs nothing.
+the *same* :class:`~repro.parallel.executor.MultiprocessingExecutor` — a
+slot thread only looks candidates up, submits the misses and stores the
+results; the training itself runs on the fleet's worker processes, which
+take jobs from all sweeps in arrival order, so a wide sweep cannot
+starve the service and an idle one costs nothing.
 
 All slots also share one multi-tenant :class:`~repro.core.cache.
 ResultCache` in ``shared`` mode: when two live sweeps propose the same
@@ -22,7 +23,8 @@ Hardened claiming and execution (PR 7):
   work are served proportionally to ``tenant_weights``, default weight
   1), then claims that tenant's best job. One tenant flooding the queue
   delays only itself. ``max_running_per_tenant`` additionally caps how
-  many slots one tenant may occupy at once.
+  many slots one tenant may occupy at once; the quota check and the
+  claim happen under one lock, so two slots cannot both pass it.
 * **Leases + heartbeats** — every running job's lease is renewed from a
   per-job heartbeat thread; the heartbeat is also the cancellation
   channel (a ``cancel`` request flips the job's
@@ -59,8 +61,7 @@ from repro.core.runtime import CancellationToken, RuntimeConfig, SweepCancelled
 from repro.core.search import search_mixer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import SweepProgress
-from repro.parallel.async_executor import AsyncExecutor
-from repro.parallel.executor import Executor
+from repro.parallel.executor import Executor, MultiprocessingExecutor
 from repro.service.jobs import JobQueue, JobRecord
 
 __all__ = ["SweepMultiplexer"]
@@ -115,8 +116,12 @@ class SweepMultiplexer:
         The persistent job queue to drain (its ``lease_seconds`` also
         sets the heartbeat cadence: one renewal per third of a lease).
     executor:
-        Shared worker fleet; defaults to a fresh :class:`AsyncExecutor`
-        (owned, closed on :meth:`stop`). A passed-in executor is borrowed.
+        Shared worker fleet; defaults to a fresh
+        :class:`~repro.parallel.executor.MultiprocessingExecutor` (owned,
+        closed on :meth:`stop`), the fleet the service runs. A passed-in
+        executor is borrowed — and, built before ``queue`` and ``cache``
+        as :class:`~repro.service.server.SearchService` does, its workers
+        inherit neither's sqlite handle.
     cache:
         Shared result store, normally constructed with ``shared=True``;
         optional — without it sweeps just lose cross-sweep reuse.
@@ -165,7 +170,7 @@ class SweepMultiplexer:
             )
         self.queue = queue
         self._owns_executor = executor is None
-        self.executor = executor or AsyncExecutor()
+        self.executor = executor or MultiprocessingExecutor()
         self.cache = cache
         self.max_concurrent = int(max_concurrent)
         self.poll_interval = float(poll_interval)
@@ -192,6 +197,8 @@ class SweepMultiplexer:
         self._stride = _TenantStride(dict(tenant_weights or {}))
         self._stop = threading.Event()
         self._state_lock = threading.Lock()
+        #: serializes ``_claim`` across the slots (and guards ``_stride``)
+        self._claim_lock = threading.Lock()
         self._slots: list[_Slot] = []
         #: job id -> its sweep's progress tracker (kept after the job
         #: leaves this process, bounded by PROGRESS_KEEP)
@@ -326,23 +333,26 @@ class SweepMultiplexer:
         """One fair claim attempt: pick a tenant by weighted stride over
         those with claimable work (quota-eligible), then claim its best
         job."""
-        tenants = self._queue_op(self.queue.claimable_tenants)
-        if not tenants:
-            return None
-        if self.max_running_per_tenant is not None:
-            by_tenant = self._queue_op(self.queue.counts_by_tenant)
-            tenants = [
-                t
-                for t in tenants
-                if by_tenant.get(t, {}).get("running", 0) < self.max_running_per_tenant
-            ]
+        # One lock around the quota check and the claim: otherwise two
+        # slots both read ``running == 0`` and both claim for a tenant
+        # capped at one.
+        with self._claim_lock:
+            tenants = self._queue_op(self.queue.claimable_tenants)
             if not tenants:
                 return None
-        with self._state_lock:
+            if self.max_running_per_tenant is not None:
+                by_tenant = self._queue_op(self.queue.counts_by_tenant)
+                tenants = [
+                    t
+                    for t in tenants
+                    if by_tenant.get(t, {}).get("running", 0) < self.max_running_per_tenant
+                ]
+                if not tenants:
+                    return None
             tenant = self._stride.pick(tenants)
-        # The claim can still miss (a sibling slot won the race, or the
-        # tenant's only job was backing off); the loop just polls again.
-        return self._queue_op(self.queue.claim_next, owner=slot.name, tenant=tenant)
+            # The claim can still miss (the tenant's only job was backing
+            # off, or another process took it); the loop just polls again.
+            return self._queue_op(self.queue.claim_next, owner=slot.name, tenant=tenant)
 
     def _run_job(self, slot: _Slot, job: JobRecord) -> None:
         token = CancellationToken()

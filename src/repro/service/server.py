@@ -43,6 +43,7 @@ tenant quotas, lease/backoff knobs, and what a 429 means;
 from __future__ import annotations
 
 import json
+import signal
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -50,7 +51,7 @@ from pathlib import Path
 from repro.api import Config, reconcile_workload, resolve_workload_spec
 from repro.core.cache import ResultCache
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel.async_executor import AsyncExecutor
+from repro.parallel.executor import MultiprocessingExecutor
 from repro.service.jobs import JobQueue
 from repro.service.multiplexer import SweepMultiplexer
 
@@ -72,6 +73,13 @@ class ServiceRequestError(ValueError):
 
 class SearchService:
     """Queue + shared cache + multiplexed sweep fleet under one directory.
+
+    The fleet is ``workers`` worker *processes*
+    (:class:`~repro.parallel.executor.MultiprocessingExecutor`) shared by
+    all sweep slots. They are forked first — before the queue's and the
+    cache's sqlite handles, the trace file and every slot, heartbeat and
+    HTTP thread exist — so no child inherits a held lock or a live
+    database handle.
 
     Hardening knobs (all optional; defaults keep the PR-6 behaviour):
 
@@ -117,36 +125,39 @@ class SearchService:
         # One registry for the whole deployment: every layer below reports
         # into it, GET /metrics renders it.
         self.metrics = MetricsRegistry()
-        if trace_log is not None:
-            self.metrics.enable_trace(trace_log)
-        self.queue = JobQueue(
-            self.service_dir,
-            lease_seconds=lease_seconds,
-            max_attempts=max_attempts,
-            metrics=self.metrics,
-        )
-        # shared=True: concurrent sweeps coordinate on in-flight keys; the
-        # cache dir is also where --shard-index worker processes attach.
-        self.cache = ResultCache(
-            self.service_dir / "cache",
-            flush_every=cache_flush_every,
-            max_entries=cache_max_entries,
-            shared=True,
-            metrics=self.metrics,
-        )
-        self.multiplexer = SweepMultiplexer(
-            self.queue,
-            executor=AsyncExecutor(workers, metrics=self.metrics),
-            cache=self.cache,
-            max_concurrent=max_concurrent,
-            tenant_weights=tenant_weights,
-            max_running_per_tenant=max_running_per_tenant,
-            drain_timeout=drain_timeout,
-            metrics=self.metrics,
-        )
-        # The multiplexer borrows the executor, so the service must close
-        # it; track it for stop().
-        self._executor = self.multiplexer.executor
+        self._executor = MultiprocessingExecutor(workers, metrics=self.metrics)
+        try:
+            if trace_log is not None:
+                self.metrics.enable_trace(trace_log)
+            self.queue = JobQueue(
+                self.service_dir,
+                lease_seconds=lease_seconds,
+                max_attempts=max_attempts,
+                metrics=self.metrics,
+            )
+            # shared=True: concurrent sweeps coordinate on in-flight keys; the
+            # cache dir is also where --shard-index worker processes attach.
+            self.cache = ResultCache(
+                self.service_dir / "cache",
+                flush_every=cache_flush_every,
+                max_entries=cache_max_entries,
+                shared=True,
+                metrics=self.metrics,
+            )
+            # The multiplexer borrows the executor; stop() closes it.
+            self.multiplexer = SweepMultiplexer(
+                self.queue,
+                executor=self._executor,
+                cache=self.cache,
+                max_concurrent=max_concurrent,
+                tenant_weights=tenant_weights,
+                max_running_per_tenant=max_running_per_tenant,
+                drain_timeout=drain_timeout,
+                metrics=self.metrics,
+            )
+        except BaseException:
+            self._executor.close()  # a failed start must leave no worker behind
+            raise
         self.started_at = time.time()
         self._register_collectors()
 
@@ -438,9 +449,12 @@ def serve(
 ) -> None:
     """Run the service until interrupted (the ``repro serve`` entrypoint).
 
-    Shutdown is graceful: running sweeps get ``drain_timeout`` seconds to
+    Shutdown is graceful on Ctrl-C and on ``SIGTERM`` (``docker stop``,
+    systemd) alike: running sweeps get ``drain_timeout`` seconds to
     finish; past that they are cancelled at their next checkpoint and
-    their jobs requeued (attempt refunded) for the next process.
+    their jobs requeued (attempt refunded) for the next process. The
+    cache is flushed, the worker processes are stopped and reaped, and
+    the process exits 0.
     ``trace_log`` additionally streams span events (JSONL) to a file —
     see ``docs/observability.md`` for the format.
     """
@@ -468,7 +482,16 @@ def serve(
         f"metrics at /metrics)",
         flush=True,
     )
+
+    def drain_on_sigterm(signum, frame) -> None:
+        # One drain per process: a repeated SIGTERM must not abort it.
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
+        raise KeyboardInterrupt
+
     try:
+        # Installed after the fleet was forked, so the workers keep the
+        # default disposition and a SIGTERM of their own just kills them.
+        signal.signal(signal.SIGTERM, drain_on_sigterm)
         server.serve_forever()
     except KeyboardInterrupt:
         print("shutting down (draining running sweeps)", flush=True)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,29 @@ def random_circuit(num_qubits: int, num_gates: int, seed: int = 0):
         else:
             qc.h(q)
     return qc
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie waiting to be reaped."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.fixture
+def still_running():
+    """``still_running(pids, timeout)`` waits up to ``timeout`` seconds for
+    every pid to be gone and returns the ones that are not — the check
+    behind "no worker process outlives its pool / its server"."""
+
+    def check(pids, timeout: float = 5.0) -> list[int]:
+        deadline = time.monotonic() + timeout
+        while True:
+            left = [pid for pid in pids if _running(pid)]
+            if not left or time.monotonic() > deadline:
+                return left
+            time.sleep(0.02)
+
+    return check

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core.cache import ResultCache
 from repro.core.evaluator import EvaluationConfig
 from repro.core.predictor import Predictor
 from repro.core.runtime import RuntimeConfig, SearchRuntime
@@ -320,6 +321,46 @@ class TestFaultTolerance:
                 runtime=RuntimeConfig(cache_dir=str(tmp_path)),
             )
         assert evaluation_payload(threaded) == evaluation_payload(serial)
+
+
+class TestSharedCacheDedup:
+    def test_claim_won_after_the_owners_put_does_not_retrain(
+        self, graphs, tiny_config, tmp_path
+    ):
+        """Two tenants, one shared store, the losing interleaving forced:
+        tenant B looks every candidate up (all miss), then tenant A runs
+        its whole sweep — claims, trains, puts — and only then does B
+        claim. B wins every claim (A's puts released them), and must
+        notice the results are already stored instead of training them
+        again: across both tenants each candidate is trained once."""
+
+        class ClaimsLate(ResultCache):
+            def claim(self, key):
+                hook, self.before_first_claim = self.before_first_claim, None
+                if hook is not None:
+                    hook()
+                return super().claim(key)
+
+        results = {}
+        executor = CountingExecutor()
+        with ClaimsLate(tmp_path, shared=True) as cache:
+
+            def sweep(tenant):
+                results[tenant] = search_mixer(
+                    graphs, tiny_config, executor=executor, cache=cache
+                )
+
+            cache.before_first_claim = lambda: sweep("a")
+            sweep("b")
+        candidates = results["a"].num_candidates
+        assert results["b"].num_candidates == candidates
+        misses = {t: r.config["cache_misses"] for t, r in results.items()}
+        hits = {t: r.config["cache_hits"] for t, r in results.items()}
+        # depth 1 is the forced race; at depth 2 B simply finds A's results
+        assert misses == {"a": candidates, "b": 0}
+        assert hits == {"a": 0, "b": candidates}
+        assert len(executor.submitted) == candidates
+        assert evaluation_payload(results["a"]) == evaluation_payload(results["b"])
 
 
 class TestRuntimeValidation:

@@ -2,17 +2,26 @@
 
 import multiprocessing as mp
 import os
+import signal
+import subprocess
+import sys
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.parallel.executor import (
     MultiprocessingExecutor,
     SerialExecutor,
     ThreadExecutor,
+    WorkerLostError,
     available_cores,
     make_executor,
 )
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def square_sum(a, b):
@@ -45,6 +54,27 @@ def rendezvous_pid(_):
 def slow_square(x, delay):
     time.sleep(delay)
     return x * x
+
+
+def announce_then_sleep(path, delay):
+    """Tell the test which worker holds this job, then occupy it."""
+    Path(path).write_text(str(os.getpid()))
+    time.sleep(delay)
+    return os.getpid()
+
+
+def wait_for_pid(path, timeout=10.0) -> int:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        text = Path(path).read_text() if Path(path).exists() else ""
+        if text:
+            return int(text)
+        time.sleep(0.01)
+    raise TimeoutError(f"no worker announced itself in {path}")
+
+
+def divide(a, b):
+    return a / b
 
 
 JOBS = [(i, i + 1) for i in range(10)]
@@ -112,6 +142,143 @@ class TestMultiprocessing:
             future = ex.submit(square_sum, 2, 1)
             assert future.cancel() is False
             assert future.result(timeout=10) == 5
+
+
+class TestServiceGrade:
+    """What the search service needs of its fleet beyond ``starmap``."""
+
+    def test_queued_job_is_cancellable_running_job_is_not(self, tmp_path):
+        with MultiprocessingExecutor(1) as ex:
+            running = ex.submit(announce_then_sleep, str(tmp_path / "pid"), 0.3)
+            queued = ex.submit(square_sum, 2, 1)
+            assert queued.cancel() is True  # never reached a worker
+            assert running.cancel() is False
+            assert running.result(timeout=10) == wait_for_pid(tmp_path / "pid")
+            assert ex.submit(square_sum, 2, 1).result(timeout=10) == 5
+
+    def test_killed_worker_costs_its_job_only_and_is_replaced(
+        self, tmp_path, still_running
+    ):
+        """SIGKILL mid-job (what the OOM killer does), no deadline set:
+        that job fails at once with WorkerLostError, the sibling's job is
+        untouched, and the pool is back to two workers."""
+        with MultiprocessingExecutor(2) as ex:
+            before = ex.worker_pids()
+            doomed = ex.submit(announce_then_sleep, str(tmp_path / "a"), 60)
+            victim = wait_for_pid(tmp_path / "a")
+            sibling = ex.submit(announce_then_sleep, str(tmp_path / "b"), 0.3)
+            survivor = wait_for_pid(tmp_path / "b")
+            os.kill(victim, signal.SIGKILL)
+            with pytest.raises(WorkerLostError):
+                doomed.result(timeout=10)
+            assert sibling.result(timeout=10) == survivor
+            after = ex.worker_pids()
+            assert len(after) == 2 and victim not in after and survivor in after
+            assert set(before) - set(after) == {victim}
+            # the replacement takes work
+            pids = {ex.submit(get_pid, None).result(timeout=10) for _ in range(8)}
+            assert pids <= set(after)
+        assert still_running(before + after) == []
+
+    def test_worker_killed_while_idle_is_replaced(self, still_running):
+        with MultiprocessingExecutor(1) as ex:
+            (victim,) = ex.worker_pids()
+            os.kill(victim, signal.SIGKILL)
+            assert still_running([victim]) == []
+            # whether or not the collector has noticed yet, the job either
+            # lands on the replacement or fails as lost — it never hangs
+            try:
+                assert ex.submit(square_sum, 2, 1).result(timeout=10) == 5
+            except WorkerLostError:
+                assert ex.submit(square_sum, 2, 1).result(timeout=10) == 5
+            assert ex.worker_pids() != [victim]
+
+    def test_tainted_close_does_not_wait_for_a_hung_job(self, tmp_path, still_running):
+        ex = MultiprocessingExecutor(2)
+        pids = ex.worker_pids()
+        hung = ex.submit(announce_then_sleep, str(tmp_path / "pid"), 600)
+        queued = [ex.submit(announce_then_sleep, str(tmp_path / f"q{i}"), 600) for i in range(3)]
+        wait_for_pid(tmp_path / "pid")
+        ex.tainted = True  # what JobScheduler sets when it abandons an attempt
+        start = time.monotonic()
+        ex.close()
+        assert time.monotonic() - start < 5
+        assert still_running(pids) == []
+        for future in [hung, *queued]:
+            with pytest.raises(WorkerLostError):
+                future.result(timeout=1)
+        with pytest.raises(RuntimeError, match="closed"):
+            ex.submit(square_sum, 1, 1)
+
+    def test_clean_close_runs_everything_admitted(self, still_running):
+        ex = MultiprocessingExecutor(2)
+        futures = [ex.submit(slow_square, i, 0.05) for i in range(8)]
+        ex.close()
+        assert [f.result(timeout=0) for f in futures] == [i * i for i in range(8)]
+        assert still_running(ex.worker_pids()) == []
+        ex.close()  # idempotent
+
+    def test_unpicklable_job_fails_its_own_future(self):
+        with MultiprocessingExecutor(1) as ex:
+            broken = ex.submit(lambda: 1)
+            assert broken.exception(timeout=10) is not None
+            assert ex.submit(square_sum, 2, 1).result(timeout=10) == 5
+
+    def test_worker_exception_arrives_with_its_traceback(self):
+        with MultiprocessingExecutor(1) as ex:
+            error = ex.submit(divide, 1, 0).exception(timeout=10)
+        assert isinstance(error, ZeroDivisionError)
+        assert "in divide" in "".join(error.__notes__)
+
+    def test_many_submitting_threads_lose_nothing(self):
+        """More submitters than cores, all at once, on a two-worker pool:
+        every job settles with its own answer and the gauges return to
+        zero — a lost update in the pool's bookkeeping breaks either."""
+        metrics = MetricsRegistry()
+        threads, per_thread = 8, 40
+        results: dict[int, list] = {}
+
+        def client(k: int) -> None:
+            futures = [ex.submit(square_sum, k, i) for i in range(per_thread)]
+            results[k] = [future.result(timeout=60) for future in futures]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MultiprocessingExecutor(2, metrics=metrics) as ex:
+                workers = [threading.Thread(target=client, args=(k,)) for k in range(threads)]
+                for worker in workers:
+                    worker.start()
+                for worker in workers:
+                    worker.join(timeout=120)
+                assert not any(worker.is_alive() for worker in workers)
+        finally:
+            sys.setswitchinterval(interval)
+        for k in range(threads):
+            assert results[k] == [k * k + i for i in range(per_thread)]
+        text = metrics.render()
+        assert "repro_executor_admitted 0" in text
+        assert "repro_executor_running 0" in text
+        assert f"repro_executor_semaphore_wait_seconds_count {threads * per_thread}" in text
+
+    def test_workers_exit_when_their_parent_is_killed(self, still_running):
+        """A SIGKILLed server cannot stop its fleet; the workers notice."""
+        script = (
+            "import os, signal, sys\n"
+            "from repro.parallel.executor import MultiprocessingExecutor\n"
+            "ex = MultiprocessingExecutor(2)\n"
+            "print(*ex.worker_pids(), flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        parent = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, timeout=60,
+        )
+        assert parent.returncode == -signal.SIGKILL
+        pids = [int(pid) for pid in parent.stdout.split()]
+        assert len(pids) == 2
+        assert still_running(pids, timeout=10) == []
 
 
 class TestThreads:

@@ -45,7 +45,7 @@ class TestFaultPlan:
     def test_zero_rate_never_fires(self):
         plan = FaultPlan(1)
         assert not any(plan.should_raise() for _ in range(100))
-        assert plan.injected == {"raise": 0, "hang": 0, "lock": 0}
+        assert plan.injected == {"raise": 0, "hang": 0, "lock": 0, "kill": 0}
 
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):

@@ -1,22 +1,24 @@
 """Chaos suite: the hardening claims under deterministic injected faults.
 
 The contract being proven, per ISSUE 7: with workers raising, workers
-hanging, and the queue's sqlite store throwing lock errors — all on a
-seeded, reproducible schedule — every submitted job still reaches a
-terminal state, no candidate is ever trained twice (the shared cache's
-claim plane holds), and the search results are bit-identical to a
-fault-free run of the same specs.
+hanging, worker processes killed mid-candidate, and the queue's sqlite
+store throwing lock errors — all on a seeded, reproducible schedule —
+every submitted job still reaches a terminal state, no candidate is ever
+trained twice (the shared cache's claim plane holds), and the search
+results are bit-identical to a fault-free run of the same specs. The
+fleet under test is the one the service runs: worker processes.
 """
 
 import sqlite3
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.api import Config, workload_to_wire
 from repro.core.cache import ResultCache
 from repro.core.results import SearchResult
-from repro.parallel.async_executor import AsyncExecutor
+from repro.parallel.executor import MultiprocessingExecutor
 from repro.parallel.faults import (
     FaultInjectingExecutor,
     FaultInjectingJobQueue,
@@ -49,16 +51,17 @@ def persistent(fn, *args, **kwargs):
 
 def run_jobs(tmp_path, *, plan=None, specs=(SPEC, SPEC), deadline=120.0):
     """Run specs through a (possibly fault-injected) queue + multiplexer;
-    returns (records, executor, multiplexer) after every job is terminal."""
+    returns (records, executor, multiplexer) after every job is terminal.
+    ``executor.fleet_pids`` is the fleet's workers just before it closed."""
     queue_args = dict(
         lease_seconds=1.0, max_attempts=5, backoff_base=0.02, backoff_cap=0.1
     )
+    fleet = executor = MultiprocessingExecutor(2)  # forked before any sqlite handle
     if plan is None:
         queue = JobQueue(tmp_path, **queue_args)
-        executor = AsyncExecutor(2)
     else:
         queue = FaultInjectingJobQueue(tmp_path, plan, **queue_args)
-        executor = FaultInjectingExecutor(AsyncExecutor(2), plan)
+        executor = FaultInjectingExecutor(fleet, plan)
     cache = ResultCache(tmp_path / "cache", flush_every=4, shared=True)
     multiplexer = SweepMultiplexer(
         queue, executor=executor, cache=cache, max_concurrent=2
@@ -74,6 +77,7 @@ def run_jobs(tmp_path, *, plan=None, specs=(SPEC, SPEC), deadline=120.0):
             time.sleep(0.05)
     finally:
         multiplexer.stop()
+        executor.fleet_pids = fleet.worker_pids()
         executor.close()
         cache.close()
         if plan is not None:
@@ -116,6 +120,35 @@ class TestChaosInvariants:
             assert noisy_result.best_tokens == calm_result.best_tokens
             assert noisy_result.best_energy == calm_result.best_energy
             assert noisy_result.num_candidates == calm_result.num_candidates
+
+    def test_killed_workers_cost_attempts_not_sweeps(self, tmp_path, still_running):
+        """SIGKILL from inside the candidate, no ``job_timeout`` set: the
+        scheduler's retry budget re-runs exactly the lost attempts, the
+        sweeps finish identical to a calm run, and the fleet ends at full
+        width with nothing left behind."""
+        plan = FaultPlan(5, worker_kills=0.5, max_faults_per_kind=3)
+        assert SPEC["config"]["job_timeout"] is None
+        chaotic, executor, multiplexer = run_jobs(tmp_path / "chaos", plan=plan)
+        baseline, calm_executor, _ = run_jobs(tmp_path / "calm")
+
+        assert plan.injected["kill"] == 3
+        assert [record.state for record in chaotic] == ["done", "done"]
+        assert not multiplexer.slot_health()["dead"]
+        assert executor.completed == UNIQUE_CANDIDATES
+        for noisy, calm in zip(chaotic, baseline):
+            noisy_result = SearchResult.from_dict(noisy.result)
+            calm_result = SearchResult.from_dict(calm.result)
+            # every candidate, not just the winner (wall-clock aside)
+            assert [
+                replace(e, seconds=0.0) for e in noisy_result.depth_results[0].evaluations
+            ] == [
+                replace(e, seconds=0.0) for e in calm_result.depth_results[0].evaluations
+            ]
+            assert noisy_result.best_tokens == calm_result.best_tokens
+            assert noisy_result.best_energy == calm_result.best_energy
+        # three workers died and three were started in their place
+        assert len(executor.fleet_pids) == 2
+        assert still_running(executor.fleet_pids + calm_executor.fleet_pids) == []
 
     def test_lock_storm_costs_latency_not_slots(self, tmp_path):
         plan = FaultPlan(23, queue_locks=0.3, max_faults_per_kind=40)

@@ -1,4 +1,5 @@
-"""SIGKILL a live service mid-sweep; a restart must finish the job.
+"""Signals against a live ``repro serve``: SIGKILL mid-sweep (a restart
+must finish the job) and SIGTERM (the server must drain and exit clean).
 
 The satellite acceptance path for the lease layer: no clean shutdown, no
 requeue-on-close — the process is gone with the lease still held. The
@@ -26,7 +27,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 SPEC_CONFIG = Config(k_min=1, k_max=2, steps=400, num_samples=8, seed=1)
 
 
-def spawn_serve(service_dir):
+def spawn_serve(service_dir, *extra):
     """Start ``repro serve`` on an ephemeral port; returns (proc, url)."""
     proc = subprocess.Popen(
         [
@@ -36,6 +37,7 @@ def spawn_serve(service_dir):
             "--max-concurrent", "1",
             "--workers", "2",
             "--lease-seconds", "2",
+            *extra,
         ],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         stdout=subprocess.PIPE,
@@ -104,6 +106,50 @@ def test_sigkilled_service_job_recovers_via_lease_expiry(tmp_path):
         except subprocess.TimeoutExpired:
             second.kill()
             second.wait(timeout=30)
+
+
+def children_of(pid: int) -> list[int]:
+    """Direct children of ``pid``, read from /proc (field 4 is the ppid)."""
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:
+            continue  # exited while we were listing
+        if int(fields[1]) == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+def test_sigterm_drains_requeues_and_leaves_no_worker(tmp_path, still_running):
+    """What ``docker stop`` and systemd send. The running sweep is far
+    longer than ``--drain-timeout``, so the drain path must cancel it and
+    hand the job back with its attempt refunded — then flush, reap the
+    worker processes and exit 0, all well inside the grace period an
+    orchestrator allows before SIGKILL."""
+    server, url = spawn_serve(tmp_path, "--drain-timeout", "0.5")
+    try:
+        client = connect(url)
+        job_id = client.submit("er:2:7", depths=2, config=SPEC_CONFIG)
+        deadline = time.monotonic() + 60
+        while client.status(job_id)["state"] != "running":
+            assert time.monotonic() < deadline, "job never started"
+            time.sleep(0.05)
+        workers = children_of(server.pid)
+        assert len(workers) == 2
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=20) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait(timeout=30)
+    assert "draining" in server.stdout.read()
+    assert still_running(workers) == []
+    with sqlite3.connect(str(tmp_path / "jobs.sqlite")) as conn:
+        state, attempts = conn.execute(
+            "SELECT state, attempts FROM jobs WHERE id = ?", (job_id,)
+        ).fetchone()
+    assert (state, attempts) in {("queued", 0), ("done", 1)}
 
 
 def test_serve_announces_hardening_knobs_in_help():

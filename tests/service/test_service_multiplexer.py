@@ -1,12 +1,13 @@
 """SweepMultiplexer: concurrent sweeps over one fleet and one cache."""
 
+import threading
 import time
 
 from repro.api import Config
 from repro.core.cache import ResultCache
-from repro.parallel.async_executor import AsyncExecutor
+from repro.parallel.executor import MultiprocessingExecutor, SerialExecutor
 from repro.service.jobs import JobQueue
-from repro.service.multiplexer import SweepMultiplexer
+from repro.service.multiplexer import SweepMultiplexer, _Slot
 
 #: small but non-trivial: 6 candidates, 2 graphs, quick optimizer budget
 SPEC = {
@@ -59,9 +60,9 @@ class TestSharedCache:
         results, and the hit accounting proves candidates were trained
         once and shared, not evaluated twice."""
         with (
+            MultiprocessingExecutor(2) as executor,
             JobQueue(tmp_path) as queue,
             ResultCache(tmp_path / "cache", shared=True, flush_every=2) as cache,
-            AsyncExecutor(2) as executor,
         ):
             first = queue.submit(SPEC)
             second = queue.submit(SPEC)
@@ -140,6 +141,43 @@ class TestFairness:
                     time.sleep(0.02)
             assert peak == 1  # never two slots on one tenant
             assert [queue.get(i).state for i in ids] == ["done"] * 3
+
+    def test_quota_check_and_claim_are_one_step(self, tmp_path):
+        """Force the interleaving the test above only hopes for: both
+        slots read the tenant's running count before either claims. With
+        check and claim under one lock the second reader cannot start
+        until the first has claimed, so it sees the tenant at its cap."""
+        with JobQueue(tmp_path) as queue:
+            for _ in range(2):
+                queue.submit(SPEC, tenant="hog")
+            mux = SweepMultiplexer(
+                queue, executor=SerialExecutor(), max_concurrent=2, max_running_per_tenant=1
+            )
+            both_have_read = threading.Barrier(2)
+            counts_by_tenant = queue.counts_by_tenant
+
+            def read_then_rendezvous():
+                counts = counts_by_tenant()
+                try:
+                    both_have_read.wait(timeout=0.5)
+                except threading.BrokenBarrierError:
+                    pass  # the sibling is (correctly) held outside the check
+                return counts
+
+            queue.counts_by_tenant = read_then_rendezvous
+            claimed = []
+            slots = [
+                threading.Thread(target=lambda s=slot: claimed.append(mux._claim(s)))
+                for slot in (_Slot("slot-0"), _Slot("slot-1"))
+            ]
+            for thread in slots:
+                thread.start()
+            for thread in slots:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in slots)
+            del queue.counts_by_tenant
+            assert sum(job is not None for job in claimed) == 1
+            assert queue.counts_by_tenant()["hog"]["running"] == 1
 
 
 class TestGracefulDrain:

@@ -1,14 +1,18 @@
 """SearchService + HTTP API: endpoint round-trips on an ephemeral port."""
 
 import json
+import os
+import signal
 import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
-from repro.api import Config, ServiceError, connect
+from repro.api import Config, ServiceError, connect, search
+from repro.parallel.faults import FaultInjectingExecutor, FaultPlan
 from repro.service.server import SearchService, make_http_server
 
 SPEC = {
@@ -66,7 +70,7 @@ class TestEndpoints:
         status, body = http("GET", base + "/healthz")
         assert status == 200
         assert body["ok"] is True
-        assert body["executor"] == "async"
+        assert body["executor"] == "multiprocessing"
         assert body["workers"] == 2
         assert set(body["queue"]) == {
             "queued", "running", "done", "failed", "cancelled"
@@ -271,6 +275,77 @@ class TestHardening:
         record = svc.queue.get(body["id"])
         assert record.tenant == "alice"
         assert record.priority == 7
+
+
+def wait_for_state(svc, job_id, states=("done", "failed"), timeout=120):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        status = svc.status(job_id)
+        if status["state"] in states:
+            return status
+        time.sleep(0.02)
+    raise TimeoutError(svc.status(job_id))
+
+
+class TestProcessFleet:
+    """The fleet is worker processes: one may die, one may hang — the
+    service keeps its promises and leaves no process behind."""
+
+    def test_worker_sigkilled_mid_sweep_changes_nothing_but_a_pid(
+        self, tmp_path, still_running
+    ):
+        config = Config(k_min=1, k_max=2, steps=150, num_samples=12, seed=1)
+        svc = SearchService(tmp_path, max_concurrent=1, workers=2)
+        before = svc._executor.worker_pids()
+        with svc:
+            job_id = svc.submit(
+                {"workload": "er:2:7", "depths": 2, "config": config.to_dict()}
+            )["id"]
+            wait_for_state(svc, job_id, states=("running",))
+            deadline = time.monotonic() + 60
+            while "repro_executor_running 2" not in svc.metrics_text():
+                assert time.monotonic() < deadline, "fleet never got busy"
+                time.sleep(0.005)
+            os.kill(before[0], signal.SIGKILL)  # job_timeout is unset
+            status = wait_for_state(svc, job_id)
+            assert status["state"] == "done", status
+            health = svc.healthz()
+            assert health["ok"] and health["workers"] == 2
+            after = svc._executor.worker_pids()
+            assert len(after) == 2 and before[0] not in after
+            served = svc.result(job_id)
+        assert still_running(before + after) == []
+        alone = search("er:2:7", depths=2, config=config).to_dict()
+        for mine, theirs in zip(served["depth_results"], alone["depth_results"]):
+            for a, b in zip(mine["evaluations"], theirs["evaluations"], strict=True):
+                assert {**a, "seconds": 0} == {**b, "seconds": 0}
+        assert served["best_tokens"] == alone["best_tokens"]
+        assert served["best_energy"] == alone["best_energy"]
+
+    def test_candidate_abandoned_at_job_timeout_does_not_hold_up_stop(
+        self, tmp_path, still_running
+    ):
+        """One attempt hangs for ten minutes; ``job_timeout`` abandons it
+        and the retry finishes the sweep. The hung attempt still occupies
+        its worker when the service stops — stop() must kill it, not wait."""
+        svc = SearchService(tmp_path, max_concurrent=1, workers=2)
+        fleet = svc._executor
+        pids = fleet.worker_pids()
+        plan = FaultPlan(1, worker_hangs=1.0, hang_seconds=600, max_faults_per_kind=1)
+        svc._executor = svc.multiplexer.executor = FaultInjectingExecutor(fleet, plan)
+        config = replace(Config(**SPEC["config"]), job_timeout=2.0, retries=3)
+        with svc:
+            job_id = svc.submit(
+                {"workload": "er:2:7", "depths": 1, "config": config.to_dict()}
+            )["id"]
+            status = wait_for_state(svc, job_id)
+            assert status["state"] == "done", status
+            assert plan.injected["hang"] == 1
+            assert "repro_jobs_timed_out_total 1" in svc.metrics_text()
+            assert svc.result(job_id)["config"]["jobs_retried"] >= 1
+            stopping = time.monotonic()
+        assert time.monotonic() - stopping < 10
+        assert still_running(pids) == []
 
 
 class TestClient:
