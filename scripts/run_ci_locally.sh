@@ -32,6 +32,8 @@ echo "CLI smoke OK"
 
 echo "=== job: tests (tier-1 pytest) ==="
 python -m pytest -x -q
+# the tracked number: ROADMAP aim 2 wants net src/ lines to go down
+echo "src/repro lines: $(find src/repro -name '*.py' | xargs cat | wc -l)"
 
 echo "=== job: bench-smoke ==="
 python scripts/ci_smoke.py --only search

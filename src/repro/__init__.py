@@ -38,7 +38,6 @@ from repro.core import (
     SearchResult,
     SearchRuntime,
     search_mixer,
-    search_with_predictor,
 )
 from repro.graphs import (
     Graph,
@@ -63,7 +62,6 @@ __all__ = [
     "connect",
     "Config",
     "search_mixer",
-    "search_with_predictor",
     "SearchConfig",
     "SearchResult",
     "RuntimeConfig",

@@ -223,11 +223,6 @@ def _eval_config(args) -> EvaluationConfig:
 
 def _cmd_search(args) -> int:
     graphs = _dataset(args.dataset, args.graphs, args.dataset_seed)
-    if args.surrogate and args.shard_index is not None:
-        raise SystemExit(
-            "--surrogate cannot run with --shard-index: the ranker trains "
-            "on every previous-depth result in one process"
-        )
     try:
         surrogate = SurrogateConfig(
             enabled=args.surrogate,
@@ -299,8 +294,10 @@ def _cmd_search(args) -> int:
             result = search_mixer(graphs, config, runtime=runtime)
     except ValueError as error:
         if args.shard_index is not None:
-            # e.g. more shards than candidates: this process's slice is
-            # empty at every depth — a configuration message, not a crash.
+            # e.g. more shards than candidates (this process's slice is
+            # empty at every depth) or --surrogate, whose pools would
+            # diverge between shard processes — a configuration message,
+            # not a crash.
             raise SystemExit(str(error)) from error
         raise
 

@@ -44,13 +44,16 @@ from repro.core.evaluator import EvaluationConfig, Evaluator, classical_optima, 
 from repro.core.predictor import (
     EpsilonGreedyPredictor,
     ExhaustivePredictor,
+    FixedPoolProposer,
     Predictor,
+    PredictorProposer,
+    Proposer,
     RandomPredictor,
 )
 from repro.core.qbuilder import QBuilder
 from repro.core.results import CandidateEvaluation, DepthResult, SearchResult
 from repro.core.runtime import RuntimeConfig, SearchRuntime, predicted_cost
-from repro.core.search import SearchConfig, search_mixer, search_with_predictor
+from repro.core.search import SearchConfig, search_mixer
 from repro.core.sharded import ShardedRuntime, ShardFailedError
 
 __all__ = [
@@ -71,6 +74,9 @@ __all__ = [
     "RandomPredictor",
     "ExhaustivePredictor",
     "EpsilonGreedyPredictor",
+    "Proposer",
+    "FixedPoolProposer",
+    "PredictorProposer",
     "PolicyController",
     "ControllerPredictor",
     "EvaluationConfig",
@@ -86,7 +92,6 @@ __all__ = [
     "predicted_cost",
     "SearchConfig",
     "search_mixer",
-    "search_with_predictor",
     "CandidateEvaluation",
     "DepthResult",
     "SearchResult",

@@ -321,14 +321,17 @@ class ResultCache:
 
         In shared mode the first claimant wins and later claimants get
         False (they should :meth:`wait_for` the owner's put instead of
-        re-evaluating). Claimed keys are pinned against eviction. With
-        ``shared=False`` there are no competing tenants by contract, so
-        every claim trivially succeeds.
+        re-evaluating). A stored key cannot be claimed either: a tenant
+        whose ``get`` missed just before the owner's put and whose claim
+        lands just after it must collect that result, not retrain.
+        Claimed keys are pinned against eviction. With ``shared=False``
+        there are no competing tenants by contract, so every claim
+        trivially succeeds.
         """
         if not self.shared:
             return True
         with self._lock:
-            if key in self._claims:
+            if key in self._claims or key in self:
                 return False
             self._claims.add(key)
             self._pins[key] += 1

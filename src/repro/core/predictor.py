@@ -9,25 +9,42 @@ and the full RL controller (:mod:`repro.core.controller`).
 
 The interface is deliberately tiny: ``propose(n)`` yields token tuples,
 ``update(tokens, reward)`` closes Fig. 1's reward-propagation arrow.
+
+:class:`Proposer` is the one seam the runtime's depth loop drives
+(``pool = propose(p)``, run it, ``observe(evaluations)``): a
+:class:`FixedPoolProposer` is the exhaustive sweep, a
+:class:`PredictorProposer` adapts any :class:`Predictor`, and the
+surrogate (:class:`~repro.surrogate.ranking.SurrogateAssistant`) is a
+filter wrapped around either.
 """
 
 from __future__ import annotations
 
 import abc
+from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.alphabet import GateAlphabet, enumerate_search_space
+from repro.core.results import CandidateEvaluation
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_positive
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (constraints imports us)
+    from repro.core.constraints import ConstraintSet
+
 __all__ = [
     "PREDICTORS",
+    "FixedPoolProposer",
     "Predictor",
+    "PredictorProposer",
+    "Proposer",
     "RandomPredictor",
     "ExhaustivePredictor",
     "EpsilonGreedyPredictor",
     "make_predictor",
+    "predicted_cost",
 ]
 
 
@@ -187,17 +204,13 @@ def _make_epsilon_greedy(
     return EpsilonGreedyPredictor(alphabet, k_max, seed=seed)
 
 
-def _make_surrogate_ranked(
-    alphabet: GateAlphabet, k_max: int, *, seed=None
-) -> Predictor:
-    # Imported lazily: repro.surrogate depends on this module for the
-    # Predictor base class.
-    from repro.surrogate.config import SurrogateConfig
-    from repro.surrogate.ranking import SurrogateRankedPredictor
+def _make_controller(alphabet: GateAlphabet, k_max: int, *, seed=None) -> Predictor:
+    # Imported lazily: repro.core.controller subclasses Predictor from here.
+    from repro.core.controller import ControllerPredictor, PolicyController
 
-    return SurrogateRankedPredictor(
-        RandomPredictor(alphabet, k_max, seed=seed),
-        config=SurrogateConfig(enabled=True, seed=int(seed or 0)),
+    seed = int(seed or 0)
+    return ControllerPredictor(
+        PolicyController(alphabet, max_gates=k_max, seed=seed), seed=seed
     )
 
 
@@ -207,7 +220,7 @@ PREDICTORS = {
     "random": _make_random,
     "exhaustive": _make_exhaustive,
     "epsilon_greedy": _make_epsilon_greedy,
-    "surrogate_ranked": _make_surrogate_ranked,
+    "controller": _make_controller,
 }
 
 
@@ -222,3 +235,83 @@ def make_predictor(
             f"unknown predictor {name!r}; registered: {sorted(PREDICTORS)}"
         ) from None
     return factory(alphabet, k_max, seed=seed)
+
+
+# -- the proposal seam --------------------------------------------------------
+
+
+def predicted_cost(tokens: Sequence[str], p: int) -> float:
+    """Relative training cost of one candidate: parameters scale with
+    ``p * (len(tokens) + 1)`` and the optimizer budget rides along, so a
+    longer mixer at a deeper p is proportionally more work. Used to
+    balance shard placement; only ratios matter, not units."""
+    return float(p) * (len(tokens) + 1)
+
+
+class Proposer:
+    """What :meth:`SearchRuntime.run` drives: Algorithm 1 line 5 and
+    Fig. 1's reward arrow, once per depth."""
+
+    name: str = "abstract"
+    #: True when sibling ``shard_index`` processes would propose identical
+    #: pools — i.e. proposals never depend on the rewards fed back
+    shard_safe: bool = False
+    #: pool entries a filtering proposer forwarded to / withheld from
+    #: evaluation (the result config's ``surrogate_kept``/``_skipped``)
+    kept: int = 0
+    skipped: int = 0
+
+    def propose(self, p: int) -> list[tuple[str, ...]]:
+        """The candidate pool to evaluate at depth ``p``."""
+        raise NotImplementedError
+
+    def observe(self, evaluations: Sequence[CandidateEvaluation]) -> None:
+        """Depth feedback, delivered before the next ``propose`` (restored
+        and cached evaluations included, so a resumed sweep rebuilds the
+        same state)."""
+
+    def predicted_cost(self, tokens: Sequence[str], p: int) -> float:
+        """Shard-placement cost of one candidate."""
+        return predicted_cost(tokens, p)
+
+
+class FixedPoolProposer(Proposer):
+    """The same pool at every depth — exhaustive search."""
+
+    name = "exhaustive"
+    shard_safe = True
+
+    def __init__(self, pool: Sequence[tuple[str, ...]]) -> None:
+        self.pool = list(pool)
+
+    def propose(self, p: int) -> list[tuple[str, ...]]:
+        return self.pool
+
+
+class PredictorProposer(Proposer):
+    """Any :class:`Predictor` behind the seam: ``num`` proposals per depth,
+    deduplicated (learners must not double-count a reward) and filtered by
+    ``constraints``; every evaluation's reward is fed back through
+    ``update`` before the next depth proposes."""
+
+    def __init__(
+        self,
+        predictor: Predictor,
+        num: int = 32,
+        constraints: ConstraintSet | None = None,
+    ) -> None:
+        check_positive(num, "candidates_per_depth")
+        self.predictor = predictor
+        self.name = predictor.name
+        self.num = num
+        self.constraints = constraints
+
+    def propose(self, p: int) -> list[tuple[str, ...]]:
+        pool = list(dict.fromkeys(self.predictor.propose(self.num)))
+        if self.constraints is not None:
+            pool = self.constraints.filter(pool)
+        return pool
+
+    def observe(self, evaluations: Sequence[CandidateEvaluation]) -> None:
+        for evaluation in evaluations:
+            self.predictor.update(evaluation.tokens, evaluation.reward)

@@ -1,9 +1,8 @@
 """The fault-tolerant, cache-aware search runtime (Algorithm 1's engine).
 
-``search_mixer``/``search_with_predictor`` used to drive a blocking
-``starmap`` batch per depth: no result reuse across depths or runs, no
-checkpointing, and a single lost worker stalled the sweep. This module is
-the replacement substrate:
+``search_mixer`` used to drive a blocking ``starmap`` batch per depth: no
+result reuse across depths or runs, no checkpointing, and a single lost
+worker stalled the sweep. This module is the replacement substrate:
 
 * **Streaming execution** — candidate evaluations go through
   :class:`~repro.parallel.jobs.JobScheduler` (``submit`` + as-completed)
@@ -47,9 +46,11 @@ the replacement substrate:
   of the config fingerprint, which keeps cached results from one
   engine/backend from ever being replayed as another's.
 
-The runtime is deliberately independent of how candidates are chosen: the
-search front-ends hand it a per-depth candidate list and an optional
-predictor to feed rewards back to.
+The runtime is deliberately independent of how candidates are chosen:
+:meth:`SearchRuntime.run` drives one
+:class:`~repro.core.predictor.Proposer` — ``propose(p)`` for the depth's
+pool, ``observe(evaluations)`` once it ran — whether that is the
+exhaustive pool, a learning predictor, or a surrogate filter over either.
 
 .. seealso::
 
@@ -69,7 +70,7 @@ import hashlib
 import json
 import threading
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -83,7 +84,7 @@ from repro.core.cache import (
     workload_fingerprint,
 )
 from repro.core.evaluator import classical_optima, evaluate_candidate
-from repro.core.predictor import Predictor
+from repro.core.predictor import Proposer, predicted_cost
 from repro.core.results import CandidateEvaluation, DepthResult, SearchResult
 from repro.graphs.generators import Graph
 from repro.obs.metrics import MetricsRegistry
@@ -138,14 +139,6 @@ class CancellationToken:
     def raise_if_cancelled(self) -> None:
         if self._event.is_set():
             raise SweepCancelled(self.reason)
-
-
-def predicted_cost(tokens: Sequence[str], p: int) -> float:
-    """Relative training cost of one candidate: parameters scale with
-    ``p * (len(tokens) + 1)`` and the optimizer budget rides along, so a
-    longer mixer at a deeper p is proportionally more work. Used to
-    balance shard placement; only ratios matter, not units."""
-    return float(p) * (len(tokens) + 1)
 
 
 @dataclass(frozen=True)
@@ -220,9 +213,9 @@ class SearchRuntime:
         self.graphs = list(graphs)
         self.config = config
         self.runtime = runtime
-        self.cancel = cancel
+        self.cancel = cancel or CancellationToken()
         self.metrics = metrics
-        self.progress = progress
+        self.progress = progress or SweepProgress()
         self.executor = executor or SerialExecutor()
         self.scheduler = JobScheduler(
             self.executor,
@@ -252,34 +245,19 @@ class SearchRuntime:
                 "INTERP hand-off needs every previous-depth result in one "
                 "process"
             )
-        # Surrogate-assisted ranking: train on each finished depth's
-        # results, pre-rank the next depth's pool, evaluate only the
-        # predicted-top slice (plus the exploration floor). Candidate cache
-        # keys stay surrogate-independent — an evaluation is a pure
-        # function of the evaluation config — but depth *checkpoints*
-        # record which candidates a depth ran, so their fingerprint folds
-        # the surrogate settings in: a surrogate-assisted sweep never
-        # restores (or is restored by) a plain sweep's checkpoints.
-        self.surrogate = None
+        # Candidate cache keys stay surrogate-independent — an evaluation
+        # is a pure function of the evaluation config — but depth
+        # *checkpoints* record which candidates a depth ran, so their
+        # fingerprint folds the surrogate settings in: a surrogate-assisted
+        # sweep never restores (or is restored by) a plain sweep's
+        # checkpoints.
         self._depth_config_fp = self._config_fp
         if config.surrogate.enabled:
-            if runtime.shard_index is not None:
-                # Same failure mode as INTERP: ranking needs the full
-                # result stream of depth p-1 in one process, and sibling
-                # shard processes would prune different slices of the bag.
-                raise ValueError(
-                    "surrogate ranking cannot run under shard_index: the "
-                    "ranker trains on every previous-depth result, and "
-                    "sibling shard processes would prune divergent slices"
-                )
-            from repro.surrogate.ranking import SurrogateAssistant
-
-            self.surrogate = SurrogateAssistant(
-                config.alphabet, config.surrogate, metrics=metrics
-            )
             self._depth_config_fp = (
                 f"{self._config_fp}:surrogate-{config.surrogate.fingerprint()}"
             )
+        # Shard placement cost; run() points it at its proposer's estimate.
+        self._predicted_cost = predicted_cost
         self.cache: ResultCache | None = None
         self.checkpoint: SweepCheckpoint | None = None
         # An externally-owned cache (the service's shared, multi-tenant
@@ -334,71 +312,40 @@ class SearchRuntime:
 
     # -- the sweep ---------------------------------------------------------
 
-    def run(
-        self,
-        candidates_per_depth: (
-            Sequence[Sequence[tuple[str, ...]]]
-            | Callable[[int], Sequence[tuple[str, ...]]]
-        ),
-        *,
-        num_depths: int | None = None,
-        predictor: Predictor | None = None,
-    ) -> SearchResult:
-        """Algorithm 1's depth loop.
-
-        ``candidates_per_depth`` is either concrete per-depth candidate
-        lists, or a callable ``depth_index -> candidates`` evaluated lazily
-        *after* the previous depth's rewards were fed back — the closed
-        loop that lets a learning predictor steer its own later proposals
-        (pass ``num_depths`` in that case).
+    def run(self, proposer: Proposer) -> SearchResult:
+        """Algorithm 1's depth loop: each depth evaluates the pool
+        ``proposer`` proposes, and the proposer observes the evaluations
+        *before* the next depth proposes — the closed loop that lets a
+        learning predictor (or a surrogate filter) steer its own later
+        pools.
         """
-        if callable(candidates_per_depth):
-            if num_depths is None:
-                raise ValueError("num_depths is required with a candidate provider")
-            if self.runtime.shard_index is not None:
-                # Sibling shard processes must slice the *same* list, but a
-                # provider's proposals depend on the rewards fed back —
-                # which in shard mode are only this process's slice, so
-                # sibling proposals would silently diverge and the shards
-                # would neither cover the bag nor stay disjoint.
-                raise ValueError(
-                    "shard_index requires concrete per-depth candidate "
-                    "lists; predictor-driven proposals diverge between "
-                    "shard processes"
-                )
-            provider = candidates_per_depth
-            depth_count = num_depths
-        else:
-            concrete = [list(c) for c in candidates_per_depth]
-            provider = concrete.__getitem__
-            depth_count = len(concrete)
-
+        if self.runtime.shard_index is not None and not proposer.shard_safe:
+            # Sibling shard processes must slice the *same* pool, but a
+            # feedback-driven proposer sees only this process's slice of
+            # the rewards, so sibling pools would silently diverge and
+            # the shards would neither cover the bag nor stay disjoint.
+            raise ValueError(
+                "shard_index requires a proposer whose pools ignore reward "
+                "feedback (the exhaustive pool); a predictor or surrogate "
+                "filter would diverge between shard processes"
+            )
+        self._predicted_cost = proposer.predicted_cost
         best: CandidateEvaluation | None = None
         depth_results: list[DepthResult] = []
         total_start = time.perf_counter()
-        if self.progress is not None:
-            self.progress.begin_sweep(depth_count)
+        self.progress.begin_sweep(self.config.p_max)
 
-        for depth_index in range(depth_count):
+        for p in range(1, self.config.p_max + 1):
             # Cancellation checkpoint: a cancelled sweep stops before
             # starting the next depth batch; finished depths (and every
             # evaluation already streamed into the cache) are kept.
-            if self.cancel is not None:
-                self.cancel.raise_if_cancelled()
-            p = depth_index + 1
-            candidates = list(provider(depth_index))
-            if self.surrogate is not None:
-                # Rank this depth's pool with everything completed so far
-                # (the assistant trains lazily at the top of select) and
-                # forward only the predicted-top slice + exploration floor.
-                candidates = self.surrogate.select(candidates, p)
-            depth_result = self._run_depth(p, candidates)
+            self.cancel.raise_if_cancelled()
+            depth_result = self._run_depth(p, proposer.propose(p))
             depth_results.append(depth_result)
-            if self.surrogate is not None:
-                # Train-before-next-rank: the finished depth's evaluations
-                # (cache hits included, keeping the stream deterministic)
-                # reach the models before depth p+1 is ranked.
-                self.surrogate.observe(depth_result.evaluations)
+            # Restored/cached evaluations are observed too: after a kill
+            # the proposer's in-memory state is gone, so replaying recorded
+            # rewards is what reconstructs it on resume.
+            proposer.observe(depth_result.evaluations)
             if self._interp:
                 # Harvest the depth's trained optima (cache hits included,
                 # keeping the hand-off chain deterministic) so depth p+1
@@ -409,12 +356,6 @@ class SearchRuntime:
                             evaluation.p,
                             evaluation.best_params,
                         )
-            if predictor is not None:
-                # Checkpointed/cached evaluations feed the predictor too:
-                # after a kill its in-memory state is gone, so replaying
-                # recorded rewards is what reconstructs it on resume.
-                for evaluation in depth_result.evaluations:
-                    predictor.update(evaluation.tokens, evaluation.reward)
             if depth_result.evaluations:
                 depth_best = depth_result.best
                 # Line 10: SELECT_BEST against the best of previous depths.
@@ -429,8 +370,7 @@ class SearchRuntime:
                     "candidates?)"
                 )
             raise ValueError("search produced no evaluations (empty candidate sets)")
-        if self.progress is not None:
-            self.progress.finish_sweep()
+        self.progress.finish_sweep()
         return SearchResult(
             best_tokens=best.tokens,
             best_p=best.p,
@@ -438,12 +378,12 @@ class SearchRuntime:
             best_ratio=best.ratio,
             depth_results=depth_results,
             total_seconds=time.perf_counter() - total_start,
-            config=self._result_config(predictor),
+            config=self._result_config(proposer),
         )
 
     # -- internals ---------------------------------------------------------
 
-    def _run_depth(self, p: int, candidates: list[tuple[str, ...]]) -> DepthResult:
+    def _run_depth(self, p: int, candidates: Sequence[tuple[str, ...]]) -> DepthResult:
         depth_fp = depth_fingerprint(
             self._workload_fp, self._depth_config_fp, candidates, p
         )
@@ -451,10 +391,9 @@ class SearchRuntime:
             restored = self.checkpoint.load_depth(depth_fp)
             if restored is not None:
                 self.restored_depths += 1
-                if self.progress is not None:
-                    done = len(restored.evaluations)
-                    self.progress.begin_depth(p, total=done, cached=done)
-                    self.progress.finish_depth(p)
+                done = len(restored.evaluations)
+                self.progress.begin_depth(p, total=done, cached=done)
+                self.progress.finish_depth(p)
                 return restored
         if self.runtime.shard_index is not None:
             # This process is one node of a multi-process deployment: it
@@ -490,30 +429,24 @@ class SearchRuntime:
                 self._sweep_misses += 1
                 miss_positions[key] = [position]
 
-        if self.progress is not None:
-            # Positions already filled by lookups count as done from the
-            # start; repeats awaiting a miss land with that miss below.
-            self.progress.begin_depth(
-                p,
-                total=len(candidates),
-                cached=sum(1 for e in evaluations if e is not None),
-            )
+        # Positions already filled by lookups count as done from the
+        # start; repeats awaiting a miss land with that miss below.
+        self.progress.begin_depth(
+            p,
+            total=len(candidates),
+            cached=sum(1 for e in evaluations if e is not None),
+        )
 
         # Against a shared cache, claim each miss: the first tenant to
         # claim a key evaluates it, the others collect its put below
-        # instead of duplicating the training run.
+        # instead of duplicating the training run (a claim also loses to a
+        # put that landed since our lookup missed).
         owned_keys: list[str] = []
         foreign_keys: list[str] = []
         for key in miss_positions:
             if self.cache is None:
                 owned_keys.append(key)
             elif not self.cache.claim(key):
-                foreign_keys.append(key)
-            elif self.cache.shared and key in self.cache:
-                # Our lookup missed just before the owner's put and our
-                # claim landed just after it: the result is stored, so
-                # collect it like any other tenant's work, don't retrain.
-                self.cache.unclaim(key)
                 foreign_keys.append(key)
             else:
                 owned_keys.append(key)
@@ -534,13 +467,11 @@ class SearchRuntime:
                     if self.cache is not None:
                         self.cache.put(key, result)
                     unresolved.discard(key)
-                    if self.progress is not None:
-                        self.progress.record(p, len(miss_positions[key]))
+                    self.progress.record(p, len(miss_positions[key]))
                     # Mid-depth cancellation checkpoint: every streamed
                     # result above is already persisted, and the finally
                     # below releases the claims we never delivered.
-                    if self.cancel is not None:
-                        self.cancel.raise_if_cancelled()
+                    self.cancel.raise_if_cancelled()
             finally:
                 # A failed/aborted sweep must not strand tenants waiting on
                 # its claims — release whatever it never delivered.
@@ -569,13 +500,11 @@ class SearchRuntime:
                 self._sweep_hits += 1
             for position in miss_positions[key]:
                 evaluations[position] = result
-            if self.progress is not None:
-                self.progress.record(p, len(miss_positions[key]))
+            self.progress.record(p, len(miss_positions[key]))
         if foreign_keys and self.cache is not None:
             self.cache.flush()
 
-        if self.progress is not None:
-            self.progress.finish_depth(p)
+        self.progress.finish_depth(p)
         completed = tuple(e for e in evaluations if e is not None)
         depth_result = DepthResult(
             p,
@@ -651,16 +580,6 @@ class SearchRuntime:
             self._warm_start_for(tokens, p),
         )
 
-    def _predicted_cost(self, tokens: Sequence[str], p: int) -> float:
-        """Placement cost of one candidate: the surrogate's fitted cost
-        model (measured seconds) when one is active, the static
-        :func:`predicted_cost` heuristic otherwise. ``shard_index``
-        slicing deliberately bypasses this — sibling processes must
-        compute identical partitions from the static formula alone."""
-        if self.surrogate is not None:
-            return self.surrogate.predicted_cost(tokens, p)
-        return predicted_cost(tokens, p)
-
     def _execute(
         self, p: int, keys: list[str], jobs: list[tuple]
     ) -> Iterator[tuple[str, CandidateEvaluation]]:
@@ -675,7 +594,7 @@ class SearchRuntime:
         ):
             yield keys[job_index], result
 
-    def _result_config(self, predictor: Predictor | None) -> dict:
+    def _result_config(self, proposer: Proposer) -> dict:
         stats = self.scheduler.stats
         return {
             "p_max": self.config.p_max,
@@ -689,7 +608,7 @@ class SearchRuntime:
             "engine": self.config.evaluation.engine,
             "executor": self.executor.name,
             "num_workers": self.executor.num_workers,
-            "predictor": predictor.name if predictor is not None else "exhaustive",
+            "predictor": proposer.name,
             "cache_dir": self.runtime.cache_dir,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
@@ -700,10 +619,6 @@ class SearchRuntime:
             "jobs_submitted": stats.submitted,
             "jobs_retried": stats.retried,
             "surrogate": self.config.surrogate.enabled,
-            "surrogate_kept": (
-                self.surrogate.kept if self.surrogate is not None else 0
-            ),
-            "surrogate_skipped": (
-                self.surrogate.skipped if self.surrogate is not None else 0
-            ),
+            "surrogate_kept": proposer.kept,
+            "surrogate_skipped": proposer.skipped,
         }

@@ -7,6 +7,11 @@ seen across depths (line 10). Candidate evaluations within a depth are
 independent, which is exactly the parallelism of Fig. 3 — ``executor``
 decides whether they run serially or fan out over a process pool.
 
+:func:`search_mixer` is the single front-end. It composes line 5 into one
+:class:`~repro.core.predictor.Proposer` — the exhaustive pool, or
+``predictor=`` adapted; either wrapped in the surrogate filter when
+``config.surrogate.enabled`` — and hands it to the runtime.
+
 Execution itself lives in :class:`~repro.core.runtime.SearchRuntime`:
 evaluations stream back as they complete with per-job retry/timeout, and a
 ``runtime=RuntimeConfig(cache_dir=...)`` makes results persistent (repeat
@@ -27,7 +32,12 @@ from repro.core.alphabet import GateAlphabet, enumerate_search_space
 from repro.core.cache import ResultCache
 from repro.core.constraints import ConstraintSet
 from repro.core.evaluator import EvaluationConfig
-from repro.core.predictor import Predictor
+from repro.core.predictor import (
+    FixedPoolProposer,
+    Predictor,
+    PredictorProposer,
+    Proposer,
+)
 from repro.core.results import SearchResult
 from repro.core.runtime import CancellationToken, RuntimeConfig, SearchRuntime
 from repro.core.sharded import ShardedRuntime
@@ -38,7 +48,7 @@ from repro.parallel.executor import Executor
 from repro.surrogate.config import SurrogateConfig
 from repro.utils.validation import check_positive
 
-__all__ = ["SearchConfig", "search_mixer", "search_with_predictor"]
+__all__ = ["SearchConfig", "search_mixer"]
 
 
 @dataclass(frozen=True)
@@ -70,130 +80,71 @@ class SearchConfig:
         check_positive(self.k_max, "k_max")
 
 
-def _make_runtime(
-    graphs: Sequence[Graph],
-    config: SearchConfig,
-    executor: Executor | Sequence[Executor] | None,
-    runtime: RuntimeConfig | None,
-    cache: ResultCache | None = None,
-    cancel: CancellationToken | None = None,
-    metrics: MetricsRegistry | None = None,
-    progress: SweepProgress | None = None,
-) -> SearchRuntime:
-    """Pick the execution substrate from the runtime config.
-
-    ``shards > 1`` (without a ``shard_index`` pinning this process to one
-    shard) selects :class:`ShardedRuntime`; ``executor`` may then be a
-    sequence of per-shard executors. Everything else runs single-node.
-    ``cache`` injects an externally-owned (typically shared, multi-tenant)
-    result store in place of a private ``runtime.cache_dir`` one;
-    ``metrics``/``progress`` opt the run into the observability layer.
-    """
-    runtime = runtime or RuntimeConfig()
-    sequence_given = executor is not None and not isinstance(executor, Executor)
-    if (runtime.shards > 1 or sequence_given) and runtime.shard_index is None:
-        return ShardedRuntime(
-            graphs, config, executors=executor, runtime=runtime, cache=cache,
-            cancel=cancel, metrics=metrics, progress=progress,
-        )
-    if sequence_given:
-        raise ValueError(
-            "a sequence of executors requires sharded execution "
-            "(RuntimeConfig without shard_index)"
-        )
-    return SearchRuntime(
-        graphs, config, executor=executor, runtime=runtime, cache=cache,
-        cancel=cancel, metrics=metrics, progress=progress,
-    )
-
-
 def search_mixer(
     graphs: Sequence[Graph],
     config: SearchConfig = SearchConfig(),
     *,
-    executor: Executor | Sequence[Executor] | None = None,
-    runtime: RuntimeConfig | None = None,
-    cache: ResultCache | None = None,
-    cancel: CancellationToken | None = None,
-    metrics: MetricsRegistry | None = None,
-    progress: SweepProgress | None = None,
-) -> SearchResult:
-    """Exhaustive Algorithm 1 (the paper's profiled configuration).
-
-    Every candidate in the space is trained at every depth; with a parallel
-    executor the per-depth candidate bag fans out across workers. Pass
-    ``runtime`` to enable the persistent cache and checkpoint/resume, or
-    ``cache`` to run against an externally-owned (shared) result store —
-    the search service passes its multi-tenant cache here.
-    """
-    candidates = enumerate_search_space(
-        config.alphabet, config.k_max, k_min=config.k_min, mode=config.mode
-    )
-    if config.constraints is not None:
-        candidates = config.constraints.filter(candidates)
-    if config.num_samples is not None:
-        candidates = candidates[: config.num_samples]
-    return _run_depth_sweep(
-        graphs,
-        config,
-        [list(candidates)] * config.p_max,
-        executor,
-        runtime=runtime,
-        cache=cache,
-        cancel=cancel,
-        metrics=metrics,
-        progress=progress,
-    )
-
-
-def search_with_predictor(
-    graphs: Sequence[Graph],
-    predictor: Predictor,
-    config: SearchConfig = SearchConfig(),
-    *,
+    predictor: Predictor | None = None,
     candidates_per_depth: int = 32,
     executor: Executor | Sequence[Executor] | None = None,
     runtime: RuntimeConfig | None = None,
-) -> SearchResult:
-    """Algorithm 1 with a closed-loop predictor (random / bandit / RL).
-
-    The predictor proposes ``candidates_per_depth`` sequences per depth and
-    receives every reward back *before the next depth proposes*, so
-    learning predictors steer their own later proposals within one sweep.
-    Proposals are deduplicated within a depth (the result cache makes
-    repeats free anyway, but rewards should not be double-counted by
-    learners).
-    """
-    check_positive(candidates_per_depth, "candidates_per_depth")
-
-    def propose_depth(_depth_index: int) -> list[tuple[str, ...]]:
-        proposals = predictor.propose(candidates_per_depth)
-        unique = list(dict.fromkeys(proposals))
-        if config.constraints is not None:
-            unique = config.constraints.filter(unique)
-        return unique
-
-    with _make_runtime(graphs, config, executor, runtime) as search_runtime:
-        return search_runtime.run(
-            propose_depth, num_depths=config.p_max, predictor=predictor
-        )
-
-
-def _run_depth_sweep(
-    graphs: Sequence[Graph],
-    config: SearchConfig,
-    candidates_per_depth: Sequence[Sequence[tuple[str, ...]]],
-    executor: Executor | Sequence[Executor] | None,
-    *,
-    predictor: Predictor | None = None,
-    runtime: RuntimeConfig | None = None,
     cache: ResultCache | None = None,
     cancel: CancellationToken | None = None,
     metrics: MetricsRegistry | None = None,
     progress: SweepProgress | None = None,
 ) -> SearchResult:
-    with _make_runtime(
-        graphs, config, executor, runtime, cache, cancel,
-        metrics=metrics, progress=progress,
-    ) as search_runtime:
-        return search_runtime.run(candidates_per_depth, predictor=predictor)
+    """Algorithm 1; exhaustive (the paper's profiled configuration) unless
+    a ``predictor`` is given.
+
+    Exhaustive: every admissible candidate in the space is trained at
+    every depth. With a ``predictor`` (random / bandit / RL) each depth
+    trains the ``candidates_per_depth`` sequences it proposes and feeds
+    every reward back *before the next depth proposes*, so learning
+    predictors steer their own later proposals within one sweep. With a
+    parallel executor the per-depth candidate bag fans out across
+    workers. Pass ``runtime`` to enable the persistent cache and
+    checkpoint/resume, or ``cache`` to run against an externally-owned
+    (shared) result store — the search service passes its multi-tenant
+    cache here.
+    """
+    proposer: Proposer
+    if predictor is not None:
+        proposer = PredictorProposer(
+            predictor, candidates_per_depth, config.constraints
+        )
+    else:
+        candidates = enumerate_search_space(
+            config.alphabet, config.k_max, k_min=config.k_min, mode=config.mode
+        )
+        if config.constraints is not None:
+            candidates = config.constraints.filter(candidates)
+        if config.num_samples is not None:
+            candidates = candidates[: config.num_samples]
+        proposer = FixedPoolProposer(candidates)
+    if config.surrogate.enabled:
+        # Imported lazily: repro.surrogate's models import repro.core.
+        from repro.surrogate.ranking import SurrogateAssistant
+
+        proposer = SurrogateAssistant(
+            proposer, config.alphabet, config.surrogate, metrics=metrics
+        )
+    # shards > 1 (without a shard_index pinning this process to one shard)
+    # selects ShardedRuntime; ``executor`` may then be a sequence of
+    # per-shard executors. Everything else runs single-node.
+    runtime = runtime or RuntimeConfig()
+    shared = dict(
+        runtime=runtime, cache=cache, cancel=cancel, metrics=metrics,
+        progress=progress,
+    )
+    sequence_given = executor is not None and not isinstance(executor, Executor)
+    if (runtime.shards > 1 or sequence_given) and runtime.shard_index is None:
+        search_runtime = ShardedRuntime(graphs, config, executors=executor, **shared)
+    elif sequence_given:
+        raise ValueError(
+            "a sequence of executors requires sharded execution "
+            "(RuntimeConfig without shard_index)"
+        )
+    else:
+        search_runtime = SearchRuntime(graphs, config, executor=executor, **shared)
+    with search_runtime:
+        return search_runtime.run(proposer)

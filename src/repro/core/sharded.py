@@ -203,10 +203,11 @@ class ShardedRuntime(SearchRuntime):
             if not first_round:
                 self.jobs_migrated += len(remaining)
             round_keys = list(remaining)
-            # _predicted_cost: the surrogate's fitted cost model (measured
-            # seconds) when active, the static heuristic otherwise — all
-            # shards are placed by this parent process, so a learned model
-            # cannot desynchronise siblings the way shard_index would.
+            # _predicted_cost is the running proposer's estimate: a
+            # surrogate filter's fitted cost model (measured seconds), the
+            # static heuristic otherwise — all shards are placed by this
+            # parent process, so a learned model cannot desynchronise
+            # siblings the way shard_index would.
             bins = least_loaded_partition(
                 [self._predicted_cost(remaining[key][1], p) for key in round_keys],
                 len(alive),
@@ -232,8 +233,7 @@ class ShardedRuntime(SearchRuntime):
                 if kind == "result":
                     key, result = payload
                     del remaining[key]
-                    if self.progress is not None:
-                        self.progress.record_shard(shard.index)
+                    self.progress.record_shard(shard.index)
                     if self._m_shard is not None:
                         self._m_shard.labels(shard=str(shard.index)).inc()
                     yield key, result
@@ -290,8 +290,8 @@ class ShardedRuntime(SearchRuntime):
 
     # -- merged accounting -------------------------------------------------
 
-    def _result_config(self, predictor) -> dict:
-        merged = super()._result_config(predictor)
+    def _result_config(self, proposer) -> dict:
+        merged = super()._result_config(proposer)
         schedulers = [shard.scheduler for shard in self.shard_states]
         # A shared executor appears once, not once per shard.
         unique_executors = list(

@@ -31,15 +31,19 @@ class Cobyla(Optimizer):
 
     def minimize(self, fn: Objective, x0: Sequence[float]) -> OptimizeResult:
         tracer = ObjectiveTracer(fn)
+        x0 = np.asarray(x0, dtype=float)
+        # COBYLA needs num_vars + 2 evaluations to build its first simplex;
+        # below that scipy warns and substitutes exactly this value.
+        maxiter = max(self.maxiter, len(x0) + 2)
         result = sp_optimize.minimize(
             tracer,
-            np.asarray(x0, dtype=float),
+            x0,
             method="COBYLA",
-            options={"maxiter": self.maxiter, "rhobeg": self.rhobeg, "tol": self.tol},
+            options={"maxiter": maxiter, "rhobeg": self.rhobeg, "tol": self.tol},
         )
         # Report the best point seen, not the last iterate: COBYLA's final
         # simplex point can be worse than an earlier trial.
-        best_x = tracer.best_x if tracer.best_x is not None else np.asarray(x0, float)
+        best_x = tracer.best_x if tracer.best_x is not None else x0
         return OptimizeResult(
             x=best_x,
             fun=tracer.best,

@@ -12,27 +12,21 @@ Public surface:
   online from completed evaluations.
 * :class:`~repro.surrogate.cost.CostModel` — measured-seconds
   regression that replaces the static shard-placement heuristic.
-* :class:`~repro.surrogate.ranking.SurrogateAssistant` — the runtime
-  integration (train → rank → account).
-* :class:`~repro.surrogate.ranking.SurrogateRankedPredictor` — the same
-  ranking as a wrapper around any base
-  :class:`~repro.core.predictor.Predictor`.
+* :class:`~repro.surrogate.ranking.SurrogateAssistant` — the filter
+  (train → rank → account) ``search_mixer`` wraps around whichever
+  :class:`~repro.core.predictor.Proposer` the sweep uses, exhaustive
+  pool or predictor alike.
 """
 
 from repro.surrogate.config import SurrogateConfig
 from repro.surrogate.cost import CostModel
 from repro.surrogate.model import SurrogateModel
-from repro.surrogate.ranking import (
-    SurrogateAssistant,
-    SurrogateRankedPredictor,
-    rank_and_select,
-)
+from repro.surrogate.ranking import SurrogateAssistant, rank_and_select
 
 __all__ = [
     "CostModel",
     "SurrogateAssistant",
     "SurrogateConfig",
     "SurrogateModel",
-    "SurrogateRankedPredictor",
     "rank_and_select",
 ]

@@ -1,18 +1,14 @@
 """Surrogate-assisted candidate selection: rank the pool, evaluate a slice.
 
-Two consumers share the selection rule in :func:`rank_and_select`:
-
-* :class:`SurrogateAssistant` — the sweep-side integration the runtime
-  owns when ``SearchConfig.surrogate.enabled``: it trains the
-  :class:`~repro.surrogate.model.SurrogateModel` (and the
-  :class:`~repro.surrogate.cost.CostModel`) on each finished depth's
-  evaluations, then pre-ranks the next depth's candidate pool and
-  forwards only the predicted-top slice — plus the seeded exploration
-  floor — to real evaluation.
-* :class:`SurrogateRankedPredictor` — the same idea as a standalone
-  :class:`~repro.core.predictor.Predictor` wrapper: any base predictor's
-  proposals are ranked by a surrogate trained on the rewards fed back
-  through ``update``, for search loops that drive predictors directly.
+:class:`SurrogateAssistant` is a filter over any
+:class:`~repro.core.predictor.Proposer` — the exhaustive pool or a
+predictor's proposals alike; ``search_mixer`` wraps it around whichever
+the sweep uses when ``SearchConfig.surrogate.enabled``. It trains the
+:class:`~repro.surrogate.model.SurrogateModel` (and the
+:class:`~repro.surrogate.cost.CostModel`) on each finished depth's
+evaluations, then pre-ranks the next depth's candidate pool with
+:func:`rank_and_select` and forwards only the predicted-top slice — plus
+the seeded exploration floor — to real evaluation.
 
 Selection invariants, relied on by the equivalence tests: the kept
 subset preserves the pool's original order (so depth fingerprints and
@@ -32,7 +28,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.alphabet import GateAlphabet
-from repro.core.predictor import Predictor
+from repro.core.predictor import Proposer
 from repro.core.results import CandidateEvaluation
 from repro.obs.metrics import MetricsRegistry
 from repro.surrogate.config import SurrogateConfig
@@ -40,7 +36,7 @@ from repro.surrogate.cost import CostModel
 from repro.surrogate.model import SurrogateModel
 from repro.utils.rng import as_rng, stable_seed
 
-__all__ = ["SurrogateAssistant", "SurrogateRankedPredictor", "rank_and_select"]
+__all__ = ["SurrogateAssistant", "rank_and_select"]
 
 #: histogram buckets for ranking latency (a pool is scored in milliseconds)
 _RANKING_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0)
@@ -72,22 +68,25 @@ def rank_and_select(
     return sorted(chosen)
 
 
-class SurrogateAssistant:
+class SurrogateAssistant(Proposer):
     """One sweep's surrogate layer: value model + cost model + accounting.
 
-    Owned by :class:`~repro.core.runtime.SearchRuntime` when the search
-    config enables the surrogate. ``select`` is called with each depth's
-    candidate pool *before* evaluation; ``observe`` with each finished
-    depth's evaluations (cache hits included, so the training stream is
-    deterministic for a given sweep). Both models train lazily at the
-    top of ``select`` — "train on everything completed so far, then
+    Wraps the proposer whose pools it prunes: ``propose`` passes
+    ``inner``'s depth pool through ``select`` *before* evaluation;
+    ``observe`` trains on each finished depth's evaluations (cache hits
+    included, so the training stream is deterministic for a given
+    sweep), then forwards them to ``inner``. Both models train lazily at
+    the top of ``select`` — "train on everything completed so far, then
     rank" — and the accounting (candidates kept/skipped, ranking
     latency) feeds the result config and, when a registry is wired, the
-    ``repro_surrogate_*`` metric families.
+    ``repro_surrogate_*`` metric families. Never ``shard_safe``: the
+    ranker trains on every previous-depth result, and sibling shard
+    processes would prune divergent slices.
     """
 
     def __init__(
         self,
+        inner: Proposer,
         alphabet: GateAlphabet,
         config: SurrogateConfig,
         *,
@@ -95,6 +94,8 @@ class SurrogateAssistant:
     ) -> None:
         if not config.enabled:
             raise ValueError("SurrogateAssistant requires an enabled config")
+        self.inner = inner
+        self.name = inner.name
         self.config = config
         self.model = SurrogateModel(
             alphabet,
@@ -124,7 +125,10 @@ class SurrogateAssistant:
                 buckets=_RANKING_BUCKETS,
             )
 
-    # -- the two consumers --------------------------------------------------
+    # -- the proposer seam --------------------------------------------------
+
+    def propose(self, p: int) -> list[tuple[str, ...]]:
+        return self.select(self.inner.propose(p), p)
 
     def select(
         self, candidates: Sequence[tuple[str, ...]], p: int
@@ -165,102 +169,21 @@ class SurrogateAssistant:
         return kept
 
     def observe(self, evaluations: Sequence[CandidateEvaluation]) -> None:
-        """Feed a finished depth's results into both models. The value
-        model trains on ``reward`` — the same scalar SELECT_BEST
-        maximizes — so ranking by descending prediction targets the
-        depth winner."""
+        """Feed a finished depth's results into both models, then on to
+        ``inner``. The value model trains on ``reward`` — the same scalar
+        SELECT_BEST maximizes — so ranking by descending prediction
+        targets the depth winner."""
         for evaluation in evaluations:
             self.model.observe(evaluation.tokens, evaluation.p, evaluation.reward)
             if self.cost is not None and evaluation.seconds > 0.0:
                 self.cost.observe(
                     evaluation.tokens, evaluation.p, evaluation.seconds
                 )
+        self.inner.observe(evaluations)
 
     def predicted_cost(self, tokens: Sequence[str], p: int) -> float:
         """Placement cost for the sharded runtime: the fitted cost model,
-        or the static heuristic until it has enough measurements."""
+        or ``inner``'s estimate when the cost model is off."""
         if self.cost is not None:
             return self.cost.predict(tokens, p)
-        from repro.core.runtime import predicted_cost
-
-        return predicted_cost(tokens, p)
-
-
-class SurrogateRankedPredictor(Predictor):
-    """Wrap any base predictor; forward only its predicted-top proposals.
-
-    ``propose`` pulls a pool from the base predictor, ranks it with a
-    surrogate trained on the rewards fed back through ``update``, and
-    returns the top ``keep_fraction`` slice plus the exploration floor —
-    so the search loop evaluates a fraction of what the base proposed.
-    The predictor protocol carries no depth, so the model's depth
-    feature is pinned at 1: rewards from different depths train one
-    prior, which is what ranking *within* a proposal pool needs.
-
-    Proposals are always a subset of the base's, so alphabet/k_max
-    validity is inherited; ``exhausted`` delegates to the base.
-    """
-
-    name = "surrogate_ranked"
-
-    def __init__(
-        self,
-        base: Predictor,
-        *,
-        alphabet: GateAlphabet | None = None,
-        config: SurrogateConfig | None = None,
-    ) -> None:
-        alphabet = alphabet or getattr(base, "alphabet", None)
-        if alphabet is None:
-            raise ValueError(
-                "base predictor exposes no .alphabet; pass alphabet= explicitly"
-            )
-        self.base = base
-        self.alphabet = alphabet
-        self.config = config or SurrogateConfig(enabled=True)
-        if not self.config.enabled:
-            raise ValueError("SurrogateRankedPredictor requires an enabled config")
-        self.model = SurrogateModel(
-            alphabet,
-            embedding_dim=self.config.embedding_dim,
-            hidden_dim=self.config.hidden_dim,
-            learning_rate=self.config.learning_rate,
-            train_epochs=self.config.train_epochs,
-            seed=self.config.seed,
-        )
-        self.kept = 0
-        self.skipped = 0
-        self._proposals = 0
-
-    def propose(self, num: int) -> list[tuple[str, ...]]:
-        pool = [tuple(tokens) for tokens in self.base.propose(num)]
-        self.model.fit()
-        if (
-            len(pool) > 1
-            and self.model.trained
-            and self.model.observations >= self.config.min_observations
-        ):
-            scores = self.model.predict_many(pool, p=1)
-            rng = as_rng(
-                stable_seed(self.config.seed, "surrogate-pool", self._proposals)
-            )
-            indices = rank_and_select(
-                scores,
-                keep_fraction=self.config.keep_fraction,
-                explore_floor=self.config.explore_floor,
-                rng=rng,
-            )
-            kept = [pool[i] for i in indices]
-        else:
-            kept = pool
-        self._proposals += 1
-        self.kept += len(kept)
-        self.skipped += len(pool) - len(kept)
-        return kept
-
-    def update(self, tokens: tuple[str, ...], reward: float) -> None:
-        self.model.observe(tokens, 1, reward)
-        self.base.update(tokens, reward)
-
-    def exhausted(self) -> bool:
-        return self.base.exhausted()
+        return self.inner.predicted_cost(tokens, p)

@@ -132,6 +132,19 @@ class TestSearchCommand:
         with pytest.raises(SystemExit, match="--shard-index requires --cache-dir"):
             main(["search", "--shards", "2", "--shard-index", "0"])
 
+    def test_surrogate_with_shard_index_exits_with_the_runtime_message(
+        self, tmp_path
+    ):
+        """No CLI pre-check: the runtime's single rejection surfaces as
+        the exit message."""
+        with pytest.raises(SystemExit, match="shard_index requires a proposer"):
+            main([
+                "search", "--graphs", "1", "--steps", "4", "--p-max", "1",
+                "--k-min", "1", "--k-max", "1", "--metric", "energy",
+                "--surrogate", "--shards", "2", "--shard-index", "0",
+                "--cache-dir", str(tmp_path),
+            ])
+
     def test_shard_index_range_checked(self, tmp_path):
         with pytest.raises(SystemExit, match="--shard-index must be in"):
             main([

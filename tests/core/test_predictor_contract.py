@@ -4,7 +4,7 @@
 anything registered there is driven through the same protocol: propose
 token tuples, accept rewards, report exhaustion. These tests run each
 factory against the invariants the runtime relies on — so a new strategy
-(the surrogate wrapper being the latest) cannot silently propose tokens
+(the LSTM policy controller being the latest) cannot silently propose tokens
 outside the alphabet, sequences beyond ``k_max``, or diverge between
 identically-seeded runs.
 """

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.cache import ResultCache
 from repro.core.evaluator import EvaluationConfig
-from repro.core.predictor import Predictor
+from repro.core.predictor import FixedPoolProposer, Predictor, PredictorProposer
 from repro.core.runtime import RuntimeConfig, SearchRuntime
 from repro.core.search import SearchConfig, search_mixer
 from repro.graphs.generators import erdos_renyi_graph
@@ -70,8 +70,8 @@ class RecordingPredictor(Predictor):
     def __init__(self):
         self.updates = []
 
-    def propose(self, num):  # pragma: no cover - runtime never proposes
-        raise NotImplementedError
+    def propose(self, num):
+        return [("rx",), ("ry",)][:num]
 
     def update(self, tokens, reward):
         self.updates.append((tuple(tokens), reward))
@@ -129,7 +129,7 @@ class TestWarmCache:
         with SearchRuntime(
             graphs, config, runtime=RuntimeConfig(cache_dir=str(tmp_path))
         ) as runtime:
-            result = runtime.run([[("rx",), ("ry",), ("rx",)]])
+            result = runtime.run(FixedPoolProposer([("rx",), ("ry",), ("rx",)]))
         assert runtime.cache_hits == 1  # third candidate repeats the first
         assert runtime.cache_misses == 2
         assert len(result.depth_results[0].evaluations) == 3
@@ -200,18 +200,19 @@ class TestCheckpointResume:
         config = SearchConfig(
             p_max=1, k_max=1, evaluation=EvaluationConfig(max_steps=10, seed=1)
         )
-        candidates = [[("rx",), ("ry",)]]
         with SearchRuntime(
             graphs, config, runtime=RuntimeConfig(cache_dir=str(tmp_path))
         ) as runtime:
             first = RecordingPredictor()
-            runtime.run(candidates, predictor=first)
+            runtime.run(PredictorProposer(first, 2))
 
         with SearchRuntime(
             graphs, config, runtime=RuntimeConfig(cache_dir=str(tmp_path), resume=True)
         ) as runtime:
             replayed = RecordingPredictor()
-            runtime.run(candidates, predictor=replayed)
+            runtime.run(PredictorProposer(replayed, 2))
+        assert runtime.restored_depths == 1
+        assert len(first.updates) == 2
         assert replayed.updates == first.updates
 
 
@@ -372,6 +373,6 @@ class TestRuntimeValidation:
         with SearchRuntime(graphs, tiny_config) as runtime:
             assert runtime.cache is None
             assert runtime.checkpoint is None
-            result = runtime.run([[("rx",)]])
+            result = runtime.run(FixedPoolProposer([("rx",)]))
         assert result.config["cache_dir"] is None
         assert result.config["cache_hits"] == 0

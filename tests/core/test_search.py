@@ -5,8 +5,10 @@ from repro.core.alphabet import GateAlphabet
 from repro.core.controller import ControllerPredictor, PolicyController
 from repro.core.evaluator import EvaluationConfig
 from repro.core.predictor import EpsilonGreedyPredictor, RandomPredictor
-from repro.core.search import SearchConfig, search_mixer, search_with_predictor
+from repro.core.runtime import CancellationToken, SweepCancelled
+from repro.core.search import SearchConfig, search_mixer
 from repro.graphs.generators import erdos_renyi_graph
+from repro.obs.progress import SweepProgress
 from repro.parallel.executor import MultiprocessingExecutor, ThreadExecutor
 
 
@@ -85,8 +87,8 @@ class TestPredictorDriven:
     def test_random_predictor_search(self, graphs):
         config = SearchConfig(p_max=1, k_max=2, evaluation=EvaluationConfig(max_steps=8, seed=2))
         predictor = RandomPredictor(GateAlphabet(), 2, seed=0)
-        result = search_with_predictor(
-            graphs, predictor, config, candidates_per_depth=6
+        result = search_mixer(
+            graphs, config, predictor=predictor, candidates_per_depth=6
         )
         assert result.config["predictor"] == "random"
         assert result.num_candidates <= 6
@@ -94,14 +96,16 @@ class TestPredictorDriven:
     def test_bandit_receives_rewards(self, graphs):
         config = SearchConfig(p_max=2, k_max=2, evaluation=EvaluationConfig(max_steps=8, seed=2))
         predictor = EpsilonGreedyPredictor(GateAlphabet(), 2, epsilon=0.5, seed=1)
-        search_with_predictor(graphs, predictor, config, candidates_per_depth=5)
+        search_mixer(graphs, config, predictor=predictor, candidates_per_depth=5)
         assert predictor._length_count.sum() > 0  # rewards were propagated
 
     def test_controller_predictor_integration(self, graphs):
         config = SearchConfig(p_max=1, k_max=3, evaluation=EvaluationConfig(max_steps=6, seed=2))
         controller = PolicyController(GateAlphabet(), max_gates=3, seed=0)
         predictor = ControllerPredictor(controller, batch_size=4, seed=0)
-        result = search_with_predictor(graphs, predictor, config, candidates_per_depth=8)
+        result = search_mixer(
+            graphs, config, predictor=predictor, candidates_per_depth=8
+        )
         assert result.best_tokens
 
     def test_rewards_flow_before_next_depth_proposals(self, graphs):
@@ -122,16 +126,58 @@ class TestPredictorDriven:
             p_max=2, k_max=1, evaluation=EvaluationConfig(max_steps=6, seed=2)
         )
         predictor = OrderTracker(GateAlphabet(), 1, seed=0)
-        search_with_predictor(graphs, predictor, config, candidates_per_depth=3)
+        search_mixer(graphs, config, predictor=predictor, candidates_per_depth=3)
         second_propose = events.index("propose", 1)
         assert "update" in events[:second_propose]
 
     def test_duplicate_proposals_deduplicated(self, graphs):
+        updates = []
+
         class ConstantPredictor(RandomPredictor):
             def propose(self, num):
                 return [("rx",)] * num
 
+            def update(self, tokens, reward):
+                updates.append(tokens)
+
         config = SearchConfig(p_max=1, k_max=1, evaluation=EvaluationConfig(max_steps=6, seed=2))
         predictor = ConstantPredictor(GateAlphabet(), 1, seed=0)
-        result = search_with_predictor(graphs, predictor, config, candidates_per_depth=10)
+        result = search_mixer(
+            graphs, config, predictor=predictor, candidates_per_depth=10
+        )
         assert result.num_candidates == 1
+        assert updates == [("rx",)]  # ten proposals, one reward
+
+    def test_cancel_and_progress_reach_predictor_sweeps(self, graphs):
+        """The predictor path runs on the same runtime as the exhaustive
+        one: it reports SweepProgress, and a token fired while depth 1's
+        rewards are fed back stops the sweep before depth 2 proposes."""
+        cancel = CancellationToken("stop after depth 1")
+        progress = SweepProgress()
+        proposals = []
+
+        class CancellingPredictor(RandomPredictor):
+            def propose(self, num):
+                proposals.append(num)
+                return super().propose(num)
+
+            def update(self, tokens, reward):
+                cancel.cancel()
+
+        config = SearchConfig(
+            p_max=3, k_max=1, evaluation=EvaluationConfig(max_steps=6, seed=2)
+        )
+        with pytest.raises(SweepCancelled, match="stop after depth 1"):
+            search_mixer(
+                graphs,
+                config,
+                predictor=CancellingPredictor(GateAlphabet(), 1, seed=0),
+                candidates_per_depth=4,
+                cancel=cancel,
+                progress=progress,
+            )
+        assert proposals == [4]
+        snapshot = progress.to_dict()
+        assert snapshot["depths_total"] == 3
+        assert [d["p"] for d in snapshot["per_depth"]] == [1]
+        assert snapshot["candidates_done"] == snapshot["candidates_total"] > 0

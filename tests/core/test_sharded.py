@@ -5,9 +5,9 @@ from dataclasses import replace
 import pytest
 
 from repro.core.evaluator import EvaluationConfig
-from repro.core.predictor import RandomPredictor
+from repro.core.predictor import FixedPoolProposer, RandomPredictor
 from repro.core.runtime import RuntimeConfig, predicted_cost
-from repro.core.search import SearchConfig, search_mixer, search_with_predictor
+from repro.core.search import SearchConfig, search_mixer
 from repro.core.sharded import ShardedRuntime, ShardFailedError
 from repro.graphs.generators import erdos_renyi_graph
 from repro.parallel.executor import SerialExecutor, ThreadExecutor
@@ -24,6 +24,11 @@ def tiny_config():
     return SearchConfig(
         p_max=2, k_max=1, evaluation=EvaluationConfig(max_steps=10, seed=1)
     )
+
+
+#: the one message every shard_index x feedback-driven-proposer pair gets
+#: (tests/surrogate/test_search_equivalence.py pins the surrogate pair)
+SHARD_INDEX_REJECTION = "shard_index requires a proposer whose pools ignore reward"
 
 
 def evaluation_payload(result):
@@ -97,7 +102,7 @@ class TestShardedMatchesSingleNode:
         with ShardedRuntime(
             graphs, tiny_config, runtime=RuntimeConfig(shards=2)
         ) as runtime:
-            runtime.run([[("rx",), ("ry",), ("h",), ("rz",)]])
+            runtime.run(FixedPoolProposer([("rx",), ("ry",), ("h",), ("rz",)]))
         for shard in runtime.shard_states:
             assert shard.scheduler.stats.submitted > 0
 
@@ -125,10 +130,10 @@ class TestShardedMatchesSingleNode:
         config = SearchConfig(
             p_max=2, k_max=2, evaluation=EvaluationConfig(max_steps=10, seed=1)
         )
-        result = search_with_predictor(
+        result = search_mixer(
             graphs,
-            RandomPredictor(config.alphabet, k_max=2, seed=5),
             config,
+            predictor=RandomPredictor(config.alphabet, k_max=2, seed=5),
             candidates_per_depth=4,
             runtime=RuntimeConfig(shards=2),
         )
@@ -270,11 +275,11 @@ class TestShardIndexProcesses:
         config = SearchConfig(
             p_max=2, k_max=2, evaluation=EvaluationConfig(max_steps=10, seed=1)
         )
-        with pytest.raises(ValueError, match="concrete per-depth candidate"):
-            search_with_predictor(
+        with pytest.raises(ValueError, match=SHARD_INDEX_REJECTION):
+            search_mixer(
                 graphs,
-                RandomPredictor(config.alphabet, k_max=2, seed=5),
                 config,
+                predictor=RandomPredictor(config.alphabet, k_max=2, seed=5),
                 candidates_per_depth=4,
                 runtime=RuntimeConfig(
                     cache_dir=str(tmp_path), shards=2, shard_index=0

@@ -5,7 +5,7 @@ from repro.core.alphabet import GateAlphabet
 from repro.core.controller import ControllerPredictor, PolicyController
 from repro.core.evaluator import EvaluationConfig, Evaluator
 from repro.core.predictor import RandomPredictor
-from repro.core.search import SearchConfig, search_mixer, search_with_predictor
+from repro.core.search import SearchConfig, search_mixer
 from repro.graphs.datasets import paper_er_dataset, paper_regular_dataset
 from repro.parallel.executor import MultiprocessingExecutor
 
@@ -70,8 +70,8 @@ class TestFullPipeline:
             p_max=2, k_max=2, evaluation=EvaluationConfig(max_steps=10, seed=3)
         )
         predictor = RandomPredictor(GateAlphabet(), 2, seed=5)
-        result = search_with_predictor(
-            train_graphs[:2], predictor, config, candidates_per_depth=5
+        result = search_mixer(
+            train_graphs[:2], config, predictor=predictor, candidates_per_depth=5
         )
         assert len(result.depth_results) == 2
         assert result.best_ratio > 0.5
@@ -83,8 +83,8 @@ class TestFullPipeline:
         )
         controller = PolicyController(GateAlphabet(), max_gates=3, seed=1)
         predictor = ControllerPredictor(controller, batch_size=4, seed=1)
-        result = search_with_predictor(
-            train_graphs[:1], predictor, config, candidates_per_depth=8
+        result = search_mixer(
+            train_graphs[:1], config, predictor=predictor, candidates_per_depth=8
         )
         assert result.best_tokens
         assert predictor.updates >= 1

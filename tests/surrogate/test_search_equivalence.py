@@ -11,8 +11,10 @@ entries (evaluations are pure functions of the evaluation config).
 import pytest
 
 from repro.api import Config, search
+from repro.core.evaluator import EvaluationConfig
+from repro.core.predictor import RandomPredictor
 from repro.core.runtime import RuntimeConfig, SearchRuntime
-from repro.core.search import SearchConfig
+from repro.core.search import SearchConfig, search_mixer
 from repro.graphs.datasets import DATASET_FAMILIES
 from repro.surrogate import SurrogateConfig
 
@@ -127,14 +129,56 @@ class TestFingerprintSensitivity:
             )
 
 
+class TestFilterOverPredictor:
+    def test_surrogate_filters_predictor_proposals_through_search_mixer(self):
+        """One front-end composes both: the predictor proposes, the
+        surrogate prunes, only evaluated candidates reward the learner."""
+        graphs = DATASET_FAMILIES["er"][1](2, dataset_seed=2023)
+        rewarded = []
+
+        class Recording(RandomPredictor):
+            def update(self, tokens, reward):
+                rewarded.append(tokens)
+
+        config = SearchConfig(
+            p_max=3,
+            k_max=3,
+            evaluation=EvaluationConfig(max_steps=6, seed=1),
+            surrogate=SurrogateConfig(
+                enabled=True, keep_fraction=0.4, explore_floor=0.0,
+                min_observations=4, train_epochs=10,
+            ),
+        )
+        result = search_mixer(
+            graphs,
+            config,
+            predictor=Recording(config.alphabet, 3, seed=4),
+            candidates_per_depth=12,
+        )
+        assert result.config["predictor"] == "random"
+        assert result.config["surrogate"] is True
+        assert result.config["surrogate_skipped"] > 0
+        assert result.config["surrogate_kept"] == result.num_candidates
+        evaluated = [
+            e.tokens for d in result.depth_results for e in d.evaluations
+        ]
+        assert rewarded == evaluated
+        # depth 1 passes through untrained; later depths are pruned
+        widths = [len(d.evaluations) for d in result.depth_results]
+        assert widths[-1] < widths[0]
+
+
 class TestGuards:
     def test_surrogate_forbidden_with_shard_index(self):
         graphs = DATASET_FAMILIES["er"][1](2, dataset_seed=2023)
         config = SearchConfig(
             p_max=1, k_max=1, surrogate=SurrogateConfig(enabled=True)
         )
-        with pytest.raises(ValueError, match="shard_index"):
-            SearchRuntime(
+        with pytest.raises(
+            ValueError,
+            match="shard_index requires a proposer whose pools ignore reward",
+        ):
+            search_mixer(
                 graphs,
                 config,
                 runtime=RuntimeConfig(shards=2, shard_index=0, cache_dir=None),

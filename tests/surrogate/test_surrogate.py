@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.alphabet import DEFAULT_TOKENS, GateAlphabet
-from repro.core.predictor import ExhaustivePredictor, RandomPredictor
+from repro.core.predictor import (
+    ExhaustivePredictor,
+    FixedPoolProposer,
+    PredictorProposer,
+    RandomPredictor,
+)
 from repro.core.results import CandidateEvaluation
 from repro.core.runtime import predicted_cost
 from repro.obs.metrics import MetricsRegistry
@@ -13,7 +18,6 @@ from repro.surrogate import (
     SurrogateAssistant,
     SurrogateConfig,
     SurrogateModel,
-    SurrogateRankedPredictor,
     rank_and_select,
 )
 from repro.utils.rng import as_rng
@@ -198,11 +202,36 @@ class TestSurrogateAssistant:
             train_epochs=10,
         )
         kwargs.update(overrides)
-        return SurrogateAssistant(ALPHABET, SurrogateConfig(**kwargs))
+        return SurrogateAssistant(
+            FixedPoolProposer([]), ALPHABET, SurrogateConfig(**kwargs)
+        )
 
     def test_requires_enabled_config(self):
         with pytest.raises(ValueError, match="enabled"):
-            SurrogateAssistant(ALPHABET, SurrogateConfig())
+            SurrogateAssistant(FixedPoolProposer([]), ALPHABET, SurrogateConfig())
+
+    def test_wraps_a_proposer(self):
+        """The seam: propose filters the inner pool, observe trains and
+        forwards, identity (name, shard-safety) follows the composition."""
+        pool = sequences(20, seed=9)
+        observed = []
+
+        class Inner(FixedPoolProposer):
+            def observe(self, evaluations):
+                observed.extend(evaluations)
+
+        assistant = SurrogateAssistant(
+            Inner(pool), ALPHABET, self.make().config
+        )
+        assert assistant.name == "exhaustive"
+        assert not assistant.shard_safe
+        assert assistant.propose(1) == pool  # nothing learned yet
+        results = [evaluation(t) for t in pool]
+        assistant.observe(results)
+        assert observed == results
+        kept = assistant.propose(2)
+        assert 0 < len(kept) < len(pool)
+        assert set(kept) <= set(pool)
 
     def test_passes_everything_until_min_observations(self):
         assistant = self.make(min_observations=50)
@@ -232,7 +261,9 @@ class TestSurrogateAssistant:
             hidden_dim=6,
             train_epochs=5,
         )
-        assistant = SurrogateAssistant(ALPHABET, config, metrics=registry)
+        assistant = SurrogateAssistant(
+            FixedPoolProposer([]), ALPHABET, config, metrics=registry
+        )
         pool = sequences(12, seed=10)
         assistant.observe([evaluation(t) for t in pool])
         assistant.select(pool, 1)
@@ -258,6 +289,10 @@ class TestSurrogateAssistant:
 
 
 class TestSurrogateRankedPredictor:
+    """Predictor proposals ranked by the surrogate: the filter composed
+    over a :class:`PredictorProposer` (what ``search_mixer`` builds for
+    ``predictor=`` + ``config.surrogate.enabled``)."""
+
     def config(self, **overrides):
         kwargs = dict(
             enabled=True,
@@ -271,43 +306,65 @@ class TestSurrogateRankedPredictor:
         kwargs.update(overrides)
         return SurrogateConfig(**kwargs)
 
-    def test_proposals_subset_of_base(self):
-        predictor = SurrogateRankedPredictor(
-            RandomPredictor(ALPHABET, 3, seed=1), config=self.config()
+    def ranked(self, predictor, num, **overrides):
+        return SurrogateAssistant(
+            PredictorProposer(predictor, num), ALPHABET, self.config(**overrides)
         )
-        for tokens in predictor.propose(10):
-            predictor.update(tokens, 0.2 * len(tokens))
-        pruned = predictor.propose(10)
-        assert 0 < len(pruned) < 10
-        assert predictor.skipped > 0
+
+    def test_proposals_subset_of_base(self):
+        base = PredictorProposer(RandomPredictor(ALPHABET, 3, seed=1), 10)
+        ranked = self.ranked(RandomPredictor(ALPHABET, 3, seed=1), 10)
+        first = ranked.propose(1)
+        assert first == base.propose(1)
+        ranked.observe([evaluation(t) for t in first])
+        pruned = ranked.propose(2)
+        full = base.propose(2)  # the twin-seeded base's unfiltered pool
+        assert 0 < len(pruned) < len(full)
+        assert set(pruned) <= set(full)
+        assert ranked.skipped == len(full) - len(pruned)
 
     def test_passthrough_until_trained(self):
-        predictor = SurrogateRankedPredictor(
-            RandomPredictor(ALPHABET, 3, seed=2), config=self.config()
-        )
-        assert len(predictor.propose(6)) == 6
+        ranked = self.ranked(RandomPredictor(ALPHABET, 3, seed=2), 6)
+        base = PredictorProposer(RandomPredictor(ALPHABET, 3, seed=2), 6)
+        assert ranked.propose(1) == base.propose(1)
+        assert ranked.skipped == 0
 
     def test_requires_alphabet(self):
-        base = ExhaustivePredictor(ALPHABET, 2)  # exposes no .alphabet
-        with pytest.raises(ValueError, match="alphabet"):
-            SurrogateRankedPredictor(base, config=self.config())
-        wrapped = SurrogateRankedPredictor(
-            base, alphabet=ALPHABET, config=self.config()
-        )
-        assert wrapped.exhausted() is False
+        """The filter ranks with the alphabet it is given; the wrapped
+        predictor need not expose one (``ExhaustivePredictor`` does not)."""
+        base = ExhaustivePredictor(ALPHABET, 2)
+        assert not hasattr(base, "alphabet")
+        ranked = self.ranked(base, 10)
+        first = ranked.propose(1)
+        ranked.observe([evaluation(t) for t in first])
+        assert 0 < len(ranked.propose(2)) < 10
 
     def test_exhausted_delegates(self):
+        """An exhausted base's empty pool passes straight through."""
         base = ExhaustivePredictor(ALPHABET, 1)
-        wrapped = SurrogateRankedPredictor(
-            base, alphabet=ALPHABET, config=self.config()
-        )
-        while not wrapped.exhausted():
-            wrapped.propose(16)
-        assert base.exhausted()
+        ranked = self.ranked(base, 16)
+        while not base.exhausted():
+            assert ranked.propose(1)
+        assert ranked.propose(1) == []
 
     def test_requires_enabled_config(self):
         with pytest.raises(ValueError, match="enabled"):
-            SurrogateRankedPredictor(
-                RandomPredictor(ALPHABET, 2, seed=0),
-                config=SurrogateConfig(),
+            SurrogateAssistant(
+                PredictorProposer(RandomPredictor(ALPHABET, 2, seed=0), 4),
+                ALPHABET,
+                SurrogateConfig(),
             )
+
+    def test_rewards_reach_the_wrapped_predictor(self):
+        """observe trains the ranker *and* forwards: only evaluated
+        (kept) candidates carry a reward back to the learner."""
+        updates = []
+
+        class Recording(RandomPredictor):
+            def update(self, tokens, reward):
+                updates.append((tokens, reward))
+
+        ranked = self.ranked(Recording(ALPHABET, 3, seed=3), 8)
+        pool = ranked.propose(1)
+        ranked.observe([evaluation(t) for t in pool])
+        assert updates == [(t, evaluation(t).reward) for t in pool]
