@@ -20,7 +20,9 @@ Three checks, run by CI's docs job (and ``scripts/run_ci_locally.sh``):
   must be an option the CLI actually accepts (collected from
   ``repro.cli.build_parser()``, subcommands included). A flag renamed in
   ``cli.py`` — or a table row documenting a flag that never shipped —
-  fails here instead of misleading a reader.
+  fails here instead of misleading a reader. In ``docs/cli.md``, a table
+  row of the form ``| `--flag {a,b,c}` | `default` |`` is also held to the
+  parser's choices and default for that flag.
 
 Run from the repo root::
 
@@ -53,6 +55,10 @@ _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 _SCRIPT_FLAGS = {
     "--only",  # scripts/ci_smoke.py
 }
+#: a docs/cli.md table row documenting a flag's choices and its default
+_CHOICE_ROW = re.compile(r"^\| `(--[a-z-]+) \{([^}]+)\}` \| `([^`]*)` \|", re.MULTILINE)
+#: choices a row may list although this machine's parser lacks them
+_OPTIONAL_CHOICES = {"cupy"}  # registered only where CuPy is installed
 
 
 def doc_files() -> list[Path]:
@@ -81,24 +87,30 @@ def check_links(files: list[Path]) -> list[str]:
     return errors
 
 
-def cli_option_strings() -> set[str]:
-    """Every long option the CLI accepts, across all subcommands."""
+def cli_options() -> dict[str, argparse.Action]:
+    """Every long option the CLI accepts, across all subcommands, with an
+    action that declares it (every flag with choices belongs to ``search``
+    and ``evaluate``, which generate it from one ``Config`` field)."""
     from repro.cli import build_parser
 
-    flags: set[str] = set()
+    options: dict[str, argparse.Action] = {}
     parsers = [build_parser()]
     while parsers:
         parser = parsers.pop()
         for action in parser._actions:
-            flags.update(s for s in action.option_strings if s.startswith("--"))
+            options.update(
+                (s, action) for s in action.option_strings if s.startswith("--")
+            )
             if isinstance(action, argparse._SubParsersAction):
                 parsers.extend(action.choices.values())
-    return flags
+    return options
 
 
 def check_flags(files: list[Path]) -> list[str]:
-    """Return errors for documented ``--flags`` the CLI does not accept."""
-    known = cli_option_strings() | _SCRIPT_FLAGS
+    """Return errors for documented ``--flags`` the CLI does not accept,
+    and for ``docs/cli.md`` rows whose choices or default have drifted."""
+    options = cli_options()
+    known = set(options) | _SCRIPT_FLAGS
     errors = []
     for doc in files:
         text = doc.read_text(encoding="utf-8")
@@ -107,6 +119,22 @@ def check_flags(files: list[Path]) -> list[str]:
                 errors.append(
                     f"{doc.relative_to(REPO)}: documents unknown flag {flag}"
                 )
+    cli_md = REPO / "docs" / "cli.md"
+    for flag, choices, default in _CHOICE_ROW.findall(cli_md.read_text(encoding="utf-8")):
+        action = options.get(flag)
+        if action is None:
+            continue  # reported above
+        documented, actual = set(choices.split(",")), set(action.choices or ())
+        if documented - _OPTIONAL_CHOICES != actual - _OPTIONAL_CHOICES:
+            errors.append(
+                f"docs/cli.md: {flag} documents choices {sorted(documented)}, "
+                f"the parser accepts {sorted(actual)}"
+            )
+        if default != str(action.default):
+            errors.append(
+                f"docs/cli.md: {flag} documents default {default!r}, "
+                f"the parser's is {action.default!r}"
+            )
     return errors
 
 

@@ -1,12 +1,11 @@
 """The blessed public API: ``search`` locally, ``connect`` to a service.
 
-Five PRs of growth left the package with powerful but sprawling internals:
-running a search means composing :class:`~repro.core.search.SearchConfig`
+Running a search means composing :class:`~repro.core.search.SearchConfig`
 (candidate space), :class:`~repro.core.evaluator.EvaluationConfig`
 (training), :class:`~repro.core.runtime.RuntimeConfig` (fault tolerance /
-persistence / sharding), and an :class:`~repro.parallel.executor.Executor`
-by hand. This module is the stable facade over all of it — two entry
-points, one flat config:
+persistence / sharding), and an :class:`~repro.parallel.executor.Executor`.
+This module is the stable facade over all of it — two entry points, one
+flat config:
 
 >>> from repro.api import Config, search
 >>> result = search("er:2", depths=1, config=Config(k_min=2, steps=20))
@@ -21,6 +20,15 @@ submits the same sweep to a long-running search service (``python -m
 repro serve``), where it shares a worker fleet and a multi-tenant result
 cache with every other live sweep. Both paths return the same
 :class:`~repro.core.results.SearchResult`.
+
+**One mapping.** :class:`Config` is the only place a sweep setting is
+declared (default, help, choices) and its ``*_config`` methods are the only
+mapping onto the internal configs; ``repro search`` generates its flags
+from ``fields(Config)`` and calls :func:`search`, the service builds a
+``Config`` from the submit payload. A service owns its fleet and store, so
+it ignores :data:`SERVICE_IGNORED`; local :func:`search` never reads
+``tenant``/``priority``. A rejected setting raises :class:`ConfigError`
+with one message, whichever front-end it came through.
 
 **Stability.** ``search``, ``connect``, :class:`Config`, and the
 :class:`Client` methods are the supported surface: additions land as new
@@ -46,29 +54,37 @@ import random
 import time
 import urllib.error
 import urllib.request
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import Field, asdict, dataclass, field, fields, replace
+from functools import partial
 from typing import Any
 
+from repro.core.alphabet import ENUMERATION_MODES
 from repro.core.cache import ResultCache
-from repro.core.evaluator import EvaluationConfig
+from repro.core.evaluator import ENGINES, INIT_STRATEGIES, METRICS, EvaluationConfig
 from repro.core.results import SearchResult
 from repro.core.runtime import RuntimeConfig
 from repro.core.search import SearchConfig, search_mixer
 from repro.graphs.datasets import DATASET_FAMILIES
 from repro.graphs.generators import Graph
 from repro.graphs.io import graph_from_dict, graph_to_dict
+from repro.optimizers import BATCH_MODES, TRAINING_OPTIMIZERS
 from repro.parallel.executor import (
     Executor,
     MultiprocessingExecutor,
     available_cores,
 )
+from repro.simulators.backends import available_array_backends
 from repro.surrogate.config import SurrogateConfig
+from repro.utils.validation import ConfigError, check_choice
+from repro.workloads import available_workloads
 
 __all__ = [
     "Config",
+    "ConfigError",
     "Client",
+    "SERVICE_IGNORED",
     "ServiceError",
     "search",
     "connect",
@@ -78,93 +94,169 @@ __all__ = [
     "workload_to_wire",
 ]
 
+#: what a search service ignores in a submitted :class:`Config`: it runs
+#: every sweep on its own fleet, against its own shared store
+SERVICE_IGNORED = (
+    "workers", "shards", "shard_index", "cache_dir", "cache_max_entries", "resume",
+)
+
+def _setting(
+    default: Any,
+    help: str,
+    choices: Sequence[str] | Callable[[], Sequence[str]] | None = None,
+    *,
+    cli: tuple[str, ...] = ("search",),
+    **cli_overrides: Any,
+) -> Any:
+    """One :class:`Config` field. ``choices`` is a registry tuple, or a
+    callable for registries that grow at run time; ``cli`` names the
+    subcommands that get a ``--flag`` for it (``()`` = facade-only);
+    ``cli_default`` / ``cli_choices`` record where ``repro search`` has
+    always differed from the facade, so no command line changes meaning."""
+    metadata = {"help": help, "choices": choices, "cli": cli, **cli_overrides}
+    return field(default=default, metadata=metadata)
+
+
+#: a training setting: all ``repro evaluate`` needs to score one mixer
+_training = partial(_setting, cli=("search", "evaluate"))
+
+
+def choices_of(setting: Field) -> tuple[str, ...] | None:
+    """The values a :class:`Config` field accepts right now (``None`` =
+    unconstrained), read from its live registry."""
+    choices = setting.metadata["choices"]
+    return tuple(choices() if callable(choices) else choices) if choices else None
+
 
 @dataclass(frozen=True)
 class Config:
-    """Every knob of a search, flattened into one documented surface.
+    """Every setting of a sweep, declared once.
 
-    Groups map one-to-one onto the internal config objects (candidate
-    space → ``SearchConfig``, training → ``EvaluationConfig``, execution →
+    Groups map onto the internal config objects (candidate space →
+    ``SearchConfig``, training → ``EvaluationConfig``, execution →
     ``RuntimeConfig`` + executor), so anything expressible here behaves
     identically through the deep API. All fields are JSON-safe scalars:
     a ``Config`` round-trips through :meth:`to_dict`/:meth:`from_dict`
     and is the ``config`` object of the service's submit payload.
+    Constructing one checks choices and ``k_min <= k_max``; the numeric
+    ranges are the internal configs' own rules, raised by the mapping methods.
     """
 
     # -- candidate space ---------------------------------------------------
-    #: minimum / maximum gates per mixer combination
-    k_min: int = 1
-    k_max: int = 2
-    #: candidate enumeration convention: combinations / sequences / permutations
-    mode: str = "combinations"
-    #: cap on candidates per depth (None = the whole space)
-    num_samples: int | None = None
+    k_min: int = _setting(1, "minimum gates per mixer combination", cli_default=2)
+    k_max: int = _setting(2, "maximum gates per mixer combination")
+    mode: str = _setting(
+        "combinations", "candidate enumeration convention", tuple(ENUMERATION_MODES),
+        # multisets enumerates too, but --mode has never offered it
+        cli_choices=("combinations", "sequences", "permutations"),
+    )
+    num_samples: int | None = _setting(
+        None, "cap on candidates per depth (None = the whole space)", cli=()
+    )
 
     # -- training ----------------------------------------------------------
-    #: classical optimizer: cobyla (paper), nelder_mead, spsa, adam
-    optimizer: str = "cobyla"
-    #: optimizer evaluation budget per candidate
-    steps: int = 60
-    #: independent restarts per graph (batch-native optimizers train them
-    #: as one population)
-    restarts: int = 1
-    #: base seed for all stochastic draws
-    seed: int = 0
-    #: simulation engine: compiled (fast path) / statevector / qtensor
-    engine: str = "compiled"
-    #: array library behind the compiled engine: numpy / mock_gpu / cupy
-    array_backend: str = "numpy"
-    #: reward metric: energy or best_sampled
-    metric: str = "energy"
-    #: measurement budget for best_sampled
-    shots: int = 128
-    #: problem from the workloads registry: maxcut (paper), wmaxcut,
-    #: maxsat, ising — dataset-family specs imply it automatically
-    workload: str = "maxcut"
-    #: optimizer initialization: uniform (paper), ramp, interp (warm-start
-    #: each depth from the previous depth's trained parameters)
-    init_strategy: str = "uniform"
+    optimizer: str = _training(
+        "cobyla", "classical trainer (default: cobyla, the paper's)", TRAINING_OPTIMIZERS
+    )
+    steps: int = _training(60, "optimizer evaluation budget per candidate")
+    restarts: int = _training(
+        1, "independent optimizer restarts per graph; batch-native optimizers "
+        "train them as one batch", cli_default=2,
+    )
+    batch_mode: str = _training(
+        "auto", "restart training: auto batches whenever the optimizer supports "
+        "it; serial forces one run per restart", BATCH_MODES,
+    )
+    seed: int = _training(0, "base seed for all stochastic draws")
+    engine: str = _training(
+        "compiled", "simulation engine (default: compiled fast path)", ENGINES
+    )
+    array_backend: str = _training(
+        "numpy", "array library behind the compiled engine: numpy (default), "
+        "mock_gpu (CPU stand-in with device-cost accounting), cupy when "
+        "installed; unregistered backends are rejected", available_array_backends,
+    )
+    metric: str = _training(
+        "energy", "reward metric: the trained energy, or the expected best cut "
+        "over --shots measurements", METRICS, cli_default="best_sampled",
+    )
+    shots: int = _training(128, "measurement budget for best_sampled", cli_default=64)
+    workload: str = _training(
+        "maxcut", "problem from the workloads registry; a dataset family implies "
+        "its own (er/regular -> maxcut), so set it only for raw graphs",
+        available_workloads, cli_default=None,
+    )
+    init_strategy: str = _training(
+        "uniform", "optimizer initialization: uniform (the paper's), ramp, or "
+        "interp (warm-start each depth from the previous depth's parameters)",
+        INIT_STRATEGIES,
+    )
 
-    # -- execution / persistence ------------------------------------------
-    #: worker processes: 0 or 1 = in-process serial, -1 = all cores
-    workers: int = 0
-    #: shards per depth (Fig. 2's outer level); 1 = single-node
-    shards: int = 1
-    #: persist results + checkpoints here (repeat runs become lookups)
-    cache_dir: str | None = None
-    #: LRU bound on the result cache (None = unbounded)
-    cache_max_entries: int | None = None
-    #: restore finished depths from the checkpoint in cache_dir
-    resume: bool = False
-    #: extra attempts per candidate after the first
-    retries: int = 2
-    #: per-candidate wall-clock limit in seconds (None = unlimited)
-    job_timeout: float | None = None
+    # -- local execution / persistence (SERVICE_IGNORED) -------------------
+    workers: int = _setting(0, "worker processes: 0 = serial, -1 = all cores")
+    shards: int = _setting(
+        1, "partition each depth's candidate bag across this many shards "
+        "(Fig. 2's outer level); with --workers the pool is split one per "
+        "shard, and a dead shard's candidates migrate to the survivors",
+    )
+    shard_index: int | None = _setting(
+        None, "run ONLY this shard (0-based) of every depth in this process; "
+        "launch one process per index with the same --shards and a shared "
+        "--cache-dir, then merge with a final run (all cache hits)",
+    )
+    cache_dir: str | None = _setting(
+        None, "persist candidate results + checkpoints here; repeat runs become lookups"
+    )
+    cache_max_entries: int | None = _setting(
+        None, "LRU bound on the result cache (None = unbounded)", cli=()
+    )
+    resume: bool = _setting(False, "restore finished depths from the checkpoint in --cache-dir")
+
+    # -- fault tolerance ---------------------------------------------------
+    retries: int = _setting(2, "extra attempts per candidate on worker failure")
+    job_timeout: float | None = _setting(None, "per-candidate wall-clock limit in seconds")
 
     # -- surrogate-assisted ranking ----------------------------------------
-    #: learn a ranker from completed evaluations and evaluate only the
-    #: predicted-top slice of each depth's candidates (off = evaluate all)
-    surrogate: bool = False
-    #: fraction of each depth's pool forwarded to real evaluation once
-    #: the ranker is trained
-    surrogate_keep: float = 0.5
-    #: fraction of the pool evaluated regardless of predicted rank
-    #: (seeded uniform sample; 1.0 degenerates to the unfiltered search)
-    explore_floor: float = 0.1
+    surrogate: bool = _setting(
+        False, "surrogate-assisted search: learn a ranker from completed "
+        "evaluations and evaluate only the predicted-top slice of each "
+        "depth's candidates (incompatible with --shard-index)",
+    )
+    surrogate_keep: float = _setting(
+        0.5, "fraction of each depth's candidate pool forwarded to real "
+        "evaluation once the ranker is trained (default: 0.5)",
+    )
+    explore_floor: float = _setting(
+        0.1, "fraction of the pool evaluated regardless of predicted rank — a seeded "
+        "uniform sample; 1.0 degenerates to the unfiltered search (default: 0.1)",
+    )
 
-    # -- service-side scheduling (ignored by local ``search``) -------------
-    #: fairness / quota bucket this sweep is accounted to on a service
-    tenant: str = "default"
-    #: queue priority (higher claims first within the tenant's share)
-    priority: int = 0
+    # -- service-side scheduling (never read by local ``search``) ----------
+    tenant: str = _setting("default", "fairness / quota bucket of this sweep", cli=())
+    priority: int = _setting(
+        0, "queue priority (higher claims first within the tenant's share)", cli=()
+    )
+
+    def __post_init__(self) -> None:
+        for setting in fields(self):
+            choices = choices_of(setting)
+            if choices is not None:
+                label = setting.name.replace("_", " ")
+                _checked(check_choice, getattr(self, setting.name), label, choices)
+        if self.k_min > self.k_max:
+            raise ConfigError(
+                f"k_min must be <= k_max, got k_min={self.k_min}, k_max={self.k_max}"
+            )
 
     # -- mapping onto the internal configs ---------------------------------
 
     def evaluation_config(self) -> EvaluationConfig:
-        return EvaluationConfig(
+        return _checked(
+            EvaluationConfig,
             optimizer=self.optimizer,
             max_steps=self.steps,
             restarts=self.restarts,
+            batch_mode=self.batch_mode,
             seed=self.seed,
             engine=self.engine,
             array_backend=self.array_backend,
@@ -175,7 +267,8 @@ class Config:
         )
 
     def search_config(self, depths: int) -> SearchConfig:
-        return SearchConfig(
+        return _checked(
+            SearchConfig,
             p_max=int(depths),
             k_min=self.k_min,
             k_max=self.k_max,
@@ -183,7 +276,8 @@ class Config:
             num_samples=self.num_samples,
             seed=self.seed,
             evaluation=self.evaluation_config(),
-            surrogate=SurrogateConfig(
+            surrogate=_checked(
+                SurrogateConfig,
                 enabled=self.surrogate,
                 keep_fraction=self.surrogate_keep,
                 explore_floor=self.explore_floor,
@@ -192,14 +286,23 @@ class Config:
         )
 
     def runtime_config(self) -> RuntimeConfig:
-        return RuntimeConfig(
+        return _checked(
+            RuntimeConfig,
             cache_dir=self.cache_dir,
             resume=self.resume,
             max_retries=self.retries,
             job_timeout=self.job_timeout,
             shards=self.shards,
+            shard_index=self.shard_index,
             cache_max_entries=self.cache_max_entries,
         )
+
+    def for_service(self) -> Config:
+        """This sweep as a service runs it: the fleet and the store are the
+        service's, so every :data:`SERVICE_IGNORED` setting reads as its
+        default."""
+        defaults = {f.name: f.default for f in fields(self) if f.name in SERVICE_IGNORED}
+        return replace(self, **defaults)
 
     # -- wire format -------------------------------------------------------
 
@@ -211,17 +314,24 @@ class Config:
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown config field(s) {sorted(unknown)}; "
                 f"accepted: {sorted(known)}"
             )
         return cls(**data)
 
 
-# -- workloads -------------------------------------------------------------
+def _checked(build: Callable[..., Any], *args: Any, **settings: Any) -> Any:
+    """Construct an internal config (or a dataset); what its validation
+    rejects is a configuration error, reported under the rule's own
+    message."""
+    try:
+        return build(*args, **settings)
+    except ValueError as error:
+        raise ConfigError(str(error)) from error
 
-#: dataset family -> (implied workload registry key, instance factory)
-_FAMILIES = DATASET_FAMILIES
+
+# -- workloads -------------------------------------------------------------
 
 
 def resolve_workload_spec(
@@ -238,18 +348,18 @@ def resolve_workload_spec(
     if isinstance(workload, str):
         parts = workload.split(":")
         family = parts[0]
-        if family not in _FAMILIES or len(parts) > 3:
-            raise ValueError(
+        if family not in DATASET_FAMILIES or len(parts) > 3:
+            raise ConfigError(
                 f"unknown workload spec {workload!r}; expected "
-                f"'family[:count[:seed]]' with family in {sorted(_FAMILIES)}"
+                f"'family[:count[:seed]]' with family in {sorted(DATASET_FAMILIES)}"
             )
-        key, factory = _FAMILIES[family]
+        key, factory = DATASET_FAMILIES[family]
         count = int(parts[1]) if len(parts) > 1 else 3
         seed = int(parts[2]) if len(parts) > 2 else 2023
-        return key, list(factory(count, dataset_seed=seed))
+        return key, list(_checked(factory, count, dataset_seed=seed))
     graphs = list(workload)
     if not graphs:
-        raise ValueError("workload must contain at least one graph")
+        raise ConfigError("workload must contain at least one graph")
     if isinstance(graphs[0], Graph):
         return None, graphs  # type: ignore[return-value]
     return None, [graph_from_dict(g) for g in graphs]  # type: ignore[arg-type]
@@ -261,19 +371,23 @@ def resolve_workload(workload: str | Sequence[Graph] | Sequence[dict]) -> list[G
     return resolve_workload_spec(workload)[1]
 
 
-def reconcile_workload(config: Config, implied: str | None) -> Config:
+def reconcile_workload(
+    config: Config, implied: str | None, *, explicit: bool = False
+) -> Config:
     """Fold a family-implied problem key into the config.
 
     An implied key fills in the default ``workload="maxcut"`` silently and
     is a no-op when it matches an explicit setting; a *conflicting*
     explicit setting is an error — evaluating, say, the Ising oracle over
-    a Max-k-SAT dataset would produce meaningless ratios.
+    a Max-k-SAT dataset would produce meaningless ratios. A caller that
+    knows the key was spelled out (the CLI's ``--workload``) passes
+    ``explicit`` so that a spelled-out ``maxcut`` conflicts too.
     """
     if implied is None or implied == config.workload:
         return config
-    if config.workload == "maxcut":
+    if config.workload == "maxcut" and not explicit:
         return replace(config, workload=implied)
-    raise ValueError(
+    raise ConfigError(
         f"workload spec implies problem {implied!r} but the config "
         f"explicitly sets workload={config.workload!r}; drop one of the two"
     )
@@ -308,8 +422,11 @@ def search(
     config:
         Flat :class:`Config`; defaults are a small fast sweep.
     executor:
-        Override the worker fleet (otherwise ``config.workers`` decides:
-        0/1 serial, N processes, -1 all cores).
+        Override the worker fleet. Otherwise ``config.workers`` decides:
+        0/1 serial, N processes (-1 = all cores) — one pool, or with
+        ``shards > 1`` one pool per shard, each its own failure domain
+        like one pool per node, the remainder spread so every requested
+        worker lands in some shard.
     cache:
         Externally-owned result store (advanced; the service passes its
         shared multi-tenant cache here).
@@ -320,11 +437,21 @@ def search(
     search_cfg = config.search_config(depths)
     runtime_cfg = config.runtime_config()
     workers = available_cores() if config.workers == -1 else config.workers
+    fleet: Executor | list[Executor] | None = executor
     with ExitStack() as stack:
-        if executor is None and workers and workers > 1:
-            executor = stack.enter_context(MultiprocessingExecutor(workers))
+        if executor is None and workers > 1:
+            if config.shards > 1 and config.shard_index is None:
+                base, extra = divmod(workers, config.shards)
+                fleet = [
+                    stack.enter_context(
+                        MultiprocessingExecutor(max(1, base + (i < extra)))
+                    )
+                    for i in range(config.shards)
+                ]
+            else:
+                fleet = stack.enter_context(MultiprocessingExecutor(workers))
         return search_mixer(
-            graphs, search_cfg, executor=executor, runtime=runtime_cfg, cache=cache
+            graphs, search_cfg, executor=fleet, runtime=runtime_cfg, cache=cache
         )
 
 

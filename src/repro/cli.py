@@ -9,6 +9,14 @@ Four subcommands cover the workflows a user runs repeatedly:
 * ``serve`` — run the long-lived search service (persistent job queue,
   shared cache, HTTP API — see ``docs/service.md``).
 
+The sweep flags of ``search`` and ``evaluate`` are generated from
+``fields(repro.api.Config)`` — a flag *is* a ``Config`` field — and
+``search`` is *args → ``Config`` → ``api.search`` → print*. Hand-written are
+only the dataset flags (the facade's ``"family:count:seed"`` spec),
+``--p-max``, ``--out``, ``evaluate``'s and ``draw``'s own arguments and
+every ``serve`` flag. A rejected setting (``ConfigError``) exits with the
+rule's own message; any other exception is a bug and tracebacks.
+
 All stochastic inputs are seeded so runs are reproducible and scriptable.
 """
 
@@ -17,83 +25,42 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
-from contextlib import ExitStack
+from dataclasses import fields
 
-from repro.core.evaluator import ENGINES, INIT_STRATEGIES, EvaluationConfig, Evaluator
-from repro.core.runtime import RuntimeConfig
-from repro.core.search import SearchConfig, search_mixer
+from repro import api
+from repro.core.evaluator import Evaluator
 from repro.experiments.discovery import draw_mixer
 from repro.experiments.figures import render_table
 from repro.graphs.datasets import DATASET_FAMILIES
-from repro.optimizers import BATCH_MODES
-from repro.parallel.executor import MultiprocessingExecutor, available_cores
-from repro.simulators.backends import available_array_backends
-from repro.surrogate.config import SurrogateConfig
-from repro.workloads import available_workloads
+from repro.utils.validation import ConfigError
 
 __all__ = ["main", "build_parser"]
 
-
-def _dataset(name: str, count: int, seed: int):
-    if name not in DATASET_FAMILIES:
-        raise ValueError(
-            f"unknown dataset {name!r}; options: {', '.join(sorted(DATASET_FAMILIES))}"
-        )
-    return DATASET_FAMILIES[name][1](count, dataset_seed=seed)
-
-
-def _workload(args) -> str:
-    """The problem key governing this run: explicit ``--workload`` when
-    given (must agree with the dataset family), else the family's."""
-    implied = DATASET_FAMILIES[args.dataset][0]
-    if args.workload is None or args.workload == implied:
-        return implied
-    raise SystemExit(
-        f"--dataset {args.dataset} implies --workload {implied}, "
-        f"got --workload {args.workload}; drop one of the two"
-    )
+def _add_config_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """One ``--flag`` per :class:`repro.api.Config` field that names
+    ``command``, everything about it read off the field."""
+    for setting in fields(api.Config):
+        meta = setting.metadata
+        if command not in meta["cli"]:
+            continue
+        kwargs: dict = {"help": meta["help"]}
+        if setting.type == "bool":
+            kwargs["action"] = "store_true"
+        else:
+            kwargs["type"] = {"int": int, "float": float}.get(setting.type.split(" | ")[0])
+            kwargs["default"] = meta.get("cli_default", setting.default)
+            choices = meta.get("cli_choices") or api.choices_of(setting)
+            kwargs["choices"] = choices and list(choices)
+        parser.add_argument("--" + setting.name.replace("_", "-"), **kwargs)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", default="er",
                         choices=sorted(DATASET_FAMILIES),
                         help="seeded dataset family (default: er); each "
                              "family implies its problem's workload")
-    parser.add_argument("--workload", default=None,
-                        choices=list(available_workloads()),
-                        help="problem from the workloads registry; defaults "
-                             "to the one the dataset family implies "
-                             "(er/regular -> maxcut)")
-    parser.add_argument("--init-strategy", default="uniform",
-                        choices=list(INIT_STRATEGIES),
-                        help="optimizer initialization: uniform (the "
-                             "paper's), ramp, or interp (warm-start each "
-                             "depth from the previous depth's parameters)")
     parser.add_argument("--graphs", type=int, default=3, help="graphs in the workload")
     parser.add_argument("--dataset-seed", type=int, default=2023)
-    parser.add_argument("--steps", type=int, default=60, help="optimizer budget")
-    parser.add_argument("--optimizer", default="cobyla",
-                        choices=["cobyla", "nelder_mead", "spsa", "adam"],
-                        help="classical trainer (default: cobyla, the paper's)")
-    parser.add_argument("--restarts", type=int, default=2,
-                        help="independent optimizer restarts per graph; "
-                             "batch-native optimizers train them as one batch")
-    parser.add_argument("--batch-mode", default="auto", choices=list(BATCH_MODES),
-                        help="restart training: auto batches whenever the "
-                             "optimizer supports it; serial forces one run "
-                             "per restart")
-    parser.add_argument("--metric", default="best_sampled",
-                        choices=["energy", "best_sampled"])
-    parser.add_argument("--shots", type=int, default=64)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--engine", default="compiled", choices=list(ENGINES),
-                        help="simulation engine (default: compiled fast path)")
-    parser.add_argument("--array-backend", default="numpy",
-                        choices=list(available_array_backends()),
-                        help="array library behind the compiled engine: "
-                             "numpy (default), mock_gpu (CPU stand-in with "
-                             "device-cost accounting), cupy when installed; "
-                             "unregistered backends are rejected here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,54 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     search = sub.add_parser("search", help="run Algorithm 1 on a dataset")
-    _add_common(search)
+    _add_dataset_flags(search)
+    _add_config_flags(search, "search")
     search.add_argument("--p-max", type=int, default=2)
-    search.add_argument("--k-min", type=int, default=2)
-    search.add_argument("--k-max", type=int, default=2)
-    search.add_argument("--mode", default="combinations",
-                        choices=["combinations", "sequences", "permutations"])
-    search.add_argument("--workers", type=int, default=0,
-                        help="0 = serial, -1 = all cores")
-    search.add_argument("--shards", type=int, default=1,
-                        help="partition each depth's candidate bag across "
-                             "this many shards (Fig. 2's outer level); "
-                             "with --workers the pool is split one per "
-                             "shard, and a dead shard's candidates "
-                             "migrate to the survivors")
-    search.add_argument("--shard-index", type=int, default=None,
-                        help="run ONLY this shard (0-based) of every "
-                             "depth in this process; launch one process "
-                             "per index with the same --shards and a "
-                             "shared --cache-dir, then merge with a "
-                             "final run (all cache hits)")
-    search.add_argument("--surrogate", action="store_true",
-                        help="surrogate-assisted search: learn a ranker "
-                             "from completed evaluations and evaluate only "
-                             "the predicted-top slice of each depth's "
-                             "candidates (incompatible with --shard-index)")
-    search.add_argument("--surrogate-keep", type=float, default=0.5,
-                        help="fraction of each depth's candidate pool "
-                             "forwarded to real evaluation once the ranker "
-                             "is trained (default: 0.5)")
-    search.add_argument("--explore-floor", type=float, default=0.1,
-                        help="fraction of the pool evaluated regardless of "
-                             "predicted rank — a seeded uniform sample; "
-                             "1.0 degenerates to the unfiltered search "
-                             "(default: 0.1)")
     search.add_argument("--out", default=None, help="save SearchResult JSON")
-    search.add_argument("--cache-dir", default=None,
-                        help="persist candidate results + checkpoints here; "
-                             "repeat runs become cache lookups")
-    search.add_argument("--resume", action="store_true",
-                        help="restore finished depths from the checkpoint "
-                             "in --cache-dir")
-    search.add_argument("--retries", type=int, default=2,
-                        help="extra attempts per candidate on worker failure")
-    search.add_argument("--job-timeout", type=float, default=None,
-                        help="per-candidate wall-clock limit in seconds")
 
     evaluate = sub.add_parser("evaluate", help="score one mixer")
-    _add_common(evaluate)
+    _add_dataset_flags(evaluate)
+    _add_config_flags(evaluate, "evaluate")
     evaluate.add_argument("mixer", help="comma-separated tokens, e.g. rx,ry")
     evaluate.add_argument("--p", type=int, default=1)
 
@@ -205,101 +132,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _eval_config(args) -> EvaluationConfig:
-    return EvaluationConfig(
-        optimizer=args.optimizer,
-        max_steps=args.steps,
-        restarts=args.restarts,
-        batch_mode=args.batch_mode,
-        seed=args.seed,
-        metric=args.metric,
-        shots=args.shots,
-        engine=args.engine,
-        array_backend=args.array_backend,
-        workload=_workload(args),
-        init_strategy=args.init_strategy,
-    )
+def _sweep(args) -> tuple[str, api.Config]:
+    """The parsed flags as the facade's arguments: the dataset spec string
+    and the :class:`repro.api.Config`. A flag left at ``None`` keeps the
+    field's default."""
+    flags = {f.name: getattr(args, f.name, None) for f in fields(api.Config)}
+    config = api.Config(**{k: v for k, v in flags.items() if v is not None})
+    if args.workload is not None:
+        # --workload was spelled out, so even "maxcut" must agree with
+        # what the dataset family implies.
+        implied = DATASET_FAMILIES[args.dataset][0]
+        api.reconcile_workload(config, implied, explicit=True)
+    return f"{args.dataset}:{args.graphs}:{args.dataset_seed}", config
 
 
 def _cmd_search(args) -> int:
-    graphs = _dataset(args.dataset, args.graphs, args.dataset_seed)
-    try:
-        surrogate = SurrogateConfig(
-            enabled=args.surrogate,
-            keep_fraction=args.surrogate_keep,
-            explore_floor=args.explore_floor,
-            seed=args.seed,
+    spec, config = _sweep(args)
+    result = api.search(spec, depths=args.p_max, config=config)
+    if config.job_timeout is not None and "serial" in result.config["executor"]:
+        print(
+            "warning: --job-timeout has no effect with the serial "
+            "executor (jobs run inline); use --workers >= 2",
+            file=sys.stderr,
         )
-    except ValueError as error:
-        raise SystemExit(str(error)) from error
-    config = SearchConfig(
-        p_max=args.p_max, k_min=args.k_min, k_max=args.k_max,
-        mode=args.mode, evaluation=_eval_config(args),
-        surrogate=surrogate,
-    )
-    if args.resume and not args.cache_dir:
-        raise SystemExit("--resume requires --cache-dir")
-    if args.shards < 1:
-        raise SystemExit("--shards must be >= 1")
-    if args.shard_index is not None:
-        if not args.cache_dir:
-            raise SystemExit(
-                "--shard-index requires --cache-dir (shard processes meet "
-                "in the shared result cache)"
-            )
-        if not 0 <= args.shard_index < args.shards:
-            raise SystemExit(
-                f"--shard-index must be in [0, {args.shards}), "
-                f"got {args.shard_index}"
-            )
-    runtime = RuntimeConfig(
-        cache_dir=args.cache_dir,
-        resume=args.resume,
-        max_retries=args.retries,
-        job_timeout=args.job_timeout,
-        shards=args.shards,
-        shard_index=args.shard_index,
-    )
-    workers = available_cores() if args.workers == -1 else args.workers
-    sharded_here = args.shards > 1 and args.shard_index is None
-    try:
-        if workers and workers > 1:
-            with ExitStack() as stack:
-                if sharded_here:
-                    # One pool per shard — each shard is its own failure
-                    # domain, the in-process model of one pool per node.
-                    # The remainder is spread so every requested worker
-                    # lands in some shard.
-                    base, extra = divmod(workers, args.shards)
-                    executor: object = [
-                        stack.enter_context(
-                            MultiprocessingExecutor(
-                                max(1, base + (1 if i < extra else 0))
-                            )
-                        )
-                        for i in range(args.shards)
-                    ]
-                else:
-                    executor = stack.enter_context(MultiprocessingExecutor(workers))
-                result = search_mixer(
-                    graphs, config, executor=executor, runtime=runtime
-                )
-        else:
-            if args.job_timeout is not None:
-                print(
-                    "warning: --job-timeout has no effect with the serial "
-                    "executor (jobs run inline); use --workers >= 2",
-                    file=sys.stderr,
-                )
-            result = search_mixer(graphs, config, runtime=runtime)
-    except ValueError as error:
-        if args.shard_index is not None:
-            # e.g. more shards than candidates (this process's slice is
-            # empty at every depth) or --surrogate, whose pools would
-            # diverge between shard processes — a configuration message,
-            # not a crash.
-            raise SystemExit(str(error)) from error
-        raise
 
     rows = [
         [d.p, str(d.best.tokens), d.best.ratio, f"{d.seconds:.1f}s"]
@@ -310,22 +165,22 @@ def _cmd_search(args) -> int:
     print(f"\nwinner: {result.best_tokens} at p={result.best_p} "
           f"(ratio {result.best_ratio:.4f}; "
           f"{result.num_candidates} candidates, {result.total_seconds:.1f}s)")
-    if args.cache_dir:
+    if config.cache_dir:
         print(f"cache: {result.config['cache_hits']} hits, "
               f"{result.config['cache_misses']} misses, "
               f"{result.config['restored_depths']} depths restored "
-              f"({args.cache_dir})")
-    if args.surrogate:
+              f"({config.cache_dir})")
+    if config.surrogate:
         print(f"surrogate: {result.config['surrogate_kept']} candidates "
               f"evaluated, {result.config['surrogate_skipped']} skipped by "
               f"the ranker")
-    if args.shard_index is not None:
-        print(f"shard {args.shard_index}/{args.shards}: partial sweep; "
+    if config.shard_index is not None:
+        print(f"shard {config.shard_index}/{config.shards}: partial sweep; "
               f"results persisted to the shared cache — merge with a run "
               f"omitting --shard-index")
-    elif args.shards > 1:
+    elif config.shards > 1:
         dead = result.config.get("dead_shards", [])
-        print(f"shards: {args.shards} "
+        print(f"shards: {config.shards} "
               f"({len(dead)} died{': ' + str(dead) if dead else ''}, "
               f"{result.config.get('jobs_migrated', 0)} candidates migrated)")
     if args.out:
@@ -343,8 +198,10 @@ def _parse_mixer(spec: str) -> tuple:
 
 def _cmd_evaluate(args) -> int:
     tokens = _parse_mixer(args.mixer)
-    graphs = _dataset(args.dataset, args.graphs, args.dataset_seed)
-    evaluator = Evaluator(graphs, _eval_config(args))
+    spec, config = _sweep(args)
+    implied, graphs = api.resolve_workload_spec(spec)
+    config = api.reconcile_workload(config, implied)
+    evaluator = Evaluator(graphs, config.evaluation_config())
     result = evaluator.evaluate(tokens, args.p)
     rows = [
         [i, f"{e:.4f}", f"{r:.4f}"]
@@ -408,7 +265,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         "draw": _cmd_draw,
         "serve": _cmd_serve,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except ConfigError as error:
+        raise SystemExit(str(error)) from error
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

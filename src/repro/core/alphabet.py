@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 from repro.qaoa.mixers import MIXER_TOKENS
 from repro.utils.rng import as_rng
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_choice, check_positive
 
 __all__ = [
     "DEFAULT_TOKENS",
+    "ENUMERATION_MODES",
     "GateAlphabet",
     "gate_sequences",
     "count_sequences",
@@ -115,6 +116,15 @@ def count_sequences(size: int, k: int, *, ordered: bool = True, repetition: bool
     return math.comb(size, k) if k <= size else 0
 
 
+#: enumeration convention -> the :func:`gate_sequences` switches it means
+ENUMERATION_MODES = {
+    "sequences": dict(ordered=True, repetition=True),
+    "permutations": dict(ordered=True, repetition=False),
+    "combinations": dict(ordered=False, repetition=False),
+    "multisets": dict(ordered=False, repetition=True),
+}
+
+
 def enumerate_search_space(
     alphabet: GateAlphabet,
     k_max: int,
@@ -137,21 +147,11 @@ def enumerate_search_space(
     check_positive(k_min, "k_min")
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
-    kwargs = {
-        "sequences": dict(ordered=True, repetition=True),
-        "permutations": dict(ordered=True, repetition=False),
-        "combinations": dict(ordered=False, repetition=False),
-        "multisets": dict(ordered=False, repetition=True),
-    }.get(mode)
-    if kwargs is None:
-        raise ValueError(
-            f"unknown mode {mode!r}; options: sequences, permutations, "
-            "combinations, multisets"
-        )
+    check_choice(mode, "mode", tuple(ENUMERATION_MODES))
     seen = set()
     out: list[tuple[str, ...]] = []
     for k in range(k_min, k_max + 1):
-        for seq in gate_sequences(alphabet, k, **kwargs):
+        for seq in gate_sequences(alphabet, k, **ENUMERATION_MODES[mode]):
             if deduplicate:
                 if seq in seen:
                     continue

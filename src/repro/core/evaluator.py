@@ -28,13 +28,14 @@ from repro.qaoa.energy import ENGINES, AnsatzEnergy
 from repro.qaoa.maxcut import approximation_ratio
 from repro.simulators.backends import available_array_backends
 from repro.utils.rng import as_rng, stable_seed
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_choice, check_positive
 from repro.workloads import available_workloads, get_workload
 
 __all__ = [
     "EvaluationConfig",
     "Evaluator",
     "INIT_STRATEGIES",
+    "METRICS",
     "classical_optima",
     "evaluate_candidate",
 ]
@@ -44,6 +45,8 @@ __all__ = [
 #: runtime threads one through (repro.qaoa.initialization.interp_init) and
 #: falls back to ramp draws otherwise
 INIT_STRATEGIES = ("uniform", "ramp", "interp")
+#: how Eq. (3)'s numerator is scored (see ``EvaluationConfig.metric``)
+METRICS = ("energy", "best_sampled")
 
 
 def classical_optima(
@@ -110,34 +113,12 @@ class EvaluationConfig:
         check_positive(self.max_steps, "max_steps")
         check_positive(self.restarts, "restarts")
         check_positive(self.shots, "shots")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; options: {ENGINES}"
-            )
-        if self.array_backend not in available_array_backends():
-            raise ValueError(
-                f"unknown array backend {self.array_backend!r}; "
-                f"options: {available_array_backends()}"
-            )
-        if self.batch_mode not in BATCH_MODES:
-            raise ValueError(
-                f"unknown batch mode {self.batch_mode!r}; "
-                f"options: {BATCH_MODES}"
-            )
-        if self.metric not in ("energy", "best_sampled"):
-            raise ValueError(
-                f"unknown metric {self.metric!r}; options: energy, best_sampled"
-            )
-        if self.init_strategy not in INIT_STRATEGIES:
-            raise ValueError(
-                f"unknown init strategy {self.init_strategy!r}; "
-                f"options: {', '.join(INIT_STRATEGIES)}"
-            )
-        if self.workload not in available_workloads():
-            raise ValueError(
-                f"unknown workload {self.workload!r}; "
-                f"options: {available_workloads()}"
-            )
+        check_choice(self.engine, "engine", ENGINES)
+        check_choice(self.array_backend, "array backend", available_array_backends())
+        check_choice(self.batch_mode, "batch mode", BATCH_MODES)
+        check_choice(self.metric, "metric", METRICS)
+        check_choice(self.init_strategy, "init strategy", INIT_STRATEGIES)
+        check_choice(self.workload, "workload", available_workloads())
         if self.engine == "qtensor" and self.workload != "maxcut":
             raise ValueError(
                 "the qtensor engine only evaluates the maxcut workload; "

@@ -93,6 +93,7 @@ from repro.parallel.cluster import least_loaded_partition
 from repro.parallel.executor import Executor, SerialExecutor
 from repro.parallel.jobs import JobScheduler
 from repro.qaoa.ansatz import build_qaoa_ansatz
+from repro.utils.validation import ConfigError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (search imports us)
     from repro.core.search import SearchConfig
@@ -177,6 +178,10 @@ class RuntimeConfig:
             raise ValueError(
                 f"shard_index must be in [0, {self.shards}), got {self.shard_index}"
             )
+        if self.resume and self.cache_dir is None:
+            raise ValueError(
+                "resume requires cache_dir (the checkpoint it restores lives there)"
+            )
         if self.cache_flush_every < 1:
             raise ValueError(
                 f"cache_flush_every must be >= 1, got {self.cache_flush_every}"
@@ -240,7 +245,7 @@ class SearchRuntime:
             # A shard process only sees its slice of depth p-1, so sibling
             # processes would train the same depth-p key from different
             # (or missing) warm starts and poison the shared cache.
-            raise ValueError(
+            raise ConfigError(
                 "init_strategy='interp' cannot run under shard_index: the "
                 "INTERP hand-off needs every previous-depth result in one "
                 "process"
@@ -324,10 +329,15 @@ class SearchRuntime:
             # feedback-driven proposer sees only this process's slice of
             # the rewards, so sibling pools would silently diverge and
             # the shards would neither cover the bag nor stay disjoint.
-            raise ValueError(
+            raise ConfigError(
                 "shard_index requires a proposer whose pools ignore reward "
                 "feedback (the exhaustive pool); a predictor or surrogate "
                 "filter would diverge between shard processes"
+            )
+        if self.runtime.shard_index is not None and self.cache is None:
+            raise ConfigError(
+                "shard_index requires a result store (cache_dir, or a shared "
+                "cache): it is where the shard processes' results meet"
             )
         self._predicted_cost = proposer.predicted_cost
         best: CandidateEvaluation | None = None
@@ -364,12 +374,12 @@ class SearchRuntime:
 
         if best is None:
             if self.runtime.shard_index is not None:
-                raise ValueError(
+                raise ConfigError(
                     f"shard {self.runtime.shard_index}/{self.runtime.shards} "
                     "received no candidates at any depth (more shards than "
                     "candidates?)"
                 )
-            raise ValueError("search produced no evaluations (empty candidate sets)")
+            raise ConfigError("search produced no evaluations (empty candidate sets)")
         self.progress.finish_sweep()
         return SearchResult(
             best_tokens=best.tokens,

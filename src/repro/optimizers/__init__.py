@@ -23,6 +23,7 @@ from repro.optimizers.spsa import SPSA
 
 __all__ = [
     "BATCH_MODES",
+    "TRAINING_OPTIMIZERS",
     "Adam",
     "BatchObjective",
     "Cobyla",
@@ -56,6 +57,10 @@ def make_optimizer(name: str, **kwargs) -> Optimizer:
     return cls(**kwargs)
 
 
+#: the trainers :func:`training_optimizer` builds (cobyla is the paper's)
+TRAINING_OPTIMIZERS = ("cobyla", "nelder_mead", "spsa", "adam")
+
+
 def training_optimizer(
     name: str,
     *,
@@ -85,6 +90,5 @@ def training_optimizer(
             gradient=gradient, gradient_batch=gradient_batch, maxiter=max_steps
         )
     raise ValueError(
-        f"unknown optimizer {name!r}; options: "
-        "['adam', 'cobyla', 'nelder_mead', 'spsa']"
+        f"unknown optimizer {name!r}; options: {sorted(TRAINING_OPTIMIZERS)}"
     )

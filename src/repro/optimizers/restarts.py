@@ -38,6 +38,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.optimizers.base import BatchFn, Objective, Optimizer, OptimizeResult, resolve_batch_fn
+from repro.utils.validation import check_choice
 
 __all__ = ["BATCH_MODES", "MultiRestart"]
 
@@ -60,10 +61,7 @@ class MultiRestart(Optimizer):
     name = "multi_restart"
 
     def __init__(self, base: Optimizer, batch_mode: str = "auto") -> None:
-        if batch_mode not in BATCH_MODES:
-            raise ValueError(
-                f"unknown batch mode {batch_mode!r}; options: {BATCH_MODES}"
-            )
+        check_choice(batch_mode, "batch mode", BATCH_MODES)
         self.base = base
         self.batch_mode = batch_mode
 

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 
 from repro.api import Config, reconcile_workload, resolve_workload_spec
 from repro.core.cache import ResultCache
-from repro.core.runtime import CancellationToken, RuntimeConfig, SweepCancelled
+from repro.core.runtime import CancellationToken, SweepCancelled
 from repro.core.search import search_mixer
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import SweepProgress
@@ -455,12 +455,10 @@ class SweepMultiplexer:
         config = reconcile_workload(Config.from_dict(spec.get("config", {})), implied)
         depths = int(spec.get("depths", 1))
         search_cfg = config.search_config(depths)
-        # The service owns persistence: sweeps get the shared cache object,
-        # never a private cache_dir (and checkpoints stay per-service too).
-        runtime_cfg = RuntimeConfig(
-            max_retries=config.retries,
-            job_timeout=config.job_timeout,
-        )
+        # The service owns fleet and persistence: sweeps get the shared
+        # executor and cache objects, never a private pool or cache_dir
+        # (and checkpoints stay per-service too).
+        runtime_cfg = config.for_service().runtime_config()
         return search_mixer(
             graphs,
             search_cfg,

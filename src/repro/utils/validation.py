@@ -8,14 +8,23 @@ harder to read.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Any
 
 __all__ = [
+    "ConfigError",
+    "check_choice",
     "check_integer",
     "check_positive",
     "check_probability",
     "check_qubit_index",
 ]
+
+
+class ConfigError(ValueError):
+    """A sweep setting, or a combination of settings, was rejected before
+    any candidate trained: front-ends report it as a message (CLI exit
+    text, service 400); any other ``ValueError`` from a sweep is a bug."""
 
 
 def check_integer(value: Any, name: str) -> int:
@@ -35,6 +44,12 @@ def check_integer(value: Any, name: str) -> int:
     if isinstance(value, float):
         raise TypeError(f"{name} must be an integer, got float {value!r}")
     return as_int
+
+
+def check_choice(value: Any, name: str, options: Sequence[str]) -> None:
+    """Validate that ``value`` is one of ``options`` (a registry's names)."""
+    if value not in options:
+        raise ValueError(f"unknown {name} {value!r}; options: {', '.join(options)}")
 
 
 def check_positive(value: Any, name: str, *, strict: bool = True) -> int:

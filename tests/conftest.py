@@ -109,3 +109,13 @@ def still_running():
             time.sleep(0.02)
 
     return check
+
+
+def evaluations(result):
+    """Every evaluation of a ``SearchResult`` minus its wall-clock
+    ``seconds`` — what two runs of the same sweep must agree on."""
+    return [
+        (e.tokens, e.p, e.energy, e.ratio, e.per_graph_energy, e.nfev, e.best_params)
+        for depth in result.depth_results
+        for e in depth.evaluations
+    ]

@@ -1,9 +1,17 @@
 """repro.api: the stable facade — Config mapping, workloads, search()."""
 
+from dataclasses import fields, replace
+from functools import reduce
+
 import pytest
 
 from repro import Config, search
-from repro.api import resolve_workload, workload_to_wire
+from repro.api import (
+    SERVICE_IGNORED,
+    ConfigError,
+    resolve_workload,
+    workload_to_wire,
+)
 from repro.core.results import SearchResult
 from repro.core.search import search_mixer
 from repro.graphs.datasets import paper_er_dataset
@@ -23,33 +31,96 @@ class TestConfig:
         assert runtime.max_retries == 2
         assert runtime.cache_dir is None
 
+    #: field -> (internal config, attribute path, a non-default value), or
+    #: where else it is consumed; shard_index/resume ride on a config that
+    #: makes them legal (shards=2 / a cache_dir)
+    LANDS = {
+        "k_min": ("search", "k_min", 2),
+        "k_max": ("search", "k_max", 3),
+        "mode": ("search", "mode", "sequences"),
+        "num_samples": ("search", "num_samples", 5),
+        "optimizer": ("evaluation", "optimizer", "spsa"),
+        "steps": ("evaluation", "max_steps", 9),
+        "restarts": ("evaluation", "restarts", 2),
+        "batch_mode": ("evaluation", "batch_mode", "serial"),
+        "seed": ("evaluation", "seed", 7),
+        "engine": ("evaluation", "engine", "statevector"),
+        "array_backend": ("evaluation", "array_backend", "mock_gpu"),
+        "metric": ("evaluation", "metric", "best_sampled"),
+        "shots": ("evaluation", "shots", 11),
+        "workload": ("evaluation", "workload", "maxsat"),
+        "init_strategy": ("evaluation", "init_strategy", "ramp"),
+        "workers": "search()'s executor rule (TestSearch.test_one_pool_per_shard)",
+        "shards": ("runtime", "shards", 3),
+        "shard_index": ("runtime", "shard_index", 1),
+        "cache_dir": ("runtime", "cache_dir", "/tmp/y"),
+        "cache_max_entries": ("runtime", "cache_max_entries", 10),
+        "resume": ("runtime", "resume", True),
+        "retries": ("runtime", "max_retries", 4),
+        "job_timeout": ("runtime", "job_timeout", 1.5),
+        "surrogate": ("search", "surrogate.enabled", True),
+        "surrogate_keep": ("search", "surrogate.keep_fraction", 0.3),
+        "explore_floor": ("search", "surrogate.explore_floor", 0.2),
+        "tenant": "Client.submit's payload (service-side scheduling)",
+        "priority": "Client.submit's payload (service-side scheduling)",
+    }
+
     def test_every_field_reaches_its_internal_config(self):
+        """Iterates ``fields(Config)``: a new field with no row here — one
+        that lands nowhere — fails."""
+        base = Config(shards=2, cache_dir="/tmp/x")
+        assert set(self.LANDS) == {f.name for f in fields(Config)}
+        for name, lands in self.LANDS.items():
+            if isinstance(lands, str):
+                continue
+            target, path, value = lands
+            config = replace(base, **{name: value})
+            assert getattr(config, name) != getattr(base, name), name
+            internal = {
+                "evaluation": config.evaluation_config,
+                "search": lambda: config.search_config(1),
+                "runtime": config.runtime_config,
+            }[target]()
+            assert reduce(getattr, path.split("."), internal) == value, name
+        # the training group also rides inside the search config
+        search_cfg = replace(base, steps=9, seed=7).search_config(1)
+        assert search_cfg.evaluation.max_steps == 9
+        assert (search_cfg.seed, search_cfg.surrogate.seed) == (7, 7)
+
+    def test_choices_are_checked_at_construction(self):
+        for name in ("optimizer", "mode", "engine", "batch_mode", "metric",
+                     "array_backend", "workload", "init_strategy"):
+            with pytest.raises(ConfigError, match=f"unknown {name.replace('_', ' ')}"):
+                Config(**{name: "bogus"})
+        with pytest.raises(ConfigError, match="k_min must be <= k_max"):
+            Config(k_min=5, k_max=2)
+        # every mode the enumerator knows stays legal through the facade
+        assert Config(mode="multisets").search_config(1).mode == "multisets"
+
+    def test_new_fields_default_to_the_internal_defaults(self):
+        assert Config().batch_mode == "auto"
+        assert Config().shard_index is None
+        assert Config().runtime_config().shard_index is None
+
+    def test_numeric_ranges_are_the_internal_rules_own_messages(self):
+        with pytest.raises(ConfigError, match="max_steps must be > 0, got 0"):
+            Config(steps=0).evaluation_config()
+        with pytest.raises(ConfigError, match="keep_fraction must be in"):
+            Config(surrogate_keep=2.0).search_config(1)
+        with pytest.raises(ConfigError, match="qtensor engine only evaluates"):
+            search("maxsat:1", depths=1, config=Config(engine="qtensor"))
+
+    def test_for_service_drops_the_local_execution_group(self):
         config = Config(
-            k_min=2, k_max=3, mode="sequences", num_samples=5,
-            optimizer="spsa", steps=9, restarts=2, seed=7,
-            engine="statevector", metric="best_sampled", shots=11,
-            shards=2, cache_dir="/tmp/x", cache_max_entries=10,
-            resume=True, retries=4, job_timeout=1.5,
+            workers=4, shards=2, shard_index=1, cache_dir="/tmp/x",
+            cache_max_entries=3, resume=True, retries=5, steps=9,
         )
-        search_cfg = config.search_config(1)
-        assert (search_cfg.k_min, search_cfg.k_max) == (2, 3)
-        assert search_cfg.mode == "sequences"
-        assert search_cfg.num_samples == 5
-        evaluation = config.evaluation_config()
-        assert evaluation.optimizer == "spsa"
-        assert evaluation.max_steps == 9
-        assert evaluation.restarts == 2
-        assert evaluation.seed == 7
-        assert evaluation.engine == "statevector"
-        assert evaluation.metric == "best_sampled"
-        assert evaluation.shots == 11
-        runtime = config.runtime_config()
-        assert runtime.shards == 2
-        assert runtime.cache_dir == "/tmp/x"
-        assert runtime.cache_max_entries == 10
-        assert runtime.resume is True
-        assert runtime.max_retries == 4
-        assert runtime.job_timeout == 1.5
+        served = config.for_service()
+        assert served == Config(retries=5, steps=9)
+        assert {
+            f.name for f in fields(Config)
+            if getattr(served, f.name) != getattr(config, f.name)
+        } == set(SERVICE_IGNORED)
 
     def test_roundtrips_through_dict(self):
         config = Config(k_max=3, steps=12, optimizer="adam")
@@ -119,6 +190,29 @@ class TestSearch:
         assert cold.config["cache_misses"] == 4
         assert warm.config["cache_hits"] == 4
         assert warm.best_energy == cold.best_energy
+
+    def test_one_pool_per_shard(self):
+        """The one executor rule: ``shards`` pools with the workers spread
+        over them (what ``repro search --shards 2 --workers 3`` always did)."""
+        config = replace(self.CONFIG, shards=2, workers=3)
+        result = search("er:1", depths=1, config=config)
+        assert result.config["executor"] == "sharded[multiprocessing]"
+        assert result.config["num_workers"] == 3
+        plain = search("er:1", depths=1, config=self.CONFIG)
+        assert result.best_energy == plain.best_energy
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (dict(resume=True), "resume requires cache_dir"),
+            (dict(shards=2, shard_index=0), "shard_index requires a result store"),
+            (dict(shards=2, shard_index=2, cache_dir="x"), "shard_index must be in"),
+            (dict(shards=0), "shards must be >= 1"),
+        ],
+    )
+    def test_runtime_layer_rules_surface_through_the_facade(self, settings, message):
+        with pytest.raises(ConfigError, match=message):
+            search("er:1", depths=1, config=replace(self.CONFIG, **settings))
 
     def test_top_level_exports(self):
         import repro

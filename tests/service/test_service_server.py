@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import Config, ServiceError, connect, search
+from repro.api import Config, ConfigError, ServiceError, connect, search
 from repro.parallel.faults import FaultInjectingExecutor, FaultPlan
 from repro.service.server import SearchService, make_http_server
 
@@ -165,6 +165,38 @@ class TestValidation:
         )
         assert status == 400
         assert "explore_floor" in body["error"]
+
+    def test_out_of_choice_settings_rejected_at_submit(self, service):
+        """The service validates what it queues: the facade's own rejection,
+        word for word, as a 400 — and nothing reaches the queue."""
+        svc, base = service
+        for bad in (
+            {"optimizer": "bogus"},
+            {"mode": "bogus"},
+            {"engine": "bogus"},
+            {"batch_mode": "bogus"},
+            {"k_min": 5, "k_max": 2},
+        ):
+            with pytest.raises(ConfigError) as facade:
+                Config(**bad)
+            status, body = http(
+                "POST", base + "/submit", {"workload": "er:1", "config": bad}
+            )
+            assert status == 400, bad
+            assert body["error"] == f"invalid sweep spec: {facade.value}"
+        assert sum(svc.queue.counts().values()) == 0
+
+    def test_settings_the_service_ignores_are_accepted_at_submit(self, service):
+        """A service runs every sweep on its own fleet and store, so the
+        local-execution group is dropped, not validated."""
+        _, base = service
+        spec = dict(SPEC)
+        spec["config"] = {**SPEC["config"], "resume": True, "shards": 3, "workers": 9}
+        status, body = http("POST", base + "/submit", spec)
+        assert status == 202
+        result = connect(base).wait(body["id"], timeout=120)
+        assert result.config["shards"] == 1
+        assert result.config["cache_dir"] is None
 
     def test_surrogate_config_accepted_at_submit(self, service):
         _, base = service
