@@ -4,7 +4,7 @@ Paper protocol (§3.1): one 10-node ER graph, p = 2, cores swept 8..64 in
 steps of 8, against a dashed serial-time line; the parallel version is
 quoted as "0.76 times faster" than serial.
 
-Substitution (DESIGN.md): per-candidate durations are *measured* by really
+Substitution: per-candidate durations are *measured* by really
 training each candidate serially; placement on 8..64 workers is replayed
 through the list-scheduling simulator, and the simulator is validated
 against a real process pool at the core counts this machine has.

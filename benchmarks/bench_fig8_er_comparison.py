@@ -46,8 +46,8 @@ def bench_fig8_er_comparison(once):
     # Shape assertions — what reproduces robustly on synthetic instances:
     # both mixers land in the paper's high band and within a small gap.
     # The paper's qnas>baseline *ordering* is instance-dependent at this
-    # gap size and is recorded (not asserted); see EXPERIMENTS.md for the
-    # family-optimum analysis of why plain RX can edge out (rx, ry).
+    # gap size and is recorded (not asserted): plain RX can edge out
+    # (rx, ry).
     assert result.aggregated["qnas"] > 0.95
     assert result.aggregated["baseline"] > 0.95
     gap = abs(result.aggregated["qnas"] - result.aggregated["baseline"])

@@ -7,7 +7,7 @@ asserts the paper's qualitative claim, and persists an ExperimentRecord
 JSON under ``benchmarks/results/``.
 
 Workload size follows ``QARCH_BENCH_SCALE`` (ci | laptop | paper); see
-repro.experiments.scale and EXPERIMENTS.md.
+repro.experiments.scale.
 """
 
 from __future__ import annotations

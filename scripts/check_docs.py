@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs gate: project documentation must stay runnable and unbroken.
 
-Three checks, run by CI's docs job (and ``scripts/run_ci_locally.sh``):
+Four checks, run by CI's docs job (and ``scripts/run_ci_locally.sh``):
 
 * **Links** — every intra-repo markdown link in ``README.md`` and
   ``docs/*.md`` must resolve to an existing file or directory (relative
@@ -23,6 +23,11 @@ Three checks, run by CI's docs job (and ``scripts/run_ci_locally.sh``):
   fails here instead of misleading a reader. In ``docs/cli.md``, a table
   row of the form ``| `--flag {a,b,c}` | `default` |`` is also held to the
   parser's choices and default for that flag.
+* **Cited pages** — every ``*.md`` file named in the source text
+  (docstrings and comments) of ``src/repro/`` or ``benchmarks/*.py`` must
+  exist at that path from the repo root. Code outlives the pages it
+  cites; a reader sent to a ``DESIGN.md`` that was never written fails
+  here.
 
 Run from the repo root::
 
@@ -59,6 +64,8 @@ _SCRIPT_FLAGS = {
 _CHOICE_ROW = re.compile(r"^\| `(--[a-z-]+) \{([^}]+)\}` \| `([^`]*)` \|", re.MULTILINE)
 #: choices a row may list although this machine's parser lacks them
 _OPTIONAL_CHOICES = {"cupy"}  # registered only where CuPy is installed
+#: a markdown file named in source text
+_CITED_PAGE = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def doc_files() -> list[Path]:
@@ -138,6 +145,18 @@ def check_flags(files: list[Path]) -> list[str]:
     return errors
 
 
+def check_cited_pages() -> list[str]:
+    """Return errors for ``*.md`` files the source cites but the repo lacks."""
+    sources = sorted((REPO / "src" / "repro").rglob("*.py"))
+    sources += sorted((REPO / "benchmarks").glob("*.py"))
+    return [
+        f"{source.relative_to(REPO)}: cites {page}, which does not exist"
+        for source in sources
+        for page in sorted(set(_CITED_PAGE.findall(source.read_text(encoding="utf-8"))))
+        if not (REPO / page).exists()
+    ]
+
+
 def python_blocks(doc: Path) -> list[str]:
     return [
         body
@@ -170,6 +189,8 @@ def main() -> int:
     errors = check_links(files)
     print("checking documented CLI flags against build_parser()...")
     errors += check_flags(files)
+    print("checking *.md pages cited from src/repro and benchmarks/*.py...")
+    errors += check_cited_pages()
     print("running README python snippets...")
     errors += run_snippets(REPO / "README.md")
     if errors:

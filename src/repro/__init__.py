@@ -19,8 +19,8 @@ repro serve``) via ``connect(url).submit(...)``. Deep imports
 (``search_mixer``, ``SearchConfig``, …) remain available for code that
 composes the internals directly.
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-figure-by-figure reproduction record.
+See docs/architecture.md for the system inventory and README.md ("What
+this reproduces") for the figure-by-figure map onto ``benchmarks/``.
 """
 
 from repro.api import Config, connect, search

@@ -8,22 +8,15 @@ Public surface:
   expressions like ``2 * beta`` are first-class.
 * :func:`~repro.circuits.gates.make_gate` / :data:`GATE_REGISTRY` — gate
   specs with exact matrices.
-* :class:`~repro.circuits.dag.CircuitDag`, transpile passes, ASCII drawing
-  and OpenQASM 2 round-tripping.
+* :class:`~repro.circuits.dag.CircuitDag`, ASCII drawing and OpenQASM 2
+  round-tripping.
 """
 
 from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.circuits.dag import CircuitDag, DagNode
-from repro.circuits.decompose import fuse_single_qubit_runs, zyz_decompose
 from repro.circuits.gates import GATE_REGISTRY, Gate, GateSpec, gate_matrix, make_gate
 from repro.circuits.parameters import Parameter, ParameterExpression, bind_value
 from repro.circuits.qasm import QasmError, from_qasm, to_qasm
-from repro.circuits.transpile import (
-    cancel_inverse_pairs,
-    drop_identities,
-    merge_rotations,
-    simplify,
-)
 from repro.circuits.visualization import draw_circuit
 
 __all__ = [
@@ -42,11 +35,5 @@ __all__ = [
     "to_qasm",
     "from_qasm",
     "QasmError",
-    "merge_rotations",
-    "cancel_inverse_pairs",
-    "drop_identities",
-    "simplify",
     "draw_circuit",
-    "zyz_decompose",
-    "fuse_single_qubit_runs",
 ]

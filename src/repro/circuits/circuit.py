@@ -4,8 +4,8 @@ A :class:`QuantumCircuit` is an ordered list of instructions (gate + qubit
 tuple) on a fixed-width register. It deliberately mirrors the slice of
 Qiskit's API that QArchSearch's QBuilder uses — ``rx/ry/rz/h/p`` appenders,
 composition, parameter binding — plus the structural queries (depth, gate
-counts, two-qubit interaction graph) that the transpiler and tensor-network
-converter need.
+counts, two-qubit interaction graph) that the tensor-network converter
+needs.
 
 Qubit ordering convention (shared with the simulators): qubit ``k`` is bit
 ``k`` of the computational-basis index, i.e. little-endian, qubit 0 is the

@@ -1,9 +1,8 @@
 """Directed-acyclic-graph view of a circuit.
 
 The DAG exposes the *dependency* structure a gate list hides: two gates on
-disjoint qubits commute trivially and sit in parallel layers. The transpiler
-passes walk wire-neighbourhoods (previous/next gate on a qubit), and the
-scheduling simulator uses layers to reason about intra-circuit parallelism.
+disjoint qubits commute trivially and sit in parallel layers — the columns
+``repro draw`` prints (:mod:`repro.circuits.visualization`).
 """
 
 from __future__ import annotations
@@ -90,10 +89,7 @@ class CircuitDag:
         return list(self.nodes)
 
     def to_circuit(self, skip: Sequence[int] = ()) -> QuantumCircuit:
-        """Rebuild a circuit, optionally dropping the node indices in ``skip``.
-
-        Used by transpile passes that delete or replace gates.
-        """
+        """Rebuild a circuit, optionally dropping the node indices in ``skip``."""
         drop = set(skip)
         out = QuantumCircuit(self.num_qubits)
         for node in self.nodes:

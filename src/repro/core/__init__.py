@@ -31,7 +31,6 @@ from repro.core.constraints import (
     RequiresParameterizedGate,
 )
 from repro.core.controller import ControllerPredictor, PolicyController
-from repro.core.depth_sweep import DepthPoint, noisy_score, warm_started_sweep
 from repro.core.encoding import (
     PAD_INDEX,
     decode_encoding,
@@ -106,7 +105,4 @@ __all__ = [
     "NoAdjacentRepeats",
     "MaxMixerDepth",
     "PredicateConstraint",
-    "DepthPoint",
-    "warm_started_sweep",
-    "noisy_score",
 ]

@@ -54,6 +54,7 @@ from repro.graphs.generators import Graph
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
+    "NullStore",
     "ResultCache",
     "SweepCheckpoint",
     "candidate_key",
@@ -432,6 +433,35 @@ class ResultCache:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+class NullStore:
+    """The store of a sweep given neither ``cache=`` nor ``cache_dir``: it
+    keeps nothing and every key is the caller's to evaluate. The runtime
+    holds one so its per-candidate loop never asks whether a store exists."""
+
+    evictions = 0
+
+    def get(self, key: str) -> None:
+        return None
+
+    def count_hit(self) -> None:
+        pass
+
+    def claim(self, key: str) -> bool:
+        return True
+
+    def unclaim(self, key: str) -> None:
+        pass
+
+    def put(self, key: str, evaluation: CandidateEvaluation) -> None:
+        pass
+
+    def flush(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
 
 
 class SweepCheckpoint:

@@ -111,9 +111,9 @@ class RequiresParameterizedGate(Constraint):
 
 @dataclass(frozen=True)
 class NoAdjacentRepeats(Constraint):
-    """Reject ``(..., g, g, ...)``: adjacent same-gate pairs merge into one
-    rotation under :func:`repro.circuits.transpile.merge_rotations`, so they
-    waste a slot of the sequence budget."""
+    """Reject ``(..., g, g, ...)``: two adjacent rotations about one axis
+    are a single rotation by the summed angle, so the pair wastes a slot of
+    the sequence budget."""
 
     name: str = "no_adjacent_repeats"
 

@@ -1,8 +1,8 @@
 """Result records for evaluations and searches, with JSON persistence.
 
 Everything the experiment harness reports is assembled from these records,
-and every figure in EXPERIMENTS.md can be regenerated from a saved JSON
-run without re-simulating.
+and every figure can be regenerated from a saved JSON run without
+re-simulating.
 
 **Wire format.** Every record has symmetric ``to_dict``/``from_dict``, and
 the dict *is* the wire object: the result cache stores it, ``save``/

@@ -76,6 +76,7 @@ from typing import TYPE_CHECKING
 
 from repro.circuits.qasm import QasmError, to_qasm
 from repro.core.cache import (
+    NullStore,
     ResultCache,
     SweepCheckpoint,
     candidate_key,
@@ -263,11 +264,12 @@ class SearchRuntime:
             )
         # Shard placement cost; run() points it at its proposer's estimate.
         self._predicted_cost = predicted_cost
-        self.cache: ResultCache | None = None
+        self.cache: ResultCache | NullStore = NullStore()
         self.checkpoint: SweepCheckpoint | None = None
         # An externally-owned cache (the service's shared, multi-tenant
         # store) outlives this sweep: use it, never close it. A cache_dir
-        # instead makes this runtime the owner of a private store.
+        # instead makes this runtime the owner of a private store; with
+        # neither, the sweep persists nothing.
         self._owns_cache = cache is None
         if cache is not None:
             self.cache = cache
@@ -289,9 +291,9 @@ class SearchRuntime:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        if self.cache is not None and self._owns_cache:
+        if self._owns_cache:
             self.cache.close()
-        elif self.cache is not None:
+        else:
             self.cache.flush()
 
     def __enter__(self) -> SearchRuntime:
@@ -313,7 +315,7 @@ class SearchRuntime:
     @property
     def cache_evictions(self) -> int:
         """Store-level evictions (shared across tenants of one cache)."""
-        return self.cache.evictions if self.cache is not None else 0
+        return self.cache.evictions
 
     # -- the sweep ---------------------------------------------------------
 
@@ -334,7 +336,7 @@ class SearchRuntime:
                 "feedback (the exhaustive pool); a predictor or surrogate "
                 "filter would diverge between shard processes"
             )
-        if self.runtime.shard_index is not None and self.cache is None:
+        if self.runtime.shard_index is not None and isinstance(self.cache, NullStore):
             raise ConfigError(
                 "shard_index requires a result store (cache_dir, or a shared "
                 "cache): it is where the shard processes' results meet"
@@ -428,10 +430,9 @@ class SearchRuntime:
             if key in miss_positions:
                 miss_positions[key].append(position)
                 self._sweep_hits += 1  # repeat served without retraining
-                if self.cache is not None:
-                    self.cache.count_hit()
+                self.cache.count_hit()
                 continue
-            cached = self.cache.get(key) if self.cache is not None else None
+            cached = self.cache.get(key)
             if cached is not None:
                 self._sweep_hits += 1
                 evaluations[position] = cached
@@ -454,12 +455,7 @@ class SearchRuntime:
         owned_keys: list[str] = []
         foreign_keys: list[str] = []
         for key in miss_positions:
-            if self.cache is None:
-                owned_keys.append(key)
-            elif not self.cache.claim(key):
-                foreign_keys.append(key)
-            else:
-                owned_keys.append(key)
+            (owned_keys if self.cache.claim(key) else foreign_keys).append(key)
 
         if owned_keys:
             jobs = [self._job_payload(candidates[miss_positions[key][0]], p)
@@ -474,8 +470,7 @@ class SearchRuntime:
                 for key, result in self._execute(p, owned_keys, jobs):
                     for position in miss_positions[key]:
                         evaluations[position] = result
-                    if self.cache is not None:
-                        self.cache.put(key, result)
+                    self.cache.put(key, result)
                     unresolved.discard(key)
                     self.progress.record(p, len(miss_positions[key]))
                     # Mid-depth cancellation checkpoint: every streamed
@@ -485,11 +480,9 @@ class SearchRuntime:
             finally:
                 # A failed/aborted sweep must not strand tenants waiting on
                 # its claims — release whatever it never delivered.
-                if self.cache is not None:
-                    for key in unresolved:
-                        self.cache.unclaim(key)
-            if self.cache is not None:
-                self.cache.flush()
+                for key in unresolved:
+                    self.cache.unclaim(key)
+            self.cache.flush()
 
         for key in foreign_keys:
             # Another sweep owns this evaluation; block until its put lands
@@ -511,7 +504,7 @@ class SearchRuntime:
             for position in miss_positions[key]:
                 evaluations[position] = result
             self.progress.record(p, len(miss_positions[key]))
-        if foreign_keys and self.cache is not None:
+        if foreign_keys:
             self.cache.flush()
 
         self.progress.finish_depth(p)

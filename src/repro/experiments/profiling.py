@@ -9,8 +9,8 @@ fan-out over :class:`MultiprocessingExecutor`'s process pool.
 Fig. 5 — "Time to simulate a graph with p = 2 with different number of
 cores" (8..64 in steps of 8) against a dashed serial line. Core counts
 beyond this machine are *replayed* through the measured-duration scheduler
-(see DESIGN.md substitutions); the worker counts that do exist here are
-cross-validated against real pool runs.
+(:mod:`repro.parallel.scheduler`); the worker counts that do exist here
+are cross-validated against real pool runs.
 
 Both figures train through :func:`evaluate_candidate` with the config's
 simulation engine (default: the compiled NumPy engine of

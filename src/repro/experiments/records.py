@@ -1,8 +1,8 @@
 """Persistent experiment records.
 
 Each bench run writes an :class:`ExperimentRecord` JSON next to its output
-so EXPERIMENTS.md's paper-vs-measured tables can be rebuilt from saved runs
-(and so CI diffs catch behavioural drift in the harness itself).
+so a paper-vs-measured table can be rebuilt from saved runs (and so CI
+diffs catch behavioural drift in the harness itself).
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ box would take days. Each bench therefore reads a scale preset:
 * ``paper``   — the full §3 workload (needs a real node).
 
 Select via the ``QARCH_BENCH_SCALE`` environment variable (default ``ci``).
-EXPERIMENTS.md records which preset produced the committed numbers.
 """
 
 from __future__ import annotations

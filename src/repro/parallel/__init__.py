@@ -31,7 +31,6 @@ from repro.parallel.scheduler import (
     simulate_makespan,
     speedup_curve,
 )
-from repro.parallel.timing import Timer, TimingLog, time_call
 
 __all__ = [
     "AsyncExecutor",
@@ -54,7 +53,4 @@ __all__ = [
     "NodeSpec",
     "TwoLevelResult",
     "least_loaded_partition",
-    "Timer",
-    "TimingLog",
-    "time_call",
 ]

@@ -13,9 +13,9 @@ Where this sits in the two-level parallelization scheme (Fig. 2/Fig. 3):
   models that hierarchy (including GPU offload) on top of this module.
 
 This module is the *simulation* half of level 1: the paper sweeps 8–64
-cores on a Polaris node; this box has two. Per the substitution policy
-(DESIGN.md): task *durations are measured* by really running the candidate
-evaluations, and only their *placement* onto W workers is simulated. The
+cores on a Polaris node; this box has two. So task *durations are
+measured* by really running the candidate evaluations, and only their
+*placement* onto W workers is simulated. The
 simulator is a faithful model of what ``Pool.starmap_async`` does with an
 embarrassingly-parallel task bag — greedy dispatch of the next task to the
 earliest-free worker, plus explicit overhead knobs — so the

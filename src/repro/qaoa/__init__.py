@@ -33,15 +33,6 @@ from repro.qaoa.mixers import (
     mixer_label,
     mixer_layer,
 )
-from repro.qaoa.observables import (
-    PauliSum,
-    PauliTerm,
-    ising_hamiltonian,
-    maxcut_hamiltonian,
-    qubo_to_ising,
-    tfim_hamiltonian,
-)
-from repro.qaoa.vqe import VQEAnsatz, VQEEnergy, build_vqe_ansatz, search_vqe_ansatz, train_vqe
 
 __all__ = [
     "QAOAAnsatz",
@@ -69,17 +60,6 @@ __all__ = [
     "edge_energy_p1",
     "maxcut_energy_p1",
     "grid_search_p1",
-    "PauliSum",
-    "PauliTerm",
-    "ising_hamiltonian",
-    "maxcut_hamiltonian",
-    "tfim_hamiltonian",
-    "qubo_to_ising",
-    "VQEAnsatz",
-    "VQEEnergy",
-    "build_vqe_ansatz",
-    "train_vqe",
-    "search_vqe_ansatz",
     "uniform_init",
     "ramp_init",
     "interp_init",

@@ -83,8 +83,8 @@ def make_initializer(strategy: str):
     """Initializer factory for config plumbing: ``uniform`` or ``ramp``.
 
     Returns ``fn(p, rng) -> ndarray``. INTERP is not listed here because it
-    needs the previous depth's optimum (see
-    :meth:`repro.core.depth_sweep.warm_started_sweep`).
+    needs the previous depth's optimum (the hand-off lives in
+    :class:`repro.core.runtime.SearchRuntime`).
     """
     if strategy == "uniform":
         return lambda p, rng: uniform_init(p, rng=rng)

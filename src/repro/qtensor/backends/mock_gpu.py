@@ -2,11 +2,10 @@
 
 The paper's future-work section promises tight QTensor/GPU integration so a
 user can "seamlessly select a GPU backend whenever possible". This box has
-no CUDA device, so we *simulate* one (per the substitution policy in
-DESIGN.md): computation runs on NumPy, while the backend meters what the
-same contraction would cost on an accelerator under an explicit analytic
-model — host↔device transfers at PCIe bandwidth, a fixed kernel-launch
-latency, and einsum FLOPs at a device rate.
+no CUDA device, so we *simulate* one: computation runs on NumPy, while the
+backend meters what the same contraction would cost on an accelerator under
+an explicit analytic model — host↔device transfers at PCIe bandwidth, a
+fixed kernel-launch latency, and einsum FLOPs at a device rate.
 
 The point is to exercise the backend-selection code path and to let
 ``bench_ablation_backends`` show the crossover where offloading pays:

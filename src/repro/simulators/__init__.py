@@ -14,8 +14,6 @@
   cross-validated against, and the one to use for one-off circuits.
 * :mod:`repro.simulators.expectation` — vectorized observable evaluation
   (max-cut cost — memoized per graph — and Pauli strings).
-* :mod:`repro.simulators.noise` — Kraus channels + density-matrix engine
-  for noisy candidate ranking.
 
 (The tensor-network alternative for circuits too wide for a dense state
 lives in :mod:`repro.qtensor`.)
@@ -38,15 +36,6 @@ from repro.simulators.expectation import (
     pauli_expectation,
     z_expectations,
     zz_expectation,
-)
-from repro.simulators.noise import (
-    DensityMatrixSimulator,
-    KrausChannel,
-    NoiseModel,
-    amplitude_damping_channel,
-    bit_flip_channel,
-    depolarizing_channel,
-    phase_flip_channel,
 )
 from repro.simulators.statevector import (
     StatevectorSimulator,
@@ -84,11 +73,4 @@ __all__ = [
     "z_expectations",
     "zz_expectation",
     "pauli_expectation",
-    "DensityMatrixSimulator",
-    "NoiseModel",
-    "KrausChannel",
-    "depolarizing_channel",
-    "bit_flip_channel",
-    "phase_flip_channel",
-    "amplitude_damping_channel",
 ]

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.core.cache import ResultCache
+from repro.core.cache import NullStore, ResultCache
 from repro.core.evaluator import EvaluationConfig
 from repro.core.predictor import FixedPoolProposer, Predictor, PredictorProposer
 from repro.core.runtime import RuntimeConfig, SearchRuntime
@@ -371,7 +371,7 @@ class TestRuntimeValidation:
 
     def test_no_cache_dir_disables_persistence(self, graphs, tiny_config):
         with SearchRuntime(graphs, tiny_config) as runtime:
-            assert runtime.cache is None
+            assert isinstance(runtime.cache, NullStore)
             assert runtime.checkpoint is None
             result = runtime.run(FixedPoolProposer([("rx",)]))
         assert result.config["cache_dir"] is None

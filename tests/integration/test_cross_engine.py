@@ -1,9 +1,8 @@
 """Cross-engine consistency on the paper's actual workload circuits.
 
 Every simulation pathway in the package — dense state vector, tensor
-network with each ordering heuristic and backend, density matrix without
-noise, and the p=1 closed form — must report the same QAOA energies on the
-paper's 10-node datasets.
+network with each ordering heuristic and backend, and the p=1 closed form
+— must report the same QAOA energies on the paper's 10-node datasets.
 """
 
 import numpy as np
@@ -14,8 +13,6 @@ from repro.qaoa.analytic import maxcut_energy_p1
 from repro.qaoa.ansatz import build_qaoa_ansatz
 from repro.qaoa.energy import AnsatzEnergy
 from repro.qtensor.simulator import QTensorSimulator
-from repro.simulators.expectation import cut_values
-from repro.simulators.noise import DensityMatrixSimulator
 
 ANGLES_P1 = [0.41, -0.63]
 ANGLES_P2 = [0.41, -0.63, 0.17, 0.52]
@@ -49,15 +46,6 @@ class TestTenQubitConsistency:
             sv = AnsatzEnergy(ansatz, engine="statevector").value(ANGLES_P2)
             tn = AnsatzEnergy(ansatz, engine="qtensor").value(ANGLES_P2)
             assert tn == pytest.approx(sv, abs=1e-8)
-
-    def test_density_matrix_agrees_noiseless(self, er10):
-        graph = er10[0]
-        ansatz = build_qaoa_ansatz(graph, 1)
-        bound = ansatz.bind(ANGLES_P1)
-        rho = DensityMatrixSimulator().run(bound)
-        e_rho = DensityMatrixSimulator.expectation(rho, cut_values(graph))
-        e_sv = AnsatzEnergy(ansatz).value(ANGLES_P1)
-        assert e_rho == pytest.approx(e_sv, abs=1e-9)
 
     def test_ordering_heuristics_agree(self, reg10):
         graph = reg10[0]

@@ -1,10 +1,6 @@
 """Integration tests for the extension features working together:
-constraints + controller, VQE + constraints, fusion on discovered circuits,
-warm starts inside the search protocol."""
+constraints + controller, warm starts inside the search protocol."""
 
-import numpy as np
-
-from repro.circuits.decompose import fuse_single_qubit_runs
 from repro.core.alphabet import GateAlphabet
 from repro.core.constraints import (
     ConstrainedPredictor,
@@ -15,11 +11,7 @@ from repro.core.constraints import (
 )
 from repro.core.controller import ControllerPredictor, PolicyController
 from repro.core.evaluator import EvaluationConfig, Evaluator
-from repro.core.qbuilder import QBuilder
 from repro.graphs.datasets import paper_er_dataset
-from repro.qaoa.observables import tfim_hamiltonian
-from repro.qaoa.vqe import search_vqe_ansatz
-from repro.simulators.statevector import circuit_unitary
 
 
 class TestConstrainedControllerLoop:
@@ -44,31 +36,6 @@ class TestConstrainedControllerLoop:
             for tokens in proposals:
                 assert constraints.satisfied(tokens)
                 predictor.update(tokens, evaluator.reward(tokens, 1))
-
-
-class TestVQEWithConstraints:
-    def test_constrained_vqe_candidates(self):
-        H = tfim_hamiltonian(3, 1.0, 1.0)
-        constraints = ConstraintSet([RequiresParameterizedGate()])
-        candidates = constraints.filter([("h",), ("ry",), ("h", "rz")])
-        assert ("h",) not in candidates
-        ranking = search_vqe_ansatz(H, candidates, layers=2, optimizer_steps=40)
-        assert ranking[0].energy <= ranking[-1].energy
-
-
-class TestFusionOnDiscoveredCircuits:
-    def test_bound_qaoa_circuit_fuses_and_matches(self):
-        """The full trained circuit survives compiler-style fusion."""
-        graphs = paper_er_dataset(1)
-        builder = QBuilder()
-        ansatz = builder.build_qaoa(graphs[0], ("rx", "ry"), 1)
-        bound = ansatz.bind([0.4, -0.3])
-        fused = fuse_single_qubit_runs(bound)
-        assert fused.size() <= bound.size()
-        u1, u2 = circuit_unitary(bound), circuit_unitary(fused)
-        idx = np.unravel_index(np.argmax(np.abs(u1)), u1.shape)
-        ratio = u1[idx] / u2[idx]
-        np.testing.assert_allclose(u1, ratio * u2, atol=1e-8)
 
 
 class TestWarmStartInsideEvaluation:

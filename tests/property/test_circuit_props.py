@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import GATE_REGISTRY, make_gate
-from repro.circuits.transpile import simplify
 from repro.simulators.statevector import circuit_unitary, simulate
 
 ANGLES = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False, allow_infinity=False)
@@ -59,20 +58,6 @@ def test_inverse_circuit_undoes(qc):
     expected = np.zeros(2**qc.num_qubits, dtype=complex)
     expected[0] = 1.0
     np.testing.assert_allclose(psi, expected, atol=1e-9)
-
-
-@settings(max_examples=25, deadline=None)
-@given(circuits(max_qubits=3, max_gates=12))
-def test_simplify_preserves_unitary(qc):
-    np.testing.assert_allclose(
-        circuit_unitary(simplify(qc)), circuit_unitary(qc), atol=1e-9
-    )
-
-
-@settings(max_examples=25, deadline=None)
-@given(circuits(max_qubits=3, max_gates=12))
-def test_simplify_never_grows(qc):
-    assert simplify(qc).size() <= qc.size()
 
 
 @settings(max_examples=40, deadline=None)
