@@ -198,9 +198,11 @@ class Evaluator:
         best_params: list[tuple[float, ...]] = []
         nfev = 0
         for graph_index, graph in enumerate(self.graphs):
-            # One ansatz (and one compiled program) per graph evaluation:
-            # training and best_sampled scoring share it instead of each
-            # rebuilding the identical circuit for (graph, tokens, p).
+            # One ansatz (and one compiled program) per graph evaluation,
+            # shared by training and best_sampled scoring. Under the
+            # compiled engine neither is built gate by gate: the program
+            # is stitched from the graph's and the mixer's memoized layer
+            # fragments, and the ansatz never materializes its circuit.
             ansatz = self.builder.build_qaoa(
                 graph,
                 tokens,

@@ -18,7 +18,9 @@ defaults when absent.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
@@ -35,6 +37,14 @@ WIRE_FORMAT_V3 = "repro-search-result-v3"
 WIRE_FORMAT_V2 = "repro-search-result-v2"
 _WIRE_FORMAT_V1 = "repro-search-result-v1"
 _ACCEPTED_FORMATS = (WIRE_FORMAT_V3, WIRE_FORMAT_V2, _WIRE_FORMAT_V1)
+
+
+@lru_cache(maxsize=4096)
+def _shared_tokens(tokens: tuple[str, ...]) -> tuple[str, ...]:
+    """One tuple object per distinct token sequence: a decoded sweep holds
+    thousands of evaluations of a few hundred sequences, and a private
+    tuple of private strings is over a quarter of each record's memory."""
+    return tuple(sys.intern(token) for token in tokens)
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,7 @@ class CandidateEvaluation:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> CandidateEvaluation:
         return cls(
-            tokens=tuple(data["tokens"]),
+            tokens=_shared_tokens(tuple(data["tokens"])),
             p=int(data["p"]),
             energy=data["energy"],
             ratio=data["ratio"],

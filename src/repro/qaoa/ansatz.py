@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import Parameter
 from repro.graphs.generators import Graph
-from repro.qaoa.mixers import append_mixer_layer, mixer_label
+from repro.qaoa.mixers import append_mixer_layer, check_mixer_tokens, mixer_label
 from repro.utils.validation import check_positive
 
 __all__ = ["QAOAAnsatz", "build_qaoa_ansatz"]
@@ -22,23 +23,45 @@ __all__ = ["QAOAAnsatz", "build_qaoa_ansatz"]
 
 @dataclass(frozen=True)
 class QAOAAnsatz:
-    """A built ansatz: the symbolic circuit plus its parameter vectors.
+    """A built ansatz: its parameter vectors and what they parameterize.
 
     ``parameters`` concatenates ``gammas + betas`` — the flat layout the
     optimizers see. ``initial_hadamard`` records whether the circuit
     prepares ``|+>^n`` itself (H column) or expects the simulator to start
-    from the plus state.
+    from the plus state. The symbolic :attr:`circuit` is built on first
+    access: the gate-level engines, :meth:`bind`, QASM export and drawing
+    read it; the compiled engine lowers the ansatz from its layer
+    structure and never does.
     """
 
-    circuit: QuantumCircuit
     gammas: tuple[Parameter, ...]
     betas: tuple[Parameter, ...]
     graph: Graph
     mixer_tokens: tuple[str, ...]
     initial_hadamard: bool
     #: registry key of the problem this ansatz optimizes (the phase
-    #: separators baked into ``circuit`` came from this workload)
+    #: separators of ``circuit`` come from this workload)
     workload: str = "maxcut"
+
+    @cached_property
+    def circuit(self) -> QuantumCircuit:
+        """The symbolic Eq. (2) circuit over ``gammas`` and ``betas``."""
+        # imported lazily: repro.workloads pulls in repro.qaoa.cost_operator,
+        # so a module-level import here would be circular
+        from repro.workloads import get_workload
+
+        problem = get_workload(self.workload)
+        n = self.graph.num_nodes
+        circuit = QuantumCircuit(
+            n, name=f"qaoa_p{self.p}_{mixer_label(self.mixer_tokens)}"
+        )
+        if self.initial_hadamard:
+            for q in range(n):
+                circuit.h(q)
+        for gamma, beta in zip(self.gammas, self.betas):
+            problem.append_cost_layer(circuit, self.graph, gamma)
+            append_mixer_layer(circuit, self.mixer_tokens, beta)
+        return circuit
 
     @property
     def p(self) -> int:
@@ -70,9 +93,9 @@ class QAOAAnsatz:
     def compile(self, *, backend=None):
         """Lower into a :class:`~repro.simulators.compiled.CompiledProgram`.
 
-        One-time cost per ansatz; the returned program evaluates energies,
-        batches, and parameter-shift gradients without ever rebuilding or
-        re-binding this circuit (the fast path of
+        The returned program evaluates energies, batches, and
+        parameter-shift gradients without ever building or binding
+        :attr:`circuit` (the fast path of
         :class:`~repro.qaoa.energy.AnsatzEnergy`'s default engine).
         ``backend`` selects the array backend the program runs under — a
         registered name or :class:`~repro.simulators.backends.ArrayBackend`
@@ -104,19 +127,9 @@ def build_qaoa_ansatz(
     from repro.workloads import get_workload
 
     check_positive(p, "p")
-    problem = get_workload(workload)
-    problem.validate_instance(graph)
+    get_workload(workload).validate_instance(graph)
     tokens = tuple(mixer_tokens)
-    n = graph.num_nodes
-    circuit = QuantumCircuit(n, name=f"qaoa_p{p}_{mixer_label(tokens)}")
-    if initial_hadamard:
-        for q in range(n):
-            circuit.h(q)
+    check_mixer_tokens(tokens)
     gammas = tuple(Parameter(f"gamma_{k}") for k in range(p))
     betas = tuple(Parameter(f"beta_{k}") for k in range(p))
-    for k in range(p):
-        problem.append_cost_layer(circuit, graph, gammas[k])
-        append_mixer_layer(circuit, tokens, betas[k])
-    return QAOAAnsatz(
-        circuit, gammas, betas, graph, tokens, initial_hadamard, workload
-    )
+    return QAOAAnsatz(gammas, betas, graph, tokens, initial_hadamard, workload)

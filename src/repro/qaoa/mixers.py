@@ -27,6 +27,7 @@ __all__ = [
     "FIXED_TOKENS",
     "ENTANGLER_TOKENS",
     "MIXER_TOKENS",
+    "check_mixer_tokens",
     "baseline_mixer",
     "append_mixer_layer",
     "mixer_layer",
@@ -43,6 +44,15 @@ ENTANGLER_TOKENS = ("cz_ring", "cx_ring")
 MIXER_TOKENS = PARAMETERIZED_TOKENS + FIXED_TOKENS + ENTANGLER_TOKENS
 
 
+def check_mixer_tokens(tokens: Iterable[str]) -> None:
+    """Raise ``ValueError`` on the first token no mixer can contain."""
+    for token in tokens:
+        if token not in MIXER_TOKENS:
+            raise ValueError(
+                f"unknown mixer token {token!r}; valid tokens: {MIXER_TOKENS}"
+            )
+
+
 def append_mixer_layer(
     circuit: QuantumCircuit,
     tokens: Sequence[str],
@@ -55,6 +65,7 @@ def append_mixer_layer(
     Each token is applied to every qubit (gate-major order: all qubits get
     token 0, then all get token 1, ... — the layout drawn in Fig. 6).
     """
+    check_mixer_tokens(tokens)
     qubits = list(qubits) if qubits is not None else list(range(circuit.num_qubits))
     n = circuit.num_qubits
     for token in tokens:
@@ -67,13 +78,9 @@ def append_mixer_layer(
         elif token == "cz_ring":
             for q in qubits:
                 circuit.cz(q, (q + 1) % n)
-        elif token == "cx_ring":
+        else:  # cx_ring
             for q in qubits:
                 circuit.cx(q, (q + 1) % n)
-        else:
-            raise ValueError(
-                f"unknown mixer token {token!r}; valid tokens: {MIXER_TOKENS}"
-            )
     return circuit
 
 

@@ -7,8 +7,8 @@ is re-materialized, and every ``apply_gate`` re-derives its contraction
 metadata. None of that depends on the parameter values — only the angles
 change between the ~200 COBYLA steps the Evaluator spends per candidate.
 
-:func:`compile_circuit` runs once per candidate and lowers the symbolic
-circuit into a :class:`CompiledProgram`, a flat list of three op kinds:
+:func:`compile_circuit` lowers a symbolic circuit into a
+:class:`CompiledProgram`, a flat list of three op kinds:
 
 * **Fused diagonal blocks** — a maximal run of diagonal gates (the entire
   cost layer ``e^{-i gamma C}``, plus any adjacent ``rz``/``p``/``cz``
@@ -34,6 +34,31 @@ implements the exact two-term parameter-shift rule by injecting per-column
 shifts into a single batched run instead of reconstructing shifted
 circuits per gate occurrence.
 
+A QAOA circuit is ``p`` copies of ``[cost(gamma_k), mixer(beta_k)]``, and
+a search trains hundreds of candidate mixers on the same few graphs, so
+:func:`compile_ansatz` never lowers a whole circuit. What is lowered when:
+
+* **per (workload, graph)** — the one-layer cost circuit, through
+  :func:`compile_circuit`: its generator row, its atoms and (on first
+  batched use) its unique-value lookup and atom vectors;
+* **per (token sequence, qubit count)** — the one-layer mixer, the same way;
+* **per distinct run of diagonal gates** — the fused table itself, keyed
+  by the run's content: where a mixer's diagonal head or tail meets the
+  cost layer the three are *one* run, fused once and shared by every
+  mixer with that head and tail;
+* **per candidate** — only the stitching: the fragments' ops re-indexed
+  to the flat ``[gammas..., betas...]`` ordering, O(p x ops-per-layer)
+  Python with no ``2^n`` arithmetic and without ever building the
+  ansatz's symbolic circuit.
+
+The memos are process-wide bounded ``lru_cache`` s of read-only host
+arrays, skipped above :data:`~repro.simulators.expectation.
+TABLE_MEMO_MAX_NODES` like the cut table — per process, so every worker
+process of a pool or a service fills its own. Uploads to a device backend
+stay per program. The flat :func:`compile_circuit` of the whole circuit
+remains the fragment compiler and the reference the stitched program is
+tested against, op for op.
+
 The array library itself is a knob: every array the program allocates is
 born under an :class:`~repro.simulators.backends.ArrayBackend` (NumPy by
 default — behavior and speed identical to the pre-backend engine — or a
@@ -48,19 +73,26 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
+from repro.circuits.gates import DiagPhase
 from repro.circuits.parameters import Parameter, ParameterExpression
 from repro.graphs.generators import Graph
 from repro.simulators.backends import ArrayBackend, get_array_backend
-from repro.simulators.expectation import bit_table, cut_values
+from repro.simulators.expectation import (
+    TABLE_MEMO_MAX_NODES,
+    bit_table,
+    cut_values,
+)
 from repro.simulators.statevector import plus_state, zero_state
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (qaoa imports us)
     from repro.qaoa.ansatz import QAOAAnsatz
+    from repro.workloads.base import Workload
 
 __all__ = [
     "SHIFT_RULE_GATES",
@@ -112,16 +144,38 @@ def _eval_expr_batch(expr: _Expr, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _expand_diag(small: np.ndarray, qubits: Sequence[int], num_qubits: int) -> np.ndarray:
-    """Lift a ``2^m`` per-gate vector to the full ``2^n`` basis."""
+def _memoized(builder, num_qubits: int):
+    """``builder`` (an ``lru_cache``d function returning ``2^n``-sized host
+    tables) up to the table cap, its uncached body above it — the rule
+    :func:`~repro.simulators.expectation.cut_values` follows, so no memo
+    here can pin more per entry than the cut-table memo does."""
+    return builder if num_qubits <= TABLE_MEMO_MAX_NODES else builder.__wrapped__
+
+
+@lru_cache(maxsize=128)
+def _local_index(qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """For every basis index, the index its bits on ``qubits`` spell in a
+    gate-local ``2^m`` vector (shared, read-only)."""
     bits = bit_table(num_qubits)
     local = np.zeros(2**num_qubits, dtype=np.int64)
     for j, q in enumerate(qubits):
         local += bits[:, q].astype(np.int64) << j
-    return np.asarray(small)[local]
+    local.setflags(write=False)
+    return local
+
+
+def _expand_diag(small: Sequence[float], qubits: tuple[int, ...], num_qubits: int) -> np.ndarray:
+    """Lift a ``2^m`` per-gate vector to the full ``2^n`` basis."""
+    return np.asarray(small)[_memoized(_local_index, num_qubits)(qubits, num_qubits)]
 
 
 # -- compiled op kinds ----------------------------------------------------
+
+
+#: one gate of a diagonal run, in the form :func:`_fuse_diag` consumes and
+#: the table memo is keyed by: ``(gate name, diag_phase, qubits, angle terms
+#: over the run's own parameter slots, angle offset)``
+_RunGate = tuple[str, DiagPhase, tuple[int, ...], tuple[tuple[int, float], ...], float]
 
 
 @dataclass(frozen=True)
@@ -131,22 +185,165 @@ class _DiagAtom:
 
     h_small: tuple[float, ...]
     qubits: tuple[int, ...]
+    #: ``((slot, coeff), ...)`` — the angle over the table's parameter slots
+    terms: tuple[tuple[int, float], ...]
+    gate_name: str
 
 
-@dataclass
-class _DiagBlock:
-    """A maximal run of diagonal gates fused into phase-exponent vectors."""
+@dataclass(eq=False)
+class _DiagTable:
+    """A maximal run of diagonal gates fused into phase-exponent vectors.
 
+    Holds everything about the run that does not depend on *which* flat
+    parameters drive it: rows are indexed by the run's own parameter
+    slots ``0..k-1``. Tables are immutable (every array is read-only) and,
+    up to the table cap, shared process-wide by :func:`_diag_table` — every
+    candidate on a graph reads the same cost-layer table.
+    """
+
+    num_qubits: int
+    #: the gates fused here, kept so a seam can fuse this run with its
+    #: neighbours (see :func:`_stitch`)
+    run: tuple[_RunGate, ...]
     #: parameter-independent part of the exponent (None when zero)
     gen_const: np.ndarray | None
-    #: flat indices of the parameters this block depends on
-    param_indices: np.ndarray
-    #: ``(k, 2^n)`` generator vectors, one row per parameter above
+    #: ``(k, 2^n)`` generator vectors, one row per parameter slot
     gens: np.ndarray
     #: per-occurrence generators for parameter-shift injection
-    atoms: list[_DiagAtom]
-    #: ``exp(1j * gen_const)`` precomputed when the block is parameter-free
+    atoms: tuple[_DiagAtom, ...]
+    #: ``exp(1j * gen_const)`` precomputed when the run is parameter-free
     static_phase: np.ndarray | None
+
+    @cached_property
+    def lookup(self) -> tuple:
+        """Unique-value decomposition of the phase exponent.
+
+        The exponent column at basis state ``z`` is ``const[z] + sum_j x_j
+        gens[j, z]``; a cost layer takes only ~num_edges distinct values
+        over all 2^n basis states, so exponentials are computed per
+        *unique* column and gathered — O(B*U) exps plus an O(B*2^n) take
+        instead of O(B*2^n) exps. ``(gens_u, const_u, inverse)`` as
+        read-only host arrays; all ``None`` when the table is too dense to
+        pay off. Computed on first batched use, once per table.
+        """
+        if self.gen_const is None:
+            rows = self.gens
+        else:
+            rows = np.vstack([self.gen_const[None, :], self.gens])
+        unique_cols, inverse = np.unique(rows, axis=1, return_inverse=True)
+        if unique_cols.shape[1] * 4 > rows.shape[1]:
+            return (None, None, None)  # dense table: exp directly
+        inverse = inverse.reshape(-1)
+        unique_cols.setflags(write=False)
+        inverse.setflags(write=False)
+        if self.gen_const is None:
+            return (unique_cols, None, inverse)
+        return (unique_cols[1:], unique_cols[0], inverse)
+
+    @cached_property
+    def atom_vectors(self) -> tuple[np.ndarray, ...]:
+        """Every atom's generator expanded to the full basis (read-only)."""
+        vectors = tuple(
+            _expand_diag(atom.h_small, atom.qubits, self.num_qubits)
+            for atom in self.atoms
+        )
+        for vector in vectors:
+            vector.setflags(write=False)
+        return vectors
+
+
+class _DiagBlock:
+    """One diagonal op of a program: a :class:`_DiagTable` driven by the
+    flat parameters ``params`` (one per table slot).
+
+    The arrays are per-op *views* of the table's: a program memoizes its
+    device uploads by array identity (:meth:`CompiledProgram._dev`), so
+    each op of each program uploads its own constants exactly as when
+    every block owned a private copy, while the host numerics stay shared.
+    """
+
+    def __init__(self, table: _DiagTable, params: Sequence[int]) -> None:
+        self.table = table
+        #: flat indices of the parameters this block depends on
+        self.params = tuple(params)
+        self.param_indices = np.asarray(self.params, dtype=np.int64)
+        self.gens = table.gens.view()
+        self.gen_const = None if table.gen_const is None else table.gen_const.view()
+        self.static_phase = (
+            None if table.static_phase is None else table.static_phase.view()
+        )
+        self.atoms = table.atoms
+
+    @cached_property
+    def lookup(self) -> tuple:
+        """This op's views of :attr:`_DiagTable.lookup`."""
+        return tuple(
+            None if part is None else part.view() for part in self.table.lookup
+        )
+
+
+def _fuse_diag(num_qubits: int, run: tuple[_RunGate, ...]) -> _DiagTable | None:
+    """Sum the phase generators of ``run`` into one table (``None`` for a
+    run of identity gates) — the only place a diagonal gate is expanded to
+    ``2^n`` numbers."""
+    dim = 2**num_qubits
+    gen_const: np.ndarray | None = None
+    gen_by_slot: dict[int, np.ndarray] = {}
+    atoms: list[_DiagAtom] = []
+
+    def add_const(vector: np.ndarray) -> None:
+        nonlocal gen_const
+        if gen_const is None:
+            gen_const = np.zeros(dim)
+        gen_const += vector
+
+    for name, (h_small, g0_small), qubits, terms, offset in run:
+        if any(g0_small):
+            add_const(_expand_diag(g0_small, qubits, num_qubits))
+        if offset:
+            add_const(offset * _expand_diag(h_small, qubits, num_qubits))
+        if terms:
+            h_full = _expand_diag(h_small, qubits, num_qubits)
+            for slot, coeff in terms:
+                if slot not in gen_by_slot:
+                    gen_by_slot[slot] = np.zeros(dim)
+                gen_by_slot[slot] += coeff * h_full
+            atoms.append(_DiagAtom(tuple(h_small), qubits, terms, name))
+
+    if not gen_by_slot:
+        if gen_const is None:
+            return None
+        static_phase = np.exp(1j * gen_const)
+        static_phase.setflags(write=False)
+        return _DiagTable(num_qubits, run, None, np.empty((0, dim)), (), static_phase)
+    gens = np.stack([gen_by_slot[slot] for slot in range(len(gen_by_slot))])
+    gens.setflags(write=False)
+    if gen_const is not None:
+        gen_const.setflags(write=False)
+    return _DiagTable(num_qubits, run, gen_const, gens, tuple(atoms), None)
+
+
+#: content-keyed: equal runs — the same cost layer under every candidate,
+#: the same ``rz`` column at the head of many mixers — share one table
+_diag_table = lru_cache(maxsize=256)(_fuse_diag)
+
+
+def _fused_block(num_qubits: int, gates: Sequence[_RunGate]) -> _DiagBlock | None:
+    """The op for a run of diagonal ``gates`` whose angle terms are over
+    *flat* parameter indices (``None`` for a run of identity gates).
+
+    The run is rewritten over its own parameter slots (ordered like the
+    flat indices) before it is fused, so equal runs meet in one memoized
+    table whichever parameters drive them.
+    """
+    params = sorted({j for _, _, _, terms, _ in gates for j, _ in terms})
+    slot = {j: s for s, j in enumerate(params)}
+    run = tuple(
+        (name, phase, qubits, tuple((slot[j], coeff) for j, coeff in terms), offset)
+        for name, phase, qubits, terms, offset in gates
+    )
+    table = _memoized(_diag_table, num_qubits)(num_qubits, run)
+    return None if table is None else _DiagBlock(table, params)
 
 
 @dataclass(frozen=True)
@@ -171,6 +368,27 @@ class _MatrixColumn:
     factors: tuple[_Factor, ...]
     #: precomputed product when no factor has free parameters
     static_matrix: np.ndarray | None
+
+    def rebound(self, param: int) -> _MatrixColumn:
+        """This column of a one-parameter layer fragment, driven by flat
+        parameter ``param`` instead (a new op, so every layer of every
+        program uploads its own ``static_matrix`` — see :class:`_DiagBlock`)."""
+        factors = tuple(
+            _Factor(
+                factor.name,
+                factor.matrix_fn,
+                tuple(
+                    (tuple((param, coeff) for _, coeff in terms), offset)
+                    for terms, offset in factor.exprs
+                ),
+                True,
+            )
+            if factor.has_free
+            else factor
+            for factor in self.factors
+        )
+        static = None if self.static_matrix is None else self.static_matrix.view()
+        return _MatrixColumn(self.targets, factors, static)
 
 
 @dataclass(frozen=True)
@@ -334,7 +552,6 @@ class CompiledProgram:
         num_qubits: int,
         num_parameters: int,
         ops: list[object],
-        shift_sites: list[_ShiftSite],
         initial_state_label: str,
         graph: Graph | None,
         source_gates: int,
@@ -344,7 +561,6 @@ class CompiledProgram:
         self.num_qubits = num_qubits
         self.num_parameters = num_parameters
         self.ops = ops
-        self.shift_sites = shift_sites
         self.initial_state_label = initial_state_label
         self.graph = graph
         #: gate count of the source circuit (fusion diagnostics)
@@ -367,15 +583,9 @@ class CompiledProgram:
                 )
         else:
             self._cut = None if graph is None else cut_values(graph)
-        # Atom generators expanded to the full basis, memoized per distinct
-        # (h_small, qubits): a cost-layer edge appears once per QAOA layer,
-        # so this caches p-fold fewer vectors than storing one per atom
-        # while sparing the gradient path any repeated expansion.
-        self._atom_vectors: dict[tuple, np.ndarray] = {}
-        # Batched-path memos: per-op unique-value decompositions of diagonal
-        # generators (phase lookup tables) and exp(1j * s * atom) vectors
-        # for the +-pi/2 gradient shifts.
-        self._diag_lookups: dict[int, tuple] = {}
+        # exp(1j * s * atom) vectors for the gradient's +-pi/2 shifts, per
+        # distinct (h_small, qubits, s): a cost-layer edge appears once per
+        # QAOA layer and shares one entry
         self._atom_shift_phases: dict[tuple, np.ndarray] = {}
 
     # -- introspection -----------------------------------------------------
@@ -384,6 +594,49 @@ class CompiledProgram:
     def num_ops(self) -> int:
         """Fused op count — compare against :attr:`source_gates`."""
         return len(self.ops)
+
+    @cached_property
+    def shift_sites(self) -> list[_ShiftSite]:
+        """Every parameterized gate occurrence, in program order — read off
+        the ops on first use, so programs that never differentiate (SPSA,
+        COBYLA) never pay for it."""
+        sites: list[_ShiftSite] = []
+        for op_index, op in enumerate(self.ops):
+            if isinstance(op, _DiagBlock):
+                sites.extend(
+                    _ShiftSite(
+                        op_index=op_index,
+                        atom=atom_index,
+                        factor=-1,
+                        target=-1,
+                        coeffs=tuple(
+                            (op.params[slot], coeff) for slot, coeff in atom.terms
+                        ),
+                        gate_name=atom.gate_name,
+                        shiftable=atom.gate_name in SHIFT_RULE_GATES,
+                    )
+                    for atom_index, atom in enumerate(op.atoms)
+                )
+                continue
+            for t_index in range(len(op.targets)):
+                for f_index, factor in enumerate(op.factors):
+                    if not factor.has_free:
+                        continue
+                    sites.append(
+                        _ShiftSite(
+                            op_index=op_index,
+                            atom=-1,
+                            factor=f_index,
+                            target=t_index,
+                            coeffs=factor.exprs[0][0],
+                            gate_name=factor.name,
+                            shiftable=(
+                                factor.name in SHIFT_RULE_GATES
+                                and len(factor.exprs) == 1
+                            ),
+                        )
+                    )
+        return sites
 
     @property
     def num_shift_sites(self) -> int:
@@ -397,11 +650,12 @@ class CompiledProgram:
         """Device-resident view of a *persistent* host constant.
 
         Program constants (generator vectors, static phases, the cut
-        table, memoized atom vectors) are built on the host at compile
-        time and uploaded through ``backend.asarray`` the first time an
-        evaluation touches them; the upload is memoized by object
-        identity, so a device backend pays one transfer per constant per
-        program lifetime. On the NumPy backend this is the identity.
+        table, lookup tables, atom vectors — most of them views of tables
+        shared with other programs) live on the host and are uploaded
+        through ``backend.asarray`` the first time an evaluation touches
+        them; the upload is memoized by object identity, so a device
+        backend pays one transfer per constant per program lifetime. On
+        the NumPy backend this is the identity.
         """
         key = id(host)
         dev = self._device.get(key)
@@ -420,58 +674,19 @@ class CompiledProgram:
             f"unknown initial state label {self.initial_state_label!r}"
         )
 
-    def _atom_vector(self, atom: _DiagAtom) -> np.ndarray:
-        key = (atom.h_small, atom.qubits)
-        vector = self._atom_vectors.get(key)
-        if vector is None:
-            vector = _expand_diag(atom.h_small, atom.qubits, self.num_qubits)
-            self._atom_vectors[key] = vector
-        return vector
-
-    def _atom_shift_phase(self, atom: _DiagAtom, shift: float) -> np.ndarray:
+    def _atom_shift_phase(
+        self, op: _DiagBlock, atom_index: int, shift: float
+    ) -> np.ndarray:
         """``exp(1j * shift * atom_generator)`` memoized per (atom, shift):
         the gradient's +-pi/2 shifts reuse two vectors per distinct edge
         generator instead of re-exponentiating every call."""
+        atom = op.atoms[atom_index]
         key = (atom.h_small, atom.qubits, shift)
         phase = self._atom_shift_phases.get(key)
         if phase is None:
-            phase = np.exp(1j * shift * self._atom_vector(atom))
+            phase = np.exp(1j * shift * op.table.atom_vectors[atom_index])
             self._atom_shift_phases[key] = phase
         return phase
-
-    def _diag_lookup(self, op_index: int, op: _DiagBlock) -> tuple:
-        """Unique-value decomposition of a diag block's phase exponent.
-
-        The exponent column at basis state ``z`` is ``const[z] + sum_j x_j
-        gens[j, z]``; a cost layer takes only ~num_edges distinct values
-        over all 2^n basis states, so exponentials are computed per
-        *unique* column and gathered — O(B*U) exps plus an O(B*2^n) take
-        instead of O(B*2^n) exps. Returns ``(gens_u, const_u, inverse)``
-        as device-resident arrays; ``inverse`` is None when the block is
-        too dense to pay off. The decomposition itself runs on the host
-        (it is a one-time compile-style pass), only the results live on
-        the backend.
-        """
-        cached = self._diag_lookups.get(op_index)
-        if cached is None:
-            if op.gen_const is None:
-                rows = op.gens
-            else:
-                rows = np.vstack([op.gen_const[None, :], op.gens])
-            unique_cols, inverse = np.unique(rows, axis=1, return_inverse=True)
-            asarray = self.backend.asarray
-            if unique_cols.shape[1] * 4 > rows.shape[1]:
-                cached = (None, None, None)  # dense block: exp directly
-            elif op.gen_const is None:
-                cached = (asarray(unique_cols), None, asarray(inverse.reshape(-1)))
-            else:
-                cached = (
-                    asarray(unique_cols[1:]),
-                    asarray(unique_cols[0]),
-                    asarray(inverse.reshape(-1)),
-                )
-            self._diag_lookups[op_index] = cached
-        return cached
 
     def _check_x(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -616,20 +831,20 @@ class CompiledProgram:
                         state, self._dev(op.static_phase), out=state
                     )
                     continue
-                gens_u, const_u, inverse = self._diag_lookup(op_index, op)
+                gens_u, const_u, inverse = op.lookup
                 if inverse is not None:
                     # few distinct generator values: exponentiate unique
                     # columns, gather, and fold gradient shifts in as
                     # cached per-atom phase factors
-                    exponent_u = Xd[:, self._dev(op.param_indices)] @ gens_u
+                    exponent_u = Xd[:, self._dev(op.param_indices)] @ self._dev(gens_u)
                     if const_u is not None:
-                        exponent_u += const_u
+                        exponent_u += self._dev(const_u)
                     phases = backend.take(
-                        backend.exp(1j * exponent_u), inverse, axis=1
+                        backend.exp(1j * exponent_u), self._dev(inverse), axis=1
                     )
                     for column, site, s in shifts_here:
                         phases[column] *= self._dev(
-                            self._atom_shift_phase(op.atoms[site.atom], s)
+                            self._atom_shift_phase(op, site.atom, s)
                         )
                     state = backend.multiply(state, phases, out=state)
                     continue
@@ -638,7 +853,7 @@ class CompiledProgram:
                     exponent += self._dev(op.gen_const)
                 for column, site, s in shifts_here:
                     exponent[column] += s * self._dev(
-                        self._atom_vector(op.atoms[site.atom])
+                        op.table.atom_vectors[site.atom]
                     )
                 state = backend.multiply(state, backend.exp(1j * exponent), out=state)
             else:
@@ -1000,77 +1215,23 @@ def compile_circuit(
             initial_label = "+"
 
     ops: list[object] = []
-    sites: list[_ShiftSite] = []
     diag_run: list = []  # pending diagonal instructions
     sq_run: list = []  # pending non-diagonal single-qubit instructions
 
     def flush_diag() -> None:
         if not diag_run:
             return
-        gen_const: np.ndarray | None = None
-        gen_by_param: dict[int, np.ndarray] = {}
-        atoms: list[_DiagAtom] = []
-        op_index = len(ops)
-
-        def add_const(vector: np.ndarray) -> None:
-            nonlocal gen_const
-            if gen_const is None:
-                gen_const = np.zeros(2**n)
-            gen_const += vector
-
+        gates = []
         for instr in diag_run:
             spec = instr.gate.spec
-            h_small, g0_small = spec.diag_phase
-            if any(g0_small):
-                add_const(_expand_diag(g0_small, instr.qubits, n))
-            if spec.num_params == 0:
-                continue
-            terms, offset = _lower_expr(instr.gate.params[0], index)
-            if offset:
-                add_const(offset * _expand_diag(h_small, instr.qubits, n))
-            if terms:
-                h_full = _expand_diag(h_small, instr.qubits, n)
-                for j, coeff in terms:
-                    if j not in gen_by_param:
-                        gen_by_param[j] = np.zeros(2**n)
-                    gen_by_param[j] += coeff * h_full
-                sites.append(
-                    _ShiftSite(
-                        op_index=op_index,
-                        atom=len(atoms),
-                        factor=-1,
-                        target=-1,
-                        coeffs=terms,
-                        gate_name=spec.name,
-                        shiftable=spec.name in SHIFT_RULE_GATES,
-                    )
-                )
-                atoms.append(_DiagAtom(tuple(h_small), instr.qubits))
+            terms, offset = (
+                _lower_expr(instr.gate.params[0], index) if spec.num_params else ((), 0.0)
+            )
+            gates.append((spec.name, spec.diag_phase, instr.qubits, terms, offset))
         diag_run.clear()
-
-        if not gen_by_param:
-            if gen_const is None:
-                return  # a run of identity gates
-            ops.append(
-                _DiagBlock(
-                    gen_const=None,
-                    param_indices=np.empty(0, dtype=np.int64),
-                    gens=np.empty((0, 2**n)),
-                    atoms=[],
-                    static_phase=np.exp(1j * gen_const),
-                )
-            )
-            return
-        indices = sorted(gen_by_param)
-        ops.append(
-            _DiagBlock(
-                gen_const=gen_const,
-                param_indices=np.asarray(indices, dtype=np.int64),
-                gens=np.stack([gen_by_param[j] for j in indices]),
-                atoms=atoms,
-                static_phase=None,
-            )
-        )
+        block = _fused_block(n, gates)
+        if block is not None:
+            ops.append(block)
 
     def make_factor(gate) -> _Factor:
         exprs = tuple(_lower_expr(value, index) for value in gate.params)
@@ -1084,7 +1245,6 @@ def compile_circuit(
     def emit_column(
         targets: tuple[tuple[int, ...], ...], factors: tuple[_Factor, ...]
     ) -> None:
-        op_index = len(ops)
         static_matrix = None
         if not any(factor.has_free for factor in factors):
             matrix = None
@@ -1096,24 +1256,6 @@ def compile_circuit(
         ops.append(
             _MatrixColumn(targets=targets, factors=factors, static_matrix=static_matrix)
         )
-        for t_index in range(len(targets)):
-            for f_index, factor in enumerate(factors):
-                if not factor.has_free:
-                    continue
-                sites.append(
-                    _ShiftSite(
-                        op_index=op_index,
-                        atom=-1,
-                        factor=f_index,
-                        target=t_index,
-                        coeffs=factor.exprs[0][0],
-                        gate_name=factor.name,
-                        shiftable=(
-                            factor.name in SHIFT_RULE_GATES
-                            and len(factor.exprs) == 1
-                        ),
-                    )
-                )
 
     def flush_sq() -> None:
         if not sq_run:
@@ -1165,7 +1307,6 @@ def compile_circuit(
         num_qubits=n,
         num_parameters=len(parameters),
         ops=ops,
-        shift_sites=sites,
         initial_state_label=initial_label,
         graph=graph,
         source_gates=source_gates,
@@ -1174,10 +1315,91 @@ def compile_circuit(
     )
 
 
+# -- layer fragments ---------------------------------------------------------
+#
+# A QAOA program is p copies of [cost(gamma_k), mixer(beta_k)]. Every
+# candidate on a graph has the identical cost layer and every graph of a
+# size the identical mixer, so each is lowered once, as a one-parameter
+# program, and a candidate's program is stitched from the two.
+
+
+@lru_cache(maxsize=256)
+def _cost_fragment(workload: Workload, graph: Graph) -> CompiledProgram:
+    """``workload``'s one-layer phase separator on ``graph``, lowered over
+    its single ``gamma`` — keyed by the workload *object*, so a workload
+    re-registered under an old name never reads its predecessor's layer."""
+    gamma = Parameter("gamma")
+    layer = workload.append_cost_layer(
+        QuantumCircuit(graph.num_nodes, name="cost"), graph, gamma
+    )
+    return compile_circuit(layer, [gamma], initial_state="+")
+
+
+@lru_cache(maxsize=1024)
+def _mixer_fragment(tokens: tuple[str, ...], num_qubits: int) -> CompiledProgram:
+    """The one-layer mixer ``tokens`` on ``num_qubits`` qubits, lowered
+    over its single shared ``beta``."""
+    # imported lazily: repro.qaoa imports this module
+    from repro.qaoa.mixers import mixer_layer
+
+    beta = Parameter("beta")
+    # "+": a fragment is mid-circuit, its leading ``h`` column is a gate
+    return compile_circuit(
+        mixer_layer(num_qubits, tokens, beta), [beta], initial_state="+"
+    )
+
+
+def _stitch(cost: CompiledProgram, mixer: CompiledProgram, p: int) -> list[object]:
+    """The ops of ``p x [cost(gamma_k), mixer(beta_k)]`` over the flat
+    ``[gammas..., betas...]`` ordering, from the two one-layer fragments.
+
+    Matrix columns are re-indexed; diagonal blocks that meet at a seam (a
+    mixer's ``rz`` head after the cost layer, its tail before the next)
+    are one diagonal run to :func:`compile_circuit`, so their gates are
+    concatenated and fused by the same :func:`_diag_table` — the
+    stitched program equals the flat compile of the whole circuit op for
+    op. Requires that ``cost`` is a single diagonal block, which keeps
+    matrix columns of different layers apart.
+    """
+    n = cost.num_qubits
+    ops: list[object] = []
+    # diagonal blocks adjacent so far, each with its flat parameter
+    seam: list[tuple[_DiagBlock, int]] = []
+
+    def flush_seam() -> None:
+        if len(seam) == 1:
+            # nothing to fuse: the fragment's own table, no key to build
+            (block, param), = seam
+            ops.append(_DiagBlock(block.table, (param,) if block.params else ()))
+        elif seam:
+            ops.append(
+                _fused_block(
+                    n,
+                    [
+                        (name, phase, qubits, tuple((param, c) for _, c in terms), offset)
+                        for block, param in seam
+                        for name, phase, qubits, terms, offset in block.table.run
+                    ],
+                )
+            )
+        seam.clear()
+
+    for k in range(p):
+        for fragment, param in ((cost, k), (mixer, p + k)):
+            for op in fragment.ops:
+                if isinstance(op, _DiagBlock):
+                    seam.append((op, param))
+                else:
+                    flush_seam()
+                    ops.append(op.rebound(param))
+    flush_seam()
+    return ops
+
+
 def compile_ansatz(
     ansatz: QAOAAnsatz, *, backend: ArrayBackend | str | None = None
 ) -> CompiledProgram:
-    """One-time lowering of a QAOA ansatz into its compiled program.
+    """Lower a QAOA ansatz into its compiled program.
 
     The parameter ordering is the ansatz's flat ``[gammas..., betas...]``
     layout — the same vectors the optimizers drive — and the ansatz's
@@ -1185,20 +1407,43 @@ def compile_ansatz(
     energy entry points are live for whichever problem built the ansatz.
     ``backend`` picks the array backend evaluations run under (see
     :mod:`repro.simulators.backends`; default ``"numpy"``).
+
+    The program is stitched from the memoized cost-layer and mixer
+    fragments (see :func:`_stitch`) without building ``ansatz.circuit``;
+    only a workload whose cost layer is not one parameterized diagonal
+    block (none of the built-ins; also any graph without edges) is
+    lowered gate by gate from the circuit.
     """
     from repro.workloads import get_workload
 
-    workload = getattr(ansatz, "workload", "maxcut") or "maxcut"
-    cost = (
-        None
-        if ansatz.graph is None
-        else get_workload(workload).objective_values(ansatz.graph)
-    )
-    return compile_circuit(
-        ansatz.circuit,
-        ansatz.parameters,
-        initial_state=ansatz.initial_state_label,
-        graph=ansatz.graph,
+    workload = get_workload(ansatz.workload)
+    graph = ansatz.graph
+    n = graph.num_nodes
+    cost_values = workload.objective_values(graph)
+    cost = _memoized(_cost_fragment, n)(workload, graph)
+    if not (
+        len(cost.ops) == 1
+        and isinstance(cost.ops[0], _DiagBlock)
+        and cost.ops[0].params
+    ):
+        return compile_circuit(
+            ansatz.circuit,
+            ansatz.parameters,
+            initial_state=ansatz.initial_state_label,
+            graph=graph,
+            backend=backend,
+            cost_values=cost_values,
+        )
+    mixer = _memoized(_mixer_fragment, n)(ansatz.mixer_tokens, n)
+    return CompiledProgram(
+        num_qubits=n,
+        num_parameters=ansatz.num_parameters,
+        ops=_stitch(cost, mixer, ansatz.p),
+        # with its own Hadamard column or without, the program starts in |+>^n
+        initial_state_label="+",
+        graph=graph,
+        source_gates=(n if ansatz.initial_hadamard else 0)
+        + ansatz.p * (cost.source_gates + mixer.source_gates),
         backend=backend,
-        cost_values=cost,
+        cost_values=cost_values,
     )

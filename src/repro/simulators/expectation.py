@@ -24,6 +24,7 @@ from repro.graphs.generators import Graph
 from repro.simulators.statevector import apply_gate
 
 __all__ = [
+    "TABLE_MEMO_MAX_NODES",
     "bit_table",
     "cut_values",
     "maxcut_expectation",
@@ -43,9 +44,11 @@ def bit_table(num_qubits: int) -> np.ndarray:
     return ((indices[:, None] >> np.arange(num_qubits)) & 1).astype(np.int8)
 
 
-#: largest node count whose cut table is worth pinning in memory
-#: (2^16 floats = 512 KiB per entry; beyond that, recompute on demand)
-_CUT_MEMO_MAX_NODES = 16
+#: largest node count whose ``2^n``-sized tables are worth pinning in a
+#: process-wide memo (2^16 floats = 512 KiB per array; beyond that,
+#: recompute on demand). The one bound for every such memo: the cut table
+#: here, the workload objective tables, the compiled engine's layer tables.
+TABLE_MEMO_MAX_NODES = 16
 
 
 def _compute_cut_values(graph: Graph) -> np.ndarray:
@@ -80,7 +83,7 @@ def cut_values(graph: Graph) -> np.ndarray:
     (brute-force callers go to 24 nodes, 134 MB per table) are computed
     on demand so the cache cannot pin gigabytes.
     """
-    if graph.num_nodes > _CUT_MEMO_MAX_NODES:
+    if graph.num_nodes > TABLE_MEMO_MAX_NODES:
         return _compute_cut_values(graph)
     return _cut_values_table(graph)
 

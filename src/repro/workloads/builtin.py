@@ -40,7 +40,7 @@ from repro.graphs.datasets import (
 from repro.graphs.generators import Graph
 from repro.qaoa.cost_operator import append_cost_layer as append_maxcut_layer
 from repro.qaoa.maxcut import brute_force_maxcut
-from repro.simulators.expectation import bit_table, cut_values
+from repro.simulators.expectation import TABLE_MEMO_MAX_NODES, bit_table, cut_values
 from repro.utils.rng import stable_seed
 from repro.workloads.base import Workload
 from repro.workloads.registry import register_workload
@@ -52,10 +52,6 @@ __all__ = [
     "IsingWorkload",
     "clause_signs",
 ]
-
-#: table-memo bound, matching expectation._CUT_MEMO_MAX_NODES
-_TABLE_MEMO_MAX_NODES = 16
-
 
 class MaxCutWorkload(Workload):
     """Unweighted MaxCut — the paper's driver application (Eq. 1).
@@ -136,7 +132,7 @@ class MaxSatWorkload(Workload):
     summary = "weighted Max-2-SAT (one clause per edge, stable polarities)"
 
     def objective_values(self, graph: Graph) -> np.ndarray:
-        if graph.num_nodes > _TABLE_MEMO_MAX_NODES:
+        if graph.num_nodes > TABLE_MEMO_MAX_NODES:
             return _maxsat_table.__wrapped__(graph)
         return _maxsat_table(graph)
 
@@ -183,7 +179,7 @@ class IsingWorkload(Workload):
     summary = "spin-glass Ising ground state (signed couplings in [-1, 1])"
 
     def objective_values(self, graph: Graph) -> np.ndarray:
-        if graph.num_nodes > _TABLE_MEMO_MAX_NODES:
+        if graph.num_nodes > TABLE_MEMO_MAX_NODES:
             return _ising_table.__wrapped__(graph)
         return _ising_table(graph)
 

@@ -135,3 +135,88 @@ class TestAnsatz:
     def test_mixer_tokens_recorded(self):
         ansatz = build_qaoa_ansatz(cycle_graph(4), 1, ("ry", "p"))
         assert ansatz.mixer_tokens == ("ry", "p")
+
+
+class TestLazyCircuit:
+    """The symbolic circuit is built when something reads it — never on
+    the compiled serving path — and is the circuit it always was."""
+
+    def test_build_validates_eagerly_without_building(self):
+        ansatz = build_qaoa_ansatz(cycle_graph(4), 2, ("rx", "ry"))
+        assert "circuit" not in vars(ansatz)
+        assert ansatz.circuit is ansatz.circuit
+        with pytest.raises(ValueError, match="unknown mixer token 'warp'"):
+            build_qaoa_ansatz(cycle_graph(4), 1, ("rx", "warp"))
+        with pytest.raises(ValueError, match="p must be"):
+            build_qaoa_ansatz(cycle_graph(4), 0)
+        with pytest.raises(ValueError, match="unknown workload"):
+            build_qaoa_ansatz(cycle_graph(4), 1, workload="nope")
+        negative = Graph(2, ((0, 1),), (-1.0,))
+        with pytest.raises(ValueError, match="clause weights must be positive"):
+            build_qaoa_ansatz(negative, 1, workload="maxsat")
+
+    def test_compiled_candidate_never_builds_a_circuit(self, monkeypatch):
+        from repro.circuits.circuit import QuantumCircuit
+        from repro.core.evaluator import EvaluationConfig, evaluate_candidate
+        from repro.core.qbuilder import QBuilder
+
+        graphs = [cycle_graph(5), path_graph(5)]
+        config = EvaluationConfig(optimizer="spsa", max_steps=6, metric="best_sampled")
+        warm = evaluate_candidate(graphs, ("rz", "rx"), 2, config)  # fills the layer memos
+
+        built = []
+        build_qaoa = QBuilder.build_qaoa
+        monkeypatch.setattr(
+            QBuilder,
+            "build_qaoa",
+            lambda self, *args, **kwargs: built.append(build_qaoa(self, *args, **kwargs))
+            or built[-1],
+        )
+
+        def no_gates(self, gate, qubits):
+            raise AssertionError("the compiled path appended a gate to a circuit")
+
+        monkeypatch.setattr(QuantumCircuit, "append", no_gates)
+        again = evaluate_candidate(graphs, ("rz", "rx"), 2, config)
+        assert len(built) == len(graphs)
+        assert all("circuit" not in vars(ansatz) for ansatz in built)
+        assert again.per_graph_energy == warm.per_graph_energy
+
+    def test_gate_level_readers_see_the_same_circuit_as_ever(self, capsys):
+        from repro.circuits.qasm import to_qasm
+        from repro.cli import main
+        from repro.qaoa.energy import AnsatzEnergy
+
+        graph = Graph(3, ((0, 1), (1, 2)), (1.0, 0.5))
+        ansatz = build_qaoa_ansatz(graph, 2, ("rz", "rx"), workload="maxsat")
+        x = [0.1, 0.2, 0.3, 0.4]
+        assert ansatz.circuit.name == "qaoa_p2_('rz', 'rx')"
+        qasm = to_qasm(ansatz.bind(x)).splitlines()
+        assert len(qasm) == 3 + 3 + 2 * (6 + 6)
+        assert qasm[3:10] == [
+            "h q[0];",
+            "h q[1];",
+            "h q[2];",
+            "rz(-0.050000000000000003) q[0];",
+            "rz(-0.050000000000000003) q[1];",
+            "rzz(-0.050000000000000003) q[0],q[1];",
+            "rz(0.025000000000000001) q[1];",
+        ]
+        assert qasm[-4:] == [
+            "rz(0.80000000000000004) q[2];",
+            "rx(0.80000000000000004) q[0];",
+            "rx(0.80000000000000004) q[1];",
+            "rx(0.80000000000000004) q[2];",
+        ]
+        dense = AnsatzEnergy(ansatz, engine="statevector")
+        fresh = build_qaoa_ansatz(graph, 2, ("rz", "rx"), workload="maxsat")
+        assert dense.value(x) == pytest.approx(
+            AnsatzEnergy(fresh, engine="compiled").value(x), abs=1e-12
+        )
+        assert "circuit" not in vars(fresh)
+        assert main(["draw", "rz,cx_ring", "--qubits", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "q0: ──RZ(2*beta)──●─────⊕──\n"
+            "q1: ──RZ(2*beta)──⊕──●──│──\n"
+            "q2: ──RZ(2*beta)─────⊕──●──\n"
+        )

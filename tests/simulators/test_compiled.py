@@ -15,12 +15,16 @@ from hypothesis import strategies as st
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import GATE_REGISTRY
 from repro.circuits.parameters import Parameter
-from repro.graphs.generators import cycle_graph, erdos_renyi_graph
+from repro.core.alphabet import DEFAULT_TOKENS
+from repro.graphs.generators import Graph, cycle_graph, erdos_renyi_graph
 from repro.qaoa.ansatz import build_qaoa_ansatz
 from repro.qaoa.energy import AnsatzEnergy
 from repro.qaoa.mixers import MIXER_TOKENS
+from repro.simulators import compiled as compiled_module
+from repro.simulators.backends import MockGPUArrayBackend
 from repro.simulators.compiled import CompiledProgram, compile_ansatz, compile_circuit
 from repro.simulators.statevector import plus_state, simulate, zero_state
+from repro.workloads import available_workloads, get_workload
 
 ATOL = 1e-10
 
@@ -234,3 +238,172 @@ def test_wrong_parameter_count_rejected(er6):
     program = compile_ansatz(build_qaoa_ansatz(er6, 2))
     with pytest.raises(ValueError, match="expected 4 parameters"):
         program.energy([0.1, 0.2])
+
+
+# -- compile_ansatz stitches layer fragments: same program as the flat pass ---
+
+_MEMOS = ("_diag_table", "_cost_fragment", "_mixer_fragment", "_local_index")
+
+#: the full alphabet one token at a time, all-diagonal mixers, diagonal
+#: head and tail, and both entanglers alone, leading, trailing and between
+_STITCH_TOKENS = [(token,) for token in MIXER_TOKENS] + [
+    ("rz", "p"),
+    ("rz", "rx", "rz"),
+    ("p", "h", "ry"),
+    ("rx", "cz_ring"),
+    ("cz_ring", "ry", "cx_ring"),
+    ("cx_ring", "rz"),
+]
+
+
+def _clear_memos():
+    for name in _MEMOS:
+        getattr(compiled_module, name).cache_clear()
+
+
+def _memo_sizes():
+    return {name: getattr(compiled_module, name).cache_info().currsize for name in _MEMOS}
+
+
+def _flat_and_stitched(ansatz, backends=(None, None)):
+    """The reference lowering of the whole symbolic circuit, and
+    ``compile_ansatz``'s — with the memos emptied before each, so neither
+    reads a table the other computed."""
+    _clear_memos()
+    flat = compile_circuit(
+        ansatz.circuit,
+        ansatz.parameters,
+        initial_state=ansatz.initial_state_label,
+        graph=ansatz.graph,
+        backend=backends[0],
+        cost_values=get_workload(ansatz.workload).objective_values(ansatz.graph),
+    )
+    _clear_memos()
+    return flat, compile_ansatz(ansatz, backend=backends[1])
+
+
+def _assert_same_program(stitched, flat):
+    assert stitched.num_qubits == flat.num_qubits
+    assert stitched.num_parameters == flat.num_parameters
+    assert stitched.initial_state_label == flat.initial_state_label
+    assert stitched.source_gates == flat.source_gates
+    assert [type(op) for op in stitched.ops] == [type(op) for op in flat.ops]
+    for ours, reference in zip(stitched.ops, flat.ops):
+        if isinstance(ours, compiled_module._DiagBlock):
+            assert np.array_equal(ours.param_indices, reference.param_indices)
+            assert np.array_equal(ours.gens, reference.gens)
+            for name in ("gen_const", "static_phase"):
+                a, b = getattr(ours, name), getattr(reference, name)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            assert ours.atoms == reference.atoms
+        else:
+            assert ours.targets == reference.targets
+            assert ours.factors == reference.factors
+            assert (ours.static_matrix is None) == (reference.static_matrix is None)
+            if ours.static_matrix is not None:
+                assert np.array_equal(ours.static_matrix, reference.static_matrix)
+    assert stitched.shift_sites == flat.shift_sites
+
+
+@pytest.mark.parametrize("workload", available_workloads())
+@pytest.mark.parametrize("initial_hadamard", [True, False])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("tokens", _STITCH_TOKENS, ids="-".join)
+def test_stitched_program_equals_flat_compile(tokens, p, initial_hadamard, workload):
+    graph = get_workload(workload).dataset(1, num_nodes=5, dataset_seed=3)[0]
+    ansatz = build_qaoa_ansatz(
+        graph, p, tokens, initial_hadamard=initial_hadamard, workload=workload
+    )
+    flat, stitched = _flat_and_stitched(ansatz)
+    assert "circuit" in vars(ansatz)  # the reference read it; see the serving-path test
+    _assert_same_program(stitched, flat)
+    rng = np.random.default_rng(len(tokens) + 10 * p)
+    X = rng.uniform(-np.pi, np.pi, (3, ansatz.num_parameters))
+    pairs = [
+        (stitched.energy(X[0]), flat.energy(X[0])),
+        (stitched.energies(X), flat.energies(X)),
+        (stitched.gradient(X[0]), flat.gradient(X[0])),
+    ]
+    for ours, reference in pairs:
+        if set(tokens) <= set(DEFAULT_TOKENS):
+            assert np.array_equal(ours, reference)
+        else:
+            np.testing.assert_allclose(ours, reference, rtol=0, atol=1e-12)
+
+
+def test_above_the_table_cap_nothing_is_memoized_and_nothing_changes():
+    graph = cycle_graph(17)
+    ansatz = build_qaoa_ansatz(graph, 2, ("rz", "rx"))
+    flat, stitched = _flat_and_stitched(ansatz)
+    assert set(_memo_sizes().values()) == {0}
+    _assert_same_program(stitched, flat)
+    X = np.random.default_rng(17).uniform(-np.pi, np.pi, (2, ansatz.num_parameters))
+    assert stitched.energy(X[0]) == flat.energy(X[0])
+    assert np.array_equal(stitched.energies(X), flat.energies(X))
+    assert set(_memo_sizes().values()) == {0}
+
+
+@pytest.mark.parametrize("tokens", [("rx",), ("rz", "ry"), ("cz_ring", "rx")], ids="-".join)
+def test_device_transfers_are_per_program_as_before(er6, tokens):
+    """Tables are shared on the host only: every program uploads its own
+    constants, op by op, exactly like a program that owns them."""
+    ansatz = build_qaoa_ansatz(er6, 2, tokens)
+    backends = (MockGPUArrayBackend(), MockGPUArrayBackend())
+    flat, stitched = _flat_and_stitched(ansatz, backends)
+    first = compile_ansatz(ansatz, backend=MockGPUArrayBackend())  # warms the memos
+    X = np.random.default_rng(2).uniform(-np.pi, np.pi, (3, ansatz.num_parameters))
+    for program in (flat, stitched, first):
+        program.energy(X[0])
+        program.energies(X)
+        program.gradient(X[0])
+    assert backends[1].stats() == backends[0].stats()
+    assert first.backend.stats() == backends[0].stats()
+
+
+def test_shared_tables_are_read_only(er6):
+    program = compile_ansatz(build_qaoa_ansatz(er6, 2, ("cz_ring", "rz", "rx")))
+    program.gradient(np.zeros(4))  # fills lookups and atom vectors
+    blocks = [op for op in program.ops if isinstance(op, compiled_module._DiagBlock)]
+    shared = []
+    for block in blocks:
+        shared += [block.gens, block.gen_const, block.static_phase]
+        shared += [*block.lookup, *block.table.lookup, *block.table.atom_vectors]
+    shared = [array for array in shared if array is not None]
+    assert len(shared) > 3 * len(blocks)
+    for array in shared:
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        compiled_module._local_index((0, 1), 6)[0] = 1
+
+
+def test_workloads_on_one_graph_never_share_a_cost_fragment(er6):
+    _clear_memos()
+    programs = {
+        name: compile_ansatz(build_qaoa_ansatz(er6, 1, ("rx",), workload=name))
+        for name in ("maxcut", "ising", "maxsat")
+    }
+    fragments = {
+        name: compiled_module._cost_fragment(get_workload(name), er6) for name in programs
+    }
+    assert len({id(fragment) for fragment in fragments.values()}) == 3
+    assert _memo_sizes()["_cost_fragment"] == 3
+    tables = {name: program.ops[0].table for name, program in programs.items()}
+    assert len({id(table) for table in tables.values()}) == 3
+    assert not np.array_equal(tables["maxcut"].gens, tables["ising"].gens)
+    assert not np.array_equal(tables["maxcut"].gens, tables["maxsat"].gens)
+    # ...while every candidate of one workload reads the same table
+    again = compile_ansatz(build_qaoa_ansatz(er6, 2, ("ry", "rx")))
+    assert again.ops[0].table is tables["maxcut"] and again.ops[2].table is tables["maxcut"]
+
+
+def test_memos_stay_bounded_over_many_graphs():
+    _clear_memos()
+    for index in range(300):
+        graph = Graph(4, ((0, 1), (1, 2), (2, 3)), (1.0, 1.0 + index, 2.0))
+        compile_ansatz(build_qaoa_ansatz(graph, 2, ("rz", "rx"), workload="wmaxcut"))
+    for name, size in _memo_sizes().items():
+        assert 0 < size <= getattr(compiled_module, name).cache_info().maxsize, name
+    assert compiled_module._cost_fragment.cache_info().currsize == 256
