@@ -8,9 +8,10 @@
 #   bench-smoke tiny end-to-end search with warm-cache assertions, the
 #               service smoke (two concurrent sweeps sharing a cache), the
 #               chaos smoke (fault-injected service invariants), the
-#               sweep-level benchmark's checks on the service path and on
-#               the many-candidates path (shared compile fragments), and
-#               the surrogate smoke + eval-reduction gate
+#               sweep-level benchmark's checks on the service path, on
+#               the many-candidates path (shared compile fragments) and on
+#               the batched-engine path (the planned schedule), and the
+#               surrogate smoke + eval-reduction gate
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -42,6 +43,7 @@ python scripts/ci_smoke.py --only service
 python scripts/ci_smoke.py --only chaos
 python3 benchmarks/e2e/run.py --workload service_mixed --seconds 3
 python3 benchmarks/e2e/run.py --workload wide_cached --seconds 3
+python3 benchmarks/e2e/run.py --workload deep_spsa --seconds 3
 python scripts/ci_smoke.py --only workloads
 python scripts/ci_smoke.py --only surrogate
 python scripts/bench_report.py

@@ -23,7 +23,14 @@ import numpy as np
 from repro.core.qbuilder import QBuilder
 from repro.core.results import CandidateEvaluation
 from repro.graphs.generators import Graph
-from repro.optimizers import BATCH_MODES, MultiRestart, Optimizer, training_optimizer
+from repro.optimizers import (
+    BATCH_MODES,
+    TRAINING_OPTIMIZERS,
+    MultiRestart,
+    Optimizer,
+    preload_optimizer,
+    training_optimizer,
+)
 from repro.qaoa.energy import ENGINES, AnsatzEnergy
 from repro.qaoa.maxcut import approximation_ratio
 from repro.simulators.backends import available_array_backends
@@ -113,6 +120,8 @@ class EvaluationConfig:
         check_positive(self.max_steps, "max_steps")
         check_positive(self.restarts, "restarts")
         check_positive(self.shots, "shots")
+        check_choice(self.optimizer, "optimizer", TRAINING_OPTIMIZERS)
+        preload_optimizer(self.optimizer)
         check_choice(self.engine, "engine", ENGINES)
         check_choice(self.array_backend, "array backend", available_array_backends())
         check_choice(self.batch_mode, "batch mode", BATCH_MODES)
@@ -147,7 +156,7 @@ class Evaluator:
     def __init__(
         self,
         graphs: Sequence[Graph],
-        config: EvaluationConfig = EvaluationConfig(),
+        config: EvaluationConfig | None = None,
         *,
         builder: QBuilder | None = None,
         classical_values: Sequence[float] | None = None,
@@ -155,7 +164,9 @@ class Evaluator:
         if not graphs:
             raise ValueError("evaluator needs at least one graph")
         self.graphs = list(graphs)
-        self.config = config
+        # built here, not as a default argument: constructing a config is
+        # what loads its optimizer, and importing this module must not
+        self.config = config = config if config is not None else EvaluationConfig()
         self.builder = builder or QBuilder()
         self._workload = get_workload(config.workload)
         if classical_values is not None:

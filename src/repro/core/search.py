@@ -82,7 +82,7 @@ class SearchConfig:
 
 def search_mixer(
     graphs: Sequence[Graph],
-    config: SearchConfig = SearchConfig(),
+    config: SearchConfig | None = None,
     *,
     predictor: Predictor | None = None,
     candidates_per_depth: int = 32,
@@ -107,6 +107,7 @@ def search_mixer(
     (shared) result store — the search service passes its multi-tenant
     cache here.
     """
+    config = config if config is not None else SearchConfig()
     proposer: Proposer
     if predictor is not None:
         proposer = PredictorProposer(

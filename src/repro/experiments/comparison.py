@@ -52,7 +52,7 @@ def _compare(
     graphs: Sequence[Graph],
     mixers: dict[str, tuple[str, ...]],
     p_values: Sequence[int],
-    config: EvaluationConfig,
+    config: EvaluationConfig | None,
 ) -> MixerComparison:
     evaluator = Evaluator(graphs, config)
     per_p: dict[str, list[float]] = {name: [] for name in mixers}
@@ -77,7 +77,7 @@ def run_fig8(
     baseline: tuple[str, ...] = BASELINE_MIXER,
     qnas: tuple[str, ...] = QNAS_MIXER,
     p_values: Sequence[int] = (1, 2, 3),
-    config: EvaluationConfig = EvaluationConfig(),
+    config: EvaluationConfig | None = None,
 ) -> MixerComparison:
     """Baseline vs searched mixer on ER graphs, averaged over p=1,2,3."""
     return _compare(
@@ -91,7 +91,7 @@ def run_fig9(
     baseline: tuple[str, ...] = BASELINE_MIXER,
     qnas: tuple[str, ...] = QNAS_MIXER,
     p_values: Sequence[int] = (1, 2, 3),
-    config: EvaluationConfig = EvaluationConfig(),
+    config: EvaluationConfig | None = None,
 ) -> MixerComparison:
     """Same comparison, per-p, on the 4-regular dataset (values ~1.0)."""
     return _compare(

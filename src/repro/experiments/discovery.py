@@ -93,7 +93,7 @@ def run_fig7(
     *,
     mixers: Sequence[tuple[str, ...]] = PAPER_FIG7_MIXERS,
     p: int = 1,
-    config: EvaluationConfig = EvaluationConfig(),
+    config: EvaluationConfig | None = None,
 ) -> Fig7Result:
     """Score each candidate mixer on the 4-regular evaluation dataset."""
     evaluator = Evaluator(eval_graphs, config)

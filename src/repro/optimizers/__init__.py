@@ -35,6 +35,7 @@ __all__ = [
     "SPSA",
     "batch_values",
     "make_optimizer",
+    "preload_optimizer",
     "training_optimizer",
 ]
 
@@ -59,6 +60,19 @@ def make_optimizer(name: str, **kwargs) -> Optimizer:
 
 #: the trainers :func:`training_optimizer` builds (cobyla is the paper's)
 TRAINING_OPTIMIZERS = ("cobyla", "nelder_mead", "spsa", "adam")
+
+
+def preload_optimizer(name: str) -> None:
+    """Pay now the import ``name`` defers to first use — COBYLA's
+    ``scipy.optimize``, the only scipy import in the package.
+
+    Called where a process first *names* its trainer
+    (``EvaluationConfig.__post_init__``, which unpickling in a worker does
+    not re-run), so a pool forked afterwards inherits the module instead of
+    importing it once per worker per call.
+    """
+    if name == "cobyla":
+        import scipy.optimize  # noqa: F401
 
 
 def training_optimizer(

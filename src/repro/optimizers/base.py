@@ -82,16 +82,19 @@ def resolve_batch_fn(fn: Objective, batch_fn: BatchFn | None) -> BatchFn | None:
 
 def batch_values(fn: Objective, batch_fn: BatchFn | None, X: np.ndarray) -> np.ndarray:
     """Objective values for the rows of ``X`` — one ``batch_fn`` call when
-    available, a scalar loop otherwise (the serial fallback)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    available, a scalar loop otherwise (the serial fallback). ``X`` reaches
+    ``batch_fn`` as given: a batch objective validates its own input (the
+    compiled program does, once, at ``energies``)."""
     batch_fn = resolve_batch_fn(fn, batch_fn)
     if batch_fn is None:
-        return np.array([float(fn(row)) for row in X])
+        return np.array(
+            [float(fn(row)) for row in np.atleast_2d(np.asarray(X, dtype=float))]
+        )
     values = np.asarray(batch_fn(X), dtype=float).reshape(-1)
-    if values.shape[0] != X.shape[0]:
+    rows = len(X) if np.ndim(X) > 1 else 1
+    if values.shape[0] != rows:
         raise ValueError(
-            f"batch objective returned {values.shape[0]} values for "
-            f"{X.shape[0]} points"
+            f"batch objective returned {values.shape[0]} values for {rows} points"
         )
     return values
 

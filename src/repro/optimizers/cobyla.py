@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-from scipy import optimize as sp_optimize
 
 from repro.optimizers.base import Objective, ObjectiveTracer, Optimizer, OptimizeResult
 
@@ -30,6 +29,12 @@ class Cobyla(Optimizer):
         self.tol = float(tol)
 
     def minimize(self, fn: Objective, x0: Sequence[float]) -> OptimizeResult:
+        # on use, not at ``import repro`` (0.46 s of a 0.67 s start-up): already
+        # loaded when an ``EvaluationConfig`` named cobyla in this process or
+        # the one it was forked from (``preload_optimizer``), paid here once
+        # by a spawned or pre-forked worker and by direct ``Cobyla()`` users
+        from scipy import optimize as sp_optimize
+
         tracer = ObjectiveTracer(fn)
         x0 = np.asarray(x0, dtype=float)
         # COBYLA needs num_vars + 2 evaluations to build its first simplex;

@@ -123,11 +123,14 @@ class AnsatzEnergy:
         The compiled engine pushes the whole batch through its ops with a
         trailing batch axis; the other engines fall back to a loop.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.engine == "compiled":
-            self.num_evaluations += X.shape[0]
-            return self.program.energies(X)
-        return np.array([self.value(row) for row in X])
+            # the program coerces and checks the batch itself, once
+            energies = self.program.energies(X)
+            self.num_evaluations += energies.shape[0]
+            return energies
+        return np.array(
+            [self.value(row) for row in np.atleast_2d(np.asarray(X, dtype=float))]
+        )
 
     def _dense_initial_state(self) -> np.ndarray:
         """|0...0> when the circuit carries its own H column, else |+>^n."""
@@ -225,12 +228,13 @@ class AnsatzEnergy:
         shared chunked batch passes; the other engines loop
         :meth:`gradient` per row.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
         if self.engine == "compiled":
             grads = self.program.gradients(X)
-            self.num_evaluations += 2 * self.program.num_shift_sites * X.shape[0]
+            self.num_evaluations += 2 * self.program.num_shift_sites * grads.shape[0]
             return grads
-        return np.stack([self.gradient(row) for row in X])
+        return np.stack(
+            [self.gradient(row) for row in np.atleast_2d(np.asarray(X, dtype=float))]
+        )
 
     def value_and_gradient(self, x: Sequence[float]):
         """Convenience for gradient-based optimizers."""

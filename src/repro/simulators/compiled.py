@@ -29,10 +29,29 @@ change between the ~200 COBYLA steps the Evaluator spends per candidate.
 ``CompiledProgram.energy(x)`` therefore runs the whole optimizer step with
 zero circuit rebuilds, zero dict bindings, and zero matrix
 re-materialization. ``energies(X)`` evaluates a batch of parameter vectors
-through the same ops with a trailing batch axis, and ``gradient(x)``
-implements the exact two-term parameter-shift rule by injecting per-column
+through the same ops with a leading batch axis, and ``gradient(x)``
+implements the exact two-term parameter-shift rule by injecting per-row
 shifts into a single batched run instead of reconstructing shifted
 circuits per gate occurrence.
+
+A trainer calls ``energies`` thousands of times per candidate on two or
+three rows (SPSA's ± pair), where re-deciding *how* to run an op costs as
+much as running it. So the batched path is a schedule, split by when each
+thing can be known:
+
+* **per fragment op** (decided by the compile pass, shared by reference by
+  every layer of every program with that mixer — :class:`_ColumnPlan`; for
+  diagonal blocks the shared :class:`_DiagTable`) — whether a matrix column
+  is the weight-shared all-qubit column and its kron groups, its factor
+  chain as vectorized builders and static 2x2s materialized once, whether
+  a static column may rotate through every qubit, and which of the three
+  phase forms (static, unique-value lookup, dense) a block is;
+* **per program op** — which flat parameters drive it: each angle's
+  ``offset + coeff * X[:, index]`` and the block's views of the lookup;
+* **per call** — arithmetic on ``X``: ``for step in steps: state =
+  step(...)``, ``X`` checked once at the public entry point. A gradient
+  runs the *same* steps, each handed the shifts that land on its op; the
+  shift bookkeeping exists only on that call.
 
 A QAOA circuit is ``p`` copies of ``[cost(gamma_k), mixer(beta_k)]``, and
 a search trains hundreds of candidate mixers on the same few graphs, so
@@ -88,7 +107,6 @@ from repro.simulators.expectation import (
     bit_table,
     cut_values,
 )
-from repro.simulators.statevector import plus_state, zero_state
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (qaoa imports us)
     from repro.qaoa.ansatz import QAOAAnsatz
@@ -134,14 +152,6 @@ def _lower_expr(value, index: dict[Parameter, int]) -> _Expr:
 def _eval_expr(expr: _Expr, x: np.ndarray) -> float:
     terms, offset = expr
     return offset + sum(coeff * x[j] for j, coeff in terms)
-
-
-def _eval_expr_batch(expr: _Expr, X: np.ndarray) -> np.ndarray:
-    terms, offset = expr
-    out = np.full(X.shape[0], offset)
-    for j, coeff in terms:
-        out += coeff * X[:, j]
-    return out
 
 
 def _memoized(builder, num_qubits: int):
@@ -281,6 +291,45 @@ class _DiagBlock:
             None if part is None else part.view() for part in self.table.lookup
         )
 
+    @cached_property
+    def batch_step(self):
+        """Which of the three phase forms this block is, as the step
+        :meth:`CompiledProgram._states_batch` runs: a precomputed static
+        phase, exp-of-unique-then-take, or a dense exp (a table too dense
+        for the lookup to pay off). Read on first batched use, like the
+        table's lookup it depends on."""
+        if self.static_phase is not None:
+            return self._static_step
+        return self._dense_step if self.lookup[2] is None else self._lookup_step
+
+    def _static_step(self, program, state, X, Xd, shifts_here, dedup):
+        # broadcasts across rows
+        return program.backend.multiply(
+            state, program._dev(self.static_phase), out=state
+        )
+
+    def _lookup_step(self, program, state, X, Xd, shifts_here, dedup):
+        # few distinct generator values: exponentiate unique columns,
+        # gather, and fold gradient shifts in as cached per-atom phases
+        backend, dev = program.backend, program._dev
+        gens_u, const_u, inverse = self.lookup
+        exponent_u = Xd[:, dev(self.param_indices)] @ dev(gens_u)
+        if const_u is not None:
+            exponent_u += dev(const_u)
+        phases = backend.take(backend.exp(1j * exponent_u), dev(inverse), axis=1)
+        for column, site, s in shifts_here:
+            phases[column] *= dev(program._atom_shift_phase(self, site.atom, s))
+        return backend.multiply(state, phases, out=state)
+
+    def _dense_step(self, program, state, X, Xd, shifts_here, dedup):
+        backend, dev = program.backend, program._dev
+        exponent = Xd[:, dev(self.param_indices)] @ dev(self.gens)
+        if self.gen_const is not None:
+            exponent += dev(self.gen_const)
+        for column, site, s in shifts_here:
+            exponent[column] += s * dev(self.table.atom_vectors[site.atom])
+        return backend.multiply(state, backend.exp(1j * exponent), out=state)
+
 
 def _fuse_diag(num_qubits: int, run: tuple[_RunGate, ...]) -> _DiagTable | None:
     """Sum the phase generators of ``run`` into one table (``None`` for a
@@ -356,6 +405,55 @@ class _Factor:
     has_free: bool
 
 
+class _ColumnPlan:
+    """The part of a matrix column's batched apply that depends on neither
+    the parameter values nor *which* flat parameters drive them — decided
+    once per fragment op by the compile pass and passed by reference
+    through :meth:`_MatrixColumn.rebound`, so every layer of every program
+    with that mixer reads one plan."""
+
+    def __init__(
+        self,
+        num_qubits: int,
+        targets: tuple[tuple[int, ...], ...],
+        factors: tuple[_Factor, ...],
+    ) -> None:
+        self.num_qubits = num_qubits
+        self.dim = 2 ** len(targets[0])
+        single = self.dim == 2
+        #: one single-qubit chain on every qubit, qubit 0 first — what lets
+        #: a static column (``h``) run :func:`_apply_1q_all`
+        self.ascending = targets == tuple((q,) for q in range(num_qubits))
+        #: the factor chain as ``(vectorized builder, None)`` / ``(None,
+        #: static 2x2)`` entries — the hot mixer rotations and parameter-free
+        #: factors such as ``h``, materialized once; ``None`` when some
+        #: factor needs the per-row loop instead
+        self.chain = None
+        if single and all(
+            not factor.exprs
+            or (len(factor.exprs) == 1 and factor.name in _BATCH_MATRIX_FNS)
+            for factor in factors
+        ):
+            self.chain = tuple(
+                (_BATCH_MATRIX_FNS[factor.name], None)
+                if factor.exprs
+                else (None, factor.matrix_fn([]))
+                for factor in factors
+            )
+        #: for the weight-shared column (one single-qubit chain on every
+        #: qubit): target indices in kron groups of (4, ..., 4, 2, 1) qubits
+        #: from the top qubit down; ``None`` for any other column
+        self.groups = None
+        if single and len(targets) == num_qubits:
+            target_of = {target[0]: t_index for t_index, target in enumerate(targets)}
+            n = num_qubits
+            groups, top = [], n - 1
+            for size in [4] * (n // 4) + [2] * (n % 4 // 2) + [1] * (n % 2):
+                groups.append(tuple(target_of[top - j] for j in range(size)))
+                top -= size
+            self.groups = tuple(groups)
+
+
 @dataclass
 class _MatrixColumn:
     """One factor chain applied to each of several disjoint qubit tuples.
@@ -368,6 +466,19 @@ class _MatrixColumn:
     factors: tuple[_Factor, ...]
     #: precomputed product when no factor has free parameters
     static_matrix: np.ndarray | None
+    #: the schedule every rebinding of this column shares
+    plan: _ColumnPlan
+
+    def __post_init__(self) -> None:
+        # all of a column that is a program op's own: every angle of the
+        # chain, in factor order, as ``offset + coeff * X[:, index] + ...``
+        exprs = [expr for factor in self.factors for expr in factor.exprs]
+        self._offsets = np.array([offset for _, offset in exprs])
+        self._terms = tuple(
+            (angle, index, coeff)
+            for angle, (terms, _) in enumerate(exprs)
+            for index, coeff in terms
+        )
 
     def rebound(self, param: int) -> _MatrixColumn:
         """This column of a one-parameter layer fragment, driven by flat
@@ -388,7 +499,183 @@ class _MatrixColumn:
             for factor in self.factors
         )
         static = None if self.static_matrix is None else self.static_matrix.view()
-        return _MatrixColumn(self.targets, factors, static)
+        return _MatrixColumn(self.targets, factors, static, self.plan)
+
+    # -- batched apply -----------------------------------------------------
+    #
+    # One of three steps per column, fixed by the plan. Chain matrices are
+    # built on the host (tiny per-point stacks, heavy Python bookkeeping)
+    # and uploaded right before the device gemms — the natural host→device
+    # transfer point a real GPU backend pays per column.
+
+    @property
+    def batch_step(self):
+        """The step :meth:`CompiledProgram._states_batch` runs for this op."""
+        if self.static_matrix is not None:
+            return self._static_step
+        return self._general_step if self.plan.groups is None else self._shared_step
+
+    def _static_step(self, program, state, X, Xd, shifts_here, dedup):
+        """A parameter-free column (it has no shift sites)."""
+        backend = program.backend
+        xp = backend.xp
+        matrix = program._dev(self.static_matrix)
+        if self.plan.ascending:
+            return _apply_1q_all(state, matrix, backend)
+        if self.plan.dim == 2:
+            # the flat view's bit strides match the single-state case, so
+            # the strided 2x2 kernel applies unchanged
+            flat = state.reshape(-1)
+            for target in self.targets:
+                flat = _apply_1q(flat, matrix, target[0], backend)
+            return flat.reshape(state.shape)
+        work = xp.ascontiguousarray(state.T)
+        for target in self.targets:
+            work = _contract(work, matrix, target, self.plan.num_qubits, backend)
+        return xp.ascontiguousarray(work.T)
+
+    def _shared_step(self, program, state, X, Xd, shifts_here, dedup):
+        """The weight-shared column: per-point 2x2 chains on every qubit.
+
+        Runs the scalar engine's rotating trick as stacked gemms over
+        qubit *groups*. Each round exposes the next group of original
+        qubits as the leading basis bits of every row; right-multiplying
+        the (B, 2^{n-g}, 2^g) view by the per-point kron'd (B, 2^g, 2^g)
+        stack cycles the axis order left by g, so once the group sizes sum
+        to n every qubit has been hit once and the layout is back where it
+        started. Grouping (4s, then a 2, then a 1) cuts gemm dispatches
+        and fattens their inner dimension — measurably faster than
+        per-qubit or per-pair rounds. The right-multiplier is the
+        *transposed* kron, built as the kron of the transposed stacks
+        (``kron(a, b).T == kron(a.T, b.T)`` entry for entry) so no
+        per-call transposed copy is made.
+        """
+        backend = program.backend
+        batch = state.shape[0]
+        base, angle_rows = self._chain_stacks(X, dedup)
+        shifts_by_target: dict[int, list] = {}
+        for entry in shifts_here:
+            shifts_by_target.setdefault(entry[1].target, []).append(entry)
+        shared = {1: base.transpose(0, 2, 1)}
+        uploaded: dict[int, object] = {}
+        for group in self.plan.groups:
+            size = len(group)
+            if shifts_by_target and any(t in shifts_by_target for t in group):
+                group_T = None
+                for t_index in group:
+                    qubit_T = self._patched(
+                        base, angle_rows, shifts_by_target.get(t_index, ())
+                    ).transpose(0, 2, 1)
+                    group_T = qubit_T if group_T is None else _kron_pairs(group_T, qubit_T)
+                group_T = backend.asarray(np.ascontiguousarray(group_T))
+            else:
+                group_T = uploaded.get(size)
+                if group_T is None:
+                    uploaded[size] = group_T = backend.asarray(
+                        np.ascontiguousarray(_shared_kron(shared, size))
+                    )
+            state = (
+                state.reshape(batch, 1 << size, -1).transpose(0, 2, 1) @ group_T
+            ).reshape(batch, -1)
+        return state
+
+    def _general_step(self, program, state, X, Xd, shifts_here, dedup):
+        """Multi-qubit targets and partial columns: the trailing-batch
+        kernels on a transposed view. Matrix stacks are assembled (and
+        shift-patched) on the host, uploaded per target."""
+        backend = program.backend
+        xp = backend.xp
+        base, angle_rows = self._chain_stacks(X, dedup)
+        work = xp.ascontiguousarray(state.T)
+        base_trailing = np.ascontiguousarray(np.moveaxis(base, 0, -1))
+        base_trailing_dev = None
+        for t_index, target in enumerate(self.targets):
+            shifted = [entry for entry in shifts_here if entry[1].target == t_index]
+            if shifted:
+                patched = base_trailing.copy()
+                for column, site, s in shifted:
+                    patched[:, :, column] = self._chain_matrix(
+                        angle_rows[column], shift_factor=site.factor, shift=s
+                    )
+                matrices = backend.asarray(patched)
+            else:
+                if base_trailing_dev is None:
+                    base_trailing_dev = backend.asarray(base_trailing)
+                matrices = base_trailing_dev
+            if len(target) == 1:
+                work = _apply_1q_per_column(work, matrices, target[0], backend)
+            else:
+                work = _contract_per_column(
+                    work, matrices, target, self.plan.num_qubits, backend
+                )
+        return xp.ascontiguousarray(work.T)
+
+    def _chain_stacks(self, X: np.ndarray, dedup: bool) -> tuple[np.ndarray, np.ndarray]:
+        """Per-point chain matrices ``(B, dim, dim)`` plus the raw angle
+        rows (for shift re-builds).
+
+        ``dedup`` collapses duplicate angle rows before building — worth
+        it on gradient batches (one x tiled 2*sites times carries a
+        handful of distinct combinations), pure overhead on optimizer
+        batches whose rows are all distinct.
+        """
+        angle_rows = np.empty((X.shape[0], self._offsets.size))
+        angle_rows[:] = self._offsets
+        for angle, index, coeff in self._terms:
+            angle_rows[:, angle] += coeff * X[:, index]
+        if dedup:
+            unique_rows, inverse = np.unique(angle_rows, axis=0, return_inverse=True)
+            inverse = inverse.reshape(-1)
+        else:
+            unique_rows, inverse = angle_rows, None
+        if self.plan.chain is not None:
+            # build all unique 2x2 factors from the whole angle vector at
+            # once and chain them as stacked matmuls (a static factor
+            # broadcasts against the stack)
+            built = None
+            cursor = 0
+            for builder, static in self.plan.chain:
+                if builder is None:
+                    stack = static
+                else:
+                    stack = builder(unique_rows[:, cursor])
+                    cursor += 1
+                built = stack if built is None else stack @ built
+        else:
+            dim = self.plan.dim
+            built = np.empty((unique_rows.shape[0], dim, dim), dtype=complex)
+            for u_index, angles in enumerate(unique_rows):
+                built[u_index] = self._chain_matrix(angles)
+        if inverse is not None:
+            built = built[inverse]
+        return np.ascontiguousarray(built), angle_rows
+
+    def _patched(self, base: np.ndarray, angle_rows: np.ndarray, shifted) -> np.ndarray:
+        """``base`` with the rows of the ``shifted`` entries rebuilt at
+        their shifted angle (``base`` itself when there are none)."""
+        if not shifted:
+            return base
+        stack = base.copy()
+        for column, site, s in shifted:
+            stack[column] = self._chain_matrix(
+                angle_rows[column], shift_factor=site.factor, shift=s
+            )
+        return stack
+
+    def _chain_matrix(
+        self, angles: np.ndarray, *, shift_factor: int = -1, shift: float = 0.0
+    ) -> np.ndarray:
+        matrix = None
+        cursor = 0
+        for f_index, factor in enumerate(self.factors):
+            count = len(factor.exprs)
+            values = list(angles[cursor:cursor + count])
+            cursor += count
+            if f_index == shift_factor:
+                values[0] += shift
+            factor_matrix = factor.matrix_fn(values)
+            matrix = factor_matrix if matrix is None else factor_matrix @ matrix
+        return matrix
 
 
 @dataclass(frozen=True)
@@ -433,6 +720,43 @@ def _apply_1q(
     return state
 
 
+def _apply_1q_all(state: np.ndarray, matrix: np.ndarray, backend: ArrayBackend) -> np.ndarray:
+    """One 2x2 ``matrix`` on every qubit of a batch-major ``(B, 2^n)``
+    state, qubit 0 first.
+
+    Entry for entry the arithmetic of n :func:`_apply_1q` calls in qubit
+    order — ``m00*a + m01*b`` and ``m10*a + m11*b`` per amplitude pair —
+    but every round reads bit 0 and writes it back as the *top* bit of the
+    other buffer, so after n rounds the layout is back where it started
+    and no round pays the short inner loops that low qubits cost the
+    strided kernel. Overwrites ``state``; returns whichever buffer holds
+    the result.
+    """
+    xp = backend.xp
+    if not state.flags.c_contiguous:
+        state = xp.ascontiguousarray(state)
+    batch, dim = state.shape
+    m00, m01, m10, m11 = matrix[0, 0], matrix[0, 1], matrix[1, 0], matrix[1, 1]
+    scratch = xp.empty((batch, 2, dim // 2), dtype=complex)
+    buffers = (state, xp.empty_like(state))
+    #: per buffer: its bit-0 pairs to read, its two halves to write
+    views = [
+        (buf.reshape(batch, -1, 2)[:, :, 0], buf.reshape(batch, -1, 2)[:, :, 1],
+         buf.reshape(batch, 2, -1))
+        for buf in buffers
+    ]
+    rounds = dim.bit_length() - 1
+    for r in range(rounds):
+        a, b, _ = views[r % 2]
+        out = views[(r + 1) % 2][2]
+        xp.multiply(m00, a, out=out[:, 0])
+        xp.multiply(m10, a, out=out[:, 1])
+        xp.multiply(m01, b, out=scratch[:, 0])
+        xp.multiply(m11, b, out=scratch[:, 1])
+        xp.add(out, scratch, out=out)
+    return buffers[rounds % 2]
+
+
 def _contract(
     state: np.ndarray,
     matrix: np.ndarray,
@@ -458,10 +782,8 @@ def _batch_mat_rx(angles: np.ndarray) -> np.ndarray:
     half = angles / 2.0
     c, s = np.cos(half), np.sin(half)
     out = np.empty((angles.size, 2, 2), dtype=complex)
-    out[:, 0, 0] = c
-    out[:, 0, 1] = -1j * s
-    out[:, 1, 0] = -1j * s
-    out[:, 1, 1] = c
+    out[:, 0, 0] = out[:, 1, 1] = c
+    out[:, 0, 1] = out[:, 1, 0] = -1j * s
     return out
 
 
@@ -469,10 +791,9 @@ def _batch_mat_ry(angles: np.ndarray) -> np.ndarray:
     half = angles / 2.0
     c, s = np.cos(half), np.sin(half)
     out = np.empty((angles.size, 2, 2), dtype=complex)
-    out[:, 0, 0] = c
+    out[:, 0, 0] = out[:, 1, 1] = c
     out[:, 0, 1] = -s
     out[:, 1, 0] = s
-    out[:, 1, 1] = c
     return out
 
 
@@ -486,6 +807,16 @@ def _kron_pairs(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     -> ``(B, d*e, d*e)``."""
     dim = hi.shape[1] * lo.shape[1]
     return np.einsum("bij,bkl->bikjl", hi, lo).reshape(hi.shape[0], dim, dim)
+
+
+def _shared_kron(stacks: dict[int, np.ndarray], size: int) -> np.ndarray:
+    """The ``size``-qubit kron power of ``stacks[1]``, squaring up from the
+    largest power ``stacks`` already holds (and keeping what it builds)."""
+    stack = stacks.get(size)
+    if stack is None:
+        half = _shared_kron(stacks, size // 2)
+        stacks[size] = stack = _kron_pairs(half, half)
+    return stack
 
 
 def _apply_1q_per_column(
@@ -664,12 +995,17 @@ class CompiledProgram:
             self._device[key] = dev
         return dev
 
-    def _initial_state(self):
-        """A fresh device-resident initial state (safe to mutate)."""
+    def _initial_states(self, batch: int):
+        """``batch`` fresh device-resident rows of the initial state (safe
+        to mutate), filled in place — no host vector built or uploaded."""
+        xp = self.backend.xp
+        shape = (batch, 2**self.num_qubits)
         if self.initial_state_label == "+":
-            return self.backend.asarray(plus_state(self.num_qubits))
+            return xp.full(shape, 2.0 ** (-self.num_qubits / 2), dtype=complex)
         if self.initial_state_label == "0":
-            return self.backend.asarray(zero_state(self.num_qubits))
+            state = xp.zeros(shape, dtype=complex)
+            state[:, 0] = 1.0
+            return state
         raise ValueError(
             f"unknown initial state label {self.initial_state_label!r}"
         )
@@ -711,7 +1047,7 @@ class CompiledProgram:
         an already-validated host vector."""
         backend = self.backend
         xp = backend.xp
-        state = self._initial_state()
+        state = self._initial_states(1)[0]
         n = self.num_qubits
         for op in self.ops:
             if isinstance(op, _DiagBlock):
@@ -777,322 +1113,64 @@ class CompiledProgram:
 
     # -- batched evaluation ------------------------------------------------
 
-    def states(
-        self,
-        X: np.ndarray,
-        _shifts: Sequence[tuple[_ShiftSite, float] | None] | None = None,
-    ) -> np.ndarray:
-        """Final statevectors of a ``(B, num_parameters)`` batch, as
-        ``(2^n, B)`` host columns."""
-        xp = self.backend.xp
-        return self.backend.to_host(
-            xp.ascontiguousarray(self._states_batch(X, _shifts).T)
-        )
-
-    def _states_batch(
-        self,
-        X: np.ndarray,
-        shifts: Sequence[tuple[_ShiftSite, float] | None] | None = None,
-    ) -> np.ndarray:
-        """Batch-major final statevectors: row ``b`` is the state at
-        ``X[b]``. The batch axis leads so every per-point quantity (diag
-        exponents, probabilities, cut energies) stays row-contiguous and
-        the per-column matrix applies reduce to stacked gemms.
-
-        ``X`` stays on the host (angle-expression evaluation and dedup
-        are host bookkeeping) and is uploaded once as ``Xd``; the state
-        and every per-basis-state quantity live on the array backend.
-        """
+    def _check_batch(self, X) -> np.ndarray:
+        """``X`` as a ``(B, num_parameters)`` host array — the one place a
+        batch is coerced and checked, at the public entry points."""
         X = np.atleast_2d(np.asarray(X, dtype=float))
         if X.shape[1] != self.num_parameters:
             raise ValueError(
                 f"expected batch of {self.num_parameters}-parameter rows, "
                 f"got shape {X.shape}"
             )
-        batch = X.shape[0]
+        return X
+
+    def states(self, X: np.ndarray) -> np.ndarray:
+        """Final statevectors of a ``(B, num_parameters)`` batch, as
+        ``(2^n, B)`` host columns."""
+        xp = self.backend.xp
+        return self.backend.to_host(
+            xp.ascontiguousarray(self._states_batch(self._check_batch(X)).T)
+        )
+
+    @cached_property
+    def _steps(self) -> tuple:
+        """The batched schedule: one bound step per op, each already the
+        form its plan (or table) selected — see the module docstring for
+        what is decided when."""
+        return tuple(op.batch_step for op in self.ops)
+
+    def _states_batch(
+        self,
+        X: np.ndarray,
+        shifts: Sequence[tuple[_ShiftSite, float]] | None = None,
+    ) -> np.ndarray:
+        """Batch-major final statevectors: row ``b`` is the state at
+        ``X[b]``, an already-validated ``(B, num_parameters)`` host array.
+        The batch axis leads so every per-point quantity (diag exponents,
+        probabilities, cut energies) stays row-contiguous and the
+        per-column matrix applies reduce to stacked gemms.
+
+        ``X`` stays on the host (angle-expression evaluation and dedup
+        are host bookkeeping) and is uploaded once as ``Xd``; the state
+        and every per-basis-state quantity live on the array backend.
+        ``shifts`` (one ``(site, shift)`` per row) is the gradient's: the
+        same steps run, each handed the ``(row, site, shift)`` entries that
+        land on its op, and matrix columns dedup their angle rows before
+        building — a gradient batch tiles one x across 2*sites rows.
+        """
         by_op: dict[int, list[tuple[int, _ShiftSite, float]]] = {}
-        if shifts is not None:
-            for column, entry in enumerate(shifts):
-                if entry is not None:
-                    site, s = entry
-                    by_op.setdefault(site.op_index, []).append((column, site, s))
-
-        backend = self.backend
-        xp = backend.xp
-        Xd = backend.asarray(X)
-        state = xp.empty((batch, 2**self.num_qubits), dtype=complex)
-        state[:] = self._initial_state()
-        for op_index, op in enumerate(self.ops):
-            shifts_here = by_op.get(op_index, ())
-            if isinstance(op, _DiagBlock):
-                if op.static_phase is not None:
-                    # broadcasts across rows
-                    state = backend.multiply(
-                        state, self._dev(op.static_phase), out=state
-                    )
-                    continue
-                gens_u, const_u, inverse = op.lookup
-                if inverse is not None:
-                    # few distinct generator values: exponentiate unique
-                    # columns, gather, and fold gradient shifts in as
-                    # cached per-atom phase factors
-                    exponent_u = Xd[:, self._dev(op.param_indices)] @ self._dev(gens_u)
-                    if const_u is not None:
-                        exponent_u += self._dev(const_u)
-                    phases = backend.take(
-                        backend.exp(1j * exponent_u), self._dev(inverse), axis=1
-                    )
-                    for column, site, s in shifts_here:
-                        phases[column] *= self._dev(
-                            self._atom_shift_phase(op, site.atom, s)
-                        )
-                    state = backend.multiply(state, phases, out=state)
-                    continue
-                exponent = Xd[:, self._dev(op.param_indices)] @ self._dev(op.gens)
-                if op.gen_const is not None:
-                    exponent += self._dev(op.gen_const)
-                for column, site, s in shifts_here:
-                    exponent[column] += s * self._dev(
-                        op.table.atom_vectors[site.atom]
-                    )
-                state = backend.multiply(state, backend.exp(1j * exponent), out=state)
-            else:
-                # gradient batches tile one x across 2*sites rows, so
-                # matrix columns dedup their angle rows before building
-                state = self._apply_column_batch(
-                    op, state, X, shifts_here, dedup=shifts is not None
-                )
+        for column, (site, s) in enumerate(shifts or ()):
+            by_op.setdefault(site.op_index, []).append((column, site, s))
+        dedup = shifts is not None
+        Xd = self.backend.asarray(X)
+        state = self._initial_states(X.shape[0])
+        for op_index, step in enumerate(self._steps):
+            state = step(self, state, X, Xd, by_op.get(op_index, ()), dedup)
         return state
-
-    def _column_matrices(
-        self,
-        op: _MatrixColumn,
-        X: np.ndarray,
-        dedup: bool,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-point chain matrices ``(B, dim, dim)`` plus the raw angle
-        rows (for shift re-builds).
-
-        ``dedup`` collapses duplicate angle rows before building — worth
-        it on gradient batches (one x tiled 2*sites times carries a
-        handful of distinct combinations), pure overhead on optimizer
-        batches whose rows are all distinct.
-        """
-        batch = X.shape[0]
-        angle_rows = np.stack(
-            [
-                _eval_expr_batch(expr, X)
-                for factor in op.factors
-                for expr in factor.exprs
-            ],
-            axis=1,
-        ) if any(factor.exprs for factor in op.factors) else np.zeros((batch, 0))
-        if dedup:
-            unique_rows, inverse = np.unique(
-                angle_rows, axis=0, return_inverse=True
-            )
-            inverse = inverse.reshape(-1)
-        else:
-            unique_rows, inverse = angle_rows, None
-        dim = 2 ** len(op.targets[0])
-        num_unique = unique_rows.shape[0]
-        if dim == 2 and all(
-            not factor.exprs
-            or (len(factor.exprs) == 1 and factor.name in _BATCH_MATRIX_FNS)
-            for factor in op.factors
-        ):
-            # mixer-chain fast path: build all unique 2x2 factors from the
-            # whole angle vector at once and chain them as stacked matmuls
-            built = None
-            cursor = 0
-            for factor in op.factors:
-                if factor.exprs:
-                    stack = _BATCH_MATRIX_FNS[factor.name](
-                        unique_rows[:, cursor]
-                    )
-                    cursor += 1
-                else:
-                    stack = np.broadcast_to(
-                        factor.matrix_fn([]), (num_unique, 2, 2)
-                    )
-                built = stack if built is None else stack @ built
-        else:
-            built = np.empty((num_unique, dim, dim), dtype=complex)
-            for u_index in range(num_unique):
-                built[u_index] = self._chain_matrix(op, unique_rows[u_index])
-        if inverse is not None:
-            built = built[inverse]
-        return np.ascontiguousarray(built), angle_rows
-
-    def _apply_column_batch(
-        self,
-        op: _MatrixColumn,
-        state: np.ndarray,
-        X: np.ndarray,
-        shifts_here: Sequence[tuple[int, _ShiftSite, float]],
-        dedup: bool = False,
-    ) -> np.ndarray:
-        """Apply one matrix column to a batch-major ``(B, 2^n)`` state.
-
-        The chain matrices themselves are built on the host (tiny per-point
-        stacks, heavy Python bookkeeping) and uploaded right before the
-        device gemms — the natural host→device transfer point a real GPU
-        backend pays per column.
-        """
-        n = self.num_qubits
-        batch = state.shape[0]
-        backend = self.backend
-        xp = backend.xp
-        if op.static_matrix is not None and not shifts_here:
-            static_dev = self._dev(op.static_matrix)
-            for target in op.targets:
-                if len(target) == 1:
-                    # the flat view's bit strides match the single-state
-                    # case, so the strided 2x2 kernel applies unchanged
-                    state = _apply_1q(
-                        state.reshape(-1), static_dev, target[0], backend
-                    ).reshape(batch, -1)
-                else:
-                    work = xp.ascontiguousarray(state.T)
-                    work = _contract(work, static_dev, target, n, backend)
-                    state = xp.ascontiguousarray(work.T)
-            return state
-
-        base_stack, angle_rows = self._column_matrices(op, X, dedup)
-
-        if len(op.targets) == n and len(op.targets[0]) == 1:
-            # The column covers every qubit with per-point 2x2 chains (the
-            # weight-shared mixer case): run the scalar engine's rotating
-            # trick as stacked gemms over qubit *groups*. Each round
-            # exposes the next group of original qubits as the leading
-            # basis bits of every row; right-multiplying the
-            # (B, 2^{n-g}, 2^g) view by the per-point kron'd (B, 2^g, 2^g)
-            # stack cycles the axis order left by g, so once the group
-            # sizes sum to n every qubit has been hit once and the layout
-            # is back where it started. Grouping (4s, then a 2, then a 1)
-            # cuts gemm dispatches and fattens their inner dimension —
-            # measurably faster than per-qubit or per-pair rounds.
-            shifts_by_target: dict[int, list[tuple[int, _ShiftSite, float]]] = {}
-            for column, site, s in shifts_here:
-                shifts_by_target.setdefault(site.target, []).append(
-                    (column, site, s)
-                )
-            qubit_to_target = {
-                target[0]: t_index for t_index, target in enumerate(op.targets)
-            }
-
-            def qubit_stack(qubit: int) -> np.ndarray:
-                shifted = shifts_by_target.get(qubit_to_target[qubit], ())
-                if not shifted:
-                    return base_stack
-                stack = base_stack.copy()
-                for column, site, s in shifted:
-                    stack[column] = self._chain_matrix(
-                        op, angle_rows[column], shift_factor=site.factor, shift=s
-                    )
-                return stack
-
-            group_sizes: list[int] = []
-            remaining = n
-            while remaining >= 4:
-                group_sizes.append(4)
-                remaining -= 4
-            if remaining >= 2:
-                group_sizes.append(2)
-                remaining -= 2
-            if remaining:
-                group_sizes.append(1)
-
-            shared: dict[int, np.ndarray] = {1: base_stack}
-            shared_T: dict[int, np.ndarray] = {}
-
-            def shared_group(size: int) -> np.ndarray:
-                stack = shared.get(size)
-                if stack is None:
-                    half = shared_group(size // 2)
-                    shared[size] = stack = _kron_pairs(half, half)
-                return stack
-
-            top = n - 1
-            for size in group_sizes:
-                qubits = [top - j for j in range(size)]
-                top -= size
-                if all(
-                    not shifts_by_target.get(qubit_to_target[q]) for q in qubits
-                ):
-                    group_T = shared_T.get(size)
-                    if group_T is None:
-                        group_T = backend.asarray(
-                            np.ascontiguousarray(
-                                shared_group(size).transpose(0, 2, 1)
-                            )
-                        )
-                        shared_T[size] = group_T
-                else:
-                    group = qubit_stack(qubits[0])
-                    for qubit in qubits[1:]:
-                        group = _kron_pairs(group, qubit_stack(qubit))
-                    group_T = backend.asarray(
-                        np.ascontiguousarray(group.transpose(0, 2, 1))
-                    )
-                dim = 1 << size
-                state = (
-                    state.reshape(batch, dim, -1).transpose(0, 2, 1) @ group_T
-                ).reshape(batch, -1)
-            return state
-
-        # General fallback (multi-qubit targets, partial columns): the
-        # trailing-batch kernels on a transposed view. Matrix stacks are
-        # assembled (and shift-patched) on the host, uploaded per target.
-        work = xp.ascontiguousarray(state.T)
-        base_trailing = np.ascontiguousarray(np.moveaxis(base_stack, 0, -1))
-        base_trailing_dev = None
-        for t_index, target in enumerate(op.targets):
-            shifted = [
-                (column, site, s)
-                for column, site, s in shifts_here
-                if site.target == t_index
-            ]
-            if shifted:
-                patched = base_trailing.copy()
-                for column, site, s in shifted:
-                    patched[:, :, column] = self._chain_matrix(
-                        op, angle_rows[column], shift_factor=site.factor, shift=s
-                    )
-                matrices = backend.asarray(patched)
-            else:
-                if base_trailing_dev is None:
-                    base_trailing_dev = backend.asarray(base_trailing)
-                matrices = base_trailing_dev
-            if len(target) == 1:
-                work = _apply_1q_per_column(work, matrices, target[0], backend)
-            else:
-                work = _contract_per_column(work, matrices, target, n, backend)
-        return xp.ascontiguousarray(work.T)
-
-    def _chain_matrix(
-        self,
-        op: _MatrixColumn,
-        angles: np.ndarray,
-        *,
-        shift_factor: int = -1,
-        shift: float = 0.0,
-    ) -> np.ndarray:
-        matrix = None
-        cursor = 0
-        for f_index, factor in enumerate(op.factors):
-            count = len(factor.exprs)
-            values = list(angles[cursor:cursor + count])
-            cursor += count
-            if f_index == shift_factor:
-                values[0] += shift
-            factor_matrix = factor.matrix_fn(values)
-            matrix = factor_matrix if matrix is None else factor_matrix @ matrix
-        return matrix
 
     def energies(self, X: np.ndarray) -> np.ndarray:
         """``<C>`` for every row of a ``(B, num_parameters)`` batch."""
-        return self._cut_energies(self._states_batch(X))
+        return self._cut_energies(self._states_batch(self._check_batch(X)))
 
     def _cut_energies(self, states) -> np.ndarray:
         """Row-wise ``sum_z |amp|^2 cut(z)`` without materializing the
@@ -1122,16 +1200,12 @@ class CompiledProgram:
         num_parameters)`` batch, as ``(B, num_parameters)``.
 
         The ``B * 2 * num_shift_sites`` shifted evaluations of the whole
-        batch share the chunked :meth:`energies_shifted` passes — the seam
-        batch-native gradient optimizers (Adam over a restart population)
-        ride instead of looping per-point :meth:`gradient` calls.
+        batch share the chunked shift-injecting :meth:`_states_batch`
+        passes — the seam batch-native gradient optimizers (Adam over a
+        restart population) ride instead of looping per-point
+        :meth:`gradient` calls.
         """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        if X.shape[1] != self.num_parameters:
-            raise ValueError(
-                f"expected batch of {self.num_parameters}-parameter rows, "
-                f"got shape {X.shape}"
-            )
+        X = self._check_batch(X)
         batch = X.shape[0]
         grads = np.zeros((batch, self.num_parameters))
         sites = self.shift_sites
@@ -1152,8 +1226,10 @@ class CompiledProgram:
         chunk = max(1, (1 << 22) >> self.num_qubits)
         for start in range(0, total, chunk):
             rows = np.arange(start, min(start + chunk, total))
-            energies[rows] = self.energies_shifted(
-                X[rows // per_point], [specs[r % per_point] for r in rows]
+            energies[rows] = self._cut_energies(
+                self._states_batch(
+                    X[rows // per_point], [specs[r % per_point] for r in rows]
+                )
             )
         paired = energies.reshape(batch, len(sites), 2)
         for k, site in enumerate(sites):
@@ -1161,11 +1237,6 @@ class CompiledProgram:
             for j, coeff in site.coeffs:
                 grads[:, j] += coeff * site_grad
         return grads
-
-    def energies_shifted(
-        self, X: np.ndarray, shifts: Sequence[tuple[_ShiftSite, float] | None]
-    ) -> np.ndarray:
-        return self._cut_energies(self._states_batch(X, shifts))
 
 
 # -- the compile pass ------------------------------------------------------
@@ -1254,7 +1325,7 @@ def compile_circuit(
                 matrix = factor_matrix if matrix is None else factor_matrix @ matrix
             static_matrix = matrix
         ops.append(
-            _MatrixColumn(targets=targets, factors=factors, static_matrix=static_matrix)
+            _MatrixColumn(targets, factors, static_matrix, _ColumnPlan(n, targets, factors))
         )
 
     def flush_sq() -> None:

@@ -111,10 +111,14 @@ class TestOptimizerChoices:
         result = Evaluator(graphs, config).evaluate(("rx",), 1)
         assert result.energy > 0
 
-    def test_unknown_optimizer(self, graphs):
-        config = EvaluationConfig(optimizer="magic", max_steps=5)
-        with pytest.raises(ValueError, match="unknown optimizer"):
-            Evaluator(graphs, config).evaluate(("rx",), 1)
+    def test_unknown_optimizer(self):
+        """Rejected where the config is built, like every other choice —
+        not later, inside a worker, at ``training_optimizer``."""
+        with pytest.raises(
+            ValueError,
+            match="unknown optimizer 'cobylaa'; options: cobyla, nelder_mead, spsa, adam",
+        ):
+            EvaluationConfig(optimizer="cobylaa", max_steps=5)
 
     def test_compiled_engine_matches_statevector_training(self):
         """The default compiled engine and the dense oracle agree to 1e-10

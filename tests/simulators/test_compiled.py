@@ -23,6 +23,7 @@ from repro.qaoa.mixers import MIXER_TOKENS
 from repro.simulators import compiled as compiled_module
 from repro.simulators.backends import MockGPUArrayBackend
 from repro.simulators.compiled import CompiledProgram, compile_ansatz, compile_circuit
+from repro.simulators.expectation import cut_values
 from repro.simulators.statevector import plus_state, simulate, zero_state
 from repro.workloads import available_workloads, get_workload
 
@@ -407,3 +408,139 @@ def test_memos_stay_bounded_over_many_graphs():
     for name, size in _memo_sizes().items():
         assert 0 < size <= getattr(compiled_module, name).cache_info().maxsize, name
     assert compiled_module._cost_fragment.cache_info().currsize == 256
+
+
+# -- the batched schedule: decided once, run many ------------------------------
+
+#: shared all-qubit chains, static ``h`` columns alone / leading a chain /
+#: around a diagonal, diagonal heads and tails fused at the seams, an entangler
+_SCHEDULE_TOKENS = [
+    ("rx",), ("rx", "ry"), ("h",), ("h", "rx"), ("rz", "rx"), ("ry", "rz"),
+    ("h", "rz", "h"), ("cz_ring", "rx"),
+]
+
+
+# 11 qubits: 4-4-2-1 kron groups; 17: above the table cap, nothing memoized
+# (p = 1 only there — three layers of 2^17 amplitudes repeat the same steps
+# for 8 s of tier-1 wall time)
+@pytest.mark.parametrize("n, p", [(5, 1), (5, 3), (10, 1), (10, 3), (11, 1), (11, 3), (17, 1)])
+@pytest.mark.parametrize("tokens", _SCHEDULE_TOKENS, ids="-".join)
+def test_batch_rows_are_independent_bit_for_bit(tokens, n, p):
+    """``energies(X)[b] == energies(X[b:b+1])[0]``, exactly: what SPSA
+    lockstep, restart populations and "sharding never changes results" lean
+    on. The one exception is as old as the batched engine and is pinned here
+    so it cannot widen: a diagonal block driven by two or more parameters (a
+    mixer's ``rz`` head or tail fused with the cost layer) forms its
+    exponent as a ``(B, k) @ (k, U)`` gemm, whose last bit depends on B."""
+    program = compile_ansatz(build_qaoa_ansatz(cycle_graph(n), p, tokens))
+    X = np.random.default_rng(n + p).uniform(-np.pi, np.pi, (8, program.num_parameters))
+    alone = np.array([program.energies(X[b:b + 1])[0] for b in range(8)])
+    exact = all(
+        len(op.params) <= 1 for op in program.ops if isinstance(op, compiled_module._DiagBlock)
+    )
+    # rz heads meet their layer's cost block; an rz tail only the *next* layer's
+    assert exact == (tokens != ("rz", "rx") and (tokens != ("ry", "rz") or p == 1))
+    for batch in (1, 2, 3, 8):
+        together = program.energies(X[:batch])
+        if exact:
+            assert np.array_equal(together, alone[:batch]), batch
+        else:
+            np.testing.assert_allclose(together, alone[:batch], rtol=0, atol=1e-12)
+
+
+def test_plans_are_shared_not_rebuilt():
+    """One plan per fragment op: every layer of every program with that
+    mixer, on any graph of that size, holds the same object — and it rides
+    the fragment memos, not a new one."""
+    _clear_memos()
+    tokens = ("h", "rx", "rz", "ry")
+    first = compile_ansatz(build_qaoa_ansatz(cycle_graph(6), 3, tokens))
+    other = compile_ansatz(
+        build_qaoa_ansatz(erdos_renyi_graph(6, 0.5, seed=21, require_connected=True), 2, tokens)
+    )
+    columns = [op for op in first.ops if isinstance(op, compiled_module._MatrixColumn)]
+    assert len(columns) == 2 * 3
+    for column in columns:
+        assert column.plan is columns[columns.index(column) % 2].plan  # across layers
+    assert columns[0].plan is not columns[1].plan
+    theirs = [op for op in other.ops if isinstance(op, compiled_module._MatrixColumn)]
+    assert [op.plan for op in theirs] == [op.plan for op in columns[:4]]  # across graphs
+    assert columns[0] is not columns[2] and columns[0].factors != columns[2].factors
+    # a different mixer, or the same one at another size, plans for itself
+    assert compile_ansatz(build_qaoa_ansatz(cycle_graph(7), 1, tokens)).ops[1].plan \
+        is not columns[0].plan
+    memos = {
+        name
+        for name, value in vars(compiled_module).items()
+        if hasattr(value, "cache_info") and value.__module__ == compiled_module.__name__
+    }
+    assert memos == set(_MEMOS)
+
+
+def _recording_steps(program):
+    """Replace ``program``'s schedule with one that logs, per step call,
+    ``(op index, step name, shifts handed to it)``."""
+    log = []
+
+    def recording(op_index, step):
+        def run(prog, state, X, Xd, shifts_here, dedup):
+            log.append((op_index, step.__name__, len(shifts_here)))
+            return step(prog, state, X, Xd, shifts_here, dedup)
+
+        return run
+
+    program._steps = tuple(recording(i, step) for i, step in enumerate(program._steps))
+    return log
+
+
+@pytest.mark.parametrize("batch", [1, 3])
+@pytest.mark.parametrize("tokens", _SCHEDULE_TOKENS, ids="-".join)
+def test_gradients_run_the_same_steps_and_match_the_oracle(tokens, batch):
+    ansatz = build_qaoa_ansatz(cycle_graph(5), 2, tokens)
+    compiled, oracle = _engines(ansatz)
+    X = np.random.default_rng(batch).uniform(-np.pi, np.pi, (batch, ansatz.num_parameters))
+    program = compiled.program
+    plain = _recording_steps(program)
+    program.energies(X)
+    assert [entry[2] for entry in plain] == [0] * program.num_ops
+    schedule = [entry[:2] for entry in plain]
+    del plain[:]
+    np.testing.assert_allclose(compiled.gradients(X), oracle.gradients(X), atol=ATOL)
+    # with shifts: the same steps in the same order, and every shift reached one
+    assert [entry[:2] for entry in plain] == schedule * (len(plain) // len(schedule))
+    assert sum(entry[2] for entry in plain) == batch * 2 * program.num_shift_sites
+
+
+def test_a_shift_lands_on_the_step_of_its_op():
+    def delivered(program, x):
+        log = _recording_steps(program)
+        program.gradient(x)
+        return {(i, name): count for i, name, count in log if count}
+
+    graph = cycle_graph(4)
+    # a static h ahead of rx in one per-qubit chain: the shared all-qubit step
+    chain = compile_ansatz(build_qaoa_ansatz(graph, 1, ("h", "rx")))
+    assert delivered(chain, [0.3, 0.2]) == {(0, "_lookup_step"): 8, (1, "_shared_step"): 8}
+    assert all(site.factor == 1 for site in chain.shift_sites if site.op_index == 1)
+    # a diagonal head is an atom of the block it fused into, not a column —
+    # whichever phase form that block is (four qubits: too dense to look up)
+    for n, form in ((4, "_dense_step"), (6, "_lookup_step")):
+        head = compile_ansatz(build_qaoa_ansatz(cycle_graph(n), 1, ("rz", "rx")))
+        assert delivered(head, [0.3, 0.2]) == {(0, form): 4 * n, (1, "_shared_step"): 2 * n}
+    # a parameterized entangler (and a partial column): the general step
+    theta = Parameter("theta")
+    qc = QuantumCircuit(4)
+    qc.rx(theta, 0).rxx(theta * 0.5, 1, 2).rzz(theta, 0, 3)
+    flat = compile_circuit(qc, [theta], initial_state="+", graph=graph)
+    assert delivered(flat, [0.3]) == {
+        (0, "_general_step"): 2, (1, "_general_step"): 2, (2, "_lookup_step"): 2,
+    }
+    dense = simulate(qc, plus_state(4), {theta: 0.3})
+    np.testing.assert_allclose(flat.state([0.3]), dense, atol=ATOL)
+    def oracle_energy(value):
+        state = simulate(qc, plus_state(4), {theta: value})
+        return float((np.abs(state) ** 2) @ cut_values(graph))
+
+    h = 1e-6
+    numeric = (oracle_energy(0.3 + h) - oracle_energy(0.3 - h)) / (2 * h)
+    assert flat.gradient([0.3])[0] == pytest.approx(numeric, abs=1e-6)
