@@ -22,7 +22,9 @@ in-process (HTTP server on an ephemeral port), submits the *same* sweep
 from two clients concurrently, and asserts the ISSUE-6 acceptance
 property: both sweeps complete with identical results, and the cache-hit
 accounting proves every candidate was trained exactly once across the two
-sweeps (one pays the misses, the fleet shares the hits).
+sweeps (one pays the misses, the fleet shares the hits). It then re-submits
+the finished spec ten times and asserts the wake-up: the median time a job
+waits for its claim is under half of the multiplexer's ``poll_interval``.
 
 **chaos** — the ISSUE-7 hardening gate: runs the same two-sweep workload
 through a deterministically fault-injected queue + the service's process
@@ -47,6 +49,7 @@ skipped counter is nonzero in the result config and in the service's
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import tempfile
 import threading
@@ -154,14 +157,37 @@ def smoke_service() -> int:
             seconds = time.perf_counter() - start
             metrics_text = client.metrics()
 
+            # The wake-up as a gate: a re-submit of the finished spec is
+            # claimed when it is announced, not a poll interval later.
+            claim_waits = []
+            for _ in range(10):
+                job = client.submit("er:2:7", depths=1, config=config)
+                client.wait(job, timeout=300)
+                status = client.status(job)
+                claim_waits.append(status["started_at"] - status["submitted_at"])
+            poll_interval = service.multiplexer.poll_interval
+            metrics_after = client.metrics()
+
         server.shutdown()
         server.server_close()
 
-    def series_value(name: str) -> float:
-        for line in metrics_text.splitlines():
+    def series_value(name: str, text: str = metrics_text) -> float:
+        for line in text.splitlines():
             if line.startswith(name + " ") or line.startswith(name + "{"):
                 return float(line.rsplit(" ", 1)[1])
         return 0.0
+
+    claim_wait = statistics.median(claim_waits)
+    print(
+        f"service: median claim wait of 10 warm re-submits {claim_wait * 1e3:.1f} ms "
+        f"(poll_interval {poll_interval * 1e3:.0f} ms)"
+    )
+    assert claim_wait < poll_interval / 2, (
+        f"a submit must wake an idle slot: median claim wait {claim_wait:.4f}s "
+        f">= half of poll_interval={poll_interval}s"
+    )
+    claims = "repro_queue_claim_wait_seconds_count"
+    assert series_value(claims, metrics_after) == series_value(claims) + 10
 
     # every instrumented layer must have reported: scheduler histogram +
     # counters, cache hit/miss, sweep outcomes

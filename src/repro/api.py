@@ -49,16 +49,18 @@ automatically, or validated against an explicitly-set ``Config.workload``.
 
 from __future__ import annotations
 
+import http.client
 import json
 import random
+import select
+import threading
 import time
-import urllib.error
-import urllib.request
 from collections.abc import Callable, Sequence
 from contextlib import ExitStack
 from dataclasses import Field, asdict, dataclass, field, fields, replace
 from functools import partial
 from typing import Any
+from urllib.parse import urlsplit
 
 from repro.core.alphabet import ENUMERATION_MODES
 from repro.core.cache import ResultCache
@@ -478,11 +480,20 @@ class Client:
     (``submit`` → POST /submit, ``status`` → GET /status/{id}, ``result``
     → GET /result/{id}, ``healthz`` → GET /healthz). :meth:`wait` polls
     status until the sweep finishes and returns the parsed result.
+
+    Each calling thread keeps one connection open between requests. A GET
+    that fails on a connection the server had dropped (idle timeout,
+    restart) is re-sent once on a fresh one; a POST is never written
+    twice — a restart cannot enqueue a sweep twice — so it surfaces the
+    ``OSError`` instead. Rejections raise :class:`ServiceError`.
     """
 
     def __init__(self, url: str, *, timeout: float = 10.0) -> None:
         self.url = url.rstrip("/")
         self.timeout = timeout
+        self._target = urlsplit(self.url)
+        #: ``.connection``: the calling thread's kept-alive connection
+        self._local = threading.local()
 
     # -- endpoints ---------------------------------------------------------
 
@@ -554,7 +565,7 @@ class Client:
         job_id: str,
         *,
         timeout: float = 300.0,
-        poll: float = 0.2,
+        poll: float = 0.02,
         poll_cap: float = 5.0,
     ) -> SearchResult:
         """Block until the sweep completes; returns its result.
@@ -596,19 +607,39 @@ class Client:
         self, method: str, path: str, payload: dict | None = None
     ) -> str:
         body = None if payload is None else json.dumps(payload).encode("utf-8")
-        request = urllib.request.Request(
-            self.url + path,
-            data=body,
-            method=method,
-            headers={"Content-Type": "application/json"},
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib.error.HTTPError as error:
-            detail = error.read().decode("utf-8", errors="replace")
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            secure = self._target.scheme == "https"
+            factory = http.client.HTTPSConnection if secure else http.client.HTTPConnection
+            connection = self._local.connection = factory(
+                self._target.hostname, self._target.port, timeout=self.timeout
+            )
+        while True:
+            # An idle socket that is readable holds EOF: the server hung up.
+            reused = connection.sock is not None and not select.select(
+                [connection.sock], [], [], 0
+            )[0]
+            if not reused:
+                connection.close()  # the request below opens a fresh socket
             try:
-                detail = json.loads(detail).get("error", detail)
-            except (json.JSONDecodeError, AttributeError):
-                pass
-            raise ServiceError(error.code, detail) from None
+                connection.request(
+                    method, self._target.path + path, body,
+                    {"Content-Type": "application/json"},
+                )
+                response = connection.getresponse()
+                text = response.read().decode("utf-8", errors="replace")
+                break
+            except (OSError, http.client.HTTPException) as error:
+                connection.close()
+                if reused and method == "GET" and isinstance(error, ConnectionError):
+                    continue  # it died under us: once more, on a fresh socket
+                if isinstance(error, OSError):
+                    raise
+                raise ConnectionError(f"{type(error).__name__}: {error}") from error
+        if 200 <= response.status < 300:
+            return text
+        try:
+            text = json.loads(text).get("error", text)
+        except (json.JSONDecodeError, AttributeError):
+            pass
+        raise ServiceError(response.status, text)

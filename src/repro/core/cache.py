@@ -496,16 +496,27 @@ class SweepCheckpoint:
         evaluations = tuple(
             _deserialize_evaluation(e) for e in entry["evaluations"]
         )
-        return DepthResult(entry["p"], evaluations, entry.get("seconds", 0.0))
+        # older entries lack the QASM; the runtime regenerates a missing one
+        return DepthResult(
+            entry["p"], evaluations, entry.get("seconds", 0.0), entry.get("best_qasm")
+        )
 
     def save_depth(self, key: str, depth_result: DepthResult) -> None:
-        self._entries[key] = {
+        entry = {
             "p": depth_result.p,
             "seconds": depth_result.seconds,
             "evaluations": [
                 _serialize_evaluation(e) for e in depth_result.evaluations
             ],
+            "best_qasm": depth_result.best_qasm,
         }
+        stored = self._entries.get(key, {})
+        if (
+            stored.get("evaluations") == entry["evaluations"]
+            and stored.get("best_qasm") == entry["best_qasm"]
+        ):
+            return  # a warm depth: the file already says this (older seconds stay)
+        self._entries[key] = entry
         self._flush()
 
     def clear(self) -> None:

@@ -71,7 +71,7 @@ import json
 import threading
 import time
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from repro.circuits.qasm import QasmError, to_qasm
@@ -402,6 +402,10 @@ class SearchRuntime:
         if self.runtime.resume and self.checkpoint is not None:
             restored = self.checkpoint.load_depth(depth_fp)
             if restored is not None:
+                if restored.best_qasm is None:
+                    restored = replace(
+                        restored, best_qasm=self._depth_qasm(p, restored.evaluations)
+                    )
                 self.restored_depths += 1
                 done = len(restored.evaluations)
                 self.progress.begin_depth(p, total=done, cached=done)

@@ -36,6 +36,15 @@ Hardened lifecycle (PR 7):
 States: ``queued`` → ``running`` → ``done`` | ``failed`` | ``cancelled``
 (with ``running`` → ``queued`` again on transient failure or lease
 expiry).
+
+**Who wakes whom.** Every transition that can make a job claimable *in
+this process* — :meth:`JobQueue.submit`, and each way out of ``running``
+(which frees a place in the tenant's ``max_running_per_tenant``) — calls
+:meth:`JobQueue.announce` after its commit; an idle multiplexer slot
+sleeps in :meth:`JobQueue.wait_for_announcement`. What nobody announces
+(a sibling process's submit on the shared directory, a retry's
+``not_before`` coming due, a lease expiring) is found when that wait
+times out, after the multiplexer's ``poll_interval``.
 """
 
 from __future__ import annotations
@@ -191,6 +200,9 @@ class JobQueue:
                 ),
             }
         self._lock = threading.RLock()
+        self._wake = threading.Condition()
+        #: announcements so far; what a waiter compares against
+        self.generation = 0
         self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
         self._execute("PRAGMA journal_mode=WAL")
         self._execute("PRAGMA busy_timeout=30000")
@@ -209,6 +221,11 @@ class JobQueue:
         for name, decl in _MIGRATED_COLUMNS:
             if name not in columns:
                 self._execute(f"ALTER TABLE jobs ADD COLUMN {name} {decl}")
+        # Counts scan this index instead of the rows (which carry the spec
+        # and result blobs), and a claim visits only the live states.
+        self._execute(
+            "CREATE INDEX IF NOT EXISTS jobs_state_tenant ON jobs(state, tenant)"
+        )
         # Crash recovery for pre-lease rows only: a running job without a
         # lease deadline can never expire, so requeue it here. Leased rows
         # are left alone — if their holder is really gone the lease
@@ -228,6 +245,21 @@ class JobQueue:
         it to raise scheduled ``database is locked`` errors)."""
         return self._conn.execute(sql, params)
 
+    # -- wake-ups ----------------------------------------------------------
+
+    def announce(self) -> None:
+        """Wake every waiter: a job may have become claimable (or the
+        multiplexer is stopping and wants its idle slots back)."""
+        with self._wake:
+            self.generation += 1
+            self._wake.notify_all()
+
+    def wait_for_announcement(self, seen: int, timeout: float) -> None:
+        """Sleep until an announcement newer than ``seen`` — the generation
+        read *before* the claim that came back empty — or ``timeout``."""
+        with self._wake:
+            self._wake.wait_for(lambda: self.generation != seen, timeout)
+
     # -- producer side -----------------------------------------------------
 
     def submit(
@@ -243,6 +275,7 @@ class JobQueue:
                 (job_id, json.dumps(spec), str(tenant), int(priority), time.time()),
             )
             self._conn.commit()
+        self.announce()
         if self._m is not None:
             self._m["submitted"].labels(tenant=str(tenant)).inc()
         return job_id
@@ -377,7 +410,7 @@ class JobQueue:
         their state unchanged.
         """
         with self._lock:
-            record = self.get(job_id)
+            record = self.peek(job_id)
             if record is None:
                 raise KeyError(f"unknown job id {job_id!r}")
             if record.state in TERMINAL_STATES:
@@ -412,7 +445,7 @@ class JobQueue:
         owner no longer holds the job — another slot reclaimed it).
         """
         with self._lock:
-            record = self.get(job_id)
+            record = self.peek(job_id)
             if record is None:
                 raise KeyError(f"unknown job id {job_id!r}")
             if record.state != "running" or (
@@ -442,6 +475,7 @@ class JobQueue:
                 (time.time() + delay, error, job_id),
             )
             self._conn.commit()
+            self.announce()
             return "queued"
 
     def requeue(self, job_id: str, *, owner: str | None = None) -> bool:
@@ -461,6 +495,7 @@ class JobQueue:
                 params,
             )
             self._conn.commit()
+            self.announce()
             return updated.rowcount == 1
 
     def _finish(
@@ -475,7 +510,7 @@ class JobQueue:
         """Owner-guarded terminal transition; False = ownership was lost
         (the job was reclaimed or finished by another slot — stand down)."""
         with self._lock:
-            if self.get(job_id) is None:
+            if self.peek(job_id) is None:
                 raise KeyError(f"unknown job id {job_id!r}")
             return self._finish_locked(
                 job_id, state, result=result, error=error, owner=owner
@@ -507,14 +542,38 @@ class JobQueue:
             tuple(params),
         )
         self._conn.commit()
+        self.announce()
         return updated.rowcount == 1
 
     # -- inspection --------------------------------------------------------
 
     def get(self, job_id: str) -> JobRecord | None:
+        """The full record: decodes the spec and, once done, the result."""
+        return self._read(job_id, "spec, result")
+
+    def peek(self, job_id: str) -> JobRecord | None:
+        """The lifecycle without the blobs — all that ``/status`` and the
+        transition guards need. ``spec`` is cut down, inside sqlite, to the
+        two keys :meth:`JobRecord.to_status` reads; ``result`` is ``None``."""
+        return self._read(
+            job_id,
+            "json_object('depths', json_extract(spec, '$.depths'),"
+            " 'num_graphs', json_extract(spec, '$.num_graphs')), NULL",
+        )
+
+    def result_text(self, job_id: str) -> str | None:
+        """The stored result exactly as :meth:`mark_done` wrote it
+        (``json.dumps`` of the wire object); ``None`` until then."""
         with self._lock:
             row = self._execute(
-                "SELECT id, state, spec, result, error, tenant, priority,"
+                "SELECT result FROM jobs WHERE id = ?", (job_id,)
+            ).fetchone()
+        return None if row is None else row[0]
+
+    def _read(self, job_id: str, blobs: str) -> JobRecord | None:
+        with self._lock:
+            row = self._execute(
+                f"SELECT id, state, {blobs}, error, tenant, priority,"
                 " attempts, not_before, lease_expires, owner,"
                 " cancel_requested, submitted_at, started_at, finished_at"
                 " FROM jobs WHERE id = ?",

@@ -128,7 +128,10 @@ class SweepMultiplexer:
     max_concurrent:
         Sweep slots (worker threads draining the queue).
     poll_interval:
-        Idle-slot sleep between queue polls, in seconds.
+        Longest an idle slot sleeps. The queue wakes it sooner for whatever
+        this process does (:meth:`JobQueue.announce`: a submit, a job leaving
+        ``running``); the interval bounds only what nobody announces — a
+        sibling process's submit, a retry's ``not_before``, an expired lease.
     tenant_weights:
         Fairness weights per tenant (missing tenants weigh 1.0); a tenant
         with weight 2 gets twice the claim share of a weight-1 tenant
@@ -228,6 +231,7 @@ class SweepMultiplexer:
         refunded, so a restart resumes them from cache.
         """
         self._stop.set()
+        self.queue.announce()  # idle slots see the flag now, not a poll later
         deadline = drain_timeout if drain_timeout is not None else self.drain_timeout
         expires = None if deadline is None else time.monotonic() + deadline
         for slot in self._slots:
@@ -316,12 +320,17 @@ class SweepMultiplexer:
 
     def _slot_loop(self, slot: _Slot) -> None:
         try:
-            while not self._stop.is_set():
+            while True:
+                # Read before the stop check and the claim: an announcement
+                # after either makes the wait below return at once.
+                seen = self.queue.generation
+                if self._stop.is_set():
+                    return
                 job = self._claim(slot)
                 if job is None:
-                    self._stop.wait(self.poll_interval)
-                    continue
-                self._run_job(slot, job)
+                    self.queue.wait_for_announcement(seen, self.poll_interval)
+                else:
+                    self._run_job(slot, job)
         except BaseException:  # noqa: BLE001 - a dying slot must leave a trace
             # Recorded, not re-raised: there is nobody above a slot thread
             # to catch it, and /healthz (via slot_health) is the channel
@@ -351,7 +360,7 @@ class SweepMultiplexer:
                     return None
             tenant = self._stride.pick(tenants)
             # The claim can still miss (the tenant's only job was backing
-            # off, or another process took it); the loop just polls again.
+            # off, or another process took it); the slot just waits again.
             return self._queue_op(self.queue.claim_next, owner=slot.name, tenant=tenant)
 
     def _run_job(self, slot: _Slot, job: JobRecord) -> None:

@@ -6,7 +6,8 @@ stdlib HTTP/JSON API over it.
 restart resumes where the last process stopped: queued jobs are still
 queued, running jobs come back via lease expiry, and finished candidate
 evaluations are cache hits. The HTTP layer is deliberately small
-(``http.server`` + JSON — no framework, nothing to install):
+(``http.server`` + JSON — no framework, nothing to install; HTTP/1.1
+keep-alive with a server-side idle timeout, see :class:`_Handler`):
 
 =====================  ====================================================
 ``POST /submit``       body ``{"workload": [...], "depths": p, "config":
@@ -44,7 +45,9 @@ from __future__ import annotations
 
 import json
 import signal
+import socket
 import time
+from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -283,7 +286,7 @@ class SearchService:
         return {"id": job_id, "state": state}
 
     def status(self, job_id: str) -> dict:
-        record = self.queue.get(job_id)
+        record = self.queue.peek(job_id)  # a poll decodes no spec, no result
         if record is None:
             raise ServiceRequestError(404, f"unknown job id {job_id!r}")
         status = record.to_status() | {"queue": self.queue.counts()}
@@ -300,18 +303,24 @@ class SearchService:
         return self.metrics.render()
 
     def result(self, job_id: str) -> dict:
-        record = self.queue.get(job_id)
+        return json.loads(self.result_text(job_id))
+
+    def result_text(self, job_id: str) -> str:
+        """The finished sweep's wire object as stored — what ``GET
+        /result`` sends, with no decode and re-encode on the way."""
+        record = self.queue.peek(job_id)
         if record is None:
             raise ServiceRequestError(404, f"unknown job id {job_id!r}")
         if record.state == "failed":
             raise ServiceRequestError(410, record.error or "sweep failed")
         if record.state == "cancelled":
             raise ServiceRequestError(410, f"job {job_id} was cancelled")
-        if record.state != "done" or record.result is None:
+        text = self.queue.result_text(job_id) if record.state == "done" else None
+        if text is None:
             raise ServiceRequestError(
                 409, f"job {job_id} is {record.state}; result not ready"
             )
-        return record.result
+        return text
 
     def healthz(self) -> dict:
         slots = self.multiplexer.slot_health()
@@ -340,9 +349,20 @@ class SearchService:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Routes the five endpoints onto the service object."""
+    """Routes the endpoints onto the service object over HTTP/1.1
+    keep-alive: a client's requests share one connection and one thread
+    (every response carries ``Content-Length``; an HTTP/1.0 client or a
+    ``Connection: close`` still gets one request per connection)."""
 
     service: SearchService  # set by make_http_server
+    protocol_version = "HTTP/1.1"
+    #: seconds a connection may sit idle, or stall mid-request, before the
+    #: server hangs up and its thread ends — a silent peer pins nothing
+    timeout = 30.0
+    # Nagle off and the response buffered whole: head and body leave in one
+    # write, so a reused connection never waits out the peer's delayed ACK.
+    disable_nagle_algorithm = True
+    wbufsize = 1 << 16
 
     # Silence per-request stderr lines; the service is often a test/CI
     # subprocess and request logs are noise there.
@@ -350,76 +370,92 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     def _respond(
-        self, status: int, payload: dict, headers: dict[str, str] | None = None
+        self, status: int, payload: dict | str, headers: dict[str, str] | None = None
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        """``payload`` is a JSON object, or text that is sent as it is."""
+        text = payload if isinstance(payload, str) else json.dumps(payload)
+        body = text.encode("utf-8")
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
+        head = {"Content-Type": "application/json", "Content-Length": str(len(body))}
+        if self.close_connection:
+            head["Connection"] = "close"
+        for name, value in (head | (headers or {})).items():
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _dispatch(self, handler) -> None:
+    def _read_body(self) -> bytes:
+        """Consume the request body, whatever the route: the next request
+        on this connection must start at its own first byte. A body that
+        cannot be delimited (chunked, bad length) closes the connection."""
         try:
-            status, payload = handler()
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0 or self.headers.get("Transfer-Encoding"):
+            self.close_connection = True
+            return b""
+        return self.rfile.read(length) if length else b""
+
+    def _dispatch(self) -> None:
+        raw = self._read_body()
+        try:
+            status, payload, *headers = self._route(raw)
         except ServiceRequestError as error:
             self._respond(error.status, {"error": str(error)}, error.headers)
         except Exception as error:  # noqa: BLE001 - a handler bug must return 500
             self._respond(500, {"error": f"{type(error).__name__}: {error}"})
         else:
-            self._respond(status, payload)
+            self._respond(status, payload, *headers)
 
-    def _respond_text(self, status: int, body: str) -> None:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        # Prometheus text exposition format 0.0.4 content type.
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-        )
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+    do_GET = do_POST = _dispatch  # the http.server contract: one method per verb
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server contract
-        if self.path == "/metrics":
+    def _route(self, raw: bytes) -> tuple:
+        """``(status, payload[, headers])`` of one request."""
+        route = f"{self.command} {self.path}"
+        job_id = self.path[1:].partition("/")[2]
+        if route == "GET /metrics":
+            # Prometheus text exposition format 0.0.4
+            content_type = "text/plain; version=0.0.4; charset=utf-8"
+            return 200, self.service.metrics_text(), {"Content-Type": content_type}
+        if route == "GET /healthz":
+            return 200, self.service.healthz()
+        if route.startswith("GET /status/"):
+            return 200, self.service.status(job_id)
+        if route.startswith("GET /result/"):
+            return 200, self.service.result_text(job_id)
+        if route == "POST /submit":
             try:
-                body = self.service.metrics_text()
-            except Exception as error:  # noqa: BLE001 - must return 500
-                self._respond(500, {"error": f"{type(error).__name__}: {error}"})
-            else:
-                self._respond_text(200, body)
-            return
+                payload = json.loads(raw.decode("utf-8") or "null")
+            except json.JSONDecodeError as error:
+                raise ServiceRequestError(400, f"invalid JSON body: {error}") from None
+            return 202, self.service.submit(payload)
+        if route.startswith("POST /cancel/"):
+            return 200, self.service.cancel(job_id)
+        raise ServiceRequestError(404, f"no route for {route}")
 
-        def handle() -> tuple[int, dict]:
-            if self.path == "/healthz":
-                return 200, self.service.healthz()
-            if self.path.startswith("/status/"):
-                return 200, self.service.status(self.path[len("/status/"):])
-            if self.path.startswith("/result/"):
-                return 200, self.service.result(self.path[len("/result/"):])
-            raise ServiceRequestError(404, f"no route for GET {self.path}")
 
-        self._dispatch(handle)
+class _Server(ThreadingHTTPServer):
+    """Closing it also hangs up on the kept-alive connections: a stopped
+    service must not answer from a parked handler thread."""
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server contract
-        def handle() -> tuple[int, dict]:
-            if self.path == "/submit":
-                length = int(self.headers.get("Content-Length") or 0)
-                raw = self.rfile.read(length) if length else b""
-                try:
-                    payload = json.loads(raw.decode("utf-8") or "null")
-                except json.JSONDecodeError as error:
-                    raise ServiceRequestError(
-                        400, f"invalid JSON body: {error}"
-                    ) from None
-                return 202, self.service.submit(payload)
-            if self.path.startswith("/cancel/"):
-                return 200, self.service.cancel(self.path[len("/cancel/"):])
-            raise ServiceRequestError(404, f"no route for POST {self.path}")
+    def __init__(self, address: tuple[str, int], handler: type) -> None:
+        super().__init__(address, handler)
+        self._connections: set[socket.socket] = set()
 
-        self._dispatch(handle)
+    def process_request(self, request, client_address) -> None:
+        self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        for connection in list(self._connections):
+            with suppress(OSError):  # the peer hung up first
+                connection.shutdown(socket.SHUT_RD)  # an answer in flight still leaves
 
 
 def make_http_server(
@@ -427,7 +463,7 @@ def make_http_server(
 ) -> ThreadingHTTPServer:
     """Bind (but do not start) the HTTP front end; port 0 picks a free one."""
     handler = type("BoundHandler", (_Handler,), {"service": service})
-    return ThreadingHTTPServer((host, port), handler)
+    return _Server((host, port), handler)
 
 
 def serve(

@@ -180,6 +180,29 @@ class TestSweepCheckpoint:
         assert restored.seconds == 1.5
         assert restored.evaluations == depth.evaluations
 
+    def test_roundtrip_keeps_the_winner_qasm(self, tmp_path):
+        depth = DepthResult(1, (make_evaluation(),), 1.5, "OPENQASM 2.0;")
+        SweepCheckpoint(tmp_path).save_depth("fp1", depth)
+        assert SweepCheckpoint(tmp_path).load_depth("fp1") == depth
+
+    def test_a_depth_already_on_disk_is_not_rewritten(self, tmp_path):
+        depth = DepthResult(1, (make_evaluation(),), 1.5, "OPENQASM 2.0;")
+        SweepCheckpoint(tmp_path).save_depth("fp1", depth)
+        checkpoint = SweepCheckpoint(tmp_path)
+        written = checkpoint.path.stat().st_mtime_ns
+        checkpoint.path.with_suffix(".json.tmp").write_text("sentinel")
+        # the same evaluations and QASM, timed again: nothing to record
+        checkpoint.save_depth("fp1", DepthResult(1, depth.evaluations, 0.001, depth.best_qasm))
+        assert checkpoint.path.stat().st_mtime_ns == written
+        assert checkpoint.path.with_suffix(".json.tmp").read_text() == "sentinel"
+        assert SweepCheckpoint(tmp_path).load_depth("fp1").seconds == 1.5
+        # a changed winner export, or changed evaluations, is written
+        checkpoint.save_depth("fp1", DepthResult(1, depth.evaluations, 0.001, "changed"))
+        assert SweepCheckpoint(tmp_path).load_depth("fp1").best_qasm == "changed"
+        other = DepthResult(1, (make_evaluation(("ry",)),), 0.001, "changed")
+        checkpoint.save_depth("fp1", other)
+        assert SweepCheckpoint(tmp_path).load_depth("fp1") == other
+
     def test_unknown_key_misses(self, tmp_path):
         checkpoint = SweepCheckpoint(tmp_path)
         checkpoint.save_depth("fp1", DepthResult(1, (make_evaluation(),), 0.1))

@@ -1,10 +1,11 @@
 """SearchRuntime: warm-cache reuse, checkpoint/resume, fault tolerance."""
 
+import json
 from dataclasses import replace
 
 import pytest
 
-from repro.core.cache import NullStore, ResultCache
+from repro.core.cache import NullStore, ResultCache, SweepCheckpoint
 from repro.core.evaluator import EvaluationConfig
 from repro.core.predictor import FixedPoolProposer, Predictor, PredictorProposer
 from repro.core.runtime import RuntimeConfig, SearchRuntime
@@ -184,6 +185,31 @@ class TestCheckpointResume:
         assert counting.submitted == []
         assert resumed.config["cache_hits"] == 0  # checkpoint, not cache
         assert evaluation_payload(resumed) == evaluation_payload(first)
+
+    def test_cold_warm_and_resumed_payloads_agree(self, graphs, tiny_config, tmp_path):
+        """A resumed sweep's wire object is the sweep it resumes — the
+        winner's QASM included — down to timings and run counters."""
+
+        def payload(result):
+            wire = result.to_dict()
+            del wire["total_seconds"], wire["config"]
+            for depth in wire["depth_results"]:
+                del depth["seconds"]
+            return wire
+
+        def run(**settings):
+            runtime = RuntimeConfig(cache_dir=str(tmp_path), **settings)
+            return search_mixer(graphs, tiny_config, runtime=runtime)
+
+        cold, warm = run(), run()
+        assert all(d.best_qasm for d in cold.depth_results)
+        assert payload(cold) == payload(warm) == payload(run(resume=True))
+        # A checkpoint written before the QASM was stored regenerates it.
+        document = json.loads((tmp_path / SweepCheckpoint.FILENAME).read_text())
+        for entry in document["depths"].values():
+            del entry["best_qasm"]
+        (tmp_path / SweepCheckpoint.FILENAME).write_text(json.dumps(document))
+        assert payload(run(resume=True)) == payload(cold)
 
     def test_checkpoint_ignored_when_config_changes(self, graphs, tiny_config, tmp_path):
         runtime_cfg = RuntimeConfig(cache_dir=str(tmp_path))
