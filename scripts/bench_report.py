@@ -70,9 +70,6 @@ WORKLOAD_TIMED_EVALS = 60
 WORKLOAD_P = 2
 
 TIMED_EVALS = 150
-#: qtensor is contraction-per-edge and orders of magnitude slower here;
-#: keep its sample small so the report stays CI-cheap
-TIMED_EVALS_SLOW = 5
 #: batched-path sample: restarts in the probe population / SPSA steps
 BATCH_RESTARTS = 8
 BATCH_ITERS = 40
@@ -93,12 +90,11 @@ TREND_WINDOW = 10
 def measure(engine: str, ansatz, x: np.ndarray) -> dict:
     energy = AnsatzEnergy(ansatz, engine=engine)
     value = energy.value(x)
-    rounds = TIMED_EVALS_SLOW if engine == "qtensor" else TIMED_EVALS
-    seconds = seconds_per_eval(energy, x, rounds)
+    seconds = seconds_per_eval(energy, x, TIMED_EVALS)
     return {
         "seconds_per_eval": seconds,
         "evals_per_sec": 1.0 / seconds,
-        "timed_evals": rounds,
+        "timed_evals": TIMED_EVALS,
         "energy_at_probe": value,
     }
 

@@ -33,7 +33,9 @@ python -m repro draw rx,ry --qubits 3 >/dev/null
 echo "CLI smoke OK"
 
 echo "=== job: tests (tier-1 pytest) ==="
-python -m pytest -x -q
+# between two e2e.speed readings: prints the wall time in reference-box
+# seconds, the other tracked number ("tier-1 wall time not up")
+python scripts/tier1_wall.py
 # the tracked number: ROADMAP aim 2 wants net src/ lines to go down
 echo "src/repro lines: $(find src/repro -name '*.py' | xargs cat | wc -l)"
 

@@ -47,7 +47,6 @@ from repro.graphs import (
     random_regular_graph,
 )
 from repro.qaoa import AnsatzEnergy, approximation_ratio, build_qaoa_ansatz
-from repro.qtensor import QTensorSimulator
 from repro.workloads import (
     Workload,
     available_workloads,
@@ -81,7 +80,6 @@ __all__ = [
     "build_qaoa_ansatz",
     "AnsatzEnergy",
     "approximation_ratio",
-    "QTensorSimulator",
     "Workload",
     "get_workload",
     "register_workload",

@@ -49,7 +49,6 @@ automatically, or validated against an explicitly-set ``Config.workload``.
 
 from __future__ import annotations
 
-import http.client
 import json
 import random
 import select
@@ -606,6 +605,10 @@ class Client:
     def _request_text(
         self, method: str, path: str, payload: dict | None = None
     ) -> str:
+        # here, not at module level: most processes that import this module
+        # never talk to a service, and http.client brings ssl and email.parser
+        import http.client
+
         body = None if payload is None else json.dumps(payload).encode("utf-8")
         connection = getattr(self._local, "connection", None)
         if connection is None:

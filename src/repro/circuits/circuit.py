@@ -166,15 +166,6 @@ class QuantumCircuit:
             counts[instr.gate.name] = counts.get(instr.gate.name, 0) + 1
         return dict(sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])))
 
-    def two_qubit_interactions(self) -> set[tuple[int, int]]:
-        """The set of qubit pairs coupled by any multi-qubit gate."""
-        pairs: set[tuple[int, int]] = set()
-        for instr in self._instructions:
-            qs = instr.qubits
-            if len(qs) == 2:
-                pairs.add((min(qs), max(qs)))
-        return pairs
-
     @property
     def parameters(self) -> frozenset:
         """All free symbolic parameters, as a frozenset of Parameter."""
@@ -182,10 +173,6 @@ class QuantumCircuit:
         for instr in self._instructions:
             out |= instr.gate.parameters
         return frozenset(out)
-
-    def sorted_parameters(self) -> list[Parameter]:
-        """Free parameters sorted by name (stable optimizer ordering)."""
-        return sorted(self.parameters, key=lambda p: (p.name, id(p)))
 
     # -- transformation ---------------------------------------------------------
 
@@ -206,13 +193,6 @@ class QuantumCircuit:
         out = self.copy()
         for instr in other.instructions:
             out.append(instr.gate, instr.qubits)
-        return out
-
-    def inverse(self) -> QuantumCircuit:
-        """The adjoint circuit: reversed order, inverted gates."""
-        out = QuantumCircuit(self._num_qubits, name=f"{self.name}_dg")
-        for instr in reversed(self._instructions):
-            out.append(instr.gate.inverse(), instr.qubits)
         return out
 
     def repeat(self, reps: int) -> QuantumCircuit:

@@ -200,21 +200,9 @@ class GateSpec:
     num_params: int
     matrix_fn: Callable[[Sequence[float]], np.ndarray]
     is_diagonal: bool = False
-    is_self_inverse: bool = False
-    #: name of the gate implementing the inverse with negated parameters,
-    #: if that pattern applies (all rotation gates).
-    negate_params_inverts: bool = False
     #: the (h, g0) phase generator; required for (and only for) diagonal
     #: gates. Stored as plain tuples so the spec stays hashable.
     diag_phase: DiagPhase | None = None
-
-    def diag_exponent(self, params: Sequence[float] = ()) -> np.ndarray:
-        """The real exponent ``g`` with ``diag(gate) = exp(1j * g)``."""
-        if self.diag_phase is None:
-            raise ValueError(f"gate '{self.name}' is not diagonal")
-        h, g0 = self.diag_phase
-        theta = float(params[0]) if self.num_params else 0.0
-        return theta * np.asarray(h) + np.asarray(g0)
 
 
 GATE_REGISTRY: dict[str, GateSpec] = {}
@@ -236,19 +224,19 @@ _PI = math.pi
 
 I = _register(  # noqa: E741 - the identity gate's conventional name
     GateSpec(
-        "id", 1, 0, _mat_i, is_diagonal=True, is_self_inverse=True,
+        "id", 1, 0, _mat_i, is_diagonal=True,
         diag_phase=(_NO_PHASE_1Q, (0.0, 0.0)),
     )
 )
-X = _register(GateSpec("x", 1, 0, _mat_x, is_self_inverse=True))
-Y = _register(GateSpec("y", 1, 0, _mat_y, is_self_inverse=True))
+X = _register(GateSpec("x", 1, 0, _mat_x))
+Y = _register(GateSpec("y", 1, 0, _mat_y))
 Z = _register(
     GateSpec(
-        "z", 1, 0, _mat_z, is_diagonal=True, is_self_inverse=True,
+        "z", 1, 0, _mat_z, is_diagonal=True,
         diag_phase=(_NO_PHASE_1Q, (0.0, _PI)),
     )
 )
-H = _register(GateSpec("h", 1, 0, _mat_h, is_self_inverse=True))
+H = _register(GateSpec("h", 1, 0, _mat_h))
 S = _register(
     GateSpec("s", 1, 0, _mat_s, is_diagonal=True, diag_phase=(_NO_PHASE_1Q, (0.0, _PI / 2)))
 )
@@ -261,42 +249,42 @@ T = _register(
 TDG = _register(
     GateSpec("tdg", 1, 0, _mat_tdg, is_diagonal=True, diag_phase=(_NO_PHASE_1Q, (0.0, -_PI / 4)))
 )
-RX = _register(GateSpec("rx", 1, 1, _mat_rx, negate_params_inverts=True))
-RY = _register(GateSpec("ry", 1, 1, _mat_ry, negate_params_inverts=True))
+RX = _register(GateSpec("rx", 1, 1, _mat_rx))
+RY = _register(GateSpec("ry", 1, 1, _mat_ry))
 RZ = _register(
     GateSpec(
-        "rz", 1, 1, _mat_rz, is_diagonal=True, negate_params_inverts=True,
+        "rz", 1, 1, _mat_rz, is_diagonal=True,
         diag_phase=((-0.5, 0.5), (0.0, 0.0)),
     )
 )
 P = _register(
     GateSpec(
-        "p", 1, 1, _mat_p, is_diagonal=True, negate_params_inverts=True,
+        "p", 1, 1, _mat_p, is_diagonal=True,
         diag_phase=((0.0, 1.0), (0.0, 0.0)),
     )
 )
 U3 = _register(GateSpec("u3", 1, 3, _mat_u3))
-CX = _register(GateSpec("cx", 2, 0, _mat_cx, is_self_inverse=True))
+CX = _register(GateSpec("cx", 2, 0, _mat_cx))
 CZ = _register(
     GateSpec(
-        "cz", 2, 0, _mat_cz, is_diagonal=True, is_self_inverse=True,
+        "cz", 2, 0, _mat_cz, is_diagonal=True,
         diag_phase=(_NO_PHASE_2Q, (0.0, 0.0, 0.0, _PI)),
     )
 )
 CP = _register(
     GateSpec(
-        "cp", 2, 1, _mat_cp, is_diagonal=True, negate_params_inverts=True,
+        "cp", 2, 1, _mat_cp, is_diagonal=True,
         diag_phase=((0.0, 0.0, 0.0, 1.0), _NO_PHASE_2Q),
     )
 )
 RZZ = _register(
     GateSpec(
-        "rzz", 2, 1, _mat_rzz, is_diagonal=True, negate_params_inverts=True,
+        "rzz", 2, 1, _mat_rzz, is_diagonal=True,
         diag_phase=((-0.5, 0.5, 0.5, -0.5), _NO_PHASE_2Q),
     )
 )
-RXX = _register(GateSpec("rxx", 2, 1, _mat_rxx, negate_params_inverts=True))
-SWAP = _register(GateSpec("swap", 2, 0, _mat_swap, is_self_inverse=True))
+RXX = _register(GateSpec("rxx", 2, 1, _mat_rxx))
+SWAP = _register(GateSpec("swap", 2, 0, _mat_swap))
 
 
 @dataclass(frozen=True)
@@ -349,17 +337,6 @@ class Gate:
         """Concrete unitary matrix; raises if parameters remain unbound."""
         values = [bind_value(p, bindings or {}) for p in self.params]
         return self.spec.matrix_fn(values)
-
-    def inverse(self) -> Gate:
-        """The inverse gate, when expressible in the registry."""
-        if self.spec.is_self_inverse:
-            return self
-        if self.spec.negate_params_inverts:
-            return Gate(self.spec, tuple(-p for p in self.params))
-        inverse_names = {"s": "sdg", "sdg": "s", "t": "tdg", "tdg": "t"}
-        if self.spec.name in inverse_names:
-            return Gate(GATE_REGISTRY[inverse_names[self.spec.name]], ())
-        raise NotImplementedError(f"no registry inverse for gate '{self.spec.name}'")
 
     def __repr__(self) -> str:
         if not self.params:

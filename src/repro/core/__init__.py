@@ -18,7 +18,6 @@ from repro.core.alphabet import (
 )
 from repro.core.cache import ResultCache, SweepCheckpoint
 from repro.core.constraints import (
-    ConstrainedPredictor,
     Constraint,
     ConstraintSet,
     ForbiddenTokens,
@@ -37,7 +36,6 @@ from repro.core.encoding import (
     encode_sequence,
     encoding_shape,
     is_valid_encoding,
-    random_encoding,
 )
 from repro.core.evaluator import EvaluationConfig, Evaluator, classical_optima, evaluate_candidate
 from repro.core.predictor import (
@@ -65,7 +63,6 @@ __all__ = [
     "encode_sequence",
     "decode_encoding",
     "encoding_shape",
-    "random_encoding",
     "is_valid_encoding",
     "PAD_INDEX",
     "QBuilder",
@@ -96,7 +93,6 @@ __all__ = [
     "SearchResult",
     "Constraint",
     "ConstraintSet",
-    "ConstrainedPredictor",
     "MaxGates",
     "MinGates",
     "ForbiddenTokens",

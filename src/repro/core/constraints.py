@@ -4,9 +4,9 @@
 procedure and thus deliver custom architectures that exceed performance of
 manually designed ones." This module makes that concrete: a constraint is a
 predicate over candidate token sequences, composable into a
-:class:`ConstraintSet` that filters enumeration, wraps predictors (rejected
-proposals are resampled), and annotates results with why candidates were
-excluded.
+:class:`ConstraintSet` that filters enumeration and every proposer's pool
+(:class:`~repro.core.predictor.PredictorProposer`), and annotates results
+with why candidates were excluded.
 
 Built-in constraints cover the practical cases: gate-count budgets,
 forbidden/required tokens, alphabet restrictions, parameterized-gate
@@ -20,9 +20,7 @@ import abc
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, field
 
-from repro.core.predictor import Predictor
 from repro.qaoa.mixers import ENTANGLER_TOKENS, PARAMETERIZED_TOKENS
-from repro.utils.validation import check_positive
 
 __all__ = [
     "Constraint",
@@ -35,7 +33,6 @@ __all__ = [
     "MaxMixerDepth",
     "PredicateConstraint",
     "ConstraintSet",
-    "ConstrainedPredictor",
 ]
 
 Tokens = tuple[str, ...]
@@ -176,43 +173,3 @@ class ConstraintSet:
         """Names of all constraints the candidate breaks (diagnostics)."""
         tokens = tuple(tokens)
         return [c.name for c in self.constraints if not c.satisfied(tokens)]
-
-
-class ConstrainedPredictor(Predictor):
-    """Wrap any predictor so it only emits admissible candidates.
-
-    Rejected proposals are resampled (up to ``max_resamples`` rounds);
-    rewards pass through to the wrapped predictor untouched, so learning
-    predictors still see the true signal.
-    """
-
-    def __init__(
-        self,
-        inner: Predictor,
-        constraints: ConstraintSet,
-        *,
-        max_resamples: int = 20,
-    ) -> None:
-        check_positive(max_resamples, "max_resamples")
-        self.inner = inner
-        self.constraints = constraints
-        self.max_resamples = max_resamples
-        self.name = f"constrained({inner.name})"
-
-    def propose(self, num: int) -> list[Tokens]:
-        out: list[Tokens] = []
-        for _ in range(self.max_resamples):
-            needed = num - len(out)
-            if needed <= 0:
-                break
-            batch = self.inner.propose(needed)
-            if not batch:
-                break  # inner predictor exhausted
-            out.extend(t for t in batch if self.constraints.satisfied(t))
-        return out[:num]
-
-    def update(self, tokens: Tokens, reward: float) -> None:
-        self.inner.update(tokens, reward)
-
-    def exhausted(self) -> bool:
-        return self.inner.exhausted()

@@ -24,7 +24,6 @@ __all__ = [
     "encoding_shape",
     "encode_sequence",
     "decode_encoding",
-    "random_encoding",
     "is_valid_encoding",
 ]
 
@@ -75,12 +74,3 @@ def is_valid_encoding(encoding: np.ndarray, alphabet: GateAlphabet) -> bool:
     if not np.all((encoding == 0.0) | (encoding == 1.0)):
         return False
     return bool(np.all(encoding.sum(axis=1) == 1.0))
-
-
-def random_encoding(
-    alphabet: GateAlphabet, max_gates: int, rng, *, min_gates: int = 1
-) -> np.ndarray:
-    """A uniformly random valid encoding (random length, random tokens)."""
-    length = int(rng.integers(min_gates, max_gates + 1))
-    tokens = alphabet.sample_sequence(length, rng)
-    return encode_sequence(tokens, alphabet, max_gates)

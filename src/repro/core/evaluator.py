@@ -81,7 +81,7 @@ class EvaluationConfig:
     #: independent optimizer restarts per graph; best result kept
     restarts: int = 1
     #: simulation engine: "compiled" (pre-lowered array program, the fast
-    #: default), "statevector" (per-gate dense oracle), or "qtensor"
+    #: default) or "statevector" (per-gate dense oracle)
     engine: str = "compiled"
     #: array backend the compiled engine runs under: "numpy" (default),
     #: "mock_gpu" (metered CPU stand-in), or "cupy" when installed — see
@@ -128,11 +128,6 @@ class EvaluationConfig:
         check_choice(self.metric, "metric", METRICS)
         check_choice(self.init_strategy, "init strategy", INIT_STRATEGIES)
         check_choice(self.workload, "workload", available_workloads())
-        if self.engine == "qtensor" and self.workload != "maxcut":
-            raise ValueError(
-                "the qtensor engine only evaluates the maxcut workload; "
-                f"got workload={self.workload!r}"
-            )
 
 
 def _make_optimizer(config: EvaluationConfig, energy: AnsatzEnergy) -> Optimizer:

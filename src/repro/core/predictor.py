@@ -22,17 +22,14 @@ from __future__ import annotations
 
 import abc
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.alphabet import GateAlphabet, enumerate_search_space
+from repro.core.constraints import ConstraintSet
 from repro.core.results import CandidateEvaluation
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_positive
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (constraints imports us)
-    from repro.core.constraints import ConstraintSet
 
 __all__ = [
     "PREDICTORS",

@@ -3,7 +3,8 @@
 §2.1: "accepts the encoded tensor representation from the predictor module
 and generates the appropriate quantum circuit in an available quantum
 computing software" — here, :mod:`repro.circuits` instead of Qiskit. The
-builder owns the two constructions of Algorithm 1:
+builder owns the two constructions of Algorithm 1, both inside
+:meth:`QBuilder.build_qaoa`:
 
 * ``BUILD_MIXER_CKT(G, gate_comb)`` — the mixer layer over the graph's
   nodes with the shared beta parameter;
@@ -17,13 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.parameters import Parameter
 from repro.core.alphabet import GateAlphabet
 from repro.core.encoding import decode_encoding
 from repro.graphs.generators import Graph
 from repro.qaoa.ansatz import QAOAAnsatz, build_qaoa_ansatz
-from repro.qaoa.mixers import mixer_layer
 
 __all__ = ["QBuilder"]
 
@@ -43,15 +41,7 @@ class QBuilder:
             raise ValueError("cannot build a mixer from an empty gate sequence")
         return tokens
 
-    # -- Algorithm 1, line 6 ----------------------------------------------------
-
-    def build_mixer(self, graph: Graph, tokens: Sequence[str]) -> QuantumCircuit:
-        """``BUILD_MIXER_CKT``: the candidate mixer over the graph's nodes,
-        with a fresh shared ``beta`` symbol."""
-        tokens = self.validate_tokens(tokens)
-        return mixer_layer(graph.num_nodes, tokens, Parameter("beta"))
-
-    # -- Algorithm 1, line 7 ----------------------------------------------------
+    # -- Algorithm 1, lines 6-7 -------------------------------------------------
 
     def build_qaoa(
         self,

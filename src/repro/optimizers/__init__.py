@@ -20,6 +20,7 @@ from repro.optimizers.cobyla import Cobyla
 from repro.optimizers.nelder_mead import NelderMead
 from repro.optimizers.restarts import BATCH_MODES, MultiRestart
 from repro.optimizers.spsa import SPSA
+from repro.utils.validation import check_choice
 
 __all__ = [
     "BATCH_MODES",
@@ -34,28 +35,9 @@ __all__ = [
     "Optimizer",
     "SPSA",
     "batch_values",
-    "make_optimizer",
     "preload_optimizer",
     "training_optimizer",
 ]
-
-
-def make_optimizer(name: str, **kwargs) -> Optimizer:
-    """Factory used by experiment configs (``"cobyla"``, ``"nelder_mead"``,
-    ``"spsa"``; ``"adam"`` requires a ``gradient`` kwarg; ``"multi_restart"``
-    requires a ``base`` optimizer)."""
-    registry = {
-        "cobyla": Cobyla,
-        "nelder_mead": NelderMead,
-        "spsa": SPSA,
-        "adam": Adam,
-        "multi_restart": MultiRestart,
-    }
-    try:
-        cls = registry[name]
-    except KeyError:
-        raise ValueError(f"unknown optimizer {name!r}; options: {sorted(registry)}") from None
-    return cls(**kwargs)
 
 
 #: the trainers :func:`training_optimizer` builds (cobyla is the paper's)
@@ -91,18 +73,16 @@ def training_optimizer(
     iteration count is halved to respect the same evaluation budget, and
     Adam needs the objective's (batched) gradient callables.
     """
+    check_choice(name, "optimizer", TRAINING_OPTIMIZERS)
     if name == "cobyla":
         return Cobyla(maxiter=max_steps)
     if name == "nelder_mead":
         return NelderMead(maxiter=max_steps)
     if name == "spsa":
         return SPSA(maxiter=max(1, max_steps // 2), seed=seed)
-    if name == "adam":
-        if gradient is None:
-            raise ValueError("adam training requires a gradient callable")
-        return Adam(
-            gradient=gradient, gradient_batch=gradient_batch, maxiter=max_steps
-        )
-    raise ValueError(
-        f"unknown optimizer {name!r}; options: {sorted(TRAINING_OPTIMIZERS)}"
+    # adam, the one name left
+    if gradient is None:
+        raise ValueError("adam training requires a gradient callable")
+    return Adam(
+        gradient=gradient, gradient_batch=gradient_batch, maxiter=max_steps
     )

@@ -116,7 +116,7 @@ class Adam(Optimizer):
         """
         X = np.atleast_2d(np.asarray(X0, dtype=float)).copy()
         restarts, dim = X.shape
-        tracers = [ObjectiveTracer(fn, batch_fn) for _ in range(restarts)]
+        tracers = [ObjectiveTracer(fn) for _ in range(restarts)]
         for k, value in zip(range(restarts), batch_values(fn, batch_fn, X)):
             tracers[k].record(X[k], float(value))
 

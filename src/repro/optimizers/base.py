@@ -15,9 +15,8 @@ simplex moves, a population of restarts — should submit them as *one*
 batch instead of a Python loop of scalar calls. Two seams make that work:
 
 * :class:`BatchObjective` — the protocol an objective implements to opt in
-  (``values(X)`` for a batch of rows, ``value_and_gradient`` for the
-  gradient-based path). :meth:`repro.qaoa.energy.AnsatzEnergy.negative_objective`
-  returns one.
+  (``values(X)`` for a batch of rows).
+  :meth:`repro.qaoa.energy.AnsatzEnergy.negative_objective` returns one.
 * :meth:`Optimizer.minimize_batch` — minimize from a population of start
   points at once. Batch-native subclasses (``supports_batch = True``)
   run the whole population in lockstep, evaluating each step's proposals
@@ -59,16 +58,12 @@ class BatchObjective(Protocol):
 
     ``__call__`` keeps the scalar contract every optimizer understands;
     ``values`` evaluates the rows of a ``(B, dim)`` batch in one pass and
-    returns ``(B,)`` objective values; ``value_and_gradient`` serves the
-    gradient-based path (one batched parameter-shift pass on the compiled
-    engine).
+    returns ``(B,)`` objective values.
     """
 
     def __call__(self, x: np.ndarray) -> float: ...
 
     def values(self, X: np.ndarray) -> np.ndarray: ...
-
-    def value_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]: ...
 
 
 def resolve_batch_fn(fn: Objective, batch_fn: BatchFn | None) -> BatchFn | None:
@@ -121,15 +116,14 @@ class OptimizeResult:
 class ObjectiveTracer:
     """Wraps an objective to count calls and record the best-so-far trace.
 
-    ``nfev`` counts evaluated *points* on every path: scalar ``__call__``s,
-    :meth:`batch` submissions (one increment per row, not per batch call),
-    and externally evaluated points fed through :meth:`record` — so serial
-    and batched trainings of the same trajectory report identical counts.
+    ``nfev`` counts evaluated *points* on every path: scalar ``__call__``s
+    and externally evaluated points fed through :meth:`record` (one
+    increment per row of a batch, not per batch call) — so serial and
+    batched trainings of the same trajectory report identical counts.
     """
 
-    def __init__(self, fn: Objective, batch_fn: BatchFn | None = None) -> None:
+    def __init__(self, fn: Objective) -> None:
         self._fn = fn
-        self._batch_fn = resolve_batch_fn(fn, batch_fn)
         self.nfev = 0
         self.best = np.inf
         self.best_x: np.ndarray | None = None
@@ -148,19 +142,6 @@ class ObjectiveTracer:
             self.best = value
             self.best_x = np.asarray(x, dtype=float).copy()
         self.trace.append(self.best)
-
-    def batch(self, X) -> np.ndarray:
-        """Evaluate (and trace) every row of ``X`` in one batched call.
-
-        The rows enter the trace in order, exactly as a loop of scalar
-        calls would, so the best-so-far history and ``nfev`` match the
-        serial path point for point.
-        """
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        values = batch_values(self._fn, self._batch_fn, X)
-        for row, value in zip(X, values):
-            self.record(row, float(value))
-        return values
 
 
 class Optimizer(abc.ABC):

@@ -157,7 +157,7 @@ class NelderMead(Optimizer):
             return batch_values(fn, batch_fn, np.vstack(points))
 
         states = [
-            _SimplexState(ObjectiveTracer(fn, batch_fn), self._initial_simplex(x0))
+            _SimplexState(ObjectiveTracer(fn), self._initial_simplex(x0))
             for x0 in X0
         ]
         initial_values = evaluate([state.simplex for state in states])

@@ -22,9 +22,9 @@ one kernel launch instead of K.
 .. seealso::
 
    :class:`~repro.optimizers.base.BatchObjective`
-       the protocol (``values(X)``, ``value_and_gradient``) a batchable
-       objective implements; :class:`~repro.qaoa.energy.NegatedEnergy`
-       is the production instance.
+       the protocol (``values(X)``) a batchable objective implements;
+       :class:`~repro.qaoa.energy.NegatedEnergy` is the production
+       instance.
    ``benchmarks/bench_batched_optimizers.py``
        the CI gate: >=3x batched-vs-serial multi-restart SPSA at K=8.
    ``docs/architecture.md``
@@ -32,8 +32,6 @@ one kernel launch instead of K.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -49,25 +47,20 @@ __all__ = ["BATCH_MODES", "MultiRestart"]
 BATCH_MODES = ("auto", "batched", "serial")
 
 
-class MultiRestart(Optimizer):
+class MultiRestart:
     """Train every row of a start-point population, return the best.
 
     The population result keeps the winning restart's ``x``/``fun``/
     ``history`` but sums ``nfev`` over all restarts (the total points the
     objective paid for) and exposes the per-restart results via
-    ``sub_results``.
+    ``sub_results``. It drives an :class:`~repro.optimizers.base.Optimizer`;
+    it is not one — :meth:`minimize_population` is its whole interface.
     """
-
-    name = "multi_restart"
 
     def __init__(self, base: Optimizer, batch_mode: str = "auto") -> None:
         check_choice(batch_mode, "batch mode", BATCH_MODES)
         self.base = base
         self.batch_mode = batch_mode
-
-    @property
-    def supports_batch(self) -> bool:  # type: ignore[override]
-        return self.base.supports_batch
 
     def _use_batch(self, fn: Objective, batch_fn: BatchFn | None) -> bool:
         if self.batch_mode == "serial":
@@ -105,23 +98,6 @@ class MultiRestart(Optimizer):
             history=best.history,
             sub_results=results,
         )
-
-    def minimize(self, fn: Objective, x0: Sequence[float]) -> OptimizeResult:
-        """A single-seed population (satisfies the Optimizer interface)."""
-        return self.minimize_population(fn, np.atleast_2d(np.asarray(x0, float)))
-
-    def minimize_batch(
-        self,
-        fn: Objective,
-        X0: np.ndarray,
-        batch_fn: BatchFn | None = None,
-    ) -> list[OptimizeResult]:
-        """Delegate to the base optimizer (population-per-row semantics
-        collapse to the base's own batch behaviour)."""
-        if self._use_batch(fn, batch_fn):
-            return self.base.minimize_batch(fn, X0, batch_fn=batch_fn)
-        X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-        return [self.base.minimize(fn, x0) for x0 in X0]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MultiRestart({self.base!r}, batch_mode={self.batch_mode!r})"

@@ -117,7 +117,7 @@ class SPSA(Optimizer):
         """
         X = np.atleast_2d(np.asarray(X0, dtype=float)).copy()
         restarts, dim = X.shape
-        tracers = [ObjectiveTracer(fn, batch_fn) for _ in range(restarts)]
+        tracers = [ObjectiveTracer(fn) for _ in range(restarts)]
         rngs = self._restart_rngs(restarts)
 
         def evaluate(points: np.ndarray) -> np.ndarray:

@@ -5,9 +5,10 @@ and the two-level cluster model (Fig. 2 / Fig. 3 / Fig. 5 substrate).
 re-exported here: it subclasses the service-layer job queue, and eagerly
 importing it would cycle this package through :mod:`repro.service`.
 Import it directly: ``from repro.parallel.faults import FaultPlan``.
+Nor is :mod:`repro.parallel.async_executor`, which only the e2e tracer
+still imports: re-exporting it would load :mod:`asyncio` at ``import repro``.
 """
 
-from repro.parallel.async_executor import AsyncExecutor
 from repro.parallel.cluster import (
     ClusterModel,
     NodeSpec,
@@ -21,7 +22,6 @@ from repro.parallel.executor import (
     ThreadExecutor,
     WorkerLostError,
     available_cores,
-    make_executor,
 )
 from repro.parallel.jobs import JobFailedError, JobScheduler, JobStats
 from repro.parallel.scheduler import (
@@ -29,18 +29,15 @@ from repro.parallel.scheduler import (
     ScheduleResult,
     simulate_core_sweep,
     simulate_makespan,
-    speedup_curve,
 )
 
 __all__ = [
-    "AsyncExecutor",
     "Executor",
     "SerialExecutor",
     "MultiprocessingExecutor",
     "ThreadExecutor",
     "WorkerLostError",
     "available_cores",
-    "make_executor",
     "JobScheduler",
     "JobStats",
     "JobFailedError",
@@ -48,7 +45,6 @@ __all__ = [
     "ScheduleResult",
     "simulate_makespan",
     "simulate_core_sweep",
-    "speedup_curve",
     "ClusterModel",
     "NodeSpec",
     "TwoLevelResult",

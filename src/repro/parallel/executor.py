@@ -42,7 +42,6 @@ __all__ = [
     "ThreadExecutor",
     "WorkerLostError",
     "available_cores",
-    "make_executor",
 ]
 
 
@@ -508,23 +507,3 @@ class ThreadExecutor(Executor):
         # Same contract as the process pool: an abandoned job may still be
         # running on a thread that will never finish — don't wait on it.
         self._pool.shutdown(wait=not self.tainted)
-
-
-def make_executor(name: str, num_workers: int | None = None, **kwargs) -> Executor:
-    """Factory for experiment configs: ``serial`` / ``processes`` (what
-    ``repro search --workers`` and ``repro serve`` run candidates on) /
-    ``threads`` / ``async`` (an asyncio/thread hybrid; neither thread
-    pool speeds up candidate training, see :class:`ThreadExecutor`)."""
-    if name == "serial":
-        return SerialExecutor()
-    if name in ("processes", "multiprocessing"):
-        return MultiprocessingExecutor(num_workers, **kwargs)
-    if name == "threads":
-        return ThreadExecutor(num_workers)
-    if name == "async":
-        from repro.parallel.async_executor import AsyncExecutor
-
-        return AsyncExecutor(num_workers)
-    raise ValueError(
-        f"unknown executor {name!r}; options: serial, processes, threads, async"
-    )

@@ -41,7 +41,6 @@ __all__ = [
     "ScheduleResult",
     "simulate_makespan",
     "simulate_core_sweep",
-    "speedup_curve",
 ]
 
 
@@ -129,8 +128,3 @@ def simulate_core_sweep(
         simulate_makespan(durations, w, overhead=overhead, policy=policy)
         for w in worker_counts
     ]
-
-
-def speedup_curve(results: Sequence[ScheduleResult], serial_time: float) -> dict[int, float]:
-    """``serial_time / makespan`` per worker count."""
-    return {r.num_workers: serial_time / r.makespan for r in results}

@@ -17,11 +17,9 @@ from repro.qaoa.maxcut import (
     approximation_ratio,
     brute_force_maxcut,
     cut_value,
-    expected_best_cut,
     expected_best_value,
     greedy_maxcut,
     local_search_maxcut,
-    random_cut_expectation,
 )
 from repro.qaoa.mixers import (
     ENTANGLER_TOKENS,
@@ -53,8 +51,6 @@ __all__ = [
     "brute_force_maxcut",
     "greedy_maxcut",
     "local_search_maxcut",
-    "random_cut_expectation",
-    "expected_best_cut",
     "expected_best_value",
     "approximation_ratio",
     "edge_energy_p1",

@@ -1,7 +1,7 @@
 """QAOA energy evaluation: ``<gamma, beta| C |gamma, beta>``.
 
 :class:`AnsatzEnergy` is the objective the classical optimizer drives (the
-Evaluator module's inner loop). It supports three engines:
+Evaluator module's inner loop). It supports two engines:
 
 * ``"compiled"`` (default) — the ansatz is lowered once by
   :func:`repro.simulators.compiled.compile_ansatz` into a flat sequence of
@@ -18,9 +18,11 @@ Evaluator module's inner loop). It supports three engines:
   circuit; the exactness oracle the compiled engine is pinned against in
   the equivalence tests, and the right choice when instrumenting or
   mutating circuits between evaluations.
-* ``"qtensor"`` — per-edge lightcone tensor contraction via
-  :class:`repro.qtensor.QTensorSimulator`; scales to wide, shallow
-  circuits where the dense state no longer fits.
+
+(The tensor-network simulator, :mod:`repro.qtensor`, is not an engine
+here: it evaluates MaxCut only, ~5000x slower than ``"compiled"`` at the
+paper's sizes. It is driven directly — ``QTensorSimulator().maxcut_energy``
+— by the ablation benches and the cross-engine pin.)
 
 Exact gradients come from the two-term parameter-shift rule applied per
 gate occurrence: every parameterized gate in the package generates
@@ -42,15 +44,15 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import Gate
 from repro.circuits.parameters import Parameter, ParameterExpression
 from repro.qaoa.ansatz import QAOAAnsatz
-from repro.qtensor.simulator import QTensorSimulator
 from repro.simulators.backends import ArrayBackend, get_array_backend
 from repro.simulators.compiled import SHIFT_RULE_GATES, CompiledProgram
 from repro.simulators.statevector import plus_state, simulate, zero_state
+from repro.utils.validation import check_choice
 
 __all__ = ["AnsatzEnergy", "ENGINES", "NegatedEnergy"]
 
 #: the recognised simulation engines, fastest first
-ENGINES = ("compiled", "statevector", "qtensor")
+ENGINES = ("compiled", "statevector")
 
 _SHIFT = np.pi / 2
 
@@ -67,19 +69,14 @@ class AnsatzEnergy:
         *,
         engine: str = "compiled",
         array_backend: str | ArrayBackend = "numpy",
-        qtensor_simulator: QTensorSimulator | None = None,
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; options: {ENGINES}")
+        check_choice(engine, "engine", ENGINES)
         self.ansatz = ansatz
         self.engine = engine
         #: the array backend the compiled engine evaluates under (see
         #: :mod:`repro.simulators.backends`); resolved eagerly so an
         #: unknown name fails here, not on the first energy call
         self.array_backend = get_array_backend(array_backend)
-        self._qtensor = qtensor_simulator or (
-            QTensorSimulator() if engine == "qtensor" else None
-        )
         self._program: CompiledProgram | None = None
         self.num_evaluations = 0
 
@@ -102,14 +99,6 @@ class AnsatzEnergy:
     def __call__(self, x: Sequence[float]) -> float:
         return self.value(x)
 
-    def negative(self, x: Sequence[float]) -> float:
-        """``-<C>`` — the minimization objective (we maximize the cut)."""
-        return -self.value(x)
-
-    def negatives(self, X: Sequence[Sequence[float]]) -> np.ndarray:
-        """``-<C>`` for a batch of parameter vectors (rows of ``X``)."""
-        return -self.values(X)
-
     def negative_objective(self) -> NegatedEnergy:
         """The minimization view of this energy as a
         :class:`~repro.optimizers.base.BatchObjective` — scalar calls,
@@ -121,7 +110,7 @@ class AnsatzEnergy:
         """``<C>`` for a batch of parameter vectors (rows of ``X``).
 
         The compiled engine pushes the whole batch through its ops with a
-        trailing batch axis; the other engines fall back to a loop.
+        trailing batch axis; the dense engine falls back to a loop.
         """
         if self.engine == "compiled":
             # the program coerces and checks the batch itself, once
@@ -147,26 +136,14 @@ class AnsatzEnergy:
         """The workload's ``(2^n,)`` objective diagonal for this graph."""
         from repro.workloads import get_workload
 
-        workload = getattr(self.ansatz, "workload", "maxcut") or "maxcut"
-        return get_workload(workload).objective_values(self.ansatz.graph)
+        return get_workload(self.ansatz.workload).objective_values(self.ansatz.graph)
 
     def _energy_of_circuit(self, bound: QuantumCircuit) -> float:
+        """The dense engine's ``<C>`` of an already-bound circuit."""
         self.num_evaluations += 1
-        graph = self.ansatz.graph
-        if self.engine == "statevector":
-            state = simulate(bound, self._dense_initial_state())
-            probs = np.abs(state) ** 2
-            return float(probs @ self._objective_table())
-        workload = getattr(self.ansatz, "workload", "maxcut") or "maxcut"
-        if workload != "maxcut":
-            raise ValueError(
-                "the qtensor engine contracts the MaxCut observable edge by "
-                f"edge and cannot evaluate workload {workload!r}; use "
-                "engine='compiled' or 'statevector'"
-            )
-        return self._qtensor.maxcut_energy(
-            bound, graph, initial_state=self.ansatz.initial_state_label
-        )
+        state = simulate(bound, self._dense_initial_state())
+        probs = np.abs(state) ** 2
+        return float(probs @ self._objective_table())
 
     # -- gradient ---------------------------------------------------------------
 
@@ -225,7 +202,7 @@ class AnsatzEnergy:
         """Parameter-shift gradients for a batch of parameter vectors.
 
         The compiled engine runs all rows' shifted evaluations through the
-        shared chunked batch passes; the other engines loop
+        shared chunked batch passes; the dense engine loops
         :meth:`gradient` per row.
         """
         if self.engine == "compiled":
@@ -235,10 +212,6 @@ class AnsatzEnergy:
         return np.stack(
             [self.gradient(row) for row in np.atleast_2d(np.asarray(X, dtype=float))]
         )
-
-    def value_and_gradient(self, x: Sequence[float]):
-        """Convenience for gradient-based optimizers."""
-        return self.value(x), self.gradient(x)
 
 
 class NegatedEnergy:
@@ -265,7 +238,3 @@ class NegatedEnergy:
 
     def gradients(self, X: Sequence[Sequence[float]]) -> np.ndarray:
         return -self.energy.gradients(X)
-
-    def value_and_gradient(self, x: Sequence[float]):
-        value, grad = self.energy.value_and_gradient(x)
-        return -value, -grad

@@ -27,9 +27,7 @@ __all__ = [
     "brute_force_maxcut",
     "greedy_maxcut",
     "local_search_maxcut",
-    "random_cut_expectation",
     "expected_best_value",
-    "expected_best_cut",
     "approximation_ratio",
 ]
 
@@ -110,12 +108,6 @@ def local_search_maxcut(graph: Graph, *, seed=None, max_passes: int = 100) -> Cu
     return CutSolution(bitstring, cut_value(graph, side), "local_search")
 
 
-def random_cut_expectation(graph: Graph) -> float:
-    """Expected cut of a uniformly random assignment: half the total weight.
-    The natural lower anchor when reporting ratios."""
-    return graph.total_weight() / 2.0
-
-
 def expected_best_value(
     probabilities: np.ndarray,
     values: np.ndarray,
@@ -149,20 +141,6 @@ def expected_best_value(
     cdf_pow = cdf**shots
     prev = np.concatenate([[0.0], cdf_pow[:-1]])
     return float((unique_values * (cdf_pow - prev)).sum())
-
-
-def expected_best_cut(
-    probabilities: np.ndarray,
-    graph: Graph,
-    shots: int,
-) -> float:
-    """Exact ``E[max cut among N measurement samples]`` — Eq. (3)'s
-    ``<C_max>``, "the expected energy of the largest cut discovered by the
-    given quantum circuit". The MaxCut view of
-    :func:`expected_best_value`, the quantity the paper's 0.98..1.0
-    approximation-ratio band reports.
-    """
-    return expected_best_value(probabilities, cut_values(graph), shots)
 
 
 def approximation_ratio(

@@ -10,7 +10,6 @@ expectations (:mod:`~repro.qtensor.lightcone`). The
 
 from repro.qtensor.backends import (
     ContractionBackend,
-    DeviceModel,
     NumpyBackend,
     SimulatedGPUBackend,
     get_backend,
@@ -32,7 +31,7 @@ from repro.qtensor.ordering import (
     order_for_tensors,
     random_order,
 )
-from repro.qtensor.simulator import CUT_DIAGONAL, ZZ_DIAGONAL, QTensorSimulator
+from repro.qtensor.simulator import CUT_DIAGONAL, QTensorSimulator
 from repro.qtensor.tensor import Tensor
 from repro.qtensor.variables import Variable, VariableFactory
 
@@ -60,8 +59,6 @@ __all__ = [
     "ContractionBackend",
     "NumpyBackend",
     "SimulatedGPUBackend",
-    "DeviceModel",
     "get_backend",
     "CUT_DIAGONAL",
-    "ZZ_DIAGONAL",
 ]

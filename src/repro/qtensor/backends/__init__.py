@@ -1,10 +1,10 @@
 """Pluggable tensor-contraction backends (CPU NumPy, simulated GPU)."""
 
 from repro.qtensor.backends.base import ContractionBackend
-from repro.qtensor.backends.mock_gpu import DeviceModel, SimulatedGPUBackend
+from repro.qtensor.backends.mock_gpu import SimulatedGPUBackend
 from repro.qtensor.backends.numpy_backend import NumpyBackend
 
-__all__ = ["ContractionBackend", "NumpyBackend", "SimulatedGPUBackend", "DeviceModel"]
+__all__ = ["ContractionBackend", "NumpyBackend", "SimulatedGPUBackend"]
 
 
 def get_backend(name: str) -> ContractionBackend:

@@ -17,7 +17,6 @@ defaults are order-of-magnitude A100-class values.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,28 +24,11 @@ from repro.qtensor.backends.base import ContractionBackend
 from repro.qtensor.backends.numpy_backend import NumpyBackend
 from repro.qtensor.tensor import Tensor
 from repro.qtensor.variables import Variable
+from repro.simulators.backends import DeviceModel
 
-__all__ = ["DeviceModel", "SimulatedGPUBackend"]
+__all__ = ["SimulatedGPUBackend"]
 
 _COMPLEX_BYTES = 16  # complex128
-
-
-@dataclass(frozen=True)
-class DeviceModel:
-    """Analytic accelerator cost model."""
-
-    #: host<->device bandwidth, bytes/second (PCIe 4.0 x16 ~ 2.5e10)
-    transfer_bandwidth: float = 2.5e10
-    #: per-einsum-call kernel launch + planning latency, seconds
-    kernel_latency: float = 2.0e-5
-    #: sustained complex FLOP rate, operations/second
-    flop_rate: float = 5.0e12
-
-    def transfer_seconds(self, num_bytes: int) -> float:
-        return num_bytes / self.transfer_bandwidth
-
-    def compute_seconds(self, flops: float) -> float:
-        return self.kernel_latency + flops / self.flop_rate
 
 
 class SimulatedGPUBackend(ContractionBackend):
@@ -84,7 +66,7 @@ class SimulatedGPUBackend(ContractionBackend):
         total_space = float(np.prod([v.size for v in distinct], dtype=float)) if distinct else 1.0
         flops = total_space * max(len(operands) - 1, 1)
         self.flops += flops
-        self.device_seconds += self.model.compute_seconds(flops)
+        self.device_seconds += self.model.kernel_seconds(flops)
         self._on_device.add(id(result))
 
     # -- backend protocol -------------------------------------------------------

@@ -26,12 +26,10 @@ from repro.qtensor.lightcone import lightcone_circuit
 from repro.qtensor.network import TensorNetwork
 from repro.qtensor.ordering import order_for_tensors
 
-__all__ = ["QTensorSimulator", "CUT_DIAGONAL", "ZZ_DIAGONAL"]
+__all__ = ["QTensorSimulator", "CUT_DIAGONAL"]
 
 #: diagonal of (1 - Z_u Z_v)/2 on two qubits — the per-edge cut indicator
 CUT_DIAGONAL = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex)
-#: diagonal of Z (x) Z
-ZZ_DIAGONAL = np.array([1.0, -1.0, -1.0, 1.0], dtype=complex)
 
 
 @dataclass

@@ -8,7 +8,7 @@ touched by the backend's einsum calls.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -47,14 +47,6 @@ class Tensor:
 
     def conj(self) -> Tensor:
         return Tensor(f"{self.name}*", self.data.conj(), self.indices)
-
-    def rename_vars(self, mapping: Mapping[Variable, Variable]) -> Tensor:
-        """Substitute variables (used to glue forward/backward networks)."""
-        return Tensor(
-            self.name,
-            self.data,
-            tuple(mapping.get(v, v) for v in self.indices),
-        )
 
     def fix_variable(self, var: Variable, value: int) -> Tensor:
         """Slice the tensor at ``var = value`` (removes that axis).

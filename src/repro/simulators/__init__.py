@@ -34,16 +34,12 @@ from repro.simulators.expectation import (
     cut_values,
     maxcut_expectation,
     pauli_expectation,
-    z_expectations,
-    zz_expectation,
 )
 from repro.simulators.statevector import (
-    StatevectorSimulator,
     apply_gate,
     basis_state,
     circuit_unitary,
     plus_state,
-    sample_counts,
     simulate,
     zero_state,
 )
@@ -59,18 +55,14 @@ __all__ = [
     "CompiledProgram",
     "compile_ansatz",
     "compile_circuit",
-    "StatevectorSimulator",
     "simulate",
     "circuit_unitary",
     "apply_gate",
     "zero_state",
     "plus_state",
     "basis_state",
-    "sample_counts",
     "bit_table",
     "cut_values",
     "maxcut_expectation",
-    "z_expectations",
-    "zz_expectation",
     "pauli_expectation",
 ]

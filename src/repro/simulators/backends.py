@@ -7,13 +7,9 @@ small gemms. This module makes the array library a *knob* instead of a
 hard-coded ``import numpy``: an :class:`ArrayBackend` owns
 
 * the array namespace ``xp`` (NumPy, CuPy, or an instrumented proxy) that
-  every array the engine creates is born under, so operator math — the
-  bulk of the hot loop — dispatches to the right device natively;
-* the handful of named ops the engine routes explicitly
-  (:meth:`~ArrayBackend.asarray`, :meth:`~ArrayBackend.einsum`,
-  :meth:`~ArrayBackend.tensordot`, :meth:`~ArrayBackend.take`,
-  :meth:`~ArrayBackend.moveaxis`, :meth:`~ArrayBackend.exp`,
-  :meth:`~ArrayBackend.multiply`);
+  every array the engine creates is born under and every function it
+  calls (``xp.einsum``, ``xp.take``, ``xp.exp``, …) is looked up in, so
+  both operator math and named kernels dispatch to the right device;
 * the host boundary: :meth:`~ArrayBackend.asarray` is the only way data
   enters the backend and :meth:`~ArrayBackend.to_host` the only way
   results leave, so transfers are explicit, meterable, and — on a real
@@ -72,12 +68,11 @@ class ArrayBackend(abc.ABC):
     """One array library, behind the compiled engine's dispatch seam.
 
     Concrete backends fix :attr:`name`, :attr:`xp`, and the two host
-    boundaries. The named ops below default to their ``xp`` namesakes;
-    the engine's kernels route contraction/gather/exponential work
-    through them (so a backend may instrument or override each — the
-    mock GPU meters them, a device library could fuse them), while pure
-    elementwise operator math (``*``, ``+``, ``@``) dispatches natively
-    on the arrays ``xp`` allocated.
+    boundaries. The engine's kernels call contraction/gather/exponential
+    work as ``xp.*`` (so a backend instruments or overrides an op by what
+    its namespace returns — the mock GPU's proxy meters every call), while
+    pure elementwise operator math (``*``, ``+``, ``@``) dispatches
+    natively on the arrays ``xp`` allocated.
     """
 
     name: str = "abstract"
@@ -103,28 +98,6 @@ class ArrayBackend(abc.ABC):
         The single exit point for results — energies, gradients, final
         states — so a device backend pays exactly one download per batch.
         """
-
-    # -- named ops the engine routes explicitly ---------------------------
-
-    def einsum(self, subscripts: str, *operands):
-        return self.xp.einsum(subscripts, *operands)
-
-    def tensordot(self, a, b, axes):
-        return self.xp.tensordot(a, b, axes=axes)
-
-    def take(self, a, indices, axis=None):
-        return self.xp.take(a, indices, axis=axis)
-
-    def moveaxis(self, a, source, destination):
-        return self.xp.moveaxis(a, source, destination)
-
-    def exp(self, a):
-        return self.xp.exp(a)
-
-    def multiply(self, a, b, out=None):
-        """Elementwise product; ``out=a`` is the engine's in-place
-        phase-application idiom (``state *= phases``)."""
-        return self.xp.multiply(a, b, out=out)
 
     # -- device lifecycle --------------------------------------------------
 
@@ -162,19 +135,18 @@ class NumpyArrayBackend(ArrayBackend):
 
 @dataclass(frozen=True)
 class DeviceModel:
-    """Analytic accelerator cost model (order-of-magnitude A100 values).
-
-    The same shape as ``repro.qtensor.backends.mock_gpu.DeviceModel`` —
+    """Analytic accelerator cost model (order-of-magnitude A100 values):
     host↔device transfers at PCIe bandwidth, a fixed kernel-launch
-    latency, and elementwise work at a device rate — redeclared here so
-    the simulators layer stays import-cycle-free of :mod:`repro.qtensor`.
+    latency, and work at a device rate. Shared with the contraction
+    backend ``repro.qtensor.backends.mock_gpu.SimulatedGPUBackend``, which
+    charges einsum FLOPs where this layer charges array elements.
     """
 
     #: host<->device bandwidth, bytes/second (PCIe 4.0 x16 ~ 2.5e10)
     transfer_bandwidth: float = 2.5e10
     #: per-kernel launch + dispatch latency, seconds
     kernel_latency: float = 2.0e-5
-    #: sustained elementwise complex op rate, operations/second
+    #: sustained complex op rate (elements or FLOPs), operations/second
     element_rate: float = 5.0e12
 
     def transfer_seconds(self, num_bytes: int) -> float:

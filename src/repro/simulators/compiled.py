@@ -304,31 +304,31 @@ class _DiagBlock:
 
     def _static_step(self, program, state, X, Xd, shifts_here, dedup):
         # broadcasts across rows
-        return program.backend.multiply(
+        return program.backend.xp.multiply(
             state, program._dev(self.static_phase), out=state
         )
 
     def _lookup_step(self, program, state, X, Xd, shifts_here, dedup):
         # few distinct generator values: exponentiate unique columns,
         # gather, and fold gradient shifts in as cached per-atom phases
-        backend, dev = program.backend, program._dev
+        xp, dev = program.backend.xp, program._dev
         gens_u, const_u, inverse = self.lookup
         exponent_u = Xd[:, dev(self.param_indices)] @ dev(gens_u)
         if const_u is not None:
             exponent_u += dev(const_u)
-        phases = backend.take(backend.exp(1j * exponent_u), dev(inverse), axis=1)
+        phases = xp.take(xp.exp(1j * exponent_u), dev(inverse), axis=1)
         for column, site, s in shifts_here:
             phases[column] *= dev(program._atom_shift_phase(self, site.atom, s))
-        return backend.multiply(state, phases, out=state)
+        return xp.multiply(state, phases, out=state)
 
     def _dense_step(self, program, state, X, Xd, shifts_here, dedup):
-        backend, dev = program.backend, program._dev
+        xp, dev = program.backend.xp, program._dev
         exponent = Xd[:, dev(self.param_indices)] @ dev(self.gens)
         if self.gen_const is not None:
             exponent += dev(self.gen_const)
         for column, site, s in shifts_here:
             exponent[column] += s * dev(self.table.atom_vectors[site.atom])
-        return backend.multiply(state, backend.exp(1j * exponent), out=state)
+        return xp.multiply(state, xp.exp(1j * exponent), out=state)
 
 
 def _fuse_diag(num_qubits: int, run: tuple[_RunGate, ...]) -> _DiagTable | None:
@@ -771,10 +771,10 @@ def _contract(
     tensor = state.reshape((2,) * num_qubits + batch_shape)
     gate_tensor = matrix.reshape((2,) * (2 * m))
     axes = [num_qubits - 1 - qubits[j] for j in reversed(range(m))]
-    moved = backend.tensordot(
+    moved = backend.xp.tensordot(
         gate_tensor, tensor, axes=(list(range(m, 2 * m)), axes)
     )
-    result = backend.moveaxis(moved, list(range(m)), axes)
+    result = backend.xp.moveaxis(moved, list(range(m)), axes)
     return result.reshape(state.shape)
 
 
@@ -858,12 +858,12 @@ def _contract_per_column(
     batch = state.shape[1]
     axes = [num_qubits - 1 - qubits[j] for j in reversed(range(m))]
     tensor = state.reshape((2,) * num_qubits + (batch,))
-    moved = backend.moveaxis(tensor, axes, range(m))
+    moved = backend.xp.moveaxis(tensor, axes, range(m))
     rest = moved.shape[m:]
     view = moved.reshape((2**m, -1, batch))
-    out = backend.einsum("ijb,jrb->irb", matrices, view)
+    out = backend.xp.einsum("ijb,jrb->irb", matrices, view)
     out = out.reshape((2,) * m + rest)
-    out = backend.moveaxis(out, range(m), axes)
+    out = backend.xp.moveaxis(out, range(m), axes)
     return out.reshape(state.shape)
 
 
@@ -1052,7 +1052,7 @@ class CompiledProgram:
         for op in self.ops:
             if isinstance(op, _DiagBlock):
                 if op.static_phase is not None:
-                    state = backend.multiply(
+                    state = xp.multiply(
                         state, self._dev(op.static_phase), out=state
                     )
                     continue
@@ -1061,7 +1061,7 @@ class CompiledProgram:
                 )
                 if op.gen_const is not None:
                     exponent = exponent + self._dev(op.gen_const)
-                state = backend.multiply(state, backend.exp(1j * exponent), out=state)
+                state = xp.multiply(state, xp.exp(1j * exponent), out=state)
             else:
                 if op.static_matrix is not None:
                     matrix = self._dev(op.static_matrix)
@@ -1177,9 +1177,10 @@ class CompiledProgram:
         probability matrix (two single-pass contractions on the backend;
         only the ``(B,)`` energy vector crosses back to the host)."""
         cut = self._dev(self._cut_table())
-        values = self.backend.einsum(
+        xp = self.backend.xp
+        values = xp.einsum(
             "bz,bz,z->b", states.real, states.real, cut
-        ) + self.backend.einsum(
+        ) + xp.einsum(
             "bz,bz,z->b", states.imag, states.imag, cut
         )
         return self.backend.to_host(values)

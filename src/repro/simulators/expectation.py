@@ -28,8 +28,6 @@ __all__ = [
     "bit_table",
     "cut_values",
     "maxcut_expectation",
-    "z_expectations",
-    "zz_expectation",
     "pauli_expectation",
 ]
 
@@ -92,21 +90,6 @@ def maxcut_expectation(state: np.ndarray, graph: Graph) -> float:
     """``<C>`` of Eq. (1) for the given state."""
     probs = np.abs(state) ** 2
     return float(probs @ cut_values(graph))
-
-
-def z_expectations(state: np.ndarray, num_qubits: int) -> np.ndarray:
-    """``<Z_k>`` for every qubit ``k`` as a length-``n`` vector."""
-    probs = np.abs(state) ** 2
-    z = 1.0 - 2.0 * bit_table(num_qubits)  # (2^n, n)
-    return probs @ z
-
-
-def zz_expectation(state: np.ndarray, u: int, v: int, num_qubits: int) -> float:
-    """``<Z_u Z_v>``."""
-    probs = np.abs(state) ** 2
-    bits = bit_table(num_qubits)
-    zz = (1.0 - 2.0 * bits[:, u]) * (1.0 - 2.0 * bits[:, v])
-    return float(probs @ zz)
 
 
 _PAULI_NAMES = {"I": "id", "X": "x", "Y": "y", "Z": "z"}

@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import Parameter
-from repro.utils.rng import as_rng
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "apply_gate",
     "simulate",
     "circuit_unitary",
-    "sample_counts",
-    "StatevectorSimulator",
 ]
 
 
@@ -136,43 +133,3 @@ def circuit_unitary(
     for instr in circuit.instructions:
         state = apply_gate(state, instr.gate.matrix(bindings), instr.qubits, n)
     return state
-
-
-def sample_counts(
-    state: np.ndarray,
-    shots: int,
-    *,
-    seed=None,
-) -> dict[int, int]:
-    """Sample measurement outcomes in the computational basis.
-
-    Returns a sparse ``{basis_index: count}`` histogram.
-    """
-    check_positive(shots, "shots")
-    probs = np.abs(state) ** 2
-    total = probs.sum()
-    if not np.isclose(total, 1.0, atol=1e-8):
-        raise ValueError(f"state is not normalized (|psi|^2 sums to {total:.6g})")
-    rng = as_rng(seed)
-    outcomes = rng.choice(len(probs), size=shots, p=probs / total)
-    values, counts = np.unique(outcomes, return_counts=True)
-    return {int(v): int(c) for v, c in zip(values, counts)}
-
-
-class StatevectorSimulator:
-    """Object façade over the functional API (mirrors the backend protocol
-    used by :mod:`repro.qtensor.backends`, so the evaluator can swap
-    simulation engines)."""
-
-    name = "statevector"
-
-    def run(
-        self,
-        circuit: QuantumCircuit,
-        initial_state: np.ndarray | None = None,
-        bindings: Mapping[Parameter, float] | None = None,
-    ) -> np.ndarray:
-        return simulate(circuit, initial_state, bindings)
-
-    def unitary(self, circuit: QuantumCircuit, bindings=None) -> np.ndarray:
-        return circuit_unitary(circuit, bindings)

@@ -1,12 +1,10 @@
 """QuantumCircuit container behaviour."""
 
-import numpy as np
 import pytest
 
 from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.circuits.gates import make_gate
 from repro.circuits.parameters import Parameter
-from repro.simulators.statevector import circuit_unitary
 
 
 class TestConstruction:
@@ -61,10 +59,6 @@ class TestStructure:
         assert counts == {"h": 2, "cx": 1}
         assert list(counts)[0] == "h"
 
-    def test_two_qubit_interactions(self):
-        qc = QuantumCircuit(4).cx(2, 0).cz(1, 3).cx(0, 2)
-        assert qc.two_qubit_interactions() == {(0, 2), (1, 3)}
-
     def test_len_and_iter(self):
         qc = QuantumCircuit(2).h(0).x(1)
         assert len(qc) == 2
@@ -76,11 +70,6 @@ class TestParameters:
         a, b = Parameter("a"), Parameter("b")
         qc = QuantumCircuit(2).rx(a, 0).ry(2 * b, 1).rz(a + b, 0)
         assert qc.parameters == frozenset({a, b})
-
-    def test_sorted_parameters_by_name(self):
-        g, b = Parameter("gamma"), Parameter("beta")
-        qc = QuantumCircuit(1).rx(g, 0).ry(b, 0)
-        assert [p.name for p in qc.sorted_parameters()] == ["beta", "gamma"]
 
     def test_bind_full(self):
         a = Parameter("a")
@@ -124,12 +113,6 @@ class TestTransformation:
         left, right = QuantumCircuit(1).x(0), QuantumCircuit(1).h(0)
         left.compose(right)
         assert left.size() == 1 and right.size() == 1
-
-    def test_inverse_unitary(self):
-        qc = QuantumCircuit(2).h(0).cx(0, 1).rz(0.7, 1).ry(-0.3, 0)
-        u = circuit_unitary(qc)
-        u_inv = circuit_unitary(qc.inverse())
-        np.testing.assert_allclose(u @ u_inv, np.eye(4), atol=1e-12)
 
     def test_repeat(self):
         qc = QuantumCircuit(1).rx(0.1, 0).repeat(3)

@@ -8,15 +8,12 @@ class TestWiring:
     def test_wire_neighbours(self):
         qc = QuantumCircuit(2).h(0).cx(0, 1).x(1)
         dag = CircuitDag(qc)
-        assert dag.predecessor(1, 0).gate_name == "h"
-        assert dag.predecessor(1, 1) is None
-        assert dag.successor(1, 1).gate_name == "x"
-        assert dag.successor(1, 0) is None
+        assert dag.nodes[1].preds == {0: 0, 1: None}  # h before cx on wire 0
+        assert dag.nodes[2].preds == {1: 1}  # cx before x on wire 1
 
     def test_boundary_nodes(self):
         dag = CircuitDag(QuantumCircuit(1).h(0))
-        assert dag.predecessor(0, 0) is None
-        assert dag.successor(0, 0) is None
+        assert dag.nodes[0].preds == {0: None}
 
     def test_len(self):
         assert len(CircuitDag(QuantumCircuit(2).h(0).h(1))) == 2
@@ -43,16 +40,6 @@ class TestLayers:
 
 
 class TestRebuild:
-    def test_roundtrip(self):
-        qc = QuantumCircuit(3).h(0).cx(0, 1).rz(0.4, 2).cx(1, 2)
-        assert CircuitDag(qc).to_circuit() == qc
-
-    def test_skip_removes_nodes(self):
-        qc = QuantumCircuit(2).h(0).x(0).h(1)
-        rebuilt = CircuitDag(qc).to_circuit(skip=[1])
-        assert [i.gate.name for i in rebuilt] == ["h", "h"]
-
     def test_topological_order_is_program_order(self):
         qc = QuantumCircuit(2).h(0).cx(0, 1).x(1)
-        order = CircuitDag(qc).topological_order()
-        assert [n.index for n in order] == [0, 1, 2]
+        assert [n.index for n in CircuitDag(qc).nodes] == [0, 1, 2]

@@ -41,16 +41,6 @@ class TestRegistry:
             is_diag = np.allclose(m, np.diag(np.diag(m)))
             assert spec.is_diagonal == is_diag, spec.name
 
-    def test_self_inverse_flags_truthful(self):
-        for spec in GATE_REGISTRY.values():
-            if spec.num_params:
-                continue
-            m = spec.matrix_fn([])
-            dim = 2**spec.num_qubits
-            claims = spec.is_self_inverse
-            actual = np.allclose(m @ m, np.eye(dim), atol=1e-12)
-            assert claims == actual, spec.name
-
 
 class TestSpecialValues:
     def test_rx_pi_is_minus_i_x(self):
@@ -139,33 +129,6 @@ class TestGateInstances:
         g = make_gate("u3", a, b, 0.0)
         g2 = g.bind({a: 1.0})
         assert g2.parameters == frozenset({b})
-
-    def test_inverse_of_rotation_negates(self):
-        g = make_gate("ry", 0.7)
-        gi = g.inverse()
-        np.testing.assert_allclose(g.matrix() @ gi.matrix(), np.eye(2), atol=1e-12)
-
-    def test_inverse_of_self_inverse(self):
-        assert make_gate("h").inverse() == make_gate("h")
-
-    def test_inverse_of_s_is_sdg(self):
-        assert make_gate("s").inverse().name == "sdg"
-        assert make_gate("tdg").inverse().name == "t"
-
-    def test_inverse_composes_to_identity_for_all(self):
-        rng = np.random.default_rng(5)
-        for name, spec in GATE_REGISTRY.items():
-            if name == "u3":
-                continue  # no registry inverse for generic u3
-            g = make_gate(name, *_random_params(spec, rng))
-            dim = 2**spec.num_qubits
-            np.testing.assert_allclose(
-                g.matrix() @ g.inverse().matrix(), np.eye(dim), atol=1e-12, err_msg=name
-            )
-
-    def test_u3_inverse_not_implemented(self):
-        with pytest.raises(NotImplementedError):
-            make_gate("u3", 1.0, 2.0, 3.0).inverse()
 
     def test_repr(self):
         assert repr(make_gate("h")) == "h"

@@ -260,8 +260,7 @@ class TestConfigurationErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["search", "--engine", "qtensor", "--dataset", "maxsat"],
-             "qtensor engine only evaluates the maxcut workload"),
+            (["search", "--restarts", "0"], "restarts must be > 0, got 0"),
             (["search", "--steps", "0"], "max_steps must be > 0, got 0"),
             (["evaluate", "rx", "--steps", "0"], "max_steps must be > 0, got 0"),
             (["search", "--surrogate-keep", "2"], "keep_fraction must be in"),
@@ -273,6 +272,16 @@ class TestConfigurationErrors:
     def test_exits_with_the_rules_message(self, argv, message):
         with pytest.raises(SystemExit, match=message):
             main(argv)
+
+    def test_the_qtensor_engine_is_no_longer_a_choice(self, capsys):
+        """Off the flag surface: argparse's own invalid-choice exit, naming
+        the two engines that are left."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["search", "--engine", "qtensor"])
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "argument --engine: invalid choice: 'qtensor'" in error
+        assert "compiled" in error and "statevector" in error
 
     def test_a_value_error_from_inside_the_sweep_is_not_translated(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -375,7 +384,7 @@ _TRAINING_FLAGS = {
     "--metric": (None, "best_sampled", ["energy", "best_sampled"]),
     "--shots": ("int", 64, None),
     "--seed": ("int", 0, None),
-    "--engine": (None, "compiled", ["compiled", "statevector", "qtensor"]),
+    "--engine": (None, "compiled", ["compiled", "statevector"]),
     "--array-backend": (None, "numpy", ["numpy", "mock_gpu"]),
 }
 

@@ -2,7 +2,6 @@
 
 from repro.core.alphabet import GateAlphabet, enumerate_search_space
 from repro.core.constraints import (
-    ConstrainedPredictor,
     ConstraintSet,
     ForbiddenTokens,
     MaxGates,
@@ -13,7 +12,7 @@ from repro.core.constraints import (
     RequiredTokens,
     RequiresParameterizedGate,
 )
-from repro.core.predictor import ExhaustivePredictor, RandomPredictor
+from repro.core.predictor import ExhaustivePredictor, PredictorProposer, RandomPredictor
 
 
 class TestIndividualConstraints:
@@ -90,34 +89,38 @@ class TestConstraintSet:
 
 
 class TestConstrainedPredictor:
+    """Constraints over a predictor's proposals: ``PredictorProposer``'s
+    filter, the one place a predictor meets a ``ConstraintSet``."""
+
     def test_only_admissible_proposals(self):
         cs = ConstraintSet([RequiredTokens(("rx",))])
         inner = RandomPredictor(GateAlphabet(), 3, seed=0)
-        predictor = ConstrainedPredictor(inner, cs)
-        proposals = predictor.propose(20)
+        proposals = PredictorProposer(inner, 20, constraints=cs).propose(1)
         assert proposals
         assert all("rx" in t for t in proposals)
 
     def test_exhausted_inner_stops(self):
         cs = ConstraintSet([ForbiddenTokens(("rx", "ry", "rz", "h", "p"))])
         inner = ExhaustivePredictor(GateAlphabet(), 1)
-        predictor = ConstrainedPredictor(inner, cs, max_resamples=3)
-        assert predictor.propose(5) == []  # everything forbidden
+        proposer = PredictorProposer(inner, 5, constraints=cs)
+        assert proposer.propose(1) == []  # everything forbidden
 
     def test_update_passthrough(self):
         from repro.core.predictor import EpsilonGreedyPredictor
+        from repro.core.results import CandidateEvaluation
 
-        cs = ConstraintSet()
         inner = EpsilonGreedyPredictor(GateAlphabet(), 2, epsilon=0.0, seed=0)
-        predictor = ConstrainedPredictor(inner, cs)
-        predictor.update(("ry",), 1.0)
+        proposer = PredictorProposer(inner, 4, constraints=ConstraintSet())
+        proposer.observe(
+            [CandidateEvaluation(tokens=("ry",), p=1, energy=1.0, ratio=1.0)]
+        )
         assert inner._count.sum() > 0
 
     def test_name_reflects_inner(self):
-        predictor = ConstrainedPredictor(
-            RandomPredictor(GateAlphabet(), 2, seed=0), ConstraintSet()
+        proposer = PredictorProposer(
+            RandomPredictor(GateAlphabet(), 2, seed=0), constraints=ConstraintSet()
         )
-        assert predictor.name == "constrained(random)"
+        assert proposer.name == "random"
 
 
 class TestSearchIntegration:

@@ -10,7 +10,6 @@ from repro.core.encoding import (
     encode_sequence,
     encoding_shape,
     is_valid_encoding,
-    random_encoding,
 )
 
 
@@ -70,17 +69,3 @@ class TestDecode:
         enc[0, 1] = 0.5
         enc[0, 2] = 0.5
         assert not is_valid_encoding(enc, alphabet)
-
-
-class TestRandomEncoding:
-    def test_always_valid(self, alphabet):
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            enc = random_encoding(alphabet, 4, rng)
-            assert is_valid_encoding(enc, alphabet)
-            assert 1 <= len(decode_encoding(enc, alphabet)) <= 4
-
-    def test_reproducible(self, alphabet):
-        a = random_encoding(alphabet, 4, np.random.default_rng(5))
-        b = random_encoding(alphabet, 4, np.random.default_rng(5))
-        np.testing.assert_array_equal(a, b)

@@ -157,16 +157,6 @@ class TestOptimizerChoices:
         assert mock_run.ratio == numpy_run.ratio
         assert mock_run.nfev == numpy_run.nfev
 
-    def test_qtensor_engine_close_to_statevector(self):
-        """The engines agree to ~1e-15 per evaluation; trained results only
-        to ~1e-2 because COBYLA's accept/reject path amplifies last-bit
-        differences across iterations."""
-        g = cycle_graph(5)
-        sv = Evaluator([g], EvaluationConfig(max_steps=15, seed=6)).evaluate(("rx",), 1)
-        config = EvaluationConfig(max_steps=15, seed=6, engine="qtensor")
-        tn = Evaluator([g], config).evaluate(("rx",), 1)
-        assert tn.energy == pytest.approx(sv.energy, abs=0.05)
-
 
 class TestBatchMode:
     def test_unknown_batch_mode_rejected(self):

@@ -20,23 +20,28 @@ def graph():
 
 
 class TestBuildMixer:
+    """Algorithm 1's ``BUILD_MIXER_CKT``, through the one build call."""
+
     def test_mixer_spans_graph_nodes(self, builder, graph):
-        mixer = builder.build_mixer(graph, ("rx", "ry"))
-        assert mixer.num_qubits == graph.num_nodes
-        assert mixer.count_ops() == {"rx": 5, "ry": 5}
+        circuit = builder.build_qaoa(graph, ("rx", "ry"), 1).circuit
+        assert circuit.num_qubits == graph.num_nodes
+        counts = circuit.count_ops()
+        assert (counts["rx"], counts["ry"]) == (5, 5)
 
     def test_shared_fresh_beta(self, builder, graph):
-        mixer = builder.build_mixer(graph, ("rx", "ry"))
-        assert len(mixer.parameters) == 1
-        assert next(iter(mixer.parameters)).name == "beta"
+        ansatz = builder.build_qaoa(graph, ("rx", "ry"), 1)
+        (beta,) = ansatz.betas
+        mixer_gates = [i.gate for i in ansatz.circuit if i.gate.name in ("rx", "ry")]
+        assert len(mixer_gates) == 10
+        assert all(gate.parameters == frozenset({beta}) for gate in mixer_gates)
 
     def test_empty_sequence_rejected(self, builder, graph):
         with pytest.raises(ValueError, match="empty"):
-            builder.build_mixer(graph, ())
+            builder.build_qaoa(graph, (), 1)
 
     def test_foreign_token_rejected(self, builder, graph):
         with pytest.raises(KeyError):
-            builder.build_mixer(graph, ("rx", "cx"))
+            builder.build_qaoa(graph, ("rx", "cx"), 1)
 
 
 class TestBuildQaoa:

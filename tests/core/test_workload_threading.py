@@ -29,10 +29,6 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="maxcut"):
             EvaluationConfig(workload="knapsack")
 
-    def test_qtensor_engine_is_maxcut_only(self):
-        with pytest.raises(ValueError, match="qtensor"):
-            EvaluationConfig(engine="qtensor", workload="ising")
-
     def test_unknown_init_strategy_rejected(self):
         with pytest.raises(ValueError, match="interp"):
             EvaluationConfig(init_strategy="warm")

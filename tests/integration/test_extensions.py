@@ -3,7 +3,6 @@ constraints + controller, warm starts inside the search protocol."""
 
 from repro.core.alphabet import GateAlphabet
 from repro.core.constraints import (
-    ConstrainedPredictor,
     ConstraintSet,
     MaxGates,
     NoAdjacentRepeats,
@@ -11,31 +10,32 @@ from repro.core.constraints import (
 )
 from repro.core.controller import ControllerPredictor, PolicyController
 from repro.core.evaluator import EvaluationConfig, Evaluator
+from repro.core.predictor import PredictorProposer
 from repro.graphs.datasets import paper_er_dataset
 
 
 class TestConstrainedControllerLoop:
     def test_controller_behind_constraints(self):
-        """The RL controller wrapped in constraints only surfaces
-        admissible candidates while still learning from rewards."""
+        """The RL controller behind the proposer's constraint filter only
+        surfaces admissible candidates while still learning from rewards."""
         alphabet = GateAlphabet()
         controller = PolicyController(alphabet, max_gates=3, seed=2)
         constraints = ConstraintSet(
             [RequiresParameterizedGate(), NoAdjacentRepeats(), MaxGates(3)]
         )
-        predictor = ConstrainedPredictor(
-            ControllerPredictor(controller, batch_size=4, seed=2), constraints
+        proposer = PredictorProposer(
+            ControllerPredictor(controller, batch_size=4, seed=2), 4, constraints
         )
         graphs = paper_er_dataset(1)
         evaluator = Evaluator(
             graphs, EvaluationConfig(max_steps=10, seed=0)
         )
         for _ in range(3):
-            proposals = predictor.propose(4)
+            proposals = proposer.propose(1)
             assert proposals, "constrained controller must keep proposing"
             for tokens in proposals:
                 assert constraints.satisfied(tokens)
-                predictor.update(tokens, evaluator.reward(tokens, 1))
+            proposer.observe([evaluator.evaluate(tokens, 1) for tokens in proposals])
 
 
 class TestWarmStartInsideEvaluation:

@@ -15,9 +15,7 @@ from repro.optimizers import (
     Cobyla,
     MultiRestart,
     NelderMead,
-    ObjectiveTracer,
     batch_values,
-    make_optimizer,
 )
 from repro.qaoa.ansatz import build_qaoa_ansatz
 from repro.qaoa.energy import AnsatzEnergy
@@ -82,31 +80,9 @@ def assert_results_match(serial, batched):
 
 
 class TestObjectiveTracer:
-    """Regression: batched tracing counts points, never batch calls."""
-
-    def test_batch_counts_points_not_calls(self):
-        tracer = ObjectiveTracer(quadratic, quadratic_batch)
-        tracer.batch(np.zeros((5, 2)))
-        tracer.batch(np.ones((3, 2)))
-        assert tracer.nfev == 8  # 8 points, not 2 batch calls
-
-    def test_batch_trace_matches_serial_order(self):
-        X = np.random.default_rng(0).normal(size=(7, 2))
-        serial = ObjectiveTracer(quadratic)
-        for row in X:
-            serial(row)
-        batched = ObjectiveTracer(quadratic, quadratic_batch)
-        batched.batch(X)
-        assert batched.nfev == serial.nfev == 7
-        assert batched.trace == serial.trace
-        assert batched.best == serial.best
-        np.testing.assert_array_equal(batched.best_x, serial.best_x)
-
     def test_batch_without_batch_fn_falls_back_to_loop(self):
-        tracer = ObjectiveTracer(quadratic)
-        values = tracer.batch([[0.0, 0.0], [1.0, -2.0]])
+        values = batch_values(quadratic, None, [[0.0, 0.0], [1.0, -2.0]])
         np.testing.assert_allclose(values, [5.0, 0.0])
-        assert tracer.nfev == 2
 
     def test_batch_values_validates_shape(self):
         with pytest.raises(ValueError, match="returned 1 values for 2"):
@@ -124,9 +100,8 @@ class TestBatchObjectiveProtocol:
         X = np.array([[0.3, 0.2], [0.1, -0.4]])
         np.testing.assert_allclose(negated.values(X), -energy.values(X))
         np.testing.assert_allclose(negated.gradients(X), -energy.gradients(X))
-        value, grad = negated.value_and_gradient(X[0])
-        assert value == -energy.value(X[0])
-        np.testing.assert_allclose(grad, -energy.gradient(X[0]))
+        assert negated(X[0]) == -energy.value(X[0])
+        np.testing.assert_allclose(negated.gradient(X[0]), -energy.gradient(X[0]))
 
 
 class TestBatchedSPSA:
@@ -238,17 +213,6 @@ class TestMultiRestart:
             MultiRestart(SPSA()).minimize_population(
                 quadratic, np.empty((0, 2))
             )
-
-    def test_minimize_single_seed(self):
-        result = MultiRestart(NelderMead(maxiter=100)).minimize(
-            quadratic, [3.0, 3.0]
-        )
-        assert result.fun < 1e-6
-
-    def test_factory_builds_multi_restart(self):
-        meta = make_optimizer("multi_restart", base=SPSA(maxiter=5, seed=0))
-        assert meta.name == "multi_restart"
-        assert meta.supports_batch
 
 
 class TestOnCompiledEnergy:

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from repro.graphs.generators import cycle_graph
-from repro.optimizers import SPSA, Adam, Cobyla, NelderMead, ObjectiveTracer, make_optimizer
+from repro.optimizers import (
+    SPSA,
+    Adam,
+    Cobyla,
+    NelderMead,
+    ObjectiveTracer,
+    training_optimizer,
+)
 from repro.qaoa.analytic import grid_search_p1
 from repro.qaoa.ansatz import build_qaoa_ansatz
 from repro.qaoa.energy import AnsatzEnergy
@@ -112,13 +119,20 @@ class TestAdam:
 
 
 class TestFactory:
+    """``training_optimizer``, the one factory: names and budget rules."""
+
     def test_known_names(self):
-        assert make_optimizer("cobyla").name == "cobyla"
-        assert make_optimizer("spsa", maxiter=10).maxiter == 10
+        assert training_optimizer("cobyla", max_steps=10).name == "cobyla"
+        # SPSA spends two evaluations per iteration on the same budget
+        assert training_optimizer("spsa", max_steps=20, seed=0).maxiter == 10
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown optimizer"):
-            make_optimizer("gradient_descent_9000")
+        message = (
+            "unknown optimizer 'gradient_descent_9000'; "
+            "options: cobyla, nelder_mead, spsa, adam$"
+        )
+        with pytest.raises(ValueError, match=message):
+            training_optimizer("gradient_descent_9000", max_steps=10)
 
 
 class TestOnQAOAObjective:
@@ -133,16 +147,16 @@ class TestOnQAOAObjective:
 
     def test_cobyla_reaches_grid_optimum(self, problem):
         energy, best = problem
-        result = Cobyla(maxiter=150).minimize(energy.negative, [0.3, 0.2])
+        result = Cobyla(maxiter=150).minimize(energy.negative_objective(), [0.3, 0.2])
         assert -result.fun >= best * 0.98
 
     def test_nelder_mead_reaches_grid_optimum(self, problem):
         energy, best = problem
-        result = NelderMead(maxiter=150).minimize(energy.negative, [0.3, 0.2])
+        result = NelderMead(maxiter=150).minimize(energy.negative_objective(), [0.3, 0.2])
         assert -result.fun >= best * 0.98
 
     def test_adam_with_parameter_shift(self, problem):
         energy, best = problem
         opt = Adam(gradient=lambda x: -energy.gradient(x), maxiter=60, learning_rate=0.1)
-        result = opt.minimize(energy.negative, [0.3, 0.2])
+        result = opt.minimize(energy.negative_objective(), [0.3, 0.2])
         assert -result.fun >= best * 0.95

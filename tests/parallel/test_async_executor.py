@@ -7,7 +7,6 @@ from concurrent.futures import Future
 import pytest
 
 from repro.parallel.async_executor import AsyncExecutor
-from repro.parallel.executor import make_executor
 
 
 def square_sum(a, b):
@@ -35,15 +34,6 @@ class TestContract:
             future = executor.submit(boom, None)
             with pytest.raises(RuntimeError, match="worker exploded"):
                 future.result(timeout=10)
-
-    def test_make_executor_knows_async(self):
-        with make_executor("async", 2) as executor:
-            assert executor.name == "async"
-            assert executor.submit(square_sum, 2, 1).result(timeout=10) == 5
-
-    def test_make_executor_error_lists_async(self):
-        with pytest.raises(ValueError, match="async"):
-            make_executor("bogus", 1)
 
 
 class TestAdmission:

@@ -18,7 +18,6 @@ from repro.parallel.executor import (
     ThreadExecutor,
     WorkerLostError,
     available_cores,
-    make_executor,
 )
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -289,15 +288,11 @@ class TestThreads:
 
 class TestFactory:
     def test_names(self):
-        assert make_executor("serial").name == "serial"
-        with make_executor("threads", 2) as ex:
+        assert SerialExecutor().name == "serial"
+        with ThreadExecutor(2) as ex:
             assert ex.name == "threads"
-        with make_executor("processes", 2) as ex:
+        with MultiprocessingExecutor(2) as ex:
             assert ex.name == "multiprocessing"
-
-    def test_unknown(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("quantum")
 
     def test_available_cores_positive(self):
         assert available_cores() >= 1

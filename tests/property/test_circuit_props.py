@@ -50,16 +50,6 @@ def test_circuit_unitary_is_unitary(qc):
     np.testing.assert_allclose(u @ u.conj().T, np.eye(2**qc.num_qubits), atol=1e-9)
 
 
-@settings(max_examples=25, deadline=None)
-@given(circuits(max_qubits=3, max_gates=10))
-def test_inverse_circuit_undoes(qc):
-    roundtrip = qc.compose(qc.inverse())
-    psi = simulate(roundtrip)
-    expected = np.zeros(2**qc.num_qubits, dtype=complex)
-    expected[0] = 1.0
-    np.testing.assert_allclose(psi, expected, atol=1e-9)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(sorted(GATE_REGISTRY)), st.data())
 def test_every_gate_unitary_for_random_params(name, data):

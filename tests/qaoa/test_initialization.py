@@ -71,7 +71,7 @@ class TestInterp:
 
         g = erdos_renyi_graph(6, 0.5, seed=9, require_connected=True)
         e1 = AnsatzEnergy(build_qaoa_ansatz(g, 1))
-        result = Cobyla(maxiter=120).minimize(e1.negative, [0.3, 0.2])
+        result = Cobyla(maxiter=120).minimize(e1.negative_objective(), [0.3, 0.2])
         trained_p1 = -result.fun
         e2 = AnsatzEnergy(build_qaoa_ansatz(g, 2))
         lifted_energy = e2.value(interp_init(result.x))

@@ -17,7 +17,6 @@ from repro.qaoa.maxcut import (
     cut_value,
     greedy_maxcut,
     local_search_maxcut,
-    random_cut_expectation,
 )
 
 
@@ -101,9 +100,6 @@ class TestHeuristics:
 
 
 class TestRatios:
-    def test_random_cut_expectation(self):
-        assert random_cut_expectation(cycle_graph(6)) == 3.0
-
     def test_ratio_of_optimum_is_one(self):
         g = cycle_graph(6)
         assert approximation_ratio(6.0, g) == pytest.approx(1.0)

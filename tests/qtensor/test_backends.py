@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.qtensor.backends import DeviceModel, NumpyBackend, SimulatedGPUBackend, get_backend
+from repro.qtensor.backends import NumpyBackend, SimulatedGPUBackend, get_backend
 from repro.qtensor.tensor import Tensor
 from repro.qtensor.variables import Variable
+from repro.simulators.backends import DeviceModel
 
 
 def _bucket():
@@ -73,7 +74,7 @@ class TestSimulatedGPU:
         assert backend.bytes_transferred == first
 
     def test_kernel_latency_dominates_small_buckets(self):
-        model = DeviceModel(kernel_latency=1e-3, flop_rate=1e15, transfer_bandwidth=1e15)
+        model = DeviceModel(kernel_latency=1e-3, element_rate=1e15, transfer_bandwidth=1e15)
         backend = SimulatedGPUBackend(model)
         tensors, a, b, c = _bucket()
         backend.contract_bucket(tensors, b)

@@ -7,12 +7,13 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.graphs.generators import cycle_graph, random_regular_graph
 from repro.qaoa.ansatz import build_qaoa_ansatz
 from repro.qtensor.lightcone import lightcone_circuit, lightcone_qubits
-from repro.simulators.expectation import zz_expectation
+from repro.simulators.expectation import pauli_expectation
 from repro.simulators.statevector import simulate
 
 
 def _zz_energy(circuit, u, v, init):
-    return zz_expectation(simulate(circuit, init), u, v, circuit.num_qubits)
+    string = "".join("Z" if q in (u, v) else "I" for q in range(circuit.num_qubits))
+    return pauli_expectation(simulate(circuit, init), string)
 
 
 class TestCorrectness:

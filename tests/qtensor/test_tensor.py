@@ -53,13 +53,6 @@ class TestTensor:
         np.testing.assert_array_equal(t.conj().data, [1 - 1j, 2 + 1j])
         assert t.conj().indices == t.indices
 
-    def test_rename_vars(self):
-        a, b, c = Variable(0), Variable(1), Variable(2)
-        t = Tensor("t", np.zeros((2, 2)), [a, b])
-        renamed = t.rename_vars({b: c})
-        assert renamed.indices == (a, c)
-        assert renamed.data is t.data  # no copy
-
     def test_fix_variable_slices(self):
         a, b = Variable(0), Variable(1)
         data = np.arange(4).reshape(2, 2)

@@ -174,6 +174,7 @@ class TestValidation:
             {"optimizer": "bogus"},
             {"mode": "bogus"},
             {"engine": "bogus"},
+            {"engine": "qtensor"},
             {"batch_mode": "bogus"},
             {"k_min": 5, "k_max": 2},
         ):

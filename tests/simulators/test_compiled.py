@@ -20,6 +20,7 @@ from repro.graphs.generators import Graph, cycle_graph, erdos_renyi_graph
 from repro.qaoa.ansatz import build_qaoa_ansatz
 from repro.qaoa.energy import AnsatzEnergy
 from repro.qaoa.mixers import MIXER_TOKENS
+from repro.qtensor.simulator import QTensorSimulator
 from repro.simulators import compiled as compiled_module
 from repro.simulators.backends import MockGPUArrayBackend
 from repro.simulators.compiled import CompiledProgram, compile_ansatz, compile_circuit
@@ -53,13 +54,10 @@ def test_every_diagonal_spec_publishes_its_phase_generator():
             continue
         params = list(rng.uniform(-3, 3, spec.num_params))
         expected = np.diag(spec.matrix_fn(params))
-        actual = np.exp(1j * spec.diag_exponent(params))
+        h, g0 = spec.diag_phase
+        theta = params[0] if spec.num_params else 0.0
+        actual = np.exp(1j * (theta * np.asarray(h) + np.asarray(g0)))
         np.testing.assert_allclose(actual, expected, atol=1e-14, err_msg=name)
-
-
-def test_diag_exponent_rejects_non_diagonal():
-    with pytest.raises(ValueError, match="not diagonal"):
-        GATE_REGISTRY["h"].diag_exponent()
 
 
 # -- property-style equivalence over the token alphabet ----------------------
@@ -117,12 +115,14 @@ def test_batched_matches_single(tokens, seed):
 
 
 def test_qtensor_agrees_where_supported(er6):
-    """Third engine cross-check on the paper's winning mixer."""
+    """Tensor-network cross-check on the paper's winning mixer."""
     ansatz = build_qaoa_ansatz(er6, 2, ("rx", "ry"))
     compiled = AnsatzEnergy(ansatz, engine="compiled")
-    qtensor = AnsatzEnergy(ansatz, engine="qtensor")
     x = [0.3, -0.2, 0.5, 0.1]
-    assert compiled.value(x) == pytest.approx(qtensor.value(x), abs=1e-9)
+    qtensor = QTensorSimulator().maxcut_energy(
+        ansatz.bind(x), er6, initial_state=ansatz.initial_state_label
+    )
+    assert compiled.value(x) == pytest.approx(qtensor, abs=1e-9)
 
 
 # -- paper-workload pinning --------------------------------------------------

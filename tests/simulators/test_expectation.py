@@ -10,8 +10,6 @@ from repro.simulators.expectation import (
     cut_values,
     maxcut_expectation,
     pauli_expectation,
-    z_expectations,
-    zz_expectation,
 )
 from repro.simulators.statevector import basis_state, plus_state, simulate
 
@@ -102,19 +100,3 @@ class TestPauliExpectations:
         assert pauli_expectation(psi, "ZZ") == pytest.approx(1.0)
         assert pauli_expectation(psi, "XX") == pytest.approx(1.0)
         assert pauli_expectation(psi, "YY") == pytest.approx(-1.0)
-
-    def test_zz_helper_matches_pauli_string(self):
-        psi = simulate(QuantumCircuit(3).h(0).cx(0, 1).ry(0.4, 2))
-        via_helper = zz_expectation(psi, 0, 1, 3)
-        via_string = pauli_expectation(psi, "ZZI")
-        assert via_helper == pytest.approx(via_string)
-
-    def test_z_expectations_vector(self):
-        psi = basis_state(3, 0b101)
-        np.testing.assert_allclose(z_expectations(psi, 3), [-1, 1, -1])
-
-    def test_consistency_z_vector_vs_strings(self):
-        psi = simulate(QuantumCircuit(2).ry(0.8, 0).ry(-0.3, 1))
-        zs = z_expectations(psi, 2)
-        assert zs[0] == pytest.approx(pauli_expectation(psi, "ZI"))
-        assert zs[1] == pytest.approx(pauli_expectation(psi, "IZ"))

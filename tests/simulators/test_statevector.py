@@ -12,7 +12,6 @@ from repro.simulators.statevector import (
     basis_state,
     circuit_unitary,
     plus_state,
-    sample_counts,
     simulate,
     zero_state,
 )
@@ -151,23 +150,3 @@ class TestCircuitUnitary:
     def test_unitarity(self):
         u = circuit_unitary(random_circuit(3, 30, seed=8))
         np.testing.assert_allclose(u @ u.conj().T, np.eye(8), atol=1e-10)
-
-
-class TestSampling:
-    def test_deterministic_state(self):
-        counts = sample_counts(basis_state(2, 3), 100, seed=0)
-        assert counts == {3: 100}
-
-    def test_uniform_state_frequencies(self):
-        counts = sample_counts(plus_state(2), 40000, seed=1)
-        for idx in range(4):
-            assert counts[idx] == pytest.approx(10000, rel=0.1)
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError, match="normalized"):
-            sample_counts(np.array([1.0, 1.0], dtype=complex), 10)
-
-    def test_reproducible_with_seed(self):
-        a = sample_counts(plus_state(3), 100, seed=5)
-        b = sample_counts(plus_state(3), 100, seed=5)
-        assert a == b
