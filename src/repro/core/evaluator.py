@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -27,11 +28,11 @@ from repro.optimizers import (
     BATCH_MODES,
     TRAINING_OPTIMIZERS,
     MultiRestart,
-    Optimizer,
+    OptimizeResult,
     preload_optimizer,
     training_optimizer,
 )
-from repro.qaoa.energy import ENGINES, AnsatzEnergy
+from repro.qaoa.energy import ENGINES, AnsatzEnergy, NegatedPopulation
 from repro.qaoa.maxcut import approximation_ratio
 from repro.simulators.backends import available_array_backends
 from repro.utils.rng import as_rng, stable_seed
@@ -130,16 +131,6 @@ class EvaluationConfig:
         check_choice(self.workload, "workload", available_workloads())
 
 
-def _make_optimizer(config: EvaluationConfig, energy: AnsatzEnergy) -> Optimizer:
-    return training_optimizer(
-        config.optimizer,
-        max_steps=config.max_steps,
-        seed=config.seed,
-        gradient=lambda x: -energy.gradient(x),
-        gradient_batch=lambda X: -energy.gradients(X),
-    )
-
-
 class Evaluator:
     """Scores candidate mixers on a workload of graphs.
 
@@ -199,47 +190,43 @@ class Evaluator:
             self.cache_hits += 1
             return cached
         start = time.perf_counter()
+        # One ansatz (and one compiled program) per graph, shared by training
+        # and best_sampled scoring; under the compiled engine the program is
+        # stitched from memoized layer fragments and the ansatz never builds
+        # its circuit. All are built first: they train as one population.
+        config = self.config
+        objectives = [
+            AnsatzEnergy(
+                self.builder.build_qaoa(
+                    graph,
+                    tokens,
+                    p,
+                    initial_hadamard=config.initial_hadamard,
+                    workload=config.workload,
+                ),
+                engine=config.engine,
+                array_backend=config.array_backend,
+            )
+            for graph in self.graphs
+        ]
+        trained = self._train(objectives, self._initial_points(p, tokens, warm))
         energies: list[float] = []
         ratios: list[float] = []
         best_params: list[tuple[float, ...]] = []
-        nfev = 0
-        for graph_index, graph in enumerate(self.graphs):
-            # One ansatz (and one compiled program) per graph evaluation,
-            # shared by training and best_sampled scoring. Under the
-            # compiled engine neither is built gate by gate: the program
-            # is stitched from the graph's and the mixer's memoized layer
-            # fragments, and the ansatz never materializes its circuit.
-            ansatz = self.builder.build_qaoa(
-                graph,
-                tokens,
-                p,
-                initial_hadamard=self.config.initial_hadamard,
-                workload=self.config.workload,
-            )
-            objective = AnsatzEnergy(
-                ansatz,
-                engine=self.config.engine,
-                array_backend=self.config.array_backend,
-            )
-            energy, best_x, evals = self._train_one(
-                objective,
-                graph_index,
-                p,
-                tokens,
-                warm[graph_index] if warm is not None else None,
-            )
-            energies.append(energy)
-            best_params.append(tuple(float(v) for v in best_x))
-            if self.config.metric == "best_sampled":
-                numerator = self._best_sampled_value(objective, best_x)
+        for graph_index, (graph, objective) in enumerate(zip(self.graphs, objectives)):
+            mine = trained[graph_index * config.restarts:(graph_index + 1) * config.restarts]
+            best = min(mine, key=lambda r: r.fun)
+            energies.append(float(-best.fun))
+            best_params.append(tuple(float(v) for v in best.x))
+            if config.metric == "best_sampled":
+                numerator = self._best_sampled_value(objective, best.x)
             else:
-                numerator = energy
+                numerator = energies[-1]
             ratios.append(
                 approximation_ratio(
                     numerator, graph, classical_value=self._classical[graph_index]
                 )
             )
-            nfev += evals
         result = CandidateEvaluation(
             tokens=tokens,
             p=int(p),
@@ -247,7 +234,7 @@ class Evaluator:
             ratio=float(np.mean(ratios)),
             per_graph_energy=tuple(energies),
             per_graph_ratio=tuple(ratios),
-            nfev=nfev,
+            nfev=sum(r.nfev for r in trained),
             seconds=time.perf_counter() - start,
             best_params=tuple(best_params),
         )
@@ -276,66 +263,47 @@ class Evaluator:
 
     def _initial_points(
         self,
-        num_parameters: int,
-        graph_index: int,
         p: int,
         tokens: tuple[str, ...],
-        warm_row: tuple[float, ...] | None = None,
+        warm: tuple[tuple[float, ...], ...] | None = None,
     ) -> np.ndarray:
-        """The restart population's start points, one seeded row per
-        restart (the same draws the serial path has always used). Under
-        ``init_strategy="interp"`` a validated ``warm_row`` (the previous
-        depth's optimum) replaces restart 0 with its INTERP lift; fresh
-        rows fall back to ramp draws, which condition well at depth."""
+        """The ``graphs x restarts`` start points, graph-major: one seeded
+        row per graph and restart (the draws the per-graph path always
+        used). Under ``init_strategy="interp"`` a validated ``warm`` row (the
+        graph's previous-depth optimum) replaces its restart 0 with the INTERP
+        lift; fresh rows fall back to ramp draws, well conditioned at depth."""
         from repro.qaoa.initialization import interp_init, ramp_init
 
         rows = []
-        for restart in range(self.config.restarts):
+        for graph_index, restart in product(range(len(self.graphs)), range(self.config.restarts)):
             rng = as_rng(
                 stable_seed(self.config.seed, "init", graph_index, p, restart, *tokens)
             )
-            if restart == 0 and warm_row is not None:
-                rows.append(np.asarray(interp_init(np.asarray(warm_row)), dtype=float))
+            if restart == 0 and warm is not None:
+                rows.append(np.asarray(interp_init(np.asarray(warm[graph_index])), dtype=float))
             elif self.config.init_strategy in ("ramp", "interp"):
                 rows.append(ramp_init(p, rng=rng, jitter=0.05))
             else:
-                rows.append(
-                    rng.uniform(
-                        -self.config.init_scale,
-                        self.config.init_scale,
-                        num_parameters,
-                    )
-                )
+                scale = self.config.init_scale
+                rows.append(rng.uniform(-scale, scale, 2 * p))
         return np.stack(rows)
 
-    def _train_one(
-        self,
-        objective: AnsatzEnergy,
-        graph_index: int,
-        p: int,
-        tokens: tuple[str, ...],
-        warm_row: tuple[float, ...] | None = None,
-    ) -> tuple[float, np.ndarray, int]:
-        """Best trained energy over the restart population for one graph.
-
-        All restarts train as one population through :class:`MultiRestart`:
-        with a batch-native optimizer (and ``batch_mode`` "auto"/"batched")
-        every step's proposals across restarts ride a single vectorized
-        energy call; otherwise the population falls back to one serial
-        optimizer run per restart — identical results, point for point.
-        """
-        X0 = self._initial_points(
-            objective.ansatz.num_parameters, graph_index, p, tokens, warm_row
-        )
-        optimizer = MultiRestart(
-            _make_optimizer(self.config, objective),
-            batch_mode=self.config.batch_mode,
-        )
-        negated = objective.negative_objective()
-        result = optimizer.minimize_population(
-            negated, X0, batch_fn=negated.values
-        )
-        return float(-result.fun), result.x, result.nfev
+    def _train(
+        self, objectives: Sequence[AnsatzEnergy], X0: np.ndarray
+    ) -> list[OptimizeResult]:
+        """Every graph's restarts — the rows of the graph-major start block
+        ``X0`` — trained as one population; one result per row. With a
+        batch-native optimizer (and ``batch_mode`` "auto"/"batched") each
+        step's proposals across graphs and restarts ride one grouped engine
+        call, bit-identical to training graph after graph; otherwise
+        :class:`MultiRestart` walks the rows, one serial run each on its own
+        graph — the same results on an exact objective, equal to round-off
+        only on the compiled engine (ROADMAP item 5)."""
+        config = self.config
+        owner = np.repeat(np.arange(len(objectives)), config.restarts)
+        base = training_optimizer(config.optimizer, max_steps=config.max_steps, seed=config.seed)
+        meta = MultiRestart(base, batch_mode=config.batch_mode)
+        return meta.minimize_population(NegatedPopulation(objectives, owner), X0).sub_results
 
     def _best_sampled_value(
         self, objective: AnsatzEnergy, params: np.ndarray

@@ -57,21 +57,14 @@ def preload_optimizer(name: str) -> None:
         import scipy.optimize  # noqa: F401
 
 
-def training_optimizer(
-    name: str,
-    *,
-    max_steps: int,
-    seed=None,
-    gradient=None,
-    gradient_batch=None,
-) -> Optimizer:
+def training_optimizer(name: str, *, max_steps: int, seed=None) -> Optimizer:
     """Budget-aware construction for the variational training loop.
 
     One home for the per-optimizer budget rules so the Evaluator and the
     warm-started depth sweep can never drift apart: COBYLA/Nelder-Mead
     take ``max_steps`` directly, SPSA spends 2 evals per iteration so its
     iteration count is halved to respect the same evaluation budget, and
-    Adam needs the objective's (batched) gradient callables.
+    Adam reads the (batched) gradient of whichever objective it is handed.
     """
     check_choice(name, "optimizer", TRAINING_OPTIMIZERS)
     if name == "cobyla":
@@ -80,9 +73,4 @@ def training_optimizer(
         return NelderMead(maxiter=max_steps)
     if name == "spsa":
         return SPSA(maxiter=max(1, max_steps // 2), seed=seed)
-    # adam, the one name left
-    if gradient is None:
-        raise ValueError("adam training requires a gradient callable")
-    return Adam(
-        gradient=gradient, gradient_batch=gradient_batch, maxiter=max_steps
-    )
+    return Adam(maxiter=max_steps)  # adam, the one name left

@@ -41,7 +41,7 @@ class Adam(Optimizer):
 
     def __init__(
         self,
-        gradient: GradientFn,
+        gradient: GradientFn | None = None,
         maxiter: int = 100,
         learning_rate: float = 0.05,
         beta1: float = 0.9,
@@ -50,6 +50,8 @@ class Adam(Optimizer):
         gtol: float = 1e-6,
         gradient_batch: BatchFn | None = None,
     ) -> None:
+        #: ``None`` reads the objective's own ``gradient`` / ``gradients``; a
+        #: population objective's always (one bound here is one row's)
         self.gradient = gradient
         #: optional ``(B, dim) -> (B, dim)`` batched gradient (one
         #: parameter-shift pass for the whole population on the compiled
@@ -68,10 +70,11 @@ class Adam(Optimizer):
         m = np.zeros_like(x)
         v = np.zeros_like(x)
         tracer(x)
+        gradient = self.gradient if self.gradient is not None else fn.gradient
         converged = False
         nit = 0
         for nit in range(1, self.maxiter + 1):
-            grad = np.asarray(self.gradient(x), dtype=float)
+            grad = np.asarray(gradient(x), dtype=float)
             if np.linalg.norm(grad) < self.gtol:
                 converged = True
                 break
@@ -91,16 +94,20 @@ class Adam(Optimizer):
             history=tracer.trace,
         )
 
-    def _gradients(self, X: np.ndarray) -> np.ndarray:
-        if self.gradient_batch is not None:
-            grads = np.asarray(self.gradient_batch(X), dtype=float)
-            if grads.shape != X.shape:
-                raise ValueError(
-                    f"gradient_batch returned shape {grads.shape} for "
-                    f"points of shape {X.shape}"
-                )
-            return grads
-        return np.stack([np.asarray(self.gradient(x), dtype=float) for x in X])
+    def _gradients(self, fn: Objective, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if hasattr(fn, "row_objective"):
+            grads = fn.gradients(X, rows)
+        elif self.gradient_batch is not None or self.gradient is None:
+            grads = (self.gradient_batch or fn.gradients)(X)
+        else:
+            return np.stack([np.asarray(self.gradient(x), dtype=float) for x in X])
+        grads = np.asarray(grads, dtype=float)
+        if grads.shape != X.shape:
+            raise ValueError(
+                f"gradient_batch returned shape {grads.shape} for "
+                f"points of shape {X.shape}"
+            )
+        return grads
 
     def minimize_batch(
         self,
@@ -117,7 +124,8 @@ class Adam(Optimizer):
         X = np.atleast_2d(np.asarray(X0, dtype=float)).copy()
         restarts, dim = X.shape
         tracers = [ObjectiveTracer(fn) for _ in range(restarts)]
-        for k, value in zip(range(restarts), batch_values(fn, batch_fn, X)):
+        rows = np.arange(restarts)
+        for k, value in zip(rows, batch_values(fn, batch_fn, X, rows)):
             tracers[k].record(X[k], float(value))
 
         m = np.zeros_like(X)
@@ -130,7 +138,7 @@ class Adam(Optimizer):
             if rows.size == 0:
                 break
             nits[rows] = nit
-            grads = self._gradients(X[rows])
+            grads = self._gradients(fn, X[rows], rows)
             norms = np.linalg.norm(grads, axis=1)
             done = norms < self.gtol
             converged[rows[done]] = True
@@ -146,7 +154,7 @@ class Adam(Optimizer):
             X[rows] = X[rows] - self.learning_rate * m_hat / (
                 np.sqrt(v_hat) + self.eps
             )
-            for k, value in zip(rows, batch_values(fn, batch_fn, X[rows])):
+            for k, value in zip(rows, batch_values(fn, batch_fn, X[rows], rows)):
                 tracers[k].record(X[k], float(value))
         return [
             OptimizeResult(

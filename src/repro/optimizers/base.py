@@ -27,6 +27,13 @@ batch instead of a Python loop of scalar calls. Two seams make that work:
 Per-point accounting is identical on both paths: ``nfev`` counts evaluated
 *points*, never batch calls, and each restart's ``history`` is its own
 best-so-far trace.
+
+A *population objective* (:class:`repro.qaoa.energy.NegatedPopulation`, the
+Evaluator's ``graphs x restarts`` block) gives every row its own objective:
+``row_objective(r)`` for the serial walk; ``values(X, rows)`` / ``gradients(X,
+rows)``, row ``rows[i]``'s at ``X[i]``, for the lockstep — its optimizers submit
+each point's row, as position says nothing (SPSA stacks ``[plus; minus]``,
+Nelder–Mead submits live subsets, Adam active rows).
 """
 
 from __future__ import annotations
@@ -75,21 +82,25 @@ def resolve_batch_fn(fn: Objective, batch_fn: BatchFn | None) -> BatchFn | None:
     return values if callable(values) else None
 
 
-def batch_values(fn: Objective, batch_fn: BatchFn | None, X: np.ndarray) -> np.ndarray:
+def batch_values(
+    fn: Objective, batch_fn: BatchFn | None, X: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
     """Objective values for the rows of ``X`` — one ``batch_fn`` call when
     available, a scalar loop otherwise (the serial fallback). ``X`` reaches
     ``batch_fn`` as given: a batch objective validates its own input (the
-    compiled program does, once, at ``energies``)."""
+    compiled program does, once, at ``energies``). ``rows`` (each point's
+    population row) reaches a population objective only."""
     batch_fn = resolve_batch_fn(fn, batch_fn)
     if batch_fn is None:
         return np.array(
             [float(fn(row)) for row in np.atleast_2d(np.asarray(X, dtype=float))]
         )
-    values = np.asarray(batch_fn(X), dtype=float).reshape(-1)
-    rows = len(X) if np.ndim(X) > 1 else 1
-    if values.shape[0] != rows:
+    values = batch_fn(X, rows) if hasattr(fn, "row_objective") else batch_fn(X)
+    values = np.asarray(values, dtype=float).reshape(-1)
+    points = len(X) if np.ndim(X) > 1 else 1
+    if values.shape[0] != points:
         raise ValueError(
-            f"batch objective returned {values.shape[0]} values for {rows} points"
+            f"batch objective returned {values.shape[0]} values for {points} points"
         )
     return values
 
@@ -167,12 +178,13 @@ class Optimizer(abc.ABC):
         """Minimize from every row of ``X0``; one result per row.
 
         Base implementation: the serial fallback — one independent
-        :meth:`minimize` per start point, ignoring ``batch_fn`` — so any
+        :meth:`minimize` per start point (on the row's own objective when
+        ``fn`` is a population objective), ignoring ``batch_fn`` — so any
         optimizer (including scipy-backed ones) accepts a population.
         """
-        del batch_fn  # the serial fallback evaluates point by point
+        own = getattr(fn, "row_objective", lambda row: fn)
         X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-        return [self.minimize(fn, x0) for x0 in X0]
+        return [self.minimize(own(row), x0) for row, x0 in enumerate(X0)]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

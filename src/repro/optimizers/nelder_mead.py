@@ -36,7 +36,8 @@ __all__ = ["NelderMead"]
 class _SimplexState:
     """One restart's simplex, values, tracer and termination bookkeeping."""
 
-    def __init__(self, tracer: ObjectiveTracer, simplex: np.ndarray) -> None:
+    def __init__(self, row: int, tracer: ObjectiveTracer, simplex: np.ndarray) -> None:
+        self.row = row  # in the population
         self.tracer = tracer
         self.simplex = simplex
         self.values = np.empty(simplex.shape[0])
@@ -153,14 +154,17 @@ class NelderMead(Optimizer):
         restarts, dim = X0.shape
         alpha, gamma, rho, sigma = self._coefficients(dim)
 
-        def evaluate(points: list[np.ndarray]) -> np.ndarray:
-            return batch_values(fn, batch_fn, np.vstack(points))
+        def evaluate(owners: list[_SimplexState], points: list[np.ndarray]) -> np.ndarray:
+            # points[i]: one point, or a block of them, of restart owners[i]
+            sizes = [np.atleast_2d(block).shape[0] for block in points]
+            rows = np.repeat([state.row for state in owners], sizes)
+            return batch_values(fn, batch_fn, np.vstack(points), rows)
 
         states = [
-            _SimplexState(ObjectiveTracer(fn), self._initial_simplex(x0))
-            for x0 in X0
+            _SimplexState(row, ObjectiveTracer(fn), self._initial_simplex(x0))
+            for row, x0 in enumerate(X0)
         ]
-        initial_values = evaluate([state.simplex for state in states])
+        initial_values = evaluate(states, [state.simplex for state in states])
         cursor = 0
         for state in states:
             for i, vertex in enumerate(state.simplex):
@@ -192,7 +196,7 @@ class NelderMead(Optimizer):
                 reflections.append(centroid + alpha * (centroid - state.simplex[-1]))
             if not proposing:
                 continue
-            f_reflections = evaluate(reflections)
+            f_reflections = evaluate(proposing, reflections)
 
             # Phase B: expansions and contractions, one shared batch.
             second_states: list[_SimplexState] = []
@@ -226,7 +230,7 @@ class NelderMead(Optimizer):
                     second_kind.append("contract")
                     pending[id(state)] = (reflected, f_reflected)
             if second_states:
-                f_seconds = evaluate(second_points)
+                f_seconds = evaluate(second_states, second_points)
                 for state, point, kind, f_second in zip(
                     second_states, second_points, second_kind, f_seconds
                 ):
@@ -255,7 +259,7 @@ class NelderMead(Optimizer):
                         state.simplex[1:] - state.simplex[0]
                     )
                     shrink_points.append(state.simplex[1:])
-                f_shrunk = evaluate(shrink_points)
+                f_shrunk = evaluate(shrinkers, shrink_points)
                 cursor = 0
                 for state in shrinkers:
                     for i in range(1, dim + 1):

@@ -10,9 +10,12 @@ and trains a whole population of start points at once — batch-natively in
 lockstep when the base optimizer supports it, serially otherwise — then
 returns the best result with population-wide ``nfev`` accounting.
 
-The two paths are pinned identical point for point (property tests in
-``tests/optimizers/test_batched.py``), so ``batch_mode`` is purely a
-performance knob: the Evaluator sets it from
+Pinned: on an *exact* objective the two paths are identical point for point
+(property tests in ``tests/optimizers/test_batched.py``); on the compiled
+engine the serial walk runs the single-point kernels and the lockstep the
+batched ones, equal to round-off only (``test_spsa_batched_close_to_serial``,
+``abs=1e-8``; ROADMAP item 5). The lockstep of a population objective over G
+graphs is bit-identical to G lockstep runs. The Evaluator sets the mode from
 :class:`~repro.core.evaluator.EvaluationConfig` (``batch_mode=``, CLI
 ``--batch-mode``), and the batched population is exactly the wide
 ``energies(X)`` call that a device array backend
@@ -83,7 +86,7 @@ class MultiRestart:
             results = self.base.minimize_batch(fn, X0, batch_fn=batch_fn)
             mode = "batched"
         else:
-            results = [self.base.minimize(fn, x0) for x0 in X0]
+            results = Optimizer.minimize_batch(self.base, fn, X0)  # the serial walk
             mode = "serial"
         best = min(results, key=lambda r: r.fun)
         return OptimizeResult(

@@ -94,13 +94,16 @@ class SPSA(Optimizer):
         )
 
     def _restart_rngs(self, restarts: int) -> list:
-        """One perturbation stream per restart. Integer (or None) seeds
-        replicate the serial path — each restart re-seeds exactly like a
-        fresh :meth:`minimize` call would; a pre-built Generator cannot be
-        duplicated, so its restarts get independent spawned streams."""
+        """A lockstep population's perturbation streams. An integer seed
+        replicates the serial path — every restart would re-seed to the
+        same stream, like a fresh :meth:`minimize` call, so it is drawn once
+        and broadcast over the rows; ``None`` seeds each restart afresh; a
+        pre-built Generator cannot be duplicated, so restarts spawn from it."""
         if isinstance(self.seed, np.random.Generator):
             return spawn_rngs(self.seed, restarts)
-        return [as_rng(self.seed) for _ in range(restarts)]
+        if self.seed is None:
+            return [as_rng(None) for _ in range(restarts)]
+        return [as_rng(self.seed)]
 
     def minimize_batch(
         self,
@@ -120,10 +123,9 @@ class SPSA(Optimizer):
         tracers = [ObjectiveTracer(fn) for _ in range(restarts)]
         rngs = self._restart_rngs(restarts)
 
-        def evaluate(points: np.ndarray) -> np.ndarray:
-            return batch_values(fn, batch_fn, points)
-
-        for k, value in zip(range(restarts), evaluate(X)):
+        rows = np.arange(restarts)
+        both = np.concatenate([rows, rows])
+        for k, value in enumerate(batch_values(fn, batch_fn, X, rows)):
             tracers[k].record(X[k], float(value))
         for k_iter in range(self.maxiter):
             ak = self.a / (k_iter + 1 + self.A) ** self.alpha
@@ -131,7 +133,7 @@ class SPSA(Optimizer):
             deltas = np.stack([_rademacher(rng, dim) for rng in rngs])
             plus = X + ck * deltas
             minus = X - ck * deltas
-            values = evaluate(np.vstack([plus, minus]))
+            values = batch_values(fn, batch_fn, np.vstack([plus, minus]), both)
             f_plus, f_minus = values[:restarts], values[restarts:]
             for k in range(restarts):
                 tracers[k].record(plus[k], float(f_plus[k]))
@@ -140,7 +142,7 @@ class SPSA(Optimizer):
                 (f_plus - f_minus)[:, None] / (2.0 * ck) * (1.0 / deltas)
             )
             X = X - ak * gradient_estimates
-        for k, value in zip(range(restarts), evaluate(X)):
+        for k, value in enumerate(batch_values(fn, batch_fn, X, rows)):
             tracers[k].record(X[k], float(value))
         return [
             OptimizeResult(

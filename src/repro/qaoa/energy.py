@@ -37,6 +37,7 @@ occurrence.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -45,11 +46,11 @@ from repro.circuits.gates import Gate
 from repro.circuits.parameters import Parameter, ParameterExpression
 from repro.qaoa.ansatz import QAOAAnsatz
 from repro.simulators.backends import ArrayBackend, get_array_backend
-from repro.simulators.compiled import SHIFT_RULE_GATES, CompiledProgram
+from repro.simulators.compiled import SHIFT_RULE_GATES, CompiledProgram, ProgramGroup
 from repro.simulators.statevector import plus_state, simulate, zero_state
 from repro.utils.validation import check_choice
 
-__all__ = ["AnsatzEnergy", "ENGINES", "NegatedEnergy"]
+__all__ = ["AnsatzEnergy", "ENGINES", "NegatedEnergy", "NegatedPopulation"]
 
 #: the recognised simulation engines, fastest first
 ENGINES = ("compiled", "statevector")
@@ -219,9 +220,9 @@ class NegatedEnergy:
 
     Implements the :class:`~repro.optimizers.base.BatchObjective` protocol:
     scalar ``__call__``, batched ``values``, and (batched) gradients, each
-    the negation of the underlying energy — what the Evaluator hands to
-    batch-native optimizers so a whole restart population trains through
-    one :meth:`CompiledProgram.energies` call per step.
+    the negation of the underlying energy — one graph's objective; the
+    Evaluator trains a candidate's graphs together, as rows of a
+    :class:`NegatedPopulation`.
     """
 
     def __init__(self, energy: AnsatzEnergy) -> None:
@@ -238,3 +239,44 @@ class NegatedEnergy:
 
     def gradients(self, X: Sequence[Sequence[float]]) -> np.ndarray:
         return -self.energy.gradients(X)
+
+
+class NegatedPopulation:
+    """Minimization view of a start block that spans objectives: population
+    row ``r`` trains ``energies[owner[r]]`` — one candidate's graphs, which
+    share a parameter layout (a population objective, see
+    :mod:`repro.optimizers.base`). On the compiled engine ``values`` is one
+    :class:`~repro.simulators.compiled.ProgramGroup` call, bit-identical to
+    each objective's own ``values`` on its rows."""
+
+    def __init__(self, energies: Sequence[AnsatzEnergy], owner: Sequence[int]) -> None:
+        self.energies = list(energies)
+        self.owner = np.asarray(owner, dtype=np.intp)
+
+    def row_objective(self, row: int) -> NegatedEnergy:
+        return self.energies[self.owner[row]].negative_objective()
+
+    @cached_property
+    def _group(self) -> ProgramGroup | None:
+        compiled = self.energies[0].engine == "compiled"
+        return ProgramGroup([e.program for e in self.energies]) if compiled else None
+
+    def values(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if len(self.energies) == 1:  # one graph: its own call
+            return -self.energies[0].values(X)
+        owner = self.owner[rows]
+        if self._group is None:  # point by point, like the dense ``values``
+            points = zip(owner.tolist(), np.atleast_2d(X))
+            return -np.array([self.energies[index].value(x) for index, x in points])
+        for index in owner.tolist():
+            self.energies[index].num_evaluations += 1
+        return -self._group.energies(X, owner)
+
+    def gradients(self, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Per objective on its own rows: a point's ``2 x sites`` shifted
+        evaluations fill a batch already, and the sites are its graph's."""
+        X, owner = np.atleast_2d(np.asarray(X, dtype=float)), self.owner[rows]
+        out = np.empty_like(X)
+        for index in np.unique(owner).tolist():
+            out[owner == index] = self.energies[index].gradients(X[owner == index])
+        return -out

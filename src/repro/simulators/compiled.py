@@ -48,10 +48,13 @@ thing can be known:
   phase forms (static, unique-value lookup, dense) a block is;
 * **per program op** — which flat parameters drive it: each angle's
   ``offset + coeff * X[:, index]`` and the block's views of the lookup;
+* **per candidate** — the graph group (:class:`ProgramGroup`): which of its
+  programs, one per graph, share a schedule and may stack their rows;
 * **per call** — arithmetic on ``X``: ``for step in steps: state =
   step(...)``, ``X`` checked once at the public entry point. A gradient
   runs the *same* steps, each handed the shifts that land on its op; the
-  shift bookkeeping exists only on that call.
+  shift bookkeeping exists only on that call. A stacked call runs them too:
+  matrix columns once on all rows, diagonal blocks per member on its rows.
 
 A QAOA circuit is ``p`` copies of ``[cost(gamma_k), mixer(beta_k)]``, and
 a search trains hundreds of candidate mixers on the same few graphs, so
@@ -115,6 +118,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (qaoa imports us)
 __all__ = [
     "SHIFT_RULE_GATES",
     "CompiledProgram",
+    "ProgramGroup",
     "compile_ansatz",
     "compile_circuit",
 ]
@@ -878,6 +882,9 @@ class CompiledProgram:
     flat parameter vectors in the compile-time ordering.
     """
 
+    #: ``(program, lo, hi)`` row blocks of a stacked call (:class:`_Stack`)
+    blocks: tuple = ()
+
     def __init__(
         self,
         num_qubits: int,
@@ -1165,7 +1172,12 @@ class CompiledProgram:
         Xd = self.backend.asarray(X)
         state = self._initial_states(X.shape[0])
         for op_index, step in enumerate(self._steps):
-            state = step(self, state, X, Xd, by_op.get(op_index, ()), dedup)
+            if self.blocks and isinstance(self.ops[op_index], _DiagBlock):
+                for program, lo, hi in self.blocks:  # in place, on its rows
+                    rows = slice(lo, hi)
+                    program._steps[op_index](program, state[rows], X[rows], Xd[rows], (), dedup)
+            else:
+                state = step(self, state, X, Xd, by_op.get(op_index, ()), dedup)
         return state
 
     def energies(self, X: np.ndarray) -> np.ndarray:
@@ -1238,6 +1250,87 @@ class CompiledProgram:
             for j, coeff in site.coeffs:
                 grads[:, j] += coeff * site_grad
         return grads
+
+
+# -- the graph group ---------------------------------------------------------
+
+#: most rows one stacked call takes, in whole graphs: one graph's block is
+#: never split, which would change the shape of a k >= 2 block's ``(B, k) @
+#: (k, U)`` exponent gemm and with it the last bits. Measured, us per row of
+#: ``energies`` (n = 10, ``('rx', 'ry')``, p = 3) at B = 1 2 4 8 12 16 20 24
+#: 32: 215 128 85 65 58 53 51 69 78; stacked at two rows a graph 126 (B = 2),
+#: 79 (8), 68 (20), 90 (24). Rows leave the cache at 24 on a quiet box, at 12
+#: beside a busy neighbour, and then cost a third more; 8 is under both and
+#: within 15% of the best (table in docs/architecture.md).
+STACK_ROWS = 8
+
+
+class _Stack(CompiledProgram):
+    """The row blocks of several programs of one schedule as one ``energies``
+    call (inherited; a stack has no gradients). The initial state and every
+    matrix column — the lead's ops, which the members share — run once on the
+    stacked rows; each diagonal block and the cut contraction run per member
+    on its own row slice, so every per-member array has the shape and row
+    order of that member's own call and the result is bit-identical to it."""
+
+    def __init__(self, programs: Sequence[CompiledProgram], counts: Sequence[int]) -> None:
+        # the lead's schedule, constants and device memo, by reference
+        self.__dict__.update(programs[0].__dict__)
+        stops = np.cumsum(counts).tolist()
+        self.blocks = tuple(zip(programs, [0] + stops, stops))
+
+    def _cut_energies(self, states) -> np.ndarray:
+        return np.concatenate(
+            [program._cut_energies(states[lo:hi]) for program, lo, hi in self.blocks]
+        )
+
+
+class ProgramGroup:
+    """One candidate's programs, one per graph, evaluated together: they
+    share the mixer ops and the parameter layout and differ only in their
+    diagonal tables, so the graph axis is a batch axis. Rows are partitioned
+    graph-major and reach the engine in chunks of consecutive whole graphs of
+    one schedule, at most :data:`STACK_ROWS` rows each; a graph alone in its
+    chunk is that program's own call."""
+
+    def __init__(self, programs: Sequence[CompiledProgram]) -> None:
+        self._programs = tuple(programs)
+        #: per program, what a stacked call runs once for all its members
+        self._schedules = [
+            (program.num_qubits, program.initial_state_label, type(program.backend))
+            + tuple(isinstance(op, _DiagBlock) or (op.targets, op.factors) for op in program.ops)
+            for program in self._programs
+        ]
+        #: chunks per row ownership seen, for one candidate's training
+        self._plans: dict[bytes, list] = {}
+
+    def _plan(self, owner: np.ndarray) -> list[tuple[CompiledProgram, np.ndarray]]:
+        """``(program or stack, its rows)`` per chunk, for rows owned so."""
+        chunks: list[tuple[list, list]] = []  # (program, row count) members; row indices
+        held = None  # the open chunk's schedule
+        for index, (program, schedule) in enumerate(zip(self._programs, self._schedules)):
+            mine = np.flatnonzero(owner == index).tolist()
+            if not mine:
+                continue
+            if schedule != held or len(chunks[-1][1]) + len(mine) > STACK_ROWS:
+                chunks.append(([], []))
+                held = schedule
+            chunks[-1][0].append((program, len(mine)))
+            chunks[-1][1].extend(mine)
+        return [
+            (members[0][0] if len(members) == 1 else _Stack(*zip(*members)), np.array(rows))
+            for members, rows in chunks
+        ]
+
+    def energies(self, X: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """``<C>`` of every row ``X[i]`` under program ``owner[i]``."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        key = owner.tobytes()
+        plan = self._plans.get(key) or self._plans.setdefault(key, self._plan(owner))
+        out = np.empty(len(X))
+        for lead, rows in plan:
+            out[rows] = lead.energies(X[rows])
+        return out
 
 
 # -- the compile pass ------------------------------------------------------

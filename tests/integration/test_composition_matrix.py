@@ -34,9 +34,9 @@ REJECTED = {
 }
 
 
-def run(feature, **execution):
-    config = replace(BASE, **SEARCH_FEATURES[feature], **execution)
-    return search(WORKLOAD, depths=DEPTHS, config=config)
+def run(feature, workload=WORKLOAD, base=BASE, **execution):
+    config = replace(base, **SEARCH_FEATURES[feature], **execution)
+    return search(workload, depths=DEPTHS, config=config)
 
 
 @lru_cache(maxsize=None)
@@ -89,3 +89,39 @@ def test_the_search_features_are_distinct_sweeps():
     """The matrix would be vacuous if a row silently ran the plain sweep."""
     rows = [undecorated(feature) for feature in SEARCH_FEATURES]
     assert len({tuple(map(str, row)) for row in rows}) == len(rows)
+
+
+# -- the graph group ---------------------------------------------------------
+#
+# On ``er:1`` a candidate's group is never wider than one graph, and COBYLA
+# (``BASE``'s trainer) never stacks. These rows train two graphs in lockstep.
+
+GROUPED = dict(workload="er:2", base=replace(BASE, optimizer="spsa", restarts=2))
+
+
+@lru_cache(maxsize=None)
+def undecorated_grouped(feature):
+    return evaluations(run(feature, **GROUPED))
+
+
+@pytest.mark.parametrize("execution", ["workers", "cache_dir", "resume", "batched"])
+@pytest.mark.parametrize("feature", SEARCH_FEATURES)
+def test_grouped_cell_composes(feature, execution, tmp_path):
+    if execution == "workers":
+        result = run(feature, **GROUPED, workers=2)
+    elif execution == "batched":
+        result = run(feature, **GROUPED, batch_mode="batched")
+    else:
+        result = run(feature, **GROUPED, cache_dir=str(tmp_path))
+        assert result.config["cache_misses"] > 0
+        if execution == "resume":
+            result = run(feature, **GROUPED, cache_dir=str(tmp_path), resume=True)
+            assert result.config["restored_depths"] == DEPTHS
+    assert evaluations(result) == undecorated_grouped(feature)
+
+
+def test_the_grouped_rows_train_both_graphs_apart():
+    """Vacuous otherwise: two graphs, two different trained energies."""
+    for evaluation in undecorated_grouped("plain"):
+        low, high = sorted(evaluation[4])
+        assert low < high

@@ -255,3 +255,90 @@ class TestOnCompiledEnergy:
         for a, b in zip(serial, results):
             assert a.nfev == b.nfev
             assert a.fun == pytest.approx(b.fun, abs=1e-8)
+
+
+class RowwiseQuadratics:
+    """A population objective on an exact function: row ``r`` minimizes
+    ``|x - targets[r]|^2``. Records every ``rows`` it is handed."""
+
+    def __init__(self, targets):
+        self.targets = np.asarray(targets, dtype=float)
+        self.seen = []
+
+    def row_objective(self, row):
+        target = self.targets[row]
+
+        class Row:
+            def __call__(self, x):
+                return float(np.sum((np.asarray(x) - target) ** 2))
+
+            def gradient(self, x):
+                return 2.0 * (np.asarray(x) - target)
+
+        return Row()
+
+    def values(self, X, rows):
+        self.seen.append(np.asarray(rows).copy())
+        assert len(rows) == len(X)
+        return np.array([self.row_objective(r)(x) for r, x in zip(rows, X)])
+
+    def gradients(self, X, rows):
+        assert len(rows) == len(X)
+        return np.stack([self.row_objective(r).gradient(x) for r, x in zip(rows, X)])
+
+
+class TestPopulationObjective:
+    """One objective per row: the lockstep must submit each point's row
+    (ownership cannot be read off the position in the batch) and the serial
+    walk must minimize each row's own objective."""
+
+    TARGETS = np.array([[1.0, -2.0], [-3.0, 0.5], [0.0, 4.0]])
+    X0 = np.array([[0.2, 0.1], [1.5, -0.5], [-1.0, 2.0]])
+
+    def optimizers(self):
+        return [
+            SPSA(maxiter=25, seed=7),
+            NelderMead(maxiter=60),
+            # no gradient bound at construction: one callable would descend
+            # row 0's gradient on every row
+            Adam(maxiter=40, learning_rate=0.1, gtol=1e-3),
+        ]
+
+    def test_lockstep_matches_each_rows_own_serial_run(self):
+        for optimizer in self.optimizers():
+            population = RowwiseQuadratics(self.TARGETS)
+            serial = [
+                optimizer.minimize(population.row_objective(row), x0)
+                for row, x0 in enumerate(self.X0)
+            ]
+            assert_results_match(serial, optimizer.minimize_batch(population, self.X0))
+            assert population.seen, optimizer.name
+
+    def test_spsa_stacks_plus_then_minus(self):
+        population = RowwiseQuadratics(self.TARGETS)
+        SPSA(maxiter=2, seed=0).minimize_batch(population, self.X0)
+        assert [rows.tolist() for rows in population.seen] == [
+            [0, 1, 2], [0, 1, 2, 0, 1, 2], [0, 1, 2, 0, 1, 2], [0, 1, 2],
+        ]
+
+    def test_nelder_mead_and_adam_submit_live_subsets(self):
+        # row 0 starts at its optimum and stops early; the others go on
+        X0 = np.vstack([self.TARGETS[0], self.X0[1:]])
+        for optimizer in self.optimizers()[1:]:
+            population = RowwiseQuadratics(self.TARGETS)
+            results = optimizer.minimize_batch(population, X0)
+            assert results[0].nit < results[1].nit
+            assert any(0 not in rows for rows in population.seen), optimizer.name
+
+    @pytest.mark.parametrize("mode", BATCH_MODES)
+    def test_multi_restart_modes_agree(self, mode):
+        for base in self.optimizers() + [Cobyla(maxiter=40)]:
+            population = RowwiseQuadratics(self.TARGETS)
+            result = MultiRestart(base, batch_mode=mode).minimize_population(
+                population, self.X0
+            )
+            reference = [
+                base.minimize(population.row_objective(row), x0)
+                for row, x0 in enumerate(self.X0)
+            ]
+            assert_results_match(reference, result.sub_results)
