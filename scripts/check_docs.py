@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs gate: project documentation must stay runnable and unbroken.
 
-Four checks, run by CI's docs job (and ``scripts/run_ci_locally.sh``):
+Five checks, run by CI's docs job (and ``scripts/run_ci_locally.sh``):
 
 * **Links** — every intra-repo markdown link in ``README.md`` and
   ``docs/*.md`` must resolve to an existing file or directory (relative
@@ -28,6 +28,12 @@ Four checks, run by CI's docs job (and ``scripts/run_ci_locally.sh``):
   exist at that path from the repo root. Code outlives the pages it
   cites; a reader sent to a ``DESIGN.md`` that was never written fails
   here.
+
+* **Rejection table** — the table between the ``REJECTED`` markers of
+  ``docs/architecture.md`` must be, line for line, what
+  ``repro.core.runtime.REJECTED`` renders to (one row per refused
+  composition: features, message, where checked, why). A rejection added,
+  reworded or moved to the other stage fails here until the page says so.
 
 Run from the repo root::
 
@@ -157,6 +163,38 @@ def check_cited_pages() -> list[str]:
     ]
 
 
+#: where each stage of ``REJECTED`` is checked, as the docs table words it
+_CHECKED = {
+    "configs": "`SearchRuntime.__init__`, before any optimum is computed or any file created",
+    "run": "first thing in `SearchRuntime.run`, once the proposer and the store exist",
+}
+_TABLE = re.compile(r"<!-- REJECTED:begin -->\n(.*?)<!-- REJECTED:end -->", re.DOTALL)
+
+
+def rejection_table() -> str:
+    """``repro.core.runtime.REJECTED`` as the markdown table the docs carry."""
+    from repro.core.runtime import REJECTED
+
+    lines = ["| Features | `ConfigError` message | Checked | Why |", "| --- | --- | --- | --- |"]
+    for row in REJECTED:
+        features = " × ".join(f"`{feature}`" for feature in row.features)
+        lines.append(f"| {features} | {row.message} | {_CHECKED[row.checked]} | {row.reason} |")
+    return "\n".join(lines) + "\n"
+
+
+def check_rejection_table() -> list[str]:
+    """Return an error when ``docs/architecture.md`` and the table disagree."""
+    found = _TABLE.search((REPO / "docs" / "architecture.md").read_text(encoding="utf-8"))
+    if found is None:
+        return ["docs/architecture.md: no <!-- REJECTED:begin/end --> table"]
+    if found.group(1) != rejection_table():
+        return [
+            "docs/architecture.md: the rejection table is not what "
+            "repro.core.runtime.REJECTED renders; it should read\n" + rejection_table()
+        ]
+    return []
+
+
 def python_blocks(doc: Path) -> list[str]:
     return [
         body
@@ -191,6 +229,8 @@ def main() -> int:
     errors += check_flags(files)
     print("checking *.md pages cited from src/repro and benchmarks/*.py...")
     errors += check_cited_pages()
+    print("checking the rejection table against repro.core.runtime.REJECTED...")
+    errors += check_rejection_table()
     print("running README python snippets...")
     errors += run_snippets(REPO / "README.md")
     if errors:

@@ -347,16 +347,16 @@ def resolve_workload_spec(
     dicts imply nothing (key ``None``) — ``Config.workload`` governs them.
     """
     if isinstance(workload, str):
-        parts = workload.split(":")
-        family = parts[0]
-        if family not in DATASET_FAMILIES or len(parts) > 3:
+        family, *numbers = workload.split(":")
+        try:
+            key, factory = DATASET_FAMILIES[family]
+            # an unknown family, a third number or a non-integer all land here
+            count, seed = [int(n) for n in numbers] + [3, 2023][len(numbers):]
+        except (KeyError, ValueError):
             raise ConfigError(
                 f"unknown workload spec {workload!r}; expected "
                 f"'family[:count[:seed]]' with family in {sorted(DATASET_FAMILIES)}"
-            )
-        key, factory = DATASET_FAMILIES[family]
-        count = int(parts[1]) if len(parts) > 1 else 3
-        seed = int(parts[2]) if len(parts) > 2 else 2023
+            ) from None
         return key, list(_checked(factory, count, dataset_seed=seed))
     graphs = list(workload)
     if not graphs:

@@ -46,6 +46,7 @@ __all__ = [
     "METRICS",
     "classical_optima",
     "evaluate_candidate",
+    "warm_start_rows",
 ]
 
 #: initial-parameter strategies the evaluator accepts; "interp" seeds
@@ -69,6 +70,21 @@ def classical_optima(
     """
     oracle = get_workload(workload)
     return tuple(oracle.classical_optimum(g) for g in graphs)
+
+
+def warm_start_rows(
+    warm_start: Sequence[Sequence[float]] | None, num_graphs: int, p: int
+) -> tuple[tuple[float, ...], ...] | None:
+    """The INTERP hand-off normalized — one depth ``p - 1`` parameter vector
+    per graph — or ``None`` for shapes that cannot seed depth ``p``. The one
+    place its shape is judged: the runtime keys the cache by what this
+    returns and the evaluator trains from it."""
+    if warm_start is None or len(warm_start) != num_graphs or p < 2:
+        return None
+    rows = tuple(tuple(float(v) for v in row) for row in warm_start)
+    if any(len(row) != 2 * (p - 1) for row in rows):
+        return None
+    return rows
 
 
 @dataclass(frozen=True)
@@ -183,7 +199,9 @@ class Evaluator:
         :func:`~repro.qaoa.initialization.interp_init` lift of its vector.
         """
         tokens = tuple(tokens)
-        warm = self._check_warm_start(warm_start, p)
+        warm = None
+        if self.config.init_strategy == "interp":
+            warm = warm_start_rows(warm_start, len(self.graphs), p)
         key = (tokens, int(p), warm)
         cached = self._cache.get(key)
         if cached is not None:
@@ -241,20 +259,6 @@ class Evaluator:
         self._cache[key] = result
         return result
 
-    def _check_warm_start(
-        self, warm_start: Sequence[Sequence[float]] | None, p: int
-    ) -> tuple[tuple[float, ...], ...] | None:
-        """Normalize the INTERP hand-off; discard shapes that cannot seed
-        depth ``p`` (wrong graph count or not a depth ``p - 1`` vector)."""
-        if warm_start is None or self.config.init_strategy != "interp":
-            return None
-        if len(warm_start) != len(self.graphs) or p < 2:
-            return None
-        rows = tuple(tuple(float(v) for v in row) for row in warm_start)
-        if any(len(row) != 2 * (p - 1) for row in rows):
-            return None
-        return rows
-
     def reward(self, tokens: Sequence[str], p: int) -> float:
         """Scalar reward for predictor feedback (mean approximation ratio)."""
         return self.evaluate(tokens, p).reward
@@ -272,7 +276,7 @@ class Evaluator:
         used). Under ``init_strategy="interp"`` a validated ``warm`` row (the
         graph's previous-depth optimum) replaces its restart 0 with the INTERP
         lift; fresh rows fall back to ramp draws, well conditioned at depth."""
-        from repro.qaoa.initialization import interp_init, ramp_init
+        from repro.qaoa.initialization import interp_init, ramp_init, uniform_init
 
         rows = []
         for graph_index, restart in product(range(len(self.graphs)), range(self.config.restarts)):
@@ -284,8 +288,7 @@ class Evaluator:
             elif self.config.init_strategy in ("ramp", "interp"):
                 rows.append(ramp_init(p, rng=rng, jitter=0.05))
             else:
-                scale = self.config.init_scale
-                rows.append(rng.uniform(-scale, scale, 2 * p))
+                rows.append(uniform_init(p, scale=self.config.init_scale, rng=rng))
         return np.stack(rows)
 
     def _train(

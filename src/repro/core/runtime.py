@@ -1,9 +1,5 @@
 """The fault-tolerant, cache-aware search runtime (Algorithm 1's engine).
 
-``search_mixer`` used to drive a blocking ``starmap`` batch per depth: no
-result reuse across depths or runs, no checkpointing, and a single lost
-worker stalled the sweep. This module is the replacement substrate:
-
 * **Streaming execution** — candidate evaluations go through
   :class:`~repro.parallel.jobs.JobScheduler` (``submit`` + as-completed)
   with per-job retry and timeout, so worker failures cost one job's
@@ -16,35 +12,23 @@ worker stalled the sweep. This module is the replacement substrate:
 * **Checkpoint/resume, at two granularities** — each finished depth is
   checkpointed (atomically); a killed search restarted with
   ``resume=True`` skips the depths it already completed. *Within* a
-  depth, every evaluation is persisted to the result cache as it streams
-  back (commits batched every ``cache_flush_every`` evaluations), so a
-  kill in the middle of a wide depth costs at most the unflushed tail:
-  the restart re-submits only the candidates that never reached the
-  cache, not the whole depth.
+  depth, every evaluation reaches the result cache as it streams back
+  (commits batched every ``cache_flush_every`` evaluations), so a
+  mid-depth kill costs at most the unflushed tail.
 * **Sharding** — ``RuntimeConfig(shards=K)`` partitions each depth's
-  candidate bag across K shards (greedy least-loaded by predicted cost)
-  run by :class:`~repro.core.sharded.ShardedRuntime`, the Fig. 2 outer
-  level made real: per-shard schedulers, dead shards re-shard their
-  unfinished candidates onto survivors, cache/stats merge in the parent.
+  candidate bag across K shards run by
+  :class:`~repro.core.sharded.ShardedRuntime`, the Fig. 2 outer level;
   ``RuntimeConfig(shards=K, shard_index=i)`` instead makes *this* process
-  node ``i`` of a multi-process deployment: it evaluates only its shard
-  of every depth into the shared cache (see the CLI's ``--shard-index``).
-* **Hoisted classical optima** — the workload's brute-force oracle (the
-  candidate-independent ``2^n`` part of scoring, per-problem via
-  :mod:`repro.workloads`) runs once per search and ships to workers in
-  the job payload instead of once per candidate.
+  node ``i`` of a multi-process deployment (the CLI's ``--shard-index``).
 * **INTERP warm starts** — with ``EvaluationConfig(init_strategy=
   "interp")`` the runtime threads each candidate's previous-depth optimum
   through the job payload, so depth ``p`` trains from the INTERP lift of
   depth ``p - 1`` (Zhou et al. 2020) instead of cold draws. Warm-started
   evaluations get warm-aware cache keys, so they never alias cold ones.
-* **Compiled fast path** — job payloads carry the full
-  :class:`~repro.core.evaluator.EvaluationConfig`, so workers train on
-  whatever ``config.engine`` selects (default: the compiled engine) under
-  whatever ``config.array_backend`` selects (default NumPy; CuPy or the
-  metered mock GPU via :mod:`repro.simulators.backends`). Both are part
-  of the config fingerprint, which keeps cached results from one
-  engine/backend from ever being replayed as another's.
+
+A depth is five named steps (:meth:`SearchRuntime._run_depth`): restore,
+shard slice, lookup, resolve, finish. What does not compose is one table,
+:data:`REJECTED`.
 
 The runtime is deliberately independent of how candidates are chosen:
 :meth:`SearchRuntime.run` drives one
@@ -54,14 +38,9 @@ exhaustive pool, a learning predictor, or a surrogate filter over either.
 
 .. seealso::
 
-   :class:`~repro.core.sharded.ShardedRuntime`
-       the Fig. 2 outer level stacked on this substrate (``shards=K``).
-   :mod:`repro.core.cache`
-       the fingerprint scheme behind the cache/checkpoint guarantees.
-   ``docs/architecture.md``
-       where this layer sits in the evaluation pipeline;
-       ``docs/cli.md`` documents the flags (``--cache-dir``,
-       ``--resume``, ``--retries``, ``--job-timeout``) that drive it.
+   :mod:`repro.core.cache` for the fingerprint scheme behind the
+   cache/checkpoint guarantees, ``docs/architecture.md`` for where this
+   layer sits in the pipeline, ``docs/cli.md`` for the flags that drive it.
 """
 
 from __future__ import annotations
@@ -71,8 +50,9 @@ import json
 import threading
 import time
 from collections.abc import Iterator, Sequence
+from contextlib import closing
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.circuits.qasm import QasmError, to_qasm
 from repro.core.cache import (
@@ -84,7 +64,7 @@ from repro.core.cache import (
     depth_fingerprint,
     workload_fingerprint,
 )
-from repro.core.evaluator import classical_optima, evaluate_candidate
+from repro.core.evaluator import classical_optima, evaluate_candidate, warm_start_rows
 from repro.core.predictor import Proposer, predicted_cost
 from repro.core.results import CandidateEvaluation, DepthResult, SearchResult
 from repro.graphs.generators import Graph
@@ -99,8 +79,12 @@ from repro.utils.validation import ConfigError
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (search imports us)
     from repro.core.search import SearchConfig
 
+#: one candidate: its mixer's gate tokens
+Tokens = tuple[str, ...]
+
 __all__ = [
     "CancellationToken",
+    "REJECTED",
     "RuntimeConfig",
     "SearchRuntime",
     "SweepCancelled",
@@ -179,10 +163,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"shard_index must be in [0, {self.shards}), got {self.shard_index}"
             )
-        if self.resume and self.cache_dir is None:
-            raise ValueError(
-                "resume requires cache_dir (the checkpoint it restores lives there)"
-            )
         if self.cache_flush_every < 1:
             raise ValueError(
                 f"cache_flush_every must be >= 1, got {self.cache_flush_every}"
@@ -191,6 +171,69 @@ class RuntimeConfig:
             raise ValueError(
                 f"cache_max_entries must be >= 1, got {self.cache_max_entries}"
             )
+
+
+class Rejection(NamedTuple):
+    """One composition the runtime refuses: it applies when both features are on."""
+
+    features: tuple[str, str]
+    #: ``"configs"``: decided by the two configs alone, before any optimum is
+    #: computed or any file created; ``"run"``: needs the proposer or the
+    #: opened store, so it is checked first thing in ``run()``
+    checked: str
+    #: the ``ConfigError`` text, whichever front-end the settings came through
+    message: str
+    reason: str
+
+
+#: Every refused composition, in the order checked. ``docs/architecture.md``
+#: renders this table; the composition-matrix test triggers every row.
+REJECTED = (
+    Rejection(
+        ("resume", "no cache_dir"), "configs",
+        "resume requires cache_dir (the checkpoint it restores lives there)",
+        "the depth checkpoint is a file in cache_dir; a store passed as cache= has none",
+    ),
+    Rejection(
+        ("init_strategy=interp", "shard_index"), "configs",
+        "init_strategy='interp' cannot run under shard_index: the INTERP "
+        "hand-off needs every previous-depth result in one process",
+        "a shard process sees only its slice of depth p-1, so siblings would train one "
+        "depth-p key from different (or missing) warm starts and poison the shared cache",
+    ),
+    Rejection(
+        ("predictor or surrogate", "shard_index"), "run",
+        "shard_index requires a proposer whose pools ignore reward feedback "
+        "(the exhaustive pool); a predictor or surrogate filter would diverge "
+        "between shard processes",
+        "siblings must slice the same pool, but a feedback-driven proposer sees only its "
+        "own slice of the rewards: the shards would neither cover the bag nor stay disjoint",
+    ),
+    Rejection(
+        ("shard_index", "no store"), "run",
+        "shard_index requires a result store (cache_dir, or a shared cache): "
+        "it is where the shard processes' results meet",
+        "a shard keeps only what it stores; with no store its slice of the sweep is lost",
+    ),
+)
+
+
+def _check_rejected(
+    checked: str, config: SearchConfig, runtime: RuntimeConfig,
+    proposer: Proposer | None = None, store: ResultCache | NullStore | None = None,
+) -> None:
+    """Raise the first :data:`REJECTED` row of stage ``checked`` whose features are on."""
+    on = {
+        "resume": runtime.resume,
+        "no cache_dir": runtime.cache_dir is None,
+        "init_strategy=interp": config.evaluation.init_strategy == "interp",
+        "shard_index": runtime.shard_index is not None,
+        "predictor or surrogate": proposer is not None and not proposer.shard_safe,
+        "no store": isinstance(store, NullStore),
+    }
+    for row in REJECTED:
+        if row.checked == checked and all(on[feature] for feature in row.features):
+            raise ConfigError(row.message)
 
 
 class SearchRuntime:
@@ -214,6 +257,8 @@ class SearchRuntime:
         metrics: MetricsRegistry | None = None,
         progress: SweepProgress | None = None,
     ) -> None:
+        # Config-only refusals cost nothing: no optimum, no file yet.
+        _check_rejected("configs", config, runtime)
         if not graphs:
             raise ValueError("search runtime needs at least one graph")
         self.graphs = list(graphs)
@@ -232,25 +277,12 @@ class SearchRuntime:
         # Hot-path fix: the candidate-independent brute-force solve happens
         # here, once, per the configured workload's oracle, and rides along
         # in every job payload.
-        self.classical_values = classical_optima(
-            self.graphs, config.evaluation.workload
-        )
+        self.classical_values = classical_optima(self.graphs, config.evaluation.workload)
         self._workload_fp = workload_fingerprint(self.graphs)
         self._config_fp = config_fingerprint(config.evaluation)
-        # INTERP depth hand-off state: tokens -> (p, per-graph best params)
-        # harvested from each assembled depth (cache hits included, so the
-        # chain is deterministic for a given sweep).
-        self._interp = config.evaluation.init_strategy == "interp"
-        self._warm: dict[tuple[str, ...], tuple[int, tuple]] = {}
-        if self._interp and runtime.shard_index is not None:
-            # A shard process only sees its slice of depth p-1, so sibling
-            # processes would train the same depth-p key from different
-            # (or missing) warm starts and poison the shared cache.
-            raise ConfigError(
-                "init_strategy='interp' cannot run under shard_index: the "
-                "INTERP hand-off needs every previous-depth result in one "
-                "process"
-            )
+        # INTERP hand-off state: tokens -> (p, per-graph best params); only
+        # _harvest_warm_starts fills it, so it is empty unless "interp".
+        self._warm: dict[Tokens, tuple[int, tuple]] = {}
         # Candidate cache keys stay surrogate-independent — an evaluation
         # is a pure function of the evaluation config — but depth
         # *checkpoints* record which candidates a depth ran, so their
@@ -259,9 +291,7 @@ class SearchRuntime:
         # checkpoints.
         self._depth_config_fp = self._config_fp
         if config.surrogate.enabled:
-            self._depth_config_fp = (
-                f"{self._config_fp}:surrogate-{config.surrogate.fingerprint()}"
-            )
+            self._depth_config_fp += f":surrogate-{config.surrogate.fingerprint()}"
         # Shard placement cost; run() points it at its proposer's estimate.
         self._predicted_cost = predicted_cost
         self.cache: ResultCache | NullStore = NullStore()
@@ -285,8 +315,8 @@ class SearchRuntime:
         # Per-sweep hit/miss accounting: counters on a *shared* cache
         # aggregate every tenant, so the sweep tracks its own view (for a
         # privately-owned cache the two are identical).
-        self._sweep_hits = 0
-        self._sweep_misses = 0
+        self.cache_hits = 0
+        self.cache_misses = 0
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -302,21 +332,6 @@ class SearchRuntime:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- accounting --------------------------------------------------------
-
-    @property
-    def cache_hits(self) -> int:
-        return self._sweep_hits
-
-    @property
-    def cache_misses(self) -> int:
-        return self._sweep_misses
-
-    @property
-    def cache_evictions(self) -> int:
-        """Store-level evictions (shared across tenants of one cache)."""
-        return self.cache.evictions
-
     # -- the sweep ---------------------------------------------------------
 
     def run(self, proposer: Proposer) -> SearchResult:
@@ -326,21 +341,7 @@ class SearchRuntime:
         learning predictor (or a surrogate filter) steer its own later
         pools.
         """
-        if self.runtime.shard_index is not None and not proposer.shard_safe:
-            # Sibling shard processes must slice the *same* pool, but a
-            # feedback-driven proposer sees only this process's slice of
-            # the rewards, so sibling pools would silently diverge and
-            # the shards would neither cover the bag nor stay disjoint.
-            raise ConfigError(
-                "shard_index requires a proposer whose pools ignore reward "
-                "feedback (the exhaustive pool); a predictor or surrogate "
-                "filter would diverge between shard processes"
-            )
-        if self.runtime.shard_index is not None and isinstance(self.cache, NullStore):
-            raise ConfigError(
-                "shard_index requires a result store (cache_dir, or a shared "
-                "cache): it is where the shard processes' results meet"
-            )
+        _check_rejected("run", self.config, self.runtime, proposer, self.cache)
         self._predicted_cost = proposer.predicted_cost
         best: CandidateEvaluation | None = None
         depth_results: list[DepthResult] = []
@@ -358,16 +359,7 @@ class SearchRuntime:
             # the proposer's in-memory state is gone, so replaying recorded
             # rewards is what reconstructs it on resume.
             proposer.observe(depth_result.evaluations)
-            if self._interp:
-                # Harvest the depth's trained optima (cache hits included,
-                # keeping the hand-off chain deterministic) so depth p+1
-                # can warm-start from them.
-                for evaluation in depth_result.evaluations:
-                    if evaluation.best_params:
-                        self._warm[evaluation.tokens] = (
-                            evaluation.p,
-                            evaluation.best_params,
-                        )
+            self._harvest_warm_starts(depth_result.evaluations)
             if depth_result.evaluations:
                 depth_best = depth_result.best
                 # Line 10: SELECT_BEST against the best of previous depths.
@@ -395,148 +387,158 @@ class SearchRuntime:
 
     # -- internals ---------------------------------------------------------
 
-    def _run_depth(self, p: int, candidates: Sequence[tuple[str, ...]]) -> DepthResult:
-        depth_fp = depth_fingerprint(
-            self._workload_fp, self._depth_config_fp, candidates, p
-        )
-        if self.runtime.resume and self.checkpoint is not None:
-            restored = self.checkpoint.load_depth(depth_fp)
-            if restored is not None:
-                if restored.best_qasm is None:
-                    restored = replace(
-                        restored, best_qasm=self._depth_qasm(p, restored.evaluations)
-                    )
-                self.restored_depths += 1
-                done = len(restored.evaluations)
-                self.progress.begin_depth(p, total=done, cached=done)
-                self.progress.finish_depth(p)
-                return restored
-        if self.runtime.shard_index is not None:
-            # This process is one node of a multi-process deployment: it
-            # owns a deterministic slice of the full bag (every sibling
-            # computes the same partition of the same list) and its
-            # results meet the others' in the shared cache. The depth
-            # checkpoint stays untouched — it describes full depths only.
-            mine = least_loaded_partition(
-                [predicted_cost(tokens, p) for tokens in candidates],
-                self.runtime.shards,
-            )[self.runtime.shard_index]
-            candidates = [candidates[i] for i in sorted(mine)]
-
+    def _run_depth(self, p: int, candidates: Sequence[Tokens]) -> DepthResult:
+        """restore → shard slice → lookup → resolve → finish; the loop here
+        is the one place a result is delivered."""
+        depth_fp = depth_fingerprint(self._workload_fp, self._depth_config_fp, candidates, p)
+        restored = self._restore(p, depth_fp)
+        if restored is not None:
+            return restored
+        candidates = self._shard_slice(p, candidates)
         depth_start = time.perf_counter()
+        evaluations, misses = self._lookup(p, candidates)
+        # Positions already filled by lookups count as done from the
+        # start; repeats awaiting a miss land with that miss below.
+        cached = sum(e is not None for e in evaluations)
+        self.progress.begin_depth(p, total=len(candidates), cached=cached)
+        pending = {key: candidates[positions[0]] for key, positions in misses.items()}
+        # Closed explicitly, not left to the collector: a raise out of the
+        # loop body leaves the generator suspended, and its claim release
+        # must run before the exception leaves the depth.
+        with closing(self._resolve(p, pending)) as resolved:
+            for key, result in resolved:
+                for position in misses[key]:
+                    evaluations[position] = result
+                # Every result is persisted as it streams back (the cache
+                # batches commits), so a mid-depth kill only loses work that
+                # had not reached the last flush — that is the partial-depth
+                # checkpoint the restart recovers from, candidate by candidate.
+                self.cache.put(key, result)
+                self.progress.record(p, len(misses[key]))
+                # Mid-depth cancellation checkpoint: every streamed result
+                # above is already persisted.
+                self.cancel.raise_if_cancelled()
+        if misses:
+            self.cache.flush()
+        self.progress.finish_depth(p)
+        return self._finish(p, depth_fp, evaluations, depth_start)
+
+    def _restore(self, p: int, depth_fp: str) -> DepthResult | None:
+        """The depth as the checkpoint recorded it, under ``resume``."""
+        if not self.runtime.resume or self.checkpoint is None:
+            return None
+        restored = self.checkpoint.load_depth(depth_fp)
+        if restored is None:
+            return None
+        if restored.best_qasm is None:
+            restored = replace(restored, best_qasm=self._depth_qasm(p, restored.evaluations))
+        self.restored_depths += 1
+        done = len(restored.evaluations)
+        self.progress.begin_depth(p, total=done, cached=done)
+        self.progress.finish_depth(p)
+        return restored
+
+    def _shard_slice(self, p: int, candidates: Sequence[Tokens]) -> Sequence[Tokens]:
+        """Under ``shard_index`` this process is one node of a multi-process
+        deployment: it owns a deterministic slice of the full bag (every
+        sibling computes the same partition of the same list) and its
+        results meet the others' in the shared cache."""
+        if self.runtime.shard_index is None:
+            return candidates
+        costs = [predicted_cost(tokens, p) for tokens in candidates]
+        mine = least_loaded_partition(costs, self.runtime.shards)[self.runtime.shard_index]
+        return [candidates[i] for i in sorted(mine)]
+
+    def _lookup(self, p: int, candidates: Sequence[Tokens]) -> tuple[list, dict[str, list[int]]]:
+        """One slot per position, hits filled in; misses as key -> positions
+        awaiting its result. Repeat proposals within a depth (RL predictors
+        re-propose good sequences constantly) are trained once and fanned
+        out; insertion order doubles as job order."""
         evaluations: list[CandidateEvaluation | None] = [None] * len(candidates)
-        # key -> positions awaiting its result; repeat proposals within a
-        # depth (RL predictors re-propose good sequences constantly) are
-        # trained once and fanned out. Insertion order doubles as job order.
-        miss_positions: dict[str, list[int]] = {}
+        misses: dict[str, list[int]] = {}
         for position, tokens in enumerate(candidates):
             key = self._candidate_key(tokens, p)
-            if key in miss_positions:
-                miss_positions[key].append(position)
-                self._sweep_hits += 1  # repeat served without retraining
+            if key in misses:
+                misses[key].append(position)
+                self.cache_hits += 1  # repeat served without retraining
                 self.cache.count_hit()
                 continue
             cached = self.cache.get(key)
             if cached is not None:
-                self._sweep_hits += 1
+                self.cache_hits += 1
                 evaluations[position] = cached
             else:
-                self._sweep_misses += 1
-                miss_positions[key] = [position]
+                self.cache_misses += 1
+                misses[key] = [position]
+        return evaluations, misses
 
-        # Positions already filled by lookups count as done from the
-        # start; repeats awaiting a miss land with that miss below.
-        self.progress.begin_depth(
-            p,
-            total=len(candidates),
-            cached=sum(1 for e in evaluations if e is not None),
-        )
+    def _resolve(
+        self, p: int, pending: dict[str, Tokens]
+    ) -> Iterator[tuple[str, CandidateEvaluation]]:
+        """One stream of ``(key, evaluation)`` for every missed key.
 
-        # Against a shared cache, claim each miss: the first tenant to
-        # claim a key evaluates it, the others collect its put below
-        # instead of duplicating the training run (a claim also loses to a
-        # put that landed since our lookup missed).
-        owned_keys: list[str] = []
-        foreign_keys: list[str] = []
-        for key in miss_positions:
-            (owned_keys if self.cache.claim(key) else foreign_keys).append(key)
-
-        if owned_keys:
-            jobs = [self._job_payload(candidates[miss_positions[key][0]], p)
-                    for key in owned_keys]
-            unresolved = set(owned_keys)
-            try:
-                # Every result is persisted as it streams back (the cache
-                # batches commits), so a mid-depth kill only loses work that
-                # had not reached the last flush — that is the partial-depth
-                # checkpoint the restart recovers from, candidate by
-                # candidate.
-                for key, result in self._execute(p, owned_keys, jobs):
-                    for position in miss_positions[key]:
-                        evaluations[position] = result
-                    self.cache.put(key, result)
-                    unresolved.discard(key)
-                    self.progress.record(p, len(miss_positions[key]))
-                    # Mid-depth cancellation checkpoint: every streamed
-                    # result above is already persisted, and the finally
-                    # below releases the claims we never delivered.
-                    self.cancel.raise_if_cancelled()
-            finally:
-                # A failed/aborted sweep must not strand tenants waiting on
-                # its claims — release whatever it never delivered.
-                for key in unresolved:
-                    self.cache.unclaim(key)
-            self.cache.flush()
-
-        for key in foreign_keys:
-            # Another sweep owns this evaluation; block until its put lands
-            # (bounded by the per-job deadline when one is configured). A
-            # None means the owner failed or timed out — evaluate it
-            # ourselves rather than losing the candidate.
+        Against a shared cache each miss is claimed: the first tenant to
+        claim a key evaluates it, the others collect its put instead of
+        duplicating the training run (a claim also loses to a put that
+        landed since our lookup missed). Claimed keys stream back as they
+        complete, then each key another tenant owns once its put lands.
+        """
+        owned: list[str] = []
+        foreign: list[str] = []
+        for key in pending:
+            (owned if self.cache.claim(key) else foreign).append(key)
+        jobs = [self._job_payload(pending[key], p) for key in owned]
+        undelivered = set(owned)
+        try:
+            for key, result in self._execute(p, owned, jobs) if owned else ():
+                yield key, result
+                undelivered.discard(key)  # resumed: the consumer's put landed
+        finally:
+            # A failed/aborted sweep must not strand tenants waiting on
+            # its claims — release whatever it never delivered.
+            for key in undelivered:
+                self.cache.unclaim(key)
+        if owned and foreign:
+            self.cache.flush()  # ours are durable before we block on theirs
+        for key in foreign:
+            # Bounded by the per-job deadline when one is configured. A None
+            # means the owner failed or timed out — evaluate it ourselves
+            # rather than losing the candidate.
             result = self.cache.wait_for(key, timeout=self.runtime.job_timeout)
             if result is None:
-                tokens = candidates[miss_positions[key][0]]
-                for _, result in self._execute(
-                    p, [key], [self._job_payload(tokens, p)]
-                ):
-                    self.cache.put(key, result)
+                ((_, result),) = self._execute(p, [key], [self._job_payload(pending[key], p)])
             else:
                 # Served by a concurrent sweep's work: reclassify the
                 # provisional miss recorded at lookup time as a hit.
-                self._sweep_misses -= 1
-                self._sweep_hits += 1
-            for position in miss_positions[key]:
-                evaluations[position] = result
-            self.progress.record(p, len(miss_positions[key]))
-        if foreign_keys:
-            self.cache.flush()
+                self.cache_misses -= 1
+                self.cache_hits += 1
+            yield key, result
 
-        self.progress.finish_depth(p)
+    def _finish(self, p: int, depth_fp: str, evaluations: list, depth_start: float) -> DepthResult:
+        """The ``DepthResult`` with its winner's QASM, checkpointed — except
+        under ``shard_index``: the checkpoint describes full depths only."""
         completed = tuple(e for e in evaluations if e is not None)
-        depth_result = DepthResult(
-            p,
-            completed,
-            time.perf_counter() - depth_start,
-            self._depth_qasm(p, completed),
-        )
+        seconds = time.perf_counter() - depth_start
+        depth_result = DepthResult(p, completed, seconds, self._depth_qasm(p, completed))
         if self.checkpoint is not None and self.runtime.shard_index is None:
             self.checkpoint.save_depth(depth_fp, depth_result)
         return depth_result
 
+    # -- the INTERP hand-off: harvest, look-up, key suffix -----------------
+
+    def _harvest_warm_starts(self, evaluations: Sequence[CandidateEvaluation]) -> None:
+        """Record a depth's trained optima (cache hits included, keeping the
+        hand-off chain deterministic) so depth ``p + 1`` can start from them."""
+        if self.config.evaluation.init_strategy == "interp":
+            for evaluation in evaluations:
+                if evaluation.best_params:
+                    self._warm[evaluation.tokens] = (evaluation.p, evaluation.best_params)
+
     def _warm_start_for(self, tokens: Sequence[str], p: int) -> tuple | None:
         """The per-graph depth ``p - 1`` optima for ``tokens``, when the
-        INTERP hand-off is active and the previous depth recorded them."""
-        if not self._interp:
-            return None
-        entry = self._warm.get(tuple(tokens))
-        if entry is None or entry[0] != p - 1:
-            return None
-        rows = entry[1]
-        if len(rows) != len(self.graphs) or any(
-            len(row) != 2 * (p - 1) for row in rows
-        ):
-            return None
-        return rows
+        previous depth recorded them in a shape that can seed depth ``p``."""
+        depth, rows = self._warm.get(tuple(tokens), (None, None))
+        return warm_start_rows(rows, len(self.graphs), p) if depth == p - 1 else None
 
     def _candidate_key(self, tokens: Sequence[str], p: int) -> str:
         """The candidate's cache key; warm-started evaluations fold the
@@ -549,9 +551,7 @@ class SearchRuntime:
             config_fp = f"{config_fp}:warm-{digest}"
         return candidate_key(self._workload_fp, tokens, p, config_fp)
 
-    def _depth_qasm(
-        self, p: int, evaluations: tuple[CandidateEvaluation, ...]
-    ) -> str | None:
+    def _depth_qasm(self, p: int, evaluations: tuple[CandidateEvaluation, ...]) -> str | None:
         """OpenQASM 2.0 of the depth winner, bound with its trained
         parameters on the first workload graph — the downstream-toolchain
         exit path every result payload now carries. ``None`` when the
@@ -596,9 +596,7 @@ class SearchRuntime:
         :class:`~repro.core.sharded.ShardedRuntime` overrides this with
         the sharded outer level.
         """
-        for job_index, result in self.scheduler.as_completed(
-            evaluate_candidate, jobs
-        ):
+        for job_index, result in self.scheduler.as_completed(evaluate_candidate, jobs):
             yield keys[job_index], result
 
     def _result_config(self, proposer: Proposer) -> dict:
@@ -619,7 +617,8 @@ class SearchRuntime:
             "cache_dir": self.runtime.cache_dir,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
+            # store-level: shared across the tenants of one cache
+            "cache_evictions": self.cache.evictions,
             "restored_depths": self.restored_depths,
             "shards": self.runtime.shards,
             "shard_index": self.runtime.shard_index,

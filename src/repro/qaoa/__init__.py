@@ -11,7 +11,7 @@ from repro.qaoa.analytic import edge_energy_p1, grid_search_p1, maxcut_energy_p1
 from repro.qaoa.ansatz import QAOAAnsatz, build_qaoa_ansatz
 from repro.qaoa.cost_operator import append_cost_layer, cost_layer
 from repro.qaoa.energy import AnsatzEnergy
-from repro.qaoa.initialization import interp_init, make_initializer, ramp_init, uniform_init
+from repro.qaoa.initialization import interp_init, ramp_init, uniform_init
 from repro.qaoa.maxcut import (
     CutSolution,
     approximation_ratio,
@@ -59,5 +59,4 @@ __all__ = [
     "uniform_init",
     "ramp_init",
     "interp_init",
-    "make_initializer",
 ]

@@ -23,7 +23,7 @@ import numpy as np
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_positive
 
-__all__ = ["uniform_init", "ramp_init", "interp_init", "make_initializer"]
+__all__ = ["uniform_init", "ramp_init", "interp_init"]
 
 
 def uniform_init(p: int, *, scale: float = 0.5, rng=None) -> np.ndarray:
@@ -77,17 +77,3 @@ def interp_init(previous: Sequence[float]) -> np.ndarray:
         return out
 
     return np.concatenate([lift(previous[:p]), lift(previous[p:])])
-
-
-def make_initializer(strategy: str):
-    """Initializer factory for config plumbing: ``uniform`` or ``ramp``.
-
-    Returns ``fn(p, rng) -> ndarray``. INTERP is not listed here because it
-    needs the previous depth's optimum (the hand-off lives in
-    :class:`repro.core.runtime.SearchRuntime`).
-    """
-    if strategy == "uniform":
-        return lambda p, rng: uniform_init(p, rng=rng)
-    if strategy == "ramp":
-        return lambda p, rng: ramp_init(p, rng=rng, jitter=0.05)
-    raise ValueError(f"unknown init strategy {strategy!r}; options: uniform, ramp")

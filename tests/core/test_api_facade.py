@@ -162,6 +162,14 @@ class TestWorkloads:
         with pytest.raises(ValueError, match="workload spec"):
             resolve_workload("barabasi:3")
 
+    @pytest.mark.parametrize("spec", ["er:x", "er:2:zz", "er::", "er:1.5"])
+    def test_malformed_count_or_seed_is_a_config_error(self, spec):
+        """Not the bare ``invalid literal for int()`` of the conversion."""
+        with pytest.raises(ConfigError) as rejected:
+            search(spec)
+        expected = f"unknown workload spec {spec!r}; expected 'family[:count[:seed]]' with"
+        assert str(rejected.value).startswith(expected)
+
     def test_empty_workload_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             resolve_workload([])

@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from repro.core.evaluator import EvaluationConfig, Evaluator
+from repro.core.evaluator import EvaluationConfig, Evaluator, warm_start_rows
 from repro.core.results import CandidateEvaluation
 from repro.graphs.datasets import paper_er_dataset
 from repro.optimizers import SPSA, Adam, Cobyla, MultiRestart, NelderMead
@@ -107,7 +107,7 @@ def test_one_population_equals_the_per_graph_path(
     if init == "interp":
         rng = np.random.default_rng(count)
         warm = tuple(tuple(row) for row in rng.uniform(-0.4, 0.4, (count, 2 * (P - 1))))
-        assert evaluator._check_warm_start(warm, P) == warm
+        assert warm_start_rows(warm, count, P) == warm
     together = evaluator.evaluate(TOKENS, P, warm_start=warm)
     assert minus_seconds(together) == minus_seconds(per_graph_path(evaluator, TOKENS, P, warm))
     assert len(set(together.per_graph_energy)) == count  # the graphs do differ

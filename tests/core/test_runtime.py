@@ -1,16 +1,25 @@
 """SearchRuntime: warm-cache reuse, checkpoint/resume, fault tolerance."""
 
 import json
+import time
 from dataclasses import replace
 
 import pytest
 
-from repro.core.cache import NullStore, ResultCache, SweepCheckpoint
+from repro.core.cache import (
+    NullStore,
+    ResultCache,
+    SweepCheckpoint,
+    candidate_key,
+    config_fingerprint,
+    workload_fingerprint,
+)
 from repro.core.evaluator import EvaluationConfig
 from repro.core.predictor import FixedPoolProposer, Predictor, PredictorProposer
-from repro.core.runtime import RuntimeConfig, SearchRuntime
+from repro.core.runtime import CancellationToken, RuntimeConfig, SearchRuntime, SweepCancelled
 from repro.core.search import SearchConfig, search_mixer
 from repro.graphs.generators import erdos_renyi_graph
+from repro.obs.progress import SweepProgress
 from repro.parallel.executor import SerialExecutor, ThreadExecutor
 
 
@@ -388,6 +397,63 @@ class TestSharedCacheDedup:
         assert hits == {"a": 0, "b": candidates}
         assert len(executor.submitted) == candidates
         assert evaluation_payload(results["a"]) == evaluation_payload(results["b"])
+
+    @staticmethod
+    def depth_keys(graphs, config, result, p=1):
+        return [
+            candidate_key(
+                workload_fingerprint(graphs), e.tokens, p, config_fingerprint(config.evaluation)
+            )
+            for e in result.depth_results[p - 1].evaluations
+        ]
+
+    def test_mid_depth_cancel_leaves_no_claim_behind(self, graphs, tiny_config, tmp_path):
+        """A tenant waiting on a key the cancelled sweep claimed but never
+        delivered is released at once — while the exception (and with it
+        every frame of the cancelled sweep) is still alive, as it is in a
+        service slot that is busy reporting it — not after ``job_timeout``."""
+        reference = search_mixer(graphs, tiny_config)
+        keys = self.depth_keys(graphs, tiny_config, reference)
+        token = CancellationToken("tenant left")
+
+        class CancelOnFirstResult(SweepProgress):
+            def record(self, p, n=1, **kwargs):
+                super().record(p, n, **kwargs)
+                token.cancel()
+
+        with ResultCache(tmp_path, shared=True, flush_every=2) as cache:
+            with pytest.raises(SweepCancelled, match="tenant left") as cancelled:
+                search_mixer(
+                    graphs, tiny_config, cache=cache, cancel=token,
+                    progress=CancelOnFirstResult(),
+                )
+            assert cancelled.traceback  # the sweep's frames are still referenced
+            undelivered = [key for key in keys if key not in cache]
+            assert 0 < len(undelivered) < len(keys)
+            start = time.monotonic()
+            assert [cache.wait_for(key, timeout=5.0) for key in undelivered] == [None] * len(
+                undelivered
+            )
+            assert time.monotonic() - start < 2.0
+            # ... and the keys are claimable again: the next tenant trains them
+            rerun = search_mixer(graphs, tiny_config, cache=cache)
+        assert rerun.config["cache_hits"] == len(keys) - len(undelivered)
+        assert evaluation_payload(rerun) == evaluation_payload(reference)
+
+    def test_a_claim_its_owner_abandons_is_evaluated_here(self, graphs, tiny_config, tmp_path):
+        """``wait_for`` answering ``None`` (the owner failed or timed out)
+        costs the waiting sweep a training run, never the candidate."""
+        config = replace(tiny_config, p_max=1)
+        reference = search_mixer(graphs, config)
+        with ResultCache(tmp_path, shared=True) as cache:
+            for key in self.depth_keys(graphs, config, reference):
+                assert cache.claim(key)  # another tenant's, never delivered
+            waited = search_mixer(
+                graphs, config, cache=cache, runtime=RuntimeConfig(job_timeout=0.05)
+            )
+        assert waited.config["cache_misses"] == reference.num_candidates
+        assert waited.config["cache_hits"] == 0
+        assert evaluation_payload(waited) == evaluation_payload(reference)
 
 
 class TestRuntimeValidation:

@@ -1,18 +1,25 @@
-"""The composition matrix (ROADMAP aim 3), driven through ``api.search`` only.
+"""The composition matrix (ROADMAP aim 3), driven through ``api.search`` only
+(the one leg it cannot reach — a cancel token — goes through the same configs).
 
 Every search feature × every execution feature either reproduces the same
 search feature's un-decorated run, evaluation for evaluation, or is
-rejected with exactly one pinned message. Columns the matrix still lacks:
-cancel, fault injection, and a shared (multi-tenant) cache.
+rejected with exactly one message: a row of ``repro.core.runtime.REJECTED``.
+The column the matrix still lacks: a shared (multi-tenant) cache.
 """
 
+import re
 from dataclasses import replace
 from functools import lru_cache
 
 import pytest
 from tests.conftest import evaluations
 
-from repro.api import Config, ConfigError, search
+from repro.api import Config, ConfigError, resolve_workload, search
+from repro.core import runtime
+from repro.core.search import search_mixer
+from repro.obs.progress import SweepProgress
+from repro.parallel.executor import MultiprocessingExecutor
+from repro.parallel.faults import FaultInjectingExecutor, FaultPlan
 
 WORKLOAD, DEPTHS = "er:1", 2
 BASE = Config(k_max=2, steps=8)
@@ -24,19 +31,19 @@ SEARCH_FEATURES = {
     "surrogate+interp": dict(surrogate=True, init_strategy="interp"),
 }
 
-#: the two rejections open today (closing them is a ROADMAP item)
-PROPOSER_X_SHARD_INDEX = "shard_index requires a proposer whose pools ignore reward"
-INTERP_X_SHARD_INDEX = "init_strategy='interp' cannot run under shard_index"
+MESSAGE = {row.features: row.message for row in runtime.REJECTED}
+#: the cells that land on a row of the table (both open today; closing them
+#: is a ROADMAP item)
 REJECTED = {
-    ("surrogate", "shard_index"): PROPOSER_X_SHARD_INDEX,
-    ("interp", "shard_index"): INTERP_X_SHARD_INDEX,
-    ("surrogate+interp", "shard_index"): INTERP_X_SHARD_INDEX,
+    ("surrogate", "shard_index"): MESSAGE["predictor or surrogate", "shard_index"],
+    ("interp", "shard_index"): MESSAGE["init_strategy=interp", "shard_index"],
+    ("surrogate+interp", "shard_index"): MESSAGE["init_strategy=interp", "shard_index"],
 }
 
 
-def run(feature, workload=WORKLOAD, base=BASE, **execution):
+def run(feature, workload=WORKLOAD, base=BASE, executor=None, **execution):
     config = replace(base, **SEARCH_FEATURES[feature], **execution)
-    return search(workload, depths=DEPTHS, config=config)
+    return search(workload, depths=DEPTHS, config=config, executor=executor)
 
 
 @lru_cache(maxsize=None)
@@ -63,6 +70,38 @@ def shard_index(feature, tmp_path):
     return merged
 
 
+def cancel_then_resume(feature, tmp_path):
+    """A token fired once depth 1 is checkpointed stops the sweep before
+    depth 2; ``resume`` restores the one and trains the other."""
+    config = replace(BASE, **SEARCH_FEATURES[feature], cache_dir=str(tmp_path))
+    token = runtime.CancellationToken("cancelled after depth 1")
+
+    class CancelAfterDepthOne(SweepProgress):
+        def finish_depth(self, p):
+            super().finish_depth(p)
+            token.cancel()
+
+    with pytest.raises(runtime.SweepCancelled, match="cancelled after depth 1"):
+        search_mixer(
+            resolve_workload(WORKLOAD), config.search_config(DEPTHS),
+            runtime=config.runtime_config(), cancel=token, progress=CancelAfterDepthOne(),
+        )
+    resumed = run(feature, cache_dir=str(tmp_path), resume=True)
+    assert resumed.config["restored_depths"] == 1
+    assert resumed.config["cache_hits"] == 0 < resumed.config["cache_misses"]
+    return resumed
+
+
+def worker_kill(feature, tmp_path):
+    """``SIGKILL`` from inside a candidate costs its attempt, nothing else."""
+    plan = FaultPlan(5, worker_kills=0.3, max_faults_per_kind=2)
+    with FaultInjectingExecutor(MultiprocessingExecutor(2), plan) as executor:
+        result = run(feature, executor=executor)
+    assert plan.injected["kill"] > 0  # vacuous otherwise
+    assert result.config["jobs_retried"] >= plan.injected["kill"]
+    return result
+
+
 EXECUTION_FEATURES = {
     "shards": lambda feature, tmp_path: run(feature, shards=2),
     "workers": lambda feature, tmp_path: run(feature, workers=2),
@@ -70,6 +109,8 @@ EXECUTION_FEATURES = {
     "resume": resume,
     "shard_index": shard_index,
     "batch_serial": lambda feature, tmp_path: run(feature, batch_mode="serial"),
+    "cancel_then_resume": cancel_then_resume,
+    "worker_kill": worker_kill,
 }
 
 
@@ -78,11 +119,44 @@ EXECUTION_FEATURES = {
 def test_cell_composes_or_is_rejected_in_one_place(feature, execution, tmp_path):
     message = REJECTED.get((feature, execution))
     if message is not None:
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
             EXECUTION_FEATURES[execution](feature, tmp_path)
         return
     result = EXECUTION_FEATURES[execution](feature, tmp_path)
     assert evaluations(result) == undecorated(feature)
+
+
+#: settings that switch on exactly the two features of each table row
+TRIGGERS = {
+    ("resume", "no cache_dir"): lambda tmp_path: dict(resume=True),
+    ("init_strategy=interp", "shard_index"): lambda tmp_path: dict(
+        init_strategy="interp", shards=2, shard_index=0, cache_dir=str(tmp_path / "store")
+    ),
+    ("predictor or surrogate", "shard_index"): lambda tmp_path: dict(
+        surrogate=True, shards=2, shard_index=0, cache_dir=str(tmp_path / "store")
+    ),
+    ("shard_index", "no store"): lambda tmp_path: dict(shards=2, shard_index=0),
+}
+
+
+def test_every_row_of_the_table_has_a_trigger():
+    assert set(TRIGGERS) == {row.features for row in runtime.REJECTED}
+
+
+@pytest.mark.parametrize("row", runtime.REJECTED, ids=lambda row: " x ".join(row.features))
+def test_every_rejection_is_its_rows_message(row, tmp_path, monkeypatch):
+    """... and a refusal the configs alone decide costs nothing: no
+    brute-forced optimum, no file created."""
+    optima = []
+    monkeypatch.setattr(
+        runtime, "classical_optima", lambda *args: optima.append(args) or (1.0,) * len(args[0])
+    )
+    with pytest.raises(ConfigError) as rejected:
+        search(WORKLOAD, depths=DEPTHS, config=replace(BASE, **TRIGGERS[row.features](tmp_path)))
+    assert str(rejected.value) == row.message
+    if row.checked == "configs":
+        assert optima == []
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_the_search_features_are_distinct_sweeps():

@@ -90,10 +90,6 @@ TEST_ONLY = {
         "closed-form p=1 optimum: the oracle test_optimizers/test_evaluator train against"
     ),
     "repro.qaoa.cost_operator.cost_layer": _LAYER,
-    "repro.qaoa.initialization.make_initializer": (
-        "init strategy name -> draw function, the unit tests' handle on uniform/ramp; the "
-        "evaluator chooses inline because INTERP needs the runtime's hand-off"
-    ),
     "repro.qaoa.mixers.baseline_mixer": _LAYER,
     "repro.qtensor.lightcone.lightcone_qubits": (
         "how local an energy term is: the cone-size assertion behind the scaling argument"
@@ -355,16 +351,3 @@ def test_imports_outside_src_resolve(tree, pattern):
     problems = [problem for path in paths for problem in tree.unresolved(path)]
     assert not problems, "\n".join(problems)
 
-
-def test_the_names_the_e2e_tracer_patches_exist(monkeypatch):
-    """``benchmarks/e2e/trace.py`` wraps ``SearchRuntime.run``,
-    ``ResultCache.claim``, … by name and reads them from the class's own
-    ``__dict__``; a renamed or inherited method raises here, not mid-benchmark."""
-    monkeypatch.syspath_prepend(str(REPO / "benchmarks"))
-    from e2e.trace import Tracer, install
-
-    tracer = Tracer()
-    try:
-        install(tracer, in_worker_processes=False)
-    finally:
-        tracer.uninstall()

@@ -6,7 +6,7 @@ import pytest
 from repro.graphs.generators import cycle_graph, erdos_renyi_graph
 from repro.qaoa.ansatz import build_qaoa_ansatz
 from repro.qaoa.energy import AnsatzEnergy
-from repro.qaoa.initialization import interp_init, make_initializer, ramp_init, uniform_init
+from repro.qaoa.initialization import interp_init, ramp_init, uniform_init
 
 
 class TestUniform:
@@ -76,17 +76,6 @@ class TestInterp:
         e2 = AnsatzEnergy(build_qaoa_ansatz(g, 2))
         lifted_energy = e2.value(interp_init(result.x))
         assert lifted_energy > 0.9 * trained_p1
-
-
-class TestFactory:
-    def test_known_strategies(self):
-        rng = np.random.default_rng(0)
-        assert make_initializer("uniform")(2, rng).shape == (4,)
-        assert make_initializer("ramp")(2, rng).shape == (4,)
-
-    def test_unknown(self):
-        with pytest.raises(ValueError):
-            make_initializer("oracle")
 
 
 class TestEvaluatorIntegration:

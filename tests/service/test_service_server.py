@@ -13,7 +13,7 @@ import pytest
 
 from repro.api import Config, ConfigError, ServiceError, connect, search
 from repro.parallel.faults import FaultInjectingExecutor, FaultPlan
-from repro.service.server import SearchService, make_http_server
+from repro.service.server import SearchService, ServiceRequestError, make_http_server
 
 SPEC = {
     "workload": "er:2:7",
@@ -185,6 +185,22 @@ class TestValidation:
             )
             assert status == 400, bad
             assert body["error"] == f"invalid sweep spec: {facade.value}"
+        assert sum(svc.queue.counts().values()) == 0
+
+    def test_malformed_workload_spec_rejected_at_submit(self, service):
+        """A count or seed that is no integer is the facade's documented
+        rejection, not the bare ``ValueError`` of the conversion."""
+        svc, base = service
+        for spec in ("er:x", "er:2:zz", "er::", "er:1.5"):
+            with pytest.raises(ConfigError, match="family\\[:count\\[:seed") as facade:
+                search(spec)
+            with pytest.raises(ServiceRequestError) as rejected:
+                svc.submit({"workload": spec})
+            assert rejected.value.status == 400
+            assert str(rejected.value) == f"invalid sweep spec: {facade.value}"
+            assert http("POST", base + "/submit", {"workload": spec}) == (
+                400, {"error": str(rejected.value)},
+            )
         assert sum(svc.queue.counts().values()) == 0
 
     def test_settings_the_service_ignores_are_accepted_at_submit(self, service):
