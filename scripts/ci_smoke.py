@@ -14,6 +14,9 @@ in a user run). Asserts:
 * the compiled engine agrees with the statevector oracle to 1e-10 on the
   winning candidate's energy (spot equivalence outside the unit suite),
 * a repeated run with the warm cache performs zero candidate trainings,
+* a child interpreter that runs two ``api.search(workers=2)`` sweeps — the
+  second on the worker processes the first one parked — exits 0 within
+  10 s and leaves none of those processes behind,
 * the cold run stays inside a generous wall-clock budget, so order-of-
   magnitude runtime regressions fail CI without full-bench cost.
 
@@ -49,7 +52,9 @@ skipped counter is nonzero in the result config and in the service's
 from __future__ import annotations
 
 import argparse
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import threading
@@ -65,6 +70,43 @@ from repro.graphs.datasets import paper_er_dataset  # noqa: E402
 
 #: generous ceiling — the run takes ~5 s on 2 CPU-throttled CI cores
 COLD_BUDGET_SECONDS = 120.0
+
+
+#: two sweeps on one parked fleet, then a plain exit; prints the worker pids
+TWO_SEARCHES_THEN_EXIT = """
+from repro.api import Config, search
+from repro.parallel import executor
+config = Config(k_min=2, k_max=2, steps=10, num_samples=4, optimizer="spsa", workers=2)
+for seed in (0, 1):
+    search("er:2", depths=1, config=config)
+    print(*[pid for pool in executor._parked[0] for pid in pool.worker_pids()])
+"""
+
+
+def _running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def smoke_parked_fleet() -> None:
+    child = subprocess.run(
+        [sys.executable, "-c", TWO_SEARCHES_THEN_EXIT],
+        env={**os.environ, "PYTHONPATH": REPO_SRC},
+        stdout=subprocess.PIPE, text=True, timeout=10,
+    )
+    assert child.returncode == 0, f"two searches then exit: code {child.returncode}"
+    first, second = (line.split() for line in child.stdout.splitlines())
+    assert first == second and len(first) == 2, (
+        f"the second sweep must run on the first one's workers: {first} then {second}"
+    )
+    deadline = time.monotonic() + 5
+    while (orphans := [pid for pid in first if _running(int(pid))]) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not orphans, f"worker processes outlived their interpreter: {orphans}"
+    print(f"parked fleet: 2 sweeps on workers {first}, none left after exit")
 
 
 def smoke_search() -> int:
@@ -124,6 +166,7 @@ def smoke_search() -> int:
     )
     assert warm.config["jobs_submitted"] == 0
     assert warm.best_tokens == cold.best_tokens
+    smoke_parked_fleet()
     print("benchmark smoke OK")
     return 0
 

@@ -71,11 +71,7 @@ from repro.graphs.datasets import DATASET_FAMILIES
 from repro.graphs.generators import Graph
 from repro.graphs.io import graph_from_dict, graph_to_dict
 from repro.optimizers import BATCH_MODES, TRAINING_OPTIMIZERS
-from repro.parallel.executor import (
-    Executor,
-    MultiprocessingExecutor,
-    available_cores,
-)
+from repro.parallel.executor import Executor, available_cores, leased_fleet
 from repro.simulators.backends import available_array_backends
 from repro.surrogate.config import SurrogateConfig
 from repro.utils.validation import ConfigError, check_choice
@@ -198,7 +194,8 @@ class Config:
     shards: int = _setting(
         1, "partition each depth's candidate bag across this many shards "
         "(Fig. 2's outer level); with --workers the pool is split one per "
-        "shard, and a dead shard's candidates migrate to the survivors",
+        "shard (at least one process each, so --workers 2 --shards 3 runs "
+        "three), and a dead shard's candidates migrate to the survivors",
     )
     shard_index: int | None = _setting(
         None, "run ONLY this shard (0-based) of every depth in this process; "
@@ -247,6 +244,10 @@ class Config:
         if self.k_min > self.k_max:
             raise ConfigError(
                 f"k_min must be <= k_max, got k_min={self.k_min}, k_max={self.k_max}"
+            )
+        if self.workers < -1:
+            raise ConfigError(
+                f"workers must be 0/1 (serial), N processes or -1 (all cores), got {self.workers}"
             )
 
     # -- mapping onto the internal configs ---------------------------------
@@ -426,8 +427,9 @@ def search(
         Override the worker fleet. Otherwise ``config.workers`` decides:
         0/1 serial, N processes (-1 = all cores) — one pool, or with
         ``shards > 1`` one pool per shard, each its own failure domain
-        like one pool per node, the remainder spread so every requested
-        worker lands in some shard.
+        like one pool per node (remainder to the first shards, at least one
+        process each: ``workers=2, shards=3`` runs three). The processes are a
+        :func:`~repro.parallel.executor.leased_fleet`, parked for the next call.
     cache:
         Externally-owned result store (advanced; the service passes its
         shared multi-tenant cache here).
@@ -443,14 +445,10 @@ def search(
         if executor is None and workers > 1:
             if config.shards > 1 and config.shard_index is None:
                 base, extra = divmod(workers, config.shards)
-                fleet = [
-                    stack.enter_context(
-                        MultiprocessingExecutor(max(1, base + (i < extra)))
-                    )
-                    for i in range(config.shards)
-                ]
+                shape = [max(1, base + (i < extra)) for i in range(config.shards)]
+                fleet = stack.enter_context(leased_fleet(shape))
             else:
-                fleet = stack.enter_context(MultiprocessingExecutor(workers))
+                fleet = stack.enter_context(leased_fleet([workers]))[0]
         return search_mixer(
             graphs, search_cfg, executor=fleet, runtime=runtime_cfg, cache=cache
         )

@@ -18,6 +18,7 @@ context managers; worker functions must be module-level for pickling.
 from __future__ import annotations
 
 import abc
+import atexit
 import multiprocessing as mp
 import os
 import pickle
@@ -26,8 +27,9 @@ import threading
 import time
 import traceback
 from collections import deque
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from multiprocessing.reduction import ForkingPickler
@@ -42,6 +44,7 @@ __all__ = [
     "ThreadExecutor",
     "WorkerLostError",
     "available_cores",
+    "leased_fleet",
 ]
 
 
@@ -182,12 +185,13 @@ class MultiprocessingExecutor(Executor):
     starmap_async``; :meth:`starmap` keeps that contract (ordered results,
     ``chunksize`` trading dispatch overhead against load balance — the
     knob ``bench_ablation_chunksize`` sweeps) and the persistent pool
-    amortizes fork cost across search depths. The pool itself is this
-    class's own, because ``multiprocessing.Pool`` cannot say which task a
-    dead worker held — it repopulates the process and silently drops the
-    task — and a long-running service cannot wait on a deadline that may
-    not be set. Here every worker has a pipe of its own and holds at most
-    one job, so the parent always knows what a worker's death cost:
+    amortizes fork cost across search depths (and, under :func:`leased_fleet`,
+    across sweeps). The pool itself is this class's own, because
+    ``multiprocessing.Pool`` cannot say which task a dead worker held — it
+    repopulates the process and silently drops the task — and a long-running
+    service cannot wait on a deadline that may not be set. Here every worker
+    has a pipe of its own and holds at most one job, so the parent always
+    knows what a worker's death cost:
 
     * a worker that dies (OOM-killed, segfault) fails *its* job with
       :class:`WorkerLostError` — one attempt, which the job scheduler's
@@ -477,6 +481,64 @@ def _settle(setter: Callable, value: Any) -> None:
         setter(value)
     except InvalidStateError:
         pass
+
+
+#: at most one fleet, parked between sweeps by :func:`leased_fleet`; emptied in
+#: a forked child, where a submit to the collector-less inherited pools hangs
+_parked: list[list[MultiprocessingExecutor]] = []
+_parked_lock = threading.Lock()
+os.register_at_fork(after_in_child=_parked.clear)
+
+
+@atexit.register
+def close_parked_fleet() -> None:
+    """Stop the parked workers, if any (also runs at interpreter exit)."""
+    with _parked_lock:
+        pools = _parked.pop() if _parked else []
+    for pool in pools:
+        pool.close()
+
+
+@contextmanager
+def leased_fleet(shape: Sequence[int]) -> Iterator[list[MultiprocessingExecutor]]:
+    """One sweep's worker processes: a pool of ``n`` for each ``n`` in ``shape``.
+
+    A sweep that returns cleanly *parks* its pools in the process-wide slot
+    and the next lease of that shape runs on them: only a process's first
+    sweep forks, and workers keep their compiled tables. A lease *removes*
+    the fleet from the slot, so concurrent callers never share workers (the
+    second builds its own and, the slot being full afterwards, closes it).
+    A parked fleet is taken only if every pool has the workers ``shape`` asks
+    for (the collector replaces one killed while parked) and is neither
+    closed nor ``tainted``; otherwise it is closed *before* the new one is
+    forked. An exception out of the block (Ctrl-C, a cancelled sweep) or a
+    scheduler-set ``tainted`` closes the fleet as ``__exit__`` would. Workers
+    do not inherit what the parent imports after the fork: each loads scipy
+    itself on its first COBYLA job, once per fleet.
+    """
+    with _parked_lock:
+        pools = _parked.pop() if _parked else []
+    if [pool.num_workers for pool in pools] != list(shape) or any(
+        pool.tainted or pool._closed for pool in pools
+    ):
+        for pool in pools:
+            pool.close()
+        pools = []
+    try:
+        for size in shape[len(pools):]:  # all of them, or none
+            pools.append(MultiprocessingExecutor(size))
+        yield pools
+    except BaseException:
+        for pool in pools:
+            pool.tainted = True
+        raise
+    finally:
+        with _parked_lock:
+            if not _parked and not any(pool.tainted for pool in pools):
+                _parked.append(pools)
+                pools = []
+        for pool in pools:
+            pool.close()
 
 
 class ThreadExecutor(Executor):

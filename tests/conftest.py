@@ -15,6 +15,18 @@ from repro.graphs.generators import (
     path_graph,
     random_regular_graph,
 )
+from repro.parallel import executor as executor_module
+from repro.parallel.executor import close_parked_fleet
+
+
+@pytest.fixture(autouse=True)
+def no_parked_fleet_crosses_tests():
+    """``api.search(workers=N)`` parks its worker processes for the next
+    call. Released after every test (not once per session): a worker forked
+    under one test's monkeypatches, or killed by it, must not serve the
+    next, and a test that counts children starts from none."""
+    yield
+    close_parked_fleet()
 
 
 @pytest.fixture
@@ -109,6 +121,16 @@ def still_running():
             time.sleep(0.02)
 
     return check
+
+
+def parked_pids() -> list[int]:
+    """Worker pids of the fleet ``leased_fleet`` has parked ([] = none is)."""
+    return [
+        pid
+        for fleet in executor_module._parked
+        for pool in fleet
+        for pid in pool.worker_pids()
+    ]
 
 
 def evaluations(result):

@@ -94,6 +94,14 @@ class TestConfig:
                 Config(**{name: "bogus"})
         with pytest.raises(ConfigError, match="k_min must be <= k_max"):
             Config(k_min=5, k_max=2)
+        # below -1 used to run serial without a word
+        for workers in (-2, -16):
+            with pytest.raises(ConfigError) as rejected:
+                Config(workers=workers)
+            assert str(rejected.value) == (
+                f"workers must be 0/1 (serial), N processes or -1 (all cores), got {workers}"
+            )
+        assert [Config(workers=n).workers for n in (-1, 0, 1, 2)] == [-1, 0, 1, 2]
         # every mode the enumerator knows stays legal through the facade
         assert Config(mode="multisets").search_config(1).mode == "multisets"
 

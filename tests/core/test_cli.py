@@ -267,6 +267,7 @@ class TestConfigurationErrors:
             (["search", "--k-min", "3", "--k-max", "2"], "k_min must be <= k_max"),
             (["search", "--p-max", "0"], "p_max must be > 0"),
             (["search", "--graphs", "0"], "num_graphs must be > 0"),
+            (["search", "--workers", "-2"], r"workers must be 0/1 \(serial\), N processes or -1"),
         ],
     )
     def test_exits_with_the_rules_message(self, argv, message):

@@ -12,7 +12,7 @@ from dataclasses import replace
 from functools import lru_cache
 
 import pytest
-from tests.conftest import evaluations
+from tests.conftest import evaluations, parked_pids
 
 from repro.api import Config, ConfigError, resolve_workload, search
 from repro.core import runtime
@@ -44,6 +44,16 @@ REJECTED = {
 def run(feature, workload=WORKLOAD, base=BASE, executor=None, **execution):
     config = replace(base, **SEARCH_FEATURES[feature], **execution)
     return search(workload, depths=DEPTHS, config=config, executor=executor)
+
+
+def workers(feature, tmp_path=None, **grouped):
+    """Twice: the second sweep runs on the workers the first one parked."""
+    first = run(feature, **grouped, workers=2)
+    fleet = parked_pids()
+    again = run(feature, **grouped, workers=2)
+    assert parked_pids() == fleet and len(fleet) == 2
+    assert evaluations(again) == evaluations(first)
+    return again
 
 
 @lru_cache(maxsize=None)
@@ -104,7 +114,7 @@ def worker_kill(feature, tmp_path):
 
 EXECUTION_FEATURES = {
     "shards": lambda feature, tmp_path: run(feature, shards=2),
-    "workers": lambda feature, tmp_path: run(feature, workers=2),
+    "workers": workers,
     "cache_dir": cache_dir,
     "resume": resume,
     "shard_index": shard_index,
@@ -182,7 +192,7 @@ def undecorated_grouped(feature):
 @pytest.mark.parametrize("feature", SEARCH_FEATURES)
 def test_grouped_cell_composes(feature, execution, tmp_path):
     if execution == "workers":
-        result = run(feature, **GROUPED, workers=2)
+        result = workers(feature, **GROUPED)
     elif execution == "batched":
         result = run(feature, **GROUPED, batch_mode="batched")
     else:

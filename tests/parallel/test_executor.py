@@ -10,15 +10,20 @@ import time
 from pathlib import Path
 
 import pytest
+from tests.conftest import parked_pids
 
 from repro.obs.metrics import MetricsRegistry
+from repro.parallel import executor as executor_module
 from repro.parallel.executor import (
     MultiprocessingExecutor,
     SerialExecutor,
     ThreadExecutor,
     WorkerLostError,
     available_cores,
+    close_parked_fleet,
+    leased_fleet,
 )
+from repro.parallel.jobs import JobFailedError, JobScheduler
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -278,6 +283,199 @@ class TestServiceGrade:
         pids = [int(pid) for pid in parent.stdout.split()]
         assert len(pids) == 2
         assert still_running(pids, timeout=10) == []
+
+
+def fleet_pids(pools) -> list[int]:
+    return [pid for pool in pools for pid in pool.worker_pids()]
+
+
+class TestLease:
+    """``leased_fleet``: how ``api.search(workers=N)`` obtains its processes.
+    Every test starts with nothing parked (``tests/conftest.py``)."""
+
+    def test_a_clean_lease_parks_and_the_next_one_runs_on_the_same_workers(self):
+        with leased_fleet([2]) as (pool,):
+            first = pool.worker_pids()
+            assert parked_pids() == []  # leased = removed from the slot
+        assert parked_pids() == first
+        with leased_fleet([2]) as (again,):
+            assert again is pool and again.worker_pids() == first
+            ran_on = {again.submit(get_pid, None).result(timeout=10) for _ in range(8)}
+            assert ran_on <= set(first)
+        assert parked_pids() == first
+
+    def test_closing_the_parked_fleet_leaves_no_process_and_no_thread(self, still_running):
+        before = set(threading.enumerate())
+        with leased_fleet([2, 1]) as pools:
+            pids = fleet_pids(pools)
+        assert len(pids) == 3 and parked_pids() == pids
+        close_parked_fleet()
+        assert parked_pids() == [] and still_running(pids) == []
+        assert set(threading.enumerate()) == before
+        close_parked_fleet()  # nothing parked: a no-op
+
+    @pytest.mark.parametrize("shape", [[3], [1], [1, 1], [2, 1]])
+    def test_another_shape_closes_the_parked_fleet_before_it_forks(
+        self, shape, monkeypatch, still_running
+    ):
+        """So the process count never exceeds the larger of the two shapes."""
+        with leased_fleet([2]) as (pool,):
+            old = pool.worker_pids()
+        old_alive_at_fork = []
+        start_worker = MultiprocessingExecutor._start_worker
+
+        def spy(self):
+            old_alive_at_fork.extend(still_running(old, timeout=0))
+            return start_worker(self)
+
+        monkeypatch.setattr(MultiprocessingExecutor, "_start_worker", spy)
+        with leased_fleet(shape) as pools:
+            assert [pool.num_workers for pool in pools] == shape
+            new = fleet_pids(pools)
+        assert len(new) == sum(shape) and set(new).isdisjoint(old)
+        assert old_alive_at_fork == []
+        assert parked_pids() == new
+
+    def test_two_callers_at_once_never_share_workers_and_one_fleet_stays_parked(
+        self, still_running
+    ):
+        both_inside = threading.Barrier(2)
+        seen: dict[int, list[int]] = {}
+
+        def sweep(k: int) -> None:
+            with leased_fleet([1]) as pools:
+                seen[k] = fleet_pids(pools)
+                both_inside.wait(timeout=30)
+
+        threads = [threading.Thread(target=sweep, args=(k,)) for k in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert set(seen[0]).isdisjoint(seen[1])
+        assert len(executor_module._parked) == 1
+        kept = parked_pids()
+        assert kept in (seen[0], seen[1])
+        assert still_running(set(seen[0] + seen[1]) - set(kept)) == []
+
+    def test_many_leasing_threads_hold_their_workers_alone_and_leak_none(self, still_running):
+        """More callers than cores, all leasing and parking at once: a worker
+        is never in two callers' hands, and in the end one fleet is parked
+        and every other process is gone — a lost update of the slot breaks
+        one or the other."""
+        threads, rounds = 6, 5
+        book = threading.Lock()
+        held: set[int] = set()
+        ever: set[int] = set()
+        shared: list[int] = []
+
+        def caller() -> None:
+            for _ in range(rounds):
+                with leased_fleet([1]) as pools:
+                    pids = fleet_pids(pools)
+                    with book:
+                        shared.extend(pid for pid in pids if pid in held)
+                        held.update(pids)
+                        ever.update(pids)
+                    assert pools[0].submit(square_sum, 2, 1).result(timeout=60) == 5
+                    with book:
+                        held.difference_update(pids)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(threads)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in callers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert shared == [] and held == set()
+        assert len(executor_module._parked) == 1
+        kept = parked_pids()
+        assert len(kept) == 1 and kept[0] in ever
+        assert still_running(ever - set(kept), timeout=10) == []
+
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_an_exception_out_of_the_sweep_closes_the_fleet_tainted(
+        self, error, tmp_path, still_running
+    ):
+        """What ``MultiprocessingExecutor.__exit__`` does: the caller will not
+        read the remaining results, so the hung job is killed, not joined."""
+        start = time.monotonic()
+        with pytest.raises(error):
+            with leased_fleet([1, 1]) as pools:
+                pids = fleet_pids(pools)
+                hung = pools[0].submit(announce_then_sleep, str(tmp_path / "pid"), 600)
+                wait_for_pid(tmp_path / "pid")
+                raise error
+        assert time.monotonic() - start < 5
+        assert all(pool.tainted for pool in pools)
+        assert parked_pids() == [] and still_running(pids) == []
+        with pytest.raises(WorkerLostError):
+            hung.result(timeout=1)
+
+    def test_a_fleet_the_scheduler_tainted_is_closed_not_parked(self, still_running):
+        with leased_fleet([1]) as (pool,):
+            pids = pool.worker_pids()
+            with pytest.raises(JobFailedError):  # caught: the sweep itself returns
+                JobScheduler(pool, max_retries=0, timeout=0.2).run(slow_square, [(2, 600)])
+            assert pool.tainted
+        assert parked_pids() == [] and still_running(pids) == []
+
+    def test_a_worker_killed_while_parked_is_replaced(self, still_running):
+        with leased_fleet([2]) as (pool,):
+            victim, survivor = pool.worker_pids()
+        os.kill(victim, signal.SIGKILL)
+        assert still_running([victim]) == []
+        with leased_fleet([2]) as (again,):
+            assert again is pool
+            # whether or not the collector has noticed yet: a job lands on
+            # the replacement or fails as lost and is retried
+            assert JobScheduler(again).run(square_sum, JOBS) == EXPECTED
+            after = again.worker_pids()
+        assert len(after) == 2 and victim not in after and survivor in after
+        assert parked_pids() == after
+
+    def test_a_fleet_closed_while_parked_is_rebuilt(self):
+        with leased_fleet([1]) as (pool,):
+            pass
+        pool.close()
+        with leased_fleet([1]) as (fresh,):
+            assert fresh is not pool
+            assert fresh.submit(square_sum, 2, 1).result(timeout=10) == 5
+
+    def test_a_fleet_that_lost_its_workers_while_parked_is_rebuilt(
+        self, monkeypatch, still_running
+    ):
+        """The system refused the replacement: the pool is broken, and its
+        ``submit`` would raise "… is closed" — the lease never hands it out."""
+        with leased_fleet([1]) as (pool,):
+            (victim,) = pool.worker_pids()
+        with monkeypatch.context() as patch:
+            patch.setattr(pool, "_start_worker", lambda: (_ for _ in ()).throw(OSError("EAGAIN")))
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while pool.num_workers and time.monotonic() < deadline:
+                time.sleep(0.01)
+        assert pool.num_workers == 0
+        with leased_fleet([1]) as (fresh,):
+            assert fresh is not pool and pool._closed
+            assert fresh.submit(square_sum, 2, 1).result(timeout=10) == 5
+
+    def test_a_forked_child_starts_with_an_empty_slot(self):
+        """Its copy of the fleet has no collector thread: a submit would hang."""
+        with leased_fleet([1]):
+            pass
+        assert parked_pids()
+        child = os.fork()
+        if child == 0:
+            os._exit(1 if executor_module._parked else 0)
+        assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
+        assert parked_pids()  # the parent's is untouched
 
 
 class TestThreads:

@@ -177,6 +177,7 @@ class TestValidation:
             {"engine": "qtensor"},
             {"batch_mode": "bogus"},
             {"k_min": 5, "k_max": 2},
+            {"workers": -2},  # ignored by a service, but never a legal sweep
         ):
             with pytest.raises(ConfigError) as facade:
                 Config(**bad)
