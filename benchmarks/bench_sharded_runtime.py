@@ -1,7 +1,7 @@
 """Sharded runtime ablation — outer-level scaling and the partial-resume win.
 
-Not a paper figure: this bench guards the ShardedRuntime subsystem (the
-Fig. 2 outer level made real). Two structural claims:
+Not a paper figure: this bench guards sharded execution (the Fig. 2 outer
+level made real: one ``JobScheduler`` lane per shard). Two structural claims:
 
 * **Shard scaling** — K shards, each backed by its own single-worker
   process pool (the in-process model of one pool per node), complete a

@@ -15,8 +15,11 @@ in a user run). Asserts:
   winning candidate's energy (spot equivalence outside the unit suite),
 * a repeated run with the warm cache performs zero candidate trainings,
 * a child interpreter that runs two ``api.search(workers=2)`` sweeps — the
-  second on the worker processes the first one parked — exits 0 within
-  10 s and leaves none of those processes behind,
+  second on the worker processes the first one parked — and then one
+  ``Config(workers=2, shards=2)`` sweep (two one-process lanes of one
+  scheduler) whose evaluations equal the serial sweep's, exits 0 within
+  10 s with no thread alive but the pools' collectors, and leaves none of
+  those processes behind,
 * the cold run stays inside a generous wall-clock budget, so order-of-
   magnitude runtime regressions fail CI without full-bench cost.
 
@@ -72,14 +75,28 @@ from repro.graphs.datasets import paper_er_dataset  # noqa: E402
 COLD_BUDGET_SECONDS = 120.0
 
 
-#: two sweeps on one parked fleet, then a plain exit; prints the worker pids
-TWO_SEARCHES_THEN_EXIT = """
+#: two sweeps on one parked fleet, a sharded one on a fleet of its own shape,
+#: then a plain exit; prints the worker pids after each and the threads left
+SEARCHES_THEN_EXIT = """
+import threading
+from dataclasses import replace
 from repro.api import Config, search
 from repro.parallel import executor
 config = Config(k_min=2, k_max=2, steps=10, num_samples=4, optimizer="spsa", workers=2)
+def fleet():
+    print(*[pid for pool in executor._parked[0] for pid in pool.worker_pids()])
+def trained(result):
+    depths = result.depth_results
+    return [(e.tokens, e.p, e.energy, e.best_params) for d in depths for e in d.evaluations]
 for seed in (0, 1):
     search("er:2", depths=1, config=config)
-    print(*[pid for pool in executor._parked[0] for pid in pool.worker_pids()])
+    fleet()
+sharded = search("er:2", depths=2, config=replace(config, shards=2))
+assert trained(sharded) == trained(search("er:2", depths=2, config=replace(config, workers=0)))
+assert sharded.config["executor"] == "sharded[multiprocessing]", sharded.config
+assert sharded.config["dead_shards"] == [] and sharded.config["jobs_retried"] == 0
+fleet()
+print(*[t.name for t in threading.enumerate() if t is not threading.main_thread()])
 """
 
 
@@ -93,20 +110,31 @@ def _running(pid: int) -> bool:
 
 def smoke_parked_fleet() -> None:
     child = subprocess.run(
-        [sys.executable, "-c", TWO_SEARCHES_THEN_EXIT],
+        [sys.executable, "-c", SEARCHES_THEN_EXIT],
         env={**os.environ, "PYTHONPATH": REPO_SRC},
         stdout=subprocess.PIPE, text=True, timeout=10,
     )
-    assert child.returncode == 0, f"two searches then exit: code {child.returncode}"
-    first, second = (line.split() for line in child.stdout.splitlines())
+    assert child.returncode == 0, f"searches then exit: code {child.returncode}"
+    first, second, lanes, threads = (line.split() for line in child.stdout.splitlines())
     assert first == second and len(first) == 2, (
         f"the second sweep must run on the first one's workers: {first} then {second}"
     )
+    assert len(lanes) == 2 and not set(lanes) & set(first), (
+        f"the sharded sweep runs on two pools of its own: {lanes} after {first}"
+    )
+    assert threads == ["mp-exec-collector"] * 2, (
+        f"only the two pools' collectors may outlive a sharded sweep: {threads}"
+    )
     deadline = time.monotonic() + 5
-    while (orphans := [pid for pid in first if _running(int(pid))]) and time.monotonic() < deadline:
+    while (
+        orphans := [pid for pid in first + lanes if _running(int(pid))]
+    ) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert not orphans, f"worker processes outlived their interpreter: {orphans}"
-    print(f"parked fleet: 2 sweeps on workers {first}, none left after exit")
+    print(
+        f"parked fleet: 2 sweeps on workers {first}, a 2-lane sharded sweep on "
+        f"{lanes} equal to the serial one, none left after exit"
+    )
 
 
 def smoke_search() -> int:

@@ -410,7 +410,7 @@ def search(
     *,
     depths: int = 2,
     config: Config | None = None,
-    executor: Executor | None = None,
+    executor: Executor | Sequence[Executor] | None = None,
     cache: ResultCache | None = None,
 ) -> SearchResult:
     """Run Algorithm 1 in-process and return the full result.
@@ -426,9 +426,11 @@ def search(
     executor:
         Override the worker fleet. Otherwise ``config.workers`` decides:
         0/1 serial, N processes (-1 = all cores) — one pool, or with
-        ``shards > 1`` one pool per shard, each its own failure domain
-        like one pool per node (remainder to the first shards, at least one
-        process each: ``workers=2, shards=3`` runs three). The processes are a
+        ``shards > 1`` one pool per shard, each a lane of the sweep's one
+        scheduler and its own failure domain, like one pool per node
+        (remainder to the first shards, at least one process each:
+        ``workers=2, shards=3`` runs three). A sequence of executors is one
+        lane each. The processes are a
         :func:`~repro.parallel.executor.leased_fleet`, parked for the next call.
     cache:
         Externally-owned result store (advanced; the service passes its
@@ -440,7 +442,7 @@ def search(
     search_cfg = config.search_config(depths)
     runtime_cfg = config.runtime_config()
     workers = available_cores() if config.workers == -1 else config.workers
-    fleet: Executor | list[Executor] | None = executor
+    fleet: Executor | Sequence[Executor] | None = executor
     with ExitStack() as stack:
         if executor is None and workers > 1:
             if config.shards > 1 and config.shard_index is None:

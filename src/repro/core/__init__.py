@@ -51,7 +51,7 @@ from repro.core.qbuilder import QBuilder
 from repro.core.results import CandidateEvaluation, DepthResult, SearchResult
 from repro.core.runtime import RuntimeConfig, SearchRuntime, predicted_cost
 from repro.core.search import SearchConfig, search_mixer
-from repro.core.sharded import ShardedRuntime, ShardFailedError
+from repro.parallel.jobs import ShardFailedError
 
 __all__ = [
     "GateAlphabet",
@@ -83,7 +83,6 @@ __all__ = [
     "SweepCheckpoint",
     "RuntimeConfig",
     "SearchRuntime",
-    "ShardedRuntime",
     "ShardFailedError",
     "predicted_cost",
     "SearchConfig",

@@ -1,6 +1,6 @@
 """The fault-tolerant, cache-aware search runtime (Algorithm 1's engine).
 
-* **Streaming execution** — candidate evaluations go through
+* **Streaming execution** — candidate evaluations go through one
   :class:`~repro.parallel.jobs.JobScheduler` (``submit`` + as-completed)
   with per-job retry and timeout, so worker failures cost one job's
   latency, not the search.
@@ -15,9 +15,12 @@
   depth, every evaluation reaches the result cache as it streams back
   (commits batched every ``cache_flush_every`` evaluations), so a
   mid-depth kill costs at most the unflushed tail.
-* **Sharding** — ``RuntimeConfig(shards=K)`` partitions each depth's
-  candidate bag across K shards run by
-  :class:`~repro.core.sharded.ShardedRuntime`, the Fig. 2 outer level;
+* **Sharding** — ``RuntimeConfig(shards=K)`` places each depth's cache
+  misses on K *lanes* of that same scheduler by predicted cost (Fig. 2's
+  outer level: pass K executors for one pool per shard); a lane that dies
+  of a node-level fault hands its unfinished candidates to the survivors.
+  Evaluation is deterministic given its config seed, so sharding changes
+  where work runs, never what it computes.
   ``RuntimeConfig(shards=K, shard_index=i)`` instead makes *this* process
   node ``i`` of a multi-process deployment (the CLI's ``--shard-index``).
 * **INTERP warm starts** — with ``EvaluationConfig(init_strategy=
@@ -68,7 +71,7 @@ from repro.core.evaluator import classical_optima, evaluate_candidate, warm_star
 from repro.core.predictor import Proposer, predicted_cost
 from repro.core.results import CandidateEvaluation, DepthResult, SearchResult
 from repro.graphs.generators import Graph
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.progress import SweepProgress
 from repro.parallel.cluster import least_loaded_partition
 from repro.parallel.executor import Executor, SerialExecutor
@@ -243,6 +246,13 @@ class SearchRuntime:
     classical optima are computed exactly once, and its cache handles stay
     open across depths. Use as a context manager (or call :meth:`close`)
     so the sqlite handle is released deterministically.
+
+    ``executor`` is the worker fleet. Sharded execution — ``runtime.shards
+    > 1`` or a sequence of executors, without ``shard_index`` — runs one
+    scheduler lane per shard: ``None`` gives every shard its own
+    :class:`SerialExecutor`, one :class:`Executor` is shared by all of them
+    (separate failure domains, common workers), a sequence of
+    ``runtime.shards`` executors is the one-pool-per-node deployment.
     """
 
     def __init__(
@@ -250,7 +260,7 @@ class SearchRuntime:
         graphs: Sequence[Graph],
         config: SearchConfig,
         *,
-        executor: Executor | None = None,
+        executor: Executor | Sequence[Executor] | None = None,
         runtime: RuntimeConfig = RuntimeConfig(),
         cache: ResultCache | None = None,
         cancel: CancellationToken | None = None,
@@ -259,6 +269,25 @@ class SearchRuntime:
     ) -> None:
         # Config-only refusals cost nothing: no optimum, no file yet.
         _check_rejected("configs", config, runtime)
+        sequence_given = executor is not None and not isinstance(executor, Executor)
+        if sequence_given and runtime.shard_index is not None:
+            raise ValueError(
+                "a sequence of executors requires sharded execution "
+                "(RuntimeConfig without shard_index)"
+            )
+        # Sharded: every shard of a depth runs here, one scheduler lane each.
+        self._sharded = runtime.shard_index is None and (
+            runtime.shards > 1 or sequence_given
+        )
+        if sequence_given:
+            lanes = list(executor)
+            if len(lanes) != runtime.shards:
+                raise ValueError(f"got {len(lanes)} executors for {runtime.shards} shards")
+        else:
+            lanes = [
+                executor or SerialExecutor()
+                for _ in range(runtime.shards if self._sharded else 1)
+            ]
         if not graphs:
             raise ValueError("search runtime needs at least one graph")
         self.graphs = list(graphs)
@@ -267,13 +296,19 @@ class SearchRuntime:
         self.cancel = cancel or CancellationToken()
         self.metrics = metrics
         self.progress = progress or SweepProgress()
-        self.executor = executor or SerialExecutor()
         self.scheduler = JobScheduler(
-            self.executor,
+            lanes,
             max_retries=runtime.max_retries,
             timeout=runtime.job_timeout,
             metrics=metrics,
         )
+        self._m_shard: Counter | None = None
+        if self._sharded and metrics is not None:
+            self._m_shard = metrics.counter(
+                "repro_shard_candidates_total",
+                "Candidate evaluations completed, by shard",
+                labels=("shard",),
+            )
         # Hot-path fix: the candidate-independent brute-force solve happens
         # here, once, per the configured workload's oracle, and rides along
         # in every job payload.
@@ -576,8 +611,7 @@ class SearchRuntime:
 
     def _job_payload(self, tokens: Sequence[str], p: int) -> tuple:
         """One picklable unit of work for ``evaluate_candidate``. Element 1
-        must stay the token tuple — the sharded runtime's cost partitioner
-        indexes it."""
+        must stay the token tuple — ``_execute``'s lane placement indexes it."""
         return (
             self.graphs,
             tokens,
@@ -592,16 +626,27 @@ class SearchRuntime:
     ) -> Iterator[tuple[str, CandidateEvaluation]]:
         """Stream ``(key, evaluation)`` pairs for the depth's cache misses.
 
-        The single-node runtime drains one scheduler;
-        :class:`~repro.core.sharded.ShardedRuntime` overrides this with
-        the sharded outer level.
+        Sharded, the misses are placed on the scheduler's lanes by
+        ``_predicted_cost`` — the running proposer's estimate: a surrogate
+        filter's fitted cost model (measured seconds), the static heuristic
+        otherwise; all lanes are placed by this process, so a learned model
+        cannot desynchronise siblings the way ``shard_index`` would.
         """
-        for job_index, result in self.scheduler.as_completed(evaluate_candidate, jobs):
+        costs = [self._predicted_cost(job[1], p) for job in jobs] if self._sharded else None
+        for job_index, result in self.scheduler.as_completed(evaluate_candidate, jobs, costs):
+            if self._sharded:
+                shard = self.scheduler.lane_of[job_index]
+                self.progress.record_shard(shard)
+                if self._m_shard is not None:
+                    self._m_shard.labels(shard=str(shard)).inc()
             yield keys[job_index], result
 
     def _result_config(self, proposer: Proposer) -> dict:
         stats = self.scheduler.stats
-        return {
+        # A pool shared by several lanes appears once, not once per shard.
+        executors = {id(e): e for e in self.scheduler.executors}.values()
+        names = ",".join(dict.fromkeys(e.name for e in executors))
+        config = {
             "p_max": self.config.p_max,
             "k_max": self.config.k_max,
             "mode": self.config.mode,
@@ -611,8 +656,8 @@ class SearchRuntime:
             "optimizer": self.config.evaluation.optimizer,
             "max_steps": self.config.evaluation.max_steps,
             "engine": self.config.evaluation.engine,
-            "executor": self.executor.name,
-            "num_workers": self.executor.num_workers,
+            "executor": f"sharded[{names}]" if self._sharded else names,
+            "num_workers": sum(e.num_workers for e in executors),
             "predictor": proposer.name,
             "cache_dir": self.runtime.cache_dir,
             "cache_hits": self.cache_hits,
@@ -628,3 +673,7 @@ class SearchRuntime:
             "surrogate_kept": proposer.kept,
             "surrogate_skipped": proposer.skipped,
         }
+        if self._sharded:
+            config["dead_shards"] = list(self.scheduler.dead_lanes)
+            config["jobs_migrated"] = self.scheduler.migrated
+        return config

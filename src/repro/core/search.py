@@ -16,11 +16,10 @@ Execution itself lives in :class:`~repro.core.runtime.SearchRuntime`:
 evaluations stream back as they complete with per-job retry/timeout, and a
 ``runtime=RuntimeConfig(cache_dir=...)`` makes results persistent (repeat
 runs are cache lookups) and the sweep checkpointed/resumable — at both
-depth and single-evaluation granularity. ``RuntimeConfig(shards=K)``
-upgrades execution to :class:`~repro.core.sharded.ShardedRuntime`, the
-Fig. 2 outer level: per-depth candidate bags are partitioned across K
-shards (pass a sequence of K executors for one pool per shard) with
-dead-shard migration onto survivors.
+depth and single-evaluation granularity. ``RuntimeConfig(shards=K)`` adds
+the Fig. 2 outer level inside that same runtime: per-depth candidate bags
+are placed on K lanes of its scheduler (pass a sequence of K executors for
+one pool per shard) with dead-shard migration onto survivors.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from repro.core.predictor import (
 )
 from repro.core.results import SearchResult
 from repro.core.runtime import CancellationToken, RuntimeConfig, SearchRuntime
-from repro.core.sharded import ShardedRuntime
 from repro.graphs.generators import Graph
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import SweepProgress
@@ -129,23 +127,8 @@ def search_mixer(
         proposer = SurrogateAssistant(
             proposer, config.alphabet, config.surrogate, metrics=metrics
         )
-    # shards > 1 (without a shard_index pinning this process to one shard)
-    # selects ShardedRuntime; ``executor`` may then be a sequence of
-    # per-shard executors. Everything else runs single-node.
-    runtime = runtime or RuntimeConfig()
-    shared = dict(
-        runtime=runtime, cache=cache, cancel=cancel, metrics=metrics,
-        progress=progress,
-    )
-    sequence_given = executor is not None and not isinstance(executor, Executor)
-    if (runtime.shards > 1 or sequence_given) and runtime.shard_index is None:
-        search_runtime = ShardedRuntime(graphs, config, executors=executor, **shared)
-    elif sequence_given:
-        raise ValueError(
-            "a sequence of executors requires sharded execution "
-            "(RuntimeConfig without shard_index)"
-        )
-    else:
-        search_runtime = SearchRuntime(graphs, config, executor=executor, **shared)
-    with search_runtime:
+    with SearchRuntime(
+        graphs, config, executor=executor, runtime=runtime or RuntimeConfig(),
+        cache=cache, cancel=cancel, metrics=metrics, progress=progress,
+    ) as search_runtime:
         return search_runtime.run(proposer)

@@ -101,21 +101,19 @@ class SweepProgress:
             self.candidates_done += int(cached)
         self._mirror()
 
-    def record(self, p: int, n: int = 1, *, shard: int | None = None) -> None:
+    def record(self, p: int, n: int = 1) -> None:
         """``n`` more candidate evaluations of depth ``p`` finished."""
         with self._lock:
             entry = self.depths.get(p)
             if entry is not None:
                 entry["done"] += int(n)
             self.candidates_done += int(n)
-            if shard is not None:
-                self.shard_counts[shard] = self.shard_counts.get(shard, 0) + int(n)
         self._mirror()
 
     def record_shard(self, shard: int, n: int = 1) -> None:
-        """Attribute ``n`` already-recorded completions to ``shard``
-        (the sharded runtime's drain threads report shard identity
-        separately from the depth accounting)."""
+        """Attribute ``n`` trained candidates to ``shard``, the scheduler
+        lane that completed them (:meth:`record` counts a depth's positions,
+        repeats and claims collected from other sweeps included)."""
         with self._lock:
             self.shard_counts[shard] = self.shard_counts.get(shard, 0) + int(n)
 

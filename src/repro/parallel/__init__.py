@@ -23,7 +23,7 @@ from repro.parallel.executor import (
     WorkerLostError,
     available_cores,
 )
-from repro.parallel.jobs import JobFailedError, JobScheduler, JobStats
+from repro.parallel.jobs import JobFailedError, JobScheduler, JobStats, ShardFailedError
 from repro.parallel.scheduler import (
     OverheadModel,
     ScheduleResult,
@@ -41,6 +41,7 @@ __all__ = [
     "JobScheduler",
     "JobStats",
     "JobFailedError",
+    "ShardFailedError",
     "OverheadModel",
     "ScheduleResult",
     "simulate_makespan",

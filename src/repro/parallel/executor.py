@@ -231,7 +231,6 @@ class MultiprocessingExecutor(Executor):
         num_workers: int | None = None,
         *,
         chunksize: int = 1,
-        start_method: str | None = None,
         initializer: Callable | None = None,
         initargs: tuple = (),
         metrics: MetricsRegistry | None = None,
@@ -255,7 +254,7 @@ class MultiprocessingExecutor(Executor):
                     "Time an admitted job queued before a worker started it",
                 ),
             }
-        self._context = mp.get_context(start_method)
+        self._context = mp.get_context()
         self._worker_args = (initializer, initargs)
         self._lock = threading.Lock()
         self._settled = threading.Condition(self._lock)

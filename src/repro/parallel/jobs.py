@@ -20,6 +20,22 @@ their per-attempt deadline clock when work can actually run, not when the
 whole bag is enqueued — and with inline executors, results stream back
 (and get persisted by the caller) between submissions instead of only
 after the last job ran.
+
+Both of the paper's parallel levels are this one loop. Given a *sequence*
+of executors the scheduler runs one **lane** per executor — one shard of
+Fig. 2's outer level, one failure domain: jobs are placed on lanes by
+:func:`~repro.parallel.cluster.least_loaded_partition` over their costs,
+the in-flight bound holds per lane, and ``concurrent.futures.wait`` does
+not care which pool a future came from. A lane dies of a *node-level*
+fault — its executor refuses a submission, or a job exhausts its retries
+purely on timeouts (workers unreachable or hanging); its unfinished jobs
+are re-placed on the surviving lanes with a fresh retry budget, and only
+the last lane's death ends the pass (:class:`ShardFailedError`). A job
+whose own exception exhausts its retries is not blamed on the node: it
+raises :class:`JobFailedError` on any number of lanes, instead of
+cascading a poisoned candidate through every lane's retry budget. Nothing
+here runs on a thread of its own, so a pass that ends — exhausted, raised
+or closed by its consumer — submits nothing more.
 """
 
 from __future__ import annotations
@@ -28,13 +44,14 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import FIRST_COMPLETED, Future, wait
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.obs.metrics import MetricsRegistry
+from repro.parallel.cluster import least_loaded_partition
 from repro.parallel.executor import Executor, SerialExecutor
 
-__all__ = ["JobFailedError", "JobStats", "JobScheduler"]
+__all__ = ["JobFailedError", "JobStats", "JobScheduler", "ShardFailedError"]
 
 
 class JobFailedError(RuntimeError):
@@ -49,28 +66,28 @@ class JobFailedError(RuntimeError):
         self.cause = cause
 
 
+class ShardFailedError(RuntimeError):
+    """Every shard died with candidates still unfinished."""
+
+    def __init__(self, num_shards: int, cause: BaseException | None) -> None:
+        super().__init__(
+            f"all {num_shards} shard(s) died with work unfinished"
+            + (f"; last cause: {cause!r}" if cause is not None else "")
+        )
+        self.num_shards = num_shards
+        self.cause = cause
+
+
 @dataclass
 class JobStats:
-    """Scheduler counters: either lifetime totals or one pass's delta.
-
-    ``JobScheduler.stats`` accumulates for the scheduler's lifetime (the
-    numbers a search reports at the end); ``JobScheduler.pass_stats`` is
-    the delta of the current/most recent ``run``/``as_completed`` pass.
-    """
+    """Scheduler counters, accumulated over the scheduler's lifetime (the
+    numbers a search reports at the end) and summed over its lanes."""
 
     submitted: int = 0
     completed: int = 0
     retried: int = 0
     timed_out: int = 0
     failed: int = 0
-
-    def __sub__(self, other: JobStats) -> JobStats:
-        return JobStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
 
 
 @dataclass
@@ -83,6 +100,27 @@ class _Pending:
     submitted_at: float
 
 
+@dataclass
+class _Lane:
+    """One failure domain: an executor and what the current pass put on it."""
+
+    index: int
+    executor: Executor
+    #: cap on this lane's outstanding attempts
+    limit: int
+    #: what doomed the lane (None = alive); outlives the pass
+    cause: BaseException | None = None
+    #: unfinished jobs placed here: waiting in ``backlog``, or in flight
+    jobs: set[int] = field(default_factory=set)
+    backlog: deque[int] = field(default_factory=deque)
+    pending: dict[Future, _Pending] = field(default_factory=dict)
+
+    def clear(self) -> None:
+        self.jobs.clear()
+        self.backlog.clear()
+        self.pending.clear()
+
+
 class JobScheduler:
     """Streams ``fn(*job)`` results as they complete, tolerating faults.
 
@@ -90,7 +128,9 @@ class JobScheduler:
     ----------
     executor:
         Any :class:`~repro.parallel.executor.Executor`; its ``submit``
-        method provides the futures. Defaults to serial execution.
+        method provides the futures. Defaults to serial execution. A
+        sequence makes one lane (failure domain) per executor; the same
+        executor may back several lanes.
     max_retries:
         Extra attempts per job after the first (0 = fail fast).
     timeout:
@@ -98,7 +138,8 @@ class JobScheduler:
         On expiry the attempt is abandoned (its late result, if any, is
         discarded) and the job is resubmitted.
     max_inflight:
-        Cap on outstanding attempts; ``None`` = ``4 x num_workers``.
+        Cap on a lane's outstanding attempts; ``None`` = ``4 x`` its
+        executor's ``num_workers``.
         Bounding keeps deadlines honest (an attempt's clock starts when it
         is submitted) and lets inline executors stream results between
         submissions.
@@ -112,7 +153,7 @@ class JobScheduler:
 
     def __init__(
         self,
-        executor: Executor | None = None,
+        executor: Executor | Sequence[Executor] | None = None,
         *,
         max_retries: int = 2,
         timeout: float | None = None,
@@ -125,13 +166,23 @@ class JobScheduler:
             raise ValueError(f"timeout must be positive, got {timeout}")
         if max_inflight is not None and max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
-        self.executor = executor or SerialExecutor()
+        if executor is None or isinstance(executor, Executor):
+            executor = [executor or SerialExecutor()]
+        self.executors = list(executor)
+        #: the first lane's — *the* executor of a single-lane scheduler
+        self.executor = self.executors[0]
+        self.lanes = [
+            _Lane(index, lane, max_inflight or 4 * max(1, lane.num_workers))
+            for index, lane in enumerate(self.executors)
+        ]
+        #: lanes that died, in order of death, and the jobs re-placed off them
+        self.dead_lanes: list[int] = []
+        self.migrated = 0
+        #: job index -> the lane the current pass (last) placed it on
+        self.lane_of: dict[int, int] = {}
         self.max_retries = int(max_retries)
         self.timeout = timeout
-        self.max_inflight = max_inflight
         self.stats = JobStats()
-        self._pass_start = JobStats()
-        self._pass_t0 = time.monotonic()
         self.metrics = metrics
         self._m: dict[str, Any] | None = None
         if metrics is not None:
@@ -166,41 +217,47 @@ class JobScheduler:
                 ),
             }
 
-    # -- accounting --------------------------------------------------------
-
-    @property
-    def pass_stats(self) -> JobStats:
-        """Counters of the current/most recent ``run``/``as_completed``."""
-        return self.stats - self._pass_start
-
     # -- public API --------------------------------------------------------
 
     def as_completed(
-        self, fn: Callable, jobs: Sequence[tuple]
+        self,
+        fn: Callable,
+        jobs: Sequence[tuple],
+        costs: Sequence[float] | None = None,
     ) -> Iterator[tuple[int, Any]]:
-        """Yield ``(job_index, result)`` pairs in completion order."""
-        jobs = list(jobs)
-        self._pass_start = replace(self.stats)
-        self._pass_t0 = time.monotonic()
-        limit = self.max_inflight or 4 * max(1, self.executor.num_workers)
-        backlog = deque(range(len(jobs)))
-        pending: dict[Future, _Pending] = {}
+        """Yield ``(job_index, result)`` pairs in completion order.
 
-        while pending or backlog:
-            while backlog and len(pending) < limit:
-                self._submit(pending, fn, jobs, backlog.popleft(), attempt=1)
-            wait_timeout = self._next_wait(pending)
-            done, _ = wait(
-                set(pending), timeout=wait_timeout, return_when=FIRST_COMPLETED
-            )
+        ``costs`` (one per job; default: all equal) place the jobs on the
+        lanes; ``lane_of[job_index]`` says where a yielded job ran."""
+        jobs = list(jobs)
+        costs = [1.0] * len(jobs) if costs is None else costs
+        self._pass_t0 = time.monotonic()
+        self.lane_of = {}
+        for lane in self.lanes:
+            lane.clear()  # of whatever a pass closed early left behind
+        if jobs:
+            self._place(range(len(jobs)), costs)
+
+        while any(lane.jobs for lane in self.lanes):
+            for lane in self.lanes:
+                while lane.cause is None and lane.backlog and len(lane.pending) < lane.limit:
+                    self._submit(lane, fn, jobs, lane.backlog.popleft(), attempt=1)
+            doomed = [lane for lane in self.lanes if lane.cause is not None and lane.jobs]
+            if doomed:
+                self._bury(doomed, costs)
+                continue
+            owner = {future: lane for lane in self.lanes for future in lane.pending}
+            done, _ = wait(owner, timeout=self._next_wait(), return_when=FIRST_COMPLETED)
             # Drain the whole completion batch before surfacing any
             # failure: the other finished futures carry real work that
             # must reach the caller, not be dropped with the generator.
             failure: JobFailedError | None = None
             for future in done:
-                entry = pending.pop(future)
+                lane = owner[future]
+                entry = lane.pending.pop(future)
                 error = future.exception()
                 if error is None:
+                    lane.jobs.discard(entry.index)
                     self.stats.completed += 1
                     if self._m is not None:
                         elapsed = time.monotonic() - entry.submitted_at
@@ -214,10 +271,8 @@ class JobScheduler:
                         )
                     yield entry.index, future.result()
                 else:
-                    failure = failure or self._retry_or_fail(
-                        pending, fn, jobs, entry, error
-                    )
-            failure = failure or self._expire(pending, fn, jobs)
+                    failure = failure or self._retry_or_fail(lane, fn, jobs, entry, error)
+            failure = failure or self._expire(fn, jobs)
             if failure is not None:
                 raise failure
 
@@ -230,18 +285,55 @@ class JobScheduler:
 
     # -- internals ---------------------------------------------------------
 
+    def _place(self, indices: Sequence[int], costs: Sequence[float]) -> None:
+        """Queue ``indices`` on the living lanes, balanced by cost."""
+        live = [lane for lane in self.lanes if lane.cause is None]
+        if not live:
+            cause = self.lanes[self.dead_lanes[-1]].cause
+            raise ShardFailedError(len(self.lanes), cause) from cause
+        bins = least_loaded_partition([costs[i] for i in indices], len(live))
+        for lane, positions in zip(live, bins):
+            for position in positions:
+                self.lane_of[indices[position]] = lane.index
+                lane.jobs.add(indices[position])
+                lane.backlog.append(indices[position])
+
+    def _bury(self, doomed: Sequence[_Lane], costs: Sequence[float]) -> None:
+        """Doomed lanes leave the sweep: what they had in flight is
+        abandoned and their unfinished jobs start over on the survivors
+        (:class:`ShardFailedError` when there is none)."""
+        orphans: list[int] = []
+        for lane in doomed:
+            self.dead_lanes.append(lane.index)
+            for future in lane.pending:
+                self._abandon(lane, future)
+            orphans += lane.jobs
+            lane.clear()
+        self._place(sorted(orphans), costs)
+        self.migrated += len(orphans)
+
+    @staticmethod
+    def _abandon(lane: _Lane, future: Future) -> None:
+        if not future.cancel() and not future.done():
+            # The attempt is genuinely running on a worker we can no
+            # longer reach — the pool can't be joined gracefully. A
+            # successful cancel means the attempt never started and
+            # the pool is still clean.
+            lane.executor.tainted = True
+
     def _submit(
-        self,
-        pending: dict[Future, _Pending],
-        fn: Callable,
-        jobs: Sequence[tuple],
-        index: int,
-        attempt: int,
+        self, lane: _Lane, fn: Callable, jobs: Sequence[tuple], index: int, attempt: int
     ) -> None:
         now = time.monotonic()
         deadline = None if self.timeout is None else now + self.timeout
-        future = self.executor.submit(fn, *jobs[index])
-        pending[future] = _Pending(index, attempt, deadline, now)
+        try:
+            future = lane.executor.submit(fn, *jobs[index])
+        except Exception as error:
+            if len(self.lanes) == 1:
+                raise
+            lane.cause = error  # the node is gone; the job leaves with the lane
+            return
+        lane.pending[future] = _Pending(index, attempt, deadline, now)
         self.stats.submitted += 1
         if self._m is not None:
             self._m["submitted"].inc()
@@ -250,63 +342,64 @@ class JobScheduler:
 
     def _retry_or_fail(
         self,
-        pending: dict[Future, _Pending],
+        lane: _Lane,
         fn: Callable,
         jobs: Sequence[tuple],
         entry: _Pending,
         cause: BaseException,
     ) -> JobFailedError | None:
         """Resubmit a failed attempt, or return (not raise) the terminal
-        error so the caller can finish draining its completion batch."""
+        error so the caller can finish draining its completion batch. With
+        other lanes to fall back on, retries exhausted purely on timeouts
+        doom the lane instead: the job is not to blame."""
+        if lane.cause is not None:
+            return None
         if entry.attempt <= self.max_retries:
             self.stats.retried += 1
             if self._m is not None:
                 self._m["retried"].inc()
-            self._submit(pending, fn, jobs, entry.index, attempt=entry.attempt + 1)
+            self._submit(lane, fn, jobs, entry.index, attempt=entry.attempt + 1)
             return None
         self.stats.failed += 1
         if self._m is not None:
             self._m["failed"].inc()
         error = JobFailedError(entry.index, entry.attempt, cause)
         error.__cause__ = cause
+        if len(self.lanes) > 1 and isinstance(cause, TimeoutError):
+            lane.cause = error
+            return None
         return error
 
-    def _expire(
-        self, pending: dict[Future, _Pending], fn: Callable, jobs: Sequence[tuple]
-    ) -> JobFailedError | None:
+    def _expire(self, fn: Callable, jobs: Sequence[tuple]) -> JobFailedError | None:
         now = time.monotonic()
-        expired = [
-            future
-            for future, entry in pending.items()
-            if entry.deadline is not None and now >= entry.deadline and not future.done()
-        ]
         failure: JobFailedError | None = None
-        for future in expired:
-            entry = pending.pop(future)
-            if not future.cancel() and not future.done():
-                # The attempt is genuinely running on a worker we can no
-                # longer reach — the pool can't be joined gracefully. A
-                # successful cancel means the attempt never started and
-                # the pool is still clean.
-                self.executor.tainted = True
-            self.stats.timed_out += 1
-            if self._m is not None:
-                self._m["timed_out"].inc()
-            failure = failure or self._retry_or_fail(
-                pending,
-                fn,
-                jobs,
-                entry,
-                TimeoutError(
-                    f"job {entry.index} attempt {entry.attempt} exceeded "
-                    f"{self.timeout}s"
-                ),
-            )
+        for lane in self.lanes:
+            expired = [
+                future
+                for future, entry in lane.pending.items()
+                if entry.deadline is not None and now >= entry.deadline and not future.done()
+            ]
+            for future in expired:
+                entry = lane.pending.pop(future)
+                self._abandon(lane, future)
+                self.stats.timed_out += 1
+                if self._m is not None:
+                    self._m["timed_out"].inc()
+                failure = failure or self._retry_or_fail(
+                    lane,
+                    fn,
+                    jobs,
+                    entry,
+                    TimeoutError(
+                        f"job {entry.index} attempt {entry.attempt} exceeded "
+                        f"{self.timeout}s"
+                    ),
+                )
         return failure
 
-    def _next_wait(self, pending: dict[Future, _Pending]) -> float | None:
+    def _next_wait(self) -> float | None:
         """Seconds until the earliest deadline (None = wait indefinitely)."""
-        deadlines = [e.deadline for e in pending.values() if e.deadline is not None]
-        if not deadlines:
+        if self.timeout is None:
             return None
-        return max(0.0, min(deadlines) - time.monotonic())
+        deadlines = [e.deadline for lane in self.lanes for e in lane.pending.values()]
+        return max(0.0, min(deadlines) - time.monotonic()) if deadlines else None

@@ -1,15 +1,25 @@
-"""ShardedRuntime: the Fig. 2 outer level — placement, migration, merging."""
+"""Sharded execution: the Fig. 2 outer level as lanes of the runtime's one
+scheduler — placement, migration, merging, and stopping when the sweep ends."""
 
+import threading
+import time
 from dataclasses import replace
 
 import pytest
 
+from repro.core import ShardFailedError
 from repro.core.evaluator import EvaluationConfig
 from repro.core.predictor import FixedPoolProposer, RandomPredictor
-from repro.core.runtime import RuntimeConfig, predicted_cost
+from repro.core.runtime import (
+    CancellationToken,
+    RuntimeConfig,
+    SearchRuntime,
+    SweepCancelled,
+    predicted_cost,
+)
 from repro.core.search import SearchConfig, search_mixer
-from repro.core.sharded import ShardedRuntime, ShardFailedError
 from repro.graphs.generators import erdos_renyi_graph
+from repro.obs.progress import SweepProgress
 from repro.parallel.executor import SerialExecutor, ThreadExecutor
 from repro.parallel.jobs import JobFailedError
 
@@ -78,6 +88,31 @@ class HangingExecutor(SerialExecutor):
         return Future()
 
 
+class CountingSerial(SerialExecutor):
+    """Counts what it is handed — the evidence of who is still working."""
+
+    def __init__(self):
+        self.count = 0
+
+    def submit(self, fn, *args):
+        self.count += 1
+        return super().submit(fn, *args)
+
+
+class CountingThread(ThreadExecutor):
+    def __init__(self):
+        super().__init__(1)
+        self.count = 0
+
+    def submit(self, fn, *args):
+        self.count += 1
+        return super().submit(fn, *args)
+
+
+def shard_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("shard-")]
+
+
 class TestShardedMatchesSingleNode:
     @pytest.mark.parametrize("num_shards", [2, 3])
     def test_identical_search_result(self, graphs, tiny_config, num_shards):
@@ -99,12 +134,26 @@ class TestShardedMatchesSingleNode:
         assert sharded.config["executor"] == "sharded[serial]"
 
     def test_every_shard_gets_work(self, graphs, tiny_config):
-        with ShardedRuntime(
-            graphs, tiny_config, runtime=RuntimeConfig(shards=2)
+        lanes = [CountingSerial(), CountingSerial()]
+        with SearchRuntime(
+            graphs, tiny_config, executor=lanes, runtime=RuntimeConfig(shards=2)
         ) as runtime:
             runtime.run(FixedPoolProposer([("rx",), ("ry",), ("h",), ("rz",)]))
-        for shard in runtime.shard_states:
-            assert shard.scheduler.stats.submitted > 0
+        assert all(lane.count > 0 for lane in lanes)
+        # ...and each completion is attributed to the lane that ran it.
+        per_shard = runtime.progress.to_dict()["per_shard"]
+        assert [per_shard[str(i)]["done"] for i in range(2)] == [lane.count for lane in lanes]
+
+    def test_placement_is_least_loaded_by_predicted_cost(self, graphs):
+        """Heavier candidates spread first: two 2-gate mixers never share a
+        shard while a 1-gate one could have balanced them."""
+        config = SearchConfig(p_max=1, evaluation=EvaluationConfig(max_steps=10, seed=1))
+        pool = [("rx",), ("ry",), ("rx", "ry"), ("ry", "rz")]
+        with SearchRuntime(graphs, config, runtime=RuntimeConfig(shards=2)) as runtime:
+            runtime.run(FixedPoolProposer(pool))
+        lane_of = runtime.scheduler.lane_of  # job index -> lane; jobs are in pool order
+        assert lane_of[2] != lane_of[3]
+        assert sorted(lane_of.values()) == [0, 0, 1, 1]
 
     def test_shared_executor_across_shards(self, graphs, tiny_config):
         reference = search_mixer(graphs, tiny_config)
@@ -216,6 +265,77 @@ class TestShardFailure:
             pytest.fail("expected ShardFailedError")
 
 
+class CancelOnFirstResult(SweepProgress):
+    """Fires ``token`` as the first streamed result is recorded, noting
+    which ``shard-*`` threads are alive at that moment (mid-sweep)."""
+
+    def __init__(self, token):
+        super().__init__()
+        self.token = token
+        self.threads_seen = None
+
+    def record(self, p, n=1):
+        super().record(p, n)
+        if self.threads_seen is None:
+            self.threads_seen = shard_threads()
+        self.token.cancel()
+
+
+@pytest.mark.parametrize("lane_type", [CountingSerial, CountingThread])
+class TestEndedSweepStopsWorking:
+    """Regression (PR 24): the per-shard drain threads kept submitting after
+    the sweep had ended — cancelled after its first result, a 30-candidate
+    depth went from 9 submits to all 30 within seconds; after a poisoned
+    lane's JobFailedError the healthy lane went from 1 to 15. One loop, no
+    threads: what is submitted when the exception arrives is all there is."""
+
+    @pytest.fixture
+    def wide_config(self):
+        return SearchConfig(
+            p_max=2, k_max=2, mode="combinations",
+            evaluation=EvaluationConfig(max_steps=10, seed=1),
+        )
+
+    @staticmethod
+    def settled_counts(lanes):
+        before = [lane.count for lane in lanes]
+        time.sleep(0.5)
+        assert [lane.count for lane in lanes] == before
+        assert shard_threads() == []
+        return before
+
+    def test_cancel_on_first_result_submits_nothing_more(self, graphs, wide_config, lane_type):
+        lanes = [lane_type(), lane_type()]
+        token = CancellationToken()
+        progress = CancelOnFirstResult(token)
+        try:
+            with pytest.raises(SweepCancelled):
+                search_mixer(
+                    graphs, wide_config, executor=lanes, cancel=token,
+                    progress=progress, runtime=RuntimeConfig(shards=2),
+                )
+            counts = self.settled_counts(lanes)
+        finally:
+            for lane in lanes:
+                lane.close()
+        assert progress.threads_seen == []
+        # At most the in-flight bound (4 x 1 worker) per lane, of a 15-wide depth.
+        assert all(0 < count <= 4 for count in counts)
+
+    def test_poisoned_lane_failure_submits_nothing_more(self, graphs, wide_config, lane_type):
+        healthy = lane_type()
+        try:
+            with pytest.raises(JobFailedError):
+                search_mixer(
+                    graphs, wide_config, executor=[FailingFutureExecutor(), healthy],
+                    runtime=RuntimeConfig(shards=2, max_retries=0),
+                )
+            [count] = self.settled_counts([healthy])
+        finally:
+            healthy.close()
+        assert count <= 4
+
+
 class TestShardIndexProcesses:
     """The CLI's --shard-index mode: one SearchRuntime process per shard,
     meeting in a shared cache; a final merge run re-trains nothing."""
@@ -304,22 +424,24 @@ class TestShardIndexProcesses:
 class TestValidation:
     def test_executor_count_must_match_shards(self, graphs, tiny_config):
         with pytest.raises(ValueError, match="3 executors for 2 shards"):
-            ShardedRuntime(
+            SearchRuntime(
                 graphs,
                 tiny_config,
-                executors=[SerialExecutor()] * 3,
+                executor=[SerialExecutor()] * 3,
                 runtime=RuntimeConfig(shards=2),
             )
 
-    def test_shard_index_rejected(self, graphs, tiny_config):
-        with pytest.raises(ValueError, match="shard_index"):
-            ShardedRuntime(
-                graphs,
-                tiny_config,
-                runtime=RuntimeConfig(shards=2, shard_index=0),
-            )
+    def test_one_shard_process_is_not_sharded_execution(self, graphs, tiny_config, tmp_path):
+        """``shard_index`` pins the process to one shard: one lane, the
+        single-node result keys, whatever ``shards`` says."""
+        result = search_mixer(
+            graphs, tiny_config,
+            runtime=RuntimeConfig(cache_dir=str(tmp_path), shards=2, shard_index=0),
+        )
+        assert result.config["executor"] == "serial"
+        assert "dead_shards" not in result.config
 
-    def test_executor_sequence_list_selects_sharded_runtime(self, graphs, tiny_config):
+    def test_executor_sequence_list_selects_sharded_execution(self, graphs, tiny_config):
         """A bare executor sequence is enough to opt in: one shard per
         executor (here 1 — useful as the K=1 baseline in benches)."""
         result = search_mixer(graphs, tiny_config, executor=[SerialExecutor()])

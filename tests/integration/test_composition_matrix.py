@@ -46,11 +46,12 @@ def run(feature, workload=WORKLOAD, base=BASE, executor=None, **execution):
     return search(workload, depths=DEPTHS, config=config, executor=executor)
 
 
-def workers(feature, tmp_path=None, **grouped):
-    """Twice: the second sweep runs on the workers the first one parked."""
-    first = run(feature, **grouped, workers=2)
+def workers(feature, tmp_path=None, **execution):
+    """Twice: the second sweep runs on the workers the first one parked
+    (with ``shards=2``: two one-process pools, a scheduler lane each)."""
+    first = run(feature, **execution, workers=2)
     fleet = parked_pids()
-    again = run(feature, **grouped, workers=2)
+    again = run(feature, **execution, workers=2)
     assert parked_pids() == fleet and len(fleet) == 2
     assert evaluations(again) == evaluations(first)
     return again
@@ -112,9 +113,52 @@ def worker_kill(feature, tmp_path):
     return result
 
 
+def shards_cancel_then_resume(feature, tmp_path):
+    """A token fired *mid-depth* ends a two-lane sweep with three results in
+    the store; ``resume`` finds no finished depth, those three as hits, and
+    trains the rest."""
+    config = replace(BASE, **SEARCH_FEATURES[feature], cache_dir=str(tmp_path), shards=2)
+    token = runtime.CancellationToken("cancelled mid-depth")
+
+    class CancelAfterThreeResults(SweepProgress):
+        def record(self, p, n=1):
+            super().record(p, n)
+            if self.candidates_done == 3:
+                token.cancel()
+
+    with pytest.raises(runtime.SweepCancelled, match="cancelled mid-depth"):
+        search_mixer(
+            resolve_workload(WORKLOAD), config.search_config(DEPTHS),
+            runtime=config.runtime_config(), cancel=token, progress=CancelAfterThreeResults(),
+        )
+    resumed = run(feature, cache_dir=str(tmp_path), shards=2, resume=True)
+    assert resumed.config["restored_depths"] == 0
+    assert resumed.config["cache_hits"] == 3
+    assert resumed.config["jobs_submitted"] == resumed.num_candidates - 3
+    return resumed
+
+
+def shards_worker_kill(feature, tmp_path):
+    """Kills on one of two one-process lanes are that lane's retries — its
+    pool replaces the worker — never a dead shard."""
+    plan = FaultPlan(5, worker_kills=0.3, max_faults_per_kind=2)
+    with (
+        FaultInjectingExecutor(MultiprocessingExecutor(1), plan) as faulty,
+        MultiprocessingExecutor(1) as healthy,
+    ):
+        result = run(feature, executor=[faulty, healthy], shards=2)
+    assert plan.injected["kill"] > 0  # vacuous otherwise
+    assert result.config["jobs_retried"] >= plan.injected["kill"]
+    assert result.config["dead_shards"] == []
+    return result
+
+
 EXECUTION_FEATURES = {
     "shards": lambda feature, tmp_path: run(feature, shards=2),
     "workers": workers,
+    "shards+workers": lambda feature, tmp_path: workers(feature, shards=2),
+    "shards+worker_kill": shards_worker_kill,
+    "shards+cancel_then_resume": shards_cancel_then_resume,
     "cache_dir": cache_dir,
     "resume": resume,
     "shard_index": shard_index,

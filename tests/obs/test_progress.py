@@ -65,12 +65,13 @@ class TestAccounting:
     def test_shard_attribution(self):
         progress = SweepProgress()
         progress.begin_depth(1, total=4)
-        progress.record(1, shard=0)
-        progress.record(1)
+        progress.record(1, 3)
+        progress.record_shard(0)
         progress.record_shard(1, 2)
-        shards = progress.to_dict()["per_shard"]
-        assert shards["0"]["done"] == 1
-        assert shards["1"]["done"] == 2
+        snapshot = progress.to_dict()
+        assert snapshot["candidates_done"] == 3  # attribution adds no completions
+        assert snapshot["per_shard"]["0"]["done"] == 1
+        assert snapshot["per_shard"]["1"]["done"] == 2
 
     def test_done_is_monotone_under_concurrent_recording(self):
         progress = SweepProgress()
