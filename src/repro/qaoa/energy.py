@@ -21,8 +21,10 @@ Evaluator module's inner loop). It supports two engines:
 
 (The tensor-network simulator, :mod:`repro.qtensor`, is not an engine
 here: it evaluates MaxCut only, ~5000x slower than ``"compiled"`` at the
-paper's sizes. It is driven directly — ``QTensorSimulator().maxcut_energy``
-— by the ablation benches and the cross-engine pin.)
+paper's sizes, and earns its keep where no dense state fits — a p=2
+energy at n=48 in under a reference-box second. It is driven directly —
+``QTensorSimulator().maxcut_energy``, on the same array backends — by the
+ablation benches and the cross-engine pin.)
 
 Exact gradients come from the two-term parameter-shift rule applied per
 gate occurrence: every parameterized gate in the package generates

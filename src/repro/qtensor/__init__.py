@@ -2,18 +2,13 @@
 
 Pipeline: circuit → :class:`TensorNetwork` (diagonal-gate-aware) →
 elimination order (:mod:`~repro.qtensor.ordering`) → bucket elimination
-(:mod:`~repro.qtensor.contraction`) on a pluggable backend
-(:mod:`~repro.qtensor.backends`), with reverse-lightcone pruning for local
-expectations (:mod:`~repro.qtensor.lightcone`). The
-:class:`QTensorSimulator` façade ties it together.
+(:mod:`~repro.qtensor.contraction`) on the compiled engine's array backend
+(:mod:`repro.simulators.backends`: one device seam for both simulators),
+with reverse-lightcone pruning for local expectations
+(:mod:`~repro.qtensor.lightcone`). The :class:`QTensorSimulator` façade ties
+it together.
 """
 
-from repro.qtensor.backends import (
-    ContractionBackend,
-    NumpyBackend,
-    SimulatedGPUBackend,
-    get_backend,
-)
 from repro.qtensor.contraction import (
     bucket_elimination,
     choose_slice_vars,
@@ -56,9 +51,5 @@ __all__ = [
     "greedy_random_restarts",
     "order_for_tensors",
     "evaluate_order",
-    "ContractionBackend",
-    "NumpyBackend",
-    "SimulatedGPUBackend",
-    "get_backend",
     "CUT_DIAGONAL",
 ]

@@ -6,6 +6,14 @@ variable multiplies its bucket together, sums the variable out, and files
 the result into a later bucket. Cost is ``2^width`` in the order's
 contraction width — the quantity :mod:`repro.qtensor.ordering` minimizes.
 
+The numeric work runs on an :class:`~repro.simulators.backends.ArrayBackend`,
+the device seam the compiled engine uses: input tensors enter through
+``backend.asarray`` once, every bucket and the final combine are one
+``backend.xp.einsum``, and the result leaves through ``backend.to_host``.
+Everything else here is index bookkeeping, so a device library registered
+with :func:`~repro.simulators.backends.register_array_backend` serves both
+simulators.
+
 :func:`contract_sliced` implements QTensor's step-dependent parallelism:
 fixing ``s`` slice variables splits the contraction into ``2^s``
 independent summands, each a smaller network — the second level of the
@@ -20,12 +28,11 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.qtensor.backends.base import ContractionBackend
-from repro.qtensor.backends.numpy_backend import NumpyBackend
 from repro.qtensor.network import TensorNetwork, interaction_graph
 from repro.qtensor.ordering import EliminationOrder, order_for_tensors
 from repro.qtensor.tensor import Tensor
 from repro.qtensor.variables import Variable
+from repro.simulators.backends import ArrayBackend, NumpyArrayBackend
 
 __all__ = [
     "bucket_elimination",
@@ -34,20 +41,51 @@ __all__ = [
     "choose_slice_vars",
 ]
 
+_HOST = NumpyArrayBackend()
+#: einsum accepts at most 32 operands; wider products are folded in chunks
+_MAX_OPERANDS = 16
+
+
+def _einsum_args(operands: Sequence[Tensor], out_vars: Sequence[Variable]) -> list:
+    """The integer-subscript argument list of ``einsum``: each operand's data
+    and its labels, then the labels of ``out_vars``."""
+    local: dict[Variable, int] = {}
+    args: list = []
+    for tensor in operands:
+        args.extend([tensor.data, [local.setdefault(v, len(local)) for v in tensor.indices]])
+    args.append([local[v] for v in out_vars])
+    return args
+
+
+def _contract(
+    backend: ArrayBackend, operands: Sequence[Tensor], out_vars: Sequence[Variable], name: str
+) -> Tensor:
+    """The product of ``operands`` over exactly ``out_vars`` (every other
+    index summed out), folding the first 16 operands into one tensor over
+    the union of their indices while more remain."""
+    while len(operands) > _MAX_OPERANDS:
+        chunk, operands = operands[:_MAX_OPERANDS], operands[_MAX_OPERANDS:]
+        chunk_out = sorted({v for t in chunk for v in t.indices})
+        merged = backend.xp.einsum(*_einsum_args(chunk, chunk_out), optimize=True)
+        operands = [Tensor(f"{name}_chunk", merged, chunk_out)] + list(operands)
+    data = backend.xp.einsum(*_einsum_args(operands, out_vars), optimize=True)
+    return Tensor(name, data, out_vars)
+
 
 def bucket_elimination(
     tensors: Sequence[Tensor],
     order: Sequence[Variable],
     open_vars: Sequence[Variable] = (),
-    backend: ContractionBackend | None = None,
+    backend: ArrayBackend = _HOST,
 ) -> Tensor:
     """Contract ``tensors``, eliminating ``order``, keeping ``open_vars``.
 
-    Returns a tensor over exactly ``open_vars`` (scalar when empty). Raises
-    if a non-open variable is missing from the order — silently keeping it
-    would return a wrong-shaped result.
+    Returns a host tensor over exactly ``open_vars`` (scalar when empty).
+    Each eliminated bucket's result is indexed by its remaining variables
+    sorted by id, so the contraction is the same in every run and process.
+    Raises if a non-open variable is missing from the order — silently
+    keeping it would return a wrong-shaped result.
     """
-    backend = backend or NumpyBackend()
     position: dict[Variable, int] = {v: i for i, v in enumerate(order)}
     open_set = set(open_vars)
     if open_set & set(position):
@@ -70,22 +108,24 @@ def bucket_elimination(
             leftovers.append(tensor)
 
     for t in tensors:
-        file_tensor(t)
+        file_tensor(Tensor(t.name, backend.asarray(t.data), t.indices))
 
     for i, var in enumerate(order):
         bucket = buckets[i]
-        if not bucket:
-            continue
-        result = backend.contract_bucket(bucket, var)
-        file_tensor(result)
+        if bucket:
+            out_vars = sorted({v for t in bucket for v in t.indices} - {var})
+            file_tensor(_contract(backend, bucket, out_vars, f"B{i}"))
 
-    return backend.combine(leftovers, list(open_vars))
+    if not leftovers:
+        return Tensor("final", backend.to_host(np.asarray(1.0 + 0.0j)), [])
+    final = _contract(backend, leftovers, list(open_vars), "final")
+    return Tensor(final.name, backend.to_host(final.data), final.indices)
 
 
 def contract_network(
     network: TensorNetwork,
     *,
-    backend: ContractionBackend | None = None,
+    backend: ArrayBackend = _HOST,
     order: EliminationOrder | None = None,
     method: str = "min_fill",
     n_restarts: int = 1,
@@ -132,7 +172,6 @@ def contract_sliced(
     network: TensorNetwork,
     slice_vars: Sequence[Variable],
     *,
-    backend_factory=NumpyBackend,
     method: str = "min_fill",
     map_fn=map,
 ) -> complex:
@@ -149,8 +188,6 @@ def contract_sliced(
     assignments = list(itertools.product((0, 1), repeat=len(slice_vars)))
     jobs = [(network, slice_vars, values, method) for values in assignments]
     partials = list(map_fn(_contract_slice, jobs))
-    # backend_factory kept for signature compatibility with executor kwargs
-    del backend_factory
     return complex(sum(partials))
 
 
@@ -164,5 +201,5 @@ def _contract_slice(job) -> complex:
             tensor = tensor.fix_variable(var, value)
         sliced.append(tensor)
     order = order_for_tensors(sliced, method=method)
-    result = bucket_elimination(sliced, order.order, (), NumpyBackend())
+    result = bucket_elimination(sliced, order.order)
     return result.scalar()

@@ -1,13 +1,18 @@
 """High-level tensor-network simulator façade (the QTensor stand-in).
 
-Bundles network construction, lightcone pruning, order optimization, and a
-contraction backend behind the three calls the rest of the package uses:
+Bundles network construction, lightcone pruning, order optimization, and an
+array backend behind the three calls the rest of the package uses:
 
 * :meth:`QTensorSimulator.statevector` — full state (cross-validation path);
 * :meth:`QTensorSimulator.amplitude` — one ``<b|U|init>`` amplitude;
 * :meth:`QTensorSimulator.expectation_diagonal` /
   :meth:`QTensorSimulator.maxcut_energy` — diagonal-observable expectations,
   contracted per term on the term's reverse lightcone.
+
+The backend is the compiled engine's: a name from
+:func:`~repro.simulators.backends.get_array_backend`'s registry (``"numpy"``,
+``"mock_gpu"``, ``"cupy"`` where installed) or an
+:class:`~repro.simulators.backends.ArrayBackend` instance.
 """
 
 from __future__ import annotations
@@ -20,11 +25,11 @@ import numpy as np
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import Parameter
 from repro.graphs.generators import Graph
-from repro.qtensor.backends import ContractionBackend, get_backend
 from repro.qtensor.contraction import bucket_elimination, contract_network
 from repro.qtensor.lightcone import lightcone_circuit
 from repro.qtensor.network import TensorNetwork
 from repro.qtensor.ordering import order_for_tensors
+from repro.simulators.backends import ArrayBackend, get_array_backend
 
 __all__ = ["QTensorSimulator", "CUT_DIAGONAL"]
 
@@ -34,14 +39,15 @@ CUT_DIAGONAL = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex)
 
 @dataclass
 class QTensorSimulator:
-    """Tensor-network circuit simulator with pluggable contraction backend.
+    """Tensor-network circuit simulator on an array backend.
 
     Parameters mirror the knobs the ablation benches sweep: the ordering
     heuristic (``min_fill``/``min_degree``/``random``), greedy restarts, and
-    the backend (``"numpy"`` or ``"gpu"``).
+    the array backend (``"numpy"``, or ``"mock_gpu"`` to meter the
+    contractions as device kernels and transfers).
     """
 
-    backend: str | ContractionBackend = "numpy"
+    backend: str | ArrayBackend = "numpy"
     ordering_method: str = "min_fill"
     n_restarts: int = 1
     ordering_seed: int | None = None
@@ -49,8 +55,7 @@ class QTensorSimulator:
     name: str = field(init=False, default="qtensor")
 
     def __post_init__(self) -> None:
-        if isinstance(self.backend, str):
-            self.backend = get_backend(self.backend)
+        self.backend = get_array_backend(self.backend)
         #: contraction widths observed per expectation term (diagnostics)
         self.last_widths: list[int] = []
 

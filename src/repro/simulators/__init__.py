@@ -6,9 +6,9 @@
   step is pure vectorized work. Pick it (the default engine) whenever the
   same parameterized circuit is evaluated many times.
 * :mod:`repro.simulators.backends` — the array library behind the compiled
-  engine, as a knob: NumPy (default), CuPy (registered when importable),
-  or the metered mock GPU that keeps the dispatch seam tested on CPU-only
-  CI. Mirrors :mod:`repro.qtensor.backends` one layer down.
+  engine and the tensor network, as a knob: NumPy (default), CuPy
+  (registered when importable), or the metered mock GPU that keeps the
+  dispatch seam tested on CPU-only CI.
 * :mod:`repro.simulators.statevector` — exact per-gate dense simulation of
   a concrete bound circuit; the reference engine every other path is
   cross-validated against, and the one to use for one-off circuits.

@@ -1,9 +1,11 @@
-"""Pluggable array backends for the compiled engine (the GPU seam).
+"""Pluggable array backends: the one GPU seam of both simulators.
 
 :class:`~repro.simulators.compiled.CompiledProgram` lowered the evaluator
 hot path into exactly the shapes a device array library accelerates —
 fused elementwise phase multiplies, unique-value gathers, and stacks of
-small gemms. This module makes the array library a *knob* instead of a
+small gemms — and the tensor network's bucket elimination
+(:func:`repro.qtensor.contraction.bucket_elimination`) is one einsum per
+bucket. This module makes the array library a *knob* instead of a
 hard-coded ``import numpy``: an :class:`ArrayBackend` owns
 
 * the array namespace ``xp`` (NumPy, CuPy, or an instrumented proxy) that
@@ -15,12 +17,12 @@ hard-coded ``import numpy``: an :class:`ArrayBackend` owns
   results leave, so transfers are explicit, meterable, and — on a real
   device — minimizable.
 
-This deliberately mirrors :mod:`repro.qtensor.backends`, where the same
-seam already swaps the tensor-*contraction* engine: ``NumpyBackend`` is
-the measured default, ``SimulatedGPUBackend`` (``mock_gpu.py``) models an
-accelerator so the dispatch path stays tested on CPU-only CI, and a real
-device library registers without touching the layers above. Here the
-three registered backends are
+One registry serves both simulators: ``QTensorSimulator(backend=name)``
+resolves its names here too, so a device library registers once, without
+touching the layers above. (The tensor network's
+:class:`~repro.qtensor.tensor.Tensor` still coerces its data to host
+arrays, so only ``numpy`` and ``mock_gpu`` run there today.) The three
+registered backends are
 
 * ``"numpy"`` — the default; ``xp`` *is* :mod:`numpy` and the host
   boundary is the identity, so the compiled engine behaves (and benches)
@@ -137,16 +139,16 @@ class NumpyArrayBackend(ArrayBackend):
 class DeviceModel:
     """Analytic accelerator cost model (order-of-magnitude A100 values):
     host↔device transfers at PCIe bandwidth, a fixed kernel-launch
-    latency, and work at a device rate. Shared with the contraction
-    backend ``repro.qtensor.backends.mock_gpu.SimulatedGPUBackend``, which
-    charges einsum FLOPs where this layer charges array elements.
+    latency, and work at a device rate. :class:`MockGPUArrayBackend`
+    charges it per result element of every ``xp`` call, for the compiled
+    engine's kernels and the tensor network's bucket einsums alike.
     """
 
     #: host<->device bandwidth, bytes/second (PCIe 4.0 x16 ~ 2.5e10)
     transfer_bandwidth: float = 2.5e10
     #: per-kernel launch + dispatch latency, seconds
     kernel_latency: float = 2.0e-5
-    #: sustained complex op rate (elements or FLOPs), operations/second
+    #: sustained complex op rate, result elements/second
     element_rate: float = 5.0e12
 
     def transfer_seconds(self, num_bytes: int) -> float:
@@ -192,16 +194,15 @@ class _InstrumentedNamespace:
 class MockGPUArrayBackend(ArrayBackend):
     """Simulated-GPU array backend: NumPy results + device accounting.
 
-    Mirrors ``repro.qtensor.backends.mock_gpu.SimulatedGPUBackend`` one
-    layer down the stack: this box has no CUDA device, so computation
-    runs on NumPy — results are **bit-identical** to the ``"numpy"``
-    backend — while the backend meters what the same evaluation would
-    cost on an accelerator: :meth:`asarray` charges a host→device
-    transfer, :meth:`to_host` a device→host one, and every ``xp`` call a
-    kernel launch under :class:`DeviceModel`. CPU-only CI drives the
-    complete dispatch seam through this backend, so a raw ``np.`` call
-    sneaking back into the engine shows up as missing kernels/transfers
-    long before real hardware does.
+    Without a CUDA device, computation runs on NumPy — results are
+    **bit-identical** to the ``"numpy"`` backend — while the backend
+    meters what the same evaluation would cost on an accelerator:
+    :meth:`asarray` charges a host→device transfer, :meth:`to_host` a
+    device→host one, and every ``xp`` call a kernel launch under
+    :class:`DeviceModel`. CPU-only CI drives the complete dispatch seam of
+    both simulators through this backend, so a raw ``np.`` call sneaking
+    back into the compiled engine or the bucket contraction shows up as
+    missing kernels/transfers long before real hardware does.
     """
 
     name = "mock_gpu"

@@ -70,7 +70,7 @@ class TestTenQubitConsistency:
         graph = reg10[0]
         bound = build_qaoa_ansatz(graph, 1).bind(ANGLES_P1)
         cpu = QTensorSimulator(backend="numpy").maxcut_energy(bound, graph, initial_state="0")
-        gpu = QTensorSimulator(backend="gpu").maxcut_energy(bound, graph, initial_state="0")
+        gpu = QTensorSimulator(backend="mock_gpu").maxcut_energy(bound, graph, initial_state="0")
         assert gpu == pytest.approx(cpu, abs=1e-10)
 
     def test_qtensor_width_stays_small_at_p1(self, reg10):

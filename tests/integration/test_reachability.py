@@ -38,7 +38,8 @@ UNSERVED = {
     "repro.qtensor.simulator": (
         "the paper's tensor-network backend, reproduced for its scaling argument: "
         "bench_ablation_{backends,ordering,slicing}.py and the cross-engine pin drive it; "
-        "not an --engine (MaxCut only, ~5000x slower than compiled at 10 nodes)"
+        "not an --engine (MaxCut only, ~5000x slower than compiled at 10 nodes; a p=2 energy "
+        "at n=48 costs 0.6-0.9 reference-box s, width <= 9 - ROADMAP item 7 decides)"
     ),
     "repro.parallel.async_executor": (
         "retired by the process fleet (PR 12); benchmarks/e2e/trace.py still imports it, "

@@ -1,11 +1,13 @@
-"""Bucket elimination and slicing."""
+"""Bucket elimination and slicing, and their dispatch through ``ArrayBackend``."""
 
 import numpy as np
 import pytest
 from tests.conftest import random_circuit
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.qtensor.backends import NumpyBackend
+from repro.graphs.generators import random_regular_graph
+from repro.qaoa.ansatz import build_qaoa_ansatz
+from repro.qtensor import contraction
 from repro.qtensor.contraction import (
     bucket_elimination,
     choose_slice_vars,
@@ -14,8 +16,10 @@ from repro.qtensor.contraction import (
 )
 from repro.qtensor.network import TensorNetwork
 from repro.qtensor.ordering import order_for_tensors
+from repro.qtensor.simulator import QTensorSimulator
 from repro.qtensor.tensor import Tensor
 from repro.qtensor.variables import Variable
+from repro.simulators.backends import DeviceModel, MockGPUArrayBackend, get_array_backend
 from repro.simulators.statevector import simulate
 
 
@@ -133,14 +137,96 @@ class TestSlicing:
         assert collected == [4]  # 2^2 independent slices
 
 
-class TestBackendStats:
-    def test_numpy_backend_counters(self):
-        backend = NumpyBackend()
-        qc = random_circuit(3, 10, seed=6)
-        net = TensorNetwork.from_circuit(qc, output_bitstring=0)
-        contract_network(net, backend=backend)
-        stats = backend.stats()
-        assert stats["buckets"] > 0
-        assert stats["elements_written"] > 0
-        backend.reset_stats()
-        assert backend.stats()["buckets"] == 0
+def _bucket():
+    a, b, c = Variable(0), Variable(1), Variable(2)
+    rng = np.random.default_rng(3)
+    tensors = [
+        Tensor("t1", rng.normal(size=(2, 2)), [c, b]),
+        Tensor("t2", rng.normal(size=(2, 2)), [b, a]),
+    ]
+    return tensors, a, b, c
+
+
+class TestArrayBackendDispatch:
+    """Every contraction is ``backend.xp.einsum`` between one upload per input
+    tensor and one download per result — the compiled engine's seam."""
+
+    def test_bucket_math_is_einsum(self):
+        tensors, a, b, c = _bucket()
+        result = bucket_elimination(tensors, [b], [a, c])
+        expected = np.einsum("cb,ba->ac", tensors[0].data, tensors[1].data)
+        np.testing.assert_allclose(result.data, expected)
+
+    def test_bucket_indices_sorted_by_id_and_combine_follows_open_vars(self, monkeypatch):
+        tensors, a, b, c = _bucket()
+        calls = []
+        real = contraction._contract
+
+        def spy(backend, operands, out_vars, name):
+            calls.append(tuple(out_vars))
+            return real(backend, operands, out_vars, name)
+
+        monkeypatch.setattr(contraction, "_contract", spy)
+        result = bucket_elimination(tensors, [b], [c, a])
+        assert calls == [(a, c), (c, a)]
+        assert result.indices == (c, a)
+
+    def test_combine_orders_output(self):
+        a, b = Variable(0), Variable(1)
+        t = Tensor("t", np.arange(4.0).reshape(2, 2), [a, b])
+        result = bucket_elimination([t], [], [b, a])
+        np.testing.assert_array_equal(result.data, t.data.T)
+
+    def test_mock_gpu_energy_is_bit_identical(self):
+        graph = random_regular_graph(8, 3, seed=4)
+        bound = build_qaoa_ansatz(graph, 2, ("rx", "ry")).bind([0.4, -0.6, 0.2, 0.5])
+        energies = [
+            QTensorSimulator(backend=name).maxcut_energy(bound, graph, initial_state="0").hex()
+            for name in ("numpy", "mock_gpu")
+        ]
+        assert energies[0] == energies[1]
+
+    def test_each_input_uploaded_once_and_one_result_downloaded(self):
+        net = TensorNetwork.from_circuit(random_circuit(4, 25, seed=11), output_bitstring=5)
+        gpu = get_array_backend("mock_gpu")
+        contract_network(net, backend=gpu)
+        assert gpu.bytes_to_device == sum(t.data.nbytes for t in net.tensors)
+        assert gpu.bytes_to_host == np.dtype(complex).itemsize
+
+    def test_one_download_per_energy_term(self):
+        graph = random_regular_graph(8, 3, seed=4)
+        bound = build_qaoa_ansatz(graph, 1).bind([0.4, 0.6])
+        sim = QTensorSimulator(backend="mock_gpu")
+        sim.maxcut_energy(bound, graph, initial_state="0")
+        assert sim.backend.bytes_to_host == graph.num_edges * np.dtype(complex).itemsize
+
+    @pytest.mark.parametrize("buckets", [1, 3, 6])
+    def test_one_kernel_per_bucket_plus_the_combine(self, buckets):
+        variables = [Variable(i) for i in range(buckets)]
+        tensors = [Tensor(f"t{v.id}", np.array([1.0, 0.5]), [v]) for v in variables]
+        gpu = get_array_backend("mock_gpu")
+        bucket_elimination(tensors, variables, (), gpu)
+        assert gpu.kernels == buckets + 1
+
+    def test_kernel_latency_dominates_small_buckets(self):
+        model = DeviceModel(kernel_latency=1e-3, element_rate=1e15, transfer_bandwidth=1e15)
+        gpu = MockGPUArrayBackend(model)
+        tensors, a, b, c = _bucket()
+        bucket_elimination(tensors, [b], [a, c], gpu)
+        assert gpu.kernels == 2
+        assert gpu.device_seconds == pytest.approx(2e-3, rel=1e-3)
+
+    def test_charged_elements_grow_with_bucket_width(self):
+        def elements(width):
+            variables = [Variable(i) for i in range(width)]
+            tensor = Tensor("t", np.ones((2,) * width), variables)
+            gpu = get_array_backend("mock_gpu")
+            bucket_elimination([tensor], variables[:1], variables[1:], gpu)
+            return gpu.elements
+
+        assert elements(3) < elements(8)
+
+    @pytest.mark.parametrize("name", ["gpu", "simulated_gpu", "tpu"])
+    def test_unknown_name_is_the_registry_error(self, name):
+        with pytest.raises(ValueError, match=f"unknown array backend '{name}'"):
+            QTensorSimulator(backend=name)
