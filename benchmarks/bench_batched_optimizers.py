@@ -74,7 +74,7 @@ def time_multi_restart(
     result = None
     for _ in range(repeats):
         start = time.perf_counter()
-        result = meta.minimize_population(negated, X0, batch_fn=negated.values)
+        result = meta.minimize_population(negated, X0)
         best_seconds = min(best_seconds, time.perf_counter() - start)
     return {
         "seconds": best_seconds,

@@ -38,7 +38,7 @@ print(f"training {RESTARTS} restarts of ('rx','ry') at p={P} "
 for mode in ("serial", "batched"):
     optimizer = MultiRestart(SPSA(maxiter=STEPS, seed=0), batch_mode=mode)
     start = time.perf_counter()
-    result = optimizer.minimize_population(negated, seeds, batch_fn=negated.values)
+    result = optimizer.minimize_population(negated, seeds)
     seconds = time.perf_counter() - start
     print(f"{mode:>8}: best <C> = {-result.fun:.4f} "
           f"({result.nfev} trained points, {seconds:.2f}s)")

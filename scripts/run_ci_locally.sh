@@ -11,8 +11,8 @@
 #               sweep-level benchmark's checks on the service path, on
 #               the many-candidates path (shared compile fragments) and on
 #               the batched-engine path (the planned schedule), the
-#               tensor network's three ablation benches and tour example,
-#               and the surrogate smoke + eval-reduction gate
+#               tensor network's three ablation benches, every example
+#               script, and the surrogate smoke + eval-reduction gate
 set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
@@ -49,7 +49,7 @@ python3 benchmarks/e2e/run.py --workload wide_cached --seconds 3
 python3 benchmarks/e2e/run.py --workload deep_spsa --seconds 3
 python -m pytest benchmarks/bench_ablation_{backends,ordering,slicing}.py -q -s \
     -o python_files='bench_*.py' -o python_functions='bench_*'
-python examples/tensor_network_simulation.py
+for example in examples/*.py; do echo "== $example"; python "$example"; done
 python scripts/ci_smoke.py --only workloads
 python scripts/ci_smoke.py --only surrogate
 python scripts/bench_report.py

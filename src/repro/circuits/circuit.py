@@ -3,7 +3,7 @@
 A :class:`QuantumCircuit` is an ordered list of instructions (gate + qubit
 tuple) on a fixed-width register. It deliberately mirrors the slice of
 Qiskit's API that QArchSearch's QBuilder uses — ``rx/ry/rz/h/p`` appenders,
-composition, parameter binding — plus the structural queries (depth, gate
+repetition, parameter binding — plus the structural queries (depth, gate
 counts, two-qubit interaction graph) that the tensor-network converter
 needs.
 
@@ -92,14 +92,8 @@ class QuantumCircuit:
     def s(self, q: int) -> QuantumCircuit:
         return self.append_named("s", [q])
 
-    def sdg(self, q: int) -> QuantumCircuit:
-        return self.append_named("sdg", [q])
-
     def t(self, q: int) -> QuantumCircuit:
         return self.append_named("t", [q])
-
-    def tdg(self, q: int) -> QuantumCircuit:
-        return self.append_named("tdg", [q])
 
     def rx(self, theta: ParameterValue, q: int) -> QuantumCircuit:
         return self.append_named("rx", [q], theta)
@@ -113,28 +107,14 @@ class QuantumCircuit:
     def p(self, lam: ParameterValue, q: int) -> QuantumCircuit:
         return self.append_named("p", [q], lam)
 
-    def u3(
-        self, theta: ParameterValue, phi: ParameterValue, lam: ParameterValue, q: int
-    ) -> QuantumCircuit:
-        return self.append_named("u3", [q], theta, phi, lam)
-
     def cx(self, control: int, target: int) -> QuantumCircuit:
         return self.append_named("cx", [control, target])
 
     def cz(self, q0: int, q1: int) -> QuantumCircuit:
         return self.append_named("cz", [q0, q1])
 
-    def cp(self, lam: ParameterValue, q0: int, q1: int) -> QuantumCircuit:
-        return self.append_named("cp", [q0, q1], lam)
-
     def rzz(self, theta: ParameterValue, q0: int, q1: int) -> QuantumCircuit:
         return self.append_named("rzz", [q0, q1], theta)
-
-    def rxx(self, theta: ParameterValue, q0: int, q1: int) -> QuantumCircuit:
-        return self.append_named("rxx", [q0, q1], theta)
-
-    def swap(self, q0: int, q1: int) -> QuantumCircuit:
-        return self.append_named("swap", [q0, q1])
 
     # -- structure ------------------------------------------------------------
 
@@ -181,18 +161,6 @@ class QuantumCircuit:
         out = QuantumCircuit(self._num_qubits, name=self.name)
         for instr in self._instructions:
             out.append(instr.gate.bind(bindings), instr.qubits)
-        return out
-
-    def compose(self, other: QuantumCircuit) -> QuantumCircuit:
-        """A new circuit running ``self`` then ``other`` (same width)."""
-        if other.num_qubits != self._num_qubits:
-            raise ValueError(
-                f"cannot compose {self._num_qubits}-qubit circuit with "
-                f"{other.num_qubits}-qubit circuit"
-            )
-        out = self.copy()
-        for instr in other.instructions:
-            out.append(instr.gate, instr.qubits)
         return out
 
     def repeat(self, reps: int) -> QuantumCircuit:

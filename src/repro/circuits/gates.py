@@ -51,20 +51,15 @@ __all__ = [
     "Z",
     "H",
     "S",
-    "SDG",
     "T",
-    "TDG",
     "RX",
     "RY",
     "RZ",
     "P",
-    "U3",
     "CX",
     "CZ",
     "CP",
     "RZZ",
-    "RXX",
-    "SWAP",
 ]
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -94,16 +89,8 @@ def _mat_s(_: Sequence[float]) -> np.ndarray:
     return np.array([[1, 0], [0, 1j]], dtype=complex)
 
 
-def _mat_sdg(_: Sequence[float]) -> np.ndarray:
-    return np.array([[1, 0], [0, -1j]], dtype=complex)
-
-
 def _mat_t(_: Sequence[float]) -> np.ndarray:
     return np.array([[1, 0], [0, cmath.exp(1j * math.pi / 4)]], dtype=complex)
-
-
-def _mat_tdg(_: Sequence[float]) -> np.ndarray:
-    return np.array([[1, 0], [0, cmath.exp(-1j * math.pi / 4)]], dtype=complex)
 
 
 def _mat_rx(params: Sequence[float]) -> np.ndarray:
@@ -128,18 +115,6 @@ def _mat_rz(params: Sequence[float]) -> np.ndarray:
 def _mat_p(params: Sequence[float]) -> np.ndarray:
     (lam,) = params
     return np.array([[1, 0], [0, cmath.exp(1j * lam)]], dtype=complex)
-
-
-def _mat_u3(params: Sequence[float]) -> np.ndarray:
-    theta, phi, lam = params
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array(
-        [
-            [c, -cmath.exp(1j * lam) * s],
-            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
-        ],
-        dtype=complex,
-    )
 
 
 # Two-qubit matrices. Convention: for a gate applied to (q0, q1) the 4x4
@@ -169,21 +144,6 @@ def _mat_rzz(params: Sequence[float]) -> np.ndarray:
     e_m = cmath.exp(-0.5j * theta)
     e_p = cmath.exp(0.5j * theta)
     return np.diag([e_m, e_p, e_p, e_m]).astype(complex)
-
-
-def _mat_rxx(params: Sequence[float]) -> np.ndarray:
-    (theta,) = params
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    m = np.eye(4, dtype=complex) * c
-    anti = -1j * s
-    m[0, 3] = m[1, 2] = m[2, 1] = m[3, 0] = anti
-    return m
-
-
-def _mat_swap(_: Sequence[float]) -> np.ndarray:
-    return np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
 
 
 #: phase generator of a diagonal gate: hashable ``(h, g0)`` float tuples of
@@ -240,14 +200,8 @@ H = _register(GateSpec("h", 1, 0, _mat_h))
 S = _register(
     GateSpec("s", 1, 0, _mat_s, is_diagonal=True, diag_phase=(_NO_PHASE_1Q, (0.0, _PI / 2)))
 )
-SDG = _register(
-    GateSpec("sdg", 1, 0, _mat_sdg, is_diagonal=True, diag_phase=(_NO_PHASE_1Q, (0.0, -_PI / 2)))
-)
 T = _register(
     GateSpec("t", 1, 0, _mat_t, is_diagonal=True, diag_phase=(_NO_PHASE_1Q, (0.0, _PI / 4)))
-)
-TDG = _register(
-    GateSpec("tdg", 1, 0, _mat_tdg, is_diagonal=True, diag_phase=(_NO_PHASE_1Q, (0.0, -_PI / 4)))
 )
 RX = _register(GateSpec("rx", 1, 1, _mat_rx))
 RY = _register(GateSpec("ry", 1, 1, _mat_ry))
@@ -263,7 +217,6 @@ P = _register(
         diag_phase=((0.0, 1.0), (0.0, 0.0)),
     )
 )
-U3 = _register(GateSpec("u3", 1, 3, _mat_u3))
 CX = _register(GateSpec("cx", 2, 0, _mat_cx))
 CZ = _register(
     GateSpec(
@@ -283,8 +236,6 @@ RZZ = _register(
         diag_phase=((-0.5, 0.5, 0.5, -0.5), _NO_PHASE_2Q),
     )
 )
-RXX = _register(GateSpec("rxx", 2, 1, _mat_rxx))
-SWAP = _register(GateSpec("swap", 2, 0, _mat_swap))
 
 
 @dataclass(frozen=True)

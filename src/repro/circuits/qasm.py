@@ -28,10 +28,7 @@ class QasmError(ValueError):
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
 #: gates we emit verbatim; everything else needs a definition block
-_NATIVE = {
-    "id", "x", "y", "z", "h", "s", "sdg", "t", "tdg",
-    "rx", "ry", "rz", "p", "u3", "cx", "cz", "cp", "rzz", "rxx", "swap",
-}
+_NATIVE = {"id", "x", "y", "z", "h", "s", "t", "rx", "ry", "rz", "p", "cx", "cz", "cp", "rzz"}
 
 
 def to_qasm(circuit: QuantumCircuit) -> str:

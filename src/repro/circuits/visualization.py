@@ -52,7 +52,7 @@ def draw_circuit(circuit: QuantumCircuit) -> str:
                     cells[target][col] = "⊕"
                 else:
                     cells[lo][col] = label
-                    cells[hi][col] = "●" if node.gate_name != "swap" else "X"
+                    cells[hi][col] = "●"
                 for q in range(lo + 1, hi):
                     spans[q][col] = True
 

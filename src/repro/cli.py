@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "at start-up (0 = all cores)")
     serve.add_argument("--cache-max-entries", type=int, default=None,
                        help="LRU-bound the shared result cache; in-flight "
-                            "and pinned entries are never evicted")
+                            "entries are never evicted")
     serve.add_argument("--lease-seconds", type=float, default=30.0,
                        help="claim lease: a wedged or killed slot's job is "
                             "reclaimed this long after its last heartbeat")

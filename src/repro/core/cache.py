@@ -40,10 +40,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sqlite3
 import threading
 import time
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import asdict
 from pathlib import Path
@@ -137,9 +137,9 @@ class ResultCache:
     * ``max_entries`` bounds the store with LRU eviction: every put stamps
       (and, when bounded, every hit refreshes) a ``last_used`` recency
       column, and each flush deletes the least-recently-used overflow.
-      Keys that are **in flight** — claimed for evaluation, explicitly
-      :meth:`pin`-ned, or still in the write buffer — are never evicted,
-      so a result another tenant is about to read cannot vanish under it.
+      Keys that are **in flight** — claimed for evaluation or still in
+      the write buffer — are never evicted, so a result another tenant is
+      about to read cannot vanish under it.
     * ``shared=True`` enables cross-tenant coordination: a tenant that
       misses calls :meth:`claim` before evaluating; the first claimant
       owns the evaluation and every other tenant :meth:`wait_for`-s the
@@ -196,7 +196,6 @@ class ResultCache:
         self._lock = threading.RLock()
         self._available = threading.Condition(self._lock)
         self._buffer: dict[str, CandidateEvaluation] = {}
-        self._pins: Counter[str] = Counter()
         self._claims: set[str] = set()
         self.hits = 0
         self.misses = 0
@@ -275,7 +274,7 @@ class ResultCache:
 
     def flush(self) -> None:
         """Commit all buffered puts in one transaction, then evict LRU
-        overflow (never in-flight/pinned/buffered keys)."""
+        overflow (never claimed or buffered keys)."""
         with self._lock:
             if self._buffer:
                 t0 = time.perf_counter() if self._m is not None else 0.0
@@ -306,17 +305,6 @@ class ResultCache:
 
     # -- multi-tenant coordination -----------------------------------------
 
-    def pin(self, key: str) -> None:
-        """Protect ``key`` from eviction until :meth:`unpin` (refcounted)."""
-        with self._lock:
-            self._pins[key] += 1
-
-    def unpin(self, key: str) -> None:
-        with self._lock:
-            self._pins[key] -= 1
-            if self._pins[key] <= 0:
-                del self._pins[key]
-
     def claim(self, key: str) -> bool:
         """Register intent to evaluate ``key``; True = caller owns it.
 
@@ -325,7 +313,7 @@ class ResultCache:
         re-evaluating). A stored key cannot be claimed either: a tenant
         whose ``get`` missed just before the owner's put and whose claim
         lands just after it must collect that result, not retrain.
-        Claimed keys are pinned against eviction. With ``shared=False``
+        Claimed keys are protected from eviction. With ``shared=False``
         there are no competing tenants by contract, so every claim
         trivially succeeds.
         """
@@ -335,7 +323,6 @@ class ResultCache:
             if key in self._claims or key in self:
                 return False
             self._claims.add(key)
-            self._pins[key] += 1
             return True
 
     def unclaim(self, key: str) -> None:
@@ -373,7 +360,6 @@ class ResultCache:
         # lock held
         if key in self._claims:
             self._claims.remove(key)
-            self.unpin(key)
             self._available.notify_all()
 
     # -- eviction ----------------------------------------------------------
@@ -388,7 +374,7 @@ class ResultCache:
         excess = total - self.max_entries
         if excess <= 0:
             return
-        protected = set(self._buffer) | set(self._pins) | set(self._claims)
+        protected = set(self._buffer) | self._claims
         victims = [
             key
             for (key,) in self._conn.execute(
@@ -532,6 +518,15 @@ class SweepCheckpoint:
             "format": "repro-sweep-checkpoint-v1",
             "depths": self._entries,
         }
-        tmp = self.path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(payload))
-        tmp.replace(self.path)
+        # a temp file of this writer's own (one per process and thread): two
+        # runtimes sharing a cache dir must not rename each other's file
+        # away (the last writer wins); it is created with the umask's mode
+        # so the checkpoint stays readable to whoever could read it before
+        tmp = self.cache_dir / f".checkpoint-{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w") as handle:  # a crashed run's leftover is overwritten
+                handle.write(json.dumps(payload))
+            os.replace(tmp, self.path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise

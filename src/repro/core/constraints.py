@@ -168,8 +168,3 @@ class ConstraintSet:
     def filter(self, candidates: Iterable[Sequence[str]]) -> list[Tokens]:
         """Admissible subset of an enumerated candidate list."""
         return [tuple(c) for c in candidates if self.satisfied(c)]
-
-    def violated_by(self, tokens: Sequence[str]) -> list[str]:
-        """Names of all constraints the candidate breaks (diagnostics)."""
-        tokens = tuple(tokens)
-        return [c.name for c in self.constraints if not c.satisfied(tokens)]

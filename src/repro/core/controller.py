@@ -116,9 +116,6 @@ class PolicyController:
     def tokens_of(self, episode: Episode) -> tuple[str, ...]:
         return tuple(self.alphabet.token(a) for a in episode.actions)
 
-    def episode_log_prob(self, episode: Episode) -> float:
-        return episode.log_prob
-
     # -- training ----------------------------------------------------------------
 
     def zero_grad(self) -> None:

@@ -85,23 +85,10 @@ class Graph:
         check_integer(node, "node")
         return sum(1 for u, v in self.edges if node in (u, v))
 
-    def degrees(self) -> np.ndarray:
-        """Degree of every node as an int array, vectorized over edges."""
-        deg = np.zeros(self.num_nodes, dtype=np.int64)
-        if self.edges:
-            arr = np.asarray(self.edges, dtype=np.int64)
-            np.add.at(deg, arr[:, 0], 1)
-            np.add.at(deg, arr[:, 1], 1)
-        return deg
-
     def neighbors(self, node: int) -> list[int]:
         """Sorted neighbours of ``node``."""
         out = [v if u == node else u for u, v in self.edges if node in (u, v)]
         return sorted(out)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        e = (u, v) if u < v else (v, u)
-        return e in set(self.edges)
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric weighted adjacency matrix."""
@@ -119,9 +106,6 @@ class Graph:
 
     def weight_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=np.float64)
-
-    def total_weight(self) -> float:
-        return float(sum(self.weights))
 
     def is_connected(self) -> bool:
         """Breadth-first connectivity check (isolated graphs allowed for n<=1)."""

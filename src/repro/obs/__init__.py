@@ -3,7 +3,7 @@
 A dependency-free instrumentation layer every hot subsystem reports into:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — thread-safe counters,
-  gauges, and fixed-bucket latency histograms (with quantile estimates),
+  gauges, and fixed-bucket latency histograms,
   rendered in Prometheus text exposition format by :meth:`render`.
 * ``registry.timer("name")`` — a timing span that lands in a histogram
   (and, when tracing is enabled, in the JSONL trace log).

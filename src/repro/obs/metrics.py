@@ -12,9 +12,8 @@ valid text exposition format a stock Prometheus server scrapes as-is:
   common case stays one call: ``registry.counter("x_total").inc()``;
 * **histograms** use fixed upper-bound buckets chosen at creation.
   Observations are O(log buckets) (one bisect + two adds under the
-  family lock); quantiles are *estimates*, linearly interpolated inside
-  the winning bucket — good enough for dashboards, cheap enough for the
-  hot path.
+  family lock); quantiles are the scraper's to estimate from the
+  cumulative buckets (Prometheus ``histogram_quantile``).
 
 Timing spans come from :meth:`MetricsRegistry.timer`::
 
@@ -273,32 +272,9 @@ class _HistogramChild:
             self.sum += value
             self.count += 1
 
-    def quantile(self, q: float) -> float:
-        """Estimated q-quantile: linear interpolation within the winning
-        bucket (the Prometheus ``histogram_quantile`` rule). Observations
-        beyond the last finite bound clamp to it."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        with self._lock:
-            total = self.count
-            if total == 0:
-                return math.nan
-            rank = q * total
-            cumulative = 0
-            for index, bucket_count in enumerate(self.counts):
-                cumulative += bucket_count
-                if cumulative >= rank and bucket_count:
-                    if index == len(self.bounds):  # the +Inf bucket
-                        return self.bounds[-1] if self.bounds else math.inf
-                    upper = self.bounds[index]
-                    lower = self.bounds[index - 1] if index else 0.0
-                    fraction = (rank - (cumulative - bucket_count)) / bucket_count
-                    return lower + (upper - lower) * min(max(fraction, 0.0), 1.0)
-            return self.bounds[-1] if self.bounds else math.inf
-
 
 class Histogram(_Family):
-    """Latency distribution in fixed buckets, with quantile estimates."""
+    """Latency distribution in fixed buckets."""
 
     kind = "histogram"
 
@@ -327,10 +303,6 @@ class Histogram(_Family):
 
     def labels(self, **labels: str) -> _HistogramChild:
         return super().labels(**labels)  # type: ignore[return-value]
-
-    def quantile(self, q: float, **labels: str) -> float:
-        child = _Family.labels(self, **labels) if labels else self._default_child()
-        return child.quantile(q)  # type: ignore[union-attr]
 
     @property
     def count(self) -> int:

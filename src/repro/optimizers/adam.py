@@ -5,12 +5,13 @@ Pairs with the parameter-shift gradients of
 alternative the optimizer ablation bench measures against the paper's
 derivative-free COBYLA.
 
-Batch-native: :meth:`Adam.minimize_batch` updates a population of K
-restarts in lockstep with vectorized moment buffers. Gradients come from
-``gradient_batch`` when provided — on the compiled engine that is one
-batched parameter-shift pass over all K points
-(:meth:`repro.qaoa.energy.AnsatzEnergy.gradients`) — and the post-update
-objective values of all restarts are scored in one batched call.
+Gradients come from the objective itself: :meth:`Adam.minimize` calls
+``fn.gradient(x)``. Batch-native: :meth:`Adam.minimize_batch` updates a
+population of K restarts in lockstep with vectorized moment buffers,
+taking each step's gradients from one ``fn.gradients(X)`` call — on the
+compiled engine one batched parameter-shift pass over all K points
+(:meth:`repro.qaoa.energy.AnsatzEnergy.gradients`) — and scoring the
+post-update objective values of all restarts in one batched call.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.optimizers.base import (
-    BatchFn,
-    GradientFn,
     Objective,
     ObjectiveTracer,
     Optimizer,
@@ -41,22 +40,13 @@ class Adam(Optimizer):
 
     def __init__(
         self,
-        gradient: GradientFn | None = None,
         maxiter: int = 100,
         learning_rate: float = 0.05,
         beta1: float = 0.9,
         beta2: float = 0.999,
         eps: float = 1e-8,
         gtol: float = 1e-6,
-        gradient_batch: BatchFn | None = None,
     ) -> None:
-        #: ``None`` reads the objective's own ``gradient`` / ``gradients``; a
-        #: population objective's always (one bound here is one row's)
-        self.gradient = gradient
-        #: optional ``(B, dim) -> (B, dim)`` batched gradient (one
-        #: parameter-shift pass for the whole population on the compiled
-        #: engine); falls back to a per-point loop over ``gradient``
-        self.gradient_batch = gradient_batch
         self.maxiter = int(maxiter)
         self.learning_rate = float(learning_rate)
         self.beta1 = float(beta1)
@@ -70,11 +60,10 @@ class Adam(Optimizer):
         m = np.zeros_like(x)
         v = np.zeros_like(x)
         tracer(x)
-        gradient = self.gradient if self.gradient is not None else fn.gradient
         converged = False
         nit = 0
         for nit in range(1, self.maxiter + 1):
-            grad = np.asarray(gradient(x), dtype=float)
+            grad = np.asarray(fn.gradient(x), dtype=float)
             if np.linalg.norm(grad) < self.gtol:
                 converged = True
                 break
@@ -95,26 +84,15 @@ class Adam(Optimizer):
         )
 
     def _gradients(self, fn: Objective, X: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        if hasattr(fn, "row_objective"):
-            grads = fn.gradients(X, rows)
-        elif self.gradient_batch is not None or self.gradient is None:
-            grads = (self.gradient_batch or fn.gradients)(X)
-        else:
-            return np.stack([np.asarray(self.gradient(x), dtype=float) for x in X])
+        grads = fn.gradients(X, rows) if hasattr(fn, "row_objective") else fn.gradients(X)
         grads = np.asarray(grads, dtype=float)
         if grads.shape != X.shape:
             raise ValueError(
-                f"gradient_batch returned shape {grads.shape} for "
-                f"points of shape {X.shape}"
+                f"gradients returned shape {grads.shape} for points of shape {X.shape}"
             )
         return grads
 
-    def minimize_batch(
-        self,
-        fn: Objective,
-        X0: np.ndarray,
-        batch_fn: BatchFn | None = None,
-    ) -> list[OptimizeResult]:
+    def minimize_batch(self, fn: Objective, X0: np.ndarray) -> list[OptimizeResult]:
         """Lockstep Adam over the rows of ``X0``.
 
         All restarts share one gradient batch and one value batch per
@@ -125,7 +103,7 @@ class Adam(Optimizer):
         restarts, dim = X.shape
         tracers = [ObjectiveTracer(fn) for _ in range(restarts)]
         rows = np.arange(restarts)
-        for k, value in zip(rows, batch_values(fn, batch_fn, X, rows)):
+        for k, value in zip(rows, batch_values(fn, X, rows)):
             tracers[k].record(X[k], float(value))
 
         m = np.zeros_like(X)
@@ -154,7 +132,7 @@ class Adam(Optimizer):
             X[rows] = X[rows] - self.learning_rate * m_hat / (
                 np.sqrt(v_hat) + self.eps
             )
-            for k, value in zip(rows, batch_values(fn, batch_fn, X[rows], rows)):
+            for k, value in zip(rows, batch_values(fn, X[rows], rows)):
                 tracers[k].record(X[k], float(value))
         return [
             OptimizeResult(

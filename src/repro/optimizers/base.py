@@ -12,10 +12,13 @@ The compiled engine evaluates whole parameter batches in one vectorized
 pass (:meth:`repro.simulators.compiled.CompiledProgram.energies`), so an
 optimizer that needs many points per step — SPSA's ± pairs, Nelder–Mead's
 simplex moves, a population of restarts — should submit them as *one*
-batch instead of a Python loop of scalar calls. Two seams make that work:
+batch instead of a Python loop of scalar calls. The objective is the one
+channel for values and gradients — no optimizer takes a second evaluator
+beside it — and two seams make batching work:
 
 * :class:`BatchObjective` — the protocol an objective implements to opt in
-  (``values(X)`` for a batch of rows).
+  (``values(X)`` for a batch of rows; Adam also reads the objective's
+  ``gradient(x)`` / ``gradients(X)``).
   :meth:`repro.qaoa.energy.AnsatzEnergy.negative_objective` returns one.
 * :meth:`Optimizer.minimize_batch` — minimize from a population of start
   points at once. Batch-native subclasses (``supports_batch = True``)
@@ -51,12 +54,9 @@ __all__ = [
     "OptimizeResult",
     "Optimizer",
     "batch_values",
-    "resolve_batch_fn",
 ]
 
 Objective = Callable[[np.ndarray], float]
-GradientFn = Callable[[np.ndarray], np.ndarray]
-BatchFn = Callable[[np.ndarray], np.ndarray]
 
 
 @runtime_checkable
@@ -73,29 +73,18 @@ class BatchObjective(Protocol):
     def values(self, X: np.ndarray) -> np.ndarray: ...
 
 
-def resolve_batch_fn(fn: Objective, batch_fn: BatchFn | None) -> BatchFn | None:
-    """The batch evaluator to use: an explicit ``batch_fn`` wins, else the
-    objective's own :class:`BatchObjective` ``values`` method, else None."""
-    if batch_fn is not None:
-        return batch_fn
-    values = getattr(fn, "values", None)
-    return values if callable(values) else None
-
-
-def batch_values(
-    fn: Objective, batch_fn: BatchFn | None, X: np.ndarray, rows: np.ndarray | None = None
-) -> np.ndarray:
-    """Objective values for the rows of ``X`` — one ``batch_fn`` call when
-    available, a scalar loop otherwise (the serial fallback). ``X`` reaches
-    ``batch_fn`` as given: a batch objective validates its own input (the
-    compiled program does, once, at ``energies``). ``rows`` (each point's
-    population row) reaches a population objective only."""
-    batch_fn = resolve_batch_fn(fn, batch_fn)
-    if batch_fn is None:
+def batch_values(fn: Objective, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Objective values for the rows of ``X`` — one ``fn.values`` call when
+    ``fn`` is a :class:`BatchObjective`, a scalar loop otherwise (the serial
+    fallback). ``X`` reaches ``values`` as given: a batch objective validates
+    its own input (the compiled program does, once, at ``energies``).
+    ``rows`` (each point's population row) reaches a population objective
+    only."""
+    if not hasattr(fn, "values"):
         return np.array(
             [float(fn(row)) for row in np.atleast_2d(np.asarray(X, dtype=float))]
         )
-    values = batch_fn(X, rows) if hasattr(fn, "row_objective") else batch_fn(X)
+    values = fn.values(X, rows) if hasattr(fn, "row_objective") else fn.values(X)
     values = np.asarray(values, dtype=float).reshape(-1)
     points = len(X) if np.ndim(X) > 1 else 1
     if values.shape[0] != points:
@@ -169,18 +158,13 @@ class Optimizer(abc.ABC):
     def minimize(self, fn: Objective, x0: Sequence[float]) -> OptimizeResult:
         """Minimize ``fn`` starting from ``x0``."""
 
-    def minimize_batch(
-        self,
-        fn: Objective,
-        X0: np.ndarray,
-        batch_fn: BatchFn | None = None,
-    ) -> list[OptimizeResult]:
+    def minimize_batch(self, fn: Objective, X0: np.ndarray) -> list[OptimizeResult]:
         """Minimize from every row of ``X0``; one result per row.
 
         Base implementation: the serial fallback — one independent
         :meth:`minimize` per start point (on the row's own objective when
-        ``fn`` is a population objective), ignoring ``batch_fn`` — so any
-        optimizer (including scipy-backed ones) accepts a population.
+        ``fn`` is a population objective) — so any optimizer (including
+        scipy-backed ones) accepts a population.
         """
         own = getattr(fn, "row_objective", lambda row: fn)
         X0 = np.atleast_2d(np.asarray(X0, dtype=float))

@@ -22,7 +22,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.optimizers.base import (
-    BatchFn,
     Objective,
     ObjectiveTracer,
     Optimizer,
@@ -138,12 +137,7 @@ class NelderMead(Optimizer):
             history=tracer.trace,
         )
 
-    def minimize_batch(
-        self,
-        fn: Objective,
-        X0: np.ndarray,
-        batch_fn: BatchFn | None = None,
-    ) -> list[OptimizeResult]:
+    def minimize_batch(self, fn: Objective, X0: np.ndarray) -> list[OptimizeResult]:
         """Lockstep simplex descent over the rows of ``X0``.
 
         Restarts converge independently (each keeps its own ``nit``); a
@@ -158,7 +152,7 @@ class NelderMead(Optimizer):
             # points[i]: one point, or a block of them, of restart owners[i]
             sizes = [np.atleast_2d(block).shape[0] for block in points]
             rows = np.repeat([state.row for state in owners], sizes)
-            return batch_values(fn, batch_fn, np.vstack(points), rows)
+            return batch_values(fn, np.vstack(points), rows)
 
         states = [
             _SimplexState(row, ObjectiveTracer(fn), self._initial_simplex(x0))

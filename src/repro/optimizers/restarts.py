@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.optimizers.base import BatchFn, Objective, Optimizer, OptimizeResult, resolve_batch_fn
+from repro.optimizers.base import Objective, Optimizer, OptimizeResult
 from repro.utils.validation import check_choice
 
 __all__ = ["BATCH_MODES", "MultiRestart"]
@@ -65,25 +65,20 @@ class MultiRestart:
         self.base = base
         self.batch_mode = batch_mode
 
-    def _use_batch(self, fn: Objective, batch_fn: BatchFn | None) -> bool:
+    def _use_batch(self, fn: Objective) -> bool:
         if self.batch_mode == "serial":
             return False
         if self.batch_mode == "batched":
             return True
-        return self.base.supports_batch and resolve_batch_fn(fn, batch_fn) is not None
+        return self.base.supports_batch and hasattr(fn, "values")
 
-    def minimize_population(
-        self,
-        fn: Objective,
-        X0: np.ndarray,
-        batch_fn: BatchFn | None = None,
-    ) -> OptimizeResult:
+    def minimize_population(self, fn: Objective, X0: np.ndarray) -> OptimizeResult:
         """Minimize from every row of ``X0``; aggregate to the best."""
         X0 = np.atleast_2d(np.asarray(X0, dtype=float))
         if X0.shape[0] == 0:
             raise ValueError("restart population is empty")
-        if self._use_batch(fn, batch_fn):
-            results = self.base.minimize_batch(fn, X0, batch_fn=batch_fn)
+        if self._use_batch(fn):
+            results = self.base.minimize_batch(fn, X0)
             mode = "batched"
         else:
             results = Optimizer.minimize_batch(self.base, fn, X0)  # the serial walk

@@ -25,7 +25,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.optimizers.base import (
-    BatchFn,
     Objective,
     ObjectiveTracer,
     Optimizer,
@@ -105,12 +104,7 @@ class SPSA(Optimizer):
             return [as_rng(None) for _ in range(restarts)]
         return [as_rng(self.seed)]
 
-    def minimize_batch(
-        self,
-        fn: Objective,
-        X0: np.ndarray,
-        batch_fn: BatchFn | None = None,
-    ) -> list[OptimizeResult]:
+    def minimize_batch(self, fn: Objective, X0: np.ndarray) -> list[OptimizeResult]:
         """Lockstep SPSA over the rows of ``X0``.
 
         Every iteration evaluates the whole ``(2K, dim)`` block of ±
@@ -125,7 +119,7 @@ class SPSA(Optimizer):
 
         rows = np.arange(restarts)
         both = np.concatenate([rows, rows])
-        for k, value in enumerate(batch_values(fn, batch_fn, X, rows)):
+        for k, value in enumerate(batch_values(fn, X, rows)):
             tracers[k].record(X[k], float(value))
         for k_iter in range(self.maxiter):
             ak = self.a / (k_iter + 1 + self.A) ** self.alpha
@@ -133,7 +127,7 @@ class SPSA(Optimizer):
             deltas = np.stack([_rademacher(rng, dim) for rng in rngs])
             plus = X + ck * deltas
             minus = X - ck * deltas
-            values = batch_values(fn, batch_fn, np.vstack([plus, minus]), both)
+            values = batch_values(fn, np.vstack([plus, minus]), both)
             f_plus, f_minus = values[:restarts], values[restarts:]
             for k in range(restarts):
                 tracers[k].record(plus[k], float(f_plus[k]))
@@ -142,7 +136,7 @@ class SPSA(Optimizer):
                 (f_plus - f_minus)[:, None] / (2.0 * ck) * (1.0 / deltas)
             )
             X = X - ak * gradient_estimates
-        for k, value in enumerate(batch_values(fn, batch_fn, X, rows)):
+        for k, value in enumerate(batch_values(fn, X, rows)):
             tracers[k].record(X[k], float(value))
         return [
             OptimizeResult(

@@ -427,11 +427,6 @@ class JobQueue:
     def mark_done(self, job_id: str, result: dict, *, owner: str | None = None) -> bool:
         return self._finish(job_id, "done", result=result, owner=owner)
 
-    def mark_failed(self, job_id: str, error: str, *, owner: str | None = None) -> bool:
-        """Terminal failure, bypassing the retry budget (e.g. a spec that
-        can never run). :meth:`record_failure` is the retrying path."""
-        return self._finish(job_id, "failed", error=error, owner=owner)
-
     def mark_cancelled(self, job_id: str, *, owner: str | None = None) -> bool:
         return self._finish(job_id, "cancelled", owner=owner)
 
@@ -504,7 +499,6 @@ class JobQueue:
         state: str,
         *,
         result: dict | None = None,
-        error: str | None = None,
         owner: str | None = None,
     ) -> bool:
         """Owner-guarded terminal transition; False = ownership was lost
@@ -512,9 +506,7 @@ class JobQueue:
         with self._lock:
             if self.peek(job_id) is None:
                 raise KeyError(f"unknown job id {job_id!r}")
-            return self._finish_locked(
-                job_id, state, result=result, error=error, owner=owner
-            )
+            return self._finish_locked(job_id, state, result=result, owner=owner)
 
     def _finish_locked(
         self,

@@ -106,9 +106,6 @@ class ArrayBackend(abc.ABC):
     def synchronize(self) -> None:  # pragma: no cover - default no-op
         """Fence outstanding device work (no-op on host backends)."""
 
-    def reset_stats(self) -> None:  # pragma: no cover - default no-op
-        """Clear any accumulated instrumentation."""
-
     def stats(self) -> dict[str, float]:
         """Backend-specific counters (kernels, bytes moved, device time)."""
         return {}
@@ -237,13 +234,6 @@ class MockGPUArrayBackend(ArrayBackend):
         self.bytes_to_host += out.nbytes
         self.device_seconds += self.model.transfer_seconds(out.nbytes)
         return out
-
-    def reset_stats(self) -> None:
-        self.kernels = 0
-        self.elements = 0.0
-        self.bytes_to_device = 0
-        self.bytes_to_host = 0
-        self.device_seconds = 0.0
 
     def stats(self) -> dict[str, float]:
         return {

@@ -125,7 +125,7 @@ __all__ = [
 
 #: gates whose expectation is single-frequency in the angle, so the exact
 #: two-term shift rule applies (shared with repro.qaoa.energy)
-SHIFT_RULE_GATES = frozenset({"rx", "ry", "rz", "p", "rzz", "rxx", "cp"})
+SHIFT_RULE_GATES = frozenset({"rx", "ry", "rz", "p", "rzz", "cp"})
 
 _SHIFT = np.pi / 2
 

@@ -101,19 +101,6 @@ class TestParameters:
 
 
 class TestTransformation:
-    def test_compose_widths_must_match(self):
-        with pytest.raises(ValueError, match="compose"):
-            QuantumCircuit(2).compose(QuantumCircuit(3))
-
-    def test_compose_order(self):
-        qc = QuantumCircuit(1).x(0).compose(QuantumCircuit(1).h(0))
-        assert [i.gate.name for i in qc] == ["x", "h"]
-
-    def test_compose_leaves_operands_unchanged(self):
-        left, right = QuantumCircuit(1).x(0), QuantumCircuit(1).h(0)
-        left.compose(right)
-        assert left.size() == 1 and right.size() == 1
-
     def test_repeat(self):
         qc = QuantumCircuit(1).rx(0.1, 0).repeat(3)
         assert qc.size() == 3

@@ -17,7 +17,7 @@ def _random_params(spec, rng):
 class TestRegistry:
     def test_expected_gates_present(self):
         for name in ["id", "x", "y", "z", "h", "s", "t", "rx", "ry", "rz", "p",
-                     "cx", "cz", "cp", "rzz", "rxx", "swap", "u3"]:
+                     "cx", "cz", "cp", "rzz"]:
             assert name in GATE_REGISTRY
 
     def test_unknown_gate_raises_with_suggestions(self):
@@ -61,7 +61,7 @@ class TestSpecialValues:
     def test_zero_rotations_are_identity(self):
         for name in ("rx", "ry", "rz", "p"):
             np.testing.assert_allclose(gate_matrix(name, 0.0), np.eye(2), atol=1e-15)
-        for name in ("rzz", "rxx", "cp"):
+        for name in ("rzz", "cp"):
             np.testing.assert_allclose(gate_matrix(name, 0.0), np.eye(4), atol=1e-15)
 
     def test_p_pi_is_z(self):
@@ -85,6 +85,15 @@ class TestSpecialValues:
         h = gate_matrix("h")
         np.testing.assert_allclose(h @ gate_matrix("x") @ h, gate_matrix("z"), atol=1e-12)
 
+    def test_rz_conjugation_turns_ry_into_rx(self):
+        theta = 0.83
+        chain = (
+            gate_matrix("rz", -math.pi / 2)
+            @ gate_matrix("ry", theta)
+            @ gate_matrix("rz", math.pi / 2)
+        )
+        np.testing.assert_allclose(chain, gate_matrix("rx", theta), atol=1e-12)
+
     def test_cx_permutation_structure(self):
         # |q1 q0> basis: control is q0 (low bit)
         cx = gate_matrix("cx")
@@ -96,12 +105,6 @@ class TestSpecialValues:
         m = gate_matrix("rzz", theta)
         e_m, e_p = cmath.exp(-0.5j * theta), cmath.exp(0.5j * theta)
         np.testing.assert_allclose(np.diag(m), [e_m, e_p, e_p, e_m], atol=1e-12)
-
-    def test_u3_reduces_to_ry(self):
-        theta = 1.1
-        np.testing.assert_allclose(
-            gate_matrix("u3", theta, 0.0, 0.0), gate_matrix("ry", theta), atol=1e-12
-        )
 
 
 class TestGateInstances:
@@ -126,7 +129,7 @@ class TestGateInstances:
 
     def test_bind_partial_keeps_symbolic(self):
         a, b = Parameter("a"), Parameter("b")
-        g = make_gate("u3", a, b, 0.0)
+        g = make_gate("rx", a + 2 * b)
         g2 = g.bind({a: 1.0})
         assert g2.parameters == frozenset({b})
 

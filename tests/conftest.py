@@ -68,22 +68,27 @@ def fast_eval_config():
 
 
 def random_circuit(num_qubits: int, num_gates: int, seed: int = 0):
-    """A random mixed 1q/2q circuit exercising every gate family."""
+    """A random mixed 1q/2q circuit exercising every gate family: ``cx``
+    on any pair (non-adjacent ones included) is the non-diagonal two-qubit
+    gate, ``rz ry rz`` on one qubit the three-rotation chain."""
     from repro.circuits.circuit import QuantumCircuit
 
     rng = np.random.default_rng(seed)
     qc = QuantumCircuit(num_qubits)
-    one_q = ["h", "x", "y", "z", "s", "t", "sdg", "tdg"]
+    one_q = ["h", "x", "y", "z", "s", "t"]
     rot = ["rx", "ry", "rz", "p"]
-    two_q = ["cx", "cz", "swap"]
-    rot2 = ["rzz", "rxx", "cp"]
+    two_q = ["cx", "cz"]
+    rot2 = ["rzz", "cp"]
     for _ in range(num_gates):
         choice = rng.random()
         q = int(rng.integers(num_qubits))
-        if choice < 0.3:
+        if choice < 0.25:
             qc.append_named(str(rng.choice(one_q)), [q])
-        elif choice < 0.6:
+        elif choice < 0.5:
             qc.append_named(str(rng.choice(rot)), [q], float(rng.uniform(-3, 3)))
+        elif choice < 0.6:
+            a, b, c = (float(v) for v in rng.uniform(-3, 3, 3))
+            qc.rz(a, q).ry(b, q).rz(c, q)
         elif num_qubits >= 2 and choice < 0.8:
             r = int(rng.integers(num_qubits - 1))
             r = r if r != q else num_qubits - 1

@@ -1,6 +1,9 @@
 """Persistent result cache: fingerprints, hit/miss accounting, checkpoints."""
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 
@@ -215,6 +218,50 @@ class TestSweepCheckpoint:
     def test_foreign_format_ignored(self, tmp_path):
         (tmp_path / SweepCheckpoint.FILENAME).write_text(json.dumps({"format": "v999"}))
         assert len(SweepCheckpoint(tmp_path)) == 0
+
+    def test_writers_sharing_a_directory_do_not_collide(self, tmp_path):
+        # two runtimes on one cache dir (two api.search threads, two CLI
+        # processes) each hold a checkpoint; every flush must land whole
+        errors = []
+
+        def writer(index):
+            checkpoint = SweepCheckpoint(tmp_path)
+            try:
+                for step in range(100):
+                    depth = DepthResult(1, (make_evaluation(ratio=step / 100),), 0.1)
+                    checkpoint.save_depth(f"w{index}", depth)
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        survivor = SweepCheckpoint(tmp_path)  # last writer wins, and parses
+        assert len(survivor) >= 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [SweepCheckpoint.FILENAME]
+
+    def test_the_checkpoint_takes_the_umask_mode(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            SweepCheckpoint(tmp_path).save_depth("fp1", DepthResult(1, (make_evaluation(),), 0.1))
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((tmp_path / SweepCheckpoint.FILENAME).stat().st_mode) == 0o644
+
+    def test_a_failed_flush_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        checkpoint = SweepCheckpoint(tmp_path)
+
+        def full_disk(*_):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(OSError, match="no space"):
+            checkpoint.save_depth("fp1", DepthResult(1, (make_evaluation(),), 0.1))
+        assert list(tmp_path.iterdir()) == []
 
     def test_clear(self, tmp_path):
         checkpoint = SweepCheckpoint(tmp_path)

@@ -1,4 +1,4 @@
-"""Multi-tenant ResultCache: LRU bounds, pinning, claim/wait coordination."""
+"""Multi-tenant ResultCache: LRU bounds, claim/wait coordination."""
 
 import threading
 
@@ -52,16 +52,6 @@ class TestLRUEviction:
             assert cache.get("k0") is not None
             assert cache.get("k1") is None  # the cold one was evicted
 
-    def test_pinned_keys_survive_eviction(self, tmp_path):
-        with ResultCache(tmp_path, max_entries=2) as cache:
-            fill(cache, 2)
-            cache.pin("k0")
-            fill(cache, 4, prefix="fresh")
-            assert cache.get("k0") is not None
-            cache.unpin("k0")
-            fill(cache, 4, prefix="later")
-            assert cache.get("k0") is None  # unpinned → evictable again
-
     def test_eviction_pressure_cannot_break_inflight_claims(self, tmp_path):
         """Eviction during the claim window never strands a waiter: the
         buffered put is protected, and the resolved row lands newest so
@@ -107,6 +97,21 @@ class TestClaims:
         with ResultCache(tmp_path, shared=True) as cache:
             assert cache.claim("k") is True
             assert cache.claim("k") is False
+
+    def test_a_stored_key_cannot_be_claimed(self, tmp_path):
+        """A tenant whose claim lands after the owner's put collects the
+        result instead of retraining — buffered or committed."""
+        with ResultCache(tmp_path, shared=True) as cache:
+            cache.put("buffered", make_evaluation())
+            assert cache.claim("buffered") is False
+            fill(cache, 1)
+            assert cache.claim("k0") is False
+
+    def test_wait_for_gives_up_on_a_held_claim_at_its_timeout(self, tmp_path):
+        with ResultCache(tmp_path, shared=True) as cache:
+            assert cache.claim("k")
+            assert cache.wait_for("k", timeout=0.05) is None
+            assert cache.claim("k") is False  # the claim is still held
 
     def test_put_resolves_claim_and_wakes_waiter(self, tmp_path):
         with ResultCache(tmp_path, shared=True) as cache:

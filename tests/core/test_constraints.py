@@ -72,17 +72,19 @@ class TestConstraintSet:
         assert cs.rejections["max_gates"] == 1
         assert cs.rejections["requires_parameterized"] == 1
 
+    def test_a_rejection_is_charged_to_the_first_broken_constraint(self):
+        cs = ConstraintSet([MaxGates(1), ForbiddenTokens(("p",))])
+        assert not cs.satisfied(("rx", "p"))  # breaks both
+        assert not cs.satisfied(("p",))
+        assert cs.satisfied(("rx",))
+        assert cs.rejections == {"max_gates": 1, "forbidden_tokens": 1}
+
     def test_filter(self):
         space = enumerate_search_space(GateAlphabet(), 2, mode="combinations")
         cs = ConstraintSet([MinGates(2), RequiredTokens(("rx",))])
         admissible = cs.filter(space)
         assert all(len(t) == 2 and "rx" in t for t in admissible)
         assert len(admissible) == 4  # rx paired with each of ry, rz, h, p
-
-    def test_violated_by(self):
-        cs = ConstraintSet([MaxGates(1), ForbiddenTokens(("p",))])
-        assert cs.violated_by(("rx", "p")) == ["max_gates", "forbidden_tokens"]
-        assert cs.violated_by(("rx",)) == []
 
     def test_empty_set_admits_everything(self):
         assert ConstraintSet().satisfied(("anything",))

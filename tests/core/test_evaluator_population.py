@@ -19,17 +19,14 @@ TOKENS, P = ("rz", "rx"), 2  # a fused head: the program has a k >= 2 block
 BUDGET = {"spsa": 8, "nelder_mead": 12, "adam": 2}
 
 
-def per_graph_optimizer(config: EvaluationConfig, negated):
+def per_graph_optimizer(config: EvaluationConfig):
     if config.optimizer == "spsa":
         return SPSA(maxiter=config.max_steps // 2, seed=config.seed)
     if config.optimizer == "nelder_mead":
         return NelderMead(maxiter=config.max_steps)
     if config.optimizer == "cobyla":
         return Cobyla(maxiter=config.max_steps)
-    # bound to this graph's objective, as every graph's own Adam used to be
-    return Adam(
-        gradient=negated.gradient, gradient_batch=negated.gradients, maxiter=config.max_steps
-    )
+    return Adam(maxiter=config.max_steps)  # reads this graph's objective's gradients
 
 
 def per_graph_path(evaluator: Evaluator, tokens, p, warm) -> CandidateEvaluation:
@@ -43,12 +40,8 @@ def per_graph_path(evaluator: Evaluator, tokens, p, warm) -> CandidateEvaluation
         )
         negated = objective.negative_objective()
         result = MultiRestart(
-            per_graph_optimizer(config, negated), batch_mode=config.batch_mode
-        ).minimize_population(
-            negated,
-            X0[index * config.restarts:(index + 1) * config.restarts],
-            batch_fn=negated.values,
-        )
+            per_graph_optimizer(config), batch_mode=config.batch_mode
+        ).minimize_population(negated, X0[index * config.restarts:(index + 1) * config.restarts])
         energies.append(float(-result.fun))
         best_params.append(tuple(float(v) for v in result.x))
         nfev += result.nfev

@@ -15,6 +15,14 @@ than by its own definition and by ``__init__`` re-export lines, or be in
 ``TEST_ONLY`` with its reason. A public name only ``tests/`` uses is the
 other half of something that was replaced: delete it with its tests.
 
+Below names, methods: every public method or property of a class under
+``src/repro`` must be referenced — as an attribute (``pool.map``), a name
+or a ``getattr``/``hasattr`` string, parsed from the same files, its own
+definition aside — or override a base-class method that is (a referenced
+method of ours, or a framework hook such as
+``BaseHTTPRequestHandler.log_message``), or sit in ``TEST_ONLY`` under
+``module.Class.method`` with its reason.
+
 The same resolver checks the files tier-1 does not collect —
 ``examples/``, ``benchmarks/``, ``scripts/`` — so an import of a deleted
 module or name there fails here, not when someone next runs the file.
@@ -23,7 +31,10 @@ module or name there fails here, not when someone next runs the file.
 from __future__ import annotations
 
 import ast
+import builtins
+import importlib
 import re
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -49,22 +60,19 @@ UNSERVED = {
 
 _CONSTRAINTS = "§6 constraint vocabulary: what a caller puts in SearchConfig(constraints=)"
 _GRAPH_FAMILY = "fixture graph family with a known optimum (tests, docs, notebooks)"
-_GATE = "gate vocabulary: reached by registry name (make_gate, QASM, circuit builders)"
 
 _DEFERRED = "controller substrate beside softmax/AdamUpdater; decided with it (--strategy)"
+_PREDICTOR = "predictor protocol beside the --strategy seam; ROADMAP item 3 decides it"
+_QTENSOR = "the tensor-network package's own surface; ROADMAP item 7 decides the package"
 _LAYER = (
     "one layer as a circuit of its own (Eq. 2's U_C, the RX baseline U_B) for inspection; "
     "the ansatz appends in place"
 )
 
-#: ``module.name`` for every ``__all__`` entry that only ``tests/`` references,
-#: each with the reason it is not deleted
+#: ``module.name`` for every ``__all__`` entry, and ``module.Class.method``
+#: for every public method, that only ``tests/`` references, each with the
+#: reason it is not deleted
 TEST_ONLY = {
-    "repro.circuits.gates.RXX": _GATE,
-    "repro.circuits.gates.SDG": _GATE,
-    "repro.circuits.gates.SWAP": _GATE,
-    "repro.circuits.gates.TDG": _GATE,
-    "repro.circuits.gates.U3": _GATE,
     "repro.circuits.qasm.from_qasm": (
         "reads back what to_qasm writes: the round trip pins the exported winners' QASM"
     ),
@@ -97,6 +105,33 @@ TEST_ONLY = {
     ),
     "repro.simulators.statevector.basis_state": "fixture state |index> for the simulator tests",
     "repro.workloads.registry.workload_summaries": "the registry table docs/workloads.md prints",
+    # methods
+    "repro.core.predictor.ExhaustivePredictor.exhausted": _PREDICTOR,
+    "repro.core.predictor.ExhaustivePredictor.reset": _PREDICTOR,
+    "repro.core.predictor.ExhaustivePredictor.space_size": _PREDICTOR,
+    "repro.core.predictor.Predictor.exhausted": _PREDICTOR,
+    "repro.core.qbuilder.QBuilder.from_encoding": (
+        "the §2.1 predictor -> builder tensor, the one edge that keeps core/encoding.py "
+        "reachable; ROADMAP item 3 decides it"
+    ),
+    "repro.obs.metrics.Counter.value_for": "test accessor: one labelled child's value",
+    "repro.obs.metrics.Gauge.value_for": "test accessor: one labelled child's value",
+    "repro.obs.metrics.MetricsRegistry.timer": (
+        "operator API: the span helper docs/observability.md offers for an operator's own code"
+    ),
+    "repro.obs.metrics.MetricsRegistry.trace_path": "test accessor: where the trace log is written",
+    "repro.parallel.executor.MultiprocessingExecutor.worker_pids": (
+        "test accessor: the fleet's pids the fleet-reuse and worker-loss tests compare"
+    ),
+    "repro.parallel.faults.FaultPlan.should_raise": (
+        "test accessor: the plan's decision, without executing it"
+    ),
+    "repro.qtensor.network.TensorNetwork.closed": _QTENSOR,
+    "repro.qtensor.simulator.QTensorSimulator.amplitude": _QTENSOR,
+    "repro.qtensor.simulator.QTensorSimulator.statevector": _QTENSOR,
+    "repro.qtensor.variables.VariableFactory.fresh_many": _QTENSOR,
+    "repro.simulators.compiled.CompiledProgram.num_ops": "test accessor: the lowered op count",
+    "repro.surrogate.cost.CostModel.fitted": "test accessor: whether the cost model has data",
 }
 
 #: a trailing dot takes every module of the package
@@ -235,6 +270,60 @@ class SourceTree:
             if getattr(node, "name", None) == name or _assigns(node, name)
         ]
 
+    def methods(self) -> Iterator[tuple[str, ast.ClassDef, str]]:
+        """``(module, class, name)`` for every public method or property of
+        every class, nested ones included."""
+        for module, tree in self.trees.items():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ClassDef):
+                    names = {
+                        item.name for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("_")
+                    }
+                    yield from ((module, node, name) for name in sorted(names))
+
+    def bases(self, module: str, cls: ast.ClassDef) -> Iterator[tuple[str, ast.ClassDef] | type]:
+        """Every ancestor of ``cls`` the source names: ``(module, ClassDef)``
+        for one of ours, the class object itself (imported) for another
+        package's."""
+        todo, seen = [(module, cls)], set()
+        while todo:
+            module, cls = todo.pop()
+            for expr in cls.bases:
+                base = self._base(module, expr.value if isinstance(expr, ast.Subscript) else expr)
+                if isinstance(base, tuple) and (base[0], base[1].name) not in seen:
+                    seen.add((base[0], base[1].name))
+                    todo.append(base)
+                if base is not None:
+                    yield base
+
+    def _base(self, module: str, expr: ast.expr) -> tuple[str, ast.ClassDef] | type | None:
+        path = []
+        while isinstance(expr, ast.Attribute):
+            path.insert(0, expr.attr)
+            expr = expr.value
+        if not isinstance(expr, ast.Name):
+            return None
+        bound = self.bindings(module)
+        if expr.id not in bound:
+            source, name = "builtins", expr.id
+        elif bound[expr.id] is None:
+            source, name = module, expr.id
+        else:
+            source, name = bound[expr.id]
+        if self._ours(source):
+            definer = self.definer(source, name) if name else None
+            found = [
+                node for node in self.trees.get(definer, ast.Module([], [])).body
+                if isinstance(node, ast.ClassDef) and node.name == name
+            ]
+            return (definer, found[0]) if found and not path else None
+        target = builtins if source == "builtins" else importlib.import_module(source)
+        for attr in ([name] if name else []) + path:
+            target = getattr(target, attr, None)  # None: a class local to a function
+        return target
+
     def unresolved(self, path: Path) -> list[str]:
         """``file:line: message`` for each import in ``path`` naming a module
         that does not exist or a name its module does not provide."""
@@ -288,6 +377,74 @@ def unreferenced_exports(tree: SourceTree, others: list[Path]) -> list[str]:
     return dead
 
 
+def references(tree: ast.AST) -> Iterator[tuple[str, int]]:
+    """``(name, line)`` for every attribute, name and ``getattr``-family
+    string literal in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr", "setattr", "delattr")
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            yield str(node.args[1].value), node.lineno
+
+
+def unreferenced_methods(tree: SourceTree, others: list[Path]) -> list[str]:
+    """``module.Class.method`` for each public method or property nothing
+    references outside its own definition (getter, setter and deleter
+    together) and that overrides no referenced base-class method."""
+    where: dict[str, list[tuple[str, int]]] = {}
+    for module, parsed in tree.trees.items():
+        for name, line in references(parsed):
+            where.setdefault(name, []).append((module, line))
+    for path in others:
+        found = (
+            references(ast.parse(path.read_text(), str(path))) if path.suffix == ".py"
+            else ((word, 0) for word in words(path))
+        )
+        for name, line in found:
+            where.setdefault(name, []).append((str(path), line))
+
+    def referenced(module: str, cls: ast.ClassDef, name: str) -> bool:
+        own = [
+            (min([d.lineno for d in item.decorator_list] + [item.lineno]), item.end_lineno)
+            for item in cls.body if getattr(item, "name", None) == name
+        ]
+        return any(
+            where_module != module or not any(lo <= line <= hi for lo, hi in own)
+            for where_module, line in where.get(name, ())
+        )
+
+    def overrides_live(module: str, cls: ast.ClassDef, name: str) -> bool:
+        for base in tree.bases(module, cls):
+            if not isinstance(base, tuple):
+                if hasattr(base, name):
+                    return True
+            elif any(getattr(item, "name", None) == name for item in base[1].body):
+                if referenced(base[0], base[1], name):
+                    return True
+        return False
+
+    return sorted(
+        f"{module}.{cls.name}.{name}" for module, cls, name in tree.methods()
+        if not referenced(module, cls, name) and not overrides_live(module, cls, name)
+    )
+
+
+def _outside_sources() -> list[Path]:
+    """What besides ``src/`` may keep a name or a method alive."""
+    return [
+        path for pattern in ("benchmarks/**/*.py", "scripts/*", "examples/*.py")
+        for path in sorted(REPO.glob(pattern)) if path.suffix in (".py", ".sh")
+    ]
+
+
 @pytest.fixture(scope="module")
 def tree():
     return SourceTree(REPO / "src")
@@ -305,20 +462,33 @@ def test_every_module_is_served_or_says_why(tree):
     assert len(UNSERVED) <= 5 and all(UNSERVED.values())
 
 
+def _method_keys(tree: SourceTree) -> set[str]:
+    return {f"{module}.{cls.name}.{name}" for module, cls, name in tree.methods()}
+
+
 def test_every_exported_name_is_referenced_or_says_why(tree):
-    others = [
-        path for pattern in ("benchmarks/**/*.py", "scripts/*", "examples/*.py")
-        for path in sorted(REPO.glob(pattern)) if path.suffix in (".py", ".sh")
-    ]
-    dead = unreferenced_exports(tree, others)
-    stale = sorted(set(TEST_ONLY) - set(dead))
+    dead = unreferenced_exports(tree, _outside_sources())
+    ledger = set(TEST_ONLY) - _method_keys(tree)
+    stale = sorted(ledger - set(dead))
     assert not stale, f"TEST_ONLY entries that are referenced, or gone (drop them): {stale}"
-    unexplained = sorted(set(dead) - set(TEST_ONLY))
+    unexplained = sorted(set(dead) - ledger)
     assert not unexplained, (
         "exported names only tests/ references — delete them with their tests, "
         f"or add them to TEST_ONLY with a reason: {unexplained}"
     )
     assert all(TEST_ONLY.values())
+
+
+def test_every_public_method_is_referenced_or_says_why(tree):
+    dead = unreferenced_methods(tree, _outside_sources())
+    ledger = set(TEST_ONLY) & _method_keys(tree)
+    stale = sorted(ledger - set(dead))
+    assert not stale, f"TEST_ONLY methods that are referenced (drop them): {stale}"
+    unexplained = sorted(set(dead) - ledger)
+    assert not unexplained, (
+        "public methods only tests/ calls — delete them with their tests, "
+        f"or add them to TEST_ONLY with a reason: {unexplained}"
+    )
 
 
 def test_a_package_reexport_alone_keeps_nothing_alive(tmp_path):
@@ -341,6 +511,41 @@ def test_a_package_reexport_alone_keeps_nothing_alive(tmp_path):
     (pkg / "api.py").write_text("from .sub import helper as h\n")
     synthetic = SourceTree(tmp_path, "pkg")
     assert "pkg.sub.dead" in synthetic.reachable(("pkg.api",))
+
+
+def test_a_method_lives_by_attribute_reference_or_override(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "pool.py").write_text(
+        "from http.server import BaseHTTPRequestHandler\n"
+        "class Pool:\n"
+        "    def map(self, fn, items):\n"
+        "        return [fn(i) for i in items]\n"
+        "    def lonely(self):\n"
+        "        return self.lonely()\n"
+        "class Step:\n"
+        "    def run(self):\n"
+        "        pass\n"
+        "class Loud(Step):\n"
+        "    def run(self):\n"
+        "        return super().run()\n"
+        "class Handler(BaseHTTPRequestHandler):\n"
+        "    def log_message(self, *args):\n"
+        "        pass\n"
+        "    def not_a_hook(self):\n"
+        "        pass\n"
+    )
+    bench = tmp_path / "bench.py"
+    bench.write_text("def main(pool):\n    return pool.map(str, [1])\n")
+    synthetic = SourceTree(tmp_path, "pkg")
+    # `Loud.run` is named only inside itself, but overrides `Step.run`, which
+    # its body references; `log_message` is a stdlib handler hook
+    assert unreferenced_methods(synthetic, [bench]) == [
+        "pkg.pool.Handler.not_a_hook", "pkg.pool.Pool.lonely",
+    ]
+    # without the benchmark's `pool.map` nothing calls it
+    assert "pkg.pool.Pool.map" in unreferenced_methods(synthetic, [])
 
 
 @pytest.mark.parametrize(

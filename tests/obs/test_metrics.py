@@ -153,47 +153,6 @@ class TestHistogram:
         with pytest.raises(ValueError, match="at least one"):
             registry.histogram("repro_h_seconds", buckets=())
 
-    def test_quantile_interpolates_in_winning_bucket(self, registry):
-        histogram = registry.histogram(
-            "repro_h_seconds", buckets=(1.0, 2.0, 4.0)
-        )
-        for _ in range(10):
-            histogram.observe(0.5)   # all ten in (0, 1]
-        # rank 5 of 10 falls halfway through the (0, 1] bucket
-        assert histogram.quantile(0.5) == pytest.approx(0.5)
-        # the max is still inside the first bucket's bound
-        assert histogram.quantile(1.0) == pytest.approx(1.0)
-
-    def test_quantile_spans_buckets(self, registry):
-        histogram = registry.histogram("repro_h_seconds", buckets=(1.0, 2.0))
-        histogram.observe(0.5)  # (0, 1]
-        histogram.observe(1.5)  # (1, 2]
-        histogram.observe(1.5)
-        histogram.observe(1.5)
-        # rank 2 of 4 -> second bucket, 1/3 of the way through (1, 2]
-        assert histogram.quantile(0.5) == pytest.approx(1.0 + 1.0 / 3.0)
-
-    def test_quantile_clamps_to_last_finite_bound(self, registry):
-        histogram = registry.histogram("repro_h_seconds", buckets=(1.0, 2.0))
-        histogram.observe(100.0)  # the +Inf bucket
-        assert histogram.quantile(0.99) == 2.0
-
-    def test_quantile_of_empty_is_nan(self, registry):
-        histogram = registry.histogram("repro_h_seconds")
-        assert math.isnan(histogram.quantile(0.5))
-
-    def test_quantile_range_checked(self, registry):
-        histogram = registry.histogram("repro_h_seconds")
-        with pytest.raises(ValueError, match="quantile"):
-            histogram.quantile(1.5)
-
-    def test_labeled_histogram_quantile(self, registry):
-        histogram = registry.histogram(
-            "repro_h_seconds", labels=("tenant",), buckets=(1.0, 2.0)
-        )
-        histogram.labels(tenant="a").observe(0.5)
-        assert histogram.quantile(1.0, tenant="a") == pytest.approx(1.0)
-
     def test_default_buckets_cover_cache_to_training_latencies(self):
         assert DEFAULT_LATENCY_BUCKETS[0] <= 0.001
         assert DEFAULT_LATENCY_BUCKETS[-1] >= 300.0
@@ -234,6 +193,55 @@ class TestExposition:
             'repro_h_seconds_bucket{le="2"} 2',
             'repro_h_seconds_bucket{le="+Inf"} 2',
         ]
+
+    def test_a_histogram_has_no_series_before_its_first_observation(self, registry):
+        histogram = registry.histogram("repro_h_seconds", buckets=(1.0,))
+        assert registry.render().splitlines() == [
+            "# HELP repro_h_seconds repro_h_seconds",
+            "# TYPE repro_h_seconds histogram",
+        ]
+        histogram.observe(2.0)
+        lines = registry.render().splitlines()
+        assert 'repro_h_seconds_bucket{le="1"} 0' in lines
+        assert 'repro_h_seconds_bucket{le="+Inf"} 1' in lines
+        assert "repro_h_seconds_count 1" in lines
+
+    def test_labeled_histogram_children_render_their_own_buckets(self, registry):
+        histogram = registry.histogram(
+            "repro_h_seconds", labels=("tenant",), buckets=(1.0, 2.0)
+        )
+        histogram.labels(tenant="a").observe(0.5)
+        histogram.labels(tenant="b").observe(1.5)
+        histogram.labels(tenant="b").observe(1.5)
+        buckets = [line for line in registry.render().splitlines() if "_bucket" in line]
+        assert buckets == [
+            'repro_h_seconds_bucket{tenant="a",le="1"} 1',
+            'repro_h_seconds_bucket{tenant="a",le="2"} 1',
+            'repro_h_seconds_bucket{tenant="a",le="+Inf"} 1',
+            'repro_h_seconds_bucket{tenant="b",le="1"} 0',
+            'repro_h_seconds_bucket{tenant="b",le="2"} 2',
+            'repro_h_seconds_bucket{tenant="b",le="+Inf"} 2',
+        ]
+
+    def test_the_buckets_give_the_scraper_its_quantile(self, registry):
+        """Prometheus ``histogram_quantile`` over the rendered buckets:
+        rank 2 of 4 falls a third of the way through (1, 2]."""
+        histogram = registry.histogram("repro_h_seconds", buckets=(1.0, 2.0))
+        for value in (0.5, 1.5, 1.5, 1.5):
+            histogram.observe(value)
+        cumulative = {}
+        for line in registry.render().splitlines():
+            if "_bucket" in line:
+                bound = line.split('le="')[1].split('"')[0]
+                cumulative[float(bound)] = int(line.rsplit(" ", 1)[1])
+        rank = 0.5 * cumulative[math.inf]
+        lower, below = 0.0, 0
+        for upper, count in sorted(cumulative.items()):
+            if count >= rank:
+                break
+            lower, below = upper, count
+        estimate = lower + (upper - lower) * (rank - below) / (count - below)
+        assert estimate == pytest.approx(1.0 + 1.0 / 3.0)
 
     def test_collectors_run_per_render(self, registry):
         gauge = registry.gauge("repro_uptime_seconds")

@@ -27,16 +27,24 @@ def quadratic(x):
     return float(np.sum((x - TARGET) ** 2))
 
 
-def quadratic_batch(X):
-    return np.array([quadratic(row) for row in X])
+class Quadratic:
+    """``|x - target|^2`` as a batch objective: the objective carries its
+    own batch evaluator and gradients, the one channel optimizers read."""
 
+    def __init__(self, target=TARGET):
+        self.target = np.asarray(target, dtype=float)
 
-def quadratic_grad(x):
-    return 2.0 * (x - TARGET)
+    def __call__(self, x):
+        return float(np.sum((np.asarray(x) - self.target) ** 2))
 
+    def values(self, X):
+        return np.array([self(row) for row in X])
 
-def quadratic_grad_batch(X):
-    return np.stack([quadratic_grad(row) for row in X])
+    def gradient(self, x):
+        return 2.0 * (np.asarray(x) - self.target)
+
+    def gradients(self, X):
+        return np.stack([self.gradient(row) for row in X])
 
 
 def populations(max_dim=4, max_restarts=5):
@@ -56,18 +64,6 @@ def populations(max_dim=4, max_restarts=5):
     )
 
 
-def rowwise_quadratic(dim):
-    target = np.arange(dim, dtype=float)
-
-    def fn(x):
-        return float(np.sum((np.asarray(x) - target) ** 2))
-
-    def fn_batch(X):
-        return np.array([fn(row) for row in X])
-
-    return fn, fn_batch
-
-
 def assert_results_match(serial, batched):
     assert len(serial) == len(batched)
     for a, b in zip(serial, batched):
@@ -80,13 +76,17 @@ def assert_results_match(serial, batched):
 
 
 class TestObjectiveTracer:
-    def test_batch_without_batch_fn_falls_back_to_loop(self):
-        values = batch_values(quadratic, None, [[0.0, 0.0], [1.0, -2.0]])
+    def test_scalar_objective_falls_back_to_loop(self):
+        values = batch_values(quadratic, [[0.0, 0.0], [1.0, -2.0]])
         np.testing.assert_allclose(values, [5.0, 0.0])
 
     def test_batch_values_validates_shape(self):
+        class Short(Quadratic):
+            def values(self, X):
+                return np.zeros(1)
+
         with pytest.raises(ValueError, match="returned 1 values for 2"):
-            batch_values(quadratic, lambda X: np.zeros(1), np.zeros((2, 2)))
+            batch_values(Short(), np.zeros((2, 2)))
 
 
 class TestBatchObjectiveProtocol:
@@ -109,16 +109,14 @@ class TestBatchedSPSA:
     @given(populations(), st.integers(0, 2**31 - 1))
     def test_matches_serial_per_restart(self, rows, seed):
         X0 = np.asarray(rows, dtype=float)
-        fn, fn_batch = rowwise_quadratic(X0.shape[1])
+        fn = Quadratic(np.arange(X0.shape[1], dtype=float))
         optimizer = SPSA(maxiter=15, seed=seed)
         serial = [optimizer.minimize(fn, x0) for x0 in X0]
-        batched = optimizer.minimize_batch(fn, X0, batch_fn=fn_batch)
+        batched = optimizer.minimize_batch(fn, X0)
         assert_results_match(serial, batched)
 
     def test_nfev_counts_points(self):
-        results = SPSA(maxiter=10, seed=0).minimize_batch(
-            quadratic, np.zeros((3, 2)), batch_fn=quadratic_batch
-        )
+        results = SPSA(maxiter=10, seed=0).minimize_batch(Quadratic(), np.zeros((3, 2)))
         assert [r.nfev for r in results] == [2 * 10 + 2] * 3
 
 
@@ -127,18 +125,16 @@ class TestBatchedNelderMead:
     @given(populations(max_dim=3))
     def test_matches_serial_per_restart(self, rows):
         X0 = np.asarray(rows, dtype=float)
-        fn, fn_batch = rowwise_quadratic(X0.shape[1])
+        fn = Quadratic(np.arange(X0.shape[1], dtype=float))
         optimizer = NelderMead(maxiter=40)
         serial = [optimizer.minimize(fn, x0) for x0 in X0]
-        batched = optimizer.minimize_batch(fn, X0, batch_fn=fn_batch)
+        batched = optimizer.minimize_batch(fn, X0)
         assert_results_match(serial, batched)
 
     def test_restarts_converge_independently(self):
         # One restart starts at the optimum (converges fast), one far away.
         X0 = np.vstack([TARGET, TARGET + 50.0])
-        results = NelderMead(maxiter=300).minimize_batch(
-            quadratic, X0, batch_fn=quadratic_batch
-        )
+        results = NelderMead(maxiter=300).minimize_batch(Quadratic(), X0)
         assert results[0].converged and results[1].converged
         assert results[0].nit < results[1].nit
 
@@ -148,36 +144,25 @@ class TestBatchedAdam:
     @given(populations(max_dim=3, max_restarts=4))
     def test_matches_serial_per_restart(self, rows):
         X0 = np.asarray(rows, dtype=float)
-        dim = X0.shape[1]
-        target = np.arange(dim, dtype=float)
-        fn, fn_batch = rowwise_quadratic(dim)
-        optimizer = Adam(
-            gradient=lambda x: 2.0 * (np.asarray(x) - target),
-            gradient_batch=lambda X: 2.0 * (np.asarray(X) - target),
-            maxiter=30,
-            learning_rate=0.1,
-            gtol=1e-3,
-        )
+        fn = Quadratic(np.arange(X0.shape[1], dtype=float))
+        optimizer = Adam(maxiter=30, learning_rate=0.1, gtol=1e-3)
         serial = [optimizer.minimize(fn, x0) for x0 in X0]
-        batched = optimizer.minimize_batch(fn, X0, batch_fn=fn_batch)
+        batched = optimizer.minimize_batch(fn, X0)
         assert_results_match(serial, batched)
 
-    def test_gradient_batch_shape_validated(self):
-        optimizer = Adam(
-            gradient=quadratic_grad,
-            gradient_batch=lambda X: np.zeros((1, 1)),
-            maxiter=5,
-        )
-        with pytest.raises(ValueError, match="gradient_batch"):
-            optimizer.minimize_batch(quadratic, np.zeros((2, 2)))
+    def test_gradients_shape_validated(self):
+        class Flat(Quadratic):
+            def gradients(self, X):
+                return np.zeros((1, 1))
+
+        with pytest.raises(ValueError, match="gradients returned shape"):
+            Adam(maxiter=5).minimize_batch(Flat(), np.zeros((2, 2)))
 
 
 class TestSerialFallback:
     def test_cobyla_population_uses_serial_minimize(self):
         X0 = np.array([[0.0, 0.0], [3.0, 3.0]])
-        results = Cobyla(maxiter=60).minimize_batch(
-            quadratic, X0, batch_fn=quadratic_batch
-        )
+        results = Cobyla(maxiter=60).minimize_batch(Quadratic(), X0)
         direct = [Cobyla(maxiter=60).minimize(quadratic, x0) for x0 in X0]
         assert [r.fun for r in results] == [r.fun for r in direct]
         assert not Cobyla.supports_batch
@@ -187,7 +172,7 @@ class TestMultiRestart:
     def test_returns_best_restart_and_sums_nfev(self):
         X0 = np.vstack([TARGET + 40.0, TARGET])  # second seed is the optimum
         meta = MultiRestart(NelderMead(maxiter=60))
-        result = meta.minimize_population(quadratic, X0, batch_fn=quadratic_batch)
+        result = meta.minimize_population(Quadratic(), X0)
         assert result.sub_results is not None and len(result.sub_results) == 2
         assert result.fun == min(r.fun for r in result.sub_results)
         assert result.nfev == sum(r.nfev for r in result.sub_results)
@@ -196,7 +181,7 @@ class TestMultiRestart:
     def test_modes_agree_on_exact_objective(self, mode):
         X0 = np.array([[3.0, 3.0], [0.0, 0.0], [-1.0, 2.0]])
         meta = MultiRestart(SPSA(maxiter=25, seed=7), batch_mode=mode)
-        result = meta.minimize_population(quadratic, X0, batch_fn=quadratic_batch)
+        result = meta.minimize_population(Quadratic(), X0)
         reference = MultiRestart(
             SPSA(maxiter=25, seed=7), batch_mode="serial"
         ).minimize_population(quadratic, X0)
@@ -230,7 +215,7 @@ class TestOnCompiledEnergy:
         X0 = np.random.default_rng(2).uniform(-0.5, 0.5, (4, 4))
         batched = MultiRestart(
             SPSA(maxiter=30, seed=1), batch_mode="batched"
-        ).minimize_population(negated, X0, batch_fn=negated.values)
+        ).minimize_population(negated, X0)
         serial = MultiRestart(
             SPSA(maxiter=30, seed=1), batch_mode="serial"
         ).minimize_population(negated, X0)
@@ -239,19 +224,9 @@ class TestOnCompiledEnergy:
 
     def test_adam_rides_batched_parameter_shift(self, negated):
         X0 = np.random.default_rng(3).uniform(-0.5, 0.5, (3, 4))
-        optimizer = Adam(
-            gradient=negated.gradient,
-            gradient_batch=negated.gradients,
-            maxiter=15,
-            learning_rate=0.1,
-        )
-        results = optimizer.minimize_batch(negated, X0, batch_fn=negated.values)
-        serial = [
-            Adam(gradient=negated.gradient, maxiter=15, learning_rate=0.1).minimize(
-                negated, x0
-            )
-            for x0 in X0
-        ]
+        optimizer = Adam(maxiter=15, learning_rate=0.1)
+        results = optimizer.minimize_batch(negated, X0)
+        serial = [optimizer.minimize(negated, x0) for x0 in X0]
         for a, b in zip(serial, results):
             assert a.nfev == b.nfev
             assert a.fun == pytest.approx(b.fun, abs=1e-8)
@@ -299,8 +274,6 @@ class TestPopulationObjective:
         return [
             SPSA(maxiter=25, seed=7),
             NelderMead(maxiter=60),
-            # no gradient bound at construction: one callable would descend
-            # row 0's gradient on every row
             Adam(maxiter=40, learning_rate=0.1, gtol=1e-3),
         ]
 

@@ -21,8 +21,14 @@ def quadratic(x):
     return float(np.sum((x - np.array([1.0, -2.0])) ** 2))
 
 
-def quadratic_grad(x):
-    return 2.0 * (x - np.array([1.0, -2.0]))
+class GradientQuadratic:
+    """``quadratic`` with its exact gradient, as Adam reads it."""
+
+    def __call__(self, x):
+        return quadratic(x)
+
+    def gradient(self, x):
+        return 2.0 * (x - np.array([1.0, -2.0]))
 
 
 def rosenbrock(x):
@@ -108,13 +114,13 @@ class TestSPSA:
 
 class TestAdam:
     def test_quadratic_with_exact_gradient(self):
-        opt = Adam(gradient=quadratic_grad, maxiter=500, learning_rate=0.1)
-        result = opt.minimize(quadratic, [4.0, 4.0])
+        opt = Adam(maxiter=500, learning_rate=0.1)
+        result = opt.minimize(GradientQuadratic(), [4.0, 4.0])
         assert result.fun < 1e-5
 
     def test_gtol_convergence(self):
-        opt = Adam(gradient=quadratic_grad, maxiter=5000, learning_rate=0.2, gtol=1e-7)
-        result = opt.minimize(quadratic, [1.5, -1.0])
+        opt = Adam(maxiter=5000, learning_rate=0.2, gtol=1e-7)
+        result = opt.minimize(GradientQuadratic(), [1.5, -1.0])
         assert result.converged
 
 
@@ -157,6 +163,6 @@ class TestOnQAOAObjective:
 
     def test_adam_with_parameter_shift(self, problem):
         energy, best = problem
-        opt = Adam(gradient=lambda x: -energy.gradient(x), maxiter=60, learning_rate=0.1)
+        opt = Adam(maxiter=60, learning_rate=0.1)
         result = opt.minimize(energy.negative_objective(), [0.3, 0.2])
         assert -result.fun >= best * 0.95

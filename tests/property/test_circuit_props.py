@@ -10,7 +10,7 @@ from repro.simulators.statevector import circuit_unitary, simulate
 
 ANGLES = st.floats(-2 * np.pi, 2 * np.pi, allow_nan=False, allow_infinity=False)
 PARAM_GATES_1Q = st.sampled_from(["rx", "ry", "rz", "p"])
-FIXED_GATES_1Q = st.sampled_from(["h", "x", "y", "z", "s", "t", "sdg", "tdg"])
+FIXED_GATES_1Q = st.sampled_from(["h", "x", "y", "z", "s", "t"])
 
 
 @st.composite
@@ -18,21 +18,21 @@ def circuits(draw, max_qubits=4, max_gates=12):
     n = draw(st.integers(2, max_qubits))
     qc = QuantumCircuit(n)
     for _ in range(draw(st.integers(0, max_gates))):
-        kind = draw(st.integers(0, 3))
+        kind = draw(st.integers(0, 4))
         q = draw(st.integers(0, n - 1))
         if kind == 0:
             qc.append_named(draw(FIXED_GATES_1Q), [q])
         elif kind == 1:
             qc.append_named(draw(PARAM_GATES_1Q), [q], draw(ANGLES))
+        elif kind == 4:  # the three-rotation chain
+            qc.rz(draw(ANGLES), q).ry(draw(ANGLES), q).rz(draw(ANGLES), q)
         else:
             r = draw(st.integers(0, n - 2))
             r = r if r != q else n - 1
-            if kind == 2:
-                qc.append_named(draw(st.sampled_from(["cx", "cz", "swap"])), [q, r])
+            if kind == 2:  # cx on any pair, non-adjacent ones included
+                qc.append_named(draw(st.sampled_from(["cx", "cz"])), [q, r])
             else:
-                qc.append_named(
-                    draw(st.sampled_from(["rzz", "rxx", "cp"])), [q, r], draw(ANGLES)
-                )
+                qc.append_named(draw(st.sampled_from(["rzz", "cp"])), [q, r], draw(ANGLES))
     return qc
 
 
@@ -62,7 +62,7 @@ def test_every_gate_unitary_for_random_params(name, data):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(["rx", "ry", "rz", "p", "rzz", "rxx", "cp"]), ANGLES, ANGLES)
+@given(st.sampled_from(["rx", "ry", "rz", "p", "rzz", "cp"]), ANGLES, ANGLES)
 def test_rotation_angles_add(name, a, b):
     """R(a) R(b) = R(a+b) for all rotation families."""
     g_ab = make_gate(name, a).matrix() @ make_gate(name, b).matrix()

@@ -26,7 +26,7 @@ def graphs(draw, max_nodes=8):
 def test_cut_values_bounds(g):
     values = cut_values(g)
     assert values.min() >= 0.0
-    assert values.max() <= g.total_weight() + 1e-12
+    assert values.max() <= sum(g.weights) + 1e-12
     assert values[0] == 0.0  # empty cut
 
 
@@ -94,5 +94,4 @@ def test_er_graphs_always_simple(n, seed):
 @given(st.integers(0, 300))
 def test_regular_graphs_exactly_regular(seed):
     g = random_regular_graph(10, 4, seed=seed)
-    degrees = g.degrees()
-    assert np.all(degrees == 4)
+    assert [g.degree(node) for node in range(10)] == [4] * 10

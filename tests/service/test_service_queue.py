@@ -40,16 +40,6 @@ class TestLifecycle:
             assert finished.finished_at is not None
             assert finished.lease_expires is None
 
-    def test_mark_failed_keeps_error(self, tmp_path):
-        with JobQueue(tmp_path) as queue:
-            job_id = queue.submit(SPEC)
-            queue.claim_next()
-            queue.mark_failed(job_id, "ValueError: boom")
-            record = queue.get(job_id)
-            assert record.state == "failed"
-            assert "boom" in record.error
-            assert record.result is None
-
     def test_finish_unknown_id_raises(self, tmp_path):
         with JobQueue(tmp_path) as queue:
             with pytest.raises(KeyError):
@@ -195,6 +185,28 @@ class TestRetryAndDeadLetter:
             assert record.state == "failed"
             assert record.error.startswith("dead-letter")
             assert record.attempts == 2
+
+    def test_a_dead_letter_keeps_the_last_error_and_no_result(self, tmp_path):
+        with fast_queue(tmp_path, max_attempts=1) as queue:
+            job_id = queue.submit(SPEC)
+            queue.claim_next(owner="slot")
+            assert queue.record_failure(job_id, "ValueError: boom", owner="slot") == "failed"
+            record = queue.get(job_id)
+            assert record.state == "failed"
+            assert record.error.endswith("last error: ValueError: boom")
+            assert record.result is None
+            assert record.finished_at is not None
+            assert record.lease_expires is None
+
+    def test_a_failure_reported_by_a_lost_owner_changes_nothing(self, tmp_path):
+        with fast_queue(tmp_path, max_attempts=1) as queue:
+            job_id = queue.submit(SPEC)
+            queue.claim_next(owner="holder")
+            assert queue.record_failure(job_id, "boom", owner="stranger") == "lost"
+            record = queue.get(job_id)
+            assert record.state == "running"
+            assert record.owner == "holder"
+            assert record.error is None
 
     def test_claim_dead_letters_an_exhausted_expired_job(self, tmp_path):
         """A job whose holder died on its last allowed attempt must not run

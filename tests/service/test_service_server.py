@@ -302,8 +302,9 @@ class TestHardening:
         svc, base = cold_service
         client = connect(base)
         job_id = client.submit("er:1", depths=1, tenant="failer")
+        svc.queue.max_attempts = 1  # the first failure dead-letters the job
         svc.queue.claim_next(owner="test", tenant="failer")
-        svc.queue.mark_failed(job_id, "ValueError: kaboom", owner="test")
+        assert svc.queue.record_failure(job_id, "ValueError: kaboom", owner="test") == "failed"
         with pytest.raises(ServiceError) as info:
             client.wait(job_id, timeout=5)
         assert "kaboom" in str(info.value)

@@ -7,13 +7,16 @@ settings, and batched vs. single evaluation — because the search treats
 the two engines as interchangeable via one config flag.
 """
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import GATE_REGISTRY
+from repro.circuits.gates import GATE_REGISTRY, Gate, GateSpec
 from repro.circuits.parameters import Parameter
 from repro.core.alphabet import DEFAULT_TOKENS
 from repro.graphs.generators import Graph, cycle_graph, erdos_renyi_graph
@@ -186,12 +189,115 @@ def test_gradient_evaluation_accounting(er6):
 def test_compile_circuit_state_without_graph():
     theta = Parameter("theta")
     qc = QuantumCircuit(3)
-    qc.h(0).cx(0, 1).rz(theta * 2.0, 1).rxx(theta, 0, 2).u3(0.3, 0.2, 0.1, 2)
+    qc.h(0).cx(0, 1).rz(theta * 2.0, 1).cx(0, 2).rx(theta, 0).rz(0.3, 2).ry(0.2, 2).rz(0.1, 2)
     program = compile_circuit(qc, [theta])
     dense = simulate(qc, zero_state(3), {theta: 0.7})
     np.testing.assert_allclose(program.state([0.7]), dense, atol=ATOL)
     with pytest.raises(ValueError, match="without a graph"):
         program.energy([0.7])
+
+
+@pytest.mark.parametrize("control,target", [(0, 3), (3, 0), (1, 3)])
+def test_a_non_adjacent_cx_matches_the_dense_state(control, target):
+    theta = Parameter("theta")
+    qc = QuantumCircuit(4)
+    for q in range(4):
+        qc.ry(theta * (q + 1.0), q)
+    qc.cx(control, target).rx(theta, target)
+    program = compile_circuit(qc, [theta])
+    dense = simulate(qc, zero_state(4), {theta: 0.37})
+    np.testing.assert_allclose(program.state([0.37]), dense, atol=ATOL)
+
+
+def test_an_euler_chain_gradient_matches_finite_differences():
+    """rz.ry.rz on every qubit, each factor shifted on its own: the
+    general factor-chain path of the gradient."""
+    a, b = Parameter("a"), Parameter("b")
+    qc = QuantumCircuit(3)
+    for q in range(3):
+        qc.rz(a, q).ry(b * 2.0, q).rz(a * -0.5, q)
+    qc.rzz(b, 0, 1).rzz(a, 1, 2)
+    program = compile_circuit(qc, [a, b], initial_state="+", graph=cycle_graph(3))
+    x, h = np.array([0.4, -0.9]), 1e-5
+    expected = [
+        (program.energy(x + h * e) - program.energy(x - h * e)) / (2 * h)
+        for e in np.eye(2)
+    ]
+    np.testing.assert_allclose(program.gradient(x), expected, atol=1e-7)
+
+
+# -- caller-built gates ------------------------------------------------------
+#
+# ``QuantumCircuit.append`` takes any ``GateSpec``, not only the registry's.
+# These two reach what no registry gate does: a parameterized non-diagonal
+# two-qubit gate (per-row chain matrices, ``_contract_per_column``) and a
+# parameterized gate with no shift rule (the gradient guards).
+
+
+def _mat_rxx(params):
+    (theta,) = params
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    m = np.eye(4, dtype=complex) * c
+    m[0, 3] = m[1, 2] = m[2, 1] = m[3, 0] = -1j * s
+    return m
+
+
+def _mat_u3(params):
+    theta, phi, lam = params
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array(
+        [
+            [c, -cmath.exp(1j * lam) * s],
+            [cmath.exp(1j * phi) * s, cmath.exp(1j * (phi + lam)) * c],
+        ],
+        dtype=complex,
+    )
+
+
+RXX = GateSpec("rxx", 2, 1, _mat_rxx)
+U3 = GateSpec("u3", 1, 3, _mat_u3)
+
+
+def test_caller_built_gates_match_the_dense_state():
+    theta = Parameter("theta")
+    qc = QuantumCircuit(3)
+    qc.h(0).cx(0, 1).rz(theta * 2.0, 1)
+    qc.append(Gate(RXX, (theta,)), [0, 2]).append(Gate(U3, (0.3, 0.2, 0.1)), [2])
+    qc.append(Gate(U3, (theta, 0.1, theta * -0.5)), [1])
+    program = compile_circuit(qc, [theta])
+    X = np.array([[0.7], [-1.3], [2.1]])
+    log = _recording_steps(program)
+    states = program.states(X)
+    assert {name for _, name, _ in log} >= {"_general_step"}
+    for column, (value,) in enumerate(X):
+        dense = simulate(qc, zero_state(3), {theta: value})
+        np.testing.assert_allclose(program.state([value]), dense, atol=ATOL)
+        np.testing.assert_allclose(states[:, column], dense, atol=ATOL)
+
+
+def test_a_gate_without_a_shift_rule_evaluates_but_has_no_gradient():
+    """Non-shiftable parameterized gates evaluate fine and fail the
+    gradient, in the compiled and the dense engine alike."""
+    from repro.graphs.generators import path_graph
+
+    theta = Parameter("theta")
+    qc = QuantumCircuit(2)
+    qc.append(Gate(U3, (theta, 0.1, 0.2)), [0]).rzz(theta * -1.0, 0, 1)
+    program = compile_circuit(qc, [theta], graph=path_graph(2))
+    assert isinstance(program, CompiledProgram)
+    assert np.isfinite(program.energy([0.5]))
+    with pytest.raises(NotImplementedError, match="u3"):
+        program.gradient([0.5])
+    with pytest.raises(NotImplementedError, match="u3"):
+        program.gradients(np.array([[0.5], [0.1]]))
+    ansatz = build_qaoa_ansatz(path_graph(2), 1, ("rx",))
+    (gamma,) = ansatz.gammas
+    dense_circuit = QuantumCircuit(2).append(Gate(U3, (gamma, 0.1, 0.2)), [0])
+    ansatz.__dict__["circuit"] = dense_circuit  # the built circuit, swapped
+    dense = AnsatzEnergy(ansatz, engine="statevector")
+    assert np.isfinite(dense.value([0.5, 0.2]))
+    with pytest.raises(NotImplementedError, match="u3"):
+        dense.gradient([0.5, 0.2])
 
 
 def test_compile_circuit_plus_initial_state():
@@ -209,21 +315,6 @@ def test_unknown_parameter_rejected():
     qc.rx(phi, 0)
     with pytest.raises(ValueError, match="phi"):
         compile_circuit(qc, [theta])
-
-
-def test_u3_energy_works_but_gradient_raises(er6):
-    """Non-shiftable parameterized gates evaluate fine and fail the
-    gradient exactly like the dense engine does."""
-    theta = Parameter("theta")
-    qc = QuantumCircuit(2)
-    qc.u3(theta, 0.1, 0.2, 0).rzz(theta * -1.0, 0, 1)
-    from repro.graphs.generators import path_graph
-
-    program = compile_circuit(qc, [theta], graph=path_graph(2))
-    assert isinstance(program, CompiledProgram)
-    assert np.isfinite(program.energy([0.5]))
-    with pytest.raises(NotImplementedError, match="u3"):
-        program.gradient([0.5])
 
 
 def test_partial_hadamard_prefix_not_folded():
@@ -527,13 +618,13 @@ def test_a_shift_lands_on_the_step_of_its_op():
     for n, form in ((4, "_dense_step"), (6, "_lookup_step")):
         head = compile_ansatz(build_qaoa_ansatz(cycle_graph(n), 1, ("rz", "rx")))
         assert delivered(head, [0.3, 0.2]) == {(0, form): 4 * n, (1, "_shared_step"): 2 * n}
-    # a parameterized entangler (and a partial column): the general step
+    # partial columns either side of a static entangler: the general step
     theta = Parameter("theta")
     qc = QuantumCircuit(4)
-    qc.rx(theta, 0).rxx(theta * 0.5, 1, 2).rzz(theta, 0, 3)
+    qc.rx(theta, 0).cx(0, 2).ry(theta * 0.5, 1).rzz(theta, 0, 3)
     flat = compile_circuit(qc, [theta], initial_state="+", graph=graph)
     assert delivered(flat, [0.3]) == {
-        (0, "_general_step"): 2, (1, "_general_step"): 2, (2, "_lookup_step"): 2,
+        (0, "_general_step"): 2, (2, "_general_step"): 2, (3, "_lookup_step"): 2,
     }
     dense = simulate(qc, plus_state(4), {theta: 0.3})
     np.testing.assert_allclose(flat.state([0.3]), dense, atol=ATOL)
