@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Docs gate: project documentation must stay runnable and unbroken.
 
-Five checks, run by CI's docs job (and ``scripts/run_ci_locally.sh``):
+Six checks, run by CI's docs job (and ``scripts/run_ci_locally.sh``):
 
 * **Links** — every intra-repo markdown link in ``README.md`` and
   ``docs/*.md`` must resolve to an existing file or directory (relative
@@ -34,6 +34,12 @@ Five checks, run by CI's docs job (and ``scripts/run_ci_locally.sh``):
   ``repro.core.runtime.REJECTED`` renders to (one row per refused
   composition: features, message, where checked, why). A rejection added,
   reworded or moved to the other stage fails here until the page says so.
+* **Ledger sizes** — the section *Not on the serving path* of
+  ``docs/architecture.md`` quotes how many names, methods and keywords
+  the ledgers of ``tests/integration/test_reachability.py`` hold
+  (``TEST_ONLY``, ``TEST_ONLY_KEYWORDS``). The counts are read by parsing
+  that file, never importing it; a row added or deleted there fails here
+  until the page's numbers follow.
 
 Run from the repo root::
 
@@ -43,6 +49,7 @@ Run from the repo root::
 from __future__ import annotations
 
 import argparse
+import ast
 import re
 import sys
 import time
@@ -195,6 +202,42 @@ def check_rejection_table() -> list[str]:
     return []
 
 
+_LEDGERS = REPO / "tests" / "integration" / "test_reachability.py"
+_SECTION = re.compile(r"^## Not on the serving path.*?(?=^## )", re.MULTILINE | re.DOTALL)
+_SIZES = re.compile(r"\d+\s+names,\s+\d+\s+methods\s+and\s+\d+\s+keywords")
+
+
+def ledger_sizes() -> str:
+    """The reachability ledgers' row counts, worded as the docs quote them.
+
+    A ``TEST_ONLY`` key is a method when what precedes its last dot is not
+    a module (``repro.obs.metrics.Counter.value_for``), a name otherwise."""
+    rows: dict[str, list[str]] = {}
+    for node in ast.parse(_LEDGERS.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+            rows.update((t.id, [k.value for k in node.value.keys]) for t in node.targets)
+
+    def is_module(dotted: str) -> bool:
+        path = REPO / "src" / dotted.replace(".", "/")
+        return path.with_suffix(".py").exists() or (path / "__init__.py").exists()
+
+    names = sum(is_module(key.rpartition(".")[0]) for key in rows["TEST_ONLY"])
+    methods = len(rows["TEST_ONLY"]) - names
+    return f"{names} names, {methods} methods and {len(rows['TEST_ONLY_KEYWORDS'])} keywords"
+
+
+def check_ledger_sizes() -> list[str]:
+    """Return an error when the architecture page misquotes the ledgers."""
+    section = _SECTION.search((REPO / "docs" / "architecture.md").read_text(encoding="utf-8"))
+    quoted = [" ".join(q.split()) for q in _SIZES.findall(section.group(0))] if section else []
+    if quoted != [ledger_sizes()]:
+        return [
+            "docs/architecture.md § Not on the serving path quotes the reachability ledgers "
+            f"as {quoted or 'nothing'}; it should say {ledger_sizes()!r}"
+        ]
+    return []
+
+
 def python_blocks(doc: Path) -> list[str]:
     return [
         body
@@ -231,6 +274,8 @@ def main() -> int:
     errors += check_cited_pages()
     print("checking the rejection table against repro.core.runtime.REJECTED...")
     errors += check_rejection_table()
+    print("checking the ledger sizes quoted against test_reachability.py...")
+    errors += check_ledger_sizes()
     print("running README python snippets...")
     errors += run_snippets(REPO / "README.md")
     if errors:

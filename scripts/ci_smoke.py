@@ -30,7 +30,7 @@ property: both sweeps complete with identical results, and the cache-hit
 accounting proves every candidate was trained exactly once across the two
 sweeps (one pays the misses, the fleet shares the hits). It then re-submits
 the finished spec ten times and asserts the wake-up: the median time a job
-waits for its claim is under half of the multiplexer's ``poll_interval``.
+waits for its claim is under half of the multiplexer's ``POLL_INTERVAL``.
 
 **chaos** — the ISSUE-7 hardening gate: runs the same two-sweep workload
 through a deterministically fault-injected queue + the service's process
@@ -201,6 +201,7 @@ def smoke_search() -> int:
 
 def smoke_service() -> int:
     from repro.api import Config, connect
+    from repro.service.multiplexer import POLL_INTERVAL
     from repro.service.server import SearchService, make_http_server
 
     config = Config(k_min=2, k_max=2, steps=10, num_samples=6, seed=1)
@@ -236,7 +237,6 @@ def smoke_service() -> int:
                 client.wait(job, timeout=300)
                 status = client.status(job)
                 claim_waits.append(status["started_at"] - status["submitted_at"])
-            poll_interval = service.multiplexer.poll_interval
             metrics_after = client.metrics()
 
         server.shutdown()
@@ -251,11 +251,11 @@ def smoke_service() -> int:
     claim_wait = statistics.median(claim_waits)
     print(
         f"service: median claim wait of 10 warm re-submits {claim_wait * 1e3:.1f} ms "
-        f"(poll_interval {poll_interval * 1e3:.0f} ms)"
+        f"(POLL_INTERVAL {POLL_INTERVAL * 1e3:.0f} ms)"
     )
-    assert claim_wait < poll_interval / 2, (
+    assert claim_wait < POLL_INTERVAL / 2, (
         f"a submit must wake an idle slot: median claim wait {claim_wait:.4f}s "
-        f">= half of poll_interval={poll_interval}s"
+        f">= half of POLL_INTERVAL={POLL_INTERVAL}s"
     )
     claims = "repro_queue_claim_wait_seconds_count"
     assert series_value(claims, metrics_after) == series_value(claims) + 10

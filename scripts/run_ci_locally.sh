@@ -11,7 +11,9 @@
 #               sweep-level benchmark's checks on the service path, on
 #               the many-candidates path (shared compile fragments) and on
 #               the batched-engine path (the planned schedule), the
-#               tensor network's three ablation benches, every example
+#               tensor network's three ablation benches, the paper-figure
+#               benches of Figs. 6-9 with four more ablations and the
+#               runtime-cache bench, every example
 #               script, and the surrogate smoke + eval-reduction gate
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -48,6 +50,12 @@ python3 benchmarks/e2e/run.py --workload service_mixed --seconds 3
 python3 benchmarks/e2e/run.py --workload wide_cached --seconds 3
 python3 benchmarks/e2e/run.py --workload deep_spsa --seconds 3
 python -m pytest benchmarks/bench_ablation_{backends,ordering,slicing}.py -q -s \
+    -o python_files='bench_*.py' -o python_functions='bench_*'
+# Figs. 6-9, four ablations and the runtime cache; bench_fig4/5 stay out
+# (ROADMAP open item 10)
+python -m pytest benchmarks/bench_fig{6,7,8,9}_*.py \
+    benchmarks/bench_ablation_{chunksize,initialization,optimizers,predictors}.py \
+    benchmarks/bench_runtime_cache.py -q \
     -o python_files='bench_*.py' -o python_functions='bench_*'
 for example in examples/*.py; do echo "== $example"; python "$example"; done
 python scripts/ci_smoke.py --only workloads

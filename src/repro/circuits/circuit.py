@@ -80,20 +80,11 @@ class QuantumCircuit:
     def x(self, q: int) -> QuantumCircuit:
         return self.append_named("x", [q])
 
-    def y(self, q: int) -> QuantumCircuit:
-        return self.append_named("y", [q])
-
-    def z(self, q: int) -> QuantumCircuit:
-        return self.append_named("z", [q])
-
     def h(self, q: int) -> QuantumCircuit:
         return self.append_named("h", [q])
 
     def s(self, q: int) -> QuantumCircuit:
         return self.append_named("s", [q])
-
-    def t(self, q: int) -> QuantumCircuit:
-        return self.append_named("t", [q])
 
     def rx(self, theta: ParameterValue, q: int) -> QuantumCircuit:
         return self.append_named("rx", [q], theta)

@@ -238,22 +238,25 @@ def _cmd_serve(args) -> int:
             raise SystemExit(
                 f"--tenant-weight expects NAME=W (a float), got {item!r}"
             ) from None
-    serve(
-        args.service_dir,
-        host=args.host,
-        port=args.port,
-        max_concurrent=args.max_concurrent,
-        workers=args.workers or None,
-        cache_max_entries=args.cache_max_entries,
-        lease_seconds=args.lease_seconds,
-        max_attempts=args.max_attempts,
-        max_queue_depth=args.max_queue_depth,
-        max_queued_per_tenant=args.max_queued_per_tenant,
-        max_running_per_tenant=args.max_running_per_tenant,
-        tenant_weights=weights or None,
-        drain_timeout=args.drain_timeout,
-        trace_log=args.trace_log,
-    )
+    try:
+        serve(
+            args.service_dir,
+            host=args.host,
+            port=args.port,
+            max_concurrent=args.max_concurrent,
+            workers=args.workers or None,
+            cache_max_entries=args.cache_max_entries,
+            lease_seconds=args.lease_seconds,
+            max_attempts=args.max_attempts,
+            max_queue_depth=args.max_queue_depth,
+            max_queued_per_tenant=args.max_queued_per_tenant,
+            max_running_per_tenant=args.max_running_per_tenant,
+            tenant_weights=weights or None,
+            drain_timeout=args.drain_timeout,
+            trace_log=args.trace_log,
+        )
+    except ValueError as error:  # a setting the queue or the multiplexer refused
+        raise SystemExit(str(error)) from None
     return 0
 
 

@@ -131,16 +131,14 @@ def enumerate_search_space(
     *,
     k_min: int = 1,
     mode: str = "sequences",
-    deduplicate: bool = True,
 ) -> list[tuple[str, ...]]:
     """Every candidate mixer with k_min..k_max gates.
 
     Modes: ``"sequences"`` (ordered, repetition — the paper's space),
     ``"combinations"`` (unordered, no repetition — the Fig. 7 labels),
-    ``"permutations"``. With ``deduplicate`` adjacent-duplicate-free
-    canonical forms are kept once (e.g. ``('rx','rx')`` merges to a single
-    RX(4 beta) and is retained, but repeated enumeration duplicates are
-    dropped). ``k_min=2`` restricts to multi-gate mixers, the space the
+    ``"permutations"``; no sequence repeats, since the alphabet's tokens
+    are distinct (``('rx','rx')`` merges to a single RX(4 beta) and is
+    retained). ``k_min=2`` restricts to multi-gate mixers, the space the
     paper's Figs. 6-7 draw candidates from.
     """
     check_positive(k_max, "k_max")
@@ -148,16 +146,10 @@ def enumerate_search_space(
     if k_min > k_max:
         raise ValueError(f"k_min {k_min} exceeds k_max {k_max}")
     check_choice(mode, "mode", tuple(ENUMERATION_MODES))
-    seen = set()
-    out: list[tuple[str, ...]] = []
-    for k in range(k_min, k_max + 1):
-        for seq in gate_sequences(alphabet, k, **ENUMERATION_MODES[mode]):
-            if deduplicate:
-                if seq in seen:
-                    continue
-                seen.add(seq)
-            out.append(seq)
-    return out
+    return [
+        seq for k in range(k_min, k_max + 1)
+        for seq in gate_sequences(alphabet, k, **ENUMERATION_MODES[mode])
+    ]
 
 
 def paper_space_size(

@@ -27,6 +27,8 @@ from repro.utils.validation import check_positive
 __all__ = ["PolicyController", "ControllerPredictor"]
 
 _MASK = -1e9
+#: global gradient-norm bound applied before each policy update
+GRAD_CLIP = 5.0
 
 
 class PolicyController:
@@ -45,7 +47,6 @@ class PolicyController:
         embedding_dim: int = 16,
         hidden_dim: int = 32,
         learning_rate: float = 0.02,
-        grad_clip: float = 5.0,
         allow_end: bool = True,
         seed: int = 0,
     ) -> None:
@@ -56,7 +57,6 @@ class PolicyController:
         self.vocab = alphabet.size  # output tokens
         self.end_index = alphabet.size
         self.start_index = alphabet.size + 1
-        self.grad_clip = grad_clip
         self.embedding = Embedding(self.vocab + 2, embedding_dim, seed=seed)
         self.lstm = LSTMCell(embedding_dim, hidden_dim, seed=seed + 1)
         self.head = Dense(hidden_dim, self.vocab + 1, seed=seed + 2)  # +1 for END
@@ -144,7 +144,7 @@ class PolicyController:
             self.embedding.backward(dx, e_cache)
 
     def apply_gradients(self) -> None:
-        clip_gradients(self._layers, self.grad_clip)
+        clip_gradients(self._layers, GRAD_CLIP)
         self._updater.step()
 
     @property
@@ -168,14 +168,13 @@ class ControllerPredictor(Predictor):
         *,
         batch_size: int = 8,
         entropy_weight: float = 0.01,
-        baseline_decay: float = 0.8,
         seed=None,
     ) -> None:
         check_positive(batch_size, "batch_size")
         self.controller = controller
         self.batch_size = batch_size
         self.entropy_weight = entropy_weight
-        self.baseline = MovingBaseline(baseline_decay)
+        self.baseline = MovingBaseline()
         self._rng = as_rng(seed)
         self._pending: list[Episode] = []
         self._batch: list[tuple[Episode, float]] = []

@@ -160,7 +160,6 @@ class Evaluator:
         graphs: Sequence[Graph],
         config: EvaluationConfig | None = None,
         *,
-        builder: QBuilder | None = None,
         classical_values: Sequence[float] | None = None,
     ) -> None:
         if not graphs:
@@ -169,7 +168,7 @@ class Evaluator:
         # built here, not as a default argument: constructing a config is
         # what loads its optimizer, and importing this module must not
         self.config = config = config if config is not None else EvaluationConfig()
-        self.builder = builder or QBuilder()
+        self.builder = QBuilder()
         self._workload = get_workload(config.workload)
         if classical_values is not None:
             if len(classical_values) != len(self.graphs):

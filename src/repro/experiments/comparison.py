@@ -30,6 +30,7 @@ __all__ = [
 BASELINE_MIXER: tuple[str, ...] = ("rx",)
 #: the mixer QArchSearch discovers (Fig. 6)
 QNAS_MIXER: tuple[str, ...] = ("rx", "ry")
+_MIXERS = {"baseline": BASELINE_MIXER, "qnas": QNAS_MIXER}
 
 
 @dataclass
@@ -50,14 +51,13 @@ class MixerComparison:
 
 def _compare(
     graphs: Sequence[Graph],
-    mixers: dict[str, tuple[str, ...]],
     p_values: Sequence[int],
     config: EvaluationConfig | None,
 ) -> MixerComparison:
     evaluator = Evaluator(graphs, config)
-    per_p: dict[str, list[float]] = {name: [] for name in mixers}
-    per_graph: dict[str, list[tuple[float, ...]]] = {name: [] for name in mixers}
-    for name, tokens in mixers.items():
+    per_p: dict[str, list[float]] = {name: [] for name in _MIXERS}
+    per_graph: dict[str, list[tuple[float, ...]]] = {name: [] for name in _MIXERS}
+    for name, tokens in _MIXERS.items():
         for p in p_values:
             evaluation = evaluator.evaluate(tokens, p)
             per_p[name].append(evaluation.ratio)
@@ -74,26 +74,18 @@ def _compare(
 def run_fig8(
     er_graphs: Sequence[Graph],
     *,
-    baseline: tuple[str, ...] = BASELINE_MIXER,
-    qnas: tuple[str, ...] = QNAS_MIXER,
     p_values: Sequence[int] = (1, 2, 3),
     config: EvaluationConfig | None = None,
 ) -> MixerComparison:
     """Baseline vs searched mixer on ER graphs, averaged over p=1,2,3."""
-    return _compare(
-        er_graphs, {"baseline": baseline, "qnas": qnas}, p_values, config
-    )
+    return _compare(er_graphs, p_values, config)
 
 
 def run_fig9(
     regular_graphs: Sequence[Graph],
     *,
-    baseline: tuple[str, ...] = BASELINE_MIXER,
-    qnas: tuple[str, ...] = QNAS_MIXER,
     p_values: Sequence[int] = (1, 2, 3),
     config: EvaluationConfig | None = None,
 ) -> MixerComparison:
     """Same comparison, per-p, on the 4-regular dataset (values ~1.0)."""
-    return _compare(
-        regular_graphs, {"baseline": baseline, "qnas": qnas}, p_values, config
-    )
+    return _compare(regular_graphs, p_values, config)

@@ -63,11 +63,10 @@ def run_fig6(
     *,
     config: SearchConfig,
     executor: Executor | None = None,
-    draw_qubits: int = 10,
 ) -> Fig6Result:
     """Run Algorithm 1 on the training (ER) dataset and draw the winner."""
     search = search_mixer(train_graphs, config, executor=executor)
-    return Fig6Result(search, draw_mixer(search.best_tokens, draw_qubits))
+    return Fig6Result(search, draw_mixer(search.best_tokens))
 
 
 @dataclass
@@ -91,16 +90,17 @@ class Fig7Result:
 def run_fig7(
     eval_graphs: Sequence[Graph],
     *,
-    mixers: Sequence[tuple[str, ...]] = PAPER_FIG7_MIXERS,
     p: int = 1,
     config: EvaluationConfig | None = None,
 ) -> Fig7Result:
-    """Score each candidate mixer on the 4-regular evaluation dataset."""
+    """Score each of the paper's Fig. 7 mixers on the 4-regular evaluation
+    dataset."""
     evaluator = Evaluator(eval_graphs, config)
     ratios: list[float] = []
     per_graph: dict[tuple[str, ...], tuple[float, ...]] = {}
-    for tokens in mixers:
+    for tokens in PAPER_FIG7_MIXERS:
         evaluation = evaluator.evaluate(tokens, p)
         ratios.append(evaluation.ratio)
         per_graph[tuple(tokens)] = evaluation.per_graph_ratio
-    return Fig7Result(p=p, mixers=[tuple(m) for m in mixers], ratios=ratios, per_graph=per_graph)
+    mixers = [tuple(m) for m in PAPER_FIG7_MIXERS]
+    return Fig7Result(p=p, mixers=mixers, ratios=ratios, per_graph=per_graph)

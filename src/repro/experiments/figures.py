@@ -12,6 +12,10 @@ from collections.abc import Mapping, Sequence
 
 __all__ = ["render_table", "render_bars", "render_grouped_bars", "render_series"]
 
+#: bar lengths in characters, for :func:`render_bars` and :func:`render_grouped_bars`
+BAR_WIDTH = 40
+GROUPED_BAR_WIDTH = 30
+
 
 def render_table(
     headers: Sequence[str],
@@ -44,8 +48,6 @@ def render_bars(
     labels: Sequence[str],
     values: Sequence[float],
     *,
-    width: int = 40,
-    value_format: str = "{:.4f}",
     vmin: float | None = None,
     vmax: float | None = None,
 ) -> str:
@@ -60,9 +62,9 @@ def render_bars(
     label_width = max(len(label) for label in labels)
     lines = []
     for label, value in zip(labels, values):
-        filled = int(round((value - lo) / span * width))
-        bar = "█" * filled + "░" * (width - filled)
-        lines.append(f"{label.ljust(label_width)}  {bar}  {value_format.format(value)}")
+        filled = int(round((value - lo) / span * BAR_WIDTH))
+        bar = "█" * filled + "░" * (BAR_WIDTH - filled)
+        lines.append(f"{label.ljust(label_width)}  {bar}  {value:.4f}")
     return "\n".join(lines)
 
 
@@ -70,8 +72,6 @@ def render_grouped_bars(
     groups: Sequence[str],
     series: Mapping[str, Sequence[float]],
     *,
-    width: int = 30,
-    value_format: str = "{:.4f}",
     vmin: float | None = None,
     vmax: float | None = None,
 ) -> str:
@@ -89,11 +89,9 @@ def render_grouped_bars(
         lines.append(f"{group}:")
         for name, values in series.items():
             value = values[g_idx]
-            filled = int(round((value - lo) / span * width))
-            bar = "█" * filled + "░" * (width - filled)
-            lines.append(
-                f"  {name.ljust(name_width)}  {bar}  {value_format.format(value)}"
-            )
+            filled = int(round((value - lo) / span * GROUPED_BAR_WIDTH))
+            bar = "█" * filled + "░" * (GROUPED_BAR_WIDTH - filled)
+            lines.append(f"  {name.ljust(name_width)}  {bar}  {value:.4f}")
     return "\n".join(lines)
 
 

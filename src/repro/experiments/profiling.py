@@ -41,6 +41,10 @@ __all__ = [
     "run_fig5",
 ]
 
+#: worker counts :func:`run_fig5` also runs on a real process pool, where
+#: this machine has that many cores
+VALIDATE_WORKERS = (2,)
+
 
 def candidate_bag(
     alphabet: GateAlphabet, k_max: int, num_candidates: int | None
@@ -97,14 +101,13 @@ def run_fig4(
     p_values: Sequence[int] = (1, 2, 3, 4),
     candidates: Sequence[tuple[str, ...]],
     config: EvaluationConfig,
-    num_workers: int | None = None,
 ) -> Fig4Result:
     """Time the depth sweep serially and in parallel, one run per graph.
 
     Matches the paper's protocol: each run is the NAS inner loop on a
     different ER graph; reported times are means across runs.
     """
-    num_workers = num_workers or available_cores()
+    num_workers = available_cores()
     per_run_serial: list[list[float]] = []
     per_run_parallel: list[list[float]] = []
 
@@ -168,24 +171,21 @@ def run_fig5(
     config: EvaluationConfig,
     core_counts: Sequence[int] = (8, 16, 24, 32, 40, 48, 56, 64),
     overhead: OverheadModel = OverheadModel(worker_startup=0.15, dispatch_per_task=0.002),
-    validate_workers: Sequence[int] | None = None,
 ) -> Fig5Result:
     """Measure the p=2 task bag once, replay it on each core count.
 
-    ``validate_workers`` (default: every count <= the machine's cores) also
-    runs the real process pool so the simulator's prediction can be checked
-    against reality where reality exists.
+    Each count of ``VALIDATE_WORKERS`` the machine's cores allow also runs
+    the real process pool, so the simulator's prediction is checked against
+    reality where reality exists.
     """
     durations = measure_candidate_durations(graph, p, candidates, config)
     serial_seconds = float(np.sum(durations))
     sweep = simulate_core_sweep(durations, core_counts, overhead=overhead)
     simulated = [r.makespan for r in sweep]
 
-    if validate_workers is None:
-        validate_workers = [w for w in (2,) if w <= available_cores()]
     classical = classical_optima([graph])
     validation: dict[int, tuple[float, float]] = {}
-    for workers in validate_workers:
+    for workers in [w for w in VALIDATE_WORKERS if w <= available_cores()]:
         jobs = [([graph], tokens, p, config, classical) for tokens in candidates]
         start = time.perf_counter()
         with MultiprocessingExecutor(workers) as pool:

@@ -44,9 +44,3 @@ class ExperimentRecord:
         path = Path(directory) / f"{self.experiment}.json"
         path.write_text(json.dumps(asdict(self), indent=2, default=str))
         return path
-
-    @classmethod
-    def load(cls, experiment: str, directory: Path | None = None) -> ExperimentRecord:
-        directory = directory or default_results_dir()
-        data = json.loads((Path(directory) / f"{experiment}.json").read_text())
-        return cls(**data)

@@ -30,6 +30,9 @@ __all__ = [
 
 Edge = tuple[int, int]
 
+#: draws a rejection sampler makes before it gives up
+MAX_TRIES = 1000
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -143,7 +146,6 @@ def erdos_renyi_graph(
     *,
     seed=None,
     require_connected: bool = False,
-    max_tries: int = 1000,
 ) -> Graph:
     """Sample a G(n, p) Erdős–Rényi graph.
 
@@ -158,14 +160,14 @@ def erdos_renyi_graph(
     p = check_probability(edge_prob, "edge_prob")
     rng = as_rng(seed)
     iu, ju = np.triu_indices(n, k=1)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         mask = rng.random(iu.shape[0]) < p
         edges = tuple(zip(iu[mask].tolist(), ju[mask].tolist()))
         graph = Graph(n, edges)
         if not require_connected or graph.is_connected():
             return graph
     raise RuntimeError(
-        f"failed to sample a connected G({n}, {p}) graph in {max_tries} tries"
+        f"failed to sample a connected G({n}, {p}) graph in {MAX_TRIES} tries"
     )
 
 
@@ -174,7 +176,6 @@ def random_regular_graph(
     degree: int,
     *,
     seed=None,
-    max_tries: int = 1000,
 ) -> Graph:
     """Sample a uniformly random ``degree``-regular simple graph.
 
@@ -194,7 +195,7 @@ def random_regular_graph(
         return Graph(n, ())
     rng = as_rng(seed)
     stubs = np.repeat(np.arange(n), d)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         perm = rng.permutation(stubs)
         pairs = perm.reshape(-1, 2)
         u = np.minimum(pairs[:, 0], pairs[:, 1])
@@ -207,7 +208,7 @@ def random_regular_graph(
         return Graph(n, tuple(zip(u.tolist(), v.tolist())))
     raise RuntimeError(
         f"failed to sample a simple {d}-regular graph on {n} nodes "
-        f"in {max_tries} tries"
+        f"in {MAX_TRIES} tries"
     )
 
 

@@ -121,15 +121,13 @@ _ORPHAN_POLL_SECONDS = 1.0
 _STOP_GRACE_SECONDS = 5.0
 
 
-def _worker_main(conn, parent_pid: int, initializer, initargs) -> None:
+def _worker_main(conn, parent_pid: int) -> None:
     """A worker's whole life: jobs in, ``(ok, value)`` replies out."""
     # The parent decides when a worker stops: Ctrl-C reaches the whole
     # foreground process group, and a replacement worker is forked from a
     # parent that may by then have a SIGTERM handler of its own.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    if initializer is not None:
-        initializer(*initargs)
     while True:
         while not conn.poll(_ORPHAN_POLL_SECONDS):
             if os.getppid() != parent_pid:
@@ -214,9 +212,7 @@ class MultiprocessingExecutor(Executor):
     runs :func:`_worker_main` and nothing else, which takes none of the
     parent's locks and exits through ``os._exit``.
 
-    ``initializer``/``initargs`` run once per worker at start, the hook
-    for shipping per-search state or synchronization primitives to
-    workers. ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
+    ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
     adds admission depth (``repro_executor_admitted``, accepted and not
     yet settled), occupancy (``repro_executor_running``, holding a
     worker) and the wait between the two
@@ -231,8 +227,6 @@ class MultiprocessingExecutor(Executor):
         num_workers: int | None = None,
         *,
         chunksize: int = 1,
-        initializer: Callable | None = None,
-        initargs: tuple = (),
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.num_workers = num_workers or available_cores()
@@ -255,7 +249,6 @@ class MultiprocessingExecutor(Executor):
                 ),
             }
         self._context = mp.get_context()
-        self._worker_args = (initializer, initargs)
         self._lock = threading.Lock()
         self._settled = threading.Condition(self._lock)
         self._backlog: deque[_Task] = deque()
@@ -350,7 +343,7 @@ class MultiprocessingExecutor(Executor):
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_worker_main,
-            args=(child_conn, os.getpid(), *self._worker_args),
+            args=(child_conn, os.getpid()),
             daemon=True,
         )
         process.start()

@@ -13,8 +13,8 @@ then every other finished job in the same completion batch is yielded (and
 so reaches the caller's cache) before the raise, so one poisoned candidate
 costs its own work, not its neighbours'.
 
-Submission is **bounded**: at most ``max_inflight`` attempts (default
-``4 x executor.num_workers``) are outstanding at once and further jobs are
+Submission is **bounded**: at most ``INFLIGHT_PER_WORKER x
+executor.num_workers`` attempts are outstanding at once and further jobs are
 submitted as results drain. Wide depths (625+ candidates) therefore start
 their per-attempt deadline clock when work can actually run, not when the
 whole bag is enqueued — and with inline executors, results stream back
@@ -52,6 +52,9 @@ from repro.parallel.cluster import least_loaded_partition
 from repro.parallel.executor import Executor, SerialExecutor
 
 __all__ = ["JobFailedError", "JobStats", "JobScheduler", "ShardFailedError"]
+
+#: a lane's outstanding attempts, per worker of its executor
+INFLIGHT_PER_WORKER = 4
 
 
 class JobFailedError(RuntimeError):
@@ -137,18 +140,17 @@ class JobScheduler:
         Per-attempt wall-clock deadline in seconds; ``None`` disables.
         On expiry the attempt is abandoned (its late result, if any, is
         discarded) and the job is resubmitted.
-    max_inflight:
-        Cap on a lane's outstanding attempts; ``None`` = ``4 x`` its
-        executor's ``num_workers``.
-        Bounding keeps deadlines honest (an attempt's clock starts when it
-        is submitted) and lets inline executors stream results between
-        submissions.
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`. When given,
         the scheduler mirrors its counters into ``repro_jobs_*_total``
         and observes per-attempt run latency (``repro_job_run_seconds``)
         and backlog wait before a job's first attempt
         (``repro_job_queue_wait_seconds``).
+
+    A lane holds at most ``INFLIGHT_PER_WORKER x`` its executor's
+    ``num_workers`` outstanding attempts. Bounding keeps deadlines honest
+    (an attempt's clock starts when it is submitted) and lets inline
+    executors stream results between submissions.
     """
 
     def __init__(
@@ -157,22 +159,19 @@ class JobScheduler:
         *,
         max_retries: int = 2,
         timeout: float | None = None,
-        max_inflight: int | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        if max_inflight is not None and max_inflight < 1:
-            raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         if executor is None or isinstance(executor, Executor):
             executor = [executor or SerialExecutor()]
         self.executors = list(executor)
         #: the first lane's — *the* executor of a single-lane scheduler
         self.executor = self.executors[0]
         self.lanes = [
-            _Lane(index, lane, max_inflight or 4 * max(1, lane.num_workers))
+            _Lane(index, lane, INFLIGHT_PER_WORKER * max(1, lane.num_workers))
             for index, lane in enumerate(self.executors)
         ]
         #: lanes that died, in order of death, and the jobs re-placed off them

@@ -68,7 +68,6 @@ class ScheduleResult:
     makespan: float
     worker_finish_times: list[float]
     assignments: list[int]  # task index -> worker index
-    policy: str
 
     @property
     def utilization(self) -> float:
@@ -83,20 +82,10 @@ def simulate_makespan(
     num_workers: int,
     *,
     overhead: OverheadModel = OverheadModel(),
-    policy: str = "fifo",
 ) -> ScheduleResult:
-    """Greedy list scheduling of ``durations`` onto ``num_workers`` workers.
-
-    ``policy="fifo"`` dispatches in submission order (what a process pool
-    does); ``"lpt"`` sorts longest-first (the classic makespan heuristic,
-    used by the ablation to show how much ordering matters).
-    """
+    """Greedy list scheduling of ``durations`` onto ``num_workers`` workers,
+    dispatched in submission order (what a process pool does)."""
     check_positive(num_workers, "num_workers")
-    order = list(range(len(durations)))
-    if policy == "lpt":
-        order.sort(key=lambda i: -durations[i])
-    elif policy != "fifo":
-        raise ValueError(f"unknown policy {policy!r}; options: fifo, lpt")
 
     # (finish_time, worker_index) min-heap
     heap: list[tuple[float, int]] = [
@@ -105,7 +94,7 @@ def simulate_makespan(
     heapq.heapify(heap)
     assignments = [0] * len(durations)
     finish = [overhead.worker_startup] * num_workers
-    for task in order:
+    for task in range(len(durations)):
         available_at, worker = heapq.heappop(heap)
         done = available_at + overhead.dispatch_per_task + float(durations[task])
         assignments[task] = worker
@@ -113,7 +102,7 @@ def simulate_makespan(
         heapq.heappush(heap, (done, worker))
     serial_tail = overhead.serial_fraction * float(np.sum(durations))
     makespan = (max(finish) if durations else overhead.worker_startup) + serial_tail
-    return ScheduleResult(num_workers, makespan, finish, assignments, policy)
+    return ScheduleResult(num_workers, makespan, finish, assignments)
 
 
 def simulate_core_sweep(
@@ -121,10 +110,6 @@ def simulate_core_sweep(
     worker_counts: Sequence[int],
     *,
     overhead: OverheadModel = OverheadModel(),
-    policy: str = "fifo",
 ) -> list[ScheduleResult]:
     """Fig. 5's x-axis: the same measured task bag on each core count."""
-    return [
-        simulate_makespan(durations, w, overhead=overhead, policy=policy)
-        for w in worker_counts
-    ]
+    return [simulate_makespan(durations, w, overhead=overhead) for w in worker_counts]

@@ -25,6 +25,10 @@ from repro.utils.validation import check_positive
 
 __all__ = ["uniform_init", "ramp_init", "interp_init"]
 
+#: :func:`ramp_init`'s last gamma and first beta
+GAMMA_MAX = 0.8
+BETA_MAX = 0.6
+
 
 def uniform_init(p: int, *, scale: float = 0.5, rng=None) -> np.ndarray:
     """Flat ``[gammas..., betas...]`` drawn uniformly from ``[-scale, scale]``."""
@@ -33,11 +37,9 @@ def uniform_init(p: int, *, scale: float = 0.5, rng=None) -> np.ndarray:
     return rng.uniform(-scale, scale, size=2 * p)
 
 
-def ramp_init(
-    p: int, *, gamma_max: float = 0.8, beta_max: float = 0.6, rng=None, jitter: float = 0.0
-) -> np.ndarray:
-    """Linear-ramp schedule: ``gamma_k = (k+1)/p * gamma_max``,
-    ``beta_k = (1 - k/p) * beta_max`` — a first-order Trotterization of the
+def ramp_init(p: int, *, rng=None, jitter: float = 0.0) -> np.ndarray:
+    """Linear-ramp schedule: ``gamma_k = (k+1)/p * GAMMA_MAX``,
+    ``beta_k = (1 - k/p) * BETA_MAX`` — a first-order Trotterization of the
     adiabatic path, a strong generic start for max-cut QAOA.
 
     ``jitter`` adds a small seeded perturbation so optimizer restarts from
@@ -45,8 +47,8 @@ def ramp_init(
     """
     check_positive(p, "p")
     k = np.arange(p)
-    gammas = (k + 1) / p * gamma_max
-    betas = (1.0 - k / p) * beta_max
+    gammas = (k + 1) / p * GAMMA_MAX
+    betas = (1.0 - k / p) * BETA_MAX
     x = np.concatenate([gammas, betas])
     if jitter:
         x = x + as_rng(rng).uniform(-jitter, jitter, size=2 * p)

@@ -55,10 +55,6 @@ class CutSolution:
     value: float
     method: str
 
-    def assignment(self, num_nodes: int) -> np.ndarray:
-        """0/1 side labels as an array."""
-        return (np.arange(num_nodes) >= 0) * ((self.bitstring >> np.arange(num_nodes)) & 1)
-
 
 def brute_force_maxcut(graph: Graph) -> CutSolution:
     """Exact optimum by enumerating all ``2^n`` assignments (n <= ~22)."""
@@ -89,14 +85,14 @@ def greedy_maxcut(graph: Graph, *, seed=None) -> CutSolution:
     return CutSolution(bitstring, cut_value(graph, side), "greedy")
 
 
-def local_search_maxcut(graph: Graph, *, seed=None, max_passes: int = 100) -> CutSolution:
+def local_search_maxcut(graph: Graph, *, seed=None) -> CutSolution:
     """1-flip local search from a greedy start (classical baseline for
-    graphs too large to brute force)."""
+    graphs too large to brute force), at most 100 flips."""
     start = greedy_maxcut(graph, seed=seed)
     n = graph.num_nodes
     side = ((start.bitstring >> np.arange(n)) & 1).astype(np.int64)
     adj = graph.adjacency_matrix()
-    for _ in range(max_passes):
+    for _ in range(100):
         # gain of flipping node i: (weight to same side) - (weight to other side)
         same = (side[None, :] == side[:, None]).astype(float)
         gains = (adj * same).sum(axis=1) - (adj * (1 - same)).sum(axis=1)

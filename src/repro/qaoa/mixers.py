@@ -57,8 +57,6 @@ def append_mixer_layer(
     circuit: QuantumCircuit,
     tokens: Sequence[str],
     beta: ParameterValue,
-    *,
-    qubits: Iterable[int] | None = None,
 ) -> QuantumCircuit:
     """Append the mixer described by ``tokens`` with shared parameter ``beta``.
 
@@ -66,8 +64,8 @@ def append_mixer_layer(
     token 0, then all get token 1, ... — the layout drawn in Fig. 6).
     """
     check_mixer_tokens(tokens)
-    qubits = list(qubits) if qubits is not None else list(range(circuit.num_qubits))
     n = circuit.num_qubits
+    qubits = range(n)
     for token in tokens:
         if token in PARAMETERIZED_TOKENS:
             for q in qubits:

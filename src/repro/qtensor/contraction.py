@@ -29,7 +29,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.qtensor.network import TensorNetwork, interaction_graph
-from repro.qtensor.ordering import EliminationOrder, order_for_tensors
+from repro.qtensor.ordering import order_for_tensors
 from repro.qtensor.tensor import Tensor
 from repro.qtensor.variables import Variable
 from repro.simulators.backends import ArrayBackend, NumpyArrayBackend
@@ -126,24 +126,22 @@ def contract_network(
     network: TensorNetwork,
     *,
     backend: ArrayBackend = _HOST,
-    order: EliminationOrder | None = None,
     method: str = "min_fill",
     n_restarts: int = 1,
     seed=None,
 ) -> np.ndarray:
-    """Order (if not given) + contract; returns the raw ndarray result.
+    """Order + contract; returns the raw ndarray result.
 
     For a closed network the result is a 0-d complex array; for an open one
     the axes follow ``network.open_vars``.
     """
-    if order is None:
-        order = order_for_tensors(
-            network.tensors,
-            exclude=network.open_vars,
-            method=method,
-            n_restarts=n_restarts,
-            seed=seed,
-        )
+    order = order_for_tensors(
+        network.tensors,
+        exclude=network.open_vars,
+        method=method,
+        n_restarts=n_restarts,
+        seed=seed,
+    )
     result = bucket_elimination(network.tensors, order.order, network.open_vars, backend)
     return result.data
 

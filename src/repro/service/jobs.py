@@ -44,12 +44,13 @@ this process* — :meth:`JobQueue.submit`, and each way out of ``running``
 sleeps in :meth:`JobQueue.wait_for_announcement`. What nobody announces
 (a sibling process's submit on the shared directory, a retry's
 ``not_before`` coming due, a lease expiring) is found when that wait
-times out, after the multiplexer's ``poll_interval``.
+times out, after the multiplexer's ``POLL_INTERVAL``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sqlite3
 import threading
 import time
@@ -158,8 +159,8 @@ class JobQueue:
         backoff_cap: float = 30.0,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if lease_seconds <= 0:
-            raise ValueError(f"lease_seconds must be positive, got {lease_seconds}")
+        if not 0 < lease_seconds < math.inf:  # NaN fails both
+            raise ValueError(f"lease_seconds must be positive and finite, got {lease_seconds}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
         if backoff_base < 0 or backoff_cap < 0:

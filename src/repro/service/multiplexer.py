@@ -49,6 +49,7 @@ Hardened claiming and execution (PR 7):
 
 from __future__ import annotations
 
+import math
 import sqlite3
 import threading
 import time
@@ -65,6 +66,12 @@ from repro.parallel.executor import Executor, MultiprocessingExecutor
 from repro.service.jobs import JobQueue, JobRecord
 
 __all__ = ["SweepMultiplexer"]
+
+#: longest an idle slot sleeps, in seconds. The queue wakes it sooner for
+#: whatever this process does (:meth:`JobQueue.announce`: a submit, a job
+#: leaving ``running``); the interval bounds only what nobody announces — a
+#: sibling process's submit, a retry's ``not_before``, an expired lease.
+POLL_INTERVAL = 0.05
 
 #: transient-queue-error retry schedule (seconds between attempts)
 _QUEUE_RETRY_DELAYS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
@@ -95,13 +102,10 @@ class _TenantStride:
     weights: dict[str, float] = field(default_factory=dict)
     served: dict[str, int] = field(default_factory=dict)
 
-    def weight(self, tenant: str) -> float:
-        return max(float(self.weights.get(tenant, 1.0)), 1e-9)
-
     def pick(self, eligible: list[str]) -> str:
         choice = min(
             eligible,
-            key=lambda t: ((self.served.get(t, 0) + 1) / self.weight(t), t),
+            key=lambda t: ((self.served.get(t, 0) + 1) / self.weights.get(t, 1.0), t),
         )
         self.served[choice] = self.served.get(choice, 0) + 1
         return choice
@@ -127,21 +131,17 @@ class SweepMultiplexer:
         optional — without it sweeps just lose cross-sweep reuse.
     max_concurrent:
         Sweep slots (worker threads draining the queue).
-    poll_interval:
-        Longest an idle slot sleeps. The queue wakes it sooner for whatever
-        this process does (:meth:`JobQueue.announce`: a submit, a job leaving
-        ``running``); the interval bounds only what nobody announces — a
-        sibling process's submit, a retry's ``not_before``, an expired lease.
     tenant_weights:
-        Fairness weights per tenant (missing tenants weigh 1.0); a tenant
-        with weight 2 gets twice the claim share of a weight-1 tenant
-        while both have work queued.
+        Fairness weights per tenant, each positive and finite (missing
+        tenants weigh 1.0); a tenant with weight 2 gets twice the claim
+        share of a weight-1 tenant while both have work queued.
     max_running_per_tenant:
         Cap on jobs of one tenant running at once across the whole queue
         (None = no cap).
     drain_timeout:
         Default grace period :meth:`stop` gives running sweeps before
-        cancelling them and requeueing their jobs (None = wait forever).
+        cancelling them and requeueing their jobs (None = wait forever;
+        otherwise finite and >= 0).
     metrics:
         Optional :class:`~repro.obs.metrics.MetricsRegistry`, threaded
         into every sweep it runs (scheduler/cache/progress
@@ -159,7 +159,6 @@ class SweepMultiplexer:
         executor: Executor | None = None,
         cache: ResultCache | None = None,
         max_concurrent: int = 2,
-        poll_interval: float = 0.05,
         tenant_weights: dict[str, float] | None = None,
         max_running_per_tenant: int | None = None,
         drain_timeout: float | None = None,
@@ -171,12 +170,17 @@ class SweepMultiplexer:
             raise ValueError(
                 f"max_running_per_tenant must be >= 1, got {max_running_per_tenant}"
             )
+        weights = {tenant: float(w) for tenant, w in (tenant_weights or {}).items()}
+        refused = {tenant: w for tenant, w in weights.items() if not 0 < w < math.inf}
+        if refused:
+            raise ValueError(f"tenant weights must be positive and finite, got {refused}")
+        if drain_timeout is not None and not 0 <= drain_timeout < math.inf:
+            raise ValueError(f"drain_timeout must be finite and >= 0, got {drain_timeout}")
         self.queue = queue
         self._owns_executor = executor is None
         self.executor = executor or MultiprocessingExecutor()
         self.cache = cache
         self.max_concurrent = int(max_concurrent)
-        self.poll_interval = float(poll_interval)
         self.max_running_per_tenant = max_running_per_tenant
         self.drain_timeout = drain_timeout
         self.sweeps_completed = 0
@@ -197,7 +201,7 @@ class SweepMultiplexer:
                 "repro_queue_retries_total",
                 "Queue operations retried on transient sqlite contention",
             )
-        self._stride = _TenantStride(dict(tenant_weights or {}))
+        self._stride = _TenantStride(weights)
         self._stop = threading.Event()
         self._state_lock = threading.Lock()
         #: serializes ``_claim`` across the slots (and guards ``_stride``)
@@ -328,7 +332,7 @@ class SweepMultiplexer:
                     return
                 job = self._claim(slot)
                 if job is None:
-                    self.queue.wait_for_announcement(seen, self.poll_interval)
+                    self.queue.wait_for_announcement(seen, POLL_INTERVAL)
                 else:
                     self._run_job(slot, job)
         except BaseException:  # noqa: BLE001 - a dying slot must leave a trace

@@ -30,8 +30,8 @@ from repro.core.runtime import predicted_cost
 
 __all__ = ["CostModel"]
 
-#: least-squares needs at least as many rows as features, with headroom
-_MIN_OBSERVATIONS = 8
+#: least-squares needs at least as many rows as features (4), with headroom
+MIN_OBSERVATIONS = 8
 
 
 def _features(tokens: Sequence[str], p: int) -> np.ndarray:
@@ -42,12 +42,7 @@ def _features(tokens: Sequence[str], p: int) -> np.ndarray:
 class CostModel:
     """Per-candidate evaluation-seconds predictor, fit from measurements."""
 
-    def __init__(self, *, min_observations: int = _MIN_OBSERVATIONS) -> None:
-        if min_observations < 4:  # number of features
-            raise ValueError(
-                f"min_observations must be >= 4, got {min_observations}"
-            )
-        self.min_observations = min_observations
+    def __init__(self) -> None:
         self._rows: list[np.ndarray] = []
         self._seconds: list[float] = []
         self._coef: np.ndarray | None = None
@@ -64,7 +59,7 @@ class CostModel:
 
     def fit(self) -> None:
         """Refit the least-squares coefficients if new rows arrived."""
-        if not self._dirty or len(self._rows) < self.min_observations:
+        if not self._dirty or len(self._rows) < MIN_OBSERVATIONS:
             return
         X = np.stack(self._rows)
         y = np.array(self._seconds)

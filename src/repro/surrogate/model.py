@@ -29,6 +29,11 @@ from repro.ml.optim import AdamUpdater, clip_gradients
 
 __all__ = ["SurrogateModel"]
 
+#: global gradient-norm bound applied before each Adam step
+GRAD_CLIP = 5.0
+#: training rows kept; the oldest go first
+MAX_BUFFER = 4096
+
 
 class SurrogateModel:
     """Online ``(tokens, p) -> predicted value`` regressor for ranking.
@@ -49,15 +54,11 @@ class SurrogateModel:
         hidden_dim: int = 32,
         learning_rate: float = 0.05,
         train_epochs: int = 60,
-        grad_clip: float = 5.0,
-        max_buffer: int = 4096,
         seed: int = 0,
     ) -> None:
         self.alphabet = alphabet
         self.hidden_dim = hidden_dim
         self.train_epochs = train_epochs
-        self.grad_clip = grad_clip
-        self.max_buffer = max_buffer
         self.embedding = Embedding(alphabet.size, embedding_dim, seed=seed)
         self.lstm = LSTMCell(embedding_dim, hidden_dim, seed=seed + 1)
         # +1 input: the scaled depth feature rides next to the final h.
@@ -80,8 +81,8 @@ class SurrogateModel:
         if not ids:
             return
         self._buffer.append((ids, int(p), float(target)))
-        if len(self._buffer) > self.max_buffer:
-            del self._buffer[: len(self._buffer) - self.max_buffer]
+        if len(self._buffer) > MAX_BUFFER:
+            del self._buffer[: len(self._buffer) - MAX_BUFFER]
         self.observations += 1
         self._dirty = True
 
@@ -132,7 +133,7 @@ class SurrogateModel:
                 error = prediction - z_target
                 loss += error * error / n
                 self._backward(2.0 * error / n, cache)
-            clip_gradients(self._layers, self.grad_clip)
+            clip_gradients(self._layers, GRAD_CLIP)
             self._updater.step()
         self.fits += 1
         self._dirty = False

@@ -10,6 +10,7 @@ import pytest
 from repro.core.alphabet import GateAlphabet
 from repro.core.evaluator import EvaluationConfig
 from repro.core.search import SearchConfig
+from repro.experiments import profiling
 from repro.experiments.comparison import run_fig8, run_fig9
 from repro.experiments.discovery import PAPER_FIG7_MIXERS, draw_mixer, run_fig6, run_fig7
 from repro.experiments.profiling import candidate_bag, measure_candidate_durations, run_fig5
@@ -43,15 +44,16 @@ class TestCandidateBag:
 
 
 class TestFig5Driver:
-    def test_structure_and_validation(self, er_graphs, quick):
+    def test_structure_and_validation(self, er_graphs, quick, monkeypatch):
         from repro.parallel.scheduler import OverheadModel
 
+        monkeypatch.setattr(profiling, "VALIDATE_WORKERS", ())
         bag = candidate_bag(GateAlphabet(), 1, 4)
         # zero overheads: at test scale (sub-second tasks) the realistic
         # startup costs would rightly dominate and hide the scaling shape
         result = run_fig5(
             er_graphs[0], p=1, candidates=bag, config=quick,
-            core_counts=(2, 4, 8), validate_workers=(),
+            core_counts=(2, 4, 8),
             overhead=OverheadModel(),
         )
         assert len(result.simulated_seconds) == 3
@@ -73,7 +75,7 @@ class TestFig6Driver:
             p_max=1, k_max=2, mode="combinations",
             evaluation=EvaluationConfig(max_steps=8, seed=0),
         )
-        result = run_fig6(er_graphs, config=config, draw_qubits=4)
+        result = run_fig6(er_graphs, config=config)
         assert result.best_tokens
         assert "q0:" in result.drawing
 

@@ -4,6 +4,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
+from repro.graphs import generators
 from repro.graphs.generators import (
     Graph,
     complete_graph,
@@ -121,9 +122,10 @@ class TestErdosRenyi:
         g = erdos_renyi_graph(10, 0.3, seed=5, require_connected=True)
         assert g.is_connected()
 
-    def test_impossible_connectivity_raises(self):
+    def test_impossible_connectivity_raises(self, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_TRIES", 3)
         with pytest.raises(RuntimeError):
-            erdos_renyi_graph(5, 0.0, seed=0, require_connected=True, max_tries=3)
+            erdos_renyi_graph(5, 0.0, seed=0, require_connected=True)
 
     def test_edge_probability_statistics(self):
         """Mean edge count over many draws ~ p * C(n,2) (cross-checked

@@ -16,12 +16,24 @@ than by its own definition and by ``__init__`` re-export lines, or be in
 other half of something that was replaced: delete it with its tests.
 
 Below names, methods: every public method or property of a class under
-``src/repro`` must be referenced — as an attribute (``pool.map``), a name
-or a ``getattr``/``hasattr`` string, parsed from the same files, its own
-definition aside — or override a base-class method that is (a referenced
-method of ours, or a framework hook such as
-``BaseHTTPRequestHandler.log_message``), or sit in ``TEST_ONLY`` under
-``module.Class.method`` with its reason.
+``src/repro`` must be referenced — as an attribute (``pool.map``) or a
+``getattr``/``hasattr`` string, parsed from the same files, its own
+definition aside; a bare name is not a reference — or override a
+base-class method that is (a referenced method of ours, or a framework
+hook such as ``BaseHTTPRequestHandler.log_message``), or sit in
+``TEST_ONLY`` under ``module.Class.method`` with its reason.
+
+Below methods, keywords: every keyword-only parameter of a public
+function, a public method or a public class's ``__init__`` must be passed
+as ``name=`` by some call in the same files, or sit in
+``TEST_ONLY_KEYWORDS`` under ``module.callable(name=)`` with its reason.
+Any callee counts, a forward in the callable's own body included (the
+conservative direction, as for attributes); a ``**kwargs`` forward passes
+nothing. A knob only tests turn becomes a module constant the test
+monkeypatches.
+
+``repro.experiments.*`` is a serving root because it is behind the
+benches: each of its modules is imported by some ``benchmarks/bench_*.py``.
 
 The same resolver checks the files tier-1 does not collect —
 ``examples/``, ``benchmarks/``, ``scripts/`` — so an import of a deleted
@@ -64,6 +76,7 @@ _GRAPH_FAMILY = "fixture graph family with a known optimum (tests, docs, noteboo
 _DEFERRED = "controller substrate beside softmax/AdamUpdater; decided with it (--strategy)"
 _PREDICTOR = "predictor protocol beside the --strategy seam; ROADMAP item 3 decides it"
 _QTENSOR = "the tensor-network package's own surface; ROADMAP item 7 decides the package"
+_API = "docs/architecture.md § API stability: a Client method's keywords are the contract"
 _LAYER = (
     "one layer as a circuit of its own (Eq. 2's U_C, the RX baseline U_B) for inspection; "
     "the ansatz appends in place"
@@ -114,6 +127,12 @@ TEST_ONLY = {
         "the §2.1 predictor -> builder tensor, the one edge that keeps core/encoding.py "
         "reachable; ROADMAP item 3 decides it"
     ),
+    "repro.core.results.SearchResult.load": (
+        "docs/architecture.md § API stability: load() reads every prior payload version"
+    ),
+    "repro.ml.reinforce.ReinforceTrainer.train": (
+        "the REINFORCE loop on its own, beside ControllerPredictor's; ROADMAP item 3 decides it"
+    ),
     "repro.obs.metrics.Counter.value_for": "test accessor: one labelled child's value",
     "repro.obs.metrics.Gauge.value_for": "test accessor: one labelled child's value",
     "repro.obs.metrics.MetricsRegistry.timer": (
@@ -126,12 +145,32 @@ TEST_ONLY = {
     "repro.parallel.faults.FaultPlan.should_raise": (
         "test accessor: the plan's decision, without executing it"
     ),
+    "repro.qtensor.network.TensorNetwork.all_vars": _QTENSOR,
     "repro.qtensor.network.TensorNetwork.closed": _QTENSOR,
     "repro.qtensor.simulator.QTensorSimulator.amplitude": _QTENSOR,
     "repro.qtensor.simulator.QTensorSimulator.statevector": _QTENSOR,
     "repro.qtensor.variables.VariableFactory.fresh_many": _QTENSOR,
     "repro.simulators.compiled.CompiledProgram.num_ops": "test accessor: the lowered op count",
+    "repro.simulators.compiled.CompiledProgram.states": (
+        "batched states, pinned against the dense simulator in test_compiled.py and "
+        "test_array_backends.py"
+    ),
     "repro.surrogate.cost.CostModel.fitted": "test accessor: whether the cost model has data",
+}
+
+_STRATEGY = "the --strategy seam: ROADMAP item 3 decides whether Config carries it"
+
+#: ``module.callable(name=)`` for every keyword-only parameter no call
+#: outside ``tests/`` passes, each with the reason it is not a constant
+TEST_ONLY_KEYWORDS = {
+    "repro.api.Client.wait(poll=)": _API,
+    "repro.api.Client.wait(poll_cap=)": _API,
+    "repro.core.controller.PolicyController(allow_end=)": _STRATEGY,
+    "repro.core.search.search_mixer(candidates_per_depth=)": _STRATEGY,
+    "repro.core.search.search_mixer(predictor=)": _STRATEGY,
+    "repro.qaoa.analytic.grid_search_p1(resolution=)": (
+        "the grid of the p = 1 oracle: a test trades resolution for time"
+    ),
 }
 
 #: a trailing dot takes every module of the package
@@ -283,6 +322,28 @@ class SourceTree:
                     }
                     yield from ((module, node, name) for name in sorted(names))
 
+    def keyword_parameters(self) -> Iterator[tuple[str, str]]:
+        """``(module.callable(name=), name)`` for every keyword-only
+        parameter of a public function, a public method (of a public class,
+        nested ones included) or a public class's ``__init__``."""
+
+        def walk(module: str, body: list[ast.stmt], prefix: str):
+            for node in body:
+                if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                    yield from walk(module, node.body, f"{prefix}{node.name}.")
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    if prefix and node.name == "__init__":
+                        callable_ = prefix[:-1]
+                    elif node.name.startswith("_"):
+                        continue
+                    else:
+                        callable_ = prefix + node.name
+                    for arg in node.args.kwonlyargs:
+                        yield f"{module}.{callable_}({arg.arg}=)", arg.arg
+
+        for module, tree in self.trees.items():
+            yield from walk(module, tree.body, "")
+
     def bases(self, module: str, cls: ast.ClassDef) -> Iterator[tuple[str, ast.ClassDef] | type]:
         """Every ancestor of ``cls`` the source names: ``(module, ClassDef)``
         for one of ours, the class object itself (imported) for another
@@ -378,13 +439,13 @@ def unreferenced_exports(tree: SourceTree, others: list[Path]) -> list[str]:
 
 
 def references(tree: ast.AST) -> Iterator[tuple[str, int]]:
-    """``(name, line)`` for every attribute, name and ``getattr``-family
-    string literal in ``tree``."""
+    """``(name, line)`` for every attribute and ``getattr``-family string
+    literal in ``tree``. A bare name is not one: a method is reached
+    through its object, and a local ``load`` says nothing about
+    ``SearchResult.load``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
-        elif isinstance(node, ast.Name):
-            yield node.id, node.lineno
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -435,6 +496,25 @@ def unreferenced_methods(tree: SourceTree, others: list[Path]) -> list[str]:
         f"{module}.{cls.name}.{name}" for module, cls, name in tree.methods()
         if not referenced(module, cls, name) and not overrides_live(module, cls, name)
     )
+
+
+def passed_keywords(paths: list[Path]) -> set[str]:
+    """Every ``name`` some call in ``paths`` passes as ``name=``, whatever
+    it calls; ``f(**kwargs)`` passes nothing."""
+    return {
+        keyword.arg
+        for path in paths if path.suffix == ".py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords if keyword.arg is not None
+    }
+
+
+def unpassed_keywords(tree: SourceTree, others: list[Path]) -> list[str]:
+    """``module.callable(name=)`` for each keyword-only parameter no call in
+    ``src/`` or ``others`` passes by name."""
+    passed = passed_keywords(list(tree.paths.values()) + others)
+    return sorted(key for key, name in tree.keyword_parameters() if name not in passed)
 
 
 def _outside_sources() -> list[Path]:
@@ -491,6 +571,33 @@ def test_every_public_method_is_referenced_or_says_why(tree):
     )
 
 
+def test_every_keyword_is_passed_or_says_why(tree):
+    dead = unpassed_keywords(tree, _outside_sources())
+    stale = sorted(set(TEST_ONLY_KEYWORDS) - set(dead))
+    assert not stale, f"TEST_ONLY_KEYWORDS entries that are passed, or gone (drop them): {stale}"
+    unexplained = sorted(set(dead) - set(TEST_ONLY_KEYWORDS))
+    assert not unexplained, (
+        "keyword-only parameters only tests/ passes — make them module constants, delete "
+        f"them with the branches they select, or add them to TEST_ONLY_KEYWORDS: {unexplained}"
+    )
+    assert all(TEST_ONLY_KEYWORDS.values())
+
+
+def test_every_experiments_module_is_behind_a_bench(tree):
+    imported = {
+        source if name is None else tree.definer(source, name)
+        for path in sorted(REPO.glob("benchmarks/bench_*.py"))
+        for _, source, name in tree.imports(ast.parse(path.read_text(), str(path)))
+    }
+    drivers = {module for module in tree.modules() if module.startswith("repro.experiments.")}
+    assert drivers, "repro.experiments has no modules; was the package moved?"
+    unbenched = sorted(drivers - imported)
+    assert not unbenched, (
+        "repro.experiments.* is a serving root only because benches import it: "
+        f"delete these, or import them from a benchmarks/bench_*.py: {unbenched}"
+    )
+
+
 def test_a_package_reexport_alone_keeps_nothing_alive(tmp_path):
     pkg = tmp_path / "pkg"
     (pkg / "sub").mkdir(parents=True)
@@ -535,17 +642,60 @@ def test_a_method_lives_by_attribute_reference_or_override(tmp_path):
         "        pass\n"
         "    def not_a_hook(self):\n"
         "        pass\n"
+        "class Record:\n"
+        "    def load(self):\n"
+        "        pass\n"
+        "def load():\n"
+        "    return load\n"
     )
     bench = tmp_path / "bench.py"
-    bench.write_text("def main(pool):\n    return pool.map(str, [1])\n")
+    bench.write_text(
+        "from pkg.pool import load\ndef main(pool):\n    return pool.map(str, [load()])\n"
+    )
     synthetic = SourceTree(tmp_path, "pkg")
     # `Loud.run` is named only inside itself, but overrides `Step.run`, which
-    # its body references; `log_message` is a stdlib handler hook
+    # its body references; `log_message` is a stdlib handler hook; the
+    # bench's `load()` is the unrelated function, not `Record.load`
     assert unreferenced_methods(synthetic, [bench]) == [
-        "pkg.pool.Handler.not_a_hook", "pkg.pool.Pool.lonely",
+        "pkg.pool.Handler.not_a_hook", "pkg.pool.Pool.lonely", "pkg.pool.Record.load",
     ]
     # without the benchmark's `pool.map` nothing calls it
     assert "pkg.pool.Pool.map" in unreferenced_methods(synthetic, [])
+
+
+def test_a_keyword_lives_by_a_call_outside_tests(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "knobs.py").write_text(
+        "def fit(data, *, rate=0.1, tries=3, clip=5.0):\n"
+        "    return data\n"
+        "def forward(**kwargs):\n"
+        "    return fit([], **kwargs)\n"
+        "class Model:\n"
+        "    def __init__(self, *, width=4):\n"
+        "        pass\n"
+        "    def _hidden(self, *, depth=1):\n"
+        "        pass\n"
+        "class _Private:\n"
+        "    def run(self, *, fast=True):\n"
+        "        pass\n"
+    )
+    bench = tmp_path / "bench.py"
+    bench.write_text("from pkg.knobs import fit\nfit([1], rate=0.5)\n")
+    test = tmp_path / "test_knobs.py"
+    test.write_text("from pkg.knobs import Model, fit\nfit([], tries=1)\nModel(width=2)\n")
+    synthetic = SourceTree(tmp_path, "pkg")
+    assert {key for key, _ in synthetic.keyword_parameters()} == {
+        "pkg.knobs.fit(rate=)", "pkg.knobs.fit(tries=)", "pkg.knobs.fit(clip=)",
+        "pkg.knobs.Model(width=)",
+    }
+    # the bench keeps `rate=`; `tries=` and `width=` only a test passes;
+    # `clip=` would reach `fit` only through the **kwargs forward
+    assert unpassed_keywords(synthetic, [bench]) == [
+        "pkg.knobs.Model(width=)", "pkg.knobs.fit(clip=)", "pkg.knobs.fit(tries=)",
+    ]
+    assert unpassed_keywords(synthetic, [bench, test]) == ["pkg.knobs.fit(clip=)"]
 
 
 @pytest.mark.parametrize(

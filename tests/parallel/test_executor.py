@@ -36,12 +36,8 @@ def get_pid(_):
     return os.getpid()
 
 
+#: set before the pool forks, so every worker inherits it
 _WORKER_BARRIER = None
-
-
-def _install_barrier(barrier):
-    global _WORKER_BARRIER
-    _WORKER_BARRIER = barrier
 
 
 def rendezvous_pid(_):
@@ -102,15 +98,13 @@ class TestMultiprocessing:
         with MultiprocessingExecutor(2) as ex:
             assert ex.starmap(square_sum, JOBS) == EXPECTED
 
-    def test_work_spread_across_processes(self):
+    def test_work_spread_across_processes(self, monkeypatch):
         # Trivial jobs can all land on whichever worker wakes first, so the
         # old 20-jobs-of-nothing version was flaky. The barrier makes the
         # spread deterministic: neither rendezvous job can finish until both
-        # workers hold one.
-        barrier = mp.get_context().Barrier(2)
-        with MultiprocessingExecutor(
-            2, initializer=_install_barrier, initargs=(barrier,)
-        ) as ex:
+        # workers hold one. The workers fork in the constructor and inherit it.
+        monkeypatch.setattr(sys.modules[__name__], "_WORKER_BARRIER", mp.get_context().Barrier(2))
+        with MultiprocessingExecutor(2) as ex:
             pids = set(ex.starmap(rendezvous_pid, [(i,) for i in range(2)]))
         assert len(pids) == 2
 

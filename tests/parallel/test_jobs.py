@@ -6,6 +6,7 @@ from concurrent.futures import Future
 
 import pytest
 
+from repro.parallel import jobs as jobs_module
 from repro.parallel.cluster import least_loaded_partition
 from repro.parallel.executor import MultiprocessingExecutor, SerialExecutor, ThreadExecutor
 from repro.parallel.jobs import JobFailedError, JobScheduler, ShardFailedError
@@ -217,10 +218,12 @@ class TestExpireTaint:
 
 
 class TestBoundedInflight:
-    def test_submissions_stream_with_results(self):
-        """At most max_inflight attempts are outstanding: by the first
-        yielded result, the full 10-job bag has not been enqueued."""
-        scheduler = JobScheduler(max_inflight=2)
+    def test_submissions_stream_with_results(self, monkeypatch):
+        """At most INFLIGHT_PER_WORKER attempts per worker are outstanding:
+        by the first yielded result, the full 10-job bag has not been
+        enqueued."""
+        monkeypatch.setattr(jobs_module, "INFLIGHT_PER_WORKER", 2)
+        scheduler = JobScheduler()
         seen_submitted = []
         for _ in scheduler.as_completed(square_sum, JOBS):
             seen_submitted.append(scheduler.stats.submitted)
@@ -232,10 +235,6 @@ class TestBoundedInflight:
         with ThreadExecutor(3) as executor:
             scheduler = JobScheduler(executor)
             assert scheduler.run(square_sum, JOBS) == EXPECTED
-
-    def test_invalid_max_inflight_rejected(self):
-        with pytest.raises(ValueError, match="max_inflight"):
-            JobScheduler(max_inflight=0)
 
 
 class TestWorkerCrash:
@@ -324,9 +323,10 @@ class TestLanes:
             assert len(scheduler.run(time.sleep, jobs)) == 60
         assert high_water == {1: 4, 3: 12}
 
-    def test_lane_whose_submit_raises_migrates_only_its_unfinished_jobs(self):
+    def test_lane_whose_submit_raises_migrates_only_its_unfinished_jobs(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "INFLIGHT_PER_WORKER", 1)
         dying, survivor = Recording(survive=5), Recording()
-        scheduler = JobScheduler([dying, survivor], max_inflight=1)
+        scheduler = JobScheduler([dying, survivor])
         jobs = [(i,) for i in range(12)]
         assert scheduler.run(identity, jobs) == list(range(12))
         # Jobs 0,2,4,6,8 finished on the dying lane before it fell over and
@@ -415,9 +415,10 @@ class TestLanes:
         assert messages[0] == messages[1]
         assert messages[0].startswith("job 0 failed after 1 attempt(s): TimeoutError(")
 
-    def test_closing_the_generator_submits_nothing_more(self):
+    def test_closing_the_generator_submits_nothing_more(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "INFLIGHT_PER_WORKER", 2)
         lanes = [Recording(), Recording()]
-        stream = JobScheduler(lanes, max_inflight=2).as_completed(identity, self.VALUES)
+        stream = JobScheduler(lanes).as_completed(identity, self.VALUES)
         next(stream)
         stream.close()
         assert [len(lane.seen) for lane in lanes] == [2, 2]

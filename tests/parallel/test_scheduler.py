@@ -45,16 +45,6 @@ class TestSimulateMakespan:
         assert len(result.assignments) == 9
         assert set(result.assignments) == {0, 1, 2}
 
-    def test_lpt_no_worse_than_fifo_on_adversarial_bag(self):
-        durations = [5.0, 1.0, 1.0, 1.0, 1.0, 1.0]  # long task last hurts FIFO
-        fifo = simulate_makespan(durations[::-1], 2, policy="fifo").makespan
-        lpt = simulate_makespan(durations[::-1], 2, policy="lpt").makespan
-        assert lpt <= fifo
-
-    def test_unknown_policy(self):
-        with pytest.raises(ValueError):
-            simulate_makespan([1.0], 1, policy="sjf")
-
     def test_zero_workers_rejected(self):
         with pytest.raises(ValueError):
             simulate_makespan([1.0], 0)

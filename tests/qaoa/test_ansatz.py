@@ -7,7 +7,7 @@ from repro.circuits.parameters import Parameter
 from repro.graphs.generators import Graph, cycle_graph, path_graph
 from repro.qaoa.ansatz import build_qaoa_ansatz
 from repro.qaoa.cost_operator import cost_layer
-from repro.qaoa.mixers import append_mixer_layer, baseline_mixer, mixer_label, mixer_layer
+from repro.qaoa.mixers import baseline_mixer, mixer_label, mixer_layer
 from repro.simulators.statevector import plus_state, simulate
 
 
@@ -69,13 +69,6 @@ class TestMixerLayers:
 
     def test_mixer_label_format(self):
         assert mixer_label(("rx", "ry")) == "('rx', 'ry')"
-
-    def test_qubit_subset(self):
-        from repro.circuits.circuit import QuantumCircuit
-
-        qc = QuantumCircuit(4)
-        append_mixer_layer(qc, ("rx",), Parameter("b"), qubits=[1, 3])
-        assert {i.qubits[0] for i in qc} == {1, 3}
 
 
 class TestAnsatz:

@@ -29,9 +29,9 @@ class TestRamp:
         assert np.all(np.diff(betas) < 0)
 
     def test_endpoints(self):
-        x = ramp_init(4, gamma_max=0.8, beta_max=0.6)
-        assert x[3] == pytest.approx(0.8)  # last gamma = gamma_max
-        assert x[4] == pytest.approx(0.6)  # first beta = beta_max
+        x = ramp_init(4)
+        assert x[3] == pytest.approx(0.8)  # last gamma = GAMMA_MAX
+        assert x[4] == pytest.approx(0.6)  # first beta = BETA_MAX
 
     def test_jitter_perturbs(self):
         base = ramp_init(3)

@@ -169,6 +169,32 @@ def test_serve_announces_hardening_knobs_in_help():
         assert flag in out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tenant-weight", "a=nan"], "tenant weights must be positive and finite"),
+        (["--tenant-weight", "a=0"], "tenant weights must be positive and finite"),
+        (["--lease-seconds", "nan"], "lease_seconds must be positive and finite"),
+        (["--lease-seconds", "inf"], "lease_seconds must be positive and finite"),
+        (["--drain-timeout", "inf"], "drain_timeout must be finite and >= 0"),
+        (["--drain-timeout", "nan"], "drain_timeout must be finite and >= 0"),
+    ],
+)
+def test_serve_refuses_a_number_that_breaks_the_service(tmp_path, monkeypatch, flags, message):
+    from repro.cli import main
+    from repro.service.server import SearchService
+
+    def accepted(self):  # a service that would start would serve forever
+        self.stop()
+        raise AssertionError(f"serve accepted {flags}")
+
+    monkeypatch.setattr(SearchService, "start", accepted)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["serve", "--dir", str(tmp_path), "--port", "0", "--workers", "1", *flags])
+    text = str(excinfo.value.code)
+    assert text.startswith(message) and "\n" not in text
+
+
 def test_submit_payload_shape_is_stable(tmp_path):
     """The wire contract documented in docs/service.md: tenant/priority are
     top-level submit fields, also derivable from Config."""

@@ -17,6 +17,7 @@ import repro.api as api
 from repro.api import Config, ServiceError, connect, search
 from repro.core.results import SearchResult
 from repro.parallel.executor import SerialExecutor
+from repro.service import multiplexer as multiplexer_module
 from repro.service.jobs import JobQueue
 from repro.service.multiplexer import SweepMultiplexer
 from repro.service.server import SearchService, make_http_server
@@ -58,16 +59,18 @@ def finished(queue, job_id, timeout=10.0):
 
 
 class TestWake:
-    def test_a_submit_starts_at_once_whatever_the_poll_interval(self, tmp_path):
-        with JobQueue(tmp_path) as queue, StubMultiplexer(queue, poll_interval=5.0):
+    def test_a_submit_starts_at_once_whatever_the_poll_interval(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(multiplexer_module, "POLL_INTERVAL", 5.0)
+        with JobQueue(tmp_path) as queue, StubMultiplexer(queue):
             time.sleep(0.2)  # both slots are idle and waiting by now
             record = finished(queue, queue.submit({"name": "a"}))
             assert record.state == "done"
             assert record.started_at - record.submitted_at < 0.5
 
-    def test_stop_releases_idle_slots_at_once(self, tmp_path):
+    def test_stop_releases_idle_slots_at_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(multiplexer_module, "POLL_INTERVAL", 5.0)
         with JobQueue(tmp_path) as queue:
-            mux = StubMultiplexer(queue, poll_interval=5.0)
+            mux = StubMultiplexer(queue)
             mux.start()
             threads = [slot.thread for slot in mux._slots]
             time.sleep(0.2)
@@ -76,19 +79,21 @@ class TestWake:
             assert time.monotonic() - start < 1.0
             assert not any(thread.is_alive() for thread in threads)
 
-    def test_a_sibling_process_submit_is_found_by_the_poll(self, tmp_path):
+    def test_a_sibling_process_submit_is_found_by_the_poll(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(multiplexer_module, "POLL_INTERVAL", 0.2)
         # A second handle on the same directory stands in for a sibling
         # process: its submit notifies a condition nobody here waits on.
         with JobQueue(tmp_path) as queue, JobQueue(tmp_path) as sibling:
-            with StubMultiplexer(queue, poll_interval=0.2):
+            with StubMultiplexer(queue):
                 time.sleep(0.1)
                 record = finished(queue, sibling.submit({"name": "a"}))
             assert record.state == "done"
             assert record.started_at - record.submitted_at < 0.2 + 0.3
 
-    def test_a_retry_starts_at_its_not_before(self, tmp_path):
+    def test_a_retry_starts_at_its_not_before(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(multiplexer_module, "POLL_INTERVAL", 0.1)
         with JobQueue(tmp_path, backoff_base=0.4) as queue:
-            with StubMultiplexer(queue, poll_interval=0.1):
+            with StubMultiplexer(queue):
                 job_id = queue.submit({"name": "a", "fail_attempts": [1]})
                 while queue.peek(job_id).not_before == 0:
                     time.sleep(0.005)
@@ -97,24 +102,26 @@ class TestWake:
             assert (record.state, record.attempts) == ("done", 2)
             assert 0.0 <= record.started_at - not_before < 0.1 + 0.3
 
-    def test_a_freed_tenant_quota_starts_the_next_job_at_once(self, tmp_path):
+    def test_a_freed_tenant_quota_starts_the_next_job_at_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(multiplexer_module, "POLL_INTERVAL", 5.0)
         with JobQueue(tmp_path) as queue:
-            with StubMultiplexer(queue, poll_interval=5.0, max_running_per_tenant=1):
+            with StubMultiplexer(queue, max_running_per_tenant=1):
                 first = queue.submit({"name": "a", "sleep": 0.3}, tenant="t")
                 second = queue.submit({"name": "b"}, tenant="t")
                 first, second = finished(queue, first), finished(queue, second)
             assert second.started_at >= first.finished_at  # the quota held
             assert second.started_at - first.finished_at < 0.5
 
-    def test_no_wake_up_is_lost_under_contention(self, tmp_path):
+    def test_no_wake_up_is_lost_under_contention(self, tmp_path, monkeypatch):
         """More threads than cores, a shortened switch interval, and a poll
         too long to hide behind: every submit races the slots going idle,
         and each job must still start promptly."""
+        monkeypatch.setattr(multiplexer_module, "POLL_INTERVAL", 60.0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with JobQueue(tmp_path) as queue:
-                with StubMultiplexer(queue, max_concurrent=4, poll_interval=60.0):
+                with StubMultiplexer(queue, max_concurrent=4):
                     waits: list[float] = []
 
                     def tenant(name: str) -> None:
@@ -379,7 +386,8 @@ class TestScale:
                     "SCAN jobs USING COVERING INDEX", ""
                 ), (sql, plan)
 
-    def test_a_store_without_the_index_migrates_and_drains(self, tmp_path):
+    def test_a_store_without_the_index_migrates_and_drains(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(multiplexer_module, "POLL_INTERVAL", 5.0)
         with JobQueue(tmp_path) as queue:
             finished_before = queue.submit(SPEC)
             waiting = queue.submit(SPEC)
@@ -394,5 +402,5 @@ class TestScale:
             assert "jobs_state_tenant" in names
             assert queue.result_text(finished_before) == '{"answer": 1}'
             assert queue.counts()["queued"] == 1
-            with StubMultiplexer(queue, poll_interval=5.0):
+            with StubMultiplexer(queue):
                 assert finished(queue, waiting).state == "done"

@@ -3,9 +3,12 @@
 import threading
 import time
 
+import pytest
+
 from repro.api import Config
 from repro.core.cache import ResultCache
 from repro.parallel.executor import MultiprocessingExecutor, SerialExecutor
+from repro.service import multiplexer as multiplexer_module
 from repro.service.jobs import JobQueue
 from repro.service.multiplexer import SweepMultiplexer, _Slot
 
@@ -205,10 +208,32 @@ class TestGracefulDrain:
             assert mux.sweeps_requeued == 1
 
 
-class TestLifecycle:
-    def test_stop_is_clean_with_empty_queue(self, tmp_path):
+class TestRefusedSettings:
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_a_tenant_weight_must_be_positive_and_finite(self, tmp_path, weight):
+        # nan or inf would give tenant a every claim; 0 or -1 would give it none
         with JobQueue(tmp_path) as queue:
-            mux = SweepMultiplexer(queue, max_concurrent=2, poll_interval=0.01)
+            with pytest.raises(ValueError, match="tenant weights must be positive and finite"):
+                SweepMultiplexer(queue, executor=SerialExecutor(), tenant_weights={"a": weight})
+
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -1.0])
+    def test_a_drain_timeout_must_be_finite_and_not_negative(self, tmp_path, timeout):
+        # nan would drain for zero seconds; inf overflows Thread.join
+        with JobQueue(tmp_path) as queue:
+            with pytest.raises(ValueError, match="drain_timeout must be finite and >= 0"):
+                SweepMultiplexer(queue, executor=SerialExecutor(), drain_timeout=timeout)
+
+    def test_a_weight_splits_claims_by_its_ratio(self):
+        stride = multiplexer_module._TenantStride({"a": 2.0})
+        picks = [stride.pick(["a", "b"]) for _ in range(30)]
+        assert (picks.count("a"), picks.count("b")) == (20, 10)
+
+
+class TestLifecycle:
+    def test_stop_is_clean_with_empty_queue(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(multiplexer_module, "POLL_INTERVAL", 0.01)
+        with JobQueue(tmp_path) as queue:
+            mux = SweepMultiplexer(queue, max_concurrent=2)
             mux.start()
             time.sleep(0.05)
             mux.stop()

@@ -16,6 +16,15 @@ def fast_queue(tmp_path, **kwargs):
     return JobQueue(tmp_path, **{**defaults, **kwargs})
 
 
+class TestRefusedSettings:
+    @pytest.mark.parametrize("lease", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_a_lease_must_be_positive_and_finite(self, tmp_path, lease):
+        # a NaN lease stored as NULL would never expire, and an infinite one
+        # overflows the heartbeat's first wait
+        with pytest.raises(ValueError, match="lease_seconds must be positive and finite"):
+            JobQueue(tmp_path, lease_seconds=lease)
+
+
 class TestLifecycle:
     def test_submit_claim_done_roundtrip(self, tmp_path):
         with JobQueue(tmp_path) as queue:

@@ -13,6 +13,8 @@ from repro.core.predictor import (
 from repro.core.results import CandidateEvaluation
 from repro.core.runtime import predicted_cost
 from repro.obs.metrics import MetricsRegistry
+from repro.surrogate import cost as surrogate_cost
+from repro.surrogate import model as surrogate_model
 from repro.surrogate import (
     CostModel,
     SurrogateAssistant,
@@ -115,8 +117,9 @@ class TestSurrogateModel:
         assert model.fit() is not None
         assert model.fit() is None  # no new rows since
 
-    def test_buffer_trims_to_max(self):
-        model = SurrogateModel(ALPHABET, max_buffer=10, train_epochs=1, seed=0)
+    def test_buffer_trims_to_max(self, monkeypatch):
+        monkeypatch.setattr(surrogate_model, "MAX_BUFFER", 10)
+        model = SurrogateModel(ALPHABET, train_epochs=1, seed=0)
         for tokens in sequences(25, seed=6):
             model.observe(tokens, 1, 0.1)
         assert len(model._buffer) == 10
@@ -140,8 +143,9 @@ class TestCostModel:
         assert model.fitted
         assert model.predict(("rx", "ry", "rz"), 2) == pytest.approx(6.5, rel=0.05)
 
-    def test_prediction_clamped_positive(self):
-        model = CostModel(min_observations=4)
+    def test_prediction_clamped_positive(self, monkeypatch):
+        monkeypatch.setattr(surrogate_cost, "MIN_OBSERVATIONS", 4)
+        model = CostModel()
         for i in range(6):
             model.observe(("rx",), 1, 0.0)
         model.fit()
