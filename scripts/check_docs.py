@@ -35,9 +35,11 @@ Six checks, run by CI's docs job (and ``scripts/run_ci_locally.sh``):
   composition: features, message, where checked, why). A rejection added,
   reworded or moved to the other stage fails here until the page says so.
 * **Ledger sizes** — the section *Not on the serving path* of
-  ``docs/architecture.md`` quotes how many names, methods and keywords
-  the ledgers of ``tests/integration/test_reachability.py`` hold
-  (``TEST_ONLY``, ``TEST_ONLY_KEYWORDS``). The counts are read by parsing
+  ``docs/architecture.md`` quotes how many names, methods, keywords,
+  defaulted parameters and config fields the ledgers of
+  ``tests/integration/test_reachability.py`` hold (``TEST_ONLY``,
+  ``TEST_ONLY_KEYWORDS``, ``TEST_ONLY_DEFAULTS``, ``TEST_ONLY_FIELDS``).
+  The counts are read by parsing
   that file, never importing it; a row added or deleted there fails here
   until the page's numbers follow.
 
@@ -204,7 +206,10 @@ def check_rejection_table() -> list[str]:
 
 _LEDGERS = REPO / "tests" / "integration" / "test_reachability.py"
 _SECTION = re.compile(r"^## Not on the serving path.*?(?=^## )", re.MULTILINE | re.DOTALL)
-_SIZES = re.compile(r"\d+\s+names,\s+\d+\s+methods\s+and\s+\d+\s+keywords")
+_SIZES = re.compile(
+    r"\d+\s+names,\s+\d+\s+methods,\s+\d+\s+keywords,\s+\d+\s+defaulted\s+parameters"
+    r"\s+and\s+\d+\s+fields?"
+)
 
 
 def ledger_sizes() -> str:
@@ -223,7 +228,12 @@ def ledger_sizes() -> str:
 
     names = sum(is_module(key.rpartition(".")[0]) for key in rows["TEST_ONLY"])
     methods = len(rows["TEST_ONLY"]) - names
-    return f"{names} names, {methods} methods and {len(rows['TEST_ONLY_KEYWORDS'])} keywords"
+    fields = len(rows["TEST_ONLY_FIELDS"])
+    return (
+        f"{names} names, {methods} methods, {len(rows['TEST_ONLY_KEYWORDS'])} keywords, "
+        f"{len(rows['TEST_ONLY_DEFAULTS'])} defaulted parameters and "
+        f"{fields} field{'s' if fields != 1 else ''}"
+    )
 
 
 def check_ledger_sizes() -> list[str]:

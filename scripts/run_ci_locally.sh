@@ -39,8 +39,9 @@ echo "=== job: tests (tier-1 pytest) ==="
 # between two e2e.speed readings: prints the wall time in reference-box
 # seconds, the other tracked number ("tier-1 wall time not up")
 python scripts/tier1_wall.py
-# the tracked number: ROADMAP aim 2 wants net src/ lines to go down
+# the tracked numbers: ROADMAP aim 2 wants net src/ lines and knobs to go down
 echo "src/repro lines: $(find src/repro -name '*.py' | xargs cat | wc -l)"
+python tests/integration/test_reachability.py
 
 echo "=== job: bench-smoke ==="
 python scripts/ci_smoke.py --only search

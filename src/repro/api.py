@@ -329,7 +329,7 @@ def _checked(build: Callable[..., Any], *args: Any, **settings: Any) -> Any:
     message."""
     try:
         return build(*args, **settings)
-    except ValueError as error:
+    except (ValueError, TypeError) as error:  # TypeError: a setting of the wrong type
         raise ConfigError(str(error)) from error
 
 

@@ -14,7 +14,7 @@ Public surface:
 
 from repro.circuits.circuit import Instruction, QuantumCircuit
 from repro.circuits.dag import CircuitDag, DagNode
-from repro.circuits.gates import GATE_REGISTRY, Gate, GateSpec, gate_matrix, make_gate
+from repro.circuits.gates import GATE_REGISTRY, Gate, GateSpec, make_gate
 from repro.circuits.parameters import Parameter, ParameterExpression, bind_value
 from repro.circuits.qasm import QasmError, from_qasm, to_qasm
 from repro.circuits.visualization import draw_circuit
@@ -28,7 +28,6 @@ __all__ = [
     "GateSpec",
     "GATE_REGISTRY",
     "make_gate",
-    "gate_matrix",
     "Parameter",
     "ParameterExpression",
     "bind_value",

@@ -43,23 +43,15 @@ __all__ = [
     "GateSpec",
     "Gate",
     "GATE_REGISTRY",
-    "gate_matrix",
     "make_gate",
     "I",
     "X",
-    "Y",
     "Z",
-    "H",
     "S",
     "T",
     "RX",
     "RY",
-    "RZ",
     "P",
-    "CX",
-    "CZ",
-    "CP",
-    "RZZ",
 ]
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -189,14 +181,14 @@ I = _register(  # noqa: E741 - the identity gate's conventional name
     )
 )
 X = _register(GateSpec("x", 1, 0, _mat_x))
-Y = _register(GateSpec("y", 1, 0, _mat_y))
+_register(GateSpec("y", 1, 0, _mat_y))
 Z = _register(
     GateSpec(
         "z", 1, 0, _mat_z, is_diagonal=True,
         diag_phase=(_NO_PHASE_1Q, (0.0, _PI)),
     )
 )
-H = _register(GateSpec("h", 1, 0, _mat_h))
+_register(GateSpec("h", 1, 0, _mat_h))
 S = _register(
     GateSpec("s", 1, 0, _mat_s, is_diagonal=True, diag_phase=(_NO_PHASE_1Q, (0.0, _PI / 2)))
 )
@@ -205,7 +197,7 @@ T = _register(
 )
 RX = _register(GateSpec("rx", 1, 1, _mat_rx))
 RY = _register(GateSpec("ry", 1, 1, _mat_ry))
-RZ = _register(
+_register(
     GateSpec(
         "rz", 1, 1, _mat_rz, is_diagonal=True,
         diag_phase=((-0.5, 0.5), (0.0, 0.0)),
@@ -217,20 +209,20 @@ P = _register(
         diag_phase=((0.0, 1.0), (0.0, 0.0)),
     )
 )
-CX = _register(GateSpec("cx", 2, 0, _mat_cx))
-CZ = _register(
+_register(GateSpec("cx", 2, 0, _mat_cx))
+_register(
     GateSpec(
         "cz", 2, 0, _mat_cz, is_diagonal=True,
         diag_phase=(_NO_PHASE_2Q, (0.0, 0.0, 0.0, _PI)),
     )
 )
-CP = _register(
+_register(
     GateSpec(
         "cp", 2, 1, _mat_cp, is_diagonal=True,
         diag_phase=((0.0, 0.0, 0.0, 1.0), _NO_PHASE_2Q),
     )
 )
-RZZ = _register(
+_register(
     GateSpec(
         "rzz", 2, 1, _mat_rzz, is_diagonal=True,
         diag_phase=((-0.5, 0.5, 0.5, -0.5), _NO_PHASE_2Q),
@@ -304,8 +296,3 @@ def make_gate(name: str, *params: ParameterValue) -> Gate:
         known = ", ".join(sorted(GATE_REGISTRY))
         raise KeyError(f"unknown gate '{name}'; known gates: {known}") from None
     return Gate(spec, tuple(params))
-
-
-def gate_matrix(name: str, *params: float) -> np.ndarray:
-    """Convenience: concrete matrix for a named gate with float parameters."""
-    return make_gate(name, *params).matrix()

@@ -14,7 +14,6 @@ from repro.core.alphabet import (
     count_sequences,
     enumerate_search_space,
     gate_sequences,
-    paper_space_size,
 )
 from repro.core.cache import ResultCache, SweepCheckpoint
 from repro.core.constraints import (
@@ -59,7 +58,6 @@ __all__ = [
     "gate_sequences",
     "count_sequences",
     "enumerate_search_space",
-    "paper_space_size",
     "encode_sequence",
     "decode_encoding",
     "encoding_shape",

@@ -5,7 +5,7 @@ tokens appearing in the figures are ``rx, ry, rz, h, p`` — and reports
 "2500 possible circuit combinations" for depths ``p = 1..4``. That count
 pins the interpretation: 2500 = 4 depths x 5^4 length-4 *sequences with
 repetition* (a sequence repeating a gate subsumes shorter effective
-combinations). :func:`paper_space_size` checks this arithmetic, and the
+combinations). :func:`count_sequences` checks this arithmetic, and the
 enumerators below expose the alternative conventions (unordered
 combinations, permutations) so the ablation benches can sweep them.
 """
@@ -28,7 +28,6 @@ __all__ = [
     "gate_sequences",
     "count_sequences",
     "enumerate_search_space",
-    "paper_space_size",
 ]
 
 #: the paper's A_R (|A_R| = 5)
@@ -150,13 +149,3 @@ def enumerate_search_space(
         seq for k in range(k_min, k_max + 1)
         for seq in gate_sequences(alphabet, k, **ENUMERATION_MODES[mode])
     ]
-
-
-def paper_space_size(
-    p_max: int = 4, k: int = 4, alphabet_size: int = 5
-) -> int:
-    """The §3.1 count: ``p_max`` depths x ``alphabet_size^k`` sequences.
-
-    Defaults reproduce the paper's 2500 (= 4 x 5^4).
-    """
-    return p_max * count_sequences(alphabet_size, k, ordered=True, repetition=True)

@@ -52,6 +52,7 @@ from repro.core.evaluator import EvaluationConfig
 from repro.core.results import CandidateEvaluation, DepthResult
 from repro.graphs.generators import Graph
 from repro.obs.metrics import MetricsRegistry
+from repro.qaoa import initialization
 
 __all__ = [
     "NullStore",
@@ -81,8 +82,14 @@ def workload_fingerprint(graphs: Sequence[Graph]) -> str:
 
 
 def config_fingerprint(config: EvaluationConfig) -> str:
-    """Hash of every field that fixes how a candidate is trained/scored."""
-    return _digest(asdict(config))
+    """Hash of every setting that fixes how a candidate is trained/scored.
+
+    Two retired fields keep their place in the payload, so rows written
+    when they were settings stay hits: the Hadamard column every ansatz
+    now prepends, and the uniform window now a constant."""
+    settings = asdict(config)
+    settings.update(initial_hadamard=True, init_scale=initialization.UNIFORM_SCALE)
+    return _digest(settings)
 
 
 def candidate_key(

@@ -32,19 +32,17 @@ GRAD_CLIP = 5.0
 
 
 class PolicyController:
-    """Autoregressive token policy with manual BPTT.
+    """Autoregressive token policy with manual BPTT, trained through
+    :class:`ControllerPredictor` in the Algorithm-1 search loop."""
 
-    Satisfies the policy protocol of
-    :class:`repro.ml.reinforce.ReinforceTrainer` and is also usable through
-    :class:`ControllerPredictor` in the Algorithm-1 search loop.
-    """
+    #: token-embedding width: a class constant (a test monkeypatches it)
+    embedding_dim = 16
 
     def __init__(
         self,
         alphabet: GateAlphabet,
         max_gates: int = 4,
         *,
-        embedding_dim: int = 16,
         hidden_dim: int = 32,
         learning_rate: float = 0.02,
         allow_end: bool = True,
@@ -57,8 +55,8 @@ class PolicyController:
         self.vocab = alphabet.size  # output tokens
         self.end_index = alphabet.size
         self.start_index = alphabet.size + 1
-        self.embedding = Embedding(self.vocab + 2, embedding_dim, seed=seed)
-        self.lstm = LSTMCell(embedding_dim, hidden_dim, seed=seed + 1)
+        self.embedding = Embedding(self.vocab + 2, self.embedding_dim, seed=seed)
+        self.lstm = LSTMCell(self.embedding_dim, hidden_dim, seed=seed + 1)
         self.head = Dense(hidden_dim, self.vocab + 1, seed=seed + 2)  # +1 for END
         self._layers = [self.embedding, self.lstm, self.head]
         self._updater = AdamUpdater(self._layers, lr=learning_rate)

@@ -106,10 +106,6 @@ class EvaluationConfig:
     array_backend: str = "numpy"
     #: base seed for initial-parameter draws (stably combined per graph/restart)
     seed: int = 7
-    #: prepend the Hadamard column vs. starting from |+>^n
-    initial_hadamard: bool = True
-    #: scale of the uniform initial-parameter window
-    init_scale: float = 0.5
     #: how Eq. (3)'s ratio is scored: "energy" uses the trained <C>;
     #: "best_sampled" uses E[best cut of `shots` measurements] — the
     #: paper's "<C_max> ... largest cut discovered" reading, which places
@@ -214,13 +210,7 @@ class Evaluator:
         config = self.config
         objectives = [
             AnsatzEnergy(
-                self.builder.build_qaoa(
-                    graph,
-                    tokens,
-                    p,
-                    initial_hadamard=config.initial_hadamard,
-                    workload=config.workload,
-                ),
+                self.builder.build_qaoa(graph, tokens, p, workload=config.workload),
                 engine=config.engine,
                 array_backend=config.array_backend,
             )
@@ -287,7 +277,7 @@ class Evaluator:
             elif self.config.init_strategy in ("ramp", "interp"):
                 rows.append(ramp_init(p, rng=rng, jitter=0.05))
             else:
-                rows.append(uniform_init(p, scale=self.config.init_scale, rng=rng))
+                rows.append(uniform_init(p, rng=rng))
         return np.stack(rows)
 
     def _train(

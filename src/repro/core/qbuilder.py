@@ -49,7 +49,6 @@ class QBuilder:
         tokens: Sequence[str],
         p: int,
         *,
-        initial_hadamard: bool = True,
         workload: str = "maxcut",
     ) -> QAOAAnsatz:
         """``BUILD_QAOA_CKT``: the full Eq. (2) ansatz around the mixer.
@@ -58,9 +57,7 @@ class QBuilder:
         :mod:`repro.workloads` registry (default: the paper's MaxCut).
         """
         tokens = self.validate_tokens(tokens)
-        return build_qaoa_ansatz(
-            graph, p, tokens, initial_hadamard=initial_hadamard, workload=workload
-        )
+        return build_qaoa_ansatz(graph, p, tokens, workload=workload)
 
     # -- tensor interchange -------------------------------------------------------
 
@@ -70,11 +67,8 @@ class QBuilder:
         graph: Graph,
         p: int,
         *,
-        initial_hadamard: bool = True,
         workload: str = "maxcut",
     ) -> QAOAAnsatz:
         """Decode a predictor tensor and build the ansatz in one step."""
         tokens = decode_encoding(encoding, self.alphabet)
-        return self.build_qaoa(
-            graph, tokens, p, initial_hadamard=initial_hadamard, workload=workload
-        )
+        return self.build_qaoa(graph, tokens, p, workload=workload)

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 import time
 from collections.abc import Iterator, Sequence
@@ -77,7 +78,7 @@ from repro.parallel.cluster import least_loaded_partition
 from repro.parallel.executor import Executor, SerialExecutor
 from repro.parallel.jobs import JobScheduler
 from repro.qaoa.ansatz import build_qaoa_ansatz
-from repro.utils.validation import ConfigError
+from repro.utils.validation import ConfigError, check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (search imports us)
     from repro.core.search import SearchConfig
@@ -112,9 +113,9 @@ class CancellationToken:
     fire it while the sweep runs on another.
     """
 
-    def __init__(self, reason: str = "cancelled") -> None:
+    def __init__(self) -> None:
         self._event = threading.Event()
-        self.reason = reason
+        self.reason = "cancelled"
 
     def cancel(self, reason: str | None = None) -> None:
         if reason is not None:
@@ -158,6 +159,9 @@ class RuntimeConfig:
     cache_max_entries: int | None = None
 
     def __post_init__(self) -> None:
+        check_positive(self.max_retries, "max_retries", strict=False)
+        if self.job_timeout is not None and not 0 < self.job_timeout < math.inf:
+            raise ValueError(f"job_timeout must be finite and > 0, got {self.job_timeout}")
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.shard_index is not None and not (
@@ -599,11 +603,7 @@ class SearchRuntime:
             return None
         try:
             ansatz = build_qaoa_ansatz(
-                self.graphs[0],
-                p,
-                best.tokens,
-                initial_hadamard=self.config.evaluation.initial_hadamard,
-                workload=self.config.evaluation.workload,
+                self.graphs[0], p, best.tokens, workload=self.config.evaluation.workload
             )
             return to_qasm(ansatz.bind(list(best.best_params[0])))
         except (QasmError, ValueError):

@@ -76,6 +76,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         check_positive(self.p_max, "p_max")
         check_positive(self.k_max, "k_max")
+        if self.num_samples is not None:
+            check_positive(self.num_samples, "num_samples")
 
 
 def search_mixer(

@@ -136,9 +136,9 @@ def measure_array_backends(ansatz, x, timed_evals: int) -> dict:
     return rows
 
 
-def get_scale(override: str | None = None) -> ExperimentScale:
-    """Resolve the active preset (env ``QARCH_BENCH_SCALE`` unless overridden)."""
-    name = override or os.environ.get("QARCH_BENCH_SCALE", "ci")
+def get_scale() -> ExperimentScale:
+    """Resolve the active preset (env ``QARCH_BENCH_SCALE``, default ``ci``)."""
+    name = os.environ.get("QARCH_BENCH_SCALE", "ci")
     try:
         return SCALES[name]
     except KeyError:

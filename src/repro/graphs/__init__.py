@@ -31,7 +31,7 @@ from repro.graphs.generators import (
     random_regular_graph,
     star_graph,
 )
-from repro.graphs.io import graph_from_dict, graph_to_dict, load_graphs, save_graphs
+from repro.graphs.io import graph_from_dict, graph_to_dict
 
 __all__ = [
     "Graph",
@@ -50,6 +50,4 @@ __all__ = [
     "profiling_graph",
     "graph_from_dict",
     "graph_to_dict",
-    "load_graphs",
-    "save_graphs",
 ]

@@ -60,10 +60,13 @@ def paper_er_dataset(
     return graphs
 
 
+#: the degree of §3.2's regular graphs
+REGULAR_DEGREE = 4
+
+
 def paper_regular_dataset(
     num_graphs: int = 20,
     num_nodes: int = 10,
-    degree: int = 4,
     *,
     dataset_seed: int = 2023,
 ) -> list[Graph]:
@@ -73,8 +76,8 @@ def paper_regular_dataset(
     return [
         random_regular_graph(
             num_nodes,
-            degree,
-            seed=stable_seed(dataset_seed, "regular", degree, i),
+            REGULAR_DEGREE,
+            seed=stable_seed(dataset_seed, "regular", REGULAR_DEGREE, i),
         )
         for i in range(num_graphs)
     ]

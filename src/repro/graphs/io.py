@@ -1,20 +1,17 @@
 """Graph (de)serialization.
 
 Experiment records persist their workloads so a figure can be regenerated
-from the saved run without re-deriving seeds. The format is plain JSON —
-small graphs, human-inspectable, no pickle across versions.
+from the saved run without re-deriving seeds. The format is a JSON-safe
+dict — small graphs, human-inspectable, no pickle across versions.
 """
 
 from __future__ import annotations
 
-import json
-from collections.abc import Sequence
-from pathlib import Path
 from typing import Any
 
 from repro.graphs.generators import Graph
 
-__all__ = ["graph_to_dict", "graph_from_dict", "save_graphs", "load_graphs"]
+__all__ = ["graph_to_dict", "graph_from_dict"]
 
 
 def graph_to_dict(graph: Graph) -> dict[str, Any]:
@@ -34,16 +31,3 @@ def graph_from_dict(data: dict[str, Any]) -> Graph:
     weights = tuple(float(w) for w in data.get("weights", ()))
     return Graph(int(data["num_nodes"]), edges, weights)
 
-
-def save_graphs(graphs: Sequence[Graph], path: str | Path) -> None:
-    """Write a list of graphs as a JSON document."""
-    payload = {"format": "repro-graphs-v1", "graphs": [graph_to_dict(g) for g in graphs]}
-    Path(path).write_text(json.dumps(payload, indent=2))
-
-
-def load_graphs(path: str | Path) -> list[Graph]:
-    """Read graphs written by :func:`save_graphs`."""
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != "repro-graphs-v1":
-        raise ValueError(f"unrecognized graph file format in {path}")
-    return [graph_from_dict(g) for g in payload["graphs"]]

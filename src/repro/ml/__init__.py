@@ -9,7 +9,7 @@ so gradients are manual and finite-difference-tested.
 from repro.ml.activations import dsigmoid, dtanh, log_softmax, sigmoid, softmax, tanh
 from repro.ml.layers import Dense, Embedding, LSTMCell
 from repro.ml.optim import SGD, AdamUpdater, clip_gradients, global_grad_norm
-from repro.ml.reinforce import Episode, MovingBaseline, ReinforceTrainer
+from repro.ml.reinforce import Episode, MovingBaseline
 
 __all__ = [
     "Dense",
@@ -21,7 +21,6 @@ __all__ = [
     "global_grad_norm",
     "Episode",
     "MovingBaseline",
-    "ReinforceTrainer",
     "sigmoid",
     "dsigmoid",
     "tanh",

@@ -36,14 +36,15 @@ def dtanh(y: np.ndarray) -> np.ndarray:
     return 1.0 - y**2
 
 
-def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shift-invariant softmax along ``axis``."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Shift-invariant softmax along the last axis."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=axis, keepdims=True)
+    return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
-    """``log softmax`` computed without forming the ratio (stable)."""
-    shifted = logits - logits.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """``log softmax`` along the last axis, computed without forming the
+    ratio (stable)."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

@@ -65,19 +65,14 @@ class SGD:
 class AdamUpdater:
     """Adam over layer dicts (the controller's default trainer)."""
 
-    def __init__(
-        self,
-        layers: Iterable,
-        lr: float = 0.01,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    #: moment decays and denominator guard: class constants
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, layers: Iterable, lr: float = 0.01) -> None:
         self.layers = list(layers)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self._t = 0
         self._m = [
             {k: np.zeros_like(v) for k, v in layer.params.items()} for layer in self.layers

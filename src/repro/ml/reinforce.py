@@ -1,25 +1,17 @@
-"""REINFORCE policy-gradient machinery.
+"""REINFORCE policy-gradient pieces.
 
-Implements the "Reward Propagation" arrow of the paper's Fig. 1: episodes
-are token sequences sampled from a policy, rewards come from the Evaluator,
-and the policy ascends ``E[(R - b) * grad log pi(a|s)]`` with a moving
-baseline ``b`` for variance reduction and an entropy bonus against
-premature collapse (Zoph & Le 2016 style).
-
-The module is policy-agnostic: anything exposing ``sample_episode`` /
-``backprop_episode`` (see :class:`repro.core.controller.PolicyController`)
-can be trained.
+The "Reward Propagation" arrow of the paper's Fig. 1: episodes are token
+sequences sampled from a policy, rewards come from the Evaluator, and the
+policy ascends ``E[(R - b) * grad log pi(a|s)]`` with a moving baseline
+``b`` for variance reduction (Zoph & Le 2016 style). The update itself is
+:meth:`repro.core.controller.ControllerPredictor.update`'s.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from typing import Protocol
+from dataclasses import dataclass
 
-import numpy as np
-
-__all__ = ["Episode", "MovingBaseline", "ReinforceTrainer"]
+__all__ = ["Episode", "MovingBaseline"]
 
 
 @dataclass(frozen=True)
@@ -35,10 +27,10 @@ class Episode:
 class MovingBaseline:
     """Exponential-moving-average reward baseline."""
 
-    def __init__(self, decay: float = 0.8) -> None:
-        if not 0.0 <= decay < 1.0:
-            raise ValueError(f"decay must be in [0, 1), got {decay}")
-        self.decay = decay
+    #: weight of the old baseline in each update: a class constant
+    decay = 0.8
+
+    def __init__(self) -> None:
         self._value: float | None = None
 
     @property
@@ -54,58 +46,3 @@ class MovingBaseline:
         else:
             self._value = self.decay * self._value + (1.0 - self.decay) * reward
         return advantage
-
-
-class _Policy(Protocol):  # pragma: no cover - typing helper
-    def sample_episode(self, rng: np.random.Generator) -> Episode: ...
-
-    def backprop_episode(self, episode: Episode, scale: float, entropy_weight: float) -> None: ...
-
-    def zero_grad(self) -> None: ...
-
-    def apply_gradients(self) -> None: ...
-
-
-@dataclass
-class ReinforceTrainer:
-    """Batch REINFORCE: sample a batch, score it, take one policy step.
-
-    ``reward_fn`` maps an action tuple to a scalar reward (the Evaluator).
-    History tracks mean reward / best reward per update for the benches.
-    """
-
-    policy: _Policy
-    reward_fn: Callable[[tuple[int, ...]], float]
-    batch_size: int = 8
-    entropy_weight: float = 0.01
-    baseline: MovingBaseline = field(default_factory=MovingBaseline)
-    mean_rewards: list[float] = field(default_factory=list)
-    best_reward: float = float("-inf")
-    best_actions: tuple[int, ...] | None = None
-
-    def step(self, rng: np.random.Generator) -> float:
-        """One policy update; returns the batch mean reward."""
-        episodes = [self.policy.sample_episode(rng) for _ in range(self.batch_size)]
-        rewards = np.array([self.reward_fn(ep.actions) for ep in episodes])
-        for episode, reward in zip(episodes, rewards):
-            if reward > self.best_reward:
-                self.best_reward = float(reward)
-                self.best_actions = episode.actions
-        mean_reward = float(rewards.mean())
-        self.policy.zero_grad()
-        for episode, reward in zip(episodes, rewards):
-            advantage = reward - self.baseline.value
-            # ascend advantage * grad log pi  ==  descend with scale -adv
-            self.policy.backprop_episode(
-                episode,
-                scale=-advantage / self.batch_size,
-                entropy_weight=self.entropy_weight / self.batch_size,
-            )
-        self.baseline.update(mean_reward)
-        self.policy.apply_gradients()
-        self.mean_rewards.append(mean_reward)
-        return mean_reward
-
-    def train(self, num_updates: int, rng: np.random.Generator) -> None:
-        for _ in range(num_updates):
-            self.step(rng)

@@ -233,8 +233,8 @@ class Gauge(_Family):
     def inc(self, amount: float = 1.0) -> None:
         self._default_child().add(amount)
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._default_child().add(-amount)
+    def dec(self) -> None:
+        self._default_child().add(-1.0)
 
     def labels(self, **labels: str) -> _Value:
         return super().labels(**labels)  # type: ignore[return-value]

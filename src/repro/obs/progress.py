@@ -110,12 +110,12 @@ class SweepProgress:
             self.candidates_done += int(n)
         self._mirror()
 
-    def record_shard(self, shard: int, n: int = 1) -> None:
-        """Attribute ``n`` trained candidates to ``shard``, the scheduler
-        lane that completed them (:meth:`record` counts a depth's positions,
+    def record_shard(self, shard: int) -> None:
+        """Attribute one trained candidate to ``shard``, the scheduler lane
+        that completed it (:meth:`record` counts a depth's positions,
         repeats and claims collected from other sweeps included)."""
         with self._lock:
-            self.shard_counts[shard] = self.shard_counts.get(shard, 0) + int(n)
+            self.shard_counts[shard] = self.shard_counts.get(shard, 0) + 1
 
     def finish_depth(self, p: int) -> None:
         with self._lock:

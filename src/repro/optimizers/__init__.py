@@ -6,11 +6,15 @@ gradient-based training modes — all three are batch-native
 (:meth:`~repro.optimizers.base.Optimizer.minimize_batch`), and
 :class:`MultiRestart` trains a whole population of restarts as one batch
 on the compiled engine's vectorized evaluation seam.
+
+A trainer takes its budget (``maxiter``, and SPSA's ``seed``) and nothing
+else: each one's hyperparameters — SPSA's gains, Adam's rate and moment
+decays, the simplex and trust-region sizes and tolerances — are class
+constants, which a test monkeypatches.
 """
 
 from repro.optimizers.adam import Adam
 from repro.optimizers.base import (
-    BatchObjective,
     ObjectiveTracer,
     Optimizer,
     OptimizeResult,
@@ -26,7 +30,6 @@ __all__ = [
     "BATCH_MODES",
     "TRAINING_OPTIMIZERS",
     "Adam",
-    "BatchObjective",
     "Cobyla",
     "MultiRestart",
     "NelderMead",

@@ -5,6 +5,9 @@ Pairs with the parameter-shift gradients of
 alternative the optimizer ablation bench measures against the paper's
 derivative-free COBYLA.
 
+The learning rate, moment decays, denominator guard and gradient-norm
+stop are class constants of :class:`Adam`.
+
 Gradients come from the objective itself: :meth:`Adam.minimize` calls
 ``fn.gradient(x)``. Batch-native: :meth:`Adam.minimize_batch` updates a
 population of K restarts in lockstep with vectorized moment buffers,
@@ -37,22 +40,16 @@ class Adam(Optimizer):
 
     name = "adam"
     supports_batch = True
+    #: step size, moment decays, denominator guard and gradient-norm stop:
+    #: class constants (a test monkeypatches them)
+    learning_rate = 0.05
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+    gtol = 1e-6
 
-    def __init__(
-        self,
-        maxiter: int = 100,
-        learning_rate: float = 0.05,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        gtol: float = 1e-6,
-    ) -> None:
+    def __init__(self, maxiter: int = 100) -> None:
         self.maxiter = int(maxiter)
-        self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
-        self.gtol = float(gtol)
 
     def minimize(self, fn: Objective, x0: Sequence[float]) -> OptimizeResult:
         tracer = ObjectiveTracer(fn)

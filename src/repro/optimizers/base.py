@@ -16,9 +16,9 @@ batch instead of a Python loop of scalar calls. The objective is the one
 channel for values and gradients — no optimizer takes a second evaluator
 beside it — and two seams make batching work:
 
-* :class:`BatchObjective` — the protocol an objective implements to opt in
-  (``values(X)`` for a batch of rows; Adam also reads the objective's
-  ``gradient(x)`` / ``gradients(X)``).
+* a *batch objective* opts in with a ``values(X)`` method scoring the rows
+  of a ``(B, dim)`` batch in one pass (Adam also reads the objective's
+  ``gradient(x)`` / ``gradients(X)``);
   :meth:`repro.qaoa.energy.AnsatzEnergy.negative_objective` returns one.
 * :meth:`Optimizer.minimize_batch` — minimize from a population of start
   points at once. Batch-native subclasses (``supports_batch = True``)
@@ -44,12 +44,10 @@ from __future__ import annotations
 import abc
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
 
 import numpy as np
 
 __all__ = [
-    "BatchObjective",
     "ObjectiveTracer",
     "OptimizeResult",
     "Optimizer",
@@ -59,23 +57,9 @@ __all__ = [
 Objective = Callable[[np.ndarray], float]
 
 
-@runtime_checkable
-class BatchObjective(Protocol):
-    """An objective that can score whole parameter batches at once.
-
-    ``__call__`` keeps the scalar contract every optimizer understands;
-    ``values`` evaluates the rows of a ``(B, dim)`` batch in one pass and
-    returns ``(B,)`` objective values.
-    """
-
-    def __call__(self, x: np.ndarray) -> float: ...
-
-    def values(self, X: np.ndarray) -> np.ndarray: ...
-
-
 def batch_values(fn: Objective, X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
     """Objective values for the rows of ``X`` — one ``fn.values`` call when
-    ``fn`` is a :class:`BatchObjective`, a scalar loop otherwise (the serial
+    ``fn`` has one, a scalar loop otherwise (the serial
     fallback). ``X`` reaches ``values`` as given: a batch objective validates
     its own input (the compiled program does, once, at ``energies``).
     ``rows`` (each point's population row) reaches a population objective

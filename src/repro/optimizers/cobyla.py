@@ -4,7 +4,8 @@
 optimizer." We adapt SciPy's implementation (linear-approximation
 trust-region, derivative-free) to the package interface; SciPy is a
 declared dependency, not a stub — re-implementing Powell's COBYLA would
-add risk without adding fidelity.
+add risk without adding fidelity. The initial trust-region radius and the
+final accuracy are class constants of :class:`Cobyla`.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ class Cobyla(Optimizer):
     """SciPy COBYLA with the paper's 200-evaluation default budget."""
 
     name = "cobyla"
+    #: initial trust-region radius and final accuracy: class constants
+    rhobeg = 0.5
+    tol = 1e-6
 
-    def __init__(self, maxiter: int = 200, rhobeg: float = 0.5, tol: float = 1e-6) -> None:
+    def __init__(self, maxiter: int = 200) -> None:
         self.maxiter = int(maxiter)
-        self.rhobeg = float(rhobeg)
-        self.tol = float(tol)
 
     def minimize(self, fn: Objective, x0: Sequence[float]) -> OptimizeResult:
         # on use, not at ``import repro`` (0.46 s of a 0.67 s start-up): already

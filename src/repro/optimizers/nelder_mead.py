@@ -1,7 +1,8 @@
 """Nelder–Mead simplex minimizer, implemented from scratch.
 
 Standard adaptive-coefficient variant (Gao & Han 2012): reflection,
-expansion, contraction, shrink, with coefficients scaled by dimension.
+expansion, contraction, shrink, with coefficients scaled by dimension;
+the initial simplex edge and both stopping tolerances are class constants.
 Derivative-free like COBYLA, so it slots into the same Evaluator role; the
 optimizer ablation bench compares the two head-to-head on the QAOA
 training objective.
@@ -50,18 +51,14 @@ class NelderMead(Optimizer):
 
     name = "nelder_mead"
     supports_batch = True
+    #: initial simplex edge and the simplex-size / value-spread stops:
+    #: class constants (a test monkeypatches them)
+    initial_step = 0.5
+    xatol = 1e-8
+    fatol = 1e-8
 
-    def __init__(
-        self,
-        maxiter: int = 200,
-        initial_step: float = 0.5,
-        xatol: float = 1e-8,
-        fatol: float = 1e-8,
-    ) -> None:
+    def __init__(self, maxiter: int = 200) -> None:
         self.maxiter = int(maxiter)
-        self.initial_step = float(initial_step)
-        self.xatol = float(xatol)
-        self.fatol = float(fatol)
 
     def _coefficients(self, dim: int) -> tuple[float, float, float, float]:
         # adaptive coefficients (Gao & Han)

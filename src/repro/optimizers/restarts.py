@@ -24,8 +24,8 @@ one kernel launch instead of K.
 
 .. seealso::
 
-   :class:`~repro.optimizers.base.BatchObjective`
-       the protocol (``values(X)``) a batchable objective implements;
+   :mod:`repro.optimizers.base`
+       the ``values(X)`` method a batchable objective implements;
        :class:`~repro.qaoa.energy.NegatedEnergy` is the production
        instance.
    ``benchmarks/bench_batched_optimizers.py``

@@ -3,7 +3,8 @@
 The workhorse optimizer for *sampled* variational objectives: two function
 evaluations per step regardless of dimension, robust to shot noise. Uses
 the standard Spall gain sequences ``a_k = a/(k + 1 + A)^alpha`` and
-``c_k = c/(k + 1)^gamma`` with Rademacher perturbations.
+``c_k = c/(k + 1)^gamma`` with Rademacher perturbations; the five gain
+constants are class constants of :class:`SPSA`.
 
 Included because a production search package must train candidates on
 hardware-realistic (noisy) evaluators, and the optimizer ablation bench
@@ -47,23 +48,15 @@ class SPSA(Optimizer):
 
     name = "spsa"
     supports_batch = True
+    #: Spall's gain constants, class constants (a test monkeypatches them)
+    a = 0.2
+    c = 0.1
+    A = 10.0
+    alpha = 0.602
+    gamma = 0.101
 
-    def __init__(
-        self,
-        maxiter: int = 100,
-        a: float = 0.2,
-        c: float = 0.1,
-        A: float = 10.0,
-        alpha: float = 0.602,
-        gamma: float = 0.101,
-        seed=None,
-    ) -> None:
+    def __init__(self, maxiter: int = 100, seed=None) -> None:
         self.maxiter = int(maxiter)
-        self.a = float(a)
-        self.c = float(c)
-        self.A = float(A)
-        self.alpha = float(alpha)
-        self.gamma = float(gamma)
         self.seed = seed
 
     def minimize(self, fn: Objective, x0: Sequence[float]) -> OptimizeResult:

@@ -26,19 +26,17 @@ class QAOAAnsatz:
     """A built ansatz: its parameter vectors and what they parameterize.
 
     ``parameters`` concatenates ``gammas + betas`` — the flat layout the
-    optimizers see. ``initial_hadamard`` records whether the circuit
-    prepares ``|+>^n`` itself (H column) or expects the simulator to start
-    from the plus state. The symbolic :attr:`circuit` is built on first
-    access: the gate-level engines, :meth:`bind`, QASM export and drawing
-    read it; the compiled engine lowers the ansatz from its layer
-    structure and never does.
+    optimizers see. The circuit prepares ``|+>^n`` itself with a Hadamard
+    column, so a simulator starts it from ``|0>^n``. The symbolic
+    :attr:`circuit` is built on first access: the gate-level engines,
+    :meth:`bind`, QASM export and drawing read it; the compiled engine
+    lowers the ansatz from its layer structure and never does.
     """
 
     gammas: tuple[Parameter, ...]
     betas: tuple[Parameter, ...]
     graph: Graph
     mixer_tokens: tuple[str, ...]
-    initial_hadamard: bool
     #: registry key of the problem this ansatz optimizes (the phase
     #: separators of ``circuit`` come from this workload)
     workload: str = "maxcut"
@@ -55,9 +53,8 @@ class QAOAAnsatz:
         circuit = QuantumCircuit(
             n, name=f"qaoa_p{self.p}_{mixer_label(self.mixer_tokens)}"
         )
-        if self.initial_hadamard:
-            for q in range(n):
-                circuit.h(q)
+        for q in range(n):
+            circuit.h(q)
         for gamma, beta in zip(self.gammas, self.betas):
             problem.append_cost_layer(circuit, self.graph, gamma)
             append_mixer_layer(circuit, self.mixer_tokens, beta)
@@ -84,12 +81,6 @@ class QAOAAnsatz:
         mapping = dict(zip(self.parameters, values))
         return self.circuit.bind_parameters(mapping)
 
-    @property
-    def initial_state_label(self) -> str:
-        """What the simulator should start from: ``"0"`` if the circuit has
-        its own Hadamard column, else ``"+"``."""
-        return "0" if self.initial_hadamard else "+"
-
     def compile(self, *, backend=None):
         """Lower into a :class:`~repro.simulators.compiled.CompiledProgram`.
 
@@ -111,7 +102,6 @@ def build_qaoa_ansatz(
     p: int,
     mixer_tokens: Sequence[str] = ("rx",),
     *,
-    initial_hadamard: bool = True,
     workload: str = "maxcut",
 ) -> QAOAAnsatz:
     """Construct the Eq. (2) ansatz for ``graph`` at depth ``p``.
@@ -132,4 +122,4 @@ def build_qaoa_ansatz(
     check_mixer_tokens(tokens)
     gammas = tuple(Parameter(f"gamma_{k}") for k in range(p))
     betas = tuple(Parameter(f"beta_{k}") for k in range(p))
-    return QAOAAnsatz(gammas, betas, graph, tokens, initial_hadamard, workload)
+    return QAOAAnsatz(gammas, betas, graph, tokens, workload)

@@ -49,7 +49,7 @@ from repro.circuits.parameters import Parameter, ParameterExpression
 from repro.qaoa.ansatz import QAOAAnsatz
 from repro.simulators.backends import ArrayBackend, get_array_backend
 from repro.simulators.compiled import SHIFT_RULE_GATES, CompiledProgram, ProgramGroup
-from repro.simulators.statevector import plus_state, simulate, zero_state
+from repro.simulators.statevector import simulate, zero_state
 from repro.utils.validation import check_choice
 
 __all__ = ["AnsatzEnergy", "ENGINES", "NegatedEnergy", "NegatedPopulation"]
@@ -103,10 +103,10 @@ class AnsatzEnergy:
         return self.value(x)
 
     def negative_objective(self) -> NegatedEnergy:
-        """The minimization view of this energy as a
-        :class:`~repro.optimizers.base.BatchObjective` — scalar calls,
-        batched ``values``, and (batched) parameter-shift gradients all
-        negated, so batch-native optimizers can drive it directly."""
+        """The minimization view of this energy as a batch objective
+        (:mod:`repro.optimizers.base`) — scalar calls, batched ``values``,
+        and (batched) parameter-shift gradients all negated, so
+        batch-native optimizers can drive it directly."""
         return NegatedEnergy(self)
 
     def values(self, X: Sequence[Sequence[float]]) -> np.ndarray:
@@ -125,9 +125,8 @@ class AnsatzEnergy:
         )
 
     def _dense_initial_state(self) -> np.ndarray:
-        """|0...0> when the circuit carries its own H column, else |+>^n."""
-        n = self.ansatz.circuit.num_qubits
-        return zero_state(n) if self.ansatz.initial_hadamard else plus_state(n)
+        """|0...0>: the circuit carries its own H column."""
+        return zero_state(self.ansatz.circuit.num_qubits)
 
     def final_state(self, x: Sequence[float]) -> np.ndarray:
         """The trained circuit's output statevector at ``x`` (dense)."""
@@ -220,8 +219,8 @@ class AnsatzEnergy:
 class NegatedEnergy:
     """Minimization view of an :class:`AnsatzEnergy` (``-<C>``).
 
-    Implements the :class:`~repro.optimizers.base.BatchObjective` protocol:
-    scalar ``__call__``, batched ``values``, and (batched) gradients, each
+    A batch objective (:mod:`repro.optimizers.base`): scalar ``__call__``,
+    batched ``values``, and (batched) gradients, each
     the negation of the underlying energy — one graph's objective; the
     Evaluator trains a candidate's graphs together, as rows of a
     :class:`NegatedPopulation`.

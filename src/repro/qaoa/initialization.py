@@ -28,13 +28,16 @@ __all__ = ["uniform_init", "ramp_init", "interp_init"]
 #: :func:`ramp_init`'s last gamma and first beta
 GAMMA_MAX = 0.8
 BETA_MAX = 0.6
+#: half-width of :func:`uniform_init`'s window
+UNIFORM_SCALE = 0.5
 
 
-def uniform_init(p: int, *, scale: float = 0.5, rng=None) -> np.ndarray:
-    """Flat ``[gammas..., betas...]`` drawn uniformly from ``[-scale, scale]``."""
+def uniform_init(p: int, *, rng=None) -> np.ndarray:
+    """Flat ``[gammas..., betas...]`` drawn uniformly from
+    ``[-UNIFORM_SCALE, UNIFORM_SCALE]``."""
     check_positive(p, "p")
     rng = as_rng(rng)
-    return rng.uniform(-scale, scale, size=2 * p)
+    return rng.uniform(-UNIFORM_SCALE, UNIFORM_SCALE, size=2 * p)
 
 
 def ramp_init(p: int, *, rng=None, jitter: float = 0.0) -> np.ndarray:

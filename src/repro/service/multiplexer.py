@@ -226,18 +226,17 @@ class SweepMultiplexer:
             )
             slot.thread.start()
 
-    def stop(self, drain_timeout: float | None = None) -> None:
+    def stop(self) -> None:
         """Stop claiming, drain running sweeps, then release the fleet.
 
-        Waits up to ``drain_timeout`` (default: the constructor's) for
-        in-flight sweeps to finish; past the deadline they are cancelled
-        at their next checkpoint and their jobs requeued with the attempt
-        refunded, so a restart resumes them from cache.
+        Waits up to ``drain_timeout`` for in-flight sweeps to finish; past
+        the deadline they are cancelled at their next checkpoint and their
+        jobs requeued with the attempt refunded, so a restart resumes them
+        from cache.
         """
         self._stop.set()
         self.queue.announce()  # idle slots see the flag now, not a poll later
-        deadline = drain_timeout if drain_timeout is not None else self.drain_timeout
-        expires = None if deadline is None else time.monotonic() + deadline
+        expires = None if self.drain_timeout is None else time.monotonic() + self.drain_timeout
         for slot in self._slots:
             if slot.thread is None:
                 continue

@@ -196,11 +196,11 @@ class SearchService:
     def start(self) -> None:
         self.multiplexer.start()
 
-    def stop(self, drain_timeout: float | None = None) -> None:
+    def stop(self) -> None:
         """Drain running sweeps (bounded by ``drain_timeout``), then
         release the fleet, cache, and queue. Jobs still running past the
         deadline are cancelled cooperatively and requeued unharmed."""
-        self.multiplexer.stop(drain_timeout)
+        self.multiplexer.stop()
         self._executor.close()
         self.cache.close()
         self.queue.close()
@@ -234,7 +234,9 @@ class SearchService:
             depths = int(payload.get("depths", 1))
             if depths < 1:
                 raise ValueError(f"depths must be >= 1, got {depths}")
-            config.search_config(depths)  # constructs → validates every knob
+            # constructs → validates every knob
+            config.search_config(depths)
+            config.for_service().runtime_config()
             tenant = str(payload.get("tenant", config.tenant) or "default")
             priority = int(payload.get("priority", config.priority))
         except (ValueError, TypeError, KeyError) as error:

@@ -33,7 +33,6 @@ from repro.simulators.expectation import (
     bit_table,
     cut_values,
     maxcut_expectation,
-    pauli_expectation,
 )
 from repro.simulators.statevector import (
     apply_gate,
@@ -64,5 +63,4 @@ __all__ = [
     "bit_table",
     "cut_values",
     "maxcut_expectation",
-    "pauli_expectation",
 ]

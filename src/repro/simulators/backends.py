@@ -204,8 +204,8 @@ class MockGPUArrayBackend(ArrayBackend):
 
     name = "mock_gpu"
 
-    def __init__(self, model: DeviceModel | None = None) -> None:
-        self.model = model or DeviceModel()
+    def __init__(self) -> None:
+        self.model = DeviceModel()
         self._xp = _InstrumentedNamespace(self)
         self.kernels = 0
         self.elements = 0.0

@@ -1594,7 +1594,7 @@ def compile_ansatz(
         return compile_circuit(
             ansatz.circuit,
             ansatz.parameters,
-            initial_state=ansatz.initial_state_label,
+            initial_state="0",
             graph=graph,
             backend=backend,
             cost_values=cost_values,
@@ -1604,11 +1604,10 @@ def compile_ansatz(
         num_qubits=n,
         num_parameters=ansatz.num_parameters,
         ops=_stitch(cost, mixer, ansatz.p),
-        # with its own Hadamard column or without, the program starts in |+>^n
+        # the ansatz's Hadamard column is folded in: the program starts in |+>^n
         initial_state_label="+",
         graph=graph,
-        source_gates=(n if ansatz.initial_hadamard else 0)
-        + ansatz.p * (cost.source_gates + mixer.source_gates),
+        source_gates=n + ansatz.p * (cost.source_gates + mixer.source_gates),
         backend=backend,
         cost_values=cost_values,
     )

@@ -5,9 +5,7 @@ The quantities the evaluator needs every optimizer step:
 * :func:`cut_values` — the max-cut objective of Eq. (1) evaluated for all
   ``2^n`` bitstrings at once (vectorized bit tricks, cached per graph);
 * :func:`maxcut_expectation` — ``<psi| C |psi> = p . cut_values`` where
-  ``p = |psi|^2``;
-* :func:`pauli_expectation` — general Pauli-string expectations, used as a
-  test oracle and by the analytic-QAOA checks.
+  ``p = |psi|^2``.
 
 Bit convention matches :mod:`repro.simulators.statevector`: qubit ``k`` is
 bit ``k`` of the basis index.
@@ -19,16 +17,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.circuits.gates import gate_matrix
 from repro.graphs.generators import Graph
-from repro.simulators.statevector import apply_gate
 
 __all__ = [
     "TABLE_MEMO_MAX_NODES",
     "bit_table",
     "cut_values",
     "maxcut_expectation",
-    "pauli_expectation",
 ]
 
 
@@ -91,35 +86,3 @@ def maxcut_expectation(state: np.ndarray, graph: Graph) -> float:
     probs = np.abs(state) ** 2
     return float(probs @ cut_values(graph))
 
-
-_PAULI_NAMES = {"I": "id", "X": "x", "Y": "y", "Z": "z"}
-
-
-def pauli_expectation(state: np.ndarray, pauli: str) -> float:
-    """Expectation of a Pauli string like ``"XIZY"``.
-
-    Character ``j`` of the string acts on qubit ``j`` (little-endian order,
-    consistent with everything else). Computed as ``<psi| P |psi>`` by
-    applying the string gate-by-gate; exact, intended for tests.
-    """
-    n = len(pauli)
-    if state.shape[0] != 2**n:
-        raise ValueError(
-            f"Pauli string length {n} does not match state dimension {state.shape[0]}"
-        )
-    transformed = state
-    for qubit, label in enumerate(pauli):
-        try:
-            gate_name = _PAULI_NAMES[label.upper()]
-        except KeyError:
-            raise ValueError(f"invalid Pauli character {label!r} in {pauli!r}") from None
-        if gate_name == "id":
-            continue
-        transformed = apply_gate(transformed, gate_matrix(gate_name), [qubit], n)
-    value = np.vdot(state, transformed)
-    if abs(value.imag) > 1e-9:
-        raise AssertionError(
-            f"Pauli expectation has imaginary part {value.imag:.3g}; "
-            "state or string is inconsistent"
-        )
-    return float(value.real)

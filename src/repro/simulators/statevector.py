@@ -22,12 +22,11 @@ Conventions:
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.parameters import Parameter
 from repro.utils.validation import check_positive
 
 __all__ = [
@@ -95,15 +94,12 @@ def apply_gate(
     return result.reshape((2**num_qubits,) + batch_shape)
 
 
-def simulate(
-    circuit: QuantumCircuit,
-    initial_state: np.ndarray | None = None,
-    bindings: Mapping[Parameter, float] | None = None,
-) -> np.ndarray:
+def simulate(circuit: QuantumCircuit, initial_state: np.ndarray | None = None) -> np.ndarray:
     """Run ``circuit`` and return the final flat state vector.
 
-    ``bindings`` resolves any symbolic parameters; unbound parameters raise
-    with the offending names.
+    Symbolic parameters must be bound first
+    (:meth:`~repro.circuits.circuit.QuantumCircuit.bind_parameters`);
+    unbound ones raise with the offending names.
     """
     n = circuit.num_qubits
     state = zero_state(n) if initial_state is None else np.asarray(initial_state, dtype=complex)
@@ -112,16 +108,12 @@ def simulate(
             f"initial state has dimension {state.shape[0]}, expected {2**n}"
         )
     state = state.copy()
-    bindings = bindings or {}
     for instr in circuit.instructions:
-        state = apply_gate(state, instr.gate.matrix(bindings), instr.qubits, n)
+        state = apply_gate(state, instr.gate.matrix(), instr.qubits, n)
     return state
 
 
-def circuit_unitary(
-    circuit: QuantumCircuit,
-    bindings: Mapping[Parameter, float] | None = None,
-) -> np.ndarray:
+def circuit_unitary(circuit: QuantumCircuit) -> np.ndarray:
     """The full ``2^n x 2^n`` unitary of a (small) circuit.
 
     Columns are basis-state images, pushed through the circuit as one
@@ -129,7 +121,6 @@ def circuit_unitary(
     """
     n = circuit.num_qubits
     state = np.eye(2**n, dtype=complex)  # column j = |j>
-    bindings = bindings or {}
     for instr in circuit.instructions:
-        state = apply_gate(state, instr.gate.matrix(bindings), instr.qubits, n)
+        state = apply_gate(state, instr.gate.matrix(), instr.qubits, n)
     return state

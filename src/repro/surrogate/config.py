@@ -3,9 +3,10 @@
 One frozen dataclass fixes everything about how a sweep's surrogate
 behaves: whether it runs at all, how aggressively it prunes
 (``keep_fraction``), how much unconditional exploration survives the
-pruning (``explore_floor``), when the ranker is trusted enough to start
-filtering (``min_observations``), and the model hyperparameters. The
-settings are part of the sweep's *checkpoint* fingerprint (see
+pruning (``explore_floor``) and the seed. When the ranker is trusted
+enough to start filtering (``min_observations``) and the model
+hyperparameters are class constants no caller sets (a test monkeypatches
+them). All of it is part of the sweep's *checkpoint* fingerprint (see
 :class:`~repro.core.runtime.SearchRuntime`) so a surrogate-assisted
 sweep can never restore — or be restored by — a plain sweep's depth
 checkpoints, while individual candidate evaluations (pure functions of
@@ -21,6 +22,9 @@ from dataclasses import asdict, dataclass
 
 __all__ = ["SurrogateConfig"]
 
+#: the settings that were fields once and are class constants now
+_CONSTANTS = ("min_observations", "embedding_dim", "hidden_dim", "learning_rate", "train_epochs")
+
 
 @dataclass(frozen=True)
 class SurrogateConfig:
@@ -35,22 +39,19 @@ class SurrogateConfig:
     #: a seeded uniform sample that keeps the surrogate from locking in
     #: a bad prior; 1.0 degenerates to the unfiltered search
     explore_floor: float = 0.1
-    #: completed evaluations the model must have seen before it is
-    #: allowed to filter anything (until then every candidate passes)
-    min_observations: int = 8
-    #: token-embedding width of the sequence encoder
-    embedding_dim: int = 16
-    #: LSTM hidden width of the sequence encoder
-    hidden_dim: int = 32
-    #: Adam learning rate of the online training loop
-    learning_rate: float = 0.05
-    #: full-batch epochs per training round (one round per finished depth)
-    train_epochs: int = 60
     #: seed for model init and the exploration-floor draws
     seed: int = 0
-    #: also fit the evaluation-cost model (measured ``seconds`` →
-    #: shard placement) from the same result stream
-    cost_model: bool = True
+
+    # Class constants, not fields (no annotation): completed evaluations
+    # the model must have seen before it may filter anything (until then
+    # every candidate passes), the encoder's token-embedding and LSTM
+    # widths, and the online Adam loop's rate and full-batch epochs per
+    # training round (one round per finished depth).
+    min_observations = 8
+    embedding_dim = 16
+    hidden_dim = 32
+    learning_rate = 0.05
+    train_epochs = 60
 
     def __post_init__(self) -> None:
         if not 0.0 < self.keep_fraction <= 1.0:
@@ -61,20 +62,16 @@ class SurrogateConfig:
             raise ValueError(
                 f"explore_floor must be in [0, 1], got {self.explore_floor}"
             )
-        if self.min_observations < 1:
-            raise ValueError(
-                f"min_observations must be >= 1, got {self.min_observations}"
-            )
-        for name in ("embedding_dim", "hidden_dim", "train_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.learning_rate <= 0.0:
-            raise ValueError(
-                f"learning_rate must be > 0, got {self.learning_rate}"
-            )
 
     def fingerprint(self) -> str:
         """Stable hash of every setting — folded into the sweep's depth
-        checkpoint fingerprints so surrogate and plain runs never alias."""
-        blob = json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+        checkpoint fingerprints so surrogate and plain runs never alias.
+        The class constants count as they did when they were fields, and
+        so does the cost model they once let a caller switch off: a
+        checkpoint written then is still a hit."""
+        settings = asdict(self)
+        for name in _CONSTANTS:
+            settings[name] = getattr(self, name)
+        settings["cost_model"] = True
+        blob = json.dumps(settings, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]

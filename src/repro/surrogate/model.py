@@ -26,6 +26,7 @@ import numpy as np
 from repro.core.alphabet import GateAlphabet
 from repro.ml.layers import Dense, Embedding, LSTMCell
 from repro.ml.optim import AdamUpdater, clip_gradients
+from repro.surrogate.config import SurrogateConfig
 
 __all__ = ["SurrogateModel"]
 
@@ -46,25 +47,18 @@ class SurrogateModel:
     Algorithm 1's SELECT_BEST uses.
     """
 
-    def __init__(
-        self,
-        alphabet: GateAlphabet,
-        *,
-        embedding_dim: int = 16,
-        hidden_dim: int = 32,
-        learning_rate: float = 0.05,
-        train_epochs: int = 60,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, alphabet: GateAlphabet, *, seed: int = 0) -> None:
         self.alphabet = alphabet
-        self.hidden_dim = hidden_dim
-        self.train_epochs = train_epochs
+        # the widths, rate and epochs are SurrogateConfig's class constants
+        self.hidden_dim = hidden_dim = SurrogateConfig.hidden_dim
+        self.train_epochs = SurrogateConfig.train_epochs
+        embedding_dim = SurrogateConfig.embedding_dim
         self.embedding = Embedding(alphabet.size, embedding_dim, seed=seed)
         self.lstm = LSTMCell(embedding_dim, hidden_dim, seed=seed + 1)
         # +1 input: the scaled depth feature rides next to the final h.
         self.head = Dense(hidden_dim + 1, 1, seed=seed + 2)
         self._layers = [self.embedding, self.lstm, self.head]
-        self._updater = AdamUpdater(self._layers, lr=learning_rate)
+        self._updater = AdamUpdater(self._layers, lr=SurrogateConfig.learning_rate)
         self._buffer: list[tuple[tuple[int, ...], int, float]] = []
         self._dirty = False
         #: z-normalization of targets, refreshed at each fit

@@ -97,15 +97,8 @@ class SurrogateAssistant(Proposer):
         self.inner = inner
         self.name = inner.name
         self.config = config
-        self.model = SurrogateModel(
-            alphabet,
-            embedding_dim=config.embedding_dim,
-            hidden_dim=config.hidden_dim,
-            learning_rate=config.learning_rate,
-            train_epochs=config.train_epochs,
-            seed=config.seed,
-        )
-        self.cost = CostModel() if config.cost_model else None
+        self.model = SurrogateModel(alphabet, seed=config.seed)
+        self.cost = CostModel()
         self.kept = 0
         self.skipped = 0
         self._selections = 0
@@ -136,8 +129,7 @@ class SurrogateAssistant(Proposer):
         """The slice of this depth's pool that gets real evaluation."""
         start = time.perf_counter()
         self.model.fit()
-        if self.cost is not None:
-            self.cost.fit()
+        self.cost.fit()
         pool = list(candidates)
         if (
             len(pool) > 1
@@ -175,15 +167,11 @@ class SurrogateAssistant(Proposer):
         targets the depth winner."""
         for evaluation in evaluations:
             self.model.observe(evaluation.tokens, evaluation.p, evaluation.reward)
-            if self.cost is not None and evaluation.seconds > 0.0:
-                self.cost.observe(
-                    evaluation.tokens, evaluation.p, evaluation.seconds
-                )
+            if evaluation.seconds > 0.0:
+                self.cost.observe(evaluation.tokens, evaluation.p, evaluation.seconds)
         self.inner.observe(evaluations)
 
     def predicted_cost(self, tokens: Sequence[str], p: int) -> float:
-        """Placement cost for the sharded runtime: the fitted cost model,
-        or ``inner``'s estimate when the cost model is off."""
-        if self.cost is not None:
-            return self.cost.predict(tokens, p)
-        return self.inner.predicted_cost(tokens, p)
+        """Placement cost for the sharded runtime: the cost model's (the
+        static heuristic until it is fitted)."""
+        return self.cost.predict(tokens, p)

@@ -73,9 +73,9 @@ def check_probability(value: Any, name: str) -> float:
     return as_float
 
 
-def check_qubit_index(qubit: Any, num_qubits: int, name: str = "qubit") -> int:
+def check_qubit_index(qubit: Any, num_qubits: int) -> int:
     """Validate a qubit index against the register size."""
-    as_int = check_integer(qubit, name)
+    as_int = check_integer(qubit, "qubit")
     if not 0 <= as_int < num_qubits:
-        raise ValueError(f"{name} {as_int} out of range for {num_qubits} qubit register")
+        raise ValueError(f"qubit {as_int} out of range for {num_qubits} qubit register")
     return as_int

@@ -6,8 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from repro.circuits.gates import GATE_REGISTRY, Gate, gate_matrix, make_gate
+from repro.circuits.gates import GATE_REGISTRY, Gate, make_gate
 from repro.circuits.parameters import Parameter
+
+
+def gate_matrix(name, *params):
+    """A registry gate's concrete matrix."""
+    return make_gate(name, *params).matrix()
 
 
 def _random_params(spec, rng):

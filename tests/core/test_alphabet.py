@@ -9,7 +9,6 @@ from repro.core.alphabet import (
     count_sequences,
     enumerate_search_space,
     gate_sequences,
-    paper_space_size,
 )
 
 
@@ -84,8 +83,7 @@ class TestCounting:
 
     def test_paper_2500(self):
         """§3.1: 2500 circuit combinations = 4 depths x 5^4 sequences."""
-        assert paper_space_size() == 2500
-        assert paper_space_size(p_max=4, k=4, alphabet_size=5) == 4 * 625
+        assert 4 * count_sequences(5, 4, ordered=True, repetition=True) == 2500
 
 
 class TestSearchSpace:

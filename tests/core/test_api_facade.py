@@ -121,6 +121,29 @@ class TestConfig:
         ):
             Config(engine="qtensor")
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({"retries": -1}, "max_retries must be >= 0, got -1"),
+            ({"job_timeout": -1.0}, "job_timeout must be finite and > 0, got -1.0"),
+            ({"job_timeout": 0.0}, "job_timeout must be finite and > 0, got 0.0"),
+            ({"job_timeout": float("nan")}, "job_timeout must be finite and > 0, got nan"),
+            ({"job_timeout": float("inf")}, "job_timeout must be finite and > 0, got inf"),
+            ({"num_samples": 2.5}, "num_samples must be an integer, got 2.5"),
+            ({"num_samples": -1}, "num_samples must be > 0, got -1"),
+            ({"num_samples": 0}, "num_samples must be > 0, got 0"),
+        ],
+    )
+    def test_bad_retries_timeouts_and_sample_caps_fail_before_any_work(self, bad, message):
+        """Each used to run: a negative retry count, a timeout that never
+        fires or overflows the clock, a cap that slices the pool wrong."""
+        config = Config(**bad)
+        with pytest.raises(ConfigError, match=message):
+            config.runtime_config()
+            config.search_config(1)
+        with pytest.raises(ConfigError, match=message):
+            search("er:1", depths=1, config=config)
+
     def test_for_service_drops_the_local_execution_group(self):
         config = Config(
             workers=4, shards=2, shard_index=1, cache_dir="/tmp/x",

@@ -18,6 +18,8 @@ from repro.core.cache import (
 from repro.core.evaluator import EvaluationConfig
 from repro.core.results import CandidateEvaluation, DepthResult
 from repro.graphs.generators import erdos_renyi_graph
+from repro.qaoa import initialization
+from repro.surrogate.config import SurrogateConfig
 
 
 @pytest.fixture
@@ -62,6 +64,20 @@ class TestFingerprints:
         ]
         for config in changed:
             assert config_fingerprint(config) != config_fingerprint(base)
+
+    def test_the_on_disk_keys_are_literal_digests(self):
+        """Cache rows and ``:surrogate-<fp>`` checkpoint suffixes already on
+        disk stay hits: a cut setting keeps its place in these payloads."""
+        assert config_fingerprint(EvaluationConfig()) == (
+            "8f6992f61a3ca24929a00bbc676083768f070c7898272bcb22cce98cfa1df03d"
+        )
+        assert SurrogateConfig().fingerprint() == "ec167425ec204051"
+        assert SurrogateConfig(enabled=True).fingerprint() == "ad106bbd48c5040b"
+
+    def test_a_retired_setting_still_moves_the_config_fingerprint(self, monkeypatch):
+        before = config_fingerprint(EvaluationConfig())
+        monkeypatch.setattr(initialization, "UNIFORM_SCALE", 0.25)
+        assert config_fingerprint(EvaluationConfig()) != before
 
     def test_engine_is_part_of_the_runtime_payload_fingerprint(self):
         """Runtime job payloads are keyed by the config fingerprint, so a

@@ -268,6 +268,8 @@ class TestConfigurationErrors:
             (["search", "--p-max", "0"], "p_max must be > 0"),
             (["search", "--graphs", "0"], "num_graphs must be > 0"),
             (["search", "--workers", "-2"], r"workers must be 0/1 \(serial\), N processes or -1"),
+            (["search", "--retries", "-1"], "max_retries must be >= 0, got -1"),
+            (["search", "--job-timeout", "nan"], "job_timeout must be finite and > 0, got nan"),
         ],
     )
     def test_exits_with_the_rules_message(self, argv, message):

@@ -140,3 +140,26 @@ class TestControllerPredictor:
                 predictor.update(tokens, r)
             (early if round_idx < 10 else late).extend(rewards)
         assert np.mean(late[-80:]) > np.mean(early) + 0.2
+
+    def test_learns_to_emit_target_token(self):
+        """Reward = fraction of 'rx' tokens: the policy should converge to
+        emitting mostly rx."""
+        alphabet = GateAlphabet(("rx", "ry", "rz", "h", "p"))
+        controller = PolicyController(alphabet, max_gates=3, allow_end=False, seed=0)
+        predictor = ControllerPredictor(controller, batch_size=8, entropy_weight=0.003, seed=1)
+
+        def reward(tokens):
+            return sum(1.0 for t in tokens if t == "rx") / len(tokens)
+
+        mean_rewards = []
+        for _ in range(60):  # one REINFORCE update per batch of 8
+            proposals = predictor.propose(8)
+            rewards = [reward(t) for t in proposals]
+            for tokens, r in zip(proposals, rewards):
+                predictor.update(tokens, r)
+            mean_rewards.append(np.mean(rewards))
+        assert predictor.updates == 60
+        early = np.mean(mean_rewards[:10])
+        late = np.mean(mean_rewards[-10:])
+        assert late > early + 0.2
+        assert controller.greedy_episode() == ("rx", "rx", "rx")

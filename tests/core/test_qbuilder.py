@@ -51,11 +51,9 @@ class TestBuildQaoa:
         assert ansatz.num_parameters == 4
         assert ansatz.graph == graph
 
-    def test_initial_hadamard_toggle(self, builder, graph):
+    def test_hadamard_column_prepended(self, builder, graph):
         with_h = builder.build_qaoa(graph, ("rx",), 1)
-        without = builder.build_qaoa(graph, ("rx",), 1, initial_hadamard=False)
-        assert "h" in with_h.circuit.count_ops()
-        assert "h" not in without.circuit.count_ops()
+        assert with_h.circuit.count_ops()["h"] == graph.num_nodes
 
 
 class TestFromEncoding:

@@ -414,12 +414,12 @@ class TestSharedCacheDedup:
         service slot that is busy reporting it — not after ``job_timeout``."""
         reference = search_mixer(graphs, tiny_config)
         keys = self.depth_keys(graphs, tiny_config, reference)
-        token = CancellationToken("tenant left")
+        token = CancellationToken()
 
         class CancelOnFirstResult(SweepProgress):
             def record(self, p, n=1, **kwargs):
                 super().record(p, n, **kwargs)
-                token.cancel()
+                token.cancel("tenant left")
 
         with ResultCache(tmp_path, shared=True, flush_every=2) as cache:
             with pytest.raises(SweepCancelled, match="tenant left") as cancelled:

@@ -152,7 +152,7 @@ class TestPredictorDriven:
         """The predictor path runs on the same runtime as the exhaustive
         one: it reports SweepProgress, and a token fired while depth 1's
         rewards are fed back stops the sweep before depth 2 proposes."""
-        cancel = CancellationToken("stop after depth 1")
+        cancel = CancellationToken()
         progress = SweepProgress()
         proposals = []
 
@@ -162,7 +162,7 @@ class TestPredictorDriven:
                 return super().propose(num)
 
             def update(self, tokens, reward):
-                cancel.cancel()
+                cancel.cancel("stop after depth 1")
 
         config = SearchConfig(
             p_max=3, k_max=1, evaluation=EvaluationConfig(max_steps=6, seed=2)

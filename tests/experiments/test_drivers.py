@@ -134,10 +134,7 @@ class TestScale:
         monkeypatch.setenv("QARCH_BENCH_SCALE", "laptop")
         assert get_scale().name == "laptop"
 
-    def test_explicit_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv("QARCH_BENCH_SCALE", "laptop")
-        assert get_scale("ci").name == "ci"
-
-    def test_unknown_scale(self):
+    def test_unknown_scale(self, monkeypatch):
+        monkeypatch.setenv("QARCH_BENCH_SCALE", "galactic")
         with pytest.raises(ValueError):
-            get_scale("galactic")
+            get_scale()

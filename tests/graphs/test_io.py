@@ -2,10 +2,8 @@
 
 import json
 
-import pytest
-
 from repro.graphs.generators import Graph, erdos_renyi_graph
-from repro.graphs.io import graph_from_dict, graph_to_dict, load_graphs, save_graphs
+from repro.graphs.io import graph_from_dict, graph_to_dict
 
 
 class TestDictRoundTrip:
@@ -26,21 +24,3 @@ class TestDictRoundTrip:
         g = erdos_renyi_graph(5, 0.5, seed=2)
         json.dumps(graph_to_dict(g))  # must not raise
 
-
-class TestFileRoundTrip:
-    def test_save_load_many(self, tmp_path):
-        graphs = [erdos_renyi_graph(6, 0.5, seed=i) for i in range(5)]
-        path = tmp_path / "graphs.json"
-        save_graphs(graphs, path)
-        assert load_graphs(path) == graphs
-
-    def test_empty_list(self, tmp_path):
-        path = tmp_path / "empty.json"
-        save_graphs([], path)
-        assert load_graphs(path) == []
-
-    def test_format_field_checked(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format": "something-else", "graphs": []}))
-        with pytest.raises(ValueError, match="format"):
-            load_graphs(path)

@@ -85,12 +85,12 @@ def cancel_then_resume(feature, tmp_path):
     """A token fired once depth 1 is checkpointed stops the sweep before
     depth 2; ``resume`` restores the one and trains the other."""
     config = replace(BASE, **SEARCH_FEATURES[feature], cache_dir=str(tmp_path))
-    token = runtime.CancellationToken("cancelled after depth 1")
+    token = runtime.CancellationToken()
 
     class CancelAfterDepthOne(SweepProgress):
         def finish_depth(self, p):
             super().finish_depth(p)
-            token.cancel()
+            token.cancel("cancelled after depth 1")
 
     with pytest.raises(runtime.SweepCancelled, match="cancelled after depth 1"):
         search_mixer(
@@ -118,13 +118,13 @@ def shards_cancel_then_resume(feature, tmp_path):
     the store; ``resume`` finds no finished depth, those three as hits, and
     trains the rest."""
     config = replace(BASE, **SEARCH_FEATURES[feature], cache_dir=str(tmp_path), shards=2)
-    token = runtime.CancellationToken("cancelled mid-depth")
+    token = runtime.CancellationToken()
 
     class CancelAfterThreeResults(SweepProgress):
         def record(self, p, n=1):
             super().record(p, n)
             if self.candidates_done == 3:
-                token.cancel()
+                token.cancel("cancelled mid-depth")
 
     with pytest.raises(runtime.SweepCancelled, match="cancelled mid-depth"):
         search_mixer(

@@ -22,7 +22,7 @@ def qtensor_energy(ansatz, x):
     """The tensor-network simulator, driven directly: it is the paper's
     scaling backend and a cross-check here, not an ``AnsatzEnergy`` engine."""
     return QTensorSimulator().maxcut_energy(
-        ansatz.bind(x), ansatz.graph, initial_state=ansatz.initial_state_label
+        ansatz.bind(x), ansatz.graph, initial_state="0"
     )
 
 

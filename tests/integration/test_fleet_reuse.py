@@ -135,12 +135,12 @@ class TestAFailedSweepLeavesNothingBehind:
         assert children() == before - 2
 
     def test_a_cancelled_sweep(self, still_running):
-        token = runtime.CancellationToken("cancelled after depth 1")
+        token = runtime.CancellationToken()
 
         class CancelAfterDepthOne(SweepProgress):
             def finish_depth(self, p):
                 super().finish_depth(p)
-                token.cancel()
+                token.cancel("cancelled after depth 1")
 
         with pytest.raises(runtime.SweepCancelled, match="cancelled after depth 1"):
             with leased_fleet([2]) as (pool,):

@@ -9,11 +9,12 @@ package ``__init__`` re-exporting a module does not keep it alive. A module
 the walk does not reach must be in ``UNSERVED`` with its reason.
 
 Below modules, names: every ``__all__`` entry must be mentioned (a word
-match, nothing executed — so a docstring counts, the conservative direction)
-somewhere in ``src/``, ``benchmarks/``, ``scripts/`` or ``examples/`` other
-than by its own definition and by ``__init__`` re-export lines, or be in
-``TEST_ONLY`` with its reason. A public name only ``tests/`` uses is the
-other half of something that was replaced: delete it with its tests.
+of code, nothing executed: a name or a string literal, not a comment or a
+docstring) somewhere in ``src/``, ``benchmarks/``, ``scripts/`` or
+``examples/`` other than by its own definition and by ``__init__``
+re-export lines, or be in ``TEST_ONLY`` with its reason. A public name only
+``tests/`` uses is the other half of something that was replaced: delete it
+with its tests.
 
 Below names, methods: every public method or property of a class under
 ``src/repro`` must be referenced — as an attribute (``pool.map``) or a
@@ -29,8 +30,22 @@ as ``name=`` by some call in the same files, or sit in
 ``TEST_ONLY_KEYWORDS`` under ``module.callable(name=)`` with its reason.
 Any callee counts, a forward in the callable's own body included (the
 conservative direction, as for attributes); a ``**kwargs`` forward passes
-nothing. A knob only tests turn becomes a module constant the test
-monkeypatches.
+nothing. A knob only tests turn becomes a module or class constant the
+test monkeypatches.
+
+Beside keywords, defaulted parameters: every defaulted positional-or-keyword
+parameter of a public callable must be reached by a call outside its own
+body, by name or by enough positional arguments (``*args``/``**kwargs``
+reach everything; a call matches by the name it spells, the conservative
+direction), or by handing the callable over as a value
+(``as_completed(evaluate_candidate, ...)``; an annotation is not a value) —
+or sit in ``TEST_ONLY_DEFAULTS``. And config fields: every field of the
+internal configs (``INTERNAL_CONFIGS``) must be set by a call that builds
+the class outside ``tests/`` — ``api.Config``'s mapping included — or sit
+in ``TEST_ONLY_FIELDS``. Keyword-only parameters, defaulted parameters and
+config fields together are the knob total, which may not rise above
+``KNOB_CEILING``; ``python tests/integration/test_reachability.py`` prints
+it.
 
 ``repro.experiments.*`` is a serving root because it is behind the
 benches: each of its modules is imported by some ``benchmarks/bench_*.py``.
@@ -45,7 +60,10 @@ from __future__ import annotations
 import ast
 import builtins
 import importlib
+import io
 import re
+import sys
+import tokenize
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -77,6 +95,7 @@ _DEFERRED = "controller substrate beside softmax/AdamUpdater; decided with it (-
 _PREDICTOR = "predictor protocol beside the --strategy seam; ROADMAP item 3 decides it"
 _QTENSOR = "the tensor-network package's own surface; ROADMAP item 7 decides the package"
 _API = "docs/architecture.md § API stability: a Client method's keywords are the contract"
+_TIMER = "operator API: the span helper docs/observability.md offers for an operator's own code"
 _LAYER = (
     "one layer as a circuit of its own (Eq. 2's U_C, the RX baseline U_B) for inspection; "
     "the ansatz appends in place"
@@ -89,6 +108,9 @@ TEST_ONLY = {
     "repro.circuits.qasm.from_qasm": (
         "reads back what to_qasm writes: the round trip pins the exported winners' QASM"
     ),
+    "repro.core.alphabet.count_sequences": (
+        "the §3.1 arithmetic (2500 = 4 depths x 5^4 sequences) and the enumerators' sizes"
+    ),
     "repro.core.constraints.ForbiddenTokens": _CONSTRAINTS,
     "repro.core.constraints.MaxGates": _CONSTRAINTS,
     "repro.core.constraints.MaxMixerDepth": _CONSTRAINTS,
@@ -97,6 +119,9 @@ TEST_ONLY = {
     "repro.core.constraints.PredicateConstraint": _CONSTRAINTS,
     "repro.core.constraints.RequiredTokens": _CONSTRAINTS,
     "repro.core.constraints.RequiresParameterizedGate": _CONSTRAINTS,
+    "repro.core.encoding.encode_sequence": (
+        "the §2.1 predictor tensor's writer, beside from_encoding; ROADMAP item 3 decides it"
+    ),
     "repro.core.predictor.make_predictor": (
         "the --strategy seam (ROADMAP): strategy name -> PREDICTORS entry, driven in-process "
         "until Config.strategy lands"
@@ -105,7 +130,6 @@ TEST_ONLY = {
     "repro.graphs.generators.cycle_graph": _GRAPH_FAMILY,
     "repro.graphs.generators.path_graph": _GRAPH_FAMILY,
     "repro.graphs.generators.star_graph": _GRAPH_FAMILY,
-    "repro.graphs.io.load_graphs": "reads the dataset files save_graphs writes",
     "repro.ml.activations.log_softmax": _DEFERRED,
     "repro.ml.optim.SGD": _DEFERRED,
     "repro.qaoa.analytic.grid_search_p1": (
@@ -117,6 +141,10 @@ TEST_ONLY = {
         "how local an energy term is: the cone-size assertion behind the scaling argument"
     ),
     "repro.simulators.statevector.basis_state": "fixture state |index> for the simulator tests",
+    "repro.simulators.statevector.circuit_unitary": (
+        "test oracle: a small circuit's full unitary, column by column"
+    ),
+    "repro.simulators.statevector.plus_state": "fixture state |+>^n for the simulator tests",
     "repro.workloads.registry.workload_summaries": "the registry table docs/workloads.md prints",
     # methods
     "repro.core.predictor.ExhaustivePredictor.exhausted": _PREDICTOR,
@@ -130,14 +158,9 @@ TEST_ONLY = {
     "repro.core.results.SearchResult.load": (
         "docs/architecture.md § API stability: load() reads every prior payload version"
     ),
-    "repro.ml.reinforce.ReinforceTrainer.train": (
-        "the REINFORCE loop on its own, beside ControllerPredictor's; ROADMAP item 3 decides it"
-    ),
     "repro.obs.metrics.Counter.value_for": "test accessor: one labelled child's value",
     "repro.obs.metrics.Gauge.value_for": "test accessor: one labelled child's value",
-    "repro.obs.metrics.MetricsRegistry.timer": (
-        "operator API: the span helper docs/observability.md offers for an operator's own code"
-    ),
+    "repro.obs.metrics.MetricsRegistry.timer": _TIMER,
     "repro.obs.metrics.MetricsRegistry.trace_path": "test accessor: where the trace log is written",
     "repro.parallel.executor.MultiprocessingExecutor.worker_pids": (
         "test accessor: the fleet's pids the fleet-reuse and worker-loss tests compare"
@@ -172,6 +195,33 @@ TEST_ONLY_KEYWORDS = {
         "the grid of the p = 1 oracle: a test trades resolution for time"
     ),
 }
+
+#: ``module.callable(name=)`` for every defaulted positional-or-keyword
+#: parameter no call outside ``tests/`` reaches, each with its reason
+TEST_ONLY_DEFAULTS = {
+    "repro.ml.optim.SGD(lr=)": _DEFERRED,
+    "repro.ml.optim.SGD(momentum=)": _DEFERRED,
+    "repro.obs.metrics.MetricsRegistry.timer(help=)": _TIMER,
+    "repro.qtensor.variables.VariableFactory.fresh_many(prefix=)": _QTENSOR,
+}
+
+#: ``module.Class.field`` for every :data:`INTERNAL_CONFIGS` field no code
+#: outside ``tests/`` sets, each with its reason
+TEST_ONLY_FIELDS = {
+    "repro.core.search.SearchConfig.constraints": _CONSTRAINTS,
+}
+
+#: the knob total (see :func:`knob_total`) may only go down: lower it with
+#: the change that cuts a knob
+KNOB_CEILING = 333
+
+#: ``(module, class)`` of the configs a sweep's settings are mapped onto
+INTERNAL_CONFIGS = (
+    ("repro.core.evaluator", "EvaluationConfig"),
+    ("repro.core.search", "SearchConfig"),
+    ("repro.core.runtime", "RuntimeConfig"),
+    ("repro.surrogate.config", "SurrogateConfig"),
+)
 
 #: a trailing dot takes every module of the package
 SERVING_ROOTS = ("repro.api", "repro.cli", "repro.__main__", "repro.service.", "repro.experiments.")
@@ -322,10 +372,12 @@ class SourceTree:
                     }
                     yield from ((module, node, name) for name in sorted(names))
 
-    def keyword_parameters(self) -> Iterator[tuple[str, str]]:
-        """``(module.callable(name=), name)`` for every keyword-only
-        parameter of a public function, a public method (of a public class,
-        nested ones included) or a public class's ``__init__``."""
+    def callables(self) -> Iterator[tuple[str, str, str, ast.FunctionDef, int]]:
+        """``(module, callable, callee, def, skip)`` for every public function,
+        public method (of a public class, nested ones included) and public
+        class's ``__init__``: ``callee`` is the name a call spells (the
+        class's for ``__init__``), ``skip`` how many leading parameters a
+        call does not pass (``self``/``cls``)."""
 
         def walk(module: str, body: list[ast.stmt], prefix: str):
             for node in body:
@@ -333,16 +385,55 @@ class SourceTree:
                     yield from walk(module, node.body, f"{prefix}{node.name}.")
                 elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     if prefix and node.name == "__init__":
-                        callable_ = prefix[:-1]
+                        callable_, callee = prefix[:-1], prefix[:-1].rpartition(".")[2]
                     elif node.name.startswith("_"):
                         continue
                     else:
-                        callable_ = prefix + node.name
-                    for arg in node.args.kwonlyargs:
-                        yield f"{module}.{callable_}({arg.arg}=)", arg.arg
+                        callable_, callee = prefix + node.name, node.name
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in node.decorator_list
+                    )
+                    yield module, callable_, callee, node, int(bool(prefix) and not static)
 
         for module, tree in self.trees.items():
             yield from walk(module, tree.body, "")
+
+    def keyword_parameters(self) -> Iterator[tuple[str, str]]:
+        """``(module.callable(name=), name)`` for every keyword-only
+        parameter of a public callable (see :meth:`callables`)."""
+        for module, callable_, _, node, _ in self.callables():
+            for arg in node.args.kwonlyargs:
+                yield f"{module}.{callable_}({arg.arg}=)", arg.arg
+
+    def defaulted_parameters(self) -> Iterator[tuple[str, str, int, str, tuple[str, int, int]]]:
+        """``(module.callable(name=), callee, position, name, own)`` for every
+        defaulted positional-or-keyword parameter of a public callable:
+        ``position`` counts the arguments a call passes before it, ``own``
+        is ``(module, first line, last line)`` of the callable's definition."""
+        for module, callable_, callee, node, skip in self.callables():
+            positional = node.args.posonlyargs + node.args.args
+            own = (module, _first_line(node), node.end_lineno)
+            for index in range(len(positional) - len(node.args.defaults), len(positional)):
+                name = positional[index].arg
+                yield f"{module}.{callable_}({name}=)", callee, index - skip, name, own
+
+    def config_fields(self) -> Iterator[tuple[str, str, int, str, tuple[str, int, int]]]:
+        """``(module.Class.field, Class, position, field, own)`` for every
+        field of the :data:`INTERNAL_CONFIGS` dataclasses, ``own`` being the
+        class's definition."""
+        for module, name in INTERNAL_CONFIGS:
+            (cls,) = [
+                node for node in self.trees[module].body
+                if isinstance(node, ast.ClassDef) and node.name == name
+            ]
+            own = (module, _first_line(cls), cls.end_lineno)
+            fields = [
+                node.target.id for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+            ]
+            for index, field in enumerate(fields):
+                yield f"{module}.{name}.{field}", name, index, field, own
 
     def bases(self, module: str, cls: ast.ClassDef) -> Iterator[tuple[str, ast.ClassDef] | type]:
         """Every ancestor of ``cls`` the source names: ``(module, ClassDef)``
@@ -405,13 +496,43 @@ def _assigns(node: ast.stmt, name: str) -> bool:
     )
 
 
+def _first_line(node: ast.stmt) -> int:
+    """Where a definition starts, its decorators included."""
+    return min([d.lineno for d in getattr(node, "decorator_list", ())] + [node.lineno])
+
+
+#: token kinds that carry code in a ``.py`` file: names and string literals
+#: (``FSTRING_MIDDLE`` is an f-string's text from Python 3.12 on)
+_CODE_TOKENS = {
+    tokenize.NAME, tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING),
+}
+
+
 def words(path: Path, skip: list[ast.stmt] = ()) -> set[str]:
-    """Every identifier-like word of ``path`` outside the ``skip`` statements."""
+    """Every identifier-like word of ``path`` outside the ``skip``
+    statements. A ``.py`` file is read as code: a word in a comment or a
+    docstring (any string standing as a statement) is prose, not a use."""
     skipped = {line for node in skip for line in range(node.lineno, node.end_lineno + 1)}
-    lines = path.read_text().splitlines()
-    return set(re.findall(r"\w+", "\n".join(
-        line for number, line in enumerate(lines, 1) if number not in skipped
-    )))
+    text = path.read_text()
+    if path.suffix != ".py":
+        chunks = list(enumerate(text.splitlines(), 1))
+    else:
+        prose = {
+            line for node in ast.walk(ast.parse(text, str(path)))
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            and isinstance(node.value.value, str)
+            for line in range(node.lineno, node.end_lineno + 1)
+        }
+        chunks = [
+            (token.start[0], token.string)
+            for token in tokenize.generate_tokens(io.StringIO(text).readline)
+            if token.type in _CODE_TOKENS
+            and not (token.type != tokenize.NAME and token.start[0] in prose)
+        ]
+    return {
+        word for line, chunk in chunks if line not in skipped
+        for word in re.findall(r"\w+", chunk)
+    }
 
 
 def unreferenced_exports(tree: SourceTree, others: list[Path]) -> list[str]:
@@ -461,20 +582,17 @@ def unreferenced_methods(tree: SourceTree, others: list[Path]) -> list[str]:
     references outside its own definition (getter, setter and deleter
     together) and that overrides no referenced base-class method."""
     where: dict[str, list[tuple[str, int]]] = {}
-    for module, parsed in tree.trees.items():
+    for place, parsed in _parsed(tree, others):
         for name, line in references(parsed):
-            where.setdefault(name, []).append((module, line))
+            where.setdefault(name, []).append((place, line))
     for path in others:
-        found = (
-            references(ast.parse(path.read_text(), str(path))) if path.suffix == ".py"
-            else ((word, 0) for word in words(path))
-        )
-        for name, line in found:
-            where.setdefault(name, []).append((str(path), line))
+        if path.suffix != ".py":
+            for word in words(path):
+                where.setdefault(word, []).append((str(path), 0))
 
     def referenced(module: str, cls: ast.ClassDef, name: str) -> bool:
         own = [
-            (min([d.lineno for d in item.decorator_list] + [item.lineno]), item.end_lineno)
+            (_first_line(item), item.end_lineno)
             for item in cls.body if getattr(item, "name", None) == name
         ]
         return any(
@@ -515,6 +633,128 @@ def unpassed_keywords(tree: SourceTree, others: list[Path]) -> list[str]:
     ``src/`` or ``others`` passes by name."""
     passed = passed_keywords(list(tree.paths.values()) + others)
     return sorted(key for key, name in tree.keyword_parameters() if name not in passed)
+
+
+#: the positional count of a call that may reach every parameter:
+#: ``f(*args)``, ``f(**kwargs)``, or a callable handed over as a value
+EVERY = sys.maxsize
+
+
+def _parsed(tree: SourceTree, others: list[Path]) -> Iterator[tuple[str, ast.Module]]:
+    """``(where, parsed)`` for every module of ``tree`` (``where`` is its
+    dotted name) and every ``.py`` file of ``others`` (its path)."""
+    yield from tree.trees.items()
+    for path in others:
+        if path.suffix == ".py":
+            yield str(path), ast.parse(path.read_text(), str(path))
+
+
+def _name(node: ast.expr) -> str | None:
+    """What ``f`` or ``obj.f`` spells; ``None`` for any other expression."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _spread(call: ast.Call) -> bool:
+    return any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    )
+
+
+def calls(tree: ast.AST) -> Iterator[tuple[str, int, int, frozenset[str]]]:
+    """``(callee, line, positional count, keywords)`` for every call in
+    ``tree`` — ``cls(...)`` calls the enclosing class, ``super().__init__``
+    its bases — and, as a call that passes everything (:data:`EVERY`), for
+    every name or attribute handed over as a value: ``as_completed(
+    evaluate_candidate, ...)``. An annotation is not a value."""
+    annotations, called, enclosing = set(), set(), {}
+    for node in ast.walk(tree):
+        note = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        annotations.update(map(id, ast.walk(note)) if note else ())
+        if isinstance(node, ast.ClassDef):  # outer classes first: an inner one overrides
+            enclosing.update((id(inner), node) for inner in ast.walk(node))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            called.add(id(node.func))
+            count = EVERY if _spread(node) else len(node.args)
+            keywords = frozenset(k.arg for k in node.keywords if k.arg)
+            callee, cls = _name(node.func), enclosing.get(id(node))
+            if callee == "cls" and cls is not None:
+                callees = [cls.name]
+            elif callee == "__init__" and isinstance(node.func.value, ast.Call) and cls is not None:
+                callees = [_name(base) for base in cls.bases]  # super().__init__(...)
+            else:
+                callees = [callee]
+            yield from ((c, node.lineno, count, keywords) for c in callees if c)
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            and id(node) not in called and id(node) not in annotations
+        ):
+            yield _name(node), node.lineno, EVERY, frozenset()
+
+
+def _outside(own: tuple[str, int, int], where: str, line: int) -> bool:
+    module, first, last = own
+    return where != module or not first <= line <= last
+
+
+def unpassed_defaults(tree: SourceTree, others: list[Path]) -> list[str]:
+    """``module.callable(name=)`` for each defaulted positional-or-keyword
+    parameter no call in ``src/`` or ``others`` outside the callable's own
+    body reaches, by name or by position."""
+    uses: dict[str, list[tuple[str, int, int, frozenset[str]]]] = {}
+    for where, parsed in _parsed(tree, others):
+        for callee, line, count, keywords in calls(parsed):
+            uses.setdefault(callee, []).append((where, line, count, keywords))
+    return sorted(
+        key for key, callee, position, name, own in tree.defaulted_parameters()
+        if not any(
+            (count > position or name in keywords) and _outside(own, where, line)
+            for where, line, count, keywords in uses.get(callee, ())
+        )
+    )
+
+
+def unset_fields(tree: SourceTree, others: list[Path]) -> list[str]:
+    """``module.Class.field`` for each :data:`INTERNAL_CONFIGS` field no
+    call in ``src/`` or ``others`` outside the class sets. A call builds
+    ``Class`` when it calls it, or hands it over with the settings
+    (``_checked(EvaluationConfig, max_steps=...)``): it sets the fields its
+    keywords name, the first ones by position, all of them through ``*``
+    or ``**``. ``dataclasses.replace(obj, name=)`` sets ``name`` on every
+    config that has it."""
+    configs = {name for _, name in INTERNAL_CONFIGS}
+    built: list[tuple[str, str, int, int, frozenset[str]]] = []
+    for where, parsed in _parsed(tree, others):
+        for node in ast.walk(parsed):
+            if not isinstance(node, ast.Call):
+                continue
+            keywords = frozenset(k.arg for k in node.keywords if k.arg)
+            callee = _name(node.func)
+            count = EVERY if _spread(node) else len(node.args)
+            if callee in configs:
+                built.append((callee, where, node.lineno, count, keywords))
+            for arg in node.args:
+                if _name(arg) in configs and callee not in configs:
+                    built.append((_name(arg), where, node.lineno, EVERY * _spread(node), keywords))
+            if callee == "replace":
+                built += [(config, where, node.lineno, 0, keywords) for config in configs]
+    return sorted(
+        key for key, config, position, field, own in tree.config_fields()
+        if not any(
+            (count > position or field in keywords) and _outside(own, where, line)
+            for built_config, where, line, count, keywords in built if built_config == config
+        )
+    )
+
+
+def knob_total(tree: SourceTree) -> int:
+    """ROADMAP aim 2's count of independently settable values: keyword-only
+    and defaulted positional-or-keyword parameters of public callables, and
+    fields of the internal configs."""
+    return sum(1 for _ in tree.keyword_parameters()) + sum(
+        1 for _ in tree.defaulted_parameters()
+    ) + sum(1 for _ in tree.config_fields())
 
 
 def _outside_sources() -> list[Path]:
@@ -581,6 +821,38 @@ def test_every_keyword_is_passed_or_says_why(tree):
         f"them with the branches they select, or add them to TEST_ONLY_KEYWORDS: {unexplained}"
     )
     assert all(TEST_ONLY_KEYWORDS.values())
+
+
+def test_every_defaulted_parameter_is_passed_or_says_why(tree):
+    dead = unpassed_defaults(tree, _outside_sources())
+    stale = sorted(set(TEST_ONLY_DEFAULTS) - set(dead))
+    assert not stale, f"TEST_ONLY_DEFAULTS entries that are passed, or gone (drop them): {stale}"
+    unexplained = sorted(set(dead) - set(TEST_ONLY_DEFAULTS))
+    assert not unexplained, (
+        "defaulted parameters only tests/ passes — make them constants, delete them with "
+        f"the branches they select, or add them to TEST_ONLY_DEFAULTS: {unexplained}"
+    )
+    assert all(TEST_ONLY_DEFAULTS.values())
+
+
+def test_every_config_field_is_set_or_says_why(tree):
+    dead = unset_fields(tree, _outside_sources())
+    stale = sorted(set(TEST_ONLY_FIELDS) - set(dead))
+    assert not stale, f"TEST_ONLY_FIELDS entries that are set, or gone (drop them): {stale}"
+    unexplained = sorted(set(dead) - set(TEST_ONLY_FIELDS))
+    assert not unexplained, (
+        "internal config fields only tests/ sets — make them constants, delete them with "
+        f"the branches they select, or add them to TEST_ONLY_FIELDS: {unexplained}"
+    )
+    assert all(TEST_ONLY_FIELDS.values())
+
+
+def test_the_knob_total_stays_under_its_ceiling(tree):
+    total = knob_total(tree)
+    assert total <= KNOB_CEILING, (
+        f"{total} knobs, more than the committed ceiling of {KNOB_CEILING}: a new setting "
+        "needs a caller outside tests/ and a lower knob elsewhere"
+    )
 
 
 def test_every_experiments_module_is_behind_a_bench(tree):
@@ -698,6 +970,129 @@ def test_a_keyword_lives_by_a_call_outside_tests(tmp_path):
     assert unpassed_keywords(synthetic, [bench, test]) == ["pkg.knobs.fit(clip=)"]
 
 
+def test_a_defaulted_parameter_lives_by_a_call_that_reaches_it(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "opt.py").write_text(
+        "class Optimizer:\n"
+        "    def __init__(self, maxiter=100, rate=0.1, tol=1e-6):\n"
+        "        pass\n"
+        "    def run(self, fn, x0, budget=10):\n"
+        "        return self.run(fn, x0, budget)\n"
+        "def evaluate(tokens, p=1, warm=None):\n"
+        "    return tokens\n"
+        "def scores(values: list, axis: int = -1, ordered: bool = True):\n"
+        "    return values\n"
+        "def as_completed(fn, items):\n"
+        "    return [fn(i) for i in items]\n"
+        "def _private(x, y=1):\n"
+        "    return x\n"
+    )
+    bench = tmp_path / "bench.py"
+    bench.write_text(
+        "from pkg.opt import Optimizer, as_completed, evaluate, scores\n"
+        "opt = Optimizer(50, 0.2)\n"
+        "as_completed(evaluate, [1])\n"
+        "opt.run(print, [0.0])\n"
+        "note: scores = None\n"
+        "scores([1.0], ordered=False)\n"
+    )
+    test = tmp_path / "test_opt.py"
+    test.write_text("from pkg.opt import Optimizer\nOptimizer(tol=1e-3)\n")
+    synthetic = SourceTree(tmp_path, "pkg")
+    assert {key for key, *_ in synthetic.defaulted_parameters()} == {
+        "pkg.opt.Optimizer(maxiter=)", "pkg.opt.Optimizer(rate=)", "pkg.opt.Optimizer(tol=)",
+        "pkg.opt.Optimizer.run(budget=)", "pkg.opt.evaluate(p=)", "pkg.opt.evaluate(warm=)",
+        "pkg.opt.scores(axis=)", "pkg.opt.scores(ordered=)",
+    }
+    # the bench reaches `maxiter`/`rate` by position, `ordered` by name and
+    # every parameter of `evaluate`, handed over as a value; `tol` only a
+    # test passes; `run` passes `budget` only to itself; an annotation of
+    # `scores` is not a value, so nothing reaches its `axis`
+    assert unpassed_defaults(synthetic, [bench]) == [
+        "pkg.opt.Optimizer(tol=)", "pkg.opt.Optimizer.run(budget=)", "pkg.opt.scores(axis=)",
+    ]
+    assert "pkg.opt.Optimizer(tol=)" not in unpassed_defaults(synthetic, [bench, test])
+
+
+def test_a_config_field_lives_by_a_setting_outside_tests(tmp_path):
+    pkg = tmp_path / "pkg"
+    (pkg / "core").mkdir(parents=True)
+    for init in (pkg / "__init__.py", pkg / "core" / "__init__.py"):
+        init.write_text("")
+    configs = {
+        "evaluator": "EvaluationConfig", "search": "SearchConfig", "runtime": "RuntimeConfig",
+    }
+    for module, name in configs.items():
+        (pkg / "core" / f"{module}.py").write_text(
+            f"class {name}:\n    steps: int = 1\n    seed: int = 0\n    depth: int = 2\n"
+            "    LIMIT = 3\n"
+        )
+    (pkg / "api.py").write_text(
+        "from pkg.core.evaluator import EvaluationConfig\n"
+        "from pkg.core.runtime import RuntimeConfig\n"
+        "from pkg.core.search import SearchConfig\n"
+        "def _checked(build, **settings):\n    return build(**settings)\n"
+        "class Config:\n"
+        "    def evaluation_config(self):\n"
+        "        return _checked(EvaluationConfig, steps=self.steps)\n"
+        "    def search_config(self):\n"
+        "        return SearchConfig(4, 1)\n"
+        "    def runtime_config(self):\n"
+        "        return RuntimeConfig(**vars(self))\n"
+    )
+    test = tmp_path / "test_config.py"
+    test.write_text(
+        "from pkg.core.evaluator import EvaluationConfig\nEvaluationConfig(depth=5)\n"
+    )
+    synthetic = SourceTree(tmp_path, "pkg")
+    internal = [(f"pkg.core.{module}", name) for module, name in configs.items()]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys.modules[__name__], "INTERNAL_CONFIGS", internal)
+        assert len(list(synthetic.config_fields())) == 9  # a class constant is no field
+        # the mapping sets `steps` by name; the search config is built
+        # positionally up to `seed`; `**` sets every runtime field;
+        # `depth` of the evaluation config only a test sets
+        assert unset_fields(synthetic, []) == [
+            "pkg.core.evaluator.EvaluationConfig.depth",
+            "pkg.core.evaluator.EvaluationConfig.seed",
+            "pkg.core.search.SearchConfig.depth",
+        ]
+        assert "pkg.core.evaluator.EvaluationConfig.depth" not in unset_fields(
+            synthetic, [test]
+        )
+
+
+def test_a_name_in_prose_alone_is_not_a_use(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "lib.py").write_text(
+        '__all__ = ["coded", "commented", "documented", "quoted"]\n'
+        "def coded():\n    pass\n"
+        "def commented():\n    pass\n"
+        "def documented():\n    pass\n"
+        "def quoted():\n    pass\n"
+    )
+    (pkg / "user.py").write_text(
+        '"""Module prose: see documented()."""\n'
+        "from pkg import lib\n"
+        "def run():\n"
+        '    """Calls coded, not documented."""\n'
+        "    # commented() used to run here\n"
+        '    return lib.coded(), getattr(lib, "quoted")\n'
+    )
+    synthetic = SourceTree(tmp_path, "pkg")
+    assert unreferenced_exports(synthetic, []) == [
+        "pkg.lib.commented", "pkg.lib.documented",
+    ]
+    # a shell script is still read by word
+    script = tmp_path / "run.sh"
+    script.write_text("# documented and commented\n")
+    assert unreferenced_exports(synthetic, [script]) == []
+
+
 @pytest.mark.parametrize(
     "pattern", ["examples/*.py", "benchmarks/*.py", "benchmarks/e2e/*.py", "scripts/*.py"]
 )
@@ -707,3 +1102,6 @@ def test_imports_outside_src_resolve(tree, pattern):
     problems = [problem for path in paths for problem in tree.unresolved(path)]
     assert not problems, "\n".join(problems)
 
+
+if __name__ == "__main__":
+    print(f"knobs: {knob_total(SourceTree(REPO / 'src'))}")

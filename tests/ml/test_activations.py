@@ -53,7 +53,7 @@ class TestSoftmax:
 
     def test_batch_axis(self):
         logits = np.random.default_rng(0).normal(size=(4, 3))
-        p = softmax(logits, axis=-1)
+        p = softmax(logits)  # rows of a batch normalize along the last axis
         np.testing.assert_allclose(p.sum(axis=-1), np.ones(4))
 
     def test_log_softmax_consistent(self):

@@ -11,6 +11,7 @@ sum_t H_t`` for *every* episode, scale, and entropy weight.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -195,9 +196,9 @@ class TestReinforceLossGradcheck:
         self, seed, scale, entropy_weight
     ):
         alphabet = GateAlphabet(("rx", "ry", "rz"))
-        controller = PolicyController(
-            alphabet, max_gates=3, embedding_dim=3, hidden_dim=4, seed=seed
-        )
+        with pytest.MonkeyPatch.context() as patch:  # a fixture would outlive one example
+            patch.setattr(PolicyController, "embedding_dim", 3)
+            controller = PolicyController(alphabet, max_gates=3, hidden_dim=4, seed=seed)
         episode = controller.sample_episode(as_rng(seed + 1))
         # the sampled trajectory includes the END step when one was drawn
         taken = [cache[-1] for cache in episode.caches]

@@ -1,70 +1,27 @@
-"""REINFORCE machinery: baseline and trainer convergence on a toy task."""
+"""REINFORCE machinery: the moving reward baseline."""
 
-import numpy as np
 import pytest
 
-from repro.core.alphabet import GateAlphabet
-from repro.core.controller import PolicyController
-from repro.ml.reinforce import MovingBaseline, ReinforceTrainer
+from repro.ml.reinforce import MovingBaseline
 
 
 class TestMovingBaseline:
     def test_first_update_adopts_reward(self):
-        b = MovingBaseline(0.9)
+        b = MovingBaseline()
         b.update(2.0)
         assert b.value == 2.0
 
-    def test_advantage_before_update(self):
-        b = MovingBaseline(0.5)
+    def test_advantage_before_update(self, monkeypatch):
+        monkeypatch.setattr(MovingBaseline, "decay", 0.5)
+        b = MovingBaseline()
         adv1 = b.update(1.0)
         assert adv1 == 1.0  # baseline starts at 0
         adv2 = b.update(2.0)
         assert adv2 == pytest.approx(1.0)  # 2.0 - 1.0
 
-    def test_decay_mixing(self):
-        b = MovingBaseline(0.5)
+    def test_decay_mixing(self, monkeypatch):
+        monkeypatch.setattr(MovingBaseline, "decay", 0.5)
+        b = MovingBaseline()
         b.update(0.0)
         b.update(4.0)
         assert b.value == pytest.approx(2.0)
-
-    def test_decay_validated(self):
-        with pytest.raises(ValueError):
-            MovingBaseline(1.0)
-
-
-class TestReinforceTrainer:
-    def test_learns_to_emit_target_token(self):
-        """Reward = fraction of 'rx' tokens: the policy should converge to
-        emitting mostly rx."""
-        alphabet = GateAlphabet(("rx", "ry", "rz", "h", "p"))
-        controller = PolicyController(alphabet, max_gates=3, allow_end=False, seed=0)
-
-        def reward_fn(actions):
-            if not actions:
-                return 0.0
-            return sum(1.0 for a in actions if alphabet.token(a) == "rx") / len(actions)
-
-        trainer = ReinforceTrainer(controller, reward_fn, batch_size=8, entropy_weight=0.003)
-        rng = np.random.default_rng(1)
-        trainer.train(60, rng)
-        early = np.mean(trainer.mean_rewards[:10])
-        late = np.mean(trainer.mean_rewards[-10:])
-        assert late > early + 0.2
-        assert controller.greedy_episode() == ("rx", "rx", "rx")
-
-    def test_best_reward_tracked(self):
-        alphabet = GateAlphabet(("rx", "ry"))
-        controller = PolicyController(alphabet, max_gates=2, allow_end=False, seed=3)
-        trainer = ReinforceTrainer(
-            controller, lambda actions: float(len(actions)), batch_size=4
-        )
-        trainer.step(np.random.default_rng(0))
-        assert trainer.best_reward == 2.0
-        assert trainer.best_actions is not None
-
-    def test_mean_rewards_recorded_per_step(self):
-        alphabet = GateAlphabet(("rx", "ry"))
-        controller = PolicyController(alphabet, max_gates=2, seed=4)
-        trainer = ReinforceTrainer(controller, lambda a: 1.0, batch_size=2)
-        trainer.train(5, np.random.default_rng(2))
-        assert len(trainer.mean_rewards) == 5

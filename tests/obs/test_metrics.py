@@ -54,7 +54,8 @@ class TestFamilies:
         gauge = registry.gauge("repro_depth")
         gauge.set(4)
         gauge.inc()
-        gauge.dec(2)
+        gauge.dec()
+        gauge.dec()
         assert gauge.value == 3
 
     def test_invalid_metric_name_rejected(self, registry):

@@ -67,7 +67,8 @@ class TestAccounting:
         progress.begin_depth(1, total=4)
         progress.record(1, 3)
         progress.record_shard(0)
-        progress.record_shard(1, 2)
+        progress.record_shard(1)
+        progress.record_shard(1)
         snapshot = progress.to_dict()
         assert snapshot["candidates_done"] == 3  # attribution adds no completions
         assert snapshot["per_shard"]["0"]["done"] == 1

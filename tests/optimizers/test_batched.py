@@ -11,7 +11,6 @@ from repro.optimizers import (
     BATCH_MODES,
     SPSA,
     Adam,
-    BatchObjective,
     Cobyla,
     MultiRestart,
     NelderMead,
@@ -89,11 +88,7 @@ class TestObjectiveTracer:
             batch_values(Short(), np.zeros((2, 2)))
 
 
-class TestBatchObjectiveProtocol:
-    def test_ansatz_negation_satisfies_protocol(self):
-        energy = AnsatzEnergy(build_qaoa_ansatz(cycle_graph(4), 1))
-        assert isinstance(energy.negative_objective(), BatchObjective)
-
+class TestNegatedEnergy:
     def test_negated_values_and_gradients(self):
         energy = AnsatzEnergy(build_qaoa_ansatz(cycle_graph(4), 1))
         negated = energy.negative_objective()
@@ -145,9 +140,12 @@ class TestBatchedAdam:
     def test_matches_serial_per_restart(self, rows):
         X0 = np.asarray(rows, dtype=float)
         fn = Quadratic(np.arange(X0.shape[1], dtype=float))
-        optimizer = Adam(maxiter=30, learning_rate=0.1, gtol=1e-3)
-        serial = [optimizer.minimize(fn, x0) for x0 in X0]
-        batched = optimizer.minimize_batch(fn, X0)
+        optimizer = Adam(maxiter=30)
+        with pytest.MonkeyPatch.context() as patch:  # a fixture would outlive one example
+            patch.setattr(Adam, "learning_rate", 0.1)
+            patch.setattr(Adam, "gtol", 1e-3)
+            serial = [optimizer.minimize(fn, x0) for x0 in X0]
+            batched = optimizer.minimize_batch(fn, X0)
         assert_results_match(serial, batched)
 
     def test_gradients_shape_validated(self):
@@ -222,9 +220,10 @@ class TestOnCompiledEnergy:
         assert batched.nfev == serial.nfev
         assert batched.fun == pytest.approx(serial.fun, abs=1e-8)
 
-    def test_adam_rides_batched_parameter_shift(self, negated):
+    def test_adam_rides_batched_parameter_shift(self, negated, monkeypatch):
+        monkeypatch.setattr(Adam, "learning_rate", 0.1)
         X0 = np.random.default_rng(3).uniform(-0.5, 0.5, (3, 4))
-        optimizer = Adam(maxiter=15, learning_rate=0.1)
+        optimizer = Adam(maxiter=15)
         results = optimizer.minimize_batch(negated, X0)
         serial = [optimizer.minimize(negated, x0) for x0 in X0]
         for a, b in zip(serial, results):
@@ -270,12 +269,13 @@ class TestPopulationObjective:
     TARGETS = np.array([[1.0, -2.0], [-3.0, 0.5], [0.0, 4.0]])
     X0 = np.array([[0.2, 0.1], [1.5, -0.5], [-1.0, 2.0]])
 
+    @pytest.fixture(autouse=True)
+    def _adam_constants(self, monkeypatch):
+        monkeypatch.setattr(Adam, "learning_rate", 0.1)
+        monkeypatch.setattr(Adam, "gtol", 1e-3)
+
     def optimizers(self):
-        return [
-            SPSA(maxiter=25, seed=7),
-            NelderMead(maxiter=60),
-            Adam(maxiter=40, learning_rate=0.1, gtol=1e-3),
-        ]
+        return [SPSA(maxiter=25, seed=7), NelderMead(maxiter=60), Adam(maxiter=40)]
 
     def test_lockstep_matches_each_rows_own_serial_run(self):
         for optimizer in self.optimizers():

@@ -77,10 +77,10 @@ class TestNelderMead:
         result = NelderMead(maxiter=500).minimize(rosenbrock, [-1.0, 1.0])
         assert result.fun < 1e-3
 
-    def test_convergence_flag(self):
-        result = NelderMead(maxiter=1000, fatol=1e-10, xatol=1e-10).minimize(
-            quadratic, [0.5, 0.5]
-        )
+    def test_convergence_flag(self, monkeypatch):
+        monkeypatch.setattr(NelderMead, "fatol", 1e-10)
+        monkeypatch.setattr(NelderMead, "xatol", 1e-10)
+        result = NelderMead(maxiter=1000).minimize(quadratic, [0.5, 0.5])
         assert result.converged
 
     def test_history_monotone(self):
@@ -113,13 +113,16 @@ class TestSPSA:
 
 
 class TestAdam:
-    def test_quadratic_with_exact_gradient(self):
-        opt = Adam(maxiter=500, learning_rate=0.1)
+    def test_quadratic_with_exact_gradient(self, monkeypatch):
+        monkeypatch.setattr(Adam, "learning_rate", 0.1)
+        opt = Adam(maxiter=500)
         result = opt.minimize(GradientQuadratic(), [4.0, 4.0])
         assert result.fun < 1e-5
 
-    def test_gtol_convergence(self):
-        opt = Adam(maxiter=5000, learning_rate=0.2, gtol=1e-7)
+    def test_gtol_convergence(self, monkeypatch):
+        monkeypatch.setattr(Adam, "learning_rate", 0.2)
+        monkeypatch.setattr(Adam, "gtol", 1e-7)
+        opt = Adam(maxiter=5000)
         result = opt.minimize(GradientQuadratic(), [1.5, -1.0])
         assert result.converged
 
@@ -161,8 +164,9 @@ class TestOnQAOAObjective:
         result = NelderMead(maxiter=150).minimize(energy.negative_objective(), [0.3, 0.2])
         assert -result.fun >= best * 0.98
 
-    def test_adam_with_parameter_shift(self, problem):
+    def test_adam_with_parameter_shift(self, problem, monkeypatch):
+        monkeypatch.setattr(Adam, "learning_rate", 0.1)
         energy, best = problem
-        opt = Adam(maxiter=60, learning_rate=0.1)
+        opt = Adam(maxiter=60)
         result = opt.minimize(energy.negative_objective(), [0.3, 0.2])
         assert -result.fun >= best * 0.95

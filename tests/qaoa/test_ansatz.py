@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import Parameter
 from repro.graphs.generators import Graph, cycle_graph, path_graph
 from repro.qaoa.ansatz import build_qaoa_ansatz
@@ -90,18 +91,15 @@ class TestAnsatz:
         assert ops["rzz"] == 2 * g.num_edges
         assert ops["rx"] == 2 * 3
 
-    def test_no_initial_hadamard_option(self):
-        ansatz = build_qaoa_ansatz(cycle_graph(4), 1, initial_hadamard=False)
-        assert "h" not in ansatz.circuit.count_ops()
-        assert ansatz.initial_state_label == "+"
-
     def test_hadamard_and_plus_start_equivalent(self):
+        """The H column from |0> is the |+> start the compiled engine uses."""
         g = cycle_graph(4)
-        x = [0.4, -0.3]
-        with_h = build_qaoa_ansatz(g, 1)
-        without = build_qaoa_ansatz(g, 1, initial_hadamard=False)
-        psi_h = simulate(with_h.bind(x))
-        psi_plus = simulate(without.bind(x), plus_state(4))
+        bound = build_qaoa_ansatz(g, 1).bind([0.4, -0.3])
+        without = QuantumCircuit(4)
+        for instr in bound.instructions[4:]:  # drop the H column
+            without.append(instr.gate, instr.qubits)
+        psi_h = simulate(bound)
+        psi_plus = simulate(without, plus_state(4))
         np.testing.assert_allclose(psi_h, psi_plus, atol=1e-12)
 
     def test_bind_length_validated(self):

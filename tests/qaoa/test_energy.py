@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.circuits.circuit import QuantumCircuit
 from repro.graphs.generators import erdos_renyi_graph
 from repro.qaoa.ansatz import build_qaoa_ansatz
 from repro.qaoa.energy import AnsatzEnergy
@@ -13,7 +14,7 @@ def qtensor_energy(ansatz, x):
     """The tensor-network simulator's ``<C>``, driven directly (it is not
     an ``AnsatzEnergy`` engine)."""
     return QTensorSimulator().maxcut_energy(
-        ansatz.bind(x), ansatz.graph, initial_state=ansatz.initial_state_label
+        ansatz.bind(x), ansatz.graph, initial_state="0"
     )
 
 
@@ -70,11 +71,17 @@ class TestValue:
         assert energy.num_evaluations == 6  # 3 batched + 3 single
 
     def test_plus_start_engine_agreement(self, er6):
-        ansatz = build_qaoa_ansatz(er6, 1, initial_hadamard=False)
+        """A |+> start without the H column is the ansatz's state."""
+        ansatz = build_qaoa_ansatz(er6, 1)
+        bound = ansatz.bind([0.4, 0.3])
+        n = er6.num_nodes
+        assert [i.gate.name for i in bound.instructions[:n]] == ["h"] * n
+        stripped = QuantumCircuit(n)
+        for instr in bound.instructions[n:]:
+            stripped.append(instr.gate, instr.qubits)
         sv = AnsatzEnergy(ansatz, engine="statevector")
-        assert qtensor_energy(ansatz, [0.4, 0.3]) == pytest.approx(
-            sv.value([0.4, 0.3]), abs=1e-9
-        )
+        plus = QTensorSimulator().maxcut_energy(stripped, er6, initial_state="+")
+        assert plus == pytest.approx(sv.value([0.4, 0.3]), abs=1e-9)
 
 
 class TestGradient:

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from repro.graphs.generators import cycle_graph, erdos_renyi_graph
+from repro.qaoa import initialization
 from repro.qaoa.ansatz import build_qaoa_ansatz
 from repro.qaoa.energy import AnsatzEnergy
 from repro.qaoa.initialization import interp_init, ramp_init, uniform_init
 
 
 class TestUniform:
-    def test_shape_and_range(self):
-        x = uniform_init(3, scale=0.4, rng=np.random.default_rng(0))
+    def test_shape_and_range(self, monkeypatch):
+        monkeypatch.setattr(initialization, "UNIFORM_SCALE", 0.4)
+        x = uniform_init(3, rng=np.random.default_rng(0))
         assert x.shape == (6,)
         assert np.all(np.abs(x) <= 0.4)
 

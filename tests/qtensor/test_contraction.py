@@ -209,8 +209,8 @@ class TestArrayBackendDispatch:
         assert gpu.kernels == buckets + 1
 
     def test_kernel_latency_dominates_small_buckets(self):
-        model = DeviceModel(kernel_latency=1e-3, element_rate=1e15, transfer_bandwidth=1e15)
-        gpu = MockGPUArrayBackend(model)
+        gpu = MockGPUArrayBackend()
+        gpu.model = DeviceModel(kernel_latency=1e-3, element_rate=1e15, transfer_bandwidth=1e15)
         tensors, a, b, c = _bucket()
         bucket_elimination(tensors, [b], [a, c], gpu)
         assert gpu.kernels == 2

@@ -7,13 +7,15 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.graphs.generators import cycle_graph, random_regular_graph
 from repro.qaoa.ansatz import build_qaoa_ansatz
 from repro.qtensor.lightcone import lightcone_circuit, lightcone_qubits
-from repro.simulators.expectation import pauli_expectation
+from repro.simulators.expectation import bit_table
 from repro.simulators.statevector import simulate
 
 
 def _zz_energy(circuit, u, v, init):
-    string = "".join("Z" if q in (u, v) else "I" for q in range(circuit.num_qubits))
-    return pauli_expectation(simulate(circuit, init), string)
+    """<Z_u Z_v>: +1 on basis states where bits u and v agree, -1 elsewhere."""
+    bits = bit_table(circuit.num_qubits)
+    probs = np.abs(simulate(circuit, init)) ** 2
+    return float(probs @ (1.0 - 2.0 * (bits[:, u] != bits[:, v])))
 
 
 class TestCorrectness:

@@ -38,7 +38,7 @@ class TestStatevector:
         beta = Parameter("beta")
         qc = QuantumCircuit(2).rx(2 * beta, 0).rx(2 * beta, 1)
         psi = sim.statevector(qc, bindings={beta: 0.3})
-        expected = simulate(qc, bindings={beta: 0.3})
+        expected = simulate(qc.bind_parameters({beta: 0.3}))
         np.testing.assert_allclose(psi, expected, atol=1e-10)
 
 

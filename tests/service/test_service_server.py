@@ -188,6 +188,31 @@ class TestValidation:
             assert body["error"] == f"invalid sweep spec: {facade.value}"
         assert sum(svc.queue.counts().values()) == 0
 
+    def test_bad_retries_timeouts_and_sample_caps_rejected_at_submit(self, service):
+        """Settings only the runtime or the sample cap read: a 400 with the
+        facade's text, not a job id that fails, or misbehaves, later."""
+        svc, base = service
+        for bad in (
+            {"retries": -1},
+            {"job_timeout": -1},
+            {"job_timeout": "nan"},
+            {"num_samples": 2.5},
+            {"num_samples": -1},
+        ):
+            config = {k: float(v) if v == "nan" else v for k, v in bad.items()}
+            with pytest.raises(ConfigError) as facade:
+                search("er:1", depths=1, config=Config(**config))
+            with pytest.raises(ServiceRequestError) as rejected:
+                svc.submit({"workload": "er:1", "config": config})
+            assert rejected.value.status == 400, bad
+            assert str(rejected.value) == f"invalid sweep spec: {facade.value}"
+        status, body = http(
+            "POST", base + "/submit", {"workload": "er:1", "config": {"retries": -1}}
+        )
+        assert status == 400
+        assert body["error"] == "invalid sweep spec: max_retries must be >= 0, got -1"
+        assert sum(svc.queue.counts().values()) == 0
+
     def test_malformed_workload_spec_rejected_at_submit(self, service):
         """A count or seed that is no integer is the facade's documented
         rejection, not the bare ``ValueError`` of the conversion."""

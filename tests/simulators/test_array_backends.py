@@ -112,14 +112,11 @@ def _pair(ansatz):
 @given(
     tokens=st.lists(st.sampled_from(MIXER_TOKENS), min_size=1, max_size=4),
     p=st.integers(1, 3),
-    initial_hadamard=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_energy_identical_across_backends(tokens, p, initial_hadamard, seed):
+def test_energy_identical_across_backends(tokens, p, seed):
     graph = cycle_graph(5)
-    ansatz = build_qaoa_ansatz(
-        graph, p, tuple(tokens), initial_hadamard=initial_hadamard
-    )
+    ansatz = build_qaoa_ansatz(graph, p, tuple(tokens))
     numpy_engine, mock_engine = _pair(ansatz)
     x = np.random.default_rng(seed).uniform(-np.pi, np.pi, ansatz.num_parameters)
     assert mock_engine.value(x) == pytest.approx(numpy_engine.value(x), abs=ATOL)

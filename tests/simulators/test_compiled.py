@@ -2,8 +2,8 @@
 
 The compiled program must be *indistinguishable* from the statevector
 engine — energies and parameter-shift gradients pinned to 1e-10 across the
-full mixer token alphabet, random depths, both ``initial_hadamard``
-settings, and batched vs. single evaluation — because the search treats
+full mixer token alphabet, random depths, and batched vs. single
+evaluation — because the search treats
 the two engines as interchangeable via one config flag.
 """
 
@@ -70,14 +70,11 @@ def test_every_diagonal_spec_publishes_its_phase_generator():
 @given(
     tokens=st.lists(st.sampled_from(MIXER_TOKENS), min_size=1, max_size=4),
     p=st.integers(1, 3),
-    initial_hadamard=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_energy_matches_statevector(tokens, p, initial_hadamard, seed):
+def test_energy_matches_statevector(tokens, p, seed):
     graph = cycle_graph(5)
-    ansatz = build_qaoa_ansatz(
-        graph, p, tuple(tokens), initial_hadamard=initial_hadamard
-    )
+    ansatz = build_qaoa_ansatz(graph, p, tuple(tokens))
     compiled, oracle = _engines(ansatz)
     x = np.random.default_rng(seed).uniform(-np.pi, np.pi, ansatz.num_parameters)
     assert compiled.value(x) == pytest.approx(oracle.value(x), abs=ATOL)
@@ -87,14 +84,11 @@ def test_energy_matches_statevector(tokens, p, initial_hadamard, seed):
 @given(
     tokens=st.lists(st.sampled_from(MIXER_TOKENS), min_size=1, max_size=3),
     p=st.integers(1, 2),
-    initial_hadamard=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_gradient_matches_statevector(tokens, p, initial_hadamard, seed):
+def test_gradient_matches_statevector(tokens, p, seed):
     graph = cycle_graph(4)
-    ansatz = build_qaoa_ansatz(
-        graph, p, tuple(tokens), initial_hadamard=initial_hadamard
-    )
+    ansatz = build_qaoa_ansatz(graph, p, tuple(tokens))
     compiled, oracle = _engines(ansatz)
     x = np.random.default_rng(seed).uniform(-np.pi, np.pi, ansatz.num_parameters)
     np.testing.assert_allclose(
@@ -123,7 +117,7 @@ def test_qtensor_agrees_where_supported(er6):
     compiled = AnsatzEnergy(ansatz, engine="compiled")
     x = [0.3, -0.2, 0.5, 0.1]
     qtensor = QTensorSimulator().maxcut_energy(
-        ansatz.bind(x), er6, initial_state=ansatz.initial_state_label
+        ansatz.bind(x), er6, initial_state="0"
     )
     assert compiled.value(x) == pytest.approx(qtensor, abs=1e-9)
 
@@ -131,11 +125,16 @@ def test_qtensor_agrees_where_supported(er6):
 # -- paper-workload pinning --------------------------------------------------
 
 
-@pytest.mark.parametrize("tokens", [("rx",), ("rx", "ry"), ("ry", "p"), ("h", "rz")])
-@pytest.mark.parametrize("initial_hadamard", [True, False])
-def test_paper_scale_energy_and_gradient(tokens, initial_hadamard):
+@pytest.mark.parametrize(
+    "tokens",
+    [
+        ("rx",), ("rx", "ry"), ("ry", "p"), ("h", "rz"),
+        ("rz", "rx"), ("cz_ring", "ry"), ("rx", "cx_ring"), ("p", "ry"),
+    ],
+)
+def test_paper_scale_energy_and_gradient(tokens):
     graph = erdos_renyi_graph(10, 0.5, seed=3, require_connected=True)
-    ansatz = build_qaoa_ansatz(graph, 4, tokens, initial_hadamard=initial_hadamard)
+    ansatz = build_qaoa_ansatz(graph, 4, tokens)
     compiled, oracle = _engines(ansatz)
     x = np.random.default_rng(11).uniform(-np.pi, np.pi, ansatz.num_parameters)
     assert compiled.value(x) == pytest.approx(oracle.value(x), abs=ATOL)
@@ -191,7 +190,7 @@ def test_compile_circuit_state_without_graph():
     qc = QuantumCircuit(3)
     qc.h(0).cx(0, 1).rz(theta * 2.0, 1).cx(0, 2).rx(theta, 0).rz(0.3, 2).ry(0.2, 2).rz(0.1, 2)
     program = compile_circuit(qc, [theta])
-    dense = simulate(qc, zero_state(3), {theta: 0.7})
+    dense = simulate(qc.bind_parameters({theta: 0.7}), zero_state(3))
     np.testing.assert_allclose(program.state([0.7]), dense, atol=ATOL)
     with pytest.raises(ValueError, match="without a graph"):
         program.energy([0.7])
@@ -205,7 +204,7 @@ def test_a_non_adjacent_cx_matches_the_dense_state(control, target):
         qc.ry(theta * (q + 1.0), q)
     qc.cx(control, target).rx(theta, target)
     program = compile_circuit(qc, [theta])
-    dense = simulate(qc, zero_state(4), {theta: 0.37})
+    dense = simulate(qc.bind_parameters({theta: 0.37}), zero_state(4))
     np.testing.assert_allclose(program.state([0.37]), dense, atol=ATOL)
 
 
@@ -270,7 +269,7 @@ def test_caller_built_gates_match_the_dense_state():
     states = program.states(X)
     assert {name for _, name, _ in log} >= {"_general_step"}
     for column, (value,) in enumerate(X):
-        dense = simulate(qc, zero_state(3), {theta: value})
+        dense = simulate(qc.bind_parameters({theta: value}), zero_state(3))
         np.testing.assert_allclose(program.state([value]), dense, atol=ATOL)
         np.testing.assert_allclose(states[:, column], dense, atol=ATOL)
 
@@ -305,7 +304,7 @@ def test_compile_circuit_plus_initial_state():
     qc = QuantumCircuit(2)
     qc.rzz(theta, 0, 1).ry(0.4, 0)
     program = compile_circuit(qc, [theta], initial_state="+")
-    dense = simulate(qc, plus_state(2), {theta: -1.2})
+    dense = simulate(qc.bind_parameters({theta: -1.2}), plus_state(2))
     np.testing.assert_allclose(program.state([-1.2]), dense, atol=ATOL)
 
 
@@ -324,6 +323,41 @@ def test_partial_hadamard_prefix_not_folded():
     program = compile_circuit(qc, [])
     assert program.initial_state_label == "0"
     np.testing.assert_allclose(program.state([]), simulate(qc), atol=ATOL)
+
+
+def _without_hadamard_column(circuit):
+    n = circuit.num_qubits
+    head = circuit.instructions[:n]
+    assert [(i.gate.name, i.qubits) for i in head] == [("h", (q,)) for q in range(n)]
+    stripped = QuantumCircuit(n)
+    for instr in circuit.instructions[n:]:
+        stripped.append(instr.gate, instr.qubits)
+    return stripped
+
+
+@pytest.mark.parametrize(
+    "tokens",
+    [(token,) for token in MIXER_TOKENS] + [("ry", "p"), ("h", "rz"), ("cz_ring", "rx")],
+    ids="-".join,
+)
+def test_a_plus_start_without_the_hadamard_column_is_the_ansatz_program(er6, tokens):
+    """The ansatz's H column folds to a |+> start: compiling the circuit
+    without it from |+> gives the same program, value for value."""
+    ansatz = build_qaoa_ansatz(er6, 2, tokens)
+    program = compile_ansatz(ansatz)
+    plus = compile_circuit(
+        _without_hadamard_column(ansatz.circuit),
+        ansatz.parameters,
+        initial_state="+",
+        graph=er6,
+    )
+    assert plus.initial_state_label == program.initial_state_label == "+"
+    assert plus.source_gates == program.source_gates - er6.num_nodes
+    assert [type(op) for op in plus.ops] == [type(op) for op in program.ops]
+    assert plus.shift_sites == program.shift_sites
+    X = np.random.default_rng(5).uniform(-np.pi, np.pi, (3, ansatz.num_parameters))
+    np.testing.assert_allclose(program.energies(X), plus.energies(X), rtol=0, atol=ATOL)
+    np.testing.assert_allclose(program.gradient(X[0]), plus.gradient(X[0]), rtol=0, atol=ATOL)
 
 
 def test_wrong_parameter_count_rejected(er6):
@@ -357,20 +391,23 @@ def _memo_sizes():
     return {name: getattr(compiled_module, name).cache_info().currsize for name in _MEMOS}
 
 
-def _flat_and_stitched(ansatz, backends=(None, None)):
+def _flat_and_stitched(ansatz, backends=(None, None), warm_with=None):
     """The reference lowering of the whole symbolic circuit, and
     ``compile_ansatz``'s — with the memos emptied before each, so neither
-    reads a table the other computed."""
+    reads a table the other computed. ``warm_with`` is compiled between
+    the two, so the stitched program reads tables another ansatz left."""
     _clear_memos()
     flat = compile_circuit(
         ansatz.circuit,
         ansatz.parameters,
-        initial_state=ansatz.initial_state_label,
+        initial_state="0",
         graph=ansatz.graph,
         backend=backends[0],
         cost_values=get_workload(ansatz.workload).objective_values(ansatz.graph),
     )
     _clear_memos()
+    if warm_with is not None:
+        compile_ansatz(warm_with, backend=backends[1])
     return flat, compile_ansatz(ansatz, backend=backends[1])
 
 
@@ -400,15 +437,20 @@ def _assert_same_program(stitched, flat):
 
 
 @pytest.mark.parametrize("workload", available_workloads())
-@pytest.mark.parametrize("initial_hadamard", [True, False])
+@pytest.mark.parametrize("memos", ["cold", "warm"])
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("tokens", _STITCH_TOKENS, ids="-".join)
-def test_stitched_program_equals_flat_compile(tokens, p, initial_hadamard, workload):
-    graph = get_workload(workload).dataset(1, num_nodes=5, dataset_seed=3)[0]
-    ansatz = build_qaoa_ansatz(
-        graph, p, tokens, initial_hadamard=initial_hadamard, workload=workload
-    )
-    flat, stitched = _flat_and_stitched(ansatz)
+def test_stitched_program_equals_flat_compile(tokens, p, memos, workload):
+    """``warm``: the memos first hold the tables of the same mixer on
+    another instance of the same size, so the stitched program reuses its
+    mixer fragments and must still take its own cost fragment."""
+    graph, other = get_workload(workload).dataset(2, num_nodes=5, dataset_seed=3)
+    assert other != graph
+    ansatz = build_qaoa_ansatz(graph, p, tokens, workload=workload)
+    warm_with = None
+    if memos == "warm":
+        warm_with = build_qaoa_ansatz(other, p, tokens, workload=workload)
+    flat, stitched = _flat_and_stitched(ansatz, warm_with=warm_with)
     assert "circuit" in vars(ansatz)  # the reference read it; see the serving-path test
     _assert_same_program(stitched, flat)
     rng = np.random.default_rng(len(tokens) + 10 * p)
@@ -626,10 +668,10 @@ def test_a_shift_lands_on_the_step_of_its_op():
     assert delivered(flat, [0.3]) == {
         (0, "_general_step"): 2, (2, "_general_step"): 2, (3, "_lookup_step"): 2,
     }
-    dense = simulate(qc, plus_state(4), {theta: 0.3})
+    dense = simulate(qc.bind_parameters({theta: 0.3}), plus_state(4))
     np.testing.assert_allclose(flat.state([0.3]), dense, atol=ATOL)
     def oracle_energy(value):
-        state = simulate(qc, plus_state(4), {theta: value})
+        state = simulate(qc.bind_parameters({theta: value}), plus_state(4))
         return float((np.abs(state) ** 2) @ cut_values(graph))
 
     h = 1e-6

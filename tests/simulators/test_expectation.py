@@ -3,15 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.circuits.circuit import QuantumCircuit
 from repro.graphs.generators import Graph, complete_graph, cycle_graph, path_graph
 from repro.simulators.expectation import (
     bit_table,
     cut_values,
     maxcut_expectation,
-    pauli_expectation,
 )
-from repro.simulators.statevector import basis_state, plus_state, simulate
+from repro.simulators.statevector import basis_state, plus_state
 
 
 class TestBitTable:
@@ -69,34 +67,3 @@ class TestMaxcutExpectation:
         g = Graph(2, ((0, 1),), (3.0,))
         assert maxcut_expectation(basis_state(2, 1), g) == pytest.approx(3.0)
 
-
-class TestPauliExpectations:
-    def test_z_on_zero(self):
-        psi = basis_state(1, 0)
-        assert pauli_expectation(psi, "Z") == pytest.approx(1.0)
-
-    def test_z_on_one(self):
-        assert pauli_expectation(basis_state(1, 1), "Z") == pytest.approx(-1.0)
-
-    def test_x_on_plus(self):
-        assert pauli_expectation(plus_state(1), "X") == pytest.approx(1.0)
-
-    def test_y_on_plus_is_zero(self):
-        assert pauli_expectation(plus_state(1), "Y") == pytest.approx(0.0, abs=1e-12)
-
-    def test_identity_string(self):
-        assert pauli_expectation(plus_state(2), "II") == pytest.approx(1.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            pauli_expectation(plus_state(2), "Z")
-
-    def test_invalid_character(self):
-        with pytest.raises(ValueError, match="invalid Pauli"):
-            pauli_expectation(plus_state(1), "Q")
-
-    def test_zz_on_bell(self):
-        psi = simulate(QuantumCircuit(2).h(0).cx(0, 1))
-        assert pauli_expectation(psi, "ZZ") == pytest.approx(1.0)
-        assert pauli_expectation(psi, "XX") == pytest.approx(1.0)
-        assert pauli_expectation(psi, "YY") == pytest.approx(-1.0)

@@ -5,7 +5,7 @@ import pytest
 from tests.conftest import random_circuit
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.circuits.gates import gate_matrix
+from repro.circuits.gates import make_gate
 from repro.circuits.parameters import Parameter
 from repro.simulators.statevector import (
     apply_gate,
@@ -15,6 +15,12 @@ from repro.simulators.statevector import (
     simulate,
     zero_state,
 )
+
+
+def gate_matrix(name, *params):
+    """A registry gate's concrete matrix."""
+    return make_gate(name, *params).matrix()
+
 
 SQ2 = 1 / np.sqrt(2)
 
@@ -131,7 +137,7 @@ class TestSimulate:
 
     def test_symbolic_binding(self):
         theta = Parameter("t")
-        psi = simulate(QuantumCircuit(1).ry(theta, 0), bindings={theta: np.pi})
+        psi = simulate(QuantumCircuit(1).ry(theta, 0).bind_parameters({theta: np.pi}))
         np.testing.assert_allclose(psi, [0, 1], atol=1e-12)
 
     def test_unbound_raises(self):

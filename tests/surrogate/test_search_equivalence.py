@@ -130,9 +130,11 @@ class TestFingerprintSensitivity:
 
 
 class TestFilterOverPredictor:
-    def test_surrogate_filters_predictor_proposals_through_search_mixer(self):
+    def test_surrogate_filters_predictor_proposals_through_search_mixer(self, monkeypatch):
         """One front-end composes both: the predictor proposes, the
         surrogate prunes, only evaluated candidates reward the learner."""
+        monkeypatch.setattr(SurrogateConfig, "min_observations", 4)
+        monkeypatch.setattr(SurrogateConfig, "train_epochs", 10)
         graphs = DATASET_FAMILIES["er"][1](2, dataset_seed=2023)
         rewarded = []
 
@@ -144,10 +146,7 @@ class TestFilterOverPredictor:
             p_max=3,
             k_max=3,
             evaluation=EvaluationConfig(max_steps=6, seed=1),
-            surrogate=SurrogateConfig(
-                enabled=True, keep_fraction=0.4, explore_floor=0.0,
-                min_observations=4, train_epochs=10,
-            ),
+            surrogate=SurrogateConfig(enabled=True, keep_fraction=0.4, explore_floor=0.0),
         )
         result = search_mixer(
             graphs,

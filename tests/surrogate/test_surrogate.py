@@ -35,6 +35,13 @@ def sequences(count, seed=0, max_len=3):
     ]
 
 
+def small(monkeypatch, min_observations=4, embedding_dim=4, hidden_dim=6, train_epochs=10):
+    """Shrink the surrogate's class constants to test scale."""
+    for name, value in locals().items():
+        if name != "monkeypatch":
+            monkeypatch.setattr(SurrogateConfig, name, value)
+
+
 def evaluation(tokens, p=1, ratio=None, seconds=0.01):
     return CandidateEvaluation(
         tokens=tokens,
@@ -56,38 +63,34 @@ class TestSurrogateConfig:
             {"keep_fraction": 1.5},
             {"explore_floor": -0.1},
             {"explore_floor": 1.1},
-            {"min_observations": 0},
-            {"embedding_dim": 0},
-            {"hidden_dim": 0},
-            {"train_epochs": 0},
-            {"learning_rate": 0.0},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SurrogateConfig(**kwargs)
 
-    def test_fingerprint_sensitive_to_every_knob(self):
+    def test_fingerprint_sensitive_to_every_knob(self, monkeypatch):
         base = SurrogateConfig(enabled=True)
         variants = [
             SurrogateConfig(enabled=True, keep_fraction=0.3),
             SurrogateConfig(enabled=True, explore_floor=0.2),
-            SurrogateConfig(enabled=True, min_observations=9),
             SurrogateConfig(enabled=True, seed=1),
-            SurrogateConfig(enabled=True, cost_model=False),
             SurrogateConfig(enabled=False),
         ]
         prints = {v.fingerprint() for v in variants}
         assert base.fingerprint() not in prints
         assert len(prints) == len(variants)
         assert base.fingerprint() == SurrogateConfig(enabled=True).fingerprint()
+        # a class constant is a setting too
+        before = base.fingerprint()
+        monkeypatch.setattr(SurrogateConfig, "min_observations", 9)
+        assert base.fingerprint() != before
 
 
 class TestSurrogateModel:
-    def test_learns_a_length_signal(self):
-        model = SurrogateModel(
-            ALPHABET, embedding_dim=4, hidden_dim=8, train_epochs=40, seed=1
-        )
+    def test_learns_a_length_signal(self, monkeypatch):
+        small(monkeypatch, hidden_dim=8, train_epochs=40)
+        model = SurrogateModel(ALPHABET, seed=1)
         train = sequences(40, seed=2)
         for tokens in train:
             model.observe(tokens, 1, float(len(tokens)))
@@ -97,20 +100,20 @@ class TestSurrogateModel:
         long = model.predict(("rx", "ry", "rz"), 1)
         assert long > short  # ranking signal, not exact regression
 
-    def test_deterministic_given_seed(self):
+    def test_deterministic_given_seed(self, monkeypatch):
+        small(monkeypatch)
         scores = []
         for _ in range(2):
-            model = SurrogateModel(
-                ALPHABET, embedding_dim=4, hidden_dim=6, train_epochs=10, seed=5
-            )
+            model = SurrogateModel(ALPHABET, seed=5)
             for tokens in sequences(12, seed=3):
                 model.observe(tokens, 1, float(len(tokens)))
             model.fit()
             scores.append(model.predict_many(sequences(6, seed=4), 1))
         np.testing.assert_array_equal(scores[0], scores[1])
 
-    def test_fit_is_lazy(self):
-        model = SurrogateModel(ALPHABET, train_epochs=2, seed=0)
+    def test_fit_is_lazy(self, monkeypatch):
+        monkeypatch.setattr(SurrogateConfig, "train_epochs", 2)
+        model = SurrogateModel(ALPHABET, seed=0)
         assert model.fit() is None  # nothing observed
         for tokens in sequences(4):
             model.observe(tokens, 1, 0.5)
@@ -119,7 +122,8 @@ class TestSurrogateModel:
 
     def test_buffer_trims_to_max(self, monkeypatch):
         monkeypatch.setattr(surrogate_model, "MAX_BUFFER", 10)
-        model = SurrogateModel(ALPHABET, train_epochs=1, seed=0)
+        monkeypatch.setattr(SurrogateConfig, "train_epochs", 1)
+        model = SurrogateModel(ALPHABET, seed=0)
         for tokens in sequences(25, seed=6):
             model.observe(tokens, 1, 0.1)
         assert len(model._buffer) == 10
@@ -195,20 +199,13 @@ class TestRankAndSelect:
 
 
 class TestSurrogateAssistant:
-    def make(self, **overrides):
-        kwargs = dict(
-            enabled=True,
-            keep_fraction=0.4,
-            explore_floor=0.1,
-            min_observations=4,
-            embedding_dim=4,
-            hidden_dim=6,
-            train_epochs=10,
-        )
-        kwargs.update(overrides)
-        return SurrogateAssistant(
-            FixedPoolProposer([]), ALPHABET, SurrogateConfig(**kwargs)
-        )
+    @pytest.fixture(autouse=True)
+    def _small(self, monkeypatch):
+        small(monkeypatch)
+
+    def make(self):
+        config = SurrogateConfig(enabled=True, keep_fraction=0.4, explore_floor=0.1)
+        return SurrogateAssistant(FixedPoolProposer([]), ALPHABET, config)
 
     def test_requires_enabled_config(self):
         with pytest.raises(ValueError, match="enabled"):
@@ -237,8 +234,9 @@ class TestSurrogateAssistant:
         assert 0 < len(kept) < len(pool)
         assert set(kept) <= set(pool)
 
-    def test_passes_everything_until_min_observations(self):
-        assistant = self.make(min_observations=50)
+    def test_passes_everything_until_min_observations(self, monkeypatch):
+        monkeypatch.setattr(SurrogateConfig, "min_observations", 50)
+        assistant = self.make()
         pool = sequences(10, seed=8)
         assistant.observe([evaluation(t) for t in pool])
         assert assistant.select(pool, 2) == pool
@@ -256,15 +254,10 @@ class TestSurrogateAssistant:
         positions = [pool.index(t) for t in kept]
         assert positions == sorted(positions)
 
-    def test_metrics_counters(self):
+    def test_metrics_counters(self, monkeypatch):
+        monkeypatch.setattr(SurrogateConfig, "train_epochs", 5)
         registry = MetricsRegistry()
-        config = SurrogateConfig(
-            enabled=True,
-            min_observations=4,
-            embedding_dim=4,
-            hidden_dim=6,
-            train_epochs=5,
-        )
+        config = SurrogateConfig(enabled=True)
         assistant = SurrogateAssistant(
             FixedPoolProposer([]), ALPHABET, config, metrics=registry
         )
@@ -286,34 +279,19 @@ class TestSurrogateAssistant:
             4.0, rel=0.2
         )
 
-    def test_cost_model_disabled(self):
-        assistant = self.make(cost_model=False)
-        assert assistant.cost is None
-        assert assistant.predicted_cost(("rx",), 2) == predicted_cost(("rx",), 2)
-
 
 class TestSurrogateRankedPredictor:
     """Predictor proposals ranked by the surrogate: the filter composed
     over a :class:`PredictorProposer` (what ``search_mixer`` builds for
     ``predictor=`` + ``config.surrogate.enabled``)."""
 
-    def config(self, **overrides):
-        kwargs = dict(
-            enabled=True,
-            keep_fraction=0.4,
-            explore_floor=0.1,
-            min_observations=4,
-            embedding_dim=4,
-            hidden_dim=6,
-            train_epochs=10,
-        )
-        kwargs.update(overrides)
-        return SurrogateConfig(**kwargs)
+    @pytest.fixture(autouse=True)
+    def _small(self, monkeypatch):
+        small(monkeypatch)
 
-    def ranked(self, predictor, num, **overrides):
-        return SurrogateAssistant(
-            PredictorProposer(predictor, num), ALPHABET, self.config(**overrides)
-        )
+    def ranked(self, predictor, num):
+        config = SurrogateConfig(enabled=True, keep_fraction=0.4, explore_floor=0.1)
+        return SurrogateAssistant(PredictorProposer(predictor, num), ALPHABET, config)
 
     def test_proposals_subset_of_base(self):
         base = PredictorProposer(RandomPredictor(ALPHABET, 3, seed=1), 10)
