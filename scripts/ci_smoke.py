@@ -43,7 +43,9 @@ run exactly.
 (maxcut, wmaxcut, maxsat, ising) it runs one tiny sweep through the CLI
 entry point *and* one through the service's HTTP submit path, asserting
 each finds a winner with a defined ratio, records its workload key in the
-result config, and exports the winning circuit as OpenQASM.
+result config, and exports the winning circuit as OpenQASM equal byte for
+byte to the flat export (the whole circuit built, bound and serialized)
+that :func:`~repro.circuits.qasm.from_qasm` reads back.
 
 **surrogate** — the surrogate-assisted-search gate: runs one sweep with
 ``--surrogate`` through the CLI and one through the service's HTTP
@@ -406,13 +408,28 @@ def smoke_workloads() -> int:
     import json
     from pathlib import Path
 
-    from repro.api import Config, connect
+    from repro.api import Config, connect, resolve_workload
+    from repro.circuits.qasm import from_qasm, to_qasm
     from repro.cli import main as cli_main
+    from repro.core.results import SearchResult
+    from repro.qaoa.ansatz import build_qaoa_ansatz
     from repro.service.server import SearchService, make_http_server
     from repro.workloads import available_workloads, get_workload
 
     keys = available_workloads()
     config = Config(k_min=1, k_max=1, steps=10, seed=1)
+
+    def check_export(key: str, result: SearchResult) -> None:
+        """The shipped export is the flat one: the winner's whole circuit
+        built on the first graph, bound and serialized gate by gate."""
+        graph = resolve_workload(f"{get_workload(key).family}:1:5")[0]
+        depth = result.depth_results[0]
+        best = depth.best
+        ansatz = build_qaoa_ansatz(graph, depth.p, best.tokens, workload=key)
+        assert depth.best_qasm == to_qasm(ansatz.bind(best.best_params[0])), (
+            f"{key}: the exported QASM differs from the flat export"
+        )
+        assert from_qasm(depth.best_qasm).num_qubits == graph.num_nodes
 
     # -- CLI path: one tiny sweep per problem family ------------------------
     with tempfile.TemporaryDirectory() as out_dir:
@@ -430,7 +447,7 @@ def smoke_workloads() -> int:
             assert 0.0 < saved["best_ratio"] <= 1.0 + 1e-9, (
                 f"{key}: ratio {saved['best_ratio']} out of range"
             )
-            assert saved["depth_results"][0]["best_qasm"].startswith("OPENQASM 2.0;")
+            check_export(key, SearchResult.from_dict(saved))
             print(f"cli[{key}]: winner {tuple(saved['best_tokens'])} "
                   f"ratio {saved['best_ratio']:.4f}")
 
@@ -452,7 +469,7 @@ def smoke_workloads() -> int:
                 result = client.wait(job_id, timeout=300)
                 assert result.config["workload"] == key
                 assert 0.0 < result.best_ratio <= 1.0 + 1e-9
-                assert result.depth_results[0].best_qasm
+                check_export(key, result)
                 print(f"service[{key}]: winner {result.best_tokens} "
                       f"ratio {result.best_ratio:.4f}")
         server.shutdown()

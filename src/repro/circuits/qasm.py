@@ -7,7 +7,7 @@ what the exporter emits (plus whitespace/comments), which is enough for
 round-tripping search results and for interop tests.
 
 Symbolic parameters cannot be represented in QASM 2; circuits must be bound
-before export.
+before export, or templated over one parameter (:func:`qasm_template`).
 """
 
 from __future__ import annotations
@@ -17,37 +17,59 @@ import re
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import GATE_REGISTRY
+from repro.circuits.parameters import Parameter, ParameterExpression, bind_value
 
-__all__ = ["to_qasm", "from_qasm", "QasmError"]
+__all__ = ["to_qasm", "from_qasm", "QasmError", "qasm_header", "qasm_template"]
 
 
 class QasmError(ValueError):
     """Raised on malformed QASM input or unexportable circuits."""
 
 
-_HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
-
 #: gates we emit verbatim; everything else needs a definition block
 _NATIVE = {"id", "x", "y", "z", "h", "s", "t", "rx", "ry", "rz", "p", "cx", "cz", "cp", "rzz"}
 
 
+#: how an angle is spelled: 17 significant digits round-trip every float
+_ANGLE = "{:.17g}"
+#: gate lines as a ``str.format`` text, and each slot's ``(offset, coeff)``
+Template = tuple[str, tuple[tuple[float, float], ...]]
+
+
+def qasm_header(num_qubits: int) -> str:
+    """The text every export opens with: version, include, register."""
+    return f'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[{num_qubits}];\n'
+
+
 def to_qasm(circuit: QuantumCircuit) -> str:
     """Serialize a fully-bound circuit to OpenQASM 2 text."""
-    if circuit.parameters:
-        names = sorted(p.name for p in circuit.parameters)
-        raise QasmError(f"cannot export unbound parameters {names}; bind first")
-    lines = [_HEADER.rstrip(), f"qreg q[{circuit.num_qubits}];"]
+    return qasm_header(circuit.num_qubits) + qasm_template(circuit, None)[0]
+
+
+def qasm_template(circuit: QuantumCircuit, parameter: Parameter | None) -> Template:
+    """``circuit``'s gate lines with a ``{}`` slot for every angle over
+    ``parameter`` (none for a bound circuit). Each slot filled with ``offset
+    + coeff * value``, the arithmetic of :meth:`ParameterExpression.bind`,
+    spells what :func:`to_qasm` writes for ``circuit`` bound at ``value``."""
+    rows, slots = [], []
     for instr in circuit.instructions:
         name = instr.gate.name
         if name not in _NATIVE:
             raise QasmError(f"gate '{name}' has no QASM 2 spelling")
-        qubits = ",".join(f"q[{q}]" for q in instr.qubits)
-        if instr.gate.params:
-            params = ",".join(f"{float(p):.17g}" for p in instr.gate.params)
-            lines.append(f"{name}({params}) {qubits};")
-        else:
-            lines.append(f"{name} {qubits};")
-    return "\n".join(lines) + "\n"
+        spelled = []
+        for value in instr.gate.params:
+            terms = value.terms if isinstance(value, ParameterExpression) else {}
+            if terms.keys() - {parameter}:
+                names = sorted(p.name for p in terms if p is not parameter)
+                raise QasmError(f"cannot export unbound parameters {names}; bind first")
+            if terms:
+                slots.append((value.offset, terms[parameter]))
+                spelled.append(_ANGLE)
+            else:
+                spelled.append(_ANGLE.format(bind_value(value, {})))
+        params = f"({','.join(spelled)})" if spelled else ""
+        rows.append(f"{name}{params} {','.join(f'q[{q}]' for q in instr.qubits)};\n")
+    return "".join(rows), tuple(slots)
 
 
 _GATE_RE = re.compile(

@@ -58,7 +58,7 @@ from contextlib import closing
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
-from repro.circuits.qasm import QasmError, to_qasm
+from repro.circuits.qasm import QasmError
 from repro.core.cache import (
     NullStore,
     ResultCache,
@@ -605,7 +605,7 @@ class SearchRuntime:
             ansatz = build_qaoa_ansatz(
                 self.graphs[0], p, best.tokens, workload=self.config.evaluation.workload
             )
-            return to_qasm(ansatz.bind(list(best.best_params[0])))
+            return ansatz.qasm(best.best_params[0])
         except (QasmError, ValueError):
             return None
 

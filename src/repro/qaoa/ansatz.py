@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import Parameter
+from repro.circuits.qasm import Template, qasm_header, qasm_template
 from repro.graphs.generators import Graph
-from repro.qaoa.mixers import append_mixer_layer, check_mixer_tokens, mixer_label
+from repro.qaoa.mixers import append_mixer_layer, check_mixer_tokens, mixer_label, mixer_layer
 from repro.utils.validation import check_positive
 
 __all__ = ["QAOAAnsatz", "build_qaoa_ansatz"]
@@ -29,8 +30,8 @@ class QAOAAnsatz:
     optimizers see. The circuit prepares ``|+>^n`` itself with a Hadamard
     column, so a simulator starts it from ``|0>^n``. The symbolic
     :attr:`circuit` is built on first access: the gate-level engines,
-    :meth:`bind`, QASM export and drawing read it; the compiled engine
-    lowers the ansatz from its layer structure and never does.
+    :meth:`bind` and drawing read it; :meth:`compile` and :meth:`qasm`
+    work from the ansatz's layer structure and never do.
     """
 
     gammas: tuple[Parameter, ...]
@@ -72,14 +73,34 @@ class QAOAAnsatz:
     def num_parameters(self) -> int:
         return 2 * self.p
 
-    def bind(self, values: Sequence[float]) -> QuantumCircuit:
-        """Bind a flat ``[gammas..., betas...]`` vector."""
+    def _check_values(self, values: Sequence[float]) -> None:
         if len(values) != self.num_parameters:
             raise ValueError(
                 f"expected {self.num_parameters} values (p={self.p}), got {len(values)}"
             )
+
+    def bind(self, values: Sequence[float]) -> QuantumCircuit:
+        """Bind a flat ``[gammas..., betas...]`` vector."""
+        self._check_values(values)
         mapping = dict(zip(self.parameters, values))
         return self.circuit.bind_parameters(mapping)
+
+    def qasm(self, values: Sequence[float]) -> str:
+        """``to_qasm(self.bind(values))`` byte for byte, stitched without a
+        circuit: the header, then ``p`` copies of the memoized one-layer
+        cost and mixer templates with their angle slots filled."""
+        from repro.workloads import get_workload
+
+        self._check_values(values)
+        n = self.graph.num_nodes
+        cost, cost_slots = _cost_template(get_workload(self.workload), self.graph)
+        mixer, mixer_slots = _mixer_template(self.mixer_tokens, n)
+        # the Hadamard column is the ``h`` mixer's layer
+        parts = [qasm_header(n), _mixer_template(("h",), n)[0]]
+        for gamma, beta in zip(map(float, values[: self.p]), map(float, values[self.p :])):
+            parts.append(cost.format(*[offset + c * gamma for offset, c in cost_slots]))
+            parts.append(mixer.format(*[offset + c * beta for offset, c in mixer_slots]))
+        return "".join(parts)
 
     def compile(self, *, backend=None):
         """Lower into a :class:`~repro.simulators.compiled.CompiledProgram`.
@@ -95,6 +116,23 @@ class QAOAAnsatz:
         from repro.simulators.compiled import compile_ansatz
 
         return compile_ansatz(self, backend=backend)
+
+
+@lru_cache(maxsize=256)
+def _cost_template(workload, graph: Graph) -> Template:
+    """``workload``'s one-layer phase separator on ``graph`` over one
+    ``gamma`` — keyed by the workload *object*, so a workload re-registered
+    under an old name never exports its predecessor's layer."""
+    gamma = Parameter("gamma")
+    layer = workload.append_cost_layer(QuantumCircuit(graph.num_nodes), graph, gamma)
+    return qasm_template(layer, gamma)
+
+
+@lru_cache(maxsize=1024)
+def _mixer_template(tokens: tuple[str, ...], num_qubits: int) -> Template:
+    """The one-layer mixer ``tokens`` on ``num_qubits`` qubits over one ``beta``."""
+    beta = Parameter("beta")
+    return qasm_template(mixer_layer(num_qubits, tokens, beta), beta)
 
 
 def build_qaoa_ansatz(

@@ -8,12 +8,17 @@ an interp run and a cold run of the same config are *different*
 computations and may never alias in a shared cache.
 """
 
+import json
+
 import pytest
 
+from repro.circuits.qasm import from_qasm, to_qasm
+from repro.core.cache import SweepCheckpoint
 from repro.core.evaluator import EvaluationConfig, Evaluator
 from repro.core.runtime import RuntimeConfig, SearchRuntime
 from repro.core.search import SearchConfig, search_mixer
 from repro.graphs.generators import erdos_renyi_graph
+from repro.qaoa.ansatz import build_qaoa_ansatz
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +111,14 @@ class TestEvaluatorWarmStarts:
         assert evaluator.evaluate(("rx",), 2, warm_start=bad) is cold
 
 
+def _flat_export(graphs, depth, workload="maxcut"):
+    """The winner's export the slow way: build the whole symbolic circuit,
+    bind it and serialize it gate by gate."""
+    best = depth.best
+    ansatz = build_qaoa_ansatz(graphs[0], depth.p, best.tokens, workload=workload)
+    return to_qasm(ansatz.bind(best.best_params[0]))
+
+
 class TestQasmExport:
     def test_every_depth_exports_its_winner(self, graphs):
         result = search_mixer(graphs, _config())
@@ -114,6 +127,35 @@ class TestQasmExport:
             assert qasm is not None
             assert qasm.startswith("OPENQASM 2.0;")
             assert f"qreg q[{graphs[0].num_nodes}];" in qasm
+            assert qasm == _flat_export(graphs, depth)
+            assert from_qasm(qasm).num_qubits == graphs[0].num_nodes
+
+    def test_fresh_warm_and_restored_exports_are_the_flat_one(self, graphs, tmp_path):
+        config = SearchConfig(
+            p_max=3, k_min=1, k_max=2, evaluation=EvaluationConfig(max_steps=8, seed=5)
+        )
+
+        def run(**settings):
+            runtime = RuntimeConfig(cache_dir=str(tmp_path), **settings)
+            return search_mixer(graphs, config, runtime=runtime)
+
+        def exports(result):
+            for depth in result.depth_results:
+                assert depth.best_qasm == _flat_export(graphs, depth)
+            return [d.best_qasm for d in result.depth_results]
+
+        fresh = run()
+        warm = run()
+        assert warm.config["cache_misses"] == 0
+        # a checkpoint without stored QASM: resume regenerates every export
+        checkpoint = tmp_path / SweepCheckpoint.FILENAME
+        document = json.loads(checkpoint.read_text())
+        for entry in document["depths"].values():
+            del entry["best_qasm"]
+        checkpoint.write_text(json.dumps(document))
+        restored = run(resume=True)
+        assert restored.config["restored_depths"] == 3
+        assert exports(fresh) == exports(warm) == exports(restored)
 
     def test_qasm_binds_the_trained_parameters(self, graphs):
         result = search_mixer(graphs, _config())
@@ -143,4 +185,6 @@ class TestQasmExport:
             evaluation=EvaluationConfig(max_steps=10, seed=5, workload=key),
         )
         result = search_mixer(workload_graphs, config)
-        assert result.depth_results[0].best_qasm.startswith("OPENQASM 2.0;")
+        depth = result.depth_results[0]
+        assert depth.best_qasm.startswith("OPENQASM 2.0;")
+        assert depth.best_qasm == _flat_export(workload_graphs, depth, key)

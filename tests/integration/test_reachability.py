@@ -105,9 +105,6 @@ _LAYER = (
 #: for every public method, that only ``tests/`` references, each with the
 #: reason it is not deleted
 TEST_ONLY = {
-    "repro.circuits.qasm.from_qasm": (
-        "reads back what to_qasm writes: the round trip pins the exported winners' QASM"
-    ),
     "repro.core.alphabet.count_sequences": (
         "the §3.1 arithmetic (2500 = 4 depths x 5^4 sequences) and the enumerators' sizes"
     ),

@@ -1,15 +1,20 @@
 """QAOA ansatz construction (Eq. 2) and mixer layers."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import Parameter
+from repro.circuits.qasm import from_qasm, to_qasm
 from repro.graphs.generators import Graph, cycle_graph, path_graph
 from repro.qaoa.ansatz import build_qaoa_ansatz
 from repro.qaoa.cost_operator import cost_layer
-from repro.qaoa.mixers import baseline_mixer, mixer_label, mixer_layer
+from repro.qaoa.mixers import MIXER_TOKENS, baseline_mixer, mixer_label, mixer_layer
 from repro.simulators.statevector import plus_state, simulate
+from repro.workloads import MaxCutWorkload, available_workloads, get_workload
+from repro.workloads.registry import _REGISTRY, register_workload
 
 
 class TestCostLayer:
@@ -211,3 +216,94 @@ class TestLazyCircuit:
             "q1: ──RZ(2*beta)──⊕──●──│──\n"
             "q2: ──RZ(2*beta)─────⊕──●──\n"
         )
+
+
+#: every single token and every ordered pair, entanglers and repeats included
+_TOKEN_TUPLES = [(t,) for t in MIXER_TOKENS] + list(itertools.product(MIXER_TOKENS, repeat=2))
+#: angles for p = 3, sliced to 2p: exact zeros of both signs, negatives, a tiny one
+_ANGLES = [0.0, -0.7, 1.3, -0.0, 2.5e-9, -3.1]
+
+
+class TestStitchedQasm:
+    """``QAOAAnsatz.qasm`` stitches memoized one-layer templates; it must
+    be the flat ``to_qasm(bind(...))`` export byte for byte."""
+
+    @pytest.mark.parametrize("key", available_workloads())
+    @pytest.mark.parametrize("tokens", _TOKEN_TUPLES, ids=mixer_label)
+    def test_equals_the_flat_export(self, key, tokens):
+        graphs = get_workload(key).dataset(2, num_nodes=5, dataset_seed=11)
+        for graph, p in itertools.product(graphs, (1, 2, 3)):
+            ansatz = build_qaoa_ansatz(graph, p, tokens, workload=key)
+            x = _ANGLES[: 2 * p]
+            text = ansatz.qasm(x)
+            assert text == to_qasm(ansatz.bind(x))
+            assert from_qasm(text).num_qubits == graph.num_nodes
+
+    def test_reads_back_as_the_bound_circuit(self):
+        ansatz = build_qaoa_ansatz(cycle_graph(4), 2, ("rz", "cx_ring"))
+        x = [0.3, -0.0, -1.25, 0.0]
+        rebuilt = from_qasm(ansatz.qasm(x))
+        bound = ansatz.bind(x)
+        assert [(i.gate.name, i.qubits) for i in rebuilt] == [
+            (i.gate.name, i.qubits) for i in bound
+        ]
+        assert [i.gate.params for i in rebuilt] == [i.gate.params for i in bound]
+
+    @pytest.mark.parametrize("length", [0, 3, 5])
+    def test_wrong_length_raises_what_bind_raises(self, length):
+        ansatz = build_qaoa_ansatz(cycle_graph(4), 2)
+        with pytest.raises(ValueError) as flat:
+            ansatz.bind([0.1] * length)
+        with pytest.raises(ValueError) as stitched:
+            ansatz.qasm([0.1] * length)
+        assert str(stitched.value) == str(flat.value)
+        assert type(stitched.value) is type(flat.value)
+
+    def test_warm_export_builds_no_circuit(self, monkeypatch):
+        graph = cycle_graph(5)
+        x = [0.4, -0.2, 0.0, 1.1]
+        build_qaoa_ansatz(graph, 2, ("rz", "cz_ring"), workload="maxsat").qasm(x)
+
+        def no_gates(self, gate, qubits):
+            raise AssertionError("the export appended a gate to a circuit")
+
+        monkeypatch.setattr(QuantumCircuit, "append", no_gates)
+        ansatz = build_qaoa_ansatz(graph, 2, ("rz", "cz_ring"), workload="maxsat")
+        text = ansatz.qasm(x)
+        assert "circuit" not in vars(ansatz)
+        monkeypatch.undo()
+        assert text == to_qasm(ansatz.bind(x))
+
+    def test_cost_template_follows_the_workload_object(self):
+        graph = cycle_graph(4)
+        x = [0.3, -0.6]
+        try:
+            register_workload(_DoubledCost())
+            first = build_qaoa_ansatz(graph, 1, ("rx",), workload=_DoubledCost.name)
+            before = first.qasm(x)
+            assert before == to_qasm(first.bind(x))
+            # a different cost layer re-registered under the same name
+            register_workload(_ShiftedCost(), replace=True)
+            second = build_qaoa_ansatz(graph, 1, ("rx",), workload=_DoubledCost.name)
+            after = second.qasm(x)
+            assert after == to_qasm(second.bind(x))
+            assert "rz(" in after and "rzz(" not in after
+            assert after != before
+        finally:
+            _REGISTRY.pop(_DoubledCost.name, None)
+
+
+class _DoubledCost(MaxCutWorkload):
+    name = "qasm-template-test"
+
+    def append_cost_layer(self, circuit, graph, gamma):
+        for u, v in graph.edges:
+            circuit.rzz(gamma * 2.0, u, v)
+        return circuit
+
+
+class _ShiftedCost(_DoubledCost):
+    def append_cost_layer(self, circuit, graph, gamma):
+        for u, _ in graph.edges:
+            circuit.rz(gamma * -1.5 + 0.25, u)
+        return circuit
