@@ -13,7 +13,7 @@ scaling argument for QTensor as the search's backend.
 A second table times the tensor network alone at p=2 on graphs no dense
 engine holds (n up to 64), in raw and in reference-box seconds
 (``benchmarks/e2e/speed.py``), with the contraction width: the measurement
-ROADMAP item 7's decision rule reads. The seconds are reported, not gated.
+the ROADMAP ``qtensor/`` item's decision rule reads. The seconds are reported, not gated.
 """
 
 from __future__ import annotations

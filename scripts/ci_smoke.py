@@ -14,6 +14,9 @@ in a user run). Asserts:
 * the compiled engine agrees with the statevector oracle to 1e-10 on the
   winning candidate's energy (spot equivalence outside the unit suite),
 * a repeated run with the warm cache performs zero candidate trainings,
+* a ``resume=True`` run beside a garbage ``checkpoint.json`` (the retired
+  depth-checkpoint file) restores every depth from the store's depth rows,
+  submits no job, finds the same winner and leaves that file untouched,
 * a child interpreter that runs two ``api.search(workers=2)`` sweeps — the
   second on the worker processes the first one parked — and then one
   ``Config(workers=2, shards=2)`` sweep (two one-process lanes of one
@@ -64,6 +67,8 @@ import sys
 import tempfile
 import threading
 import time
+from dataclasses import replace
+from pathlib import Path
 
 REPO_SRC = "src"
 sys.path.insert(0, REPO_SRC)
@@ -160,6 +165,11 @@ def smoke_search() -> int:
         warm = search_mixer(graphs, config, runtime=runtime)
         warm_seconds = time.perf_counter() - start
 
+        legacy = Path(cache_dir) / "checkpoint.json"
+        legacy.write_bytes(b"\x00 not a checkpoint {")
+        resumed = search_mixer(graphs, config, runtime=replace(runtime, resume=True))
+        assert legacy.read_bytes() == b"\x00 not a checkpoint {", "checkpoint.json was touched"
+
     print(
         f"cold: {cold.num_candidates} candidates in {cold_seconds:.1f}s; "
         f"winner {cold.best_tokens} at p={cold.best_p} "
@@ -196,6 +206,10 @@ def smoke_search() -> int:
     )
     assert warm.config["jobs_submitted"] == 0
     assert warm.best_tokens == cold.best_tokens
+    print(f"resume: {resumed.config['restored_depths']} depths restored")
+    assert resumed.config["restored_depths"] == config.p_max, "resume must restore every depth"
+    assert resumed.config["jobs_submitted"] == 0
+    assert resumed.best_tokens == cold.best_tokens
     smoke_parked_fleet()
     print("benchmark smoke OK")
     return 0
@@ -296,7 +310,6 @@ def smoke_service() -> int:
 
 def smoke_chaos() -> int:
     import sqlite3
-    from pathlib import Path
 
     from repro.api import Config, workload_to_wire
     from repro.core.cache import ResultCache

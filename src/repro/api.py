@@ -57,7 +57,7 @@ import time
 from collections.abc import Callable, Sequence
 from contextlib import ExitStack
 from dataclasses import Field, asdict, dataclass, field, fields, replace
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any
 from urllib.parse import urlsplit
 
@@ -350,7 +350,7 @@ def resolve_workload_spec(
     if isinstance(workload, str):
         family, *numbers = workload.split(":")
         try:
-            key, factory = DATASET_FAMILIES[family]
+            key = DATASET_FAMILIES[family][0]
             # an unknown family, a third number or a non-integer all land here
             count, seed = [int(n) for n in numbers] + [3, 2023][len(numbers):]
         except (KeyError, ValueError):
@@ -358,13 +358,23 @@ def resolve_workload_spec(
                 f"unknown workload spec {workload!r}; expected "
                 f"'family[:count[:seed]]' with family in {sorted(DATASET_FAMILIES)}"
             ) from None
-        return key, list(_checked(factory, count, dataset_seed=seed))
+        return key, list(_dataset(family, count, seed))
     graphs = list(workload)
     if not graphs:
         raise ConfigError("workload must contain at least one graph")
     if isinstance(graphs[0], Graph):
         return None, graphs  # type: ignore[return-value]
     return None, [graph_from_dict(g) for g in graphs]  # type: ignore[arg-type]
+
+
+#: dataset specs whose graphs (frozen, so shareable) stay memoized
+SPEC_MEMO = 64
+
+
+@lru_cache(maxsize=SPEC_MEMO)
+def _dataset(family: str, count: int, seed: int) -> tuple[Graph, ...]:
+    """A spec's graphs, made once per ``(family, count, seed)``; a rejected count raises."""
+    return tuple(_checked(DATASET_FAMILIES[family][1], count, dataset_seed=seed))
 
 
 def resolve_workload(workload: str | Sequence[Graph] | Sequence[dict]) -> list[Graph]:

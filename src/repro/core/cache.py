@@ -11,15 +11,16 @@ The search runtime treats a candidate evaluation as a pure function of
 
 so its result can be keyed by a stable fingerprint and stored on disk.
 Repeat proposals within a search, repeated depths, and whole re-runs then
-cost a lookup instead of a training loop. Storage is a single sqlite file
-under ``cache_dir`` (WAL mode with a busy timeout, so the usual single
-parent writer may be joined by sibling shard processes — see
-``--shard-index`` in the CLI — without corruption), which survives kills
-and is cheap to ship between machines. Writes are batched: ``put`` buffers
-and every ``flush_every``-th put commits one transaction, so wide depths
-pay one fsync per batch instead of per evaluation; the cache is therefore
-also the **partial-depth checkpoint** — after a mid-depth kill, everything
-up to the last flush is recovered by per-candidate lookups on restart.
+cost a lookup — one batched ``get_many`` per depth, whatever the store
+holds — instead of a training loop. Storage is a single sqlite file under
+``cache_dir`` (WAL mode with a busy timeout, so the usual single parent
+writer may be joined by sibling shard processes — see ``--shard-index``
+in the CLI — without corruption), which survives kills and is cheap to
+ship between machines. Writes are batched: ``put`` buffers and every
+``flush_every``-th put commits one transaction, so wide depths pay one
+fsync per batch instead of per evaluation; the cache is therefore also
+the **partial-depth checkpoint** — after a mid-depth kill, everything up
+to the last flush is recovered by lookups on restart.
 
 Since the search service multiplexes N concurrent sweeps over one store,
 :class:`ResultCache` is also **multi-tenant**: thread-safe throughout,
@@ -29,22 +30,22 @@ sweep to claim a missing key evaluates it, every other sweep on the same
 workload fingerprint waits for that put instead of duplicating the
 training run.
 
-:class:`SweepCheckpoint` lives in the same directory and records finished
-*depths* of a sweep keyed by a fingerprint of everything that defines the
-depth (workload + config + candidate list + p), so a killed search resumes
-exactly where it stopped and a checkpoint can never be replayed against a
-different search.
+:class:`SweepCheckpoint` records finished *depths* as rows of the same
+file, keyed by a fingerprint of everything that defines the depth
+(workload + config + candidate list + p), so a killed search resumes
+exactly where it stopped and a row is never replayed against a different
+search. A row names its candidates by key, so a warm sweep costs O(depth)
+statements however many sweeps the store has seen.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import sqlite3
 import threading
 import time
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict
 from pathlib import Path
 
@@ -65,10 +66,24 @@ __all__ = [
 ]
 
 
+#: most keys one ``IN (…)`` binds (old sqlite builds cap a statement at 999)
+GET_CHUNK = 500
+
+
+def _chunks(keys: Sequence[str]) -> Iterator[tuple[Sequence[str], str]]:
+    """``keys`` in slices of at most :data:`GET_CHUNK`, each with its placeholders."""
+    for start in range(0, len(keys), GET_CHUNK):
+        chunk = keys[start:start + GET_CHUNK]
+        yield chunk, ",".join("?" * len(chunk))
+
+
+#: ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``, built once
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _digest(payload: object) -> str:
     """Stable sha256 hex digest of a JSON-serializable payload."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(_CANONICAL.encode(payload).encode("utf-8")).hexdigest()
 
 
 def workload_fingerprint(graphs: Sequence[Graph]) -> str:
@@ -108,18 +123,8 @@ def depth_fingerprint(
     candidates: Sequence[Sequence[str]],
     p: int,
 ) -> str:
-    """Checkpoint key of one finished depth of a sweep (order-sensitive)."""
+    """Row key of one finished depth of a sweep (order-sensitive)."""
     return _digest([workload_fp, config_fp, [list(c) for c in candidates], int(p)])
-
-
-# The cache's row payload is the same wire object the HTTP API and the
-# result files use — CandidateEvaluation.to_dict/from_dict, one schema.
-def _serialize_evaluation(evaluation: CandidateEvaluation) -> dict:
-    return evaluation.to_dict()
-
-
-def _deserialize_evaluation(data: dict) -> CandidateEvaluation:
-    return CandidateEvaluation.from_dict(data)
 
 
 class ResultCache:
@@ -128,6 +133,8 @@ class ResultCache:
     One sqlite file per ``cache_dir``; keys are the fingerprints above, so
     any change to the workload, the tokens, the depth, or the evaluation
     config invalidates naturally (the key changes, nothing is ever stale).
+    A row's payload is the wire object the HTTP API and the result files
+    use (``CandidateEvaluation.to_dict``), one schema.
 
     ``flush_every`` batches commits: puts accumulate in an in-memory
     buffer (reads see them immediately) and every ``flush_every``-th put
@@ -199,6 +206,15 @@ class ResultCache:
             self._conn.execute(
                 "ALTER TABLE results ADD COLUMN last_used REAL NOT NULL DEFAULT 0"
             )
+        # SweepCheckpoint's rows; keys is a JSON list in position order
+        self._conn.execute(
+            "CREATE TABLE IF NOT EXISTS depths ("
+            " fingerprint TEXT PRIMARY KEY,"
+            " p INTEGER NOT NULL,"
+            " keys TEXT NOT NULL,"
+            " seconds REAL NOT NULL,"
+            " best_qasm TEXT)"
+        )
         self._conn.commit()
         self._lock = threading.RLock()
         self._available = threading.Condition(self._lock)
@@ -236,35 +252,44 @@ class ResultCache:
     def _count(self, name: str, n: int = 1) -> None:
         """Bump a lifetime counter and, when wired, its metric mirror.
         Callers hold ``self._lock``."""
-        setattr(self, name, getattr(self, name) + n)
-        if self._m is not None:
-            self._m[name].inc(n)
+        if n:
+            setattr(self, name, getattr(self, name) + n)
+            if self._m is not None:
+                self._m[name].inc(n)
 
     # -- mapping interface -------------------------------------------------
 
     def get(self, key: str) -> CandidateEvaluation | None:
+        return self.get_many([key])[0]
+
+    def get_many(self, keys: Sequence[str]) -> list[CandidateEvaluation | None]:
+        """Look ``keys`` up at once — the write buffer, then one ``SELECT`` per
+        :data:`GET_CHUNK` keys: ``None`` per miss, each key one hit or miss."""
         with self._lock:
-            buffered = self._buffer.get(key)
-            if buffered is not None:
-                self._count("hits")
-                return buffered
-            row = self._conn.execute(
-                "SELECT value FROM results WHERE key = ? AND schema = ?",
-                (key, self.SCHEMA_VERSION),
-            ).fetchone()
-            if row is None:
-                self._count("misses")
-                return None
-            self._count("hits")
-            if self.max_entries is not None:
+            found = self._fetch(keys)
+            stored = [key for key in found if key not in self._buffer]
+            if self.max_entries is not None and stored:
                 # LRU refresh only matters when eviction is on; unbounded
                 # caches keep reads write-free.
-                self._conn.execute(
-                    "UPDATE results SET last_used = ? WHERE key = ?",
-                    (time.time(), key),
-                )
+                now = time.time()
+                for chunk, marks in _chunks(stored):
+                    sql = f"UPDATE results SET last_used = ? WHERE key IN ({marks})"
+                    self._conn.execute(sql, (now, *chunk))
                 self._conn.commit()
-            return _deserialize_evaluation(json.loads(row[0]))
+            hits = sum(key in found for key in keys)
+            self._count("hits", hits)
+            self._count("misses", len(keys) - hits)
+            return [found.get(key) for key in keys]
+
+    def _fetch(self, keys: Sequence[str]) -> dict[str, CandidateEvaluation]:
+        """The evaluations stored under ``keys``, absent ones left out; no
+        counter moves. Callers hold ``self._lock``."""
+        found = {key: self._buffer[key] for key in keys if key in self._buffer}
+        for chunk, marks in _chunks([key for key in keys if key not in found]):
+            sql = f"SELECT key, value FROM results WHERE schema = ? AND key IN ({marks})"
+            for key, value in self._conn.execute(sql, (self.SCHEMA_VERSION, *chunk)):
+                found[key] = CandidateEvaluation.from_dict(json.loads(value))
+        return found
 
     def count_hit(self) -> None:
         """Record a hit served without a lookup (e.g. an in-depth repeat
@@ -280,10 +305,12 @@ class ResultCache:
                 self.flush()
 
     def flush(self) -> None:
-        """Commit all buffered puts in one transaction, then evict LRU
-        overflow (never claimed or buffered keys)."""
+        """Commit all buffered puts in one transaction — with any write a
+        caller holding the lock left pending, such as a depth row — then
+        evict LRU overflow (never claimed or buffered keys)."""
         with self._lock:
-            if self._buffer:
+            written = len(self._buffer)
+            if written or self._conn.in_transaction:
                 t0 = time.perf_counter() if self._m is not None else 0.0
                 now = time.time()
                 self._conn.executemany(
@@ -292,17 +319,16 @@ class ResultCache:
                     [
                         (
                             key,
-                            json.dumps(_serialize_evaluation(evaluation)),
+                            json.dumps(evaluation.to_dict()),
                             self.SCHEMA_VERSION,
                             now,
                         )
                         for key, evaluation in self._buffer.items()
                     ],
                 )
-                written = len(self._buffer)
                 self._conn.commit()
                 self._buffer.clear()
-                if self._m is not None:
+                if self._m is not None and written:
                     elapsed = time.perf_counter() - t0
                     self._m["flush"].observe(elapsed)
                     self.metrics.trace_event(
@@ -375,27 +401,21 @@ class ResultCache:
         # lock held, buffer already committed
         if self.max_entries is None:
             return
-        total = int(
-            self._conn.execute("SELECT COUNT(*) FROM results").fetchone()[0]
-        )
+        (total,) = self._conn.execute("SELECT COUNT(*) FROM results").fetchone()
         excess = total - self.max_entries
         if excess <= 0:
             return
+        # the oldest rows, enough of them to skip every protected key
         protected = set(self._buffer) | self._claims
-        victims = [
-            key
-            for (key,) in self._conn.execute(
-                "SELECT key FROM results ORDER BY last_used ASC, rowid ASC"
-            )
-            if key not in protected
-        ][:excess]
-        if not victims:
-            return
-        self._conn.executemany(
-            "DELETE FROM results WHERE key = ?", [(key,) for key in victims]
+        oldest = self._conn.execute(
+            "SELECT key FROM results ORDER BY last_used, rowid LIMIT ?",
+            (excess + len(protected),),
         )
-        self._conn.commit()
-        self._count("evictions", len(victims))
+        victims = [(key,) for (key,) in oldest if key not in protected][:excess]
+        if victims:
+            self._conn.executemany("DELETE FROM results WHERE key = ?", victims)
+            self._conn.commit()
+            self._count("evictions", len(victims))
 
     # -- sizing / lifecycle ------------------------------------------------
 
@@ -408,13 +428,7 @@ class ResultCache:
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
-            if key in self._buffer:
-                return True
-            row = self._conn.execute(
-                "SELECT 1 FROM results WHERE key = ? AND schema = ?",
-                (key, self.SCHEMA_VERSION),
-            ).fetchone()
-            return row is not None
+            return key in self._fetch([key])
 
     def close(self) -> None:
         with self._lock:
@@ -435,8 +449,8 @@ class NullStore:
 
     evictions = 0
 
-    def get(self, key: str) -> None:
-        return None
+    def get_many(self, keys: Sequence[str]) -> list[None]:
+        return [None] * len(keys)
 
     def count_hit(self) -> None:
         pass
@@ -458,82 +472,59 @@ class NullStore:
 
 
 class SweepCheckpoint:
-    """Depth-level checkpoint of a sweep, one JSON file per cache dir.
+    """Depth-level checkpoint of a sweep: rows of its store's ``depths`` table.
 
-    ``save_depth`` is atomic (write-temp + rename), so a search killed
-    mid-write leaves the previous checkpoint intact. Entries are keyed by
-    :func:`depth_fingerprint`; loading with a key that does not match —
-    because the workload, config, or candidate list changed — simply
-    misses, it can never resurrect results for a different search.
+    A row maps a :func:`depth_fingerprint` to the depth's ``p``, candidate
+    keys, ``seconds`` and winner QASM; the evaluations stay in the rows
+    those keys name. A row misses when its fingerprint does not match (the
+    search changed) or one of its candidates was evicted (the depth reruns
+    through lookups). Each row is its own upsert, so sweeps sharing a store
+    never drop each other's depths.
     """
 
-    FILENAME = "checkpoint.json"
+    def __init__(self, cache: ResultCache) -> None:
+        self.cache = cache
+        # rows read or written here: fingerprint -> (p, keys, seconds, best_qasm) | None
+        self._rows: dict[str, tuple | None] = {}
 
-    def __init__(self, cache_dir: str | Path) -> None:
-        self.cache_dir = Path(cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        self.path = self.cache_dir / self.FILENAME
-        self._entries: dict[str, dict] = {}
-        if self.path.exists():
-            try:
-                data = json.loads(self.path.read_text())
-            except (json.JSONDecodeError, OSError):
-                data = {}
-            if data.get("format") == "repro-sweep-checkpoint-v1":
-                self._entries = data.get("depths", {})
+    def _row(self, key: str) -> tuple | None:
+        if key not in self._rows:
+            with self.cache._lock:
+                row = self.cache._conn.execute(
+                    "SELECT p, keys, seconds, best_qasm FROM depths WHERE fingerprint = ?", (key,)
+                ).fetchone()
+            self._rows[key] = row and (row[0], tuple(json.loads(row[1])), row[2], row[3])
+        return self._rows[key]
 
     def load_depth(self, key: str) -> DepthResult | None:
-        entry = self._entries.get(key)
-        if entry is None:
+        row = self._row(key)
+        if row is None:
             return None
-        evaluations = tuple(
-            _deserialize_evaluation(e) for e in entry["evaluations"]
-        )
-        # older entries lack the QASM; the runtime regenerates a missing one
-        return DepthResult(
-            entry["p"], evaluations, entry.get("seconds", 0.0), entry.get("best_qasm")
-        )
+        with self.cache._lock:
+            found = self.cache._fetch(row[1])
+        if not found.keys() >= set(row[1]):
+            return None  # a candidate was evicted
+        # a NULL QASM is regenerated by the runtime
+        return DepthResult(row[0], tuple(found[k] for k in row[1]), row[2], row[3])
 
-    def save_depth(self, key: str, depth_result: DepthResult) -> None:
-        entry = {
-            "p": depth_result.p,
-            "seconds": depth_result.seconds,
-            "evaluations": [
-                _serialize_evaluation(e) for e in depth_result.evaluations
-            ],
-            "best_qasm": depth_result.best_qasm,
-        }
-        stored = self._entries.get(key, {})
-        if (
-            stored.get("evaluations") == entry["evaluations"]
-            and stored.get("best_qasm") == entry["best_qasm"]
-        ):
-            return  # a warm depth: the file already says this (older seconds stay)
-        self._entries[key] = entry
-        self._flush()
+    def stored_qasm(self, key: str, keys: Sequence[str]) -> str | None:
+        """The winner's QASM row ``key`` recorded, when that row names
+        exactly ``keys``: the same candidates, so the same winner."""
+        row = self._row(key)
+        return row[3] if row is not None and row[1] == tuple(keys) else None
 
-    def clear(self) -> None:
-        self._entries = {}
-        if self.path.exists():
-            self.path.unlink()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def _flush(self) -> None:
-        payload = {
-            "format": "repro-sweep-checkpoint-v1",
-            "depths": self._entries,
-        }
-        # a temp file of this writer's own (one per process and thread): two
-        # runtimes sharing a cache dir must not rename each other's file
-        # away (the last writer wins); it is created with the umask's mode
-        # so the checkpoint stays readable to whoever could read it before
-        tmp = self.cache_dir / f".checkpoint-{os.getpid()}-{threading.get_ident()}.tmp"
-        try:
-            with open(tmp, "w") as handle:  # a crashed run's leftover is overwritten
-                handle.write(json.dumps(payload))
-            os.replace(tmp, self.path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+    def save_depth(self, key: str, depth_result: DepthResult, keys: Sequence[str]) -> None:
+        """Write the row in the transaction that flushes the store's
+        buffered puts; a row that already records these keys and this
+        QASM is left as it is (its older seconds stay)."""
+        with self.cache._lock:
+            stored = self._row(key)
+            row = (depth_result.p, tuple(keys), depth_result.seconds, depth_result.best_qasm)
+            if stored is None or (stored[1], stored[3]) != (row[1], row[3]):
+                self.cache._conn.execute(
+                    "INSERT OR REPLACE INTO depths VALUES (?, ?, ?, ?, ?)",
+                    (key, row[0], json.dumps(row[1]), row[2], row[3]),
+                )
+                self._rows[key] = row
+            if self.cache._buffer or self.cache._conn.in_transaction:
+                self.cache.flush()

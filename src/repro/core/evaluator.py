@@ -290,7 +290,7 @@ class Evaluator:
         call, bit-identical to training graph after graph; otherwise
         :class:`MultiRestart` walks the rows, one serial run each on its own
         graph — the same results on an exact objective, equal to round-off
-        only on the compiled engine (ROADMAP item 5)."""
+        only on the compiled engine (the ROADMAP results-epoch item)."""
         config = self.config
         owner = np.repeat(np.arange(len(objectives)), config.restarts)
         base = training_optimizer(config.optimizer, max_steps=config.max_steps, seed=config.seed)

@@ -6,15 +6,16 @@
   latency, not the search.
 * **Persistent result cache** — with a ``cache_dir``, every evaluation is
   stored in :class:`~repro.core.cache.ResultCache` keyed by
-  workload/tokens/p/config fingerprints. Repeat proposals (RL predictors
-  re-propose good sequences constantly), repeated depths, and whole
-  re-runs are lookups instead of training loops.
-* **Checkpoint/resume, at two granularities** — each finished depth is
-  checkpointed (atomically); a killed search restarted with
-  ``resume=True`` skips the depths it already completed. *Within* a
-  depth, every evaluation reaches the result cache as it streams back
-  (commits batched every ``cache_flush_every`` evaluations), so a
-  mid-depth kill costs at most the unflushed tail.
+  workload/tokens/p/config fingerprints. Repeat proposals, repeated
+  depths, and whole re-runs are one batched lookup per depth instead of
+  training loops.
+* **Checkpoint/resume, at two granularities** — each finished depth is a
+  row of the same store, written with the depth's last puts; a killed
+  search restarted with ``resume=True`` skips the depths it already
+  completed, and a warm depth takes its winner's QASM from its row.
+  *Within* a depth, every evaluation reaches the result cache as it
+  streams back (commits batched every ``cache_flush_every``
+  evaluations), so a mid-depth kill costs at most the unflushed tail.
 * **Sharding** — ``RuntimeConfig(shards=K)`` places each depth's cache
   misses on K *lanes* of that same scheduler by predicted cost (Fig. 2's
   outer level: pass K executors for one pool per shard); a lane that dies
@@ -135,9 +136,9 @@ class CancellationToken:
 class RuntimeConfig:
     """Fault-tolerance, persistence, and sharding knobs of one search run."""
 
-    #: directory for the result cache + checkpoint; None disables both
+    #: directory of the result store (candidate and depth rows); None disables it
     cache_dir: str | None = None
-    #: restore finished depths from the checkpoint in ``cache_dir``
+    #: restore finished depths from their rows in ``cache_dir``'s store
     resume: bool = False
     #: extra attempts per candidate evaluation after the first
     max_retries: int = 2
@@ -199,7 +200,7 @@ REJECTED = (
     Rejection(
         ("resume", "no cache_dir"), "configs",
         "resume requires cache_dir (the checkpoint it restores lives there)",
-        "the depth checkpoint is a file in cache_dir; a store passed as cache= has none",
+        "depth rows go only to a store the sweep owns (cache_dir); a cache= store has none",
     ),
     Rejection(
         ("init_strategy=interp", "shard_index"), "configs",
@@ -323,11 +324,10 @@ class SearchRuntime:
         # _harvest_warm_starts fills it, so it is empty unless "interp".
         self._warm: dict[Tokens, tuple[int, tuple]] = {}
         # Candidate cache keys stay surrogate-independent — an evaluation
-        # is a pure function of the evaluation config — but depth
-        # *checkpoints* record which candidates a depth ran, so their
-        # fingerprint folds the surrogate settings in: a surrogate-assisted
-        # sweep never restores (or is restored by) a plain sweep's
-        # checkpoints.
+        # is a pure function of the evaluation config — but depth rows
+        # record which candidates a depth ran, so their fingerprint folds
+        # the surrogate settings in: a surrogate-assisted sweep never
+        # restores (or is restored by) a plain sweep's depths.
         self._depth_config_fp = self._config_fp
         if config.surrogate.enabled:
             self._depth_config_fp += f":surrogate-{config.surrogate.fingerprint()}"
@@ -349,7 +349,8 @@ class SearchRuntime:
                 max_entries=runtime.cache_max_entries,
                 metrics=metrics,
             )
-            self.checkpoint = SweepCheckpoint(runtime.cache_dir)
+            self.checkpoint = SweepCheckpoint(self.cache)
+        self._saves_rows = self.checkpoint is not None and runtime.shard_index is None
         self.restored_depths = 0
         # Per-sweep hit/miss accounting: counters on a *shared* cache
         # aggregate every tenant, so the sweep tracks its own view (for a
@@ -435,7 +436,8 @@ class SearchRuntime:
             return restored
         candidates = self._shard_slice(p, candidates)
         depth_start = time.perf_counter()
-        evaluations, misses = self._lookup(p, candidates)
+        keys = [self._candidate_key(tokens, p) for tokens in candidates]
+        evaluations, misses = self._lookup(keys)
         # Positions already filled by lookups count as done from the
         # start; repeats awaiting a miss land with that miss below.
         cached = sum(e is not None for e in evaluations)
@@ -457,16 +459,15 @@ class SearchRuntime:
                 # Mid-depth cancellation checkpoint: every streamed result
                 # above is already persisted.
                 self.cancel.raise_if_cancelled()
-        if misses:
-            self.cache.flush()
+        if misses and not self._saves_rows:
+            self.cache.flush()  # else the depth row's transaction flushes them
         self.progress.finish_depth(p)
-        return self._finish(p, depth_fp, evaluations, depth_start)
+        return self._finish(p, depth_fp, keys, evaluations, depth_start)
 
     def _restore(self, p: int, depth_fp: str) -> DepthResult | None:
-        """The depth as the checkpoint recorded it, under ``resume``."""
-        if not self.runtime.resume or self.checkpoint is None:
-            return None
-        restored = self.checkpoint.load_depth(depth_fp)
+        """The depth as its row recorded it, under ``resume``."""
+        resumable = self.runtime.resume and self.checkpoint is not None
+        restored = self.checkpoint.load_depth(depth_fp) if resumable else None
         if restored is None:
             return None
         if restored.best_qasm is None:
@@ -488,27 +489,22 @@ class SearchRuntime:
         mine = least_loaded_partition(costs, self.runtime.shards)[self.runtime.shard_index]
         return [candidates[i] for i in sorted(mine)]
 
-    def _lookup(self, p: int, candidates: Sequence[Tokens]) -> tuple[list, dict[str, list[int]]]:
+    def _lookup(self, keys: list[str]) -> tuple[list, dict[str, list[int]]]:
         """One slot per position, hits filled in; misses as key -> positions
-        awaiting its result. Repeat proposals within a depth (RL predictors
-        re-propose good sequences constantly) are trained once and fanned
-        out; insertion order doubles as job order."""
-        evaluations: list[CandidateEvaluation | None] = [None] * len(candidates)
+        awaiting its result. The distinct keys are one batched lookup; a
+        repeat proposal within the depth counts as a hit, and a missed one
+        is trained once and fanned out. Insertion order doubles as job order."""
+        distinct = list(dict.fromkeys(keys))
+        stored = dict(zip(distinct, self.cache.get_many(distinct)))
+        evaluations: list[CandidateEvaluation | None] = [stored[key] for key in keys]
         misses: dict[str, list[int]] = {}
-        for position, tokens in enumerate(candidates):
-            key = self._candidate_key(tokens, p)
-            if key in misses:
-                misses[key].append(position)
-                self.cache_hits += 1  # repeat served without retraining
-                self.cache.count_hit()
-                continue
-            cached = self.cache.get(key)
-            if cached is not None:
-                self.cache_hits += 1
-                evaluations[position] = cached
-            else:
-                self.cache_misses += 1
-                misses[key] = [position]
+        for position, key in enumerate(keys):
+            if stored[key] is None:
+                misses.setdefault(key, []).append(position)
+        for _ in range(len(keys) - len(distinct)):
+            self.cache.count_hit()
+        self.cache_misses += len(misses)
+        self.cache_hits += len(keys) - len(misses)
         return evaluations, misses
 
     def _resolve(
@@ -553,14 +549,17 @@ class SearchRuntime:
                 self.cache_hits += 1
             yield key, result
 
-    def _finish(self, p: int, depth_fp: str, evaluations: list, depth_start: float) -> DepthResult:
-        """The ``DepthResult`` with its winner's QASM, checkpointed — except
-        under ``shard_index``: the checkpoint describes full depths only."""
-        completed = tuple(e for e in evaluations if e is not None)
-        seconds = time.perf_counter() - depth_start
-        depth_result = DepthResult(p, completed, seconds, self._depth_qasm(p, completed))
-        if self.checkpoint is not None and self.runtime.shard_index is None:
-            self.checkpoint.save_depth(depth_fp, depth_result)
+    def _finish(self, p: int, depth_fp: str, keys: list, slots: list, start: float) -> DepthResult:
+        """The ``DepthResult`` with its winner's QASM — its row's, when the
+        row names the same keys — and that row saved, except under
+        ``shard_index``: rows describe full depths only."""
+        completed = tuple(e for e in slots if e is not None)
+        seconds = time.perf_counter() - start
+        if not self._saves_rows:
+            return DepthResult(p, completed, seconds, self._depth_qasm(p, completed))
+        qasm = self.checkpoint.stored_qasm(depth_fp, keys) or self._depth_qasm(p, completed)
+        depth_result = DepthResult(p, completed, seconds, qasm)
+        self.checkpoint.save_depth(depth_fp, depth_result, keys)
         return depth_result
 
     # -- the INTERP hand-off: harvest, look-up, key suffix -----------------

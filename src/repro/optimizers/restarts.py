@@ -14,7 +14,7 @@ Pinned: on an *exact* objective the two paths are identical point for point
 (property tests in ``tests/optimizers/test_batched.py``); on the compiled
 engine the serial walk runs the single-point kernels and the lockstep the
 batched ones, equal to round-off only (``test_spsa_batched_close_to_serial``,
-``abs=1e-8``; ROADMAP item 5). The lockstep of a population objective over G
+``abs=1e-8``; the ROADMAP results-epoch item). The lockstep of a population objective over G
 graphs is bit-identical to G lockstep runs. The Evaluator sets the mode from
 :class:`~repro.core.evaluator.EvaluationConfig` (``batch_mode=``, CLI
 ``--batch-mode``), and the batched population is exactly the wide

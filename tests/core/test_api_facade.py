@@ -178,6 +178,21 @@ class TestWorkloads:
         other = resolve_workload("er:2:12")
         assert [g.edges for g in first] != [g.edges for g in other]
 
+    def test_a_memoized_spec_hands_out_a_fresh_list(self):
+        first = resolve_workload("er:2:11")
+        edges = [g.edges for g in first]
+        first[0] = None
+        first.append(None)
+        again = resolve_workload("er:2:11")
+        assert again is not first
+        assert [g.edges for g in again] == edges
+
+    @pytest.mark.parametrize("spec", ["er:0", "er:-1", "er:x", "barabasi:3"])
+    def test_a_bad_spec_raises_on_every_call(self, spec):
+        for _ in range(3):
+            with pytest.raises(ConfigError):
+                resolve_workload(spec)
+
     def test_graph_sequences_pass_through(self):
         graphs = paper_er_dataset(2)
         assert resolve_workload(graphs) == list(graphs)

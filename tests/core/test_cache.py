@@ -1,13 +1,13 @@
 """Persistent result cache: fingerprints, hit/miss accounting, checkpoints."""
 
-import json
-import os
-import stat
 import threading
+from dataclasses import replace
 
 import pytest
 
 from repro.core.cache import (
+    GET_CHUNK,
+    NullStore,
     ResultCache,
     SweepCheckpoint,
     candidate_key,
@@ -187,65 +187,159 @@ class TestCommitBatching:
             ResultCache(tmp_path, flush_every=0)
 
 
+class TestGetMany:
+    def test_one_slot_per_key_in_order(self, tmp_path):
+        with ResultCache(tmp_path) as cache:
+            cache.put("a", make_evaluation())
+            cache.put("c", make_evaluation(("rz",)))
+            assert cache.get_many(["c", "b", "a"]) == [
+                make_evaluation(("rz",)), None, make_evaluation(),
+            ]
+            assert (cache.hits, cache.misses) == (2, 1)
+            assert cache.get_many([]) == []
+            assert (cache.hits, cache.misses) == (2, 1)
+
+    def test_keys_beyond_one_statement_are_chunked(self, tmp_path):
+        keys = [f"k{i}" for i in range(1200)]
+        with ResultCache(tmp_path, flush_every=2000) as cache:
+            for key in keys[::2]:
+                cache.put(key, make_evaluation(ratio=int(key[1:]) / 1200))
+            cache.flush()
+            selects = []
+            cache._conn.set_trace_callback(
+                lambda sql: selects.append(sql) if sql.startswith("SELECT") else None
+            )
+            found = cache.get_many(keys)
+            cache._conn.set_trace_callback(None)
+        assert len(selects) == -(-1200 // GET_CHUNK) == 3
+        assert [e is not None for e in found] == [i % 2 == 0 for i in range(1200)]
+        assert found[1198].ratio == 1198 / 1200
+        assert (cache.hits, cache.misses) == (600, 600)
+
+    def test_unflushed_puts_are_served_from_the_buffer(self, tmp_path):
+        with ResultCache(tmp_path, flush_every=100) as cache:
+            cache.put("a", make_evaluation())
+            statements = []
+            cache._conn.set_trace_callback(statements.append)
+            assert cache.get_many(["a"]) == [make_evaluation()]
+            assert statements == []  # nothing left to ask sqlite
+            assert cache.get_many(["a", "b"]) == [make_evaluation(), None]
+            cache._conn.set_trace_callback(None)
+            assert (cache.hits, cache.misses) == (2, 1)
+
+    def test_a_row_of_another_schema_is_a_miss(self, tmp_path):
+        with ResultCache(tmp_path) as cache:
+            cache.put("k", make_evaluation())
+            cache._conn.execute(
+                "UPDATE results SET schema = ? WHERE key = 'k'",
+                (ResultCache.SCHEMA_VERSION + 1,),
+            )
+            cache._conn.commit()
+            assert cache.get_many(["k"]) == [None]
+            assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_a_bounded_store_refreshes_its_hits_in_one_statement(self, tmp_path):
+        with ResultCache(tmp_path, max_entries=10) as cache:
+            for key in "abc":
+                cache.put(key, make_evaluation())
+            statements = []
+            cache._conn.set_trace_callback(statements.append)
+            cache.get_many(["a", "b", "z"])
+            cache._conn.set_trace_callback(None)
+            assert [sql.split()[0] for sql in statements] == ["SELECT", "BEGIN", "UPDATE", "COMMIT"]
+            used = dict(cache._conn.execute("SELECT key, last_used FROM results"))
+            assert used["a"] == used["b"] > used["c"]
+
+    def test_the_null_store_misses_every_key(self):
+        assert NullStore().get_many(["a", "b"]) == [None, None]
+        assert NullStore().get_many([]) == []
+
+
+def stored_depth(cache, evaluations, seconds=1.5, qasm=None):
+    """Put ``evaluations`` under keys of their own: the keys, and the
+    depth they make up."""
+    keys = [f"{'-'.join(e.tokens)}@{e.ratio}" for e in evaluations]
+    for key, evaluation in zip(keys, evaluations):
+        cache.put(key, evaluation)
+    return keys, DepthResult(1, tuple(evaluations), seconds, qasm)
+
+
 class TestSweepCheckpoint:
     def test_roundtrip(self, tmp_path):
-        depth = DepthResult(1, (make_evaluation(), make_evaluation(("ry",))), 1.5)
-        checkpoint = SweepCheckpoint(tmp_path)
-        checkpoint.save_depth("fp1", depth)
-
-        reloaded = SweepCheckpoint(tmp_path)
-        restored = reloaded.load_depth("fp1")
-        assert restored.p == 1
-        assert restored.seconds == 1.5
-        assert restored.evaluations == depth.evaluations
-
-    def test_roundtrip_keeps_the_winner_qasm(self, tmp_path):
-        depth = DepthResult(1, (make_evaluation(),), 1.5, "OPENQASM 2.0;")
-        SweepCheckpoint(tmp_path).save_depth("fp1", depth)
-        assert SweepCheckpoint(tmp_path).load_depth("fp1") == depth
-
-    def test_a_depth_already_on_disk_is_not_rewritten(self, tmp_path):
-        depth = DepthResult(1, (make_evaluation(),), 1.5, "OPENQASM 2.0;")
-        SweepCheckpoint(tmp_path).save_depth("fp1", depth)
-        checkpoint = SweepCheckpoint(tmp_path)
-        written = checkpoint.path.stat().st_mtime_ns
-        checkpoint.path.with_suffix(".json.tmp").write_text("sentinel")
-        # the same evaluations and QASM, timed again: nothing to record
-        checkpoint.save_depth("fp1", DepthResult(1, depth.evaluations, 0.001, depth.best_qasm))
-        assert checkpoint.path.stat().st_mtime_ns == written
-        assert checkpoint.path.with_suffix(".json.tmp").read_text() == "sentinel"
-        assert SweepCheckpoint(tmp_path).load_depth("fp1").seconds == 1.5
-        # a changed winner export, or changed evaluations, is written
-        checkpoint.save_depth("fp1", DepthResult(1, depth.evaluations, 0.001, "changed"))
-        assert SweepCheckpoint(tmp_path).load_depth("fp1").best_qasm == "changed"
-        other = DepthResult(1, (make_evaluation(("ry",)),), 0.001, "changed")
-        checkpoint.save_depth("fp1", other)
-        assert SweepCheckpoint(tmp_path).load_depth("fp1") == other
+        with ResultCache(tmp_path) as cache:
+            evaluations = (make_evaluation(), make_evaluation(("ry",)), make_evaluation())
+            keys, depth = stored_depth(cache, evaluations, qasm="OPENQASM 2.0;")
+            SweepCheckpoint(cache).save_depth("fp1", depth, keys)
+        with ResultCache(tmp_path) as cache:
+            assert SweepCheckpoint(cache).load_depth("fp1") == depth
+            assert (cache.hits, cache.misses) == (0, 0)  # a restore is no lookup
 
     def test_unknown_key_misses(self, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path)
-        checkpoint.save_depth("fp1", DepthResult(1, (make_evaluation(),), 0.1))
-        assert SweepCheckpoint(tmp_path).load_depth("other-sweep") is None
+        with ResultCache(tmp_path) as cache:
+            keys, depth = stored_depth(cache, (make_evaluation(),))
+            SweepCheckpoint(cache).save_depth("fp1", depth, keys)
+            assert SweepCheckpoint(cache).load_depth("other-sweep") is None
 
-    def test_corrupt_file_ignored(self, tmp_path):
-        (tmp_path / SweepCheckpoint.FILENAME).write_text("{not json")
-        assert len(SweepCheckpoint(tmp_path)) == 0
+    def test_a_row_with_an_evicted_candidate_misses(self, tmp_path):
+        with ResultCache(tmp_path) as cache:
+            keys, depth = stored_depth(cache, (make_evaluation(), make_evaluation(("ry",))))
+            SweepCheckpoint(cache).save_depth("fp1", depth, keys)
+            cache._conn.execute("DELETE FROM results WHERE key = ?", (keys[1],))
+            cache._conn.commit()
+            assert SweepCheckpoint(cache).load_depth("fp1") is None
 
-    def test_foreign_format_ignored(self, tmp_path):
-        (tmp_path / SweepCheckpoint.FILENAME).write_text(json.dumps({"format": "v999"}))
-        assert len(SweepCheckpoint(tmp_path)) == 0
+    def test_the_row_commits_with_the_depths_last_puts(self, tmp_path):
+        with ResultCache(tmp_path, flush_every=100) as writer, ResultCache(tmp_path) as reader:
+            keys, depth = stored_depth(writer, (make_evaluation(), make_evaluation(("ry",))))
+            assert reader.get_many(keys) == [None, None]  # still buffered
+            commits = []
+            writer._conn.set_trace_callback(
+                lambda sql: commits.append(sql) if sql == "COMMIT" else None
+            )
+            SweepCheckpoint(writer).save_depth("fp1", depth, keys)
+            assert commits == ["COMMIT"]
+            assert SweepCheckpoint(reader).load_depth("fp1") == depth
 
-    def test_writers_sharing_a_directory_do_not_collide(self, tmp_path):
+    def test_a_warm_resave_writes_nothing(self, tmp_path):
+        with ResultCache(tmp_path) as cache:
+            keys, depth = stored_depth(cache, (make_evaluation(),), qasm="OPENQASM 2.0;")
+            SweepCheckpoint(cache).save_depth("fp1", depth, keys)
+        with ResultCache(tmp_path) as cache:
+            checkpoint = SweepCheckpoint(cache)
+            assert checkpoint.stored_qasm("fp1", keys) == "OPENQASM 2.0;"
+            written = cache._conn.total_changes
+            # the same keys and QASM, timed again: nothing to record
+            checkpoint.save_depth("fp1", replace(depth, seconds=0.001), keys)
+            assert cache._conn.total_changes == written
+            assert SweepCheckpoint(cache).load_depth("fp1").seconds == 1.5
+
+    def test_changed_keys_or_qasm_are_rewritten(self, tmp_path):
+        with ResultCache(tmp_path) as cache:
+            checkpoint = SweepCheckpoint(cache)
+            keys, depth = stored_depth(cache, (make_evaluation(),), qasm="OPENQASM 2.0;")
+            checkpoint.save_depth("fp1", depth, keys)
+            changed = replace(depth, seconds=0.5, best_qasm="changed")
+            checkpoint.save_depth("fp1", changed, keys)
+            assert SweepCheckpoint(cache).load_depth("fp1") == changed
+            assert SweepCheckpoint(cache).stored_qasm("fp1", keys) == "changed"
+            other_keys, other = stored_depth(cache, (make_evaluation(("ry",)),), qasm="changed")
+            assert checkpoint.stored_qasm("fp1", other_keys) is None  # another depth's keys
+            checkpoint.save_depth("fp1", other, other_keys)
+            assert SweepCheckpoint(cache).load_depth("fp1") == other
+
+    def test_writers_sharing_a_store_keep_every_row(self, tmp_path):
         # two runtimes on one cache dir (two api.search threads, two CLI
-        # processes) each hold a checkpoint; every flush must land whole
+        # processes) each hold a view; every writer's rows must survive
         errors = []
 
         def writer(index):
-            checkpoint = SweepCheckpoint(tmp_path)
             try:
-                for step in range(100):
-                    depth = DepthResult(1, (make_evaluation(ratio=step / 100),), 0.1)
-                    checkpoint.save_depth(f"w{index}", depth)
+                with ResultCache(tmp_path) as cache:
+                    checkpoint = SweepCheckpoint(cache)
+                    for step in range(25):
+                        evaluation = make_evaluation((f"w{index}",), ratio=step / 100)
+                        keys, depth = stored_depth(cache, (evaluation,))
+                        checkpoint.save_depth(f"w{index}-{step}", depth, keys)
             except Exception as exc:  # noqa: BLE001 - collected for the assert
                 errors.append(exc)
 
@@ -256,32 +350,9 @@ class TestSweepCheckpoint:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        survivor = SweepCheckpoint(tmp_path)  # last writer wins, and parses
-        assert len(survivor) >= 1
-        assert sorted(p.name for p in tmp_path.iterdir()) == [SweepCheckpoint.FILENAME]
-
-    def test_the_checkpoint_takes_the_umask_mode(self, tmp_path):
-        old = os.umask(0o022)
-        try:
-            SweepCheckpoint(tmp_path).save_depth("fp1", DepthResult(1, (make_evaluation(),), 0.1))
-        finally:
-            os.umask(old)
-        assert stat.S_IMODE((tmp_path / SweepCheckpoint.FILENAME).stat().st_mode) == 0o644
-
-    def test_a_failed_flush_leaves_no_temp_file(self, tmp_path, monkeypatch):
-        checkpoint = SweepCheckpoint(tmp_path)
-
-        def full_disk(*_):
-            raise OSError("no space left on device")
-
-        monkeypatch.setattr(os, "replace", full_disk)
-        with pytest.raises(OSError, match="no space"):
-            checkpoint.save_depth("fp1", DepthResult(1, (make_evaluation(),), 0.1))
-        assert list(tmp_path.iterdir()) == []
-
-    def test_clear(self, tmp_path):
-        checkpoint = SweepCheckpoint(tmp_path)
-        checkpoint.save_depth("fp1", DepthResult(1, (make_evaluation(),), 0.1))
-        checkpoint.clear()
-        assert not checkpoint.path.exists()
-        assert SweepCheckpoint(tmp_path).load_depth("fp1") is None
+        with ResultCache(tmp_path) as cache:
+            checkpoint = SweepCheckpoint(cache)
+            for index in range(4):
+                for step in range(25):
+                    restored = checkpoint.load_depth(f"w{index}-{step}")
+                    assert restored.evaluations[0].ratio == step / 100

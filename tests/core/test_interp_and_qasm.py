@@ -8,12 +8,11 @@ an interp run and a cold run of the same config are *different*
 computations and may never alias in a shared cache.
 """
 
-import json
+import sqlite3
 
 import pytest
 
 from repro.circuits.qasm import from_qasm, to_qasm
-from repro.core.cache import SweepCheckpoint
 from repro.core.evaluator import EvaluationConfig, Evaluator
 from repro.core.runtime import RuntimeConfig, SearchRuntime
 from repro.core.search import SearchConfig, search_mixer
@@ -147,12 +146,9 @@ class TestQasmExport:
         fresh = run()
         warm = run()
         assert warm.config["cache_misses"] == 0
-        # a checkpoint without stored QASM: resume regenerates every export
-        checkpoint = tmp_path / SweepCheckpoint.FILENAME
-        document = json.loads(checkpoint.read_text())
-        for entry in document["depths"].values():
-            del entry["best_qasm"]
-        checkpoint.write_text(json.dumps(document))
+        # depth rows without stored QASM: resume regenerates every export
+        with sqlite3.connect(tmp_path / "results.sqlite") as store:
+            store.execute("UPDATE depths SET best_qasm = NULL")
         restored = run(resume=True)
         assert restored.config["restored_depths"] == 3
         assert exports(fresh) == exports(warm) == exports(restored)

@@ -1,6 +1,6 @@
 """SearchRuntime: warm-cache reuse, checkpoint/resume, fault tolerance."""
 
-import json
+import sqlite3
 import time
 from dataclasses import replace
 
@@ -9,7 +9,6 @@ import pytest
 from repro.core.cache import (
     NullStore,
     ResultCache,
-    SweepCheckpoint,
     candidate_key,
     config_fingerprint,
     workload_fingerprint,
@@ -213,11 +212,9 @@ class TestCheckpointResume:
         cold, warm = run(), run()
         assert all(d.best_qasm for d in cold.depth_results)
         assert payload(cold) == payload(warm) == payload(run(resume=True))
-        # A checkpoint written before the QASM was stored regenerates it.
-        document = json.loads((tmp_path / SweepCheckpoint.FILENAME).read_text())
-        for entry in document["depths"].values():
-            del entry["best_qasm"]
-        (tmp_path / SweepCheckpoint.FILENAME).write_text(json.dumps(document))
+        # A depth row written before the QASM was stored regenerates it.
+        with sqlite3.connect(tmp_path / "results.sqlite") as store:
+            store.execute("UPDATE depths SET best_qasm = NULL")
         assert payload(run(resume=True)) == payload(cold)
 
     def test_checkpoint_ignored_when_config_changes(self, graphs, tiny_config, tmp_path):
@@ -249,6 +246,120 @@ class TestCheckpointResume:
         assert runtime.restored_depths == 1
         assert len(first.updates) == 2
         assert replayed.updates == first.updates
+
+
+def reseeded(config, seed):
+    return replace(config, evaluation=replace(config.evaluation, seed=seed))
+
+
+class TestDepthRows:
+    """Finished depths are rows of ``results.sqlite``: kept per sweep on a
+    shared store, read in O(depth) statements, and only as good as the
+    candidate rows they name."""
+
+    POOL = (("rx",), ("ry",), ("rz",))
+
+    def test_runtimes_opened_together_keep_each_others_depths(
+        self, graphs, tiny_config, tmp_path
+    ):
+        """Both runtimes are open before either runs. A checkpoint read at
+        start-up and written back whole keeps only the last writer's depths;
+        rows keep both sweeps'."""
+        runtime_cfg = RuntimeConfig(cache_dir=str(tmp_path))
+        configs = [reseeded(tiny_config, seed) for seed in (1, 2)]
+        opened = [SearchRuntime(graphs, config, runtime=runtime_cfg) for config in configs]
+        results = []
+        for runtime in opened:
+            with runtime:
+                results.append(runtime.run(FixedPoolProposer(self.POOL)))
+        for config, result in zip(configs, results):
+            with SearchRuntime(
+                graphs, config, executor=CountingExecutor(),
+                runtime=replace(runtime_cfg, resume=True),
+            ) as runtime:
+                resumed = runtime.run(FixedPoolProposer(self.POOL))
+            assert resumed.config["restored_depths"] == config.p_max
+            assert resumed.config["jobs_submitted"] == 0
+            assert evaluation_payload(resumed) == evaluation_payload(result)
+
+    def test_a_warm_sweep_runs_the_same_statements_whatever_the_store_holds(
+        self, graphs, tiny_config, tmp_path
+    ):
+        runtime_cfg = RuntimeConfig(cache_dir=str(tmp_path))
+
+        def sweep(seed, statements=None):
+            with SearchRuntime(graphs, reseeded(tiny_config, seed), runtime=runtime_cfg) as runtime:
+                if statements is not None:
+                    runtime.cache._conn.set_trace_callback(statements.append)
+                result = runtime.run(FixedPoolProposer(self.POOL))
+                runtime.cache._conn.set_trace_callback(None)
+            return result
+
+        sweep(0)
+        alone: list[str] = []
+        assert sweep(0, alone).config["cache_misses"] == 0
+        for seed in range(1, 11):
+            sweep(seed)
+        crowded: list[str] = []
+        assert sweep(0, crowded).config["cache_misses"] == 0
+        assert crowded == alone
+        # per depth: one batched lookup, one read of the depth's row
+        assert len(alone) == 2 * tiny_config.p_max
+        assert not (tmp_path / "checkpoint.json").exists()
+
+    def test_an_evicted_candidate_reruns_and_the_other_depths_restore(
+        self, graphs, tiny_config, tmp_path
+    ):
+        size = len(self.POOL) * tiny_config.p_max
+        bounded = RuntimeConfig(cache_dir=str(tmp_path), cache_max_entries=size)
+        with SearchRuntime(graphs, tiny_config, runtime=bounded) as runtime:
+            first = runtime.run(FixedPoolProposer(self.POOL))
+
+        def stored():
+            with sqlite3.connect(tmp_path / "results.sqlite") as store:
+                return {key for (key,) in store.execute("SELECT key FROM results")}
+
+        before = stored()
+        with ResultCache(tmp_path, max_entries=size - 1) as cache:
+            cache.flush()  # the least recently used row goes: one of depth 1's
+            assert cache.evictions == 1
+        (evicted,) = before - stored()
+        fingerprints = workload_fingerprint(graphs), config_fingerprint(tiny_config.evaluation)
+        owner = {
+            candidate_key(fingerprints[0], tokens, p, fingerprints[1]): (tokens, p)
+            for tokens in self.POOL
+            for p in (1, 2)
+        }[evicted]
+        counting = CountingExecutor()
+        with SearchRuntime(
+            graphs, tiny_config, executor=counting, runtime=replace(bounded, resume=True)
+        ) as runtime:
+            resumed = runtime.run(FixedPoolProposer(self.POOL))
+        assert resumed.config["restored_depths"] == tiny_config.p_max - 1
+        assert [(args[1], args[2]) for args in counting.submitted] == [owner]
+        assert resumed.config["cache_hits"] == len(self.POOL) - 1
+        assert resumed.config["cache_misses"] == 1
+        assert evaluation_payload(resumed) == evaluation_payload(first)
+        assert [d.best_qasm for d in resumed.depth_results] == [
+            d.best_qasm for d in first.depth_results
+        ]
+
+    def test_repeats_within_a_depth_count_as_they_always_have(
+        self, graphs, tiny_config, tmp_path
+    ):
+        """Runtime and store counters of a pool that repeats a candidate,
+        cold then warm: (runtime hits, runtime misses, store hits, store misses)."""
+        pool = FixedPoolProposer([("rx",), ("ry",), ("rx",), ("rx",)])
+        counts = []
+        for _ in range(2):
+            with SearchRuntime(
+                graphs, tiny_config, runtime=RuntimeConfig(cache_dir=str(tmp_path))
+            ) as runtime:
+                runtime.run(pool)
+            counts.append(
+                (runtime.cache_hits, runtime.cache_misses, runtime.cache.hits, runtime.cache.misses)
+            )
+        assert counts == [(4, 4, 4, 4), (8, 0, 8, 0)]
 
 
 class TestPartialDepthResume:

@@ -80,7 +80,7 @@ UNSERVED = {
         "the paper's tensor-network backend, reproduced for its scaling argument: "
         "bench_ablation_{backends,ordering,slicing}.py and the cross-engine pin drive it; "
         "not an --engine (MaxCut only, ~5000x slower than compiled at 10 nodes; a p=2 energy "
-        "at n=48 costs 0.6-0.9 reference-box s, width <= 9 - ROADMAP item 7 decides)"
+        "at n=48 costs 0.6-0.9 reference-box s, width <= 9 - the ROADMAP qtensor/ item decides)"
     ),
     "repro.parallel.async_executor": (
         "retired by the process fleet (PR 12); benchmarks/e2e/trace.py still imports it, "
@@ -92,8 +92,8 @@ _CONSTRAINTS = "§6 constraint vocabulary: what a caller puts in SearchConfig(co
 _GRAPH_FAMILY = "fixture graph family with a known optimum (tests, docs, notebooks)"
 
 _DEFERRED = "controller substrate beside softmax/AdamUpdater; decided with it (--strategy)"
-_PREDICTOR = "predictor protocol beside the --strategy seam; ROADMAP item 3 decides it"
-_QTENSOR = "the tensor-network package's own surface; ROADMAP item 7 decides the package"
+_PREDICTOR = "predictor protocol beside the --strategy seam; the ROADMAP --strategy item decides it"
+_QTENSOR = "the tensor-network package's own surface; the ROADMAP qtensor/ item decides it"
 _API = "docs/architecture.md § API stability: a Client method's keywords are the contract"
 _TIMER = "operator API: the span helper docs/observability.md offers for an operator's own code"
 _LAYER = (
@@ -117,7 +117,8 @@ TEST_ONLY = {
     "repro.core.constraints.RequiredTokens": _CONSTRAINTS,
     "repro.core.constraints.RequiresParameterizedGate": _CONSTRAINTS,
     "repro.core.encoding.encode_sequence": (
-        "the §2.1 predictor tensor's writer, beside from_encoding; ROADMAP item 3 decides it"
+        "the §2.1 predictor tensor's writer, beside from_encoding; the ROADMAP --strategy "
+        "item decides it"
     ),
     "repro.core.predictor.make_predictor": (
         "the --strategy seam (ROADMAP): strategy name -> PREDICTORS entry, driven in-process "
@@ -150,7 +151,7 @@ TEST_ONLY = {
     "repro.core.predictor.Predictor.exhausted": _PREDICTOR,
     "repro.core.qbuilder.QBuilder.from_encoding": (
         "the §2.1 predictor -> builder tensor, the one edge that keeps core/encoding.py "
-        "reachable; ROADMAP item 3 decides it"
+        "reachable; the ROADMAP --strategy item decides it"
     ),
     "repro.core.results.SearchResult.load": (
         "docs/architecture.md § API stability: load() reads every prior payload version"
@@ -178,7 +179,7 @@ TEST_ONLY = {
     "repro.surrogate.cost.CostModel.fitted": "test accessor: whether the cost model has data",
 }
 
-_STRATEGY = "the --strategy seam: ROADMAP item 3 decides whether Config carries it"
+_STRATEGY = "the --strategy seam: the ROADMAP --strategy item decides whether Config carries it"
 
 #: ``module.callable(name=)`` for every keyword-only parameter no call
 #: outside ``tests/`` passes, each with the reason it is not a constant
