@@ -14,6 +14,9 @@ in a user run). Asserts:
 * the compiled engine agrees with the statevector oracle to 1e-10 on the
   winning candidate's energy (spot equivalence outside the unit suite),
 * a repeated run with the warm cache performs zero candidate trainings,
+* after one stored row's ``seconds`` is rewritten through ``sqlite3``, the
+  next warm run in the same process reads the new value and every other
+  field unchanged (rows are memoized by their text, never by their key),
 * a ``resume=True`` run beside a garbage ``checkpoint.json`` (the retired
   depth-checkpoint file) restores every depth from the store's depth rows,
   submits no job, finds the same winner and leaves that file untouched,
@@ -60,7 +63,9 @@ skipped counter is nonzero in the result config and in the service's
 from __future__ import annotations
 
 import argparse
+import json
 import os
+import sqlite3
 import statistics
 import subprocess
 import sys
@@ -144,6 +149,30 @@ def smoke_parked_fleet() -> None:
     )
 
 
+def smoke_rewritten_row(graphs, config, runtime, warm) -> None:
+    """Rewrite one stored row's ``seconds`` behind the store's back: the next
+    warm sweep in this process must read the new value, not the decoded
+    row it already holds, and every other field as before."""
+    store = Path(runtime.cache_dir) / "results.sqlite"
+    with sqlite3.connect(store) as conn:
+        key, text = conn.execute("SELECT key, value FROM results ORDER BY key LIMIT 1").fetchone()
+        row = json.loads(text)
+        row["seconds"] += 1000.5
+        conn.execute("UPDATE results SET value = ? WHERE key = ?", (json.dumps(row), key))
+    conn.close()
+    rewarmed = search_mixer(graphs, config, runtime=runtime)
+    changed = 0
+    for before, after in zip(warm.depth_results, rewarmed.depth_results):
+        for old, new in zip(before.evaluations, after.evaluations):
+            if (new.tokens, new.p) == (tuple(row["tokens"]), row["p"]):
+                assert new.seconds == row["seconds"], "a rewritten row read back stale"
+                new = replace(new, seconds=old.seconds)
+                changed += 1
+            assert new == old, f"{new.tokens} at p={new.p} changed beyond its seconds"
+    assert changed == 1, f"the rewritten row was read {changed} times"
+    print(f"rewritten row: seconds read back as {row['seconds']:.2f}, nothing else moved")
+
+
 def smoke_search() -> int:
     graphs = paper_er_dataset(2)
     config = SearchConfig(
@@ -164,6 +193,7 @@ def smoke_search() -> int:
         start = time.perf_counter()
         warm = search_mixer(graphs, config, runtime=runtime)
         warm_seconds = time.perf_counter() - start
+        smoke_rewritten_row(graphs, config, runtime, warm)
 
         legacy = Path(cache_dir) / "checkpoint.json"
         legacy.write_bytes(b"\x00 not a checkpoint {")

@@ -36,6 +36,16 @@ file, keyed by a fingerprint of everything that defines the depth
 exactly where it stopped and a row is never replayed against a different
 search. A row names its candidates by key, so a warm sweep costs O(depth)
 statements however many sweeps the store has seen.
+
+A process decodes each stored row once: every read (``get_many``,
+``load_depth``, ``claim``/``in``, ``wait_for``) turns a row's JSON into a
+:class:`~repro.core.results.CandidateEvaluation` through a bounded memo
+keyed by that exact text (:data:`DECODE_MEMO`), never by the row's key, so
+a rewritten row decodes afresh while a warm or resumed re-sweep, or a
+tenant repeating a sweep, shares the objects an earlier read made. The
+statements and counters are the same either way. :func:`candidate_key`
+and :func:`depth_fingerprint` are memoized too (:data:`KEY_MEMO`,
+:data:`DEPTH_MEMO`); a fresh sweep gains nothing from any of the three.
 """
 
 from __future__ import annotations
@@ -47,6 +57,7 @@ import threading
 import time
 from collections.abc import Iterator, Sequence
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 
 from repro.core.evaluator import EvaluationConfig
@@ -76,6 +87,38 @@ def _chunks(keys: Sequence[str]) -> Iterator[tuple[Sequence[str], str]]:
         chunk = keys[start:start + GET_CHUNK]
         yield chunk, ",".join("?" * len(chunk))
 
+
+#: how long a statement waits on another connection's lock before failing
+BUSY_SECONDS = 30.0
+
+
+def _enter_wal(conn: sqlite3.Connection) -> None:
+    """Switch ``conn``'s file to WAL. Openers of one fresh file can deadlock
+    on the switch, which sqlite reports at once as "database is locked"
+    instead of waiting out the busy timeout: retry for as long as that."""
+    deadline = time.monotonic() + BUSY_SECONDS
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if "locked" not in str(exc) or time.monotonic() > deadline:
+                raise
+            time.sleep(0.001)
+
+
+#: candidate keys memoized per process: one per (candidate, depth, config),
+#: ≈ 0.25 KB each with its digest, so a full memo holds ≈ 1 MB
+KEY_MEMO = 4096
+#: depth fingerprints memoized per process, one per (sweep, depth); an entry
+#: keeps its candidate list alive, ≈ 73 KB at 1,000 candidates, so a full
+#: memo of 1,000-candidate depths holds ≈ 4.7 MB
+DEPTH_MEMO = 64
+#: stored rows kept decoded per process, keyed by their text. An entry costs
+#: ≈ 2.7× its text: ≈ 1.1 KB for a 2-graph depth-1 row, 12.7 KB for a
+#: 10-graph depth-10 row, so a full memo holds ≈ 2.3 MB of the first and
+#: ≈ 26 MB of the second; the text grows with graphs × p
+DECODE_MEMO = 2048
 
 #: ``json.dumps(payload, sort_keys=True, separators=(",", ":"))``, built once
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
@@ -114,7 +157,7 @@ def candidate_key(
     config_fp: str,
 ) -> str:
     """Cache key of one candidate evaluation."""
-    return _digest([workload_fp, list(tokens), int(p), config_fp])
+    return _candidate_key(workload_fp, tuple(tokens), int(p), config_fp)
 
 
 def depth_fingerprint(
@@ -124,7 +167,35 @@ def depth_fingerprint(
     p: int,
 ) -> str:
     """Row key of one finished depth of a sweep (order-sensitive)."""
-    return _digest([workload_fp, config_fp, [list(c) for c in candidates], int(p)])
+    return _depth_fingerprint(workload_fp, config_fp, tuple(map(tuple, candidates)), int(p))
+
+
+# The two memos below see only str, int and tuples of str, whose equal
+# values encode to identical JSON. The workload and config fingerprints
+# stay unmemoized: graphs weighted 0.0 and -0.0 are equal and hash alike
+# but encode apart, so a memo could hand two stores one key, and the config
+# payload reads a module constant its argument does not carry.
+
+
+@lru_cache(maxsize=KEY_MEMO)
+def _candidate_key(workload_fp: str, tokens: tuple[str, ...], p: int, config_fp: str) -> str:
+    return _digest([workload_fp, tokens, p, config_fp])
+
+
+@lru_cache(maxsize=DEPTH_MEMO)
+def _depth_fingerprint(
+    workload_fp: str, config_fp: str, candidates: tuple[tuple[str, ...], ...], p: int
+) -> str:
+    return _digest([workload_fp, config_fp, candidates, p])
+
+
+@lru_cache(maxsize=DECODE_MEMO)
+def _decode(text: str) -> CandidateEvaluation:
+    """The evaluation a stored row's JSON ``text`` holds, decoded once per
+    process: keyed by the text, never the row's key, so a rewritten row
+    decodes afresh. The result is frozen and holds only tuples, so every
+    reader may share it."""
+    return CandidateEvaluation.from_dict(json.loads(text))
 
 
 class ResultCache:
@@ -186,26 +257,29 @@ class ResultCache:
         # check_same_thread=False + self._lock: concurrent sweeps (service
         # threads) and the sharded runtime's parent thread share safely.
         self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
-        self._conn.execute("PRAGMA journal_mode=WAL")
         # Shard processes (CLI --shard-index) share one results file; the
         # busy timeout serializes their commits instead of erroring out.
-        self._conn.execute("PRAGMA busy_timeout=30000")
+        self._conn.execute(f"PRAGMA busy_timeout={int(BUSY_SECONDS * 1000)}")
+        _enter_wal(self._conn)
+        # The columns of a migrated pre-eviction store, in its order.
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS results ("
             " key TEXT PRIMARY KEY,"
             " value TEXT NOT NULL,"
-            " schema INTEGER NOT NULL)"
+            " schema INTEGER NOT NULL,"
+            " last_used REAL NOT NULL DEFAULT 0)"
         )
         # Pre-eviction caches lack the recency column; migrate in place
         # (existing rows read as last_used=0, i.e. evicted first — correct,
-        # nothing ever recorded using them).
-        columns = {
-            row[1] for row in self._conn.execute("PRAGMA table_info(results)")
-        }
-        if "last_used" not in columns:
-            self._conn.execute(
-                "ALTER TABLE results ADD COLUMN last_used REAL NOT NULL DEFAULT 0"
-            )
+        # nothing ever recorded using them). Openers racing on one legacy
+        # store re-check under the write lock, so exactly one adds it.
+        if not self._has_recency_column():
+            self._conn.execute("BEGIN IMMEDIATE")
+            if not self._has_recency_column():
+                self._conn.execute(
+                    "ALTER TABLE results ADD COLUMN last_used REAL NOT NULL DEFAULT 0"
+                )
+            self._conn.commit()
         # SweepCheckpoint's rows; keys is a JSON list in position order
         self._conn.execute(
             "CREATE TABLE IF NOT EXISTS depths ("
@@ -249,6 +323,10 @@ class ResultCache:
                 ),
             }
 
+    def _has_recency_column(self) -> bool:
+        columns = self._conn.execute("PRAGMA table_info(results)")
+        return any(row[1] == "last_used" for row in columns)
+
     def _count(self, name: str, n: int = 1) -> None:
         """Bump a lifetime counter and, when wired, its metric mirror.
         Callers hold ``self._lock``."""
@@ -288,7 +366,7 @@ class ResultCache:
         for chunk, marks in _chunks([key for key in keys if key not in found]):
             sql = f"SELECT key, value FROM results WHERE schema = ? AND key IN ({marks})"
             for key, value in self._conn.execute(sql, (self.SCHEMA_VERSION, *chunk)):
-                found[key] = CandidateEvaluation.from_dict(json.loads(value))
+                found[key] = _decode(value)
         return found
 
     def count_hit(self) -> None:

@@ -49,8 +49,6 @@ exhaustive pool, a learning predictor, or a surrogate filter over either.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import threading
 import time
@@ -64,6 +62,7 @@ from repro.core.cache import (
     NullStore,
     ResultCache,
     SweepCheckpoint,
+    _digest,
     candidate_key,
     config_fingerprint,
     depth_fingerprint,
@@ -584,9 +583,7 @@ class SearchRuntime:
         config_fp = self._config_fp
         warm = self._warm_start_for(tokens, p)
         if warm is not None:
-            blob = json.dumps(warm, sort_keys=True, separators=(",", ":"))
-            digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-            config_fp = f"{config_fp}:warm-{digest}"
+            config_fp = f"{config_fp}:warm-{_digest(warm)[:16]}"
         return candidate_key(self._workload_fp, tokens, p, config_fp)
 
     def _depth_qasm(self, p: int, evaluations: tuple[CandidateEvaluation, ...]) -> str | None:

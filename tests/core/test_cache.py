@@ -1,11 +1,17 @@
 """Persistent result cache: fingerprints, hit/miss accounting, checkpoints."""
 
+import hashlib
+import json
+import sqlite3
 import threading
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
+from repro.core import cache as cache_module
 from repro.core.cache import (
+    DECODE_MEMO,
     GET_CHUNK,
     NullStore,
     ResultCache,
@@ -17,7 +23,7 @@ from repro.core.cache import (
 )
 from repro.core.evaluator import EvaluationConfig
 from repro.core.results import CandidateEvaluation, DepthResult
-from repro.graphs.generators import erdos_renyi_graph
+from repro.graphs.generators import Graph, erdos_renyi_graph
 from repro.qaoa import initialization
 from repro.surrogate.config import SurrogateConfig
 
@@ -105,6 +111,27 @@ class TestFingerprints:
         assert base != candidate_key("other", ("rx", "ry"), 2, cfp)
         assert base != candidate_key(wfp, ("rx", "ry"), 2, "other")
 
+    def test_list_and_tuple_tokens_give_one_key(self):
+        """The memoized keys are the digests of the payload as written."""
+        expected = hashlib.sha256(b'["w",["rx","ry"],2,"c"]').hexdigest()
+        assert candidate_key("w", ["rx", "ry"], 2, "c") == expected
+        assert candidate_key("w", ("rx", "ry"), 2, "c") == expected
+        assert candidate_key("w", ("rx", "ry"), np.int64(2), "c") == expected
+        expected = hashlib.sha256(b'["w","c",[["rx"],["ry","rz"]],1]').hexdigest()
+        assert depth_fingerprint("w", "c", [["rx"], ["ry", "rz"]], 1) == expected
+        assert depth_fingerprint("w", "c", (("rx",), ("ry", "rz")), 1) == expected
+
+    def test_equal_graphs_can_have_distinct_fingerprints(self):
+        """Why ``workload_fingerprint`` is not memoized: graphs weighted 0.0
+        and -0.0 compare equal and hash alike, so a memo keyed by the graphs
+        would hand both workloads whichever key it computed first. (1 and
+        1.0 never get this far: a ``Graph`` stores its weights as floats.)"""
+        positive, negative = (Graph(2, ((0, 1),), (w,)) for w in (0.0, -0.0))
+        assert positive == negative and hash(positive) == hash(negative)
+        assert workload_fingerprint([positive]) != workload_fingerprint([negative])
+        ints, floats = (Graph(2, ((0, 1),), (w,)) for w in (1, 1.0))
+        assert workload_fingerprint([ints]) == workload_fingerprint([floats])
+
     def test_depth_fingerprint_sees_candidate_list(self):
         a = depth_fingerprint("w", "c", [("rx",), ("ry",)], 1)
         assert a == depth_fingerprint("w", "c", [("rx",), ("ry",)], 1)
@@ -145,6 +172,57 @@ class TestResultCache:
         with ResultCache(target):
             pass
         assert (target / "results.sqlite").exists()
+
+
+COLUMNS = ["key", "value", "schema", "last_used"]
+
+
+def open_together(cache_dir, openers=4):
+    """Open ``cache_dir`` from ``openers`` threads released at once: the
+    errors raised, and the columns of the table they left."""
+    barrier = threading.Barrier(openers)
+    errors = []
+
+    def opener():
+        barrier.wait()
+        try:
+            ResultCache(cache_dir).close()
+        except Exception as exc:  # noqa: BLE001 - collected for the assert
+            errors.append(exc)
+
+    threads = [threading.Thread(target=opener) for _ in range(openers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    with sqlite3.connect(cache_dir / "results.sqlite") as store:
+        columns = [row[1] for row in store.execute("PRAGMA table_info(results)")]
+    return errors, columns
+
+
+class TestFirstOpen:
+    """Threads or shard processes opening one store together all succeed."""
+
+    def test_openers_of_a_fresh_dir(self, tmp_path):
+        for attempt in range(60):
+            assert open_together(tmp_path / str(attempt)) == ([], COLUMNS)
+
+    def test_openers_of_a_legacy_store_migrate_it_once(self, tmp_path):
+        for attempt in range(30):
+            cache_dir = tmp_path / str(attempt)
+            cache_dir.mkdir()
+            with sqlite3.connect(cache_dir / "results.sqlite") as store:
+                store.execute(
+                    "CREATE TABLE results (key TEXT PRIMARY KEY,"
+                    " value TEXT NOT NULL, schema INTEGER NOT NULL)"
+                )
+                store.execute(
+                    "INSERT INTO results VALUES ('k', ?, ?)",
+                    (json.dumps(make_evaluation().to_dict()), ResultCache.SCHEMA_VERSION),
+                )
+            assert open_together(cache_dir) == ([], COLUMNS)
+            with ResultCache(cache_dir) as cache:
+                assert cache.get("k") == make_evaluation()
 
 
 class TestCommitBatching:
@@ -253,6 +331,59 @@ class TestGetMany:
     def test_the_null_store_misses_every_key(self):
         assert NullStore().get_many(["a", "b"]) == [None, None]
         assert NullStore().get_many([]) == []
+
+
+class TestDecodeMemo:
+    """A stored row decodes once per process, keyed by its exact text."""
+
+    def test_a_rewritten_row_reads_back_new(self, tmp_path):
+        with ResultCache(tmp_path) as cache:
+            cache.put("k", make_evaluation())
+            assert cache.get("k").seconds == 0.25  # decoded, and memoized
+            with sqlite3.connect(tmp_path / "results.sqlite") as other:
+                (text,) = other.execute("SELECT value FROM results WHERE key = 'k'").fetchone()
+                row = json.loads(text)
+                row["seconds"] = 9.5
+                other.execute("UPDATE results SET value = ? WHERE key = 'k'", (json.dumps(row),))
+            assert cache.get("k") == replace(make_evaluation(), seconds=9.5)
+            (restored,) = cache.get_many(["k"])
+            assert restored.seconds == 9.5
+
+    def test_a_memoized_row_of_another_schema_is_a_miss(self, tmp_path):
+        with ResultCache(tmp_path) as cache:
+            cache.put("k", make_evaluation())
+            assert cache.get("k") == make_evaluation()
+            cache._conn.execute(
+                "UPDATE results SET schema = ? WHERE key = 'k'",
+                (ResultCache.SCHEMA_VERSION + 1,),
+            )
+            cache._conn.commit()
+            assert cache.get("k") is None
+            assert "k" not in cache
+            assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_stores_holding_one_text_share_its_evaluation(self, tmp_path):
+        for name in "ab":
+            with ResultCache(tmp_path / name) as cache:
+                cache.put("k", make_evaluation(("ry", "rz"), ratio=0.625))
+        with ResultCache(tmp_path / "a") as a, ResultCache(tmp_path / "b") as b:
+            first = a.get("k")
+            assert b.get("k") is first
+            assert a.get_many(["k", "k"]) == [first, first]
+        assert first == make_evaluation(("ry", "rz"), ratio=0.625)
+
+    def test_the_memo_stays_at_its_bound(self, tmp_path):
+        keys = [f"k{i}" for i in range(DECODE_MEMO + 10)]
+        with ResultCache(tmp_path, flush_every=len(keys)) as cache:
+            for i, key in enumerate(keys):
+                cache.put(key, make_evaluation(ratio=i / len(keys)))
+            cache.flush()
+            cache_module._decode.cache_clear()
+            found = cache.get_many(keys)
+        assert [e.ratio for e in found] == [i / len(keys) for i in range(len(keys))]
+        info = cache_module._decode.cache_info()
+        assert info.maxsize == DECODE_MEMO
+        assert info.currsize == DECODE_MEMO
 
 
 def stored_depth(cache, evaluations, seconds=1.5, qasm=None):
