@@ -20,6 +20,14 @@ in a user run). Asserts:
 * a ``resume=True`` run beside a garbage ``checkpoint.json`` (the retired
   depth-checkpoint file) restores every depth from the store's depth rows,
   submits no job, finds the same winner and leaves that file untouched,
+* after ``shutil.rmtree`` of the warm ``cache_dir`` — whose connection
+  the process keeps parked — a sweep on the same path misses every
+  candidate and trains it again, to the cold run's results, and the next
+  sweep is all hits,
+* a child interpreter that runs two cached ``api.search`` sweeps of one
+  ``cache_dir`` and exits leaves exactly ``results.sqlite`` there (the
+  parked connection closed at exit, ``-wal`` folded back), which passes
+  ``PRAGMA integrity_check``,
 * a child interpreter that runs two ``api.search(workers=2)`` sweeps — the
   second on the worker processes the first one parked — and then one
   ``Config(workers=2, shards=2)`` sweep (two one-process lanes of one
@@ -65,6 +73,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sqlite3
 import statistics
 import subprocess
@@ -112,6 +121,16 @@ print(*[t.name for t in threading.enumerate() if t is not threading.main_thread(
 """
 
 
+#: two cached sweeps of one ``cache_dir`` (the second all hits), then a plain exit
+CACHED_SEARCHES_THEN_EXIT = """
+import sys
+from repro.api import Config, search
+config = Config(k_min=1, k_max=1, steps=4, optimizer="spsa", cache_dir=sys.argv[1])
+search("er:1", depths=1, config=config)
+assert search("er:1", depths=1, config=config).config["cache_misses"] == 0
+"""
+
+
 def _running(pid: int) -> bool:
     try:
         with open(f"/proc/{pid}/stat") as handle:
@@ -147,6 +166,27 @@ def smoke_parked_fleet() -> None:
         f"parked fleet: 2 sweeps on workers {first}, a 2-lane sharded sweep on "
         f"{lanes} equal to the serial one, none left after exit"
     )
+
+
+def trained(result) -> list:
+    """Every evaluation of ``result`` minus its wall-clock ``seconds``."""
+    return [replace(e, seconds=0.0) for d in result.depth_results for e in d.evaluations]
+
+
+def smoke_store_exit() -> None:
+    with tempfile.TemporaryDirectory() as cache_dir:
+        child = subprocess.run(
+            [sys.executable, "-c", CACHED_SEARCHES_THEN_EXIT, cache_dir],
+            env={**os.environ, "PYTHONPATH": REPO_SRC}, timeout=60,
+        )
+        assert child.returncode == 0, f"cached searches then exit: code {child.returncode}"
+        left = sorted(os.listdir(cache_dir))
+        assert left == ["results.sqlite"], f"an exited process left {left} in its cache_dir"
+        conn = sqlite3.connect(Path(cache_dir) / "results.sqlite")
+        (check,) = conn.execute("PRAGMA integrity_check").fetchone()
+        conn.close()
+    assert check == "ok", f"the store an exited process left fails integrity_check: {check}"
+    print("store exit: two cached sweeps, then only results.sqlite left, integrity ok")
 
 
 def smoke_rewritten_row(graphs, config, runtime, warm) -> None:
@@ -200,6 +240,12 @@ def smoke_search() -> int:
         resumed = search_mixer(graphs, config, runtime=replace(runtime, resume=True))
         assert legacy.read_bytes() == b"\x00 not a checkpoint {", "checkpoint.json was touched"
 
+        # The warm store's connection is parked; a new directory on the
+        # same path must not be served by it.
+        shutil.rmtree(cache_dir)
+        refilled = search_mixer(graphs, config, runtime=runtime)
+        rewarmed = search_mixer(graphs, config, runtime=runtime)
+
     print(
         f"cold: {cold.num_candidates} candidates in {cold_seconds:.1f}s; "
         f"winner {cold.best_tokens} at p={cold.best_p} "
@@ -240,6 +286,15 @@ def smoke_search() -> int:
     assert resumed.config["restored_depths"] == config.p_max, "resume must restore every depth"
     assert resumed.config["jobs_submitted"] == 0
     assert resumed.best_tokens == cold.best_tokens
+    assert refilled.config["cache_hits"] == 0, "a recreated cache_dir must miss every candidate"
+    assert refilled.config["jobs_submitted"] == refilled.num_candidates
+    assert trained(refilled) == trained(cold), "a recreated cache_dir's sweep differs"
+    assert rewarmed.config["cache_misses"] == 0, "the sweep after a refill must be all hits"
+    print(
+        f"recreated cache_dir: {refilled.config['cache_misses']} misses, "
+        f"{refilled.config['jobs_submitted']} jobs, then {rewarmed.config['cache_hits']} hits"
+    )
+    smoke_store_exit()
     smoke_parked_fleet()
     print("benchmark smoke OK")
     return 0

@@ -46,15 +46,33 @@ tenant repeating a sweep, shares the objects an earlier read made. The
 statements and counters are the same either way. :func:`candidate_key`
 and :func:`depth_fingerprint` are memoized too (:data:`KEY_MEMO`,
 :data:`DEPTH_MEMO`); a fresh sweep gains nothing from any of the three.
+
+A store's connection outlives the store. :meth:`ResultCache.close` flushes,
+then *parks* its connection in a process-wide slot keyed by the file's
+``(st_dev, st_ino)``, and the next :class:`ResultCache` on that file takes
+it instead of reconnecting, re-entering WAL and re-checking the schema. The
+gain needs a process that reopens one ``cache_dir`` — a warm or resumed
+re-sweep, a loop over ``api.search``; a one-shot ``repro search``, a fresh
+sweep on a new directory and the service, which holds one store for its
+whole life, open as before. Taking removes the connection from the slot,
+so two live stores never share one. A parked connection whose path names
+another file now, or none, is closed at the next park or fresh open. A
+forked child starts with an empty slot, and at exit every parked
+connection closes, so sqlite folds ``-wal`` back into the file and a
+finished process leaves ``results.sqlite`` alone. While the process lives,
+committed rows may sit in ``-wal``: ship a store after its process exits.
 """
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import json
+import os
 import sqlite3
 import threading
 import time
+from collections import OrderedDict
 from collections.abc import Iterator, Sequence
 from dataclasses import asdict
 from functools import lru_cache
@@ -105,6 +123,136 @@ def _enter_wal(conn: sqlite3.Connection) -> None:
             if "locked" not in str(exc) or time.monotonic() > deadline:
                 raise
             time.sleep(0.001)
+
+
+def _has_recency_column(conn: sqlite3.Connection) -> bool:
+    return any(row[1] == "last_used" for row in conn.execute("PRAGMA table_info(results)"))
+
+
+def _open(path: str) -> sqlite3.Connection:
+    """A new connection to the store file ``path``, in WAL with the busy
+    timeout, both tables created and a pre-eviction table migrated."""
+    # check_same_thread=False + the store's lock: concurrent sweeps (service
+    # threads) and the sharded runtime's parent thread share safely.
+    conn = sqlite3.connect(path, check_same_thread=False)
+    # Shard processes (CLI --shard-index) share one results file; the
+    # busy timeout serializes their commits instead of erroring out.
+    conn.execute(f"PRAGMA busy_timeout={int(BUSY_SECONDS * 1000)}")
+    _enter_wal(conn)
+    # The columns of a migrated pre-eviction store, in its order.
+    conn.execute(
+        "CREATE TABLE IF NOT EXISTS results ("
+        " key TEXT PRIMARY KEY,"
+        " value TEXT NOT NULL,"
+        " schema INTEGER NOT NULL,"
+        " last_used REAL NOT NULL DEFAULT 0)"
+    )
+    # Pre-eviction caches lack the recency column; migrate in place
+    # (existing rows read as last_used=0, i.e. evicted first — correct,
+    # nothing ever recorded using them). Openers racing on one legacy
+    # store re-check under the write lock, so exactly one adds it.
+    if not _has_recency_column(conn):
+        conn.execute("BEGIN IMMEDIATE")
+        if not _has_recency_column(conn):
+            conn.execute("ALTER TABLE results ADD COLUMN last_used REAL NOT NULL DEFAULT 0")
+        conn.commit()
+    # SweepCheckpoint's rows; keys is a JSON list in position order
+    conn.execute(
+        "CREATE TABLE IF NOT EXISTS depths ("
+        " fingerprint TEXT PRIMARY KEY,"
+        " p INTEGER NOT NULL,"
+        " keys TEXT NOT NULL,"
+        " seconds REAL NOT NULL,"
+        " best_qasm TEXT)"
+    )
+    conn.commit()
+    return conn
+
+
+#: connections parked between a store's close and the next open of its file.
+#: Worst case per entry: 3 fds (the file, its -wal, its -shm) and up to
+#: sqlite's default 2 MB page cache, so a full slot holds 24 fds and ≈ 16 MB
+PARKED_STORES = 8
+
+FileIdentity = tuple[int, int]
+
+#: file identity -> (path, connection), least recently parked first; emptied
+#: in a forked child, whose copies are the parent's to use and close
+_parked: OrderedDict[FileIdentity, tuple[str, sqlite3.Connection]] = OrderedDict()
+_parked_lock = threading.Lock()
+os.register_at_fork(after_in_child=_parked.clear)
+
+#: what a closed store holds instead of a connection: every use raises
+#: ``sqlite3.ProgrammingError``, so it never reaches one another store took
+_CLOSED = sqlite3.connect(":memory:")
+_CLOSED.close()
+
+
+def _identity(path: str) -> FileIdentity | None:
+    """``(st_dev, st_ino)`` of the file ``path`` names, or None."""
+    try:
+        stat = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return stat.st_dev, stat.st_ino
+
+
+def _close(conn: sqlite3.Connection, moved: bool) -> None:
+    """Close ``conn``. When its path names another file now (``moved``), its
+    ``-wal`` may still sit at that path, where the next opener would read
+    its frames as that file's: fold them into the old file first. Callers
+    hold ``_parked_lock``, so no store opens the path in between."""
+    try:
+        if moved:
+            conn.execute("PRAGMA wal_checkpoint(TRUNCATE)")
+    finally:
+        conn.close()
+
+
+def _close_moved() -> None:
+    """Close every parked connection whose path no longer names its file
+    (the directory was deleted, the file replaced). Callers hold
+    ``_parked_lock``."""
+    for identity in [key for key, (path, _) in _parked.items() if _identity(path) != key]:
+        _close(_parked.pop(identity)[1], moved=True)
+
+
+def _take(path: str) -> tuple[sqlite3.Connection, FileIdentity | None]:
+    """A connection to the store file ``path`` and that file's identity:
+    the one parked on it, removed from the slot, or else a new one."""
+    identity = _identity(path)
+    with _parked_lock:
+        parked = _parked.pop(identity, None)
+        if parked is None:
+            _close_moved()
+    if parked is not None:
+        return parked[1], identity
+    return _open(path), _identity(path)
+
+
+def _park(conn: sqlite3.Connection, path: str, identity: FileIdentity | None) -> None:
+    """Keep ``conn`` for the next store on its file — unless it is mid-
+    transaction, its path names another file now, or the slot already holds
+    one for that file — and close what the slot must give up."""
+    with _parked_lock:
+        _close_moved()
+        moved = identity is None or _identity(path) != identity
+        if moved or conn.in_transaction or identity in _parked:
+            _close(conn, moved)
+            return
+        _parked[identity] = (path, conn)
+        while len(_parked) > PARKED_STORES:
+            _close(_parked.popitem(last=False)[1][1], moved=False)
+
+
+@atexit.register
+def close_parked_stores() -> None:
+    """Close every parked connection (also runs at interpreter exit), so each
+    store's last close folds its ``-wal`` back into ``results.sqlite``."""
+    with _parked_lock:
+        _close_moved()
+        while _parked:
+            _close(_parked.popitem()[1][1], moved=False)
 
 
 #: candidate keys memoized per process: one per (candidate, depth, config),
@@ -254,42 +402,7 @@ class ResultCache:
         self.flush_every = int(flush_every)
         self.max_entries = max_entries
         self.shared = bool(shared)
-        # check_same_thread=False + self._lock: concurrent sweeps (service
-        # threads) and the sharded runtime's parent thread share safely.
-        self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
-        # Shard processes (CLI --shard-index) share one results file; the
-        # busy timeout serializes their commits instead of erroring out.
-        self._conn.execute(f"PRAGMA busy_timeout={int(BUSY_SECONDS * 1000)}")
-        _enter_wal(self._conn)
-        # The columns of a migrated pre-eviction store, in its order.
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS results ("
-            " key TEXT PRIMARY KEY,"
-            " value TEXT NOT NULL,"
-            " schema INTEGER NOT NULL,"
-            " last_used REAL NOT NULL DEFAULT 0)"
-        )
-        # Pre-eviction caches lack the recency column; migrate in place
-        # (existing rows read as last_used=0, i.e. evicted first — correct,
-        # nothing ever recorded using them). Openers racing on one legacy
-        # store re-check under the write lock, so exactly one adds it.
-        if not self._has_recency_column():
-            self._conn.execute("BEGIN IMMEDIATE")
-            if not self._has_recency_column():
-                self._conn.execute(
-                    "ALTER TABLE results ADD COLUMN last_used REAL NOT NULL DEFAULT 0"
-                )
-            self._conn.commit()
-        # SweepCheckpoint's rows; keys is a JSON list in position order
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS depths ("
-            " fingerprint TEXT PRIMARY KEY,"
-            " p INTEGER NOT NULL,"
-            " keys TEXT NOT NULL,"
-            " seconds REAL NOT NULL,"
-            " best_qasm TEXT)"
-        )
-        self._conn.commit()
+        self._conn, self._file_identity = _take(str(self.path))
         self._lock = threading.RLock()
         self._available = threading.Condition(self._lock)
         self._buffer: dict[str, CandidateEvaluation] = {}
@@ -322,10 +435,6 @@ class ResultCache:
                     "Time a tenant waited on another tenant's claimed key",
                 ),
             }
-
-    def _has_recency_column(self) -> bool:
-        columns = self._conn.execute("PRAGMA table_info(results)")
-        return any(row[1] == "last_used" for row in columns)
 
     def _count(self, name: str, n: int = 1) -> None:
         """Bump a lifetime counter and, when wired, its metric mirror.
@@ -509,9 +618,13 @@ class ResultCache:
             return key in self._fetch([key])
 
     def close(self) -> None:
+        """Flush, then park the connection for the next store on this file
+        (see the module docstring); this store keeps none, so any use after
+        ``close`` raises ``sqlite3.ProgrammingError``."""
         with self._lock:
             self.flush()
-            self._conn.close()
+            conn, self._conn = self._conn, _CLOSED
+        _park(conn, str(self.path), self._file_identity)
 
     def __enter__(self) -> ResultCache:
         return self

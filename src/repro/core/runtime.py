@@ -249,7 +249,8 @@ class SearchRuntime:
     One instance corresponds to one workload + evaluation config; its
     classical optima are computed exactly once, and its cache handles stay
     open across depths. Use as a context manager (or call :meth:`close`)
-    so the sqlite handle is released deterministically.
+    so buffered results are committed and the store's connection is parked
+    for the next sweep on its file (see :mod:`repro.core.cache`).
 
     ``executor`` is the worker fleet. Sharded execution — ``runtime.shards
     > 1`` or a sequence of executors, without ``shard_index`` — runs one

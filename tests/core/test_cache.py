@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import shutil
 import sqlite3
+import subprocess
+import sys
 import threading
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,8 @@ from repro.core.results import CandidateEvaluation, DepthResult
 from repro.graphs.generators import Graph, erdos_renyi_graph
 from repro.qaoa import initialization
 from repro.surrogate.config import SurrogateConfig
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 @pytest.fixture
@@ -384,6 +391,185 @@ class TestDecodeMemo:
         info = cache_module._decode.cache_info()
         assert info.maxsize == DECODE_MEMO
         assert info.currsize == DECODE_MEMO
+
+
+def is_closed(conn):
+    try:
+        conn.execute("SELECT 1")
+    except sqlite3.ProgrammingError:
+        return True
+    return False
+
+
+#: two cached sweeps of one ``cache_dir`` (the second all hits), then a plain exit
+SEARCHES_THEN_EXIT = """
+import sys
+from repro.api import Config, search
+config = Config(k_min=1, k_max=1, steps=4, optimizer="spsa", cache_dir=sys.argv[1])
+search("er:1", depths=1, config=config)
+assert search("er:1", depths=1, config=config).config["cache_misses"] == 0
+"""
+
+
+class TestParkedStores:
+    """A closed store parks its connection for the next store on its file."""
+
+    @pytest.fixture(autouse=True)
+    def empty_slot(self):
+        cache_module.close_parked_stores()
+        yield
+        cache_module.close_parked_stores()
+
+    def test_a_reopen_takes_the_parked_connection(self, tmp_path):
+        with ResultCache(tmp_path) as cache:
+            cache.put("k", make_evaluation())
+            conn = cache._conn
+        with ResultCache(tmp_path) as cache:
+            assert cache._conn is conn
+            assert cache.get("k") == make_evaluation()
+        assert list(cache_module._parked.values()) == [(str(tmp_path / "results.sqlite"), conn)]
+
+    def test_a_recreated_directory_gets_a_fresh_connection(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        with ResultCache(cache_dir) as cache:
+            cache.put("k", make_evaluation())
+            old = cache._conn
+        shutil.rmtree(cache_dir)
+        with ResultCache(cache_dir) as cache:
+            assert cache._conn is not old
+            assert is_closed(old)
+            assert cache.get_many(["k"]) == [None]
+            assert (cache.hits, cache.misses) == (0, 1)
+
+    def test_a_legacy_store_moved_onto_a_parked_path_is_migrated(self, tmp_path):
+        cache_dir = tmp_path / "cache"
+        with ResultCache(cache_dir) as cache:
+            cache.put("parked", make_evaluation(("ry",)))  # its -wal keeps the row
+        with sqlite3.connect(tmp_path / "legacy.sqlite") as legacy:  # no last_used
+            legacy.execute(
+                "CREATE TABLE results (key TEXT PRIMARY KEY,"
+                " value TEXT NOT NULL, schema INTEGER NOT NULL)"
+            )
+            legacy.execute(
+                "INSERT INTO results VALUES ('k', ?, ?)",
+                (json.dumps(make_evaluation().to_dict()), ResultCache.SCHEMA_VERSION),
+            )
+        legacy.close()
+        os.replace(tmp_path / "legacy.sqlite", cache_dir / "results.sqlite")
+        with ResultCache(cache_dir) as cache:
+            assert cache.get_many(["k", "parked"]) == [make_evaluation(), None]
+        with sqlite3.connect(cache_dir / "results.sqlite") as store:
+            assert [row[1] for row in store.execute("PRAGMA table_info(results)")] == COLUMNS
+            assert store.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+        store.close()
+
+    def test_a_parked_connection_pins_no_snapshot(self, tmp_path):
+        with ResultCache(tmp_path, max_entries=10) as cache:
+            checkpoint = SweepCheckpoint(cache)
+            keys, depth = stored_depth(cache, (make_evaluation(), make_evaluation(("ry",))))
+            checkpoint.save_depth("fp1", depth, keys)
+            assert checkpoint.load_depth("fp1") == depth
+            assert checkpoint.stored_qasm("fp1", keys) is None
+            assert cache.get_many(keys) == list(depth.evaluations)
+            assert len(cache) == 2 and keys[0] in cache
+        other = sqlite3.connect(tmp_path / "results.sqlite")
+        assert other.execute("PRAGMA wal_checkpoint(TRUNCATE)").fetchone() == (0, 0, 0)
+        rewritten = replace(make_evaluation(), seconds=9.5)
+        with other:
+            other.execute(
+                "UPDATE results SET value = ? WHERE key = ?",
+                (json.dumps(rewritten.to_dict()), keys[0]),
+            )
+        other.close()
+        with ResultCache(tmp_path) as cache:
+            assert SweepCheckpoint(cache).load_depth("fp1").evaluations[0] == rewritten
+            assert cache.get(keys[0]) == rewritten
+
+    def test_a_closed_store_keeps_no_handle(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("k", make_evaluation())
+        cache.close()
+        with pytest.raises(sqlite3.ProgrammingError):
+            cache.get("k")
+        with pytest.raises(sqlite3.ProgrammingError):
+            cache.close()
+        with ResultCache(tmp_path) as reopened:
+            assert reopened.get("k") == make_evaluation()
+
+    def test_the_slot_stays_at_its_bound(self, tmp_path):
+        conns = []
+        for index in range(cache_module.PARKED_STORES + 2):
+            with ResultCache(tmp_path / str(index)) as cache:
+                conns.append(cache._conn)
+        parked = [conn for _, conn in cache_module._parked.values()]
+        assert parked == conns[2:]
+        assert [is_closed(conn) for conn in conns] == [True, True] + [False] * len(parked)
+
+    def test_a_deleted_directory_is_closed_at_the_next_park(self, tmp_path):
+        with ResultCache(tmp_path / "gone") as cache:
+            gone = cache._conn
+        with ResultCache(tmp_path / "kept") as cache:
+            kept = cache._conn
+            shutil.rmtree(tmp_path / "gone")
+        assert is_closed(gone) and not is_closed(kept)
+        assert [conn for _, conn in cache_module._parked.values()] == [kept]
+
+    def test_a_forked_child_finds_the_slot_empty(self, tmp_path):
+        with ResultCache(tmp_path) as cache:
+            cache.put("parent", make_evaluation())
+            conn = cache._conn
+        child = os.fork()
+        if child == 0:
+            code = 1
+            try:
+                if not cache_module._parked:
+                    with ResultCache(tmp_path) as cache:
+                        code = 0 if cache.get("parent") == make_evaluation() else 2
+                        cache.put("child", make_evaluation(("ry",)))
+            finally:
+                os._exit(code)
+        assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
+        with ResultCache(tmp_path) as cache:
+            assert cache._conn is conn
+            assert cache.get_many(["parent", "child"]) == [
+                make_evaluation(), make_evaluation(("ry",)),
+            ]
+
+    def test_threads_cycling_one_path_keep_every_row(self, tmp_path):
+        barrier = threading.Barrier(4)
+        errors = []
+
+        def cycle(index):
+            barrier.wait()
+            try:
+                for step in range(50):
+                    with ResultCache(tmp_path) as cache:
+                        cache.put(f"{index}-{step}", make_evaluation(ratio=step / 50))
+            except Exception as exc:  # noqa: BLE001 - collected for the assert
+                errors.append(exc)
+
+        threads = [threading.Thread(target=cycle, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(cache_module._parked) == 1
+        with ResultCache(tmp_path) as cache:
+            assert len(cache) == 200
+
+    def test_an_exiting_process_leaves_one_file(self, tmp_path):
+        child = subprocess.run(
+            [sys.executable, "-c", SEARCHES_THEN_EXIT, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, timeout=60,
+        )
+        assert child.returncode == 0, child.stdout
+        assert [path.name for path in tmp_path.iterdir()] == ["results.sqlite"]
+        with sqlite3.connect(tmp_path / "results.sqlite") as store:
+            assert store.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+        store.close()
 
 
 def stored_depth(cache, evaluations, seconds=1.5, qasm=None):
