@@ -4,8 +4,7 @@ The paper's parallel loop hands one gate combination per task to
 ``starmap_async``. Chunking trades per-task dispatch overhead against load
 balance: big chunks amortize pickling but let one slow chunk straggle.
 This bench runs the same candidate bag at several chunk sizes on the real
-pool, then replays the measured durations through the scheduling simulator
-to show the same trade-off analytically.
+pool.
 """
 
 from __future__ import annotations
@@ -14,15 +13,13 @@ import time
 
 import numpy as np
 
-from repro.core.alphabet import GateAlphabet
+from repro.core.alphabet import GateAlphabet, enumerate_search_space
 from repro.core.evaluator import EvaluationConfig, evaluate_candidate
 from repro.experiments.figures import render_table
-from repro.experiments.profiling import candidate_bag, measure_candidate_durations
 from repro.experiments.records import ExperimentRecord
 from repro.experiments.scale import get_scale
 from repro.graphs.datasets import profiling_graph
 from repro.parallel.executor import MultiprocessingExecutor
-from repro.parallel.scheduler import OverheadModel, simulate_makespan
 
 CHUNK_SIZES = (1, 2, 5)
 
@@ -30,7 +27,8 @@ CHUNK_SIZES = (1, 2, 5)
 def bench_ablation_chunksize(once):
     scale = get_scale()
     graph = profiling_graph()
-    candidates = candidate_bag(GateAlphabet(), 2, scale.num_candidates)
+    space = enumerate_search_space(GateAlphabet(), 2, mode="sequences")
+    candidates = space[: scale.num_candidates]
     config = EvaluationConfig(max_steps=scale.max_steps, seed=0)
     jobs = [([graph], tokens, 1, config) for tokens in candidates]
 
@@ -48,16 +46,6 @@ def bench_ablation_chunksize(once):
             else:
                 np.testing.assert_allclose(energies, reference, atol=1e-12)
             rows.append([chunk, elapsed])
-        # analytic replay: chunked list scheduling of measured durations
-        durations = measure_candidate_durations(graph, 1, candidates, config)
-        for chunk in CHUNK_SIZES:
-            merged = [
-                sum(durations[i : i + chunk]) for i in range(0, len(durations), chunk)
-            ]
-            sim = simulate_makespan(
-                merged, 2, overhead=OverheadModel(dispatch_per_task=0.002)
-            )
-            rows.append([f"sim@{chunk}", sim.makespan])
         return rows
 
     rows = once(run)
@@ -65,7 +53,7 @@ def bench_ablation_chunksize(once):
     print("\n=== Ablation: starmap_async chunksize (2 workers, seconds) ===")
     print(render_table(["chunksize", "wall time"], rows))
 
-    measured = [r[1] for r in rows if isinstance(r[0], int)]
+    measured = [r[1] for r in rows]
     # results must exist for every chunk size and stay in the same regime
     # (no pathological blow-up from chunking on a uniform bag)
     assert len(measured) == len(CHUNK_SIZES)

@@ -4,18 +4,17 @@ Paper protocol (§3.1): one 10-node ER graph, p = 2, cores swept 8..64 in
 steps of 8, against a dashed serial-time line; the parallel version is
 quoted as "0.76 times faster" than serial.
 
-Substitution: per-candidate durations are *measured* by really
-training each candidate serially; placement on 8..64 workers is replayed
-through the list-scheduling simulator, and the simulator is validated
-against a real process pool at the core counts this machine has.
+Substitution: per-candidate seconds are *measured* by a serial
+``repro.api.search`` sweep; their placement on 8..64 cores is replayed with
+the runtime's own least-loaded rule, and the replay is checked against a
+real two-worker sweep where this machine has two cores.
 """
 
 from __future__ import annotations
 
-from repro.core.alphabet import GateAlphabet
-from repro.core.evaluator import EvaluationConfig
+from repro.api import Config
 from repro.experiments.figures import render_series, render_table
-from repro.experiments.profiling import candidate_bag, run_fig5
+from repro.experiments.profiling import run_fig5
 from repro.experiments.records import ExperimentRecord
 from repro.experiments.scale import get_scale
 from repro.graphs.datasets import profiling_graph
@@ -26,25 +25,19 @@ PAPER_CORE_COUNTS = (8, 16, 24, 32, 40, 48, 56, 64)
 def bench_fig5_core_scaling(once):
     scale = get_scale()
     graph = profiling_graph()
-    candidates = candidate_bag(GateAlphabet(), 4, scale.num_candidates)
-    config = EvaluationConfig(max_steps=scale.max_steps, seed=0)
-
-    result = once(
-        lambda: run_fig5(
-            graph,
-            p=2,
-            candidates=candidates,
-            config=config,
-            core_counts=PAPER_CORE_COUNTS,
-        )
+    config = Config(
+        k_max=4, mode="sequences", num_samples=scale.num_candidates,
+        steps=scale.max_steps, seed=0,
     )
+
+    result = once(lambda: run_fig5(graph, config=config, core_counts=PAPER_CORE_COUNTS))
 
     print("\n=== Fig. 5: time to simulate at p=2 vs cores (seconds) ===")
     print(
         render_series(
             "cores",
             result.core_counts,
-            {"simulated": result.simulated_seconds},
+            {"replayed": result.simulated_seconds},
         )
     )
     print(f"serial reference (dashed line): {result.serial_seconds:.3f}s")
@@ -54,7 +47,7 @@ def bench_fig5_core_scaling(once):
             [w, measured, predicted, abs(measured - predicted) / measured]
             for w, (measured, predicted) in sorted(result.validation.items())
         ]
-        print("\nsimulator validation against a real pool:")
+        print("\nreplay validation against a real sweep:")
         print(render_table(["workers", "measured", "predicted", "rel_err"], rows))
 
     # Shape assertions: monotone non-increasing with cores; all parallel
@@ -77,7 +70,7 @@ def bench_fig5_core_scaling(once):
         parameters={
             "scale": scale.name,
             "p": 2,
-            "num_candidates": len(candidates),
+            "num_candidates": scale.num_candidates,
             "core_counts": list(PAPER_CORE_COUNTS),
         },
         measured={

@@ -4,7 +4,7 @@ Runs one search three ways on the same workload/seed:
 
 1. single-node baseline (one scheduler, one executor);
 2. sharded across 3 shards — candidate bags are placed by predicted cost
-   (greedy least-loaded, the ClusterModel placement rule) on three lanes of
+   (greedy least-loaded, `least_loaded_partition`) on three lanes of
    that same JobScheduler, one executor each;
 3. sharded with one shard rigged to die mid-depth — its unfinished
    candidates migrate to the survivors and the result is unchanged.

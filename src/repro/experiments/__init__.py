@@ -17,14 +17,7 @@ from repro.experiments.discovery import (
     run_fig7,
 )
 from repro.experiments.figures import render_bars, render_grouped_bars, render_series, render_table
-from repro.experiments.profiling import (
-    Fig4Result,
-    Fig5Result,
-    candidate_bag,
-    measure_candidate_durations,
-    run_fig4,
-    run_fig5,
-)
+from repro.experiments.profiling import Fig4Result, Fig5Result, run_fig4, run_fig5
 from repro.experiments.records import ExperimentRecord, default_results_dir
 from repro.experiments.scale import SCALES, ExperimentScale, get_scale
 
@@ -40,8 +33,6 @@ __all__ = [
     "Fig6Result",
     "Fig7Result",
     "MixerComparison",
-    "candidate_bag",
-    "measure_candidate_durations",
     "draw_mixer",
     "PAPER_FIG7_MIXERS",
     "BASELINE_MIXER",

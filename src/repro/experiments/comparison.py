@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.evaluator import EvaluationConfig, Evaluator
+from repro.core.evaluator import EvaluationConfig
+from repro.experiments.discovery import _run_panel
 from repro.graphs.generators import Graph
 
 __all__ = [
@@ -54,14 +55,11 @@ def _compare(
     p_values: Sequence[int],
     config: EvaluationConfig | None,
 ) -> MixerComparison:
-    evaluator = Evaluator(graphs, config)
-    per_p: dict[str, list[float]] = {name: [] for name in _MIXERS}
-    per_graph: dict[str, list[tuple[float, ...]]] = {name: [] for name in _MIXERS}
-    for name, tokens in _MIXERS.items():
-        for p in p_values:
-            evaluation = evaluator.evaluate(tokens, p)
-            per_p[name].append(evaluation.ratio)
-            per_graph[name].append(evaluation.per_graph_ratio)
+    panel = _run_panel(graphs, list(_MIXERS.values()), p_values, config)
+    per_p = {name: [panel[m, p].ratio for p in p_values] for name, m in _MIXERS.items()}
+    per_graph = {
+        name: [panel[m, p].per_graph_ratio for p in p_values] for name, m in _MIXERS.items()
+    }
     aggregated = {name: float(np.mean(vals)) for name, vals in per_p.items()}
     return MixerComparison(
         p_values=list(p_values),
@@ -77,7 +75,11 @@ def run_fig8(
     p_values: Sequence[int] = (1, 2, 3),
     config: EvaluationConfig | None = None,
 ) -> MixerComparison:
-    """Baseline vs searched mixer on ER graphs, averaged over p=1,2,3."""
+    """Baseline vs searched mixer on ER graphs, averaged over p=1,2,3.
+
+    Both mixers train through the search runtime as one sweep of every
+    depth up to the deepest asked: under ``init_strategy="interp"`` depth
+    ``p`` warm-starts from depth ``p - 1``, as in a search."""
     return _compare(er_graphs, p_values, config)
 
 
@@ -87,5 +89,6 @@ def run_fig9(
     p_values: Sequence[int] = (1, 2, 3),
     config: EvaluationConfig | None = None,
 ) -> MixerComparison:
-    """Same comparison, per-p, on the 4-regular dataset (values ~1.0)."""
+    """Same comparison, per-p, on the 4-regular dataset (values ~1.0); one
+    sweep, as in :func:`run_fig8`."""
     return _compare(regular_graphs, p_values, config)

@@ -16,8 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.circuits.parameters import Parameter
-from repro.core.evaluator import EvaluationConfig, Evaluator
-from repro.core.results import SearchResult
+from repro.core.evaluator import EvaluationConfig
+from repro.core.predictor import FixedPoolProposer
+from repro.core.results import CandidateEvaluation, SearchResult
+from repro.core.runtime import SearchRuntime
 from repro.core.search import SearchConfig, search_mixer
 from repro.graphs.generators import Graph
 from repro.parallel.executor import Executor
@@ -39,6 +41,21 @@ PAPER_FIG7_MIXERS: tuple[tuple[str, ...], ...] = (
     ("h", "p"),
     ("rx", "ry"),
 )
+
+
+def _run_panel(
+    graphs: Sequence[Graph],
+    mixers: Sequence[tuple[str, ...]],
+    p_values: Sequence[int],
+    config: EvaluationConfig | None,
+) -> dict[tuple[tuple[str, ...], int], CandidateEvaluation]:
+    """Every evaluation of a fixed mixer panel swept through the search
+    runtime up to the deepest ``p`` asked, keyed by ``(tokens, p)``. Under
+    the paper's uniform init each is what ``Evaluator.evaluate`` returns."""
+    search = SearchConfig(p_max=max(p_values), evaluation=config or EvaluationConfig())
+    with SearchRuntime(graphs, search) as runtime:
+        result = runtime.run(FixedPoolProposer(mixers))
+    return {(e.tokens, e.p): e for depth in result.depth_results for e in depth.evaluations}
 
 
 def draw_mixer(tokens: Sequence[str], num_qubits: int = 10) -> str:
@@ -94,13 +111,14 @@ def run_fig7(
     config: EvaluationConfig | None = None,
 ) -> Fig7Result:
     """Score each of the paper's Fig. 7 mixers on the 4-regular evaluation
-    dataset."""
-    evaluator = Evaluator(eval_graphs, config)
-    ratios: list[float] = []
-    per_graph: dict[tuple[str, ...], tuple[float, ...]] = {}
-    for tokens in PAPER_FIG7_MIXERS:
-        evaluation = evaluator.evaluate(tokens, p)
-        ratios.append(evaluation.ratio)
-        per_graph[tuple(tokens)] = evaluation.per_graph_ratio
+    dataset, through the search runtime as one sweep of ``p = 1..p``: under
+    ``init_strategy="interp"`` depth ``p`` warm-starts from depth ``p - 1``,
+    as in a search."""
     mixers = [tuple(m) for m in PAPER_FIG7_MIXERS]
-    return Fig7Result(p=p, mixers=mixers, ratios=ratios, per_graph=per_graph)
+    panel = _run_panel(eval_graphs, mixers, [p], config)
+    return Fig7Result(
+        p=p,
+        mixers=mixers,
+        ratios=[panel[m, p].ratio for m in mixers],
+        per_graph={m: panel[m, p].per_graph_ratio for m in mixers},
+    )

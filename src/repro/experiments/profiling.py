@@ -2,77 +2,38 @@
 
 Fig. 4 — "Time to simulate circuits with serial and parallel quantum NAS
 procedure", depth on the x-axis, averaged over five runs on different ER
-graphs. Both arms really execute here: the serial arm uses
-:class:`SerialExecutor`, the parallel arm the paper's ``starmap_async``
-fan-out over :class:`MultiprocessingExecutor`'s process pool.
+graphs. Each run is one :func:`repro.api.search` sweep of ``p = 1..p_max``
+serially (``workers=0``) and one on the leased fleet of every core
+(``workers=-1``); a depth's time is its ``DepthResult.seconds``, the
+depth's own wall time with no set-up cost inside it. Before timing, each
+arm makes one untimed sweep (the parallel arm forks its fleet there); its
+wall time is reported as the paper's per-run start-up cost.
 
 Fig. 5 — "Time to simulate a graph with p = 2 with different number of
-cores" (8..64 in steps of 8) against a dashed serial line. Core counts
-beyond this machine are *replayed* through the measured-duration scheduler
-(:mod:`repro.parallel.scheduler`); the worker counts that do exist here
-are cross-validated against real pool runs.
-
-Both figures train through :func:`evaluate_candidate` with the config's
-simulation engine (default: the compiled NumPy engine of
-:mod:`repro.simulators.compiled`), so profiling numbers track the same
-fast path the search itself runs on.
+cores" (8..64 in steps of 8) against a dashed serial line. The worker
+counts this machine has (1 and 2) are real sweeps; counts beyond it are
+replayed with the runtime's own placement rule: the largest bin load of
+:func:`~repro.parallel.cluster.least_loaded_partition` over the serial
+sweep's measured per-candidate seconds, the rule sharded lanes place work by.
 """
 
 from __future__ import annotations
 
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.core.alphabet import GateAlphabet, enumerate_search_space
-from repro.core.evaluator import EvaluationConfig, classical_optima, evaluate_candidate
+from repro import api
 from repro.graphs.generators import Graph
-from repro.parallel.executor import MultiprocessingExecutor, SerialExecutor, available_cores
-from repro.parallel.scheduler import OverheadModel, simulate_core_sweep, simulate_makespan
+from repro.parallel.cluster import least_loaded_partition
+from repro.parallel.executor import available_cores
 
-__all__ = [
-    "Fig4Result",
-    "Fig5Result",
-    "candidate_bag",
-    "measure_candidate_durations",
-    "run_fig4",
-    "run_fig5",
-]
+__all__ = ["Fig4Result", "Fig5Result", "run_fig4", "run_fig5"]
 
-#: worker counts :func:`run_fig5` also runs on a real process pool, where
-#: this machine has that many cores
-VALIDATE_WORKERS = (2,)
-
-
-def candidate_bag(
-    alphabet: GateAlphabet, k_max: int, num_candidates: int | None
-) -> list[tuple[str, ...]]:
-    """The fixed, deterministic candidate set a profiling run sweeps.
-
-    Full enumeration (the paper's serial profiling examined "every possible
-    rotation gate combination") truncated to ``num_candidates`` for the
-    scaled presets.
-    """
-    space = enumerate_search_space(alphabet, k_max, mode="sequences")
-    return space if num_candidates is None else space[:num_candidates]
-
-
-def measure_candidate_durations(
-    graph: Graph,
-    p: int,
-    candidates: Sequence[tuple[str, ...]],
-    config: EvaluationConfig,
-) -> list[float]:
-    """Serial per-candidate training times — the task bag Fig. 5 replays."""
-    classical = classical_optima([graph])
-    durations = []
-    for tokens in candidates:
-        start = time.perf_counter()
-        evaluate_candidate([graph], tokens, p, config, classical)
-        durations.append(time.perf_counter() - start)
-    return durations
+#: the depth Fig. 5 profiles
+FIG5_P = 2
 
 
 @dataclass
@@ -85,6 +46,8 @@ class Fig4Result:
     num_workers: int
     per_run_serial: list[list[float]] = field(default_factory=list)  # [run][p]
     per_run_parallel: list[list[float]] = field(default_factory=list)
+    #: arm -> wall seconds of its untimed first sweep
+    startup_seconds: dict[str, float] = field(default_factory=dict)
 
     @property
     def improvement(self) -> list[float]:
@@ -96,107 +59,76 @@ class Fig4Result:
 
 
 def run_fig4(
-    run_graphs: Sequence[Graph],
-    *,
-    p_values: Sequence[int] = (1, 2, 3, 4),
-    candidates: Sequence[tuple[str, ...]],
-    config: EvaluationConfig,
+    run_graphs: Sequence[Graph], *, p_max: int = 4, config: api.Config
 ) -> Fig4Result:
     """Time the depth sweep serially and in parallel, one run per graph.
 
     Matches the paper's protocol: each run is the NAS inner loop on a
     different ER graph; reported times are means across runs.
     """
-    num_workers = available_cores()
-    per_run_serial: list[list[float]] = []
-    per_run_parallel: list[list[float]] = []
-
-    serial = SerialExecutor()
-    for graph in run_graphs:
-        # Hoisted once per graph — the brute-force solve is candidate-
-        # independent and must not be re-paid inside every task.
-        classical = classical_optima([graph])
-        row = []
-        for p in p_values:
-            jobs = [([graph], tokens, p, config, classical) for tokens in candidates]
-            start = time.perf_counter()
-            serial.starmap(evaluate_candidate, jobs)
-            row.append(time.perf_counter() - start)
-        per_run_serial.append(row)
-
-    with MultiprocessingExecutor(num_workers) as pool:
-        for graph in run_graphs:
-            classical = classical_optima([graph])
-            row = []
-            for p in p_values:
-                jobs = [
-                    ([graph], tokens, p, config, classical) for tokens in candidates
-                ]
-                start = time.perf_counter()
-                pool.starmap(evaluate_candidate, jobs)
-                row.append(time.perf_counter() - start)
-            per_run_parallel.append(row)
-
+    arms = {"serial": replace(config, workers=0), "parallel": replace(config, workers=-1)}
+    startup: dict[str, float] = {}
+    per_run: dict[str, list[list[float]]] = {}
+    for arm, arm_config in arms.items():
+        start = time.perf_counter()
+        api.search(run_graphs[:1], depths=1, config=arm_config)
+        startup[arm] = time.perf_counter() - start
+        sweeps = [api.search([graph], depths=p_max, config=arm_config) for graph in run_graphs]
+        per_run[arm] = [[depth.seconds for depth in s.depth_results] for s in sweeps]
     return Fig4Result(
-        p_values=list(p_values),
-        serial_seconds=list(np.mean(per_run_serial, axis=0)),
-        parallel_seconds=list(np.mean(per_run_parallel, axis=0)),
-        num_workers=num_workers,
-        per_run_serial=per_run_serial,
-        per_run_parallel=per_run_parallel,
+        p_values=list(range(1, p_max + 1)),
+        serial_seconds=list(np.mean(per_run["serial"], axis=0)),
+        parallel_seconds=list(np.mean(per_run["parallel"], axis=0)),
+        num_workers=available_cores(),
+        per_run_serial=per_run["serial"],
+        per_run_parallel=per_run["parallel"],
+        startup_seconds=startup,
     )
 
 
 @dataclass
 class Fig5Result:
-    """Measured serial time plus simulated (and validated) core scaling."""
+    """Measured serial time plus replayed (and validated) core scaling."""
 
     core_counts: list[int]
+    #: the p = 2 depth replayed on each core count
     simulated_seconds: list[float]
     serial_seconds: float  # the dashed red line
-    #: real pool validation points: workers -> (measured, simulated)
+    #: real runs: workers -> (measured, replayed)
     validation: dict[int, tuple[float, float]] = field(default_factory=dict)
 
     @property
     def best_fraction_of_serial(self) -> float:
-        """min simulated time / serial time (paper quotes 0.76x faster)."""
+        """min replayed time / serial time (paper quotes 0.76x faster)."""
         return min(self.simulated_seconds) / self.serial_seconds
+
+
+def _replayed(seconds: Sequence[float], workers: int) -> float:
+    """Makespan of ``seconds`` placed on ``workers`` cores by the runtime's rule."""
+    return max(sum(seconds[i] for i in bin_) for bin_ in least_loaded_partition(seconds, workers))
 
 
 def run_fig5(
     graph: Graph,
     *,
-    p: int = 2,
-    candidates: Sequence[tuple[str, ...]],
-    config: EvaluationConfig,
+    config: api.Config,
     core_counts: Sequence[int] = (8, 16, 24, 32, 40, 48, 56, 64),
-    overhead: OverheadModel = OverheadModel(worker_startup=0.15, dispatch_per_task=0.002),
 ) -> Fig5Result:
-    """Measure the p=2 task bag once, replay it on each core count.
+    """Sweep the graph serially, replay its p = 2 depth on each core count.
 
-    Each count of ``VALIDATE_WORKERS`` the machine's cores allow also runs
-    the real process pool, so the simulator's prediction is checked against
-    reality where reality exists.
+    Where the machine has two cores the sweep also runs on two workers, so
+    the replay is checked against a real run where one exists.
     """
-    durations = measure_candidate_durations(graph, p, candidates, config)
-    serial_seconds = float(np.sum(durations))
-    sweep = simulate_core_sweep(durations, core_counts, overhead=overhead)
-    simulated = [r.makespan for r in sweep]
-
-    classical = classical_optima([graph])
+    serial = api.search([graph], depths=FIG5_P, config=replace(config, workers=0))
+    depth = serial.depth_results[FIG5_P - 1]
+    seconds = [evaluation.seconds for evaluation in depth.evaluations]
     validation: dict[int, tuple[float, float]] = {}
-    for workers in [w for w in VALIDATE_WORKERS if w <= available_cores()]:
-        jobs = [([graph], tokens, p, config, classical) for tokens in candidates]
-        start = time.perf_counter()
-        with MultiprocessingExecutor(workers) as pool:
-            pool.starmap(evaluate_candidate, jobs)
-        measured = time.perf_counter() - start
-        predicted = simulate_makespan(durations, workers, overhead=overhead).makespan
-        validation[workers] = (measured, predicted)
-
+    if available_cores() >= 2:
+        parallel = api.search([graph], depths=FIG5_P, config=replace(config, workers=2))
+        validation[2] = (parallel.depth_results[FIG5_P - 1].seconds, _replayed(seconds, 2))
     return Fig5Result(
         core_counts=list(core_counts),
-        simulated_seconds=simulated,
-        serial_seconds=serial_seconds,
+        simulated_seconds=[_replayed(seconds, workers) for workers in core_counts],
+        serial_seconds=depth.seconds,
         validation=validation,
     )

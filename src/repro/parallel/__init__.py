@@ -1,5 +1,6 @@
-"""Parallel execution layer: real executors, measured-replay schedulers,
-and the two-level cluster model (Fig. 2 / Fig. 3 / Fig. 5 substrate).
+"""Parallel execution layer: real executors, the fault-tolerant job
+scheduler, and the least-loaded placement rule its lanes share (the Fig. 2 /
+Fig. 3 substrate).
 
 :mod:`repro.parallel.faults` (the deterministic chaos harness) is *not*
 re-exported here: it subclasses the service-layer job queue, and eagerly
@@ -9,12 +10,7 @@ Nor is :mod:`repro.parallel.async_executor`, which only the e2e tracer
 still imports: re-exporting it would load :mod:`asyncio` at ``import repro``.
 """
 
-from repro.parallel.cluster import (
-    ClusterModel,
-    NodeSpec,
-    TwoLevelResult,
-    least_loaded_partition,
-)
+from repro.parallel.cluster import least_loaded_partition
 from repro.parallel.executor import (
     Executor,
     MultiprocessingExecutor,
@@ -24,12 +20,6 @@ from repro.parallel.executor import (
     available_cores,
 )
 from repro.parallel.jobs import JobFailedError, JobScheduler, JobStats, ShardFailedError
-from repro.parallel.scheduler import (
-    OverheadModel,
-    ScheduleResult,
-    simulate_core_sweep,
-    simulate_makespan,
-)
 
 __all__ = [
     "Executor",
@@ -42,12 +32,5 @@ __all__ = [
     "JobStats",
     "JobFailedError",
     "ShardFailedError",
-    "OverheadModel",
-    "ScheduleResult",
-    "simulate_makespan",
-    "simulate_core_sweep",
-    "ClusterModel",
-    "NodeSpec",
-    "TwoLevelResult",
     "least_loaded_partition",
 ]

@@ -1,24 +1,20 @@
-"""Two-level cluster scheduling model (the Fig. 2 architecture).
+"""Greedy least-loaded placement — the Fig. 2 outer level's balancing rule.
 
-The paper's deployment on Polaris distributes *graphs* (outer level) across
-nodes and *gate combinations* (inner level) across the CPUs of each node,
-with GPUs reserved for circuit simulation offload. :class:`ClusterModel`
-replays measured task durations through that hierarchy so the scaling
-story can be told — and stress-tested (load imbalance across nodes, GPU
-speedup factors) — without owning a supercomputer.
+The paper's deployment on Polaris distributes work at two levels: graphs
+across nodes, gate combinations across each node's cores. One rule places
+a bag of costed items onto bins wherever the runtime does: the job
+scheduler's lanes and the ``shard_index`` slices (candidate bags onto
+shards), and Fig. 5's replay of core counts beyond this machine (measured
+candidate seconds onto cores).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
-import numpy as np
-
-from repro.parallel.scheduler import OverheadModel, simulate_makespan
 from repro.utils.validation import check_positive
 
-__all__ = ["NodeSpec", "ClusterModel", "TwoLevelResult", "least_loaded_partition"]
+__all__ = ["least_loaded_partition"]
 
 
 def least_loaded_partition(
@@ -26,12 +22,8 @@ def least_loaded_partition(
 ) -> list[list[int]]:
     """Greedy LPT placement: heaviest item first onto the least-loaded bin.
 
-    Returns ``num_bins`` lists of item indices (some possibly empty). This
-    is the placement rule both :meth:`ClusterModel.schedule_two_level`
-    (graphs onto modelled nodes) and the sharded search runtime (candidate
-    bags onto real shards) use, so the model and the real scheduler can
-    never disagree about balancing behaviour. Deterministic: ties in cost
-    and load resolve by index order.
+    Returns ``num_bins`` lists of item indices (some possibly empty).
+    Deterministic: ties in cost and load resolve by index order.
     """
     check_positive(num_bins, "num_bins")
     bins: list[list[int]] = [[] for _ in range(num_bins)]
@@ -42,97 +34,3 @@ def least_loaded_partition(
         bins[target].append(item)
         load[target] += float(costs[item])
     return bins
-
-
-@dataclass(frozen=True)
-class NodeSpec:
-    """One node's resources."""
-
-    cores: int = 32
-    gpus: int = 4
-    #: multiplicative speedup a GPU-offloaded simulation enjoys over a core
-    gpu_speedup: float = 8.0
-
-    def __post_init__(self) -> None:
-        check_positive(self.cores, "cores")
-        check_positive(self.gpus, "gpus", strict=False)
-
-
-@dataclass
-class TwoLevelResult:
-    """Outcome of a two-level schedule."""
-
-    makespan: float
-    node_makespans: list[float]
-    node_assignments: list[list[int]]  # node -> list of outer-task indices
-
-    @property
-    def imbalance(self) -> float:
-        """max/mean node makespan — 1.0 is perfectly balanced."""
-        mean = float(np.mean(self.node_makespans))
-        return float(max(self.node_makespans) / mean) if mean > 0 else 1.0
-
-
-@dataclass(frozen=True)
-class ClusterModel:
-    """A homogeneous cluster of :class:`NodeSpec` nodes.
-
-    ``polaris()`` pins the configuration the paper names: ALCF Polaris
-    nodes carry one 32-core AMD EPYC Milan and four A100 GPUs.
-    """
-
-    num_nodes: int
-    node: NodeSpec = field(default_factory=NodeSpec)
-    overhead: OverheadModel = field(default_factory=OverheadModel)
-
-    @classmethod
-    def polaris(cls, num_nodes: int = 4) -> ClusterModel:
-        return cls(num_nodes=num_nodes, node=NodeSpec(cores=32, gpus=4, gpu_speedup=8.0))
-
-    def schedule_two_level(
-        self,
-        outer_tasks: Sequence[Sequence[float]],
-        *,
-        use_gpus: bool = False,
-    ) -> TwoLevelResult:
-        """Outer tasks (graphs) go to nodes by greedy least-loaded placement
-        (heaviest total inner work first, each onto the currently lightest
-        node — :func:`least_loaded_partition`); each outer task's inner
-        durations (gate combinations) are list-scheduled on the node's
-        cores. With ``use_gpus`` the inner durations shrink by the GPU
-        speedup on as many concurrent tasks as there are GPUs (a coarse
-        model of simulation offload)."""
-        check_positive(self.num_nodes, "num_nodes")
-        # Outer level: greedy least-loaded assignment by total inner work.
-        outer_costs = [float(np.sum(task)) for task in outer_tasks]
-        node_assignments = least_loaded_partition(outer_costs, self.num_nodes)
-
-        node_makespans: list[float] = []
-        for node_idx in range(self.num_nodes):
-            durations: list[float] = []
-            for task_idx in node_assignments[node_idx]:
-                durations.extend(float(d) for d in outer_tasks[task_idx])
-            if use_gpus and self.node.gpus > 0:
-                durations = self._offload(durations)
-            schedule = simulate_makespan(
-                durations, self.node.cores, overhead=self.overhead
-            )
-            node_makespans.append(schedule.makespan)
-        return TwoLevelResult(
-            makespan=max(node_makespans) if node_makespans else 0.0,
-            node_makespans=node_makespans,
-            node_assignments=node_assignments,
-        )
-
-    def _offload(self, durations: list[float]) -> list[float]:
-        """Shrink the longest tasks by the GPU speedup, one per GPU 'slot'
-        per scheduling wave (longest tasks benefit most from offload)."""
-        if not durations:
-            return durations
-        out = list(durations)
-        order = sorted(range(len(out)), key=lambda i: -out[i])
-        waves = max(1, len(out) // max(self.node.cores, 1))
-        budget = self.node.gpus * waves
-        for i in order[:budget]:
-            out[i] = out[i] / self.node.gpu_speedup
-        return out

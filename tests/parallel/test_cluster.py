@@ -1,14 +1,9 @@
-"""Two-level cluster model."""
+"""Greedy least-loaded placement."""
 
 import numpy as np
 import pytest
 
-from repro.parallel.cluster import ClusterModel, NodeSpec, least_loaded_partition
-
-
-def _outer_tasks(num_graphs, tasks_per_graph, seed=0):
-    rng = np.random.default_rng(seed)
-    return [list(rng.uniform(0.1, 1.0, size=tasks_per_graph)) for _ in range(num_graphs)]
+from repro.parallel.cluster import least_loaded_partition
 
 
 class TestLeastLoadedPartition:
@@ -37,75 +32,22 @@ class TestLeastLoadedPartition:
         with pytest.raises(ValueError):
             least_loaded_partition([1.0], 0)
 
+    def test_empty_costs_leave_every_bin_empty(self):
+        assert least_loaded_partition([], 3) == [[], [], []]
 
-class TestNodeSpec:
-    def test_polaris_defaults(self):
-        node = ClusterModel.polaris().node
-        assert node.cores == 32
-        assert node.gpus == 4
+    def test_one_bin_takes_everything_heaviest_first(self):
+        assert least_loaded_partition([1.0, 3.0, 2.0], 1) == [[1, 2, 0]]
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            NodeSpec(cores=0)
+    def test_ties_resolve_by_index(self):
+        assert least_loaded_partition([1.0, 1.0, 1.0, 1.0], 2) == [[0, 2], [1, 3]]
 
+    def test_accepts_numpy_costs(self):
+        costs = np.array([4.0, 1.0, 3.0, 2.0])
+        assert least_loaded_partition(costs, 2) == least_loaded_partition(list(costs), 2)
 
-class TestTwoLevelSchedule:
-    def test_single_node_single_core_sums_everything(self):
-        cluster = ClusterModel(num_nodes=1, node=NodeSpec(cores=1, gpus=0))
-        tasks = _outer_tasks(3, 4)
-        result = cluster.schedule_two_level(tasks)
-        total = sum(sum(t) for t in tasks)
-        assert result.makespan == pytest.approx(total)
-
-    def test_more_nodes_never_slower(self):
-        tasks = _outer_tasks(8, 16, seed=1)
-        times = []
-        for nodes in (1, 2, 4):
-            cluster = ClusterModel(num_nodes=nodes, node=NodeSpec(cores=8, gpus=0))
-            times.append(cluster.schedule_two_level(tasks).makespan)
-        assert times[0] >= times[1] >= times[2]
-
-    def test_all_outer_tasks_assigned(self):
-        cluster = ClusterModel(num_nodes=3, node=NodeSpec(cores=4, gpus=0))
-        tasks = _outer_tasks(7, 5)
-        result = cluster.schedule_two_level(tasks)
-        assigned = sorted(i for node in result.node_assignments for i in node)
-        assert assigned == list(range(7))
-
-    def test_imbalance_metric(self):
-        cluster = ClusterModel(num_nodes=2, node=NodeSpec(cores=4, gpus=0))
-        result = cluster.schedule_two_level(_outer_tasks(4, 8, seed=2))
-        assert result.imbalance >= 1.0
-
-    def test_least_loaded_distribution_balances(self):
-        """One huge graph plus small ones: greedy keeps nodes balanced
-        better than round-robin would."""
-        big = [10.0] * 4
-        small = [[0.1] * 4 for _ in range(7)]
-        cluster = ClusterModel(num_nodes=2, node=NodeSpec(cores=4, gpus=0))
-        result = cluster.schedule_two_level([big] + small)
-        # the big graph gets a node largely to itself
-        assert result.imbalance < 2.0
-
-    def test_imbalance_pins_least_loaded_behaviour(self):
-        """Docstring satellite: placement is greedy least-loaded, NOT
-        round-robin. Costs [4,3,3,2,1,1] split 7/7 under greedy (perfect
-        balance, imbalance == 1.0) where round-robin by index would give
-        8/6."""
-        tasks = [[4.0], [3.0], [3.0], [2.0], [1.0], [1.0]]
-        cluster = ClusterModel(num_nodes=2, node=NodeSpec(cores=1, gpus=0))
-        result = cluster.schedule_two_level(tasks)
-        assert result.imbalance == pytest.approx(1.0)
-        assert max(result.node_makespans) == pytest.approx(7.0)  # not 8
-
-    def test_gpu_offload_speeds_up(self):
-        tasks = _outer_tasks(4, 32, seed=3)
-        cluster = ClusterModel(num_nodes=2, node=NodeSpec(cores=8, gpus=4, gpu_speedup=8.0))
-        without = cluster.schedule_two_level(tasks, use_gpus=False)
-        with_gpu = cluster.schedule_two_level(tasks, use_gpus=True)
-        assert with_gpu.makespan < without.makespan
-
-    def test_empty_cluster_tasks(self):
-        cluster = ClusterModel(num_nodes=2, node=NodeSpec(cores=2, gpus=0))
-        result = cluster.schedule_two_level([])
-        assert result.makespan == 0.0
+    def test_greedy_not_round_robin(self):
+        """Costs [4,3,3,2,1,1] split 7/7 under greedy where round-robin by
+        index would give 8/6."""
+        costs = [4.0, 3.0, 3.0, 2.0, 1.0, 1.0]
+        loads = sorted(sum(costs[i] for i in b) for b in least_loaded_partition(costs, 2))
+        assert loads == [7.0, 7.0]

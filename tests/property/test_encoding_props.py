@@ -1,13 +1,15 @@
 """Property-based tests: encodings, expressions, scheduling invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.parameters import Parameter
 from repro.core.alphabet import GateAlphabet
 from repro.core.encoding import decode_encoding, encode_sequence, is_valid_encoding
-from repro.parallel.scheduler import OverheadModel, simulate_makespan
+from repro.experiments.profiling import _replayed
+from repro.parallel.cluster import least_loaded_partition
 
 ALPHABET = GateAlphabet()
 TOKENS = st.sampled_from(ALPHABET.tokens)
@@ -57,28 +59,34 @@ DURATIONS = st.lists(st.floats(0.001, 10.0, allow_nan=False), min_size=1, max_si
 
 
 @settings(max_examples=50, deadline=None)
-@given(DURATIONS, st.integers(1, 32))
-def test_makespan_lower_bounds(durations, workers):
-    result = simulate_makespan(durations, workers)
-    assert result.makespan >= max(durations) - 1e-12
-    assert result.makespan >= sum(durations) / workers - 1e-9
-    assert result.makespan <= sum(durations) + 1e-9
+@given(DURATIONS, st.integers(1, 48))
+def test_fig5_replay_bounds(durations, workers):
+    """Fig. 5's replay is a real placement: never faster than the longest task
+    or a perfect split, never slower than serial. LPT is not monotone in the
+    core count, so no order across counts is asserted."""
+    total, longest = sum(durations), max(durations)
+    makespan = _replayed(durations, workers)
+    assert longest <= makespan <= total + 1e-9
+    assert makespan >= total / workers - 1e-9
+    if workers == 1:
+        assert makespan == pytest.approx(total, rel=1e-12)
+    if workers >= len(durations):
+        assert makespan == longest
 
 
 @settings(max_examples=50, deadline=None)
-@given(DURATIONS, st.integers(1, 16), st.integers(1, 16))
-def test_makespan_monotone_in_workers(durations, w1, w2):
-    lo, hi = min(w1, w2), max(w1, w2)
-    t_lo = simulate_makespan(durations, lo).makespan
-    t_hi = simulate_makespan(durations, hi).makespan
-    assert t_hi <= t_lo + 1e-9
+@given(DURATIONS, st.integers(1, 64))
+def test_partition_places_every_item_once(costs, bins):
+    placed = least_loaded_partition(costs, bins)
+    assert len(placed) == bins
+    assert sorted(i for b in placed for i in b) == list(range(len(costs)))
 
 
-@settings(max_examples=30, deadline=None)
-@given(DURATIONS, st.integers(1, 8), st.floats(0, 0.5, allow_nan=False))
-def test_overhead_never_speeds_up(durations, workers, dispatch):
-    clean = simulate_makespan(durations, workers).makespan
-    loaded = simulate_makespan(
-        durations, workers, overhead=OverheadModel(dispatch_per_task=dispatch)
-    ).makespan
-    assert loaded >= clean - 1e-12
+@settings(max_examples=50, deadline=None)
+@given(DURATIONS, st.integers(1, 64))
+def test_fig5_replay_within_list_scheduling_bound(durations, workers):
+    """Greedy placement is never worse than a perfect split plus one
+    longest task's remainder (Graham's list-scheduling bound)."""
+    total, longest = sum(durations), max(durations)
+    bound = total / workers + (1 - 1 / workers) * longest
+    assert _replayed(durations, workers) <= bound + 1e-9
