@@ -42,9 +42,12 @@ in-process (HTTP server on an ephemeral port), submits the *same* sweep
 from two clients concurrently, and asserts the ISSUE-6 acceptance
 property: both sweeps complete with identical results, and the cache-hit
 accounting proves every candidate was trained exactly once across the two
-sweeps (one pays the misses, the fleet shares the hits). It then re-submits
-the finished spec ten times and asserts the wake-up: the median time a job
-waits for its claim is under half of the multiplexer's ``POLL_INTERVAL``.
+sweeps (one pays the misses, the fleet shares the hits). It then submits
+ten specs none of whose candidates are stored (fresh seeds) and asserts the
+wake-up: the median time a job waits for its claim is under half of the
+multiplexer's ``POLL_INTERVAL``. Last, it re-submits the finished spec ten
+times and asserts the stored path: each re-submit is ``done`` at its first
+``/status`` with the first sweep's results, and no slot claimed any of them.
 
 **chaos** — the ISSUE-7 hardening gate: runs the same two-sweep workload
 through a deterministically fault-injected queue + the service's process
@@ -330,15 +333,24 @@ def smoke_service() -> int:
             seconds = time.perf_counter() - start
             metrics_text = client.metrics()
 
-            # The wake-up as a gate: a re-submit of the finished spec is
-            # claimed when it is announced, not a poll interval later.
+            # The wake-up as a gate: a spec with nothing stored is claimed
+            # when it is announced, not a poll interval later. (A stored one
+            # is answered at submit and never claimed.)
             claim_waits = []
-            for _ in range(10):
-                job = client.submit("er:2:7", depths=1, config=config)
+            for seed in range(2, 12):
+                job = client.submit("er:2:7", depths=1, config=replace(config, seed=seed))
                 client.wait(job, timeout=300)
                 status = client.status(job)
                 claim_waits.append(status["started_at"] - status["submitted_at"])
             metrics_after = client.metrics()
+
+            # The stored path as a gate: a re-submit of the finished spec is
+            # done at its first /status, with the same results, unclaimed.
+            stored = []
+            for _ in range(10):
+                job = client.submit("er:2:7", depths=1, config=config)
+                stored.append((client.status(job)["state"], client.result(job)))
+            metrics_stored = client.metrics()
 
         server.shutdown()
         server.server_close()
@@ -351,7 +363,7 @@ def smoke_service() -> int:
 
     claim_wait = statistics.median(claim_waits)
     print(
-        f"service: median claim wait of 10 warm re-submits {claim_wait * 1e3:.1f} ms "
+        f"service: median claim wait of 10 unstored submits {claim_wait * 1e3:.1f} ms "
         f"(POLL_INTERVAL {POLL_INTERVAL * 1e3:.0f} ms)"
     )
     assert claim_wait < POLL_INTERVAL / 2, (
@@ -360,6 +372,20 @@ def smoke_service() -> int:
     )
     claims = "repro_queue_claim_wait_seconds_count"
     assert series_value(claims, metrics_after) == series_value(claims) + 10
+
+    def energies(result) -> list[float]:
+        return [e.energy for d in result.depth_results for e in d.evaluations]
+
+    for state, result in stored:
+        assert state == "done", f"a stored re-submit read {state!r} at its first /status"
+        assert (result.best_tokens, result.best_p, result.best_energy) == (
+            results[0].best_tokens, results[0].best_p, results[0].best_energy
+        ), "a sweep answered at submit must return the slot run's result"
+        assert energies(result) == energies(results[0])
+    assert series_value(claims, metrics_stored) == series_value(claims, metrics_after), (
+        "a stored re-submit must complete at submit, never claimed by a slot"
+    )
+    print("service: 10 stored re-submits done at their first /status, unclaimed")
 
     # every instrumented layer must have reported: scheduler histogram +
     # counters, cache hit/miss, sweep outcomes

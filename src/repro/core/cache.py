@@ -43,9 +43,17 @@ A process decodes each stored row once: every read (``get_many``,
 keyed by that exact text (:data:`DECODE_MEMO`), never by the row's key, so
 a rewritten row decodes afresh while a warm or resumed re-sweep, or a
 tenant repeating a sweep, shares the objects an earlier read made. The
-statements and counters are the same either way. :func:`candidate_key`
-and :func:`depth_fingerprint` are memoized too (:data:`KEY_MEMO`,
-:data:`DEPTH_MEMO`); a fresh sweep gains nothing from any of the three.
+statements and counters are the same either way. :func:`candidate_key`,
+:func:`depth_fingerprint` and :func:`config_fingerprint` are memoized too
+(:data:`KEY_MEMO`, :data:`DEPTH_MEMO`, :data:`CONFIG_MEMO`); a fresh sweep
+of a new config gains nothing from any of the four.
+
+A sweep can also run *lookup-only*, on a :class:`StoredOnly` view of a
+store: it reads without moving a counter and raises :class:`NotStored` at
+the first key the store does not hold, before anything is claimed, trained
+or put, and at once for a proposer that learns from its rewards. The
+search service answers a re-submitted stored sweep that way, inside
+``POST /submit``.
 
 A store's connection outlives the store. :meth:`ResultCache.close` flushes,
 then *parks* its connection in a process-wide slot keyed by the file's
@@ -85,8 +93,10 @@ from repro.obs.metrics import MetricsRegistry
 from repro.qaoa import initialization
 
 __all__ = [
+    "NotStored",
     "NullStore",
     "ResultCache",
+    "StoredOnly",
     "SweepCheckpoint",
     "candidate_key",
     "config_fingerprint",
@@ -262,6 +272,9 @@ KEY_MEMO = 4096
 #: keeps its candidate list alive, ≈ 73 KB at 1,000 candidates, so a full
 #: memo of 1,000-candidate depths holds ≈ 4.7 MB
 DEPTH_MEMO = 64
+#: config fingerprints memoized per process, one per evaluation config a
+#: sweep runs under; an entry holds the config and its 64-character digest
+CONFIG_MEMO = 64
 #: stored rows kept decoded per process, keyed by their text. An entry costs
 #: ≈ 2.7× its text: ≈ 1.1 KB for a 2-graph depth-1 row, 12.7 KB for a
 #: 10-graph depth-10 row, so a full memo holds ≈ 2.3 MB of the first and
@@ -293,9 +306,8 @@ def config_fingerprint(config: EvaluationConfig) -> str:
     Two retired fields keep their place in the payload, so rows written
     when they were settings stay hits: the Hadamard column every ansatz
     now prepends, and the uniform window now a constant."""
-    settings = asdict(config)
-    settings.update(initial_hadamard=True, init_scale=initialization.UNIFORM_SCALE)
-    return _digest(settings)
+    types = tuple(map(type, vars(config).values()))
+    return _config_fingerprint(config, types, initialization.UNIFORM_SCALE)
 
 
 def candidate_key(
@@ -318,11 +330,21 @@ def depth_fingerprint(
     return _depth_fingerprint(workload_fp, config_fp, tuple(map(tuple, candidates)), int(p))
 
 
-# The two memos below see only str, int and tuples of str, whose equal
-# values encode to identical JSON. The workload and config fingerprints
-# stay unmemoized: graphs weighted 0.0 and -0.0 are equal and hash alike
-# but encode apart, so a memo could hand two stores one key, and the config
-# payload reads a module constant its argument does not carry.
+# The memos below see only values whose equal keys encode to identical
+# JSON: str, int, tuples of str, and a frozen config of str and int fields
+# keyed together with each field's type (True == 1 but encodes apart) and
+# the module constant its payload reads. The workload fingerprint stays
+# unmemoized: graphs weighted 0.0 and -0.0 are equal and hash alike but
+# encode apart, so a memo could hand two stores one key.
+
+
+@lru_cache(maxsize=CONFIG_MEMO)
+def _config_fingerprint(
+    config: EvaluationConfig, types: tuple[type, ...], init_scale: float
+) -> str:
+    settings = asdict(config)
+    settings.update(initial_hadamard=True, init_scale=init_scale)
+    return _digest(settings)
 
 
 @lru_cache(maxsize=KEY_MEMO)
@@ -454,19 +476,25 @@ class ResultCache:
         :data:`GET_CHUNK` keys: ``None`` per miss, each key one hit or miss."""
         with self._lock:
             found = self._fetch(keys)
-            stored = [key for key in found if key not in self._buffer]
-            if self.max_entries is not None and stored:
-                # LRU refresh only matters when eviction is on; unbounded
-                # caches keep reads write-free.
-                now = time.time()
-                for chunk, marks in _chunks(stored):
-                    sql = f"UPDATE results SET last_used = ? WHERE key IN ({marks})"
-                    self._conn.execute(sql, (now, *chunk))
-                self._conn.commit()
-            hits = sum(key in found for key in keys)
-            self._count("hits", hits)
-            self._count("misses", len(keys) - hits)
+            self._book(keys, found)
             return [found.get(key) for key in keys]
+
+    def _book(self, keys: Sequence[str], found: dict[str, CandidateEvaluation]) -> None:
+        """Account a lookup of ``keys`` that ``found`` answered: each key one
+        hit or miss, and the stored hits' recency refreshed. Callers hold
+        ``self._lock``."""
+        stored = [key for key in found if key not in self._buffer]
+        if self.max_entries is not None and stored:
+            # LRU refresh only matters when eviction is on; unbounded
+            # caches keep reads write-free.
+            now = time.time()
+            for chunk, marks in _chunks(stored):
+                sql = f"UPDATE results SET last_used = ? WHERE key IN ({marks})"
+                self._conn.execute(sql, (now, *chunk))
+            self._conn.commit()
+        hits = sum(key in found for key in keys)
+        self._count("hits", hits)
+        self._count("misses", len(keys) - hits)
 
     def _fetch(self, keys: Sequence[str]) -> dict[str, CandidateEvaluation]:
         """The evaluations stored under ``keys``, absent ones left out; no
@@ -660,6 +688,61 @@ class NullStore:
 
     def close(self) -> None:
         pass
+
+
+class NotStored(LookupError):
+    """A lookup-only sweep asked its :class:`StoredOnly` store for a key the
+    store does not hold: the sweep has work to train, so it belongs in a slot."""
+
+
+class StoredOnly:
+    """The view of a shared ``cache`` a lookup-only sweep runs against.
+
+    ``get_many`` reads through the same buffer and ``SELECT`` as the cache
+    but books nothing, and raises :class:`NotStored` when a key is missing,
+    so a sweep that would train stops before it claims, puts or counts
+    anything. A sweep that completes found every key: :meth:`settle` then
+    books its lookups exactly as the cache's own ``get_many`` and
+    ``count_hit`` would have, so the store's counters and recency cannot
+    tell it from a slot run."""
+
+    def __init__(self, cache: ResultCache) -> None:
+        self.cache = cache
+        self._lookups: list[tuple[Sequence[str], dict[str, CandidateEvaluation]]] = []
+        self._repeats = 0
+
+    @property
+    def evictions(self) -> int:
+        return self.cache.evictions
+
+    def require(self, keys: Sequence[str]) -> dict[str, CandidateEvaluation]:
+        """The evaluations stored under ``keys``, booking nothing; raises
+        :class:`NotStored` unless every key is stored. The runtime asks
+        this of a depth's first candidate before it keys the rest, so a
+        sweep with nothing stored stops after one key and one ``SELECT``."""
+        with self.cache._lock:
+            found = self.cache._fetch(keys)
+        if len(found) < len(set(keys)):
+            raise NotStored(f"{len(set(keys)) - len(found)} of {len(keys)} keys not stored")
+        return found
+
+    def get_many(self, keys: Sequence[str]) -> list[CandidateEvaluation]:
+        found = self.require(keys)
+        self._lookups.append((keys, found))
+        return [found[key] for key in keys]
+
+    def count_hit(self) -> None:
+        self._repeats += 1
+
+    def flush(self) -> None:
+        pass
+
+    def settle(self) -> None:
+        """Book every lookup the completed sweep made on the cache."""
+        with self.cache._lock:
+            for keys, found in self._lookups:
+                self.cache._book(keys, found)
+            self.cache._count("hits", self._repeats)
 
 
 class SweepCheckpoint:

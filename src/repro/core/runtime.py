@@ -55,12 +55,15 @@ import time
 from collections.abc import Iterator, Sequence
 from contextlib import closing
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.circuits.qasm import QasmError
 from repro.core.cache import (
+    NotStored,
     NullStore,
     ResultCache,
+    StoredOnly,
     SweepCheckpoint,
     _digest,
     candidate_key,
@@ -247,7 +250,7 @@ class SearchRuntime:
     """Runs depth sweeps of Algorithm 1 on top of cache + job scheduler.
 
     One instance corresponds to one workload + evaluation config; its
-    classical optima are computed exactly once, and its cache handles stay
+    classical optima are computed at most once, and its cache handles stay
     open across depths. Use as a context manager (or call :meth:`close`)
     so buffered results are committed and the store's connection is parked
     for the next sweep on its file (see :mod:`repro.core.cache`).
@@ -314,10 +317,6 @@ class SearchRuntime:
                 "Candidate evaluations completed, by shard",
                 labels=("shard",),
             )
-        # Hot-path fix: the candidate-independent brute-force solve happens
-        # here, once, per the configured workload's oracle, and rides along
-        # in every job payload.
-        self.classical_values = classical_optima(self.graphs, config.evaluation.workload)
         self._workload_fp = workload_fingerprint(self.graphs)
         self._config_fp = config_fingerprint(config.evaluation)
         # INTERP hand-off state: tokens -> (p, per-graph best params); only
@@ -358,6 +357,14 @@ class SearchRuntime:
         self.cache_hits = 0
         self.cache_misses = 0
 
+    @cached_property
+    def classical_values(self) -> tuple[float, ...]:
+        """The candidate-independent brute-force solve, per the configured
+        workload's oracle: done once, for the first job payload, and ridden
+        along in every one. A sweep whose every candidate is stored trains
+        nothing, so it never pays for the solve."""
+        return classical_optima(self.graphs, self.config.evaluation.workload)
+
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
@@ -382,6 +389,10 @@ class SearchRuntime:
         pools.
         """
         _check_rejected("run", self.config, self.runtime, proposer, self.cache)
+        if isinstance(self.cache, StoredOnly) and not proposer.shard_safe:
+            # Lookup-only runs only a pool that ignores rewards: a learning
+            # proposer would fit its model here, stored rows or not.
+            raise NotStored(f"{type(proposer).__name__} learns from its rewards")
         self._predicted_cost = proposer.predicted_cost
         best: CandidateEvaluation | None = None
         depth_results: list[DepthResult] = []
@@ -430,6 +441,10 @@ class SearchRuntime:
     def _run_depth(self, p: int, candidates: Sequence[Tokens]) -> DepthResult:
         """restore → shard slice → lookup → resolve → finish; the loop here
         is the one place a result is delivered."""
+        if isinstance(self.cache, StoredOnly) and candidates:
+            # Lookup-only: a depth whose first candidate is not stored stops
+            # before the rest of its keys, or its fingerprint, are derived.
+            self.cache.require([self._candidate_key(candidates[0], p)])
         depth_fp = depth_fingerprint(self._workload_fp, self._depth_config_fp, candidates, p)
         restored = self._restore(p, depth_fp)
         if restored is not None:
@@ -522,9 +537,11 @@ class SearchRuntime:
         foreign: list[str] = []
         for key in pending:
             (owned if self.cache.claim(key) else foreign).append(key)
-        jobs = [self._job_payload(pending[key], p) for key in owned]
         undelivered = set(owned)
         try:
+            # Inside the try: the first payload makes the classical solve,
+            # which raises for a graph too large to solve exactly.
+            jobs = [self._job_payload(pending[key], p) for key in owned]
             for key, result in self._execute(p, owned, jobs) if owned else ():
                 yield key, result
                 undelivered.discard(key)  # resumed: the consumer's put landed

@@ -35,7 +35,8 @@ Hardened lifecycle (PR 7):
 
 States: ``queued`` → ``running`` → ``done`` | ``failed`` | ``cancelled``
 (with ``running`` → ``queued`` again on transient failure or lease
-expiry).
+expiry), or ``done`` from the start: a sweep the service answered from
+its store at submit is inserted finished (:meth:`JobQueue.submit_done`).
 
 **Who wakes whom.** Every transition that can make a job claimable *in
 this process* — :meth:`JobQueue.submit`, and each way out of ``running``
@@ -267,16 +268,31 @@ class JobQueue:
         self, spec: dict, *, tenant: str = "default", priority: int = 0
     ) -> str:
         """Enqueue one sweep spec; returns its job id."""
+        job_id = self._insert(spec, tenant, priority, None)
+        self.announce()
+        return job_id
+
+    def submit_done(self, spec: dict, result: dict, tenant: str, priority: int) -> str:
+        """Record a sweep answered at submit as ``done`` with its result, in
+        one ``INSERT``: submitted, started and finished at one instant, never
+        claimed (``attempts`` 0), so no slot is woken. Returns its job id."""
+        return self._insert(spec, tenant, priority, result)
+
+    def _insert(self, spec: dict, tenant: str, priority: int, result: dict | None) -> str:
         job_id = uuid.uuid4().hex[:12]
+        now = time.time()
+        state, text, done = ("queued", None, None) if result is None else (
+            "done", json.dumps(result), now
+        )
         with self._lock:
             self._execute(
-                "INSERT INTO jobs"
-                " (id, state, spec, tenant, priority, submitted_at)"
-                " VALUES (?, 'queued', ?, ?, ?, ?)",
-                (job_id, json.dumps(spec), str(tenant), int(priority), time.time()),
+                "INSERT INTO jobs (id, state, spec, result, tenant, priority,"
+                " submitted_at, started_at, finished_at)"
+                " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (job_id, state, json.dumps(spec), text, str(tenant), int(priority),
+                 now, done, done),
             )
             self._conn.commit()
-        self.announce()
         if self._m is not None:
             self._m["submitted"].labels(tenant=str(tenant)).inc()
         return job_id

@@ -7,7 +7,9 @@ the *same* :class:`~repro.parallel.executor.MultiprocessingExecutor` — a
 slot thread only looks candidates up, submits the misses and stores the
 results; the training itself runs on the fleet's worker processes, which
 take jobs from all sweeps in arrival order, so a wide sweep cannot
-starve the service and an idle one costs nothing.
+starve the service and an idle one costs nothing. A sweep with nothing
+left to train needs no slot at all: :meth:`SweepMultiplexer.submit_stored`
+answers it from the store inside the submit.
 
 All slots also share one multi-tenant :class:`~repro.core.cache.
 ResultCache` in ``shared`` mode: when two live sweeps propose the same
@@ -49,23 +51,28 @@ Hardened claiming and execution (PR 7):
 
 from __future__ import annotations
 
+import logging
 import math
 import sqlite3
 import threading
 import time
 import traceback
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from repro.api import Config, reconcile_workload, resolve_workload_spec
-from repro.core.cache import ResultCache
-from repro.core.runtime import CancellationToken, SweepCancelled
-from repro.core.search import search_mixer
+from repro.api import Config, ConfigError, reconcile_workload, resolve_workload_spec
+from repro.core.cache import NotStored, ResultCache, StoredOnly
+from repro.core.runtime import CancellationToken, RuntimeConfig, SweepCancelled
+from repro.core.search import SearchConfig, search_mixer
+from repro.graphs.generators import Graph
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import SweepProgress
 from repro.parallel.executor import Executor, MultiprocessingExecutor
 from repro.service.jobs import JobQueue, JobRecord
 
-__all__ = ["SweepMultiplexer"]
+__all__ = ["SweepMultiplexer", "SweepPlan", "plan_sweep"]
+
+_log = logging.getLogger(__name__)
 
 #: longest an idle slot sleeps, in seconds. The queue wakes it sooner for
 #: whatever this process does (:meth:`JobQueue.announce`: a submit, a job
@@ -75,6 +82,33 @@ POLL_INTERVAL = 0.05
 
 #: transient-queue-error retry schedule (seconds between attempts)
 _QUEUE_RETRY_DELAYS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0)
+
+
+class SweepPlan(NamedTuple):
+    """A submit payload resolved into what its sweep runs on."""
+
+    graphs: list[Graph]
+    #: the payload's config, its workload reconciled with the spec's
+    config: Config
+    search: SearchConfig
+    runtime: RuntimeConfig
+
+
+def plan_sweep(spec: dict) -> SweepPlan:
+    """Resolve a submit payload (``workload``, ``config``, ``depths``): the
+    one path from the wire to a sweep, taken by validation at submit and by
+    the slot that runs the job. A bad spec raises ``ValueError`` (a
+    ``ConfigError`` is one), ``TypeError`` or ``KeyError``."""
+    implied, graphs = resolve_workload_spec(spec.get("workload", ()))
+    config = reconcile_workload(Config.from_dict(spec.get("config", {})), implied)
+    depths = int(spec.get("depths", 1))
+    if depths < 1:
+        raise ValueError(f"depths must be >= 1, got {depths}")
+    # The service owns fleet and persistence: sweeps get the shared
+    # executor and cache objects, never a private pool or cache_dir (and
+    # checkpoints stay per-service too).
+    runtime = config.for_service().runtime_config()
+    return SweepPlan(list(graphs), config, config.search_config(depths), runtime)
 
 
 @dataclass
@@ -463,21 +497,47 @@ class SweepMultiplexer:
         Exposed for the smoke path (run a spec without queue round-trip);
         the result's ``config`` carries per-sweep cache-hit accounting.
         """
-        implied, graphs = resolve_workload_spec(spec["workload"])
-        config = reconcile_workload(Config.from_dict(spec.get("config", {})), implied)
-        depths = int(spec.get("depths", 1))
-        search_cfg = config.search_config(depths)
-        # The service owns fleet and persistence: sweeps get the shared
-        # executor and cache objects, never a private pool or cache_dir
-        # (and checkpoints stay per-service too).
-        runtime_cfg = config.for_service().runtime_config()
-        return search_mixer(
-            graphs,
-            search_cfg,
-            executor=self.executor,
-            runtime=runtime_cfg,
-            cache=self.cache,
-            cancel=cancel,
-            metrics=self.metrics,
-            progress=progress,
+        return self._sweep(
+            plan_sweep(spec), self.cache, cancel=cancel, metrics=self.metrics, progress=progress
         )
+
+    def _sweep(self, plan: SweepPlan, cache, **watch):
+        """Algorithm 1 on the shared fleet against ``cache``: the one way
+        this service runs a sweep, in a slot or at submit. ``watch`` is the
+        slot's cancel token, metrics and progress."""
+        return search_mixer(
+            plan.graphs, plan.search, executor=self.executor, runtime=plan.runtime,
+            cache=cache, **watch,
+        )
+
+    def submit_stored(
+        self, spec: dict, plan: SweepPlan, tenant: str, priority: int
+    ) -> str | None:
+        """Answer a validated submit from the shared store, if it can be.
+
+        The sweep runs here, in the caller's thread, lookup-only: the
+        slot's :meth:`_sweep` on a :class:`~repro.core.cache.StoredOnly`
+        view of the store. When every candidate it looks up is stored, its
+        result is the slot's, and the job is recorded ``done`` at once; the
+        job id is returned. It stops with ``NotStored``, having claimed,
+        trained, put and counted nothing, at the first depth whose first
+        candidate (or any other) is not stored, or at once if its proposer
+        learns from rewards (the surrogate filter); ``None`` then sends the
+        spec to the queue.
+        """
+        if self.cache is None:
+            return None
+        store = StoredOnly(self.cache)
+        try:
+            result = self._sweep(plan, store)
+        except (NotStored, ConfigError):
+            # work to train, or a sweep its slot run rejects as before the
+            # probe existed (say, an empty candidate pool): queued
+            return None
+        except Exception:  # noqa: BLE001 - queued all the same, but not silently
+            _log.exception("lookup-only sweep failed at submit; queued instead")
+            return None
+        store.settle()
+        job_id = self._queue_op(self.queue.submit_done, spec, result.to_dict(), tenant, priority)
+        self._count_sweep("completed")
+        return job_id

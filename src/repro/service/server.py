@@ -51,12 +51,11 @@ from contextlib import suppress
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
-from repro.api import Config, reconcile_workload, resolve_workload_spec
 from repro.core.cache import ResultCache
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.executor import MultiprocessingExecutor
 from repro.service.jobs import JobQueue
-from repro.service.multiplexer import SweepMultiplexer
+from repro.service.multiplexer import SweepMultiplexer, plan_sweep
 
 __all__ = ["SearchService", "make_http_server", "serve"]
 
@@ -223,32 +222,29 @@ class SearchService:
         with a 400, not minutes later in a worker. Admission control also
         happens here: a full queue (global or per-tenant) is a 429 with
         ``Retry-After``, the client's signal to back off and retry.
+        An admitted sweep whose every candidate is already stored is run
+        here and recorded ``done`` (:meth:`SweepMultiplexer.submit_stored`);
+        any other is queued.
         """
         if not isinstance(payload, dict):
             raise ServiceRequestError(400, "submit body must be a JSON object")
         try:
-            implied, graphs = resolve_workload_spec(payload.get("workload", ()))
-            config = reconcile_workload(
-                Config.from_dict(payload.get("config", {})), implied
-            )
-            depths = int(payload.get("depths", 1))
-            if depths < 1:
-                raise ValueError(f"depths must be >= 1, got {depths}")
-            # constructs → validates every knob
-            config.search_config(depths)
-            config.for_service().runtime_config()
-            tenant = str(payload.get("tenant", config.tenant) or "default")
-            priority = int(payload.get("priority", config.priority))
+            plan = plan_sweep(payload)  # constructs → validates every knob
+            tenant = str(payload.get("tenant", plan.config.tenant) or "default")
+            priority = int(payload.get("priority", plan.config.priority))
         except (ValueError, TypeError, KeyError) as error:
             raise ServiceRequestError(400, f"invalid sweep spec: {error}") from None
         self._admit(tenant)
         spec = {
             "workload": payload.get("workload"),
-            "depths": depths,
-            "config": config.to_dict(),
-            "num_graphs": len(graphs),
+            "depths": plan.search.p_max,
+            "config": plan.config.to_dict(),
+            "num_graphs": len(plan.graphs),
         }
-        return {"id": self.queue.submit(spec, tenant=tenant, priority=priority)}
+        job_id = self.multiplexer.submit_stored(spec, plan, tenant, priority)
+        if job_id is None:
+            job_id = self.queue.submit(spec, tenant=tenant, priority=priority)
+        return {"id": job_id}
 
     def _admit(self, tenant: str) -> None:
         """Reject the submit if the backlog (global or tenant) is full."""

@@ -8,7 +8,7 @@ import sqlite3
 import subprocess
 import sys
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,8 +18,10 @@ from repro.core import cache as cache_module
 from repro.core.cache import (
     DECODE_MEMO,
     GET_CHUNK,
+    NotStored,
     NullStore,
     ResultCache,
+    StoredOnly,
     SweepCheckpoint,
     candidate_key,
     config_fingerprint,
@@ -86,6 +88,28 @@ class TestFingerprints:
         )
         assert SurrogateConfig().fingerprint() == "ec167425ec204051"
         assert SurrogateConfig(enabled=True).fingerprint() == "ad106bbd48c5040b"
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EvaluationConfig(),
+            EvaluationConfig(max_steps=10, optimizer="spsa"),
+            EvaluationConfig(seed=3, init_strategy="interp", restarts=2),
+            EvaluationConfig(engine="statevector", metric="best_sampled", shots=64),
+            EvaluationConfig(workload="ising", batch_mode="serial"),
+        ],
+    )
+    def test_the_memoized_config_fingerprint_is_the_payload_digest(self, config):
+        payload = asdict(config) | {
+            "initial_hadamard": True, "init_scale": initialization.UNIFORM_SCALE,
+        }
+        expected = hashlib.sha256(
+            json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+        ).hexdigest()
+        assert config_fingerprint(config) == expected
+        hits = cache_module._config_fingerprint.cache_info().hits
+        assert config_fingerprint(replace(config)) == expected  # an equal copy
+        assert cache_module._config_fingerprint.cache_info().hits == hits + 1
 
     def test_a_retired_setting_still_moves_the_config_fingerprint(self, monkeypatch):
         before = config_fingerprint(EvaluationConfig())
@@ -338,6 +362,40 @@ class TestGetMany:
     def test_the_null_store_misses_every_key(self):
         assert NullStore().get_many(["a", "b"]) == [None, None]
         assert NullStore().get_many([]) == []
+
+
+class TestStoredOnly:
+    """The lookup-only view: reads book nothing until the sweep settles."""
+
+    def test_a_missing_key_raises_and_books_nothing(self, tmp_path):
+        with ResultCache(tmp_path, max_entries=10) as cache:
+            cache.put("a", make_evaluation())
+            cache.flush()
+            store = StoredOnly(cache)
+            statements = []
+            cache._conn.set_trace_callback(statements.append)
+            with pytest.raises(NotStored):
+                store.get_many(["a", "z"])
+            cache._conn.set_trace_callback(None)
+            assert [sql.split()[0] for sql in statements] == ["SELECT"]
+            assert (cache.hits, cache.misses) == (0, 0)
+
+    def test_settle_books_what_get_many_and_count_hit_would(self, tmp_path):
+        with ResultCache(tmp_path, max_entries=10) as cache:
+            for key in "abc":
+                cache.put(key, make_evaluation(tokens=(key,)))
+            cache.flush()
+            store = StoredOnly(cache)
+            assert store.get_many(["a", "b"]) == cache.get_many(["a", "b"])
+            store.count_hit()
+            assert store.evictions == cache.evictions == 0
+            assert (cache.hits, cache.misses) == (2, 0)
+            before = dict(cache._conn.execute("SELECT key, last_used FROM results"))
+            store.settle()
+            assert (cache.hits, cache.misses) == (5, 0)
+            used = dict(cache._conn.execute("SELECT key, last_used FROM results"))
+            assert used["a"] == used["b"] > before["a"]
+            assert used["c"] == before["c"]
 
 
 class TestDecodeMemo:

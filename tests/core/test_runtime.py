@@ -6,9 +6,12 @@ from dataclasses import replace
 
 import pytest
 
+from repro.core import runtime as runtime_module
 from repro.core.cache import (
+    NotStored,
     NullStore,
     ResultCache,
+    StoredOnly,
     candidate_key,
     config_fingerprint,
     workload_fingerprint,
@@ -565,6 +568,129 @@ class TestSharedCacheDedup:
         assert waited.config["cache_misses"] == reference.num_candidates
         assert waited.config["cache_hits"] == 0
         assert evaluation_payload(waited) == evaluation_payload(reference)
+
+
+class TestLookupOnly:
+    """A sweep run on a ``StoredOnly`` view of its store: the same runtime,
+    answering from lookups alone or stopping before anything moves."""
+
+    @staticmethod
+    def counters(cache):
+        return cache.hits, cache.misses, cache.evictions, len(cache)
+
+    @pytest.mark.parametrize("init", ["uniform", "interp"])
+    def test_a_stored_sweep_answers_as_a_warm_run_does(self, graphs, tmp_path, init):
+        config = SearchConfig(
+            p_max=3, k_max=1, evaluation=EvaluationConfig(max_steps=10, seed=1, init_strategy=init)
+        )
+        with ResultCache(tmp_path, shared=True, max_entries=100) as cache:
+            search_mixer(graphs, config, cache=cache)
+            before = self.counters(cache)
+            warm = search_mixer(graphs, config, cache=cache)
+            booked = [a - b for a, b in zip(self.counters(cache), before)]
+            store, executor = StoredOnly(cache), CountingExecutor()
+            stored = search_mixer(graphs, config, executor=executor, cache=store)
+            assert self.counters(cache) == tuple(a + b for a, b in zip(before, booked))
+            store.settle()
+            assert [a - b for a, b in zip(self.counters(cache), before)] == [
+                2 * n for n in booked
+            ]
+        assert executor.submitted == []
+        assert evaluation_payload(stored) == evaluation_payload(warm)
+        assert stored.config == warm.config
+
+    def test_repeated_proposals_book_as_in_a_warm_run(self, graphs, tiny_config, tmp_path):
+        pool = [("rx",), ("ry",), ("rx",)]
+        with ResultCache(tmp_path, shared=True) as cache:
+
+            def sweep(store):
+                with SearchRuntime(graphs, tiny_config, cache=store) as runtime:
+                    return runtime.run(FixedPoolProposer(pool))
+
+            sweep(cache)
+            hits = cache.hits
+            warm = sweep(cache)
+            warm_hits = cache.hits - hits
+            store = StoredOnly(cache)
+            stored = sweep(store)
+            store.settle()
+            assert cache.hits - hits == 2 * warm_hits == 2 * 6
+        assert evaluation_payload(stored) == evaluation_payload(warm)
+        assert stored.config["cache_hits"] == warm.config["cache_hits"] == 6
+
+    def test_neither_a_stored_sweep_nor_a_probe_that_misses_solves_the_optimum(
+        self, graphs, tiny_config, tmp_path, monkeypatch
+    ):
+        solves = []
+        real = runtime_module.classical_optima
+        monkeypatch.setattr(
+            runtime_module, "classical_optima",
+            lambda *args: solves.append(args) or real(*args),
+        )
+        with ResultCache(tmp_path, shared=True) as cache:
+            search_mixer(graphs, replace(tiny_config, p_max=1), cache=cache)
+            assert len(solves) == 1  # the sweep that trained
+            search_mixer(graphs, replace(tiny_config, p_max=1), cache=StoredOnly(cache))
+            with pytest.raises(NotStored):
+                search_mixer(graphs, tiny_config, cache=StoredOnly(cache))
+        assert len(solves) == 1
+
+    def test_a_graph_too_large_to_solve_leaves_no_claim_behind(self, tmp_path):
+        wide = [erdos_renyi_graph(25, 0.3, seed=1, require_connected=True)]
+        config = SearchConfig(p_max=1, k_max=1, evaluation=EvaluationConfig(max_steps=10))
+        with ResultCache(tmp_path, shared=True) as cache:
+            with pytest.raises(ValueError, match="intractable"):
+                search_mixer(wide, config, cache=cache)
+            assert cache._claims == set()
+
+    def test_a_missing_key_stops_the_sweep_before_anything_moves(
+        self, graphs, tiny_config, tmp_path
+    ):
+        with ResultCache(tmp_path, shared=True) as cache:
+            search_mixer(graphs, replace(tiny_config, p_max=1), cache=cache)
+            before = self.counters(cache)
+            executor = CountingExecutor()
+            with pytest.raises(NotStored):
+                search_mixer(graphs, tiny_config, executor=executor, cache=StoredOnly(cache))
+            assert self.counters(cache) == before
+            assert cache._claims == set() and cache._buffer == {}
+        assert executor.submitted == []
+
+
+    def test_a_depth_with_nothing_stored_stops_after_one_key(
+        self, graphs, tiny_config, tmp_path, monkeypatch
+    ):
+        derived = {"keys": 0, "depths": 0}
+        for name, count in (("candidate_key", "keys"), ("depth_fingerprint", "depths")):
+            real = getattr(runtime_module, name)
+
+            def counted(*args, _real=real, _count=count):
+                derived[_count] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(runtime_module, name, counted)
+        with ResultCache(tmp_path, shared=True) as cache:
+            statements = []
+            cache._conn.set_trace_callback(statements.append)
+            with pytest.raises(NotStored):
+                search_mixer(graphs, tiny_config, cache=StoredOnly(cache))
+            cache._conn.set_trace_callback(None)
+        assert derived == {"keys": 1, "depths": 0}  # of a five-candidate pool
+        assert [sql.split()[0] for sql in statements] == ["SELECT"]
+
+    def test_a_learning_proposer_stops_before_it_proposes(self, graphs, tiny_config, tmp_path):
+        predictor = RecordingPredictor()
+        with ResultCache(tmp_path, shared=True) as cache:
+            search_mixer(
+                graphs, tiny_config, predictor=predictor, candidates_per_depth=2, cache=cache
+            )
+            updates = len(predictor.updates)
+            with pytest.raises(NotStored, match="PredictorProposer learns from its rewards"):
+                search_mixer(
+                    graphs, tiny_config, predictor=predictor, candidates_per_depth=2,
+                    cache=StoredOnly(cache),
+                )
+        assert len(predictor.updates) == updates
 
 
 class TestRuntimeValidation:

@@ -1,10 +1,12 @@
 """JobQueue: persistence, atomic claims, leases, retry, cancellation."""
 
+import json
 import threading
 import time
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.service.jobs import JOB_STATES, TERMINAL_STATES, JobQueue
 
 SPEC = {"workload": "er:2", "depths": 1, "config": {}}
@@ -48,6 +50,27 @@ class TestLifecycle:
             assert finished.result == {"best": 1.0}
             assert finished.finished_at is not None
             assert finished.lease_expires is None
+
+    def test_submit_done_is_one_finished_row(self, tmp_path):
+        """A sweep answered at submit: done from its insert, its timestamps
+        one instant, never claimed, nothing announced, and still counted as
+        submitted."""
+        metrics = MetricsRegistry()
+        with JobQueue(tmp_path, metrics=metrics) as queue:
+            generation = queue.generation
+            job_id = queue.submit_done(SPEC, {"best": 1.0}, "t", 3)
+            record = queue.get(job_id)
+            assert (record.state, record.result, record.spec) == ("done", {"best": 1.0}, SPEC)
+            assert (record.tenant, record.priority, record.attempts) == ("t", 3, 0)
+            assert record.submitted_at == record.started_at == record.finished_at
+            assert record.owner is None and record.lease_expires is None
+            assert queue.result_text(job_id) == json.dumps({"best": 1.0})
+            assert queue.claim_next() is None
+            assert queue.generation == generation
+            assert queue.counts()["done"] == 1
+        text = metrics.render()
+        assert 'repro_queue_submitted_total{tenant="t"} 1' in text
+        assert "repro_queue_claim_wait_seconds_count" not in text
 
     def test_finish_unknown_id_raises(self, tmp_path):
         with JobQueue(tmp_path) as queue:

@@ -12,6 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro.api import Config, ConfigError, ServiceError, connect, search
+from repro.core.cache import StoredOnly
 from repro.parallel.faults import FaultInjectingExecutor, FaultPlan
 from repro.service.server import SearchService, ServiceRequestError, make_http_server
 
@@ -533,3 +534,193 @@ class TestObservability:
             assert "progress" not in svc.status(job_id)
         finally:
             svc.stop()
+
+
+def series(text, name):
+    """The value of the one sample of ``name`` in an exposition (0 when absent)."""
+    for line in text.splitlines():
+        if line.startswith((name + " ", name + "{")):
+            return float(line.rsplit(" ", 1)[1])
+    return 0.0
+
+
+def energies(result):
+    return [e.energy for d in result.depth_results for e in d.evaluations]
+
+
+class TestStoredPath:
+    """A submit whose every candidate is already stored finishes inside
+    ``POST /submit``; any other is queued as before, the probe unseen."""
+
+    CLAIMS = "repro_queue_claim_wait_seconds_count"
+
+    @pytest.fixture
+    def cold(self, tmp_path):
+        """A service whose slots never start: whatever is not answered at
+        submit stays queued."""
+        svc = SearchService(tmp_path, max_concurrent=1, workers=1)
+        yield svc
+        svc.stop()
+
+    def test_a_stored_resubmit_is_done_at_its_first_status(self, service):
+        svc, base = service
+        client = connect(base)
+        config = Config(**SPEC["config"])
+        first = client.wait(client.submit("er:2:7", depths=2, config=config), timeout=120)
+        claims = series(svc.metrics_text(), self.CLAIMS)
+        job = client.submit("er:2:7", depths=2, config=config)
+        status = client.status(job)
+        assert status["state"] == "done"
+        assert status["submitted_at"] == status["started_at"] == status["finished_at"]
+        assert status["attempts"] == 0 and "progress" not in status
+        again = client.result(job)
+        assert (again.best_tokens, again.best_p, again.best_energy) == (
+            first.best_tokens, first.best_p, first.best_energy
+        )
+        assert energies(again) == energies(first)
+        assert again.config["cache_misses"] == 0
+        assert again.config["cache_hits"] == again.num_candidates == 12
+        text = svc.metrics_text()
+        assert 'repro_sweeps_total{outcome="completed"} 2' in text
+        assert 'repro_queue_submitted_total{tenant="default"} 2' in text
+        assert series(text, self.CLAIMS) == claims
+
+    def test_the_answer_is_the_slot_runs_result(self, cold):
+        """Bit-identical to a warm run of the same spec in a slot, timings
+        aside; and the store books the same hits for either."""
+        cold.multiplexer.run_spec(SPEC)
+        hits = cold.cache.hits
+        slot = cold.multiplexer.run_spec(SPEC).to_dict()
+        assert cold.cache.hits - hits == 6
+        job = cold.submit(SPEC)["id"]
+        assert cold.status(job)["state"] == "done"
+        assert cold.cache.hits - hits == 12
+
+        def untimed(wire):
+            wire = json.loads(json.dumps(wire))
+            del wire["total_seconds"]
+            for depth in wire["depth_results"]:
+                del depth["seconds"]
+                for evaluation in depth["evaluations"]:
+                    del evaluation["seconds"]
+            return wire
+
+        assert untimed(cold.result(job)) == untimed(slot)
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"depths": 1},  # a shallower sweep of a finished spec
+            {"tenant": "another"},  # another tenant's copy of it
+            {"priority": 5},
+            {"config": {"workers": 2, "shards": 2}},  # settings the service owns
+        ],
+        ids=["shallower", "tenant", "priority", "fleet"],
+    )
+    def test_a_finished_sweep_answers_these_resubmits_at_submit(self, cold, change):
+        cold.multiplexer.run_spec({**SPEC, "depths": 2})
+        payload = {**SPEC, "depths": 2, **change}
+        payload["config"] = {**SPEC["config"], **change.get("config", {})}
+        assert cold.status(cold.submit(payload)["id"])["state"] == "done"
+
+    def test_a_resubmit_under_another_seed_is_fresh(self, cold):
+        cold.multiplexer.run_spec(SPEC)
+        reseeded = {**SPEC, "config": {**SPEC["config"], "seed": 2}}
+        assert cold.status(cold.submit(reseeded)["id"])["state"] == "queued"
+
+    def test_a_probe_that_misses_leaves_no_trace(self, cold):
+        def trace():
+            cache_series = [
+                line for line in cold.metrics_text().splitlines()
+                if line.startswith("repro_cache_")
+            ]
+            return cold.cache.hits, cold.cache.misses, set(cold.cache._claims), cache_series
+
+        before = trace()
+        job = cold.submit(SPEC)["id"]
+        assert cold.status(job)["state"] == "queued"
+        assert trace() == before
+        assert len(cold.cache) == 0
+
+    @pytest.mark.parametrize(
+        "caps", [{"max_queue_depth": 1}, {"max_queued_per_tenant": 1}]
+    )
+    def test_admission_control_answers_before_any_probe(self, tmp_path, monkeypatch, caps):
+        svc = SearchService(tmp_path, max_concurrent=1, workers=1, **caps)
+        try:
+            svc.multiplexer.run_spec(SPEC)  # every candidate of SPEC stored
+            assert svc.status(svc.submit(SPEC)["id"])["state"] == "done"
+            fresh = {**SPEC, "config": {**SPEC["config"], "seed": 2}}
+            assert svc.status(svc.submit(fresh)["id"])["state"] == "queued"
+            probes = []
+            monkeypatch.setattr(
+                svc.multiplexer, "submit_stored", lambda *args: probes.append(args)
+            )
+            with pytest.raises(ServiceRequestError) as info:
+                svc.submit(SPEC)
+            assert info.value.status == 429
+            assert probes == []
+        finally:
+            svc.stop()
+
+    def test_a_partially_stored_spec_is_queued_and_trains_only_what_is_missing(
+        self, service
+    ):
+        svc, base = service
+        client = connect(base)
+        config = Config(**SPEC["config"])
+        shallow = client.wait(client.submit("er:2:7", depths=1, config=config), timeout=120)
+        hits = svc.cache.hits
+        job = client.submit("er:2:7", depths=2, config=config)
+        deep = client.wait(job, timeout=120)
+        assert client.status(job)["attempts"] == 1  # a slot ran it
+        assert deep.config["cache_hits"] == shallow.num_candidates == 6
+        assert deep.config["cache_misses"] == deep.num_candidates - 6 == 6
+        # the probe's depth-1 lookups were booked by nobody but the slot's
+        assert svc.cache.hits - hits == 6
+
+    def test_a_surrogate_sweep_is_always_queued(self, cold, monkeypatch):
+        """Even with every candidate stored: its ranker would learn in the
+        request. The probe stops before the proposer proposes or observes."""
+        from repro.surrogate.ranking import SurrogateAssistant
+
+        cold.multiplexer.run_spec(SPEC)  # every candidate of SPEC stored
+        calls = []
+        for name in ("propose", "observe"):
+            real = getattr(SurrogateAssistant, name)
+
+            def recorded(self, *args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(self, *args)
+
+            monkeypatch.setattr(SurrogateAssistant, name, recorded)
+        hits = cold.cache.hits
+        surrogate = {**SPEC, "config": {**SPEC["config"], "surrogate": True}}
+        assert cold.status(cold.submit(surrogate)["id"])["state"] == "queued"
+        assert calls == [] and cold.cache.hits == hits
+        assert cold.status(cold.submit(SPEC)["id"])["state"] == "done"
+
+    def test_a_probe_that_breaks_is_queued_and_logged(self, cold, monkeypatch, caplog):
+        cold.multiplexer.run_spec(SPEC)  # every candidate of SPEC stored
+
+        def broken(self, keys):
+            raise AttributeError("a store method the runtime needs")
+
+        monkeypatch.setattr(StoredOnly, "get_many", broken)
+        with caplog.at_level("ERROR", logger="repro.service.multiplexer"):
+            job = cold.submit(SPEC)["id"]
+        assert cold.status(job)["state"] == "queued"
+        (record,) = caplog.records
+        assert "failed at submit" in record.getMessage()
+        assert record.exc_info[0] is AttributeError
+
+    def test_a_resubmit_during_training_is_queued_and_deduplicated(self, service):
+        svc, base = service
+        client = connect(base)
+        config = Config(**{**SPEC["config"], "steps": 15})
+        first = client.submit("er:2:7", depths=1, config=config)
+        second = client.submit("er:2:7", depths=1, config=config)  # first still training
+        results = [client.wait(job, timeout=120) for job in (first, second)]
+        assert [client.status(job)["attempts"] for job in (first, second)] == [1, 1]
+        assert sum(r.config["cache_misses"] for r in results) == 6
+        assert energies(results[0]) == energies(results[1])
