@@ -48,6 +48,10 @@ wake-up: the median time a job waits for its claim is under half of the
 multiplexer's ``POLL_INTERVAL``. Last, it re-submits the finished spec ten
 times and asserts the stored path: each re-submit is ``done`` at its first
 ``/status`` with the first sweep's results, and no slot claimed any of them.
+Then it starts two ``python -m repro serve --dir D --port 0`` processes at
+once on one fresh ``D`` and asserts both answer ``/healthz``, a sweep
+submitted to one is read ``done`` through the other with the in-process
+sweep's results, and both drain and exit 0.
 
 **chaos** — the ISSUE-7 hardening gate: runs the same two-sweep workload
 through a deterministically fault-injected queue + the service's process
@@ -415,8 +419,52 @@ def smoke_service() -> int:
         f"cross-sweep sharing must serve the other sweep's lookups "
         f"(shared {sum(hits)}, expected {candidates})"
     )
+    smoke_shared_dir(config)
     print("service smoke OK")
     return 0
+
+
+def smoke_shared_dir(config) -> None:
+    """Two ``repro serve`` processes started at once on one fresh ``--dir``
+    share its queue and store: both come up, and a sweep submitted to one
+    is read done through the other with the in-process sweep's results."""
+    import re
+    import signal
+
+    from repro.api import connect, search
+
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(REPO_SRC)}
+    with tempfile.TemporaryDirectory() as service_dir:
+        command = [
+            sys.executable, "-m", "repro", "serve", "--dir", service_dir,
+            "--port", "0", "--workers", "1",
+        ]
+        servers = [
+            subprocess.Popen(
+                command, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True
+            )
+            for _ in range(2)
+        ]
+        try:
+            banners = [server.stdout.readline() for server in servers]
+            urls = [re.search(r"http://[\d.]+:\d+", banner) for banner in banners]
+            assert all(urls), f"both services must start on one fresh --dir: {banners}"
+            submitter, reader = (connect(url.group(0)) for url in urls)
+            assert submitter.healthz()["ok"] and reader.healthz()["ok"]
+            job = submitter.submit("er:2:7", depths=1, config=config)
+            shared = reader.wait(job, timeout=300)
+            assert reader.status(job)["state"] == "done"
+        finally:
+            for server in servers:
+                server.send_signal(signal.SIGTERM)
+            codes = [server.wait(timeout=60) for server in servers]
+    alone = search("er:2:7", depths=1, config=config)
+    assert (shared.best_tokens, shared.best_p, shared.best_energy) == (
+        alone.best_tokens, alone.best_p, alone.best_energy
+    ), "a sweep read through a sibling service must equal the in-process sweep"
+    assert trained(shared) == trained(alone)
+    assert codes == [0, 0], f"both services must drain and exit 0, got {codes}"
+    print("service: two services started at once on one fresh --dir share its queue and store")
 
 
 def smoke_chaos() -> int:

@@ -47,10 +47,7 @@ __all__ = [
     "I",
     "X",
     "Z",
-    "S",
     "T",
-    "RX",
-    "RY",
     "P",
 ]
 
@@ -189,14 +186,14 @@ Z = _register(
     )
 )
 _register(GateSpec("h", 1, 0, _mat_h))
-S = _register(
+_register(
     GateSpec("s", 1, 0, _mat_s, is_diagonal=True, diag_phase=(_NO_PHASE_1Q, (0.0, _PI / 2)))
 )
 T = _register(
     GateSpec("t", 1, 0, _mat_t, is_diagonal=True, diag_phase=(_NO_PHASE_1Q, (0.0, _PI / 4)))
 )
-RX = _register(GateSpec("rx", 1, 1, _mat_rx))
-RY = _register(GateSpec("ry", 1, 1, _mat_ry))
+_register(GateSpec("rx", 1, 1, _mat_rx))
+_register(GateSpec("ry", 1, 1, _mat_ry))
 _register(
     GateSpec(
         "rz", 1, 1, _mat_rz, is_diagonal=True,

@@ -101,6 +101,7 @@ __all__ = [
     "candidate_key",
     "config_fingerprint",
     "depth_fingerprint",
+    "open_sqlite",
     "workload_fingerprint",
 ]
 
@@ -135,48 +136,55 @@ def _enter_wal(conn: sqlite3.Connection) -> None:
             time.sleep(0.001)
 
 
-def _has_recency_column(conn: sqlite3.Connection) -> bool:
-    return any(row[1] == "last_used" for row in conn.execute("PRAGMA table_info(results)"))
+def _missing_columns(conn: sqlite3.Connection, table: str, columns: tuple[str, ...]) -> list[str]:
+    present = {row[1] for row in conn.execute(f"PRAGMA table_info({table})")}
+    return [column for column in columns if column.split()[0] not in present]
 
 
-def _open(path: str) -> sqlite3.Connection:
-    """A new connection to the store file ``path``, in WAL with the busy
-    timeout, both tables created and a pre-eviction table migrated."""
-    # check_same_thread=False + the store's lock: concurrent sweeps (service
+def open_sqlite(path: str, tables: dict[str, tuple[str, ...]]) -> sqlite3.Connection:
+    """A new connection to the package sqlite file ``path`` (a result store
+    or a job queue): the busy timeout set, in WAL, each of ``tables`` (name
+    -> column declarations, in their order on a migrated file) created at
+    its current columns, and every declared column a legacy table lacks
+    added. A column a schema gained later must therefore be nullable or
+    have a default. Openers racing on one fresh or legacy file all succeed:
+    each re-reads the table under the write lock, so exactly one adds a
+    column."""
+    # check_same_thread=False + the owner's lock: concurrent sweeps (service
     # threads) and the sharded runtime's parent thread share safely.
     conn = sqlite3.connect(path, check_same_thread=False)
-    # Shard processes (CLI --shard-index) share one results file; the
-    # busy timeout serializes their commits instead of erroring out.
+    # Shard processes (CLI --shard-index) and services on one directory
+    # share these files; the busy timeout serializes their commits.
     conn.execute(f"PRAGMA busy_timeout={int(BUSY_SECONDS * 1000)}")
     _enter_wal(conn)
-    # The columns of a migrated pre-eviction store, in its order.
-    conn.execute(
-        "CREATE TABLE IF NOT EXISTS results ("
-        " key TEXT PRIMARY KEY,"
-        " value TEXT NOT NULL,"
-        " schema INTEGER NOT NULL,"
-        " last_used REAL NOT NULL DEFAULT 0)"
-    )
-    # Pre-eviction caches lack the recency column; migrate in place
-    # (existing rows read as last_used=0, i.e. evicted first — correct,
-    # nothing ever recorded using them). Openers racing on one legacy
-    # store re-check under the write lock, so exactly one adds it.
-    if not _has_recency_column(conn):
-        conn.execute("BEGIN IMMEDIATE")
-        if not _has_recency_column(conn):
-            conn.execute("ALTER TABLE results ADD COLUMN last_used REAL NOT NULL DEFAULT 0")
-        conn.commit()
-    # SweepCheckpoint's rows; keys is a JSON list in position order
-    conn.execute(
-        "CREATE TABLE IF NOT EXISTS depths ("
-        " fingerprint TEXT PRIMARY KEY,"
-        " p INTEGER NOT NULL,"
-        " keys TEXT NOT NULL,"
-        " seconds REAL NOT NULL,"
-        " best_qasm TEXT)"
-    )
-    conn.commit()
+    for table, columns in tables.items():
+        conn.execute(f"CREATE TABLE IF NOT EXISTS {table} ({', '.join(columns)})")
+        if _missing_columns(conn, table, columns):
+            conn.execute("BEGIN IMMEDIATE")
+            for column in _missing_columns(conn, table, columns):
+                conn.execute(f"ALTER TABLE {table} ADD COLUMN {column}")
+            conn.commit()
     return conn
+
+
+#: the store's tables. A pre-eviction ``results`` lacks ``last_used``: its
+#: rows read 0 and are evicted first, since nothing recorded using them.
+#: ``depths`` holds SweepCheckpoint's rows, ``keys`` a JSON list in order.
+_TABLES = {
+    "results": (
+        "key TEXT PRIMARY KEY",
+        "value TEXT NOT NULL",
+        "schema INTEGER NOT NULL",
+        "last_used REAL NOT NULL DEFAULT 0",
+    ),
+    "depths": (
+        "fingerprint TEXT PRIMARY KEY",
+        "p INTEGER NOT NULL",
+        "keys TEXT NOT NULL",
+        "seconds REAL NOT NULL",
+        "best_qasm TEXT",
+    ),
+}
 
 
 #: connections parked between a store's close and the next open of its file.
@@ -237,7 +245,7 @@ def _take(path: str) -> tuple[sqlite3.Connection, FileIdentity | None]:
             _close_moved()
     if parked is not None:
         return parked[1], identity
-    return _open(path), _identity(path)
+    return open_sqlite(path, _TABLES), _identity(path)
 
 
 def _park(conn: sqlite3.Connection, path: str, identity: FileIdentity | None) -> None:

@@ -93,14 +93,6 @@ class Graph:
         out = [v if u == node else u for u, v in self.edges if node in (u, v)]
         return sorted(out)
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense symmetric weighted adjacency matrix."""
-        adj = np.zeros((self.num_nodes, self.num_nodes))
-        for (u, v), w in zip(self.edges, self.weights):
-            adj[u, v] = w
-            adj[v, u] = w
-        return adj
-
     def edge_array(self) -> np.ndarray:
         """Edges as an ``(m, 2)`` int array (empty-safe)."""
         if not self.edges:

@@ -18,8 +18,6 @@ from repro.qaoa.maxcut import (
     brute_force_maxcut,
     cut_value,
     expected_best_value,
-    greedy_maxcut,
-    local_search_maxcut,
 )
 from repro.qaoa.mixers import (
     ENTANGLER_TOKENS,
@@ -49,8 +47,6 @@ __all__ = [
     "cut_value",
     "CutSolution",
     "brute_force_maxcut",
-    "greedy_maxcut",
-    "local_search_maxcut",
     "expected_best_value",
     "approximation_ratio",
     "edge_energy_p1",

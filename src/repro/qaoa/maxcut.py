@@ -2,12 +2,11 @@
 
 Max-cut supplies QArchSearch's driver application (§1): the cost function
 ``C_MC(z) = 1/2 sum_{(u,v) in E} (1 - z_u z_v)`` of Eq. (1), classical
-reference optima for the approximation ratio of Eq. (3), and cheap
-heuristic baselines.
+reference optima for the approximation ratio of Eq. (3).
 
 The paper's instances are 10 nodes, so the classical optimum is exact brute
-force (vectorized over all 1024 assignments). For larger examples the
-greedy/local-search heuristics below keep the approximation ratio defined.
+force (vectorized over all 1024 assignments). For larger graphs
+:func:`approximation_ratio` takes the classical value from the caller.
 """
 
 from __future__ import annotations
@@ -19,14 +18,11 @@ import numpy as np
 
 from repro.graphs.generators import Graph
 from repro.simulators.expectation import cut_values
-from repro.utils.rng import as_rng
 
 __all__ = [
     "cut_value",
     "CutSolution",
     "brute_force_maxcut",
-    "greedy_maxcut",
-    "local_search_maxcut",
     "expected_best_value",
     "approximation_ratio",
 ]
@@ -49,59 +45,19 @@ def cut_value(graph: Graph, assignment: Sequence[int]) -> float:
 
 @dataclass(frozen=True)
 class CutSolution:
-    """A cut: bitstring (qubit k = bit k), its weight, and how it was found."""
+    """A cut: bitstring (qubit k = bit k) and its weight."""
 
     bitstring: int
     value: float
-    method: str
 
 
 def brute_force_maxcut(graph: Graph) -> CutSolution:
     """Exact optimum by enumerating all ``2^n`` assignments (n <= ~22)."""
     if graph.num_nodes > 24:
-        raise ValueError(
-            f"brute force over {graph.num_nodes} nodes is intractable; "
-            "use local_search_maxcut"
-        )
+        raise ValueError(f"brute force over {graph.num_nodes} nodes is intractable")
     values = cut_values(graph)
     best = int(np.argmax(values))
-    return CutSolution(best, float(values[best]), "brute_force")
-
-
-def greedy_maxcut(graph: Graph, *, seed=None) -> CutSolution:
-    """Place nodes one by one on the side that cuts more incident weight."""
-    rng = as_rng(seed)
-    order = rng.permutation(graph.num_nodes)
-    side = np.zeros(graph.num_nodes, dtype=np.int64)
-    placed = np.zeros(graph.num_nodes, dtype=bool)
-    adj = graph.adjacency_matrix()
-    for node in order:
-        placed_mask = placed.copy()
-        w_side0 = float(adj[node, placed_mask] @ (side[placed_mask] == 1))
-        w_side1 = float(adj[node, placed_mask] @ (side[placed_mask] == 0))
-        side[node] = 0 if w_side0 >= w_side1 else 1
-        placed[node] = True
-    bitstring = int((side * (1 << np.arange(graph.num_nodes))).sum())
-    return CutSolution(bitstring, cut_value(graph, side), "greedy")
-
-
-def local_search_maxcut(graph: Graph, *, seed=None) -> CutSolution:
-    """1-flip local search from a greedy start (classical baseline for
-    graphs too large to brute force), at most 100 flips."""
-    start = greedy_maxcut(graph, seed=seed)
-    n = graph.num_nodes
-    side = ((start.bitstring >> np.arange(n)) & 1).astype(np.int64)
-    adj = graph.adjacency_matrix()
-    for _ in range(100):
-        # gain of flipping node i: (weight to same side) - (weight to other side)
-        same = (side[None, :] == side[:, None]).astype(float)
-        gains = (adj * same).sum(axis=1) - (adj * (1 - same)).sum(axis=1)
-        best = int(np.argmax(gains))
-        if gains[best] <= 1e-12:
-            break
-        side[best] ^= 1
-    bitstring = int((side * (1 << np.arange(n))).sum())
-    return CutSolution(bitstring, cut_value(graph, side), "local_search")
+    return CutSolution(best, float(values[best]))
 
 
 def expected_best_value(

@@ -1,8 +1,11 @@
 """Persistent job queue: submitted sweeps survive service restarts.
 
-One sqlite file per service directory, in WAL mode like the result cache,
-so the queue tolerates a killed service. State transitions are guarded
-conditional updates — a claim flips exactly one claimable row to
+One sqlite file per service directory, ``jobs.sqlite``, opened like the
+result store through :func:`repro.core.cache.open_sqlite` (busy timeout,
+WAL, the ``jobs`` table created at its current columns and an older one
+migrated), so the queue tolerates a killed service and several service
+processes may start on one fresh directory at once. State transitions are
+guarded conditional updates — a claim flips exactly one claimable row to
 ``running`` and checks the rowcount, which is what lets several
 multiplexer slot threads (or several service processes on one directory)
 drain one queue without double-claiming.
@@ -60,6 +63,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.core.cache import open_sqlite
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["JOB_STATES", "TERMINAL_STATES", "JobQueue", "JobRecord"]
@@ -67,16 +71,27 @@ __all__ = ["JOB_STATES", "TERMINAL_STATES", "JobQueue", "JobRecord"]
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
-#: columns added since the PR-6 schema; existing stores migrate in place
-_MIGRATED_COLUMNS = (
-    ("tenant", "TEXT NOT NULL DEFAULT 'default'"),
-    ("priority", "INTEGER NOT NULL DEFAULT 0"),
-    ("attempts", "INTEGER NOT NULL DEFAULT 0"),
-    ("not_before", "REAL NOT NULL DEFAULT 0"),
-    ("lease_expires", "REAL"),
-    ("owner", "TEXT"),
-    ("cancel_requested", "INTEGER NOT NULL DEFAULT 0"),
-)
+#: the queue's one table. Every column after ``finished_at`` postdates the
+#: first schema, so an older file gains it when the queue opens.
+_TABLES = {
+    "jobs": (
+        "id TEXT PRIMARY KEY",
+        "state TEXT NOT NULL",
+        "spec TEXT NOT NULL",
+        "result TEXT",
+        "error TEXT",
+        "submitted_at REAL NOT NULL",
+        "started_at REAL",
+        "finished_at REAL",
+        "tenant TEXT NOT NULL DEFAULT 'default'",
+        "priority INTEGER NOT NULL DEFAULT 0",
+        "attempts INTEGER NOT NULL DEFAULT 0",
+        "not_before REAL NOT NULL DEFAULT 0",
+        "lease_expires REAL",
+        "owner TEXT",
+        "cancel_requested INTEGER NOT NULL DEFAULT 0",
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -205,24 +220,7 @@ class JobQueue:
         self._wake = threading.Condition()
         #: announcements so far; what a waiter compares against
         self.generation = 0
-        self._conn = sqlite3.connect(str(self.path), check_same_thread=False)
-        self._execute("PRAGMA journal_mode=WAL")
-        self._execute("PRAGMA busy_timeout=30000")
-        self._execute(
-            "CREATE TABLE IF NOT EXISTS jobs ("
-            " id TEXT PRIMARY KEY,"
-            " state TEXT NOT NULL,"
-            " spec TEXT NOT NULL,"
-            " result TEXT,"
-            " error TEXT,"
-            " submitted_at REAL NOT NULL,"
-            " started_at REAL,"
-            " finished_at REAL)"
-        )
-        columns = {row[1] for row in self._execute("PRAGMA table_info(jobs)")}
-        for name, decl in _MIGRATED_COLUMNS:
-            if name not in columns:
-                self._execute(f"ALTER TABLE jobs ADD COLUMN {name} {decl}")
+        self._conn = open_sqlite(str(self.path), _TABLES)
         # Counts scan this index instead of the rows (which carry the spec
         # and result blobs), and a claim visits only the live states.
         self._execute(

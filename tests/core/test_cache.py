@@ -26,12 +26,14 @@ from repro.core.cache import (
     candidate_key,
     config_fingerprint,
     depth_fingerprint,
+    open_sqlite,
     workload_fingerprint,
 )
 from repro.core.evaluator import EvaluationConfig
 from repro.core.results import CandidateEvaluation, DepthResult
 from repro.graphs.generators import Graph, erdos_renyi_graph
 from repro.qaoa import initialization
+from repro.service.jobs import JobQueue
 from repro.surrogate.config import SurrogateConfig
 
 SRC = Path(__file__).resolve().parents[2] / "src"
@@ -206,18 +208,70 @@ class TestResultCache:
 
 
 COLUMNS = ["key", "value", "schema", "last_used"]
+JOB_COLUMNS = [
+    "id", "state", "spec", "result", "error", "submitted_at", "started_at", "finished_at",
+    "tenant", "priority", "attempts", "not_before", "lease_expires", "owner",
+    "cancel_requested",
+]
 
 
-def open_together(cache_dir, openers=4):
-    """Open ``cache_dir`` from ``openers`` threads released at once: the
-    errors raised, and the columns of the table they left."""
+def legacy_results(store):
+    """A pre-eviction store holding one row: no ``last_used`` column."""
+    store.execute(
+        "CREATE TABLE results (key TEXT PRIMARY KEY,"
+        " value TEXT NOT NULL, schema INTEGER NOT NULL)"
+    )
+    store.execute(
+        "INSERT INTO results VALUES ('k', ?, ?)",
+        (json.dumps(make_evaluation().to_dict()), ResultCache.SCHEMA_VERSION),
+    )
+
+
+def results_read_back(cache_dir):
+    with ResultCache(cache_dir) as cache:
+        assert cache.get("k") == make_evaluation()
+
+
+def legacy_queue(store):
+    """The first job queue's table, holding a running row with no lease."""
+    store.execute(
+        "CREATE TABLE jobs (id TEXT PRIMARY KEY, state TEXT NOT NULL,"
+        " spec TEXT NOT NULL, result TEXT, error TEXT, submitted_at REAL NOT NULL,"
+        " started_at REAL, finished_at REAL)"
+    )
+    store.execute(
+        "INSERT INTO jobs (id, state, spec, submitted_at, started_at)"
+        " VALUES ('j', 'running', '{\"depths\": 1}', 1.0, 2.0)"
+    )
+
+
+def queue_read_back(service_dir):
+    """A leaseless running row can never expire, so the open requeued it."""
+    with JobQueue(service_dir) as queue:
+        record = queue.get("j")
+    assert (record.state, record.started_at, record.attempts) == ("queued", None, 0)
+    assert (record.tenant, record.owner, record.lease_expires) == ("default", None, None)
+
+
+#: per sqlite file: its opener, its table's columns, a legacy file's
+#: contents and what a migrated one must read
+FILES = {
+    "results": (ResultCache, COLUMNS, legacy_results, results_read_back),
+    "jobs": (JobQueue, JOB_COLUMNS, legacy_queue, queue_read_back),
+}
+
+
+def open_together(directory, table, openers=4):
+    """Open ``table``'s file in ``directory`` from ``openers`` threads
+    released at once: the errors raised, and the columns of the table they
+    left."""
     barrier = threading.Barrier(openers)
     errors = []
 
     def opener():
         barrier.wait()
         try:
-            ResultCache(cache_dir).close()
+            FILES[table][0](directory).close()
         except Exception as exc:  # noqa: BLE001 - collected for the assert
             errors.append(exc)
 
@@ -226,34 +280,87 @@ def open_together(cache_dir, openers=4):
         thread.start()
     for thread in threads:
         thread.join(timeout=60)
-    with sqlite3.connect(cache_dir / "results.sqlite") as store:
-        columns = [row[1] for row in store.execute("PRAGMA table_info(results)")]
+    assert not any(thread.is_alive() for thread in threads)
+    with sqlite3.connect(directory / f"{table}.sqlite") as store:
+        columns = [row[1] for row in store.execute(f"PRAGMA table_info({table})")]
     return errors, columns
 
 
+@pytest.mark.parametrize("table", sorted(FILES))
 class TestFirstOpen:
-    """Threads or shard processes opening one store together all succeed."""
+    """Threads, shard processes or services opening one result store or
+    job queue together all succeed: every file opens through ``open_sqlite``."""
 
-    def test_openers_of_a_fresh_dir(self, tmp_path):
+    def test_openers_of_a_fresh_dir(self, tmp_path, table):
         for attempt in range(60):
-            assert open_together(tmp_path / str(attempt)) == ([], COLUMNS)
+            assert open_together(tmp_path / str(attempt), table) == ([], FILES[table][1])
 
-    def test_openers_of_a_legacy_store_migrate_it_once(self, tmp_path):
+    def test_openers_of_a_legacy_store_migrate_it_once(self, tmp_path, table):
+        _, columns, legacy, read_back = FILES[table]
         for attempt in range(30):
-            cache_dir = tmp_path / str(attempt)
-            cache_dir.mkdir()
-            with sqlite3.connect(cache_dir / "results.sqlite") as store:
-                store.execute(
-                    "CREATE TABLE results (key TEXT PRIMARY KEY,"
-                    " value TEXT NOT NULL, schema INTEGER NOT NULL)"
-                )
-                store.execute(
-                    "INSERT INTO results VALUES ('k', ?, ?)",
-                    (json.dumps(make_evaluation().to_dict()), ResultCache.SCHEMA_VERSION),
-                )
-            assert open_together(cache_dir) == ([], COLUMNS)
-            with ResultCache(cache_dir) as cache:
-                assert cache.get("k") == make_evaluation()
+            directory = tmp_path / str(attempt)
+            directory.mkdir()
+            with sqlite3.connect(directory / f"{table}.sqlite") as store:
+                legacy(store)
+            assert open_together(directory, table) == ([], columns)
+            read_back(directory)
+
+
+class TestOpenSqlite:
+    """``open_sqlite`` is how every package sqlite file is opened."""
+
+    @pytest.mark.parametrize("table", sorted(FILES))
+    def test_every_file_waits_out_locks_in_wal(self, tmp_path, table):
+        with FILES[table][0](tmp_path) as opened:
+            conn = opened._conn
+            assert conn.execute("PRAGMA busy_timeout").fetchone() == (
+                int(cache_module.BUSY_SECONDS * 1000),
+            )
+            assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+
+    def test_a_legacy_table_gains_each_missing_column(self, tmp_path):
+        path = str(tmp_path / "t.sqlite")
+        old = sqlite3.connect(path)
+        old.execute("CREATE TABLE t (a TEXT PRIMARY KEY)")
+        old.execute("INSERT INTO t VALUES ('x')")
+        old.commit()
+        old.close()
+        tables = {"t": ("a TEXT PRIMARY KEY", "b INTEGER NOT NULL DEFAULT 7", "c REAL")}
+        # the second open finds the table current and changes nothing
+        for _ in range(2):
+            conn = open_sqlite(path, tables)
+            assert [row[1] for row in conn.execute("PRAGMA table_info(t)")] == ["a", "b", "c"]
+            assert conn.execute("SELECT a, b, c FROM t").fetchall() == [("x", 7, None)]
+            conn.close()
+
+    def test_a_current_file_opens_under_another_writer(self, tmp_path, monkeypatch):
+        """Only a migration takes the write lock: a service starting while
+        another holds it opens at once instead of waiting it out."""
+        path = str(tmp_path / "t.sqlite")
+        tables = {"t": ("a TEXT PRIMARY KEY", "b REAL")}
+        open_sqlite(path, tables).close()
+        monkeypatch.setattr(cache_module, "BUSY_SECONDS", 0.2)
+        writer = sqlite3.connect(path, isolation_level=None)
+        writer.execute("BEGIN IMMEDIATE")
+        try:
+            conn = open_sqlite(path, tables)
+            assert conn.execute("SELECT count(*) FROM t").fetchone() == (0,)
+            conn.close()
+        finally:
+            writer.rollback()
+            writer.close()
+
+    def test_no_other_code_connects_to_a_file(self):
+        """Besides ``open_sqlite``, only the closed-store sentinel connects,
+        and it to ``:memory:``."""
+        connects = [
+            line.strip() for path in (SRC / "repro").rglob("*.py")
+            for line in path.read_text().splitlines() if "sqlite3.connect(" in line
+        ]
+        assert sorted(connects) == [
+            "_CLOSED = sqlite3.connect(\":memory:\")",
+            "conn = sqlite3.connect(path, check_same_thread=False)",
+        ]
 
 
 class TestCommitBatching:

@@ -74,7 +74,9 @@ class TestWorkloadDatasets:
     def _is_connected(self, graph):
         import numpy as np
 
-        adj = graph.adjacency_matrix() > 0
+        adj = np.zeros((graph.num_nodes, graph.num_nodes), dtype=bool)
+        for u, v in graph.edges:
+            adj[u, v] = adj[v, u] = True
         reach = np.linalg.matrix_power(
             adj + np.eye(graph.num_nodes, dtype=bool), graph.num_nodes
         )

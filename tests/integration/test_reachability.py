@@ -9,12 +9,13 @@ package ``__init__`` re-exporting a module does not keep it alive. A module
 the walk does not reach must be in ``UNSERVED`` with its reason.
 
 Below modules, names: every ``__all__`` entry must be mentioned (a word
-of code, nothing executed: a name or a string literal, not a comment or a
-docstring) somewhere in ``src/``, ``benchmarks/``, ``scripts/`` or
-``examples/`` other than by its own definition and by ``__init__``
-re-export lines, or be in ``TEST_ONLY`` with its reason. A public name only
-``tests/`` uses is the other half of something that was replaced: delete it
-with its tests.
+of code, nothing executed: a name, a string literal that is wholly a name
+or a dotted path, or a name in an f-string's replacement field — not a
+comment, a docstring or a word in a message) somewhere in ``src/``,
+``benchmarks/``, ``scripts/`` or ``examples/`` other than by its own
+definition and by ``__init__`` re-export lines, or be in ``TEST_ONLY``
+with its reason. A public name only ``tests/`` uses is the other half of
+something that was replaced: delete it with its tests.
 
 Below names, methods: every public method or property of a class under
 ``src/repro`` must be referenced — as an attribute (``pool.map``) or a
@@ -134,6 +135,10 @@ TEST_ONLY = {
         "closed-form p=1 optimum: the oracle test_optimizers/test_evaluator train against"
     ),
     "repro.qaoa.cost_operator.cost_layer": _LAYER,
+    "repro.qaoa.maxcut.cut_value": (
+        "Eq. (1) on one assignment: the oracle brute_force_maxcut's bitstring and its "
+        "lower bound over random assignments are checked against"
+    ),
     "repro.qaoa.mixers.baseline_mixer": _LAYER,
     "repro.qtensor.lightcone.lightcone_qubits": (
         "how local an energy term is: the cone-size assertion behind the scaling argument"
@@ -211,7 +216,7 @@ TEST_ONLY_FIELDS = {
 
 #: the knob total (see :func:`knob_total`) may only go down: lower it with
 #: the change that cuts a knob
-KNOB_CEILING = 325
+KNOB_CEILING = 323
 
 #: ``(module, class)`` of the configs a sweep's settings are mapped onto
 INTERNAL_CONFIGS = (
@@ -499,34 +504,50 @@ def _first_line(node: ast.stmt) -> int:
     return min([d.lineno for d in getattr(node, "decorator_list", ())] + [node.lineno])
 
 
-#: token kinds that carry code in a ``.py`` file: names and string literals
-#: (``FSTRING_MIDDLE`` is an f-string's text from Python 3.12 on)
-_CODE_TOKENS = {
-    tokenize.NAME, tokenize.STRING, getattr(tokenize, "FSTRING_MIDDLE", tokenize.STRING),
-}
+#: a string literal that names code: an identifier or a dotted path
+_NAME_LITERAL = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _literal_names(tree: ast.AST) -> Iterator[tuple[int, str]]:
+    """``(line, text)`` for every name a ``.py`` file's string literals
+    carry: a string that is wholly an identifier or a dotted path (a
+    ``getattr`` argument, a registry key), and the names and attributes in
+    an f-string's replacement fields. A docstring, a comment or any other
+    text in a string — a message naming a function — carries none."""
+    # an f-string's literal text and a string standing as a statement
+    prose = {
+        id(part) for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+        for part in node.values
+    } | {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FormattedValue):
+            for inner in ast.walk(node.value):
+                if isinstance(inner, ast.Name):
+                    yield inner.lineno, inner.id
+                elif isinstance(inner, ast.Attribute):
+                    yield inner.lineno, inner.attr
+        elif (
+            isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in prose and _NAME_LITERAL.fullmatch(node.value)
+        ):
+            yield node.lineno, node.value
 
 
 def words(path: Path, skip: list[ast.stmt] = ()) -> set[str]:
     """Every identifier-like word of ``path`` outside the ``skip``
-    statements. A ``.py`` file is read as code: a word in a comment or a
-    docstring (any string standing as a statement) is prose, not a use."""
+    statements. A ``.py`` file is read as code: its names and the names its
+    string literals carry (:func:`_literal_names`); a word in a comment, a
+    docstring or a message is prose, not a use."""
     skipped = {line for node in skip for line in range(node.lineno, node.end_lineno + 1)}
     text = path.read_text()
     if path.suffix != ".py":
         chunks = list(enumerate(text.splitlines(), 1))
     else:
-        prose = {
-            line for node in ast.walk(ast.parse(text, str(path)))
-            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
-            and isinstance(node.value.value, str)
-            for line in range(node.lineno, node.end_lineno + 1)
-        }
         chunks = [
             (token.start[0], token.string)
             for token in tokenize.generate_tokens(io.StringIO(text).readline)
-            if token.type in _CODE_TOKENS
-            and not (token.type != tokenize.NAME and token.start[0] in prose)
-        ]
+            if token.type == tokenize.NAME
+        ] + list(_literal_names(ast.parse(text, str(path))))
     return {
         word for line, chunk in chunks if line not in skipped
         for word in re.findall(r"\w+", chunk)
@@ -1089,6 +1110,50 @@ def test_a_name_in_prose_alone_is_not_a_use(tmp_path):
     script = tmp_path / "run.sh"
     script.write_text("# documented and commented\n")
     assert unreferenced_exports(synthetic, [script]) == []
+
+
+def _messages_package(tmp_path, names, user):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "lib.py").write_text(
+        f"__all__ = {names}\n" + "".join(f"def {name}():\n    pass\n" for name in names)
+    )
+    (pkg / "user.py").write_text("from pkg import lib\n" + user)
+    return SourceTree(tmp_path, "pkg")
+
+
+def test_a_message_naming_a_function_keeps_nothing_alive(tmp_path):
+    """An error text that says "use messaged" is prose, in a plain string or
+    in an f-string's literal text alike: it keeps ``messaged`` no more alive
+    than a comment would."""
+    synthetic = _messages_package(
+        tmp_path, ["coded", "messaged", "worded"],
+        "def run(n):\n"
+        "    if n > 24:\n"
+        "        raise ValueError('intractable; use messaged')\n"
+        "    print(f'{n} nodes: worded would be faster')\n"
+        "    return lib.coded()\n",
+    )
+    assert unreferenced_exports(synthetic, []) == ["pkg.lib.messaged", "pkg.lib.worded"]
+    # a shell script is still read by word
+    script = tmp_path / "run.sh"
+    script.write_text("# messaged and worded\n")
+    assert unreferenced_exports(synthetic, [script]) == []
+
+
+def test_a_literal_name_or_a_replacement_field_is_a_use(tmp_path):
+    """A string that is wholly a name or a dotted path (a registry key, a
+    ``getattr`` argument) and a name in an f-string's replacement field are
+    code, so each keeps its function alive."""
+    synthetic = _messages_package(
+        tmp_path, ["dotted", "formatted", "quoted", "unused"],
+        "REGISTRY = ['pkg.lib.dotted']\n"
+        "def run(n):\n"
+        "    print(f'{lib.formatted()} on {n} nodes')\n"
+        '    return getattr(lib, "quoted")\n',
+    )
+    assert unreferenced_exports(synthetic, []) == ["pkg.lib.unused"]
 
 
 @pytest.mark.parametrize(

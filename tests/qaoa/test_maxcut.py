@@ -1,6 +1,5 @@
-"""Max-cut objective and classical solvers."""
+"""Max-cut objective, exact optimum and approximation ratio."""
 
-import numpy as np
 import pytest
 
 from repro.graphs.generators import (
@@ -11,13 +10,7 @@ from repro.graphs.generators import (
     path_graph,
     star_graph,
 )
-from repro.qaoa.maxcut import (
-    approximation_ratio,
-    brute_force_maxcut,
-    cut_value,
-    greedy_maxcut,
-    local_search_maxcut,
-)
+from repro.qaoa.maxcut import approximation_ratio, brute_force_maxcut, cut_value
 
 
 class TestCutValue:
@@ -64,39 +57,6 @@ class TestBruteForce:
     def test_too_large_rejected(self):
         with pytest.raises(ValueError, match="intractable"):
             brute_force_maxcut(Graph(25, ()))
-
-
-class TestHeuristics:
-    def test_greedy_within_half_of_optimum(self):
-        """Greedy max-cut is a 1/2-approximation."""
-        for seed in range(5):
-            g = erdos_renyi_graph(10, 0.5, seed=seed)
-            opt = brute_force_maxcut(g).value
-            greedy = greedy_maxcut(g, seed=seed).value
-            assert greedy >= opt / 2
-
-    def test_local_search_at_least_greedy(self):
-        for seed in range(5):
-            g = erdos_renyi_graph(10, 0.5, seed=100 + seed)
-            assert (
-                local_search_maxcut(g, seed=seed).value
-                >= greedy_maxcut(g, seed=seed).value
-            )
-
-    def test_local_search_is_1flip_optimal(self):
-        g = erdos_renyi_graph(9, 0.5, seed=7)
-        sol = local_search_maxcut(g, seed=0)
-        bits = np.array([(sol.bitstring >> k) & 1 for k in range(9)])
-        for i in range(9):
-            flipped = bits.copy()
-            flipped[i] ^= 1
-            assert cut_value(g, flipped) <= sol.value + 1e-12
-
-    def test_methods_labelled(self):
-        g = cycle_graph(4)
-        assert brute_force_maxcut(g).method == "brute_force"
-        assert greedy_maxcut(g).method == "greedy"
-        assert local_search_maxcut(g).method == "local_search"
 
 
 class TestRatios:
