@@ -59,7 +59,7 @@ def run_scaling():
             # Fork + import cost stays outside the timed region: the claim
             # is steady-state shard scaling, not pool startup.
             for executor in executors:
-                executor.starmap(_warm, [(0,)])
+                executor.submit(_warm, 0).result()
             start = time.perf_counter()
             result = search_mixer(
                 graphs,

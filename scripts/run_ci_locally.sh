@@ -12,7 +12,7 @@
 #               the many-candidates path (shared compile fragments) and on
 #               the batched-engine path (the planned schedule), the
 #               tensor network's three ablation benches, the paper-figure
-#               benches of Figs. 4-9 with four more ablations and the
+#               benches of Figs. 4-9 with three more ablations and the
 #               runtime-cache bench, every example
 #               script, and the surrogate smoke + eval-reduction gate
 set -euo pipefail
@@ -52,9 +52,9 @@ python3 benchmarks/e2e/run.py --workload wide_cached --seconds 3
 python3 benchmarks/e2e/run.py --workload deep_spsa --seconds 3
 python -m pytest benchmarks/bench_ablation_{backends,ordering,slicing}.py -q -s \
     -o python_files='bench_*.py' -o python_functions='bench_*'
-# Figs. 4-9, four ablations and the runtime cache (ROADMAP item 4)
+# Figs. 4-9, three ablations and the runtime cache (ROADMAP item 4)
 python -m pytest benchmarks/bench_fig{4,5,6,7,8,9}_*.py \
-    benchmarks/bench_ablation_{chunksize,initialization,optimizers,predictors}.py \
+    benchmarks/bench_ablation_{initialization,optimizers,predictors}.py \
     benchmarks/bench_runtime_cache.py -q \
     -o python_files='bench_*.py' -o python_functions='bench_*'
 for example in examples/*.py; do echo "== $example"; python "$example"; done

@@ -223,7 +223,7 @@ def _cmd_draw(args) -> int:
 def _cmd_serve(args) -> int:
     # Imported here so the three local subcommands never pay for the
     # service stack at import time.
-    from repro.service.server import serve
+    from repro.service.server import SearchService, serve
 
     if args.max_concurrent < 1:
         raise SystemExit("--max-concurrent must be >= 1")
@@ -239,12 +239,10 @@ def _cmd_serve(args) -> int:
                 f"--tenant-weight expects NAME=W (a float), got {item!r}"
             ) from None
     try:
-        serve(
+        service = SearchService(
             args.service_dir,
-            host=args.host,
-            port=args.port,
             max_concurrent=args.max_concurrent,
-            workers=args.workers or None,
+            workers=args.workers,
             cache_max_entries=args.cache_max_entries,
             lease_seconds=args.lease_seconds,
             max_attempts=args.max_attempts,
@@ -255,8 +253,9 @@ def _cmd_serve(args) -> int:
             drain_timeout=args.drain_timeout,
             trace_log=args.trace_log,
         )
-    except ValueError as error:  # a setting the queue or the multiplexer refused
+    except ValueError as error:  # a setting the fleet, queue or multiplexer refused
         raise SystemExit(str(error)) from None
+    serve(service, host=args.host, port=args.port)
     return 0
 
 

@@ -1,6 +1,8 @@
 """Parallel execution layer: real executors, the fault-tolerant job
 scheduler, and the least-loaded placement rule its lanes share (the Fig. 2 /
-Fig. 3 substrate).
+Fig. 3 substrate). An executor's one contract is ``submit`` (one job, one
+future); :class:`JobScheduler` drives it, with retries, deadlines and
+lanes, and returns results streamed or in input order.
 
 :mod:`repro.parallel.faults` (the deterministic chaos harness) is *not*
 re-exported here: it subclasses the service-layer job queue, and eagerly

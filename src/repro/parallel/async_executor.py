@@ -29,7 +29,6 @@ The contract ``JobScheduler`` relies on is preserved exactly:
   abandoned attempt may still be running and the pool must not be
   joined gracefully (``tainted``).
 * exceptions are routed into the future, never raised at the caller;
-* ``starmap`` preserves input order;
 * ``close()`` (and context-manager exit) drains or abandons cleanly.
 """
 
@@ -38,7 +37,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from typing import Any
 
@@ -176,10 +175,6 @@ class AsyncExecutor(Executor):
             setter(value)
         except InvalidStateError:
             pass
-
-    def starmap(self, fn: Callable, jobs: Sequence[tuple]) -> list[Any]:
-        futures = [self.submit(fn, *job) for job in jobs]
-        return [f.result() for f in futures]
 
     def close(self) -> None:
         """Stop the dispatch plane and the worker fleet.

@@ -9,15 +9,15 @@ the baseline the speedup figures compare against, and
 :class:`ThreadExecutor` exists for tests and for work that waits (I/O,
 sleeps) rather than computes.
 
-All executors expose the same ``starmap`` contract (ordered results) plus a
-``submit`` contract (one job, one :class:`concurrent.futures.Future`) used
-by the fault-tolerant job scheduler in :mod:`repro.parallel.jobs`, and are
-context managers; worker functions must be module-level for pickling.
+Every executor has one contract, ``submit`` (one job, one
+:class:`concurrent.futures.Future`), which the fault-tolerant job scheduler
+in :mod:`repro.parallel.jobs` drives — ordered results are its
+``JobScheduler.run``. Executors are context managers; worker functions
+must be module-level for pickling.
 """
 
 from __future__ import annotations
 
-import abc
 import atexit
 import multiprocessing as mp
 import os
@@ -27,7 +27,7 @@ import threading
 import time
 import traceback
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -56,18 +56,14 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
-class Executor(abc.ABC):
-    """Common interface: ordered ``starmap`` over argument tuples."""
+class Executor:
+    """Common interface: ``submit`` one job, get a future."""
 
     name: str = "abstract"
     num_workers: int = 1
     #: set by the job scheduler when an in-flight task was abandoned (timed
     #: out or its worker died); a tainted pool must not be joined gracefully
     tainted: bool = False
-
-    @abc.abstractmethod
-    def starmap(self, fn: Callable, jobs: Sequence[tuple]) -> list[Any]:
-        """Apply ``fn(*job)`` to every job, preserving input order."""
 
     def submit(self, fn: Callable, *args) -> Future:
         """Run one job, returning a future.
@@ -83,9 +79,6 @@ class Executor(abc.ABC):
             future.set_exception(exc)
         return future
 
-    def map(self, fn: Callable, items: Iterable) -> list[Any]:
-        return self.starmap(_apply_single, [(fn, item) for item in items])
-
     def close(self) -> None:  # pragma: no cover - default no-op
         pass
 
@@ -96,18 +89,11 @@ class Executor(abc.ABC):
         self.close()
 
 
-def _apply_single(fn: Callable, item) -> Any:
-    return fn(item)
-
-
 class SerialExecutor(Executor):
     """Sequential execution — the paper's serial search baseline."""
 
     name = "serial"
     num_workers = 1
-
-    def starmap(self, fn: Callable, jobs: Sequence[tuple]) -> list[Any]:
-        return [fn(*job) for job in jobs]
 
 
 class WorkerLostError(RuntimeError):
@@ -156,10 +142,6 @@ def _worker_main(conn, parent_pid: int) -> None:
             return  # the parent is gone
 
 
-def _run_chunk(fn: Callable, chunk: Sequence[tuple]) -> list[Any]:
-    return [fn(*job) for job in chunk]
-
-
 @dataclass
 class _Task:
     future: Future
@@ -180,16 +162,16 @@ class MultiprocessingExecutor(Executor):
     """A persistent pool of worker processes (the paper's outer level).
 
     The paper fans candidates out with ``multiprocessing.Pool.
-    starmap_async``; :meth:`starmap` keeps that contract (ordered results,
-    ``chunksize`` trading dispatch overhead against load balance — the
-    knob ``bench_ablation_chunksize`` sweeps) and the persistent pool
-    amortizes fork cost across search depths (and, under :func:`leased_fleet`,
-    across sweeps). The pool itself is this class's own, because
-    ``multiprocessing.Pool`` cannot say which task a dead worker held — it
-    repopulates the process and silently drops the task — and a long-running
-    service cannot wait on a deadline that may not be set. Here every worker
-    has a pipe of its own and holds at most one job, so the parent always
-    knows what a worker's death cost:
+    starmap_async``; here each candidate is one :meth:`submit` (the
+    paper's per-combination dispatch; the job scheduler restores the
+    order) and the persistent pool amortizes fork cost across search
+    depths (and, under :func:`leased_fleet`, across sweeps). The pool
+    itself is this class's own, because ``multiprocessing.Pool`` cannot
+    say which task a dead worker held — it repopulates the process and
+    silently drops the task — and a long-running service cannot wait on a
+    deadline that may not be set. Here every worker has a pipe of its own
+    and holds at most one job, so the parent always knows what a worker's
+    death cost:
 
     * a worker that dies (OOM-killed, segfault) fails *its* job with
       :class:`WorkerLostError` — one attempt, which the job scheduler's
@@ -212,6 +194,9 @@ class MultiprocessingExecutor(Executor):
     runs :func:`_worker_main` and nothing else, which takes none of the
     parent's locks and exits through ``os._exit``.
 
+    ``num_workers`` of ``None`` or 0 means every usable core; a negative
+    count raises :class:`ValueError` before anything is forked.
+
     ``metrics`` (a :class:`~repro.obs.metrics.MetricsRegistry`)
     adds admission depth (``repro_executor_admitted``, accepted and not
     yet settled), occupancy (``repro_executor_running``, holding a
@@ -226,11 +211,12 @@ class MultiprocessingExecutor(Executor):
         self,
         num_workers: int | None = None,
         *,
-        chunksize: int = 1,
         metrics: MetricsRegistry | None = None,
     ) -> None:
+        if num_workers is not None and num_workers < 0:
+            # a pool of no workers would refuse every job it is given
+            raise ValueError(f"num_workers must be >= 0 (0 = all cores), got {num_workers}")
         self.num_workers = num_workers or available_cores()
-        self.chunksize = max(1, int(chunksize))
         self.metrics = metrics
         self._m: dict[str, Any] | None = None
         if metrics is not None:
@@ -285,14 +271,6 @@ class MultiprocessingExecutor(Executor):
             self._backlog.append(_Task(future, payload, time.perf_counter()))
             self._feed_locked()
         return future
-
-    def starmap(self, fn: Callable, jobs: Sequence[tuple]) -> list[Any]:
-        jobs = list(jobs)
-        futures = [
-            self.submit(_run_chunk, fn, jobs[start : start + self.chunksize])
-            for start in range(0, len(jobs), self.chunksize)
-        ]
-        return [result for future in futures for result in future.result()]
 
     def close(self) -> None:
         """Stop the workers and the collector thread.
@@ -549,10 +527,6 @@ class ThreadExecutor(Executor):
     def __init__(self, num_workers: int | None = None) -> None:
         self.num_workers = num_workers or available_cores()
         self._pool = ThreadPoolExecutor(max_workers=self.num_workers)
-
-    def starmap(self, fn: Callable, jobs: Sequence[tuple]) -> list[Any]:
-        futures = [self._pool.submit(fn, *job) for job in jobs]
-        return [f.result() for f in futures]
 
     def submit(self, fn: Callable, *args) -> Future:
         return self._pool.submit(fn, *args)

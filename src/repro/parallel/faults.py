@@ -51,7 +51,7 @@ import signal
 import sqlite3
 import threading
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from concurrent.futures import Future
 from pathlib import Path
 from typing import Any
@@ -213,9 +213,6 @@ class FaultInjectingExecutor(Executor):
         )
         future.add_done_callback(self._count)
         return future
-
-    def starmap(self, fn: Callable, jobs: Sequence[tuple]) -> list[Any]:
-        return [future.result() for future in [self.submit(fn, *job) for job in jobs]]
 
     def close(self) -> None:
         self.inner.tainted = self.inner.tainted or self.tainted

@@ -1,17 +1,19 @@
 """Fault-tolerant job scheduling: submit / as-completed with retry + timeout.
 
-``Executor.starmap`` is a barrier — one lost worker or one pathological
-candidate stalls the whole depth. :class:`JobScheduler` replaces it for the
-search runtime: every job becomes a future (``Executor.submit``), results
-stream back in completion order, and each job carries its own retry budget
-and wall-clock deadline. A job whose worker raises is resubmitted; a job
-whose future never completes (worker killed — ``multiprocessing.Pool``
-repopulates the process but silently drops the task) is abandoned at its
-deadline and resubmitted the same way. Only when a job exhausts
-``max_retries`` does the scheduler raise :class:`JobFailedError` — and even
-then every other finished job in the same completion batch is yielded (and
-so reaches the caller's cache) before the raise, so one poisoned candidate
-costs its own work, not its neighbours'.
+An executor's one contract is ``submit`` (one job, one future), and
+:class:`JobScheduler` is what drives it for the search runtime — never an
+ordered barrier over the whole bag, where one lost worker or one
+pathological candidate would stall the depth. Results stream back in
+completion order (``as_completed``; ``run`` restores input order), and
+each job carries its own retry budget and wall-clock deadline. A job
+whose worker raises is resubmitted; a job whose future never completes
+(worker killed — ``multiprocessing.Pool`` repopulates the process but
+silently drops the task) is abandoned at its deadline and resubmitted the
+same way. Only when a job exhausts ``max_retries`` does the scheduler
+raise :class:`JobFailedError` — and even then every other finished job in
+the same completion batch is yielded (and so reaches the caller's cache)
+before the raise, so one poisoned candidate costs its own work, not its
+neighbours'.
 
 Submission is **bounded**: at most ``INFLIGHT_PER_WORKER x
 executor.num_workers`` attempts are outstanding at once and further jobs are
@@ -276,7 +278,7 @@ class JobScheduler:
                 raise failure
 
     def run(self, fn: Callable, jobs: Sequence[tuple]) -> list[Any]:
-        """Ordered results — a fault-tolerant drop-in for ``starmap``."""
+        """Ordered results: ``fn(*job)`` for every job, in input order."""
         results: list[Any] = [None] * len(jobs)
         for index, result in self.as_completed(fn, jobs):
             results[index] = result

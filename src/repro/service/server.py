@@ -59,6 +59,9 @@ from repro.service.multiplexer import SweepMultiplexer, plan_sweep
 
 __all__ = ["SearchService", "make_http_server", "serve"]
 
+#: the shared result cache commits its buffered candidate rows every this many puts
+CACHE_FLUSH_EVERY = 4
+
 
 class ServiceRequestError(ValueError):
     """A client error with the HTTP status (and headers) it maps to."""
@@ -83,7 +86,11 @@ class SearchService:
     HTTP thread exist — so no child inherits a held lock or a live
     database handle.
 
-    Hardening knobs (all optional; defaults keep the PR-6 behaviour):
+    Its keywords are ``repro serve``'s flags, one for one (the CLI builds
+    the service and hands it to :func:`serve`); ``workers`` of ``None`` or
+    0 means every usable core and a negative count raises
+    :class:`ValueError` before anything is forked. Hardening knobs (all
+    optional):
 
     * ``max_queue_depth`` / ``max_queued_per_tenant`` — admission control:
       a submit that would exceed either cap is rejected with 429 +
@@ -95,6 +102,8 @@ class SearchService:
       lease and retry budget (see :class:`~repro.service.jobs.JobQueue`).
     * ``drain_timeout`` — how long :meth:`stop` lets running sweeps finish
       before cancelling them and requeueing their jobs.
+    * ``trace_log`` — also stream span events (JSONL) to this file; see
+      ``docs/observability.md`` for the format.
     """
 
     def __init__(
@@ -104,7 +113,6 @@ class SearchService:
         max_concurrent: int = 2,
         workers: int | None = None,
         cache_max_entries: int | None = None,
-        cache_flush_every: int = 4,
         max_queue_depth: int | None = None,
         max_queued_per_tenant: int | None = None,
         max_running_per_tenant: int | None = None,
@@ -141,7 +149,7 @@ class SearchService:
             # cache dir is also where --shard-index worker processes attach.
             self.cache = ResultCache(
                 self.service_dir / "cache",
-                flush_every=cache_flush_every,
+                flush_every=CACHE_FLUSH_EVERY,
                 max_entries=cache_max_entries,
                 shared=True,
                 metrics=self.metrics,
@@ -464,54 +472,25 @@ def make_http_server(
     return _Server((host, port), handler)
 
 
-def serve(
-    service_dir: str | Path,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 8787,
-    max_concurrent: int = 2,
-    workers: int | None = None,
-    cache_max_entries: int | None = None,
-    max_queue_depth: int | None = None,
-    max_queued_per_tenant: int | None = None,
-    max_running_per_tenant: int | None = None,
-    tenant_weights: dict[str, float] | None = None,
-    lease_seconds: float = 30.0,
-    max_attempts: int = 3,
-    drain_timeout: float | None = None,
-    trace_log: str | Path | None = None,
-) -> None:
-    """Run the service until interrupted (the ``repro serve`` entrypoint).
+def serve(service: SearchService, *, host: str = "127.0.0.1", port: int = 8787) -> None:
+    """Start ``service``, answer HTTP on ``host:port`` until interrupted, then
+    stop it (the ``repro serve`` entrypoint, which builds the service from
+    its flags).
 
     Shutdown is graceful on Ctrl-C and on ``SIGTERM`` (``docker stop``,
-    systemd) alike: running sweeps get ``drain_timeout`` seconds to
-    finish; past that they are cancelled at their next checkpoint and
-    their jobs requeued (attempt refunded) for the next process. The
-    cache is flushed, the worker processes are stopped and reaped, and
-    the process exits 0.
-    ``trace_log`` additionally streams span events (JSONL) to a file —
-    see ``docs/observability.md`` for the format.
+    systemd) alike: running sweeps get the service's ``drain_timeout``
+    seconds to finish; past that they are cancelled at their next
+    checkpoint and their jobs requeued (attempt refunded) for the next
+    process. The cache is flushed, the worker processes are stopped and
+    reaped, and the process exits 0.
     """
-    service = SearchService(
-        service_dir,
-        max_concurrent=max_concurrent,
-        workers=workers,
-        cache_max_entries=cache_max_entries,
-        max_queue_depth=max_queue_depth,
-        max_queued_per_tenant=max_queued_per_tenant,
-        max_running_per_tenant=max_running_per_tenant,
-        tenant_weights=tenant_weights,
-        lease_seconds=lease_seconds,
-        max_attempts=max_attempts,
-        drain_timeout=drain_timeout,
-        trace_log=trace_log,
-    )
     service.start()
     server = make_http_server(service, host, port)
     bound_host, bound_port = server.server_address[:2]
     print(
         f"search service on http://{bound_host}:{bound_port} "
-        f"(dir {service.service_dir}, {max_concurrent} concurrent sweeps, "
+        f"(dir {service.service_dir}, "
+        f"{service.multiplexer.max_concurrent} concurrent sweeps, "
         f"{service.multiplexer.executor.num_workers} workers; "
         f"metrics at /metrics)",
         flush=True,

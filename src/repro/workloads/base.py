@@ -11,8 +11,10 @@ instance and supplies everything the search stack needs to optimize it:
   ansatz builder stays problem-agnostic.
 * ``classical_optimum(graph)`` — the exact optimum, denominator of the
   paper's Eq. (3) approximation ratio.
-* ``dataset(count, dataset_seed=...)`` — seeded paper-style instances, so
-  the CLI/service ``"family[:count[:seed]]"`` spec works for every problem.
+* ``dataset(count, dataset_seed=...)`` — seeded paper-style instances,
+  drawn by the ``family``'s :data:`~repro.graphs.datasets.DATASET_FAMILIES`
+  factory — the same one the CLI/service ``"family[:count[:seed]]"`` spec
+  calls — so a workload writes no dataset code of its own.
 
 Any objective expressible as a diagonal Hamiltonian built from 1- and
 2-local Z terms fits: the compiled engine fuses the cost layer into a
@@ -23,12 +25,12 @@ gates, so new problems are pure encoding work, not engine work.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections.abc import Sequence
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import ParameterValue
+from repro.graphs.datasets import DATASET_FAMILIES
 from repro.graphs.generators import Graph
 
 __all__ = ["Workload", "BRUTE_FORCE_MAX_NODES"]
@@ -42,13 +44,14 @@ class Workload(ABC):
 
     Subclasses set ``name`` (the registry key, also stored in configs and
     cache fingerprints), ``family`` (the default dataset-spec family for
-    ``"family[:count[:seed]]"`` strings), and ``summary`` (one line for
-    ``--help`` and docs).
+    ``"family[:count[:seed]]"`` strings, whose factory is the workload's
+    :meth:`dataset`), and ``summary`` (one line for ``--help`` and docs).
     """
 
     #: registry key, e.g. ``"maxcut"``
     name: str = ""
-    #: default dataset family accepted by the workload-spec parser
+    #: default dataset family accepted by the workload-spec parser; a key of
+    #: ``DATASET_FAMILIES``
     family: str = ""
     #: one-line description
     summary: str = ""
@@ -68,11 +71,12 @@ class Workload(ABC):
     ) -> QuantumCircuit:
         """Append ``e^{-i gamma C}`` (up to global phase) to ``circuit``."""
 
-    @abstractmethod
     def dataset(
         self, count: int, *, num_nodes: int = 10, dataset_seed: int = 2023
-    ) -> Sequence[Graph]:
-        """``count`` seeded paper-style instances of this problem."""
+    ) -> list[Graph]:
+        """``count`` seeded paper-style instances of this problem: the
+        ``family``'s ``DATASET_FAMILIES`` factory."""
+        return DATASET_FAMILIES[self.family][1](count, num_nodes, dataset_seed=dataset_seed)
 
     def classical_optimum(self, graph: Graph) -> float:
         """Exact optimum ``max_z C(z)`` by enumerating the objective table.

@@ -24,19 +24,12 @@ Encoding conventions (``RZ(t) = exp(-i t Z/2)``, ``RZZ(t) = exp(-i t ZZ/2)``,
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import lru_cache
 
 import numpy as np
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import ParameterValue
-from repro.graphs.datasets import (
-    paper_er_dataset,
-    paper_maxsat_dataset,
-    paper_spin_glass_dataset,
-    paper_weighted_dataset,
-)
 from repro.graphs.generators import Graph
 from repro.qaoa.cost_operator import append_cost_layer as append_maxcut_layer
 from repro.qaoa.maxcut import brute_force_maxcut
@@ -78,11 +71,6 @@ class MaxCutWorkload(Workload):
         # approximation ratios) are bit-identical
         return brute_force_maxcut(graph).value
 
-    def dataset(
-        self, count: int, *, num_nodes: int = 10, dataset_seed: int = 2023
-    ) -> Sequence[Graph]:
-        return paper_er_dataset(count, num_nodes, dataset_seed=dataset_seed)
-
 
 class WeightedMaxCutWorkload(MaxCutWorkload):
     """Weighted MaxCut: same cut objective and phase separator (both already
@@ -91,11 +79,6 @@ class WeightedMaxCutWorkload(MaxCutWorkload):
     name = "wmaxcut"
     family = "wmaxcut"
     summary = "weighted MaxCut (uniform [0.25, 1.75] edge weights)"
-
-    def dataset(
-        self, count: int, *, num_nodes: int = 10, dataset_seed: int = 2023
-    ) -> Sequence[Graph]:
-        return paper_weighted_dataset(count, num_nodes, dataset_seed=dataset_seed)
 
 
 def clause_signs(u: int, v: int) -> tuple[int, int]:
@@ -150,11 +133,6 @@ class MaxSatWorkload(Workload):
         if any(w <= 0 for w in graph.weights):
             raise ValueError("maxsat clause weights must be positive")
 
-    def dataset(
-        self, count: int, *, num_nodes: int = 10, dataset_seed: int = 2023
-    ) -> Sequence[Graph]:
-        return paper_maxsat_dataset(count, num_nodes, dataset_seed=dataset_seed)
-
 
 @lru_cache(maxsize=256)
 def _ising_table(graph: Graph) -> np.ndarray:
@@ -189,11 +167,6 @@ class IsingWorkload(Workload):
         for (u, v), w in zip(graph.edges, graph.weights):
             circuit.rzz(gamma * (-2.0 * w), u, v)
         return circuit
-
-    def dataset(
-        self, count: int, *, num_nodes: int = 10, dataset_seed: int = 2023
-    ) -> Sequence[Graph]:
-        return paper_spin_glass_dataset(count, num_nodes, dataset_seed=dataset_seed)
 
 
 register_workload(MaxCutWorkload())

@@ -216,7 +216,7 @@ TEST_ONLY_FIELDS = {
 
 #: the knob total (see :func:`knob_total`) may only go down: lower it with
 #: the change that cuts a knob
-KNOB_CEILING = 323
+KNOB_CEILING = 302
 
 #: ``(module, class)`` of the configs a sweep's settings are mapped onto
 INTERNAL_CONFIGS = (

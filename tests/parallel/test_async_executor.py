@@ -24,11 +24,6 @@ class TestContract:
             assert isinstance(future, Future)
             assert future.result(timeout=10) == 13
 
-    def test_starmap_preserves_order(self):
-        with AsyncExecutor(3) as executor:
-            out = executor.starmap(square_sum, [(i, 0) for i in range(20)])
-        assert out == [i * i for i in range(20)]
-
     def test_exception_routed_into_future(self):
         with AsyncExecutor(2) as executor:
             future = executor.submit(boom, None)

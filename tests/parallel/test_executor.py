@@ -82,21 +82,25 @@ EXPECTED = [i * i + i + 1 for i in range(10)]
 
 
 class TestSerial:
-    def test_starmap(self):
-        assert SerialExecutor().starmap(square_sum, JOBS) == EXPECTED
+    def test_submit_runs_inline(self):
+        ex = SerialExecutor()
+        futures = [ex.submit(square_sum, *job) for job in JOBS]
+        assert all(future.done() for future in futures)
+        assert [future.result() for future in futures] == EXPECTED
 
-    def test_map(self):
-        assert SerialExecutor().map(lambda x: x + 1, range(5)) == [1, 2, 3, 4, 5]
+    def test_submit_takes_any_callable(self):
+        ex = SerialExecutor()
+        assert [ex.submit(lambda x: x + 1, i).result() for i in range(5)] == [1, 2, 3, 4, 5]
 
     def test_context_manager(self):
         with SerialExecutor() as ex:
-            assert ex.starmap(square_sum, JOBS) == EXPECTED
+            assert JobScheduler(ex).run(square_sum, JOBS) == EXPECTED
 
 
 class TestMultiprocessing:
     def test_results_ordered(self):
         with MultiprocessingExecutor(2) as ex:
-            assert ex.starmap(square_sum, JOBS) == EXPECTED
+            assert JobScheduler(ex).run(square_sum, JOBS) == EXPECTED
 
     def test_work_spread_across_processes(self, monkeypatch):
         # Trivial jobs can all land on whichever worker wakes first, so the
@@ -105,12 +109,9 @@ class TestMultiprocessing:
         # workers hold one. The workers fork in the constructor and inherit it.
         monkeypatch.setattr(sys.modules[__name__], "_WORKER_BARRIER", mp.get_context().Barrier(2))
         with MultiprocessingExecutor(2) as ex:
-            pids = set(ex.starmap(rendezvous_pid, [(i,) for i in range(2)]))
+            futures = [ex.submit(rendezvous_pid, i) for i in range(2)]
+            pids = {future.result(timeout=30) for future in futures}
         assert len(pids) == 2
-
-    def test_chunksize_does_not_change_results(self):
-        with MultiprocessingExecutor(2, chunksize=4) as ex:
-            assert ex.starmap(square_sum, JOBS) == EXPECTED
 
     def test_default_workers_from_affinity(self):
         with MultiprocessingExecutor() as ex:
@@ -120,17 +121,25 @@ class TestMultiprocessing:
         """Real parallelism: 8 x 0.1s sleeps on 2 workers beat serial."""
         jobs = [(i, 0.1) for i in range(8)]
         start = time.perf_counter()
-        SerialExecutor().starmap(slow_square, jobs)
+        JobScheduler(SerialExecutor()).run(slow_square, jobs)
         serial_time = time.perf_counter() - start
         with MultiprocessingExecutor(2) as ex:
             start = time.perf_counter()
-            ex.starmap(slow_square, jobs)
+            JobScheduler(ex).run(slow_square, jobs)
             parallel_time = time.perf_counter() - start
         assert parallel_time < serial_time * 0.8
 
     def test_empty_jobs(self):
         with MultiprocessingExecutor(2) as ex:
-            assert ex.starmap(square_sum, []) == []
+            assert JobScheduler(ex).run(square_sum, []) == []
+
+    def test_a_negative_worker_count_is_refused_before_any_fork(self):
+        """``range(-1)`` would fork nobody and leave a pool that refuses
+        every job; 0 and None stay "all cores"."""
+        before = {child.pid for child in mp.active_children()}
+        with pytest.raises(ValueError, match="num_workers must be >= 0"):
+            MultiprocessingExecutor(-1)
+        assert {child.pid for child in mp.active_children()} <= before
 
     def test_pool_futures_refuse_cancellation(self):
         """A task handed to ``apply_async`` cannot be withdrawn, so the
@@ -143,7 +152,7 @@ class TestMultiprocessing:
 
 
 class TestServiceGrade:
-    """What the search service needs of its fleet beyond ``starmap``."""
+    """What the search service needs of its fleet beyond ordered results."""
 
     def test_queued_job_is_cancellable_running_job_is_not(self, tmp_path):
         with MultiprocessingExecutor(1) as ex:
@@ -475,7 +484,7 @@ class TestLease:
 class TestThreads:
     def test_results_ordered(self):
         with ThreadExecutor(3) as ex:
-            assert ex.starmap(square_sum, JOBS) == EXPECTED
+            assert JobScheduler(ex).run(square_sum, JOBS) == EXPECTED
 
 
 class TestFactory:

@@ -9,6 +9,7 @@ re-run pays only for the unfinished tail.
 """
 
 import json
+import multiprocessing as mp
 import os
 import re
 import signal
@@ -178,6 +179,7 @@ def test_serve_announces_hardening_knobs_in_help():
         (["--lease-seconds", "inf"], "lease_seconds must be positive and finite"),
         (["--drain-timeout", "inf"], "drain_timeout must be finite and >= 0"),
         (["--drain-timeout", "nan"], "drain_timeout must be finite and >= 0"),
+        (["--workers", "-1"], "num_workers must be >= 0"),
     ],
 )
 def test_serve_refuses_a_number_that_breaks_the_service(tmp_path, monkeypatch, flags, message):
@@ -193,6 +195,36 @@ def test_serve_refuses_a_number_that_breaks_the_service(tmp_path, monkeypatch, f
         main(["serve", "--dir", str(tmp_path), "--port", "0", "--workers", "1", *flags])
     text = str(excinfo.value.code)
     assert text.startswith(message) and "\n" not in text
+
+
+def test_serve_runs_the_service_the_cli_built(tmp_path, monkeypatch, capsys):
+    """``repro serve`` builds the service from its flags and ``serve()``
+    starts it, prints the one banner line and, on Ctrl-C, stops it: no
+    worker process outlives the command."""
+    from repro.cli import main
+    from repro.service import server
+
+    def interrupt(self):  # the first pass of the accept loop is a Ctrl-C
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(server._Server, "service_actions", interrupt)
+    before = {child.pid for child in mp.active_children()}
+    sigterm = signal.getsignal(signal.SIGTERM)
+    try:
+        assert main([
+            "serve", "--dir", str(tmp_path), "--port", "0",
+            "--max-concurrent", "3", "--workers", "1",
+        ]) == 0
+    finally:
+        signal.signal(signal.SIGTERM, sigterm)
+    banner, farewell = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(
+        rf"search service on http://127\.0\.0\.1:\d+ \(dir {re.escape(str(tmp_path))}, "
+        r"3 concurrent sweeps, 1 workers; metrics at /metrics\)",
+        banner,
+    ), banner
+    assert farewell == "shutting down (draining running sweeps)"
+    assert {child.pid for child in mp.active_children()} <= before
 
 
 def test_submit_payload_shape_is_stable(tmp_path):

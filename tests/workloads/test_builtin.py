@@ -7,6 +7,8 @@ When those two agree, the compiled engine, the energy evaluator, and the
 classical oracle can never disagree about what problem is being solved.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,25 @@ class TestIsing:
 
 
 class TestDatasets:
+    @pytest.mark.parametrize(
+        ("key", "digest"),
+        [
+            ("ising", "317025f0232440f7"),
+            ("maxcut", "f4424549d09cb8e9"),
+            ("maxsat", "0df0ec263c32cf86"),
+            ("wmaxcut", "130700939cf6f902"),
+        ],
+    )
+    def test_dataset_keeps_its_instances(self, key, digest):
+        """A workload's instances are its family's factory's, pinned bit for
+        bit: a drift changes every cached fingerprint and published ratio."""
+        graphs = get_workload(key).dataset(3, num_nodes=6, dataset_seed=7)
+        text = repr([
+            (g.num_nodes, tuple(g.edges), tuple(float.hex(float(w)) for w in g.weights))
+            for g in graphs
+        ])
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
     @pytest.mark.parametrize("key", sorted(available_workloads()))
     def test_dataset_is_deterministic(self, key):
         problem = get_workload(key)

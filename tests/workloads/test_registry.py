@@ -27,9 +27,6 @@ class _Dummy(Workload):
     def append_cost_layer(self, circuit, graph, gamma):
         return circuit
 
-    def dataset(self, count, *, num_nodes=10, dataset_seed=2023):
-        return []
-
 
 @pytest.fixture
 def scratch_registry():
