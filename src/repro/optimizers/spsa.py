@@ -17,11 +17,18 @@ batched objective call — the compiled engine's
 integer seed every restart draws the same perturbation sequence a serial
 :meth:`SPSA.minimize` run would, so the batched trajectories are
 point-for-point identical to K serial runs.
+
+An integer seed fixes the whole ± sequence, and every candidate of a sweep
+trains under the sweep's seed, so the ``(maxiter, dim)`` table of an
+integer seed is drawn once per process and replayed
+(:func:`_rademacher_table`); ``None`` and Generator seeds draw per
+iteration, as their streams are not repeatable.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +50,16 @@ def _rademacher(rng: np.random.Generator, dim: int) -> np.ndarray:
     return 2.0 * rng.integers(0, 2, size=dim) - 1.0
 
 
+@lru_cache(maxsize=64)
+def _rademacher_table(seed: int, dim: int, maxiter: int) -> np.ndarray:
+    """The ``maxiter`` rows a run seeded with the integer ``seed`` draws,
+    row by row as :func:`_rademacher` draws them (read-only)."""
+    rng = as_rng(seed)
+    table = np.array([_rademacher(rng, dim) for _ in range(maxiter)]).reshape(maxiter, dim)
+    table.setflags(write=False)
+    return table
+
+
 class SPSA(Optimizer):
     """Spall's SPSA with optional blocking of non-improving steps."""
 
@@ -59,16 +76,22 @@ class SPSA(Optimizer):
         self.maxiter = int(maxiter)
         self.seed = seed
 
+    def _perturbations(self, seed, dim: int) -> Iterable[np.ndarray]:
+        """The ``maxiter`` ± rows of one stream: an integer seed's memoized
+        table, else fresh draws from ``as_rng(seed)``."""
+        if isinstance(seed, (int, np.integer)):
+            return _rademacher_table(int(seed), dim, self.maxiter)
+        rng = as_rng(seed)
+        return (_rademacher(rng, dim) for _ in range(self.maxiter))
+
     def minimize(self, fn: Objective, x0: Sequence[float]) -> OptimizeResult:
         tracer = ObjectiveTracer(fn)
-        rng = as_rng(self.seed)
         x = np.asarray(x0, dtype=float).copy()
         dim = x.size
         tracer(x)  # record the starting point
-        for k in range(self.maxiter):
+        for k, delta in enumerate(self._perturbations(self.seed, dim)):
             ak = self.a / (k + 1 + self.A) ** self.alpha
             ck = self.c / (k + 1) ** self.gamma
-            delta = _rademacher(rng, dim)
             f_plus = tracer(x + ck * delta)
             f_minus = tracer(x - ck * delta)
             gradient_estimate = (f_plus - f_minus) / (2.0 * ck) * (1.0 / delta)
@@ -85,17 +108,18 @@ class SPSA(Optimizer):
             history=tracer.trace,
         )
 
-    def _restart_rngs(self, restarts: int) -> list:
-        """A lockstep population's perturbation streams. An integer seed
-        replicates the serial path — every restart would re-seed to the
-        same stream, like a fresh :meth:`minimize` call, so it is drawn once
-        and broadcast over the rows; ``None`` seeds each restart afresh; a
-        pre-built Generator cannot be duplicated, so restarts spawn from it."""
+    def _restart_seeds(self, restarts: int) -> list:
+        """A lockstep population's perturbation streams, as seeds. An
+        integer seed replicates the serial path — every restart would
+        re-seed to the same stream, like a fresh :meth:`minimize` call, so
+        it is drawn once and broadcast over the rows; ``None`` seeds each
+        restart afresh; a pre-built Generator cannot be duplicated, so
+        restarts spawn from it."""
         if isinstance(self.seed, np.random.Generator):
             return spawn_rngs(self.seed, restarts)
         if self.seed is None:
-            return [as_rng(None) for _ in range(restarts)]
-        return [as_rng(self.seed)]
+            return [None] * restarts
+        return [self.seed]
 
     def minimize_batch(self, fn: Objective, X0: np.ndarray) -> list[OptimizeResult]:
         """Lockstep SPSA over the rows of ``X0``.
@@ -108,19 +132,24 @@ class SPSA(Optimizer):
         X = np.atleast_2d(np.asarray(X0, dtype=float)).copy()
         restarts, dim = X.shape
         tracers = [ObjectiveTracer(fn) for _ in range(restarts)]
-        rngs = self._restart_rngs(restarts)
+        seeds = self._restart_seeds(restarts)
+        if len(seeds) == 1:  # one stream, broadcast over the rows
+            blocks = (row[None, :] for row in self._perturbations(seeds[0], dim))
+        else:
+            streams = [self._perturbations(seed, dim) for seed in seeds]
+            blocks = (np.stack(drawn) for drawn in zip(*streams))
 
         rows = np.arange(restarts)
         both = np.concatenate([rows, rows])
         for k, value in enumerate(batch_values(fn, X, rows)):
             tracers[k].record(X[k], float(value))
-        for k_iter in range(self.maxiter):
+        for k_iter, deltas in enumerate(blocks):
             ak = self.a / (k_iter + 1 + self.A) ** self.alpha
             ck = self.c / (k_iter + 1) ** self.gamma
-            deltas = np.stack([_rademacher(rng, dim) for rng in rngs])
-            plus = X + ck * deltas
-            minus = X - ck * deltas
-            values = batch_values(fn, np.vstack([plus, minus]), both)
+            step = ck * deltas
+            plus = X + step
+            minus = X - step
+            values = batch_values(fn, np.concatenate((plus, minus)), both)
             f_plus, f_minus = values[:restarts], values[restarts:]
             for k in range(restarts):
                 tracers[k].record(plus[k], float(f_plus[k]))

@@ -44,6 +44,7 @@ tenant quotas, lease/backoff knobs, and what a 429 means;
 from __future__ import annotations
 
 import json
+import shutil
 import signal
 import socket
 import time
@@ -129,14 +130,23 @@ class SearchService:
                 f"max_queued_per_tenant must be >= 1, got {max_queued_per_tenant}"
             )
         self.service_dir = Path(service_dir)
-        self.service_dir.mkdir(parents=True, exist_ok=True)
         self.max_queue_depth = max_queue_depth
         self.max_queued_per_tenant = max_queued_per_tenant
         # One registry for the whole deployment: every layer below reports
         # into it, GET /metrics renders it.
         self.metrics = MetricsRegistry()
         self._executor = MultiprocessingExecutor(workers, metrics=self.metrics)
+        # the outermost directory this constructor makes (None when
+        # ``service_dir`` exists): a setting refused below removes it again,
+        # so a refused start leaves no directory behind and never removes
+        # one that was there before
+        made = next(
+            (d for d in reversed((self.service_dir, *self.service_dir.parents)) if not d.exists()),
+            None,
+        )
+        opened: list = []
         try:
+            self.service_dir.mkdir(parents=True, exist_ok=True)
             if trace_log is not None:
                 self.metrics.enable_trace(trace_log)
             self.queue = JobQueue(
@@ -145,6 +155,7 @@ class SearchService:
                 max_attempts=max_attempts,
                 metrics=self.metrics,
             )
+            opened.append(self.queue)
             # shared=True: concurrent sweeps coordinate on in-flight keys; the
             # cache dir is also where --shard-index worker processes attach.
             self.cache = ResultCache(
@@ -154,6 +165,7 @@ class SearchService:
                 shared=True,
                 metrics=self.metrics,
             )
+            opened.append(self.cache)
             # The multiplexer borrows the executor; stop() closes it.
             self.multiplexer = SweepMultiplexer(
                 self.queue,
@@ -167,6 +179,11 @@ class SearchService:
             )
         except BaseException:
             self._executor.close()  # a failed start must leave no worker behind
+            for store in reversed(opened):
+                store.close()
+            self.metrics.disable_trace()
+            if made is not None:
+                shutil.rmtree(made, ignore_errors=True)
             raise
         self.started_at = time.time()
         self._register_collectors()

@@ -48,13 +48,16 @@ thing can be known:
   phase forms (static, unique-value lookup, dense) a block is;
 * **per program op** — which flat parameters drive it: each angle's
   ``offset + coeff * X[:, index]`` and the block's views of the lookup;
+  on first batched use, its step: a closure with the op's device
+  constants, kernels and form bound once;
 * **per candidate** — the graph group (:class:`ProgramGroup`): which of its
   programs, one per graph, share a schedule and may stack their rows;
 * **per call** — arithmetic on ``X``: ``for step in steps: state =
-  step(...)``, ``X`` checked once at the public entry point. A gradient
-  runs the *same* steps, each handed the shifts that land on its op; the
-  shift bookkeeping exists only on that call. A stacked call runs them too:
-  matrix columns once on all rows, diagonal blocks per member on its rows.
+  step(...)``, ``X`` checked once at the public entry point, no device-memo
+  lookup and no NumPy dispatch wrapper. A gradient runs the *same* steps,
+  each handed the shifts that land on its op; the shift bookkeeping exists
+  only on that call. A stacked call runs them too: matrix columns once on
+  all rows, diagonal blocks per member on its rows.
 
 A QAOA circuit is ``p`` copies of ``[cost(gamma_k), mixer(beta_k)]``, and
 a search trains hundreds of candidate mixers on the same few graphs, so
@@ -62,24 +65,29 @@ a search trains hundreds of candidate mixers on the same few graphs, so
 
 * **per (workload, graph)** — the one-layer cost circuit, through
   :func:`compile_circuit`: its generator row, its atoms and (on first
-  batched use) its unique-value lookup and atom vectors;
+  batched use) its unique-value lookup and atom vectors, and (on first
+  gradient) its shift phases;
 * **per (token sequence, qubit count)** — the one-layer mixer, the same way;
 * **per distinct run of diagonal gates** — the fused table itself, keyed
   by the run's content: where a mixer's diagonal head or tail meets the
   cost layer the three are *one* run, fused once and shared by every
   mixer with that head and tail;
-* **per candidate** — only the stitching: the fragments' ops re-indexed
-  to the flat ``[gammas..., betas...]`` ordering, O(p x ops-per-layer)
-  Python with no ``2^n`` arithmetic and without ever building the
-  ansatz's symbolic circuit.
+* **per (workload, graph, token sequence, p)** — the stitching: the
+  fragments' ops re-indexed to the flat ``[gammas..., betas...]``
+  ordering, O(p x ops-per-layer) Python with no ``2^n`` arithmetic and
+  without ever building the ansatz's symbolic circuit. The whole program
+  is memoized (:data:`_program`), so every seed, optimizer and init
+  strategy of a study, and every sweep of a long-lived process, trains a
+  candidate on the program (and the bound schedule) the first one built.
 
 The memos are process-wide bounded ``lru_cache`` s of read-only host
-arrays, skipped above :data:`~repro.simulators.expectation.
+objects, skipped above :data:`~repro.simulators.expectation.
 TABLE_MEMO_MAX_NODES` like the cut table — per process, so every worker
-process of a pool or a service fills its own. Uploads to a device backend
-stay per program. The flat :func:`compile_circuit` of the whole circuit
-remains the fragment compiler and the reference the stitched program is
-tested against, op for op.
+process of a pool or a service fills its own. A program on a device
+backend is stitched anew, so its uploads and meters stay its own. The
+flat :func:`compile_circuit` of the whole circuit remains the fragment
+compiler and the reference the stitched program is tested against, op
+for op.
 
 The array library itself is a knob: every array the program allocates is
 born under an :class:`~repro.simulators.backends.ArrayBackend` (NumPy by
@@ -104,12 +112,17 @@ from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import DiagPhase
 from repro.circuits.parameters import Parameter, ParameterExpression
 from repro.graphs.generators import Graph
-from repro.simulators.backends import ArrayBackend, get_array_backend
+from repro.simulators.backends import ArrayBackend, NumpyArrayBackend, get_array_backend
 from repro.simulators.expectation import (
     TABLE_MEMO_MAX_NODES,
     bit_table,
     cut_values,
 )
+
+try:  # the C entry point np.einsum forwards to when it does not optimize
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # pragma: no cover - NumPy < 2
+    from numpy.core.multiarray import c_einsum as _c_einsum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (qaoa imports us)
     from repro.qaoa.ansatz import QAOAAnsatz
@@ -156,6 +169,16 @@ def _lower_expr(value, index: dict[Parameter, int]) -> _Expr:
 def _eval_expr(expr: _Expr, x: np.ndarray) -> float:
     terms, offset = expr
     return offset + sum(coeff * x[j] for j, coeff in terms)
+
+
+def _kernels(xp) -> tuple:
+    """``(take, einsum)`` as a step calls them: ``xp``'s own, except on
+    NumPy itself, where they are the array method and C function its
+    Python wrappers forward to — the same kernels, minus a layer of
+    dispatch a step would pay on every call."""
+    if xp is np:
+        return np.ndarray.take, _c_einsum
+    return xp.take, xp.einsum
 
 
 def _memoized(builder, num_qubits: int):
@@ -265,6 +288,24 @@ class _DiagTable:
             vector.setflags(write=False)
         return vectors
 
+    @cached_property
+    def _shift_phases(self) -> dict[tuple, np.ndarray]:
+        return {}
+
+    def shift_phase(self, atom_index: int, shift: float) -> np.ndarray:
+        """``exp(1j * shift * atom_generator)`` (read-only), memoized per
+        distinct (generator, shift): the gradient's +-pi/2 shifts reuse two
+        vectors per edge instead of re-exponentiating every call. Held by
+        the table, so a program shared across sweeps pins none of them."""
+        atom = self.atoms[atom_index]
+        key = (atom.h_small, atom.qubits, shift)
+        phase = self._shift_phases.get(key)
+        if phase is None:
+            phase = np.exp(1j * shift * self.atom_vectors[atom_index])
+            phase.setflags(write=False)
+            self._shift_phases[key] = phase
+        return phase
+
 
 class _DiagBlock:
     """One diagonal op of a program: a :class:`_DiagTable` driven by the
@@ -295,44 +336,55 @@ class _DiagBlock:
             None if part is None else part.view() for part in self.table.lookup
         )
 
-    @cached_property
-    def batch_step(self):
-        """Which of the three phase forms this block is, as the step
-        :meth:`CompiledProgram._states_batch` runs: a precomputed static
-        phase, exp-of-unique-then-take, or a dense exp (a table too dense
-        for the lookup to pay off). Read on first batched use, like the
-        table's lookup it depends on."""
+    def bind(self, program: CompiledProgram):
+        """This op's batched step in ``program``: whichever of the three
+        phase forms the block is — a precomputed static phase,
+        exp-of-unique-then-take, or a dense exp (a table too dense for the
+        lookup to pay off) — with its device constants and kernels bound
+        once. Built on first batched use, like the table's lookup it reads."""
+        xp, dev = program.backend.xp, program._dev
+        multiply, exp = xp.multiply, xp.exp
         if self.static_phase is not None:
-            return self._static_step
-        return self._dense_step if self.lookup[2] is None else self._lookup_step
+            static_phase = dev(self.static_phase)
 
-    def _static_step(self, program, state, X, Xd, shifts_here, dedup):
-        # broadcasts across rows
-        return program.backend.xp.multiply(
-            state, program._dev(self.static_phase), out=state
-        )
+            def _static_step(state, X, Xd, shifts_here, dedup):
+                # broadcasts across rows
+                return multiply(state, static_phase, out=state)
 
-    def _lookup_step(self, program, state, X, Xd, shifts_here, dedup):
-        # few distinct generator values: exponentiate unique columns,
-        # gather, and fold gradient shifts in as cached per-atom phases
-        xp, dev = program.backend.xp, program._dev
+            return _static_step
+        indices = dev(self.param_indices)
+        table = self.table
         gens_u, const_u, inverse = self.lookup
-        exponent_u = Xd[:, dev(self.param_indices)] @ dev(gens_u)
-        if const_u is not None:
-            exponent_u += dev(const_u)
-        phases = xp.take(xp.exp(1j * exponent_u), dev(inverse), axis=1)
-        for column, site, s in shifts_here:
-            phases[column] *= dev(program._atom_shift_phase(self, site.atom, s))
-        return xp.multiply(state, phases, out=state)
+        if inverse is None:
+            gens = dev(self.gens)
+            const = None if self.gen_const is None else dev(self.gen_const)
 
-    def _dense_step(self, program, state, X, Xd, shifts_here, dedup):
-        xp, dev = program.backend.xp, program._dev
-        exponent = Xd[:, dev(self.param_indices)] @ dev(self.gens)
-        if self.gen_const is not None:
-            exponent += dev(self.gen_const)
-        for column, site, s in shifts_here:
-            exponent[column] += s * dev(self.table.atom_vectors[site.atom])
-        return xp.multiply(state, xp.exp(1j * exponent), out=state)
+            def _dense_step(state, X, Xd, shifts_here, dedup):
+                exponent = Xd[:, indices] @ gens
+                if const is not None:
+                    exponent += const
+                for column, site, s in shifts_here:
+                    exponent[column] += s * dev(table.atom_vectors[site.atom])
+                return multiply(state, exp(1j * exponent), out=state)
+
+            return _dense_step
+        # few distinct generator values: exponentiate unique columns,
+        # gather, and fold gradient shifts in as the table's shift phases
+        take = _kernels(xp)[0]
+        gens_u = dev(gens_u)
+        const_u = None if const_u is None else dev(const_u)
+        inverse = dev(inverse)
+
+        def _lookup_step(state, X, Xd, shifts_here, dedup):
+            exponent_u = Xd[:, indices] @ gens_u
+            if const_u is not None:
+                exponent_u += const_u
+            phases = take(exp(1j * exponent_u), inverse, axis=1)
+            for column, site, s in shifts_here:
+                phases[column] *= dev(table.shift_phase(site.atom, s))
+            return multiply(state, phases, out=state)
+
+        return _lookup_step
 
 
 def _fuse_diag(num_qubits: int, run: tuple[_RunGate, ...]) -> _DiagTable | None:
@@ -507,38 +559,52 @@ class _MatrixColumn:
 
     # -- batched apply -----------------------------------------------------
     #
-    # One of three steps per column, fixed by the plan. Chain matrices are
-    # built on the host (tiny per-point stacks, heavy Python bookkeeping)
-    # and uploaded right before the device gemms — the natural host→device
-    # transfer point a real GPU backend pays per column.
+    # One of three steps per column, fixed by the plan and bound once per
+    # program. Chain matrices are built on the host (tiny per-point stacks,
+    # heavy Python bookkeeping) and uploaded right before the device gemms —
+    # the natural host→device transfer point a real GPU backend pays per
+    # column.
 
-    @property
-    def batch_step(self):
-        """The step :meth:`CompiledProgram._states_batch` runs for this op."""
+    def bind(self, program: CompiledProgram):
+        """This op's batched step in ``program``."""
         if self.static_matrix is not None:
-            return self._static_step
-        return self._general_step if self.plan.groups is None else self._shared_step
+            return self._bind_static(program)
+        if self.plan.groups is None:
+            return self._bind_general(program)
+        return self._bind_shared(program)
 
-    def _static_step(self, program, state, X, Xd, shifts_here, dedup):
+    def _bind_static(self, program: CompiledProgram):
         """A parameter-free column (it has no shift sites)."""
         backend = program.backend
         xp = backend.xp
         matrix = program._dev(self.static_matrix)
-        if self.plan.ascending:
-            return _apply_1q_all(state, matrix, backend)
-        if self.plan.dim == 2:
-            # the flat view's bit strides match the single-state case, so
-            # the strided 2x2 kernel applies unchanged
-            flat = state.reshape(-1)
-            for target in self.targets:
-                flat = _apply_1q(flat, matrix, target[0], backend)
-            return flat.reshape(state.shape)
-        work = xp.ascontiguousarray(state.T)
-        for target in self.targets:
-            work = _contract(work, matrix, target, self.plan.num_qubits, backend)
-        return xp.ascontiguousarray(work.T)
+        targets, plan = self.targets, self.plan
+        if plan.ascending:
 
-    def _shared_step(self, program, state, X, Xd, shifts_here, dedup):
+            def _static_step(state, X, Xd, shifts_here, dedup):
+                return _apply_1q_all(state, matrix, xp)
+
+        elif plan.dim == 2:
+
+            def _static_step(state, X, Xd, shifts_here, dedup):
+                # the flat view's bit strides match the single-state case,
+                # so the strided 2x2 kernel applies unchanged
+                flat = state.reshape(-1)
+                for target in targets:
+                    flat = _apply_1q(flat, matrix, target[0], backend)
+                return flat.reshape(state.shape)
+
+        else:
+
+            def _static_step(state, X, Xd, shifts_here, dedup):
+                work = xp.ascontiguousarray(state.T)
+                for target in targets:
+                    work = _contract(work, matrix, target, plan.num_qubits, backend)
+                return xp.ascontiguousarray(work.T)
+
+        return _static_step
+
+    def _bind_shared(self, program: CompiledProgram):
         """The weight-shared column: per-point 2x2 chains on every qubit.
 
         Runs the scalar engine's rotating trick as stacked gemms over
@@ -554,65 +620,74 @@ class _MatrixColumn:
         (``kron(a, b).T == kron(a.T, b.T)`` entry for entry) so no
         per-call transposed copy is made.
         """
-        backend = program.backend
-        batch = state.shape[0]
-        base, angle_rows = self._chain_stacks(X, dedup)
-        shifts_by_target: dict[int, list] = {}
-        for entry in shifts_here:
-            shifts_by_target.setdefault(entry[1].target, []).append(entry)
-        shared = {1: base.transpose(0, 2, 1)}
-        uploaded: dict[int, object] = {}
-        for group in self.plan.groups:
-            size = len(group)
-            if shifts_by_target and any(t in shifts_by_target for t in group):
-                group_T = None
-                for t_index in group:
-                    qubit_T = self._patched(
-                        base, angle_rows, shifts_by_target.get(t_index, ())
-                    ).transpose(0, 2, 1)
-                    group_T = qubit_T if group_T is None else _kron_pairs(group_T, qubit_T)
-                group_T = backend.asarray(np.ascontiguousarray(group_T))
-            else:
-                group_T = uploaded.get(size)
-                if group_T is None:
-                    uploaded[size] = group_T = backend.asarray(
-                        np.ascontiguousarray(_shared_kron(shared, size))
-                    )
-            state = (
-                state.reshape(batch, 1 << size, -1).transpose(0, 2, 1) @ group_T
-            ).reshape(batch, -1)
-        return state
+        asarray = program.backend.asarray
+        chain_stacks, patched = self._chain_stacks, self._patched
+        rounds = tuple((group, len(group)) for group in self.plan.groups)
 
-    def _general_step(self, program, state, X, Xd, shifts_here, dedup):
+        def _shared_step(state, X, Xd, shifts_here, dedup):
+            batch = state.shape[0]
+            base, angle_rows = chain_stacks(X, dedup)
+            shifts_by_target: dict[int, list] = {}
+            for entry in shifts_here:
+                shifts_by_target.setdefault(entry[1].target, []).append(entry)
+            shared = {1: base.transpose(0, 2, 1)}
+            uploaded: dict[int, object] = {}
+            for group, size in rounds:
+                if shifts_by_target and any(t in shifts_by_target for t in group):
+                    group_T = None
+                    for t_index in group:
+                        qubit_T = patched(
+                            base, angle_rows, shifts_by_target.get(t_index, ())
+                        ).transpose(0, 2, 1)
+                        group_T = qubit_T if group_T is None else _kron_pairs(group_T, qubit_T)
+                    group_T = asarray(np.ascontiguousarray(group_T))
+                else:
+                    group_T = uploaded.get(size)
+                    if group_T is None:
+                        uploaded[size] = group_T = asarray(
+                            np.ascontiguousarray(_shared_kron(shared, size))
+                        )
+                state = (
+                    state.reshape(batch, 1 << size, -1).transpose(0, 2, 1) @ group_T
+                ).reshape(batch, -1)
+            return state
+
+        return _shared_step
+
+    def _bind_general(self, program: CompiledProgram):
         """Multi-qubit targets and partial columns: the trailing-batch
         kernels on a transposed view. Matrix stacks are assembled (and
         shift-patched) on the host, uploaded per target."""
         backend = program.backend
         xp = backend.xp
-        base, angle_rows = self._chain_stacks(X, dedup)
-        work = xp.ascontiguousarray(state.T)
-        base_trailing = np.ascontiguousarray(np.moveaxis(base, 0, -1))
-        base_trailing_dev = None
-        for t_index, target in enumerate(self.targets):
-            shifted = [entry for entry in shifts_here if entry[1].target == t_index]
-            if shifted:
-                patched = base_trailing.copy()
-                for column, site, s in shifted:
-                    patched[:, :, column] = self._chain_matrix(
-                        angle_rows[column], shift_factor=site.factor, shift=s
-                    )
-                matrices = backend.asarray(patched)
-            else:
-                if base_trailing_dev is None:
-                    base_trailing_dev = backend.asarray(base_trailing)
-                matrices = base_trailing_dev
-            if len(target) == 1:
-                work = _apply_1q_per_column(work, matrices, target[0], backend)
-            else:
-                work = _contract_per_column(
-                    work, matrices, target, self.plan.num_qubits, backend
-                )
-        return xp.ascontiguousarray(work.T)
+        chain_stacks, chain_matrix = self._chain_stacks, self._chain_matrix
+        targets, num_qubits = self.targets, self.plan.num_qubits
+
+        def _general_step(state, X, Xd, shifts_here, dedup):
+            base, angle_rows = chain_stacks(X, dedup)
+            work = xp.ascontiguousarray(state.T)
+            base_trailing = np.ascontiguousarray(np.moveaxis(base, 0, -1))
+            base_trailing_dev = None
+            for t_index, target in enumerate(targets):
+                shifted = [entry for entry in shifts_here if entry[1].target == t_index]
+                if shifted:
+                    patched = base_trailing.copy()
+                    for column, site, s in shifted:
+                        patched[:, :, column] = chain_matrix(
+                            angle_rows[column], shift_factor=site.factor, shift=s
+                        )
+                    matrices = backend.asarray(patched)
+                else:
+                    if base_trailing_dev is None:
+                        base_trailing_dev = backend.asarray(base_trailing)
+                    matrices = base_trailing_dev
+                if len(target) == 1:
+                    work = _apply_1q_per_column(work, matrices, target[0], backend)
+                else:
+                    work = _contract_per_column(work, matrices, target, num_qubits, backend)
+            return xp.ascontiguousarray(work.T)
+
+        return _general_step
 
     def _chain_stacks(self, X: np.ndarray, dedup: bool) -> tuple[np.ndarray, np.ndarray]:
         """Per-point chain matrices ``(B, dim, dim)`` plus the raw angle
@@ -724,28 +799,31 @@ def _apply_1q(
     return state
 
 
-def _apply_1q_all(state: np.ndarray, matrix: np.ndarray, backend: ArrayBackend) -> np.ndarray:
+def _apply_1q_all(state: np.ndarray, matrix: np.ndarray, xp) -> np.ndarray:
     """One 2x2 ``matrix`` on every qubit of a batch-major ``(B, 2^n)``
-    state, qubit 0 first.
+    state, qubit 0 first (``state`` and ``matrix`` live under ``xp``).
 
     Entry for entry the arithmetic of n :func:`_apply_1q` calls in qubit
     order — ``m00*a + m01*b`` and ``m10*a + m11*b`` per amplitude pair —
     but every round reads bit 0 and writes it back as the *top* bit of the
     other buffer, so after n rounds the layout is back where it started
     and no round pays the short inner loops that low qubits cost the
-    strided kernel. Overwrites ``state``; returns whichever buffer holds
-    the result.
+    strided kernel. The matrix's two columns broadcast over a pair's two
+    output halves, so a round is three ufunc calls. Overwrites ``state``;
+    returns whichever buffer holds the result.
     """
-    xp = backend.xp
     if not state.flags.c_contiguous:
         state = xp.ascontiguousarray(state)
     batch, dim = state.shape
-    m00, m01, m10, m11 = matrix[0, 0], matrix[0, 1], matrix[1, 0], matrix[1, 1]
+    # [m00, m10] and [m01, m11] as (2, 1) columns: row h of a round's
+    # output half is m_h0 * a + m_h1 * b
+    left, right = matrix[:, :1], matrix[:, 1:]
+    multiply, add = xp.multiply, xp.add
     scratch = xp.empty((batch, 2, dim // 2), dtype=complex)
     buffers = (state, xp.empty_like(state))
     #: per buffer: its bit-0 pairs to read, its two halves to write
     views = [
-        (buf.reshape(batch, -1, 2)[:, :, 0], buf.reshape(batch, -1, 2)[:, :, 1],
+        (buf.reshape(batch, 1, -1, 2)[..., 0], buf.reshape(batch, 1, -1, 2)[..., 1],
          buf.reshape(batch, 2, -1))
         for buf in buffers
     ]
@@ -753,11 +831,9 @@ def _apply_1q_all(state: np.ndarray, matrix: np.ndarray, backend: ArrayBackend) 
     for r in range(rounds):
         a, b, _ = views[r % 2]
         out = views[(r + 1) % 2][2]
-        xp.multiply(m00, a, out=out[:, 0])
-        xp.multiply(m10, a, out=out[:, 1])
-        xp.multiply(m01, b, out=scratch[:, 0])
-        xp.multiply(m11, b, out=scratch[:, 1])
-        xp.add(out, scratch, out=out)
+        multiply(left, a, out=out)
+        multiply(right, b, out=scratch)
+        add(out, scratch, out=out)
     return buffers[rounds % 2]
 
 
@@ -810,7 +886,7 @@ def _kron_pairs(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     """Per-point ``kron(hi, lo)``: ``(B, d, d)`` x ``(B, e, e)`` stacks
     -> ``(B, d*e, d*e)``."""
     dim = hi.shape[1] * lo.shape[1]
-    return np.einsum("bij,bkl->bikjl", hi, lo).reshape(hi.shape[0], dim, dim)
+    return _c_einsum("bij,bkl->bikjl", hi, lo).reshape(hi.shape[0], dim, dim)
 
 
 def _shared_kron(stacks: dict[int, np.ndarray], size: int) -> np.ndarray:
@@ -882,9 +958,6 @@ class CompiledProgram:
     flat parameter vectors in the compile-time ordering.
     """
 
-    #: ``(program, lo, hi)`` row blocks of a stacked call (:class:`_Stack`)
-    blocks: tuple = ()
-
     def __init__(
         self,
         num_qubits: int,
@@ -905,9 +978,12 @@ class CompiledProgram:
         self.source_gates = source_gates
         #: the array backend every evaluation runs under (see
         #: :mod:`repro.simulators.backends`); program constants are
-        #: uploaded to it lazily, once, via :meth:`_dev`
+        #: uploaded to it lazily, once, via :meth:`_dev` — on NumPy there
+        #: is nothing to upload and nothing to memoize
         self.backend = get_array_backend(backend if backend is not None else "numpy")
-        self._device: dict[int, object] = {}
+        self._device: dict[int, object] | None = (
+            None if isinstance(self.backend, NumpyArrayBackend) else {}
+        )
         # the objective diagonal `energy`/`energies` contract against: an
         # explicit workload table when given, else the graph's MaxCut cuts
         # (the seed behavior — the maxcut workload passes the identical
@@ -921,10 +997,6 @@ class CompiledProgram:
                 )
         else:
             self._cut = None if graph is None else cut_values(graph)
-        # exp(1j * s * atom) vectors for the gradient's +-pi/2 shifts, per
-        # distinct (h_small, qubits, s): a cost-layer edge appears once per
-        # QAOA layer and shares one entry
-        self._atom_shift_phases: dict[tuple, np.ndarray] = {}
 
     # -- introspection -----------------------------------------------------
 
@@ -995,6 +1067,8 @@ class CompiledProgram:
         backend pays one transfer per constant per program lifetime. On
         the NumPy backend this is the identity.
         """
+        if self._device is None:
+            return host
         key = id(host)
         dev = self._device.get(key)
         if dev is None:
@@ -1016,20 +1090,6 @@ class CompiledProgram:
         raise ValueError(
             f"unknown initial state label {self.initial_state_label!r}"
         )
-
-    def _atom_shift_phase(
-        self, op: _DiagBlock, atom_index: int, shift: float
-    ) -> np.ndarray:
-        """``exp(1j * shift * atom_generator)`` memoized per (atom, shift):
-        the gradient's +-pi/2 shifts reuse two vectors per distinct edge
-        generator instead of re-exponentiating every call."""
-        atom = op.atoms[atom_index]
-        key = (atom.h_small, atom.qubits, shift)
-        phase = self._atom_shift_phases.get(key)
-        if phase is None:
-            phase = np.exp(1j * shift * op.table.atom_vectors[atom_index])
-            self._atom_shift_phases[key] = phase
-        return phase
 
     def _check_x(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -1141,10 +1201,10 @@ class CompiledProgram:
 
     @cached_property
     def _steps(self) -> tuple:
-        """The batched schedule: one bound step per op, each already the
-        form its plan (or table) selected — see the module docstring for
-        what is decided when."""
-        return tuple(op.batch_step for op in self.ops)
+        """The batched schedule: one step per op, each already the form its
+        plan (or table) selected, with its constants and kernels bound —
+        see the module docstring for what is decided when."""
+        return tuple(op.bind(self) for op in self.ops)
 
     def _states_batch(
         self,
@@ -1165,37 +1225,40 @@ class CompiledProgram:
         land on its op, and matrix columns dedup their angle rows before
         building — a gradient batch tiles one x across 2*sites rows.
         """
-        by_op: dict[int, list[tuple[int, _ShiftSite, float]]] = {}
-        for column, (site, s) in enumerate(shifts or ()):
-            by_op.setdefault(site.op_index, []).append((column, site, s))
-        dedup = shifts is not None
         Xd = self.backend.asarray(X)
         state = self._initial_states(X.shape[0])
+        if shifts is None:
+            for step in self._steps:
+                state = step(state, X, Xd, (), False)
+            return state
+        by_op: dict[int, list[tuple[int, _ShiftSite, float]]] = {}
+        for column, (site, s) in enumerate(shifts):
+            by_op.setdefault(site.op_index, []).append((column, site, s))
         for op_index, step in enumerate(self._steps):
-            if self.blocks and isinstance(self.ops[op_index], _DiagBlock):
-                for program, lo, hi in self.blocks:  # in place, on its rows
-                    rows = slice(lo, hi)
-                    program._steps[op_index](program, state[rows], X[rows], Xd[rows], (), dedup)
-            else:
-                state = step(self, state, X, Xd, by_op.get(op_index, ()), dedup)
+            state = step(state, X, Xd, by_op.get(op_index, ()), True)
         return state
 
     def energies(self, X: np.ndarray) -> np.ndarray:
         """``<C>`` for every row of a ``(B, num_parameters)`` batch."""
         return self._cut_energies(self._states_batch(self._check_batch(X)))
 
-    def _cut_energies(self, states) -> np.ndarray:
+    @cached_property
+    def _cut_energies(self):
         """Row-wise ``sum_z |amp|^2 cut(z)`` without materializing the
         probability matrix (two single-pass contractions on the backend;
-        only the ``(B,)`` energy vector crosses back to the host)."""
+        only the ``(B,)`` energy vector crosses back to the host) — bound
+        to the uploaded table on first use."""
         cut = self._dev(self._cut_table())
-        xp = self.backend.xp
-        values = xp.einsum(
-            "bz,bz,z->b", states.real, states.real, cut
-        ) + xp.einsum(
-            "bz,bz,z->b", states.imag, states.imag, cut
-        )
-        return self.backend.to_host(values)
+        einsum = _kernels(self.backend.xp)[1]
+        to_host = self.backend.to_host
+
+        def cut_energies(states) -> np.ndarray:
+            return to_host(
+                einsum("bz,bz,z->b", states.real, states.real, cut)
+                + einsum("bz,bz,z->b", states.imag, states.imag, cut)
+            )
+
+        return cut_energies
 
     # -- gradient ----------------------------------------------------------
 
@@ -1274,15 +1337,38 @@ class _Stack(CompiledProgram):
     order of that member's own call and the result is bit-identical to it."""
 
     def __init__(self, programs: Sequence[CompiledProgram], counts: Sequence[int]) -> None:
-        # the lead's schedule, constants and device memo, by reference
+        # the lead's constants and device memo, by reference; its bound
+        # schedule and cut contraction come along and are replaced below
         self.__dict__.update(programs[0].__dict__)
         stops = np.cumsum(counts).tolist()
+        #: ``(program, lo, hi)`` row blocks, one per member
         self.blocks = tuple(zip(programs, [0] + stops, stops))
-
-    def _cut_energies(self, states) -> np.ndarray:
-        return np.concatenate(
-            [program._cut_energies(states[lo:hi]) for program, lo, hi in self.blocks]
+        members = [(program, slice(lo, hi)) for program, lo, hi in self.blocks]
+        self._steps = tuple(
+            _on_member_rows([(program._steps[index], rows) for program, rows in members])
+            if isinstance(op, _DiagBlock)
+            else step
+            for index, (op, step) in enumerate(zip(self.ops, programs[0]._steps))
         )
+
+        def cut_energies(states) -> np.ndarray:
+            return np.concatenate(
+                [program._cut_energies(states[rows]) for program, rows in members]
+            )
+
+        self._cut_energies = cut_energies
+
+
+def _on_member_rows(steps: Sequence[tuple[object, slice]]):
+    """One diagonal op of a stack: each member's own bound step, in place on
+    its rows."""
+
+    def step(state, X, Xd, shifts_here, dedup):
+        for member_step, rows in steps:
+            member_step(state[rows], X[rows], Xd[rows], (), dedup)
+        return state
+
+    return step
 
 
 class ProgramGroup:
@@ -1561,6 +1647,49 @@ def _stitch(cost: CompiledProgram, mixer: CompiledProgram, p: int) -> list[objec
     return ops
 
 
+def _stitched(
+    workload: Workload,
+    graph: Graph,
+    tokens: tuple[str, ...],
+    p: int,
+    backend: ArrayBackend | None = None,
+) -> CompiledProgram | None:
+    """The program of ``p`` layers of ``workload``'s cost on ``graph`` and
+    the mixer ``tokens``, stitched from the two memoized fragments — or
+    ``None`` when the cost layer is not one parameterized diagonal block
+    (none of the built-ins; also any graph without edges)."""
+    n = graph.num_nodes
+    cost = _memoized(_cost_fragment, n)(workload, graph)
+    if not (
+        len(cost.ops) == 1
+        and isinstance(cost.ops[0], _DiagBlock)
+        and cost.ops[0].params
+    ):
+        return None
+    mixer = _memoized(_mixer_fragment, n)(tokens, n)
+    return CompiledProgram(
+        num_qubits=n,
+        num_parameters=2 * p,
+        ops=_stitch(cost, mixer, p),
+        # the ansatz's Hadamard column is folded in: the program starts in |+>^n
+        initial_state_label="+",
+        graph=graph,
+        source_gates=n + p * (cost.source_gates + mixer.source_gates),
+        backend=backend,
+        cost_values=workload.objective_values(graph),
+    )
+
+
+#: whole host programs per (workload object, graph, tokens, p), the key of
+#: :func:`_cost_fragment` plus the mixer and depth: a search trains the
+#: same candidates on the same graphs sweep after sweep — every seed,
+#: optimizer and init strategy of a study — and a program is read-only
+#: once stitched (its bound schedule and gradient sites are built on first
+#: use and depend on nothing else). 1024 like :func:`_mixer_fragment`: a
+#: sweep's widest pool is ~310 programs.
+_program = lru_cache(maxsize=1024)(_stitched)
+
+
 def compile_ansatz(
     ansatz: QAOAAnsatz, *, backend: ArrayBackend | str | None = None
 ) -> CompiledProgram:
@@ -1574,40 +1703,30 @@ def compile_ansatz(
     :mod:`repro.simulators.backends`; default ``"numpy"``).
 
     The program is stitched from the memoized cost-layer and mixer
-    fragments (see :func:`_stitch`) without building ``ansatz.circuit``;
-    only a workload whose cost layer is not one parameterized diagonal
-    block (none of the built-ins; also any graph without edges) is
-    lowered gate by gate from the circuit.
+    fragments (see :func:`_stitch`) without building ``ansatz.circuit``,
+    and on the NumPy backend up to the table cap the whole program is
+    memoized (:data:`_program`): equal ansatzes share one program. A
+    device backend's program is stitched anew, so its uploads and meters
+    stay its own. Only a workload whose cost layer is not one
+    parameterized diagonal block is lowered gate by gate from the circuit.
     """
     from repro.workloads import get_workload
 
     workload = get_workload(ansatz.workload)
     graph = ansatz.graph
-    n = graph.num_nodes
-    cost_values = workload.objective_values(graph)
-    cost = _memoized(_cost_fragment, n)(workload, graph)
-    if not (
-        len(cost.ops) == 1
-        and isinstance(cost.ops[0], _DiagBlock)
-        and cost.ops[0].params
-    ):
-        return compile_circuit(
-            ansatz.circuit,
-            ansatz.parameters,
-            initial_state="0",
-            graph=graph,
-            backend=backend,
-            cost_values=cost_values,
-        )
-    mixer = _memoized(_mixer_fragment, n)(ansatz.mixer_tokens, n)
-    return CompiledProgram(
-        num_qubits=n,
-        num_parameters=ansatz.num_parameters,
-        ops=_stitch(cost, mixer, ansatz.p),
-        # the ansatz's Hadamard column is folded in: the program starts in |+>^n
-        initial_state_label="+",
+    backend = get_array_backend(backend if backend is not None else "numpy")
+    key = (workload, graph, ansatz.mixer_tokens, ansatz.p)
+    if type(backend) is NumpyArrayBackend:
+        program = _memoized(_program, graph.num_nodes)(*key)
+    else:
+        program = _stitched(*key, backend)
+    if program is not None:
+        return program
+    return compile_circuit(
+        ansatz.circuit,
+        ansatz.parameters,
+        initial_state="0",
         graph=graph,
-        source_gates=n + ansatz.p * (cost.source_gates + mixer.source_gates),
         backend=backend,
-        cost_values=cost_values,
+        cost_values=workload.objective_values(graph),
     )

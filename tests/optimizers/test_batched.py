@@ -16,6 +16,7 @@ from repro.optimizers import (
     NelderMead,
     batch_values,
 )
+from repro.optimizers import spsa as spsa_module
 from repro.qaoa.ansatz import build_qaoa_ansatz
 from repro.qaoa.energy import AnsatzEnergy
 
@@ -113,6 +114,73 @@ class TestBatchedSPSA:
     def test_nfev_counts_points(self):
         results = SPSA(maxiter=10, seed=0).minimize_batch(Quadratic(), np.zeros((3, 2)))
         assert [r.nfev for r in results] == [2 * 10 + 2] * 3
+
+
+class Recording(Quadratic):
+    """A quadratic that keeps every batch it is handed."""
+
+    def __init__(self):
+        super().__init__()
+        self.batches = []
+
+    def values(self, X):
+        self.batches.append(np.array(X))
+        return super().values(X)
+
+
+class TestSPSATable:
+    """An integer seed's ± sequence is drawn once per (seed, dim, maxiter)
+    and replayed: every candidate of a sweep trains under the sweep's seed."""
+
+    @pytest.fixture(autouse=True)
+    def _empty_table_memo(self):
+        spsa_module._rademacher_table.cache_clear()
+
+    def test_the_table_is_the_serial_draws_row_by_row(self):
+        table = spsa_module._rademacher_table(11, 3, 20)
+        rng = np.random.default_rng(11)
+        assert table.shape == (20, 3)
+        for row in table:
+            assert np.array_equal(row, spsa_module._rademacher(rng, 3))
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
+
+    def test_an_integer_seed_draws_it_once_and_replays_it(self):
+        fn = Quadratic(np.array([0.5, -1.0]))
+        runs = [
+            SPSA(maxiter=12, seed=seed).minimize(fn, [0.1, 0.2]) for seed in (5, 5, np.int64(5))
+        ]
+        info = spsa_module._rademacher_table.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        for run in runs[1:]:
+            assert run.history == runs[0].history and np.array_equal(run.x, runs[0].x)
+
+    def test_none_and_generator_seeds_draw_per_iteration(self):
+        fn = Quadratic()
+        for seed in (None, np.random.default_rng(3)):
+            SPSA(maxiter=6, seed=seed).minimize(fn, [0.0, 0.0])
+            SPSA(maxiter=6, seed=seed).minimize_batch(fn, np.zeros((3, 2)))
+        assert spsa_module._rademacher_table.cache_info().currsize == 0
+        # a Generator is one stream: a second run continues it
+        generator = np.random.default_rng(3)
+        first = SPSA(maxiter=6, seed=generator).minimize(fn, [0.0, 0.0])
+        second = SPSA(maxiter=6, seed=generator).minimize(fn, [0.0, 0.0])
+        assert first.history != second.history
+
+    def test_restarts_broadcast_the_one_stream(self):
+        fn = Recording()
+        maxiter = 8
+        X0 = np.array([[0.0, 0.0], [1.0, -1.0], [2.0, 0.5]])
+        SPSA(maxiter=maxiter, seed=9).minimize_batch(fn, X0)
+        table = spsa_module._rademacher_table(9, 2, maxiter)
+        steps = fn.batches[1:-1]
+        assert len(steps) == maxiter
+        for k, batch in enumerate(steps):
+            plus, minus = batch[:3], batch[3:]
+            ck = SPSA.c / (k + 1) ** SPSA.gamma
+            deltas = np.sign(plus - minus)
+            assert np.array_equal(deltas, np.broadcast_to(table[k], (3, 2)))
+            np.testing.assert_allclose(plus - minus, 2 * ck * deltas, rtol=1e-12)
 
 
 class TestBatchedNelderMead:

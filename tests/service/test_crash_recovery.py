@@ -197,6 +197,27 @@ def test_serve_refuses_a_number_that_breaks_the_service(tmp_path, monkeypatch, f
     assert text.startswith(message) and "\n" not in text
 
 
+@pytest.mark.parametrize(
+    "flags", [["--workers", "-1"], ["--lease-seconds", "nan"], ["--drain-timeout", "nan"]]
+)
+def test_a_refused_serve_leaves_no_directory_behind(tmp_path, flags):
+    """Refused by the fleet, by the queue, or by the multiplexer once the
+    queue and the cache have opened their files: the directories the
+    command made are gone, and one that was there before is left alone."""
+    from repro.cli import main
+
+    fresh = tmp_path / "fresh" / "service"
+    with pytest.raises(SystemExit):
+        main(["serve", "--dir", str(fresh), "--port", "0", "--workers", "1", *flags])
+    assert not (tmp_path / "fresh").exists()
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "notes.txt").write_text("mine")
+    with pytest.raises(SystemExit):
+        main(["serve", "--dir", str(kept), "--port", "0", "--workers", "1", *flags])
+    assert (kept / "notes.txt").read_text() == "mine"
+
+
 def test_serve_runs_the_service_the_cli_built(tmp_path, monkeypatch, capsys):
     """``repro serve`` builds the service from its flags and ``serve()``
     starts it, prints the one banner line and, on Ctrl-C, stops it: no

@@ -9,17 +9,21 @@ the two engines as interchangeable via one config flag.
 
 import cmath
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.gates import GATE_REGISTRY, Gate, GateSpec
 from repro.circuits.parameters import Parameter
 from repro.core.alphabet import DEFAULT_TOKENS
 from repro.graphs.generators import Graph, cycle_graph, erdos_renyi_graph
+from repro.optimizers import spsa as spsa_module
 from repro.qaoa.ansatz import build_qaoa_ansatz
 from repro.qaoa.energy import AnsatzEnergy
 from repro.qaoa.mixers import MIXER_TOKENS
@@ -27,7 +31,7 @@ from repro.qtensor.simulator import QTensorSimulator
 from repro.simulators import compiled as compiled_module
 from repro.simulators.backends import MockGPUArrayBackend
 from repro.simulators.compiled import CompiledProgram, compile_ansatz, compile_circuit
-from repro.simulators.expectation import cut_values
+from repro.simulators.expectation import TABLE_MEMO_MAX_NODES, cut_values
 from repro.simulators.statevector import plus_state, simulate, zero_state
 from repro.workloads import available_workloads, get_workload
 
@@ -368,7 +372,7 @@ def test_wrong_parameter_count_rejected(er6):
 
 # -- compile_ansatz stitches layer fragments: same program as the flat pass ---
 
-_MEMOS = ("_diag_table", "_cost_fragment", "_mixer_fragment", "_local_index")
+_MEMOS = ("_diag_table", "_cost_fragment", "_mixer_fragment", "_local_index", "_program")
 
 #: the full alphabet one token at a time, all-diagonal mixers, diagonal
 #: head and tail, and both entanglers alone, leading, trailing and between
@@ -543,6 +547,128 @@ def test_memos_stay_bounded_over_many_graphs():
     assert compiled_module._cost_fragment.cache_info().currsize == 256
 
 
+# -- whole programs, memoized per (workload, graph, tokens, p) ---------------
+
+
+def test_a_program_is_memoized_on_numpy_up_to_the_table_cap_only(er6):
+    """Equal ansatzes share one host program; a device backend's program and
+    one above the table cap are stitched anew, so their uploads and meters
+    stay their own."""
+    _clear_memos()
+    ansatz = build_qaoa_ansatz(er6, 2, ("rz", "rx"))
+    program = compile_ansatz(ansatz)
+    assert compile_ansatz(build_qaoa_ansatz(er6, 2, ("rz", "rx"))) is program
+    assert compile_ansatz(ansatz, backend="numpy") is program
+    assert compile_ansatz(build_qaoa_ansatz(er6, 3, ("rz", "rx"))) is not program
+    on_device = [compile_ansatz(ansatz, backend=MockGPUArrayBackend()) for _ in range(2)]
+    assert on_device[0] is not on_device[1]
+    assert program not in on_device
+    big = build_qaoa_ansatz(cycle_graph(TABLE_MEMO_MAX_NODES + 1), 1, ("rx",))
+    assert compile_ansatz(big) is not compile_ansatz(big)
+    assert compiled_module._program.cache_info().currsize == 2
+
+
+def test_the_program_memo_never_grows_past_its_bound():
+    _clear_memos()
+    bound = compiled_module._program.cache_info().maxsize
+    for index in range(bound // 4 + 8):
+        graph = Graph(4, ((0, 1), (1, 2), (2, 3)), (1.0, 1.0 + index, 2.0))
+        for p in (1, 2, 3, 4):
+            compile_ansatz(build_qaoa_ansatz(graph, p, ("rx",), workload="wmaxcut"))
+    assert compiled_module._program.cache_info().currsize == bound
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from _arrays(item)
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _arrays(item)
+
+
+def test_memoized_programs_hold_no_shift_phases_after_an_adam_sweep(monkeypatch):
+    """The gradient's shift phases — up to 2|E| vectors of 2^n amplitudes —
+    live on the shared diagonal tables, never on a program the memo keeps."""
+    _clear_memos()
+    built = []
+    init = CompiledProgram.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(CompiledProgram, "__init__", recording)
+    graph = cycle_graph(TABLE_MEMO_MAX_NODES)
+    api.search([graph], depths=1, config=api.Config(k_max=1, optimizer="adam", steps=2))
+    programs = [program for program in built if program.num_parameters == 2]
+    assert len(programs) == compiled_module._program.cache_info().currsize > 1
+    for program in programs:
+        held = [
+            name
+            for name, value in vars(program).items()
+            if name != "ops" and any(array.dtype.kind == "c" for array in _arrays(value))
+        ]
+        assert not held
+    tables = {
+        id(op.table): op.table
+        for program in programs
+        for op in program.ops
+        if isinstance(op, compiled_module._DiagBlock)
+    }
+    assert any(table._shift_phases for table in tables.values())
+    _clear_memos()
+
+
+def _untimed(value):
+    if isinstance(value, dict):
+        return {
+            key: _untimed(item)
+            for key, item in value.items()
+            if key not in ("seconds", "total_seconds")
+        }
+    if isinstance(value, list):
+        return [_untimed(item) for item in value]
+    return value
+
+
+#: one spec per trainer path — SPSA's replayed table, COBYLA's single-point
+#: energy, Adam's parameter-shift gradient, Nelder-Mead's batches — across
+#: uniform and interp starts and best_sampled scoring; the two-graph specs
+#: train stacked rows
+_PIN_SPECS = [
+    ("er:2:5", api.Config(k_max=2, optimizer="spsa", steps=16, seed=3, restarts=2)),
+    ("er:1:5", api.Config(k_max=2, optimizer="cobyla", steps=16, seed=4, init_strategy="interp")),
+    ("er:2:6", api.Config(k_max=1, optimizer="adam", steps=3, seed=5)),
+    (
+        "er:1:7",
+        api.Config(
+            k_max=2, optimizer="nelder_mead", steps=16, seed=6, init_strategy="interp", restarts=2
+        ),
+    ),
+    ("er:1:8", api.Config(k_max=2, optimizer="spsa", steps=16, seed=7, metric="best_sampled")),
+]
+
+
+@pytest.mark.parametrize("workload, config", _PIN_SPECS, ids=lambda v: getattr(v, "optimizer", v))
+def test_a_search_is_bit_identical_whatever_the_memos_hold(workload, config):
+    """Cold, then on every memo the first run left (the program memo, the
+    tables, SPSA's ± table), then cold again: the same result, bit for bit."""
+
+    def run():
+        return _untimed(api.search(workload, depths=2, config=config).to_dict())
+
+    _clear_memos()
+    spsa_module._rademacher_table.cache_clear()
+    first = run()
+    second = run()
+    _clear_memos()
+    spsa_module._rademacher_table.cache_clear()
+    assert first == second == run()
+
+
 # -- the batched schedule: decided once, run many ------------------------------
 
 #: shared all-qubit chains, static ``h`` columns alone / leading a chain /
@@ -612,17 +738,19 @@ def test_plans_are_shared_not_rebuilt():
 
 def _recording_steps(program):
     """Replace ``program``'s schedule with one that logs, per step call,
-    ``(op index, step name, shifts handed to it)``."""
+    ``(op index, step name, shifts handed to it)``. The memos are emptied
+    so no later compile is handed the wrapped program."""
     log = []
 
     def recording(op_index, step):
-        def run(prog, state, X, Xd, shifts_here, dedup):
+        def run(state, X, Xd, shifts_here, dedup):
             log.append((op_index, step.__name__, len(shifts_here)))
-            return step(prog, state, X, Xd, shifts_here, dedup)
+            return step(state, X, Xd, shifts_here, dedup)
 
         return run
 
     program._steps = tuple(recording(i, step) for i, step in enumerate(program._steps))
+    _clear_memos()
     return log
 
 
@@ -677,3 +805,43 @@ def test_a_shift_lands_on_the_step_of_its_op():
     h = 1e-6
     numeric = (oracle_energy(0.3 + h) - oracle_energy(0.3 - h)) / (2 * h)
     assert flat.gradient([0.3])[0] == pytest.approx(numeric, abs=1e-6)
+
+
+def test_threads_sharing_fresh_programs_get_the_serial_results():
+    """A memoized program is shared by every thread of a process (the
+    service's fleet): threads that build the same fresh programs' schedules,
+    lookups and shift phases at once each get the serial result."""
+    graph = erdos_renyi_graph(8, 0.5, seed=5, require_connected=True)
+    ansatzes = [build_qaoa_ansatz(graph, 2, tokens) for tokens in _SCHEDULE_TOKENS]
+    X = np.random.default_rng(4).uniform(-np.pi, np.pi, (2, 4))
+
+    def evaluate():
+        return [
+            (compile_ansatz(ansatz).energies(X), compile_ansatz(ansatz).gradients(X))
+            for ansatz in ansatzes
+        ]
+
+    _clear_memos()
+    expected = evaluate()
+    _clear_memos()
+    results = {}
+
+    def work(index):
+        results[index] = evaluate()
+
+    threads = [threading.Thread(target=work, args=(index,)) for index in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    for outcome in results.values():
+        for (values, grads), (want_values, want_grads) in zip(outcome, expected):
+            assert np.array_equal(values, want_values)
+            assert np.array_equal(grads, want_grads)
