@@ -225,8 +225,6 @@ def _cmd_serve(args) -> int:
     # service stack at import time.
     from repro.service.server import SearchService, serve
 
-    if args.max_concurrent < 1:
-        raise SystemExit("--max-concurrent must be >= 1")
     weights: dict[str, float] = {}
     for item in args.tenant_weights:
         name, sep, value = item.partition("=")
@@ -253,7 +251,7 @@ def _cmd_serve(args) -> int:
             drain_timeout=args.drain_timeout,
             trace_log=args.trace_log,
         )
-    except ValueError as error:  # a setting the fleet, queue or multiplexer refused
+    except ValueError as error:  # a setting the service or its fleet refused
         raise SystemExit(str(error)) from None
     serve(service, host=args.host, port=args.port)
     return 0

@@ -29,13 +29,6 @@ from repro.core.constraints import (
     RequiresParameterizedGate,
 )
 from repro.core.controller import ControllerPredictor, PolicyController
-from repro.core.encoding import (
-    PAD_INDEX,
-    decode_encoding,
-    encode_sequence,
-    encoding_shape,
-    is_valid_encoding,
-)
 from repro.core.evaluator import EvaluationConfig, Evaluator, classical_optima, evaluate_candidate
 from repro.core.predictor import (
     EpsilonGreedyPredictor,
@@ -58,11 +51,6 @@ __all__ = [
     "gate_sequences",
     "count_sequences",
     "enumerate_search_space",
-    "encode_sequence",
-    "decode_encoding",
-    "encoding_shape",
-    "is_valid_encoding",
-    "PAD_INDEX",
     "QBuilder",
     "Predictor",
     "RandomPredictor",

@@ -413,6 +413,15 @@ class ResultCache:
 
     SCHEMA_VERSION = 1
 
+    @staticmethod
+    def check_settings(flush_every: int, max_entries: int | None) -> None:
+        """Refuse a flush interval or a size bound the store cannot run
+        with, before anything is opened."""
+        if flush_every < 1:
+            raise ValueError(f"flush_every must be >= 1, got {flush_every}")
+        if max_entries is not None and max_entries < 1:
+            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+
     def __init__(
         self,
         cache_dir: str | Path,
@@ -422,10 +431,7 @@ class ResultCache:
         shared: bool = False,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if flush_every < 1:
-            raise ValueError(f"flush_every must be >= 1, got {flush_every}")
-        if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+        self.check_settings(flush_every, max_entries)
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.path = self.cache_dir / "results.sqlite"

@@ -2,8 +2,9 @@
 
 §2.1: "accepts the encoded tensor representation from the predictor module
 and generates the appropriate quantum circuit in an available quantum
-computing software" — here, :mod:`repro.circuits` instead of Qiskit. The
-builder owns the two constructions of Algorithm 1, both inside
+computing software" — here, :mod:`repro.circuits` instead of Qiskit, and
+the representation is the token tuple every predictor emits. The builder
+owns the two constructions of Algorithm 1, both inside
 :meth:`QBuilder.build_qaoa`:
 
 * ``BUILD_MIXER_CKT(G, gate_comb)`` — the mixer layer over the graph's
@@ -16,10 +17,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.alphabet import GateAlphabet
-from repro.core.encoding import decode_encoding
 from repro.graphs.generators import Graph
 from repro.qaoa.ansatz import QAOAAnsatz, build_qaoa_ansatz
 
@@ -28,8 +26,7 @@ __all__ = ["QBuilder"]
 
 @dataclass(frozen=True)
 class QBuilder:
-    """Turns predictor output (token tuples or encoded tensors) into
-    circuits."""
+    """Turns predictor output (token tuples) into circuits."""
 
     alphabet: GateAlphabet = GateAlphabet()
 
@@ -58,17 +55,3 @@ class QBuilder:
         """
         tokens = self.validate_tokens(tokens)
         return build_qaoa_ansatz(graph, p, tokens, workload=workload)
-
-    # -- tensor interchange -------------------------------------------------------
-
-    def from_encoding(
-        self,
-        encoding: np.ndarray,
-        graph: Graph,
-        p: int,
-        *,
-        workload: str = "maxcut",
-    ) -> QAOAAnsatz:
-        """Decode a predictor tensor and build the ansatz in one step."""
-        tokens = decode_encoding(encoding, self.alphabet)
-        return self.build_qaoa(graph, tokens, p, workload=workload)

@@ -15,6 +15,8 @@ __all__ = ["render_table", "render_bars", "render_grouped_bars", "render_series"
 #: bar lengths in characters, for :func:`render_bars` and :func:`render_grouped_bars`
 BAR_WIDTH = 40
 GROUPED_BAR_WIDTH = 30
+#: how :func:`render_series` prints a float cell
+SERIES_FORMAT = "{:.3f}"
 
 
 def render_table(
@@ -95,17 +97,11 @@ def render_grouped_bars(
     return "\n".join(lines)
 
 
-def render_series(
-    x_label: str,
-    xs: Sequence,
-    series: Mapping[str, Sequence[float]],
-    *,
-    float_format: str = "{:.3f}",
-) -> str:
+def render_series(x_label: str, xs: Sequence, series: Mapping[str, Sequence[float]]) -> str:
     """Multi-series table: one row per x, one column per series (the data
     behind a line plot like Fig. 4 / Fig. 5)."""
     headers = [x_label] + list(series)
     rows = []
     for i, x in enumerate(xs):
         rows.append([x] + [vs[i] for vs in series.values()])
-    return render_table(headers, rows, float_format=float_format)
+    return render_table(headers, rows, float_format=SERIES_FORMAT)

@@ -32,6 +32,33 @@ __all__ = [
 ER_PROBABILITIES = (0.3, 0.4, 0.5, 0.6, 0.7)
 
 
+def _connected_er(num_graphs: int, num_nodes: int, dataset_seed: int, tag: str) -> list[Graph]:
+    """Connected ER graphs over the density ladder: graph ``i`` has edge
+    probability ``ER_PROBABILITIES[i % 5]`` and a seed derived stably from
+    ``(dataset_seed, tag, i)``."""
+    check_positive(num_graphs, "num_graphs")
+    check_positive(num_nodes, "num_nodes")
+    return [
+        erdos_renyi_graph(
+            num_nodes,
+            ER_PROBABILITIES[i % len(ER_PROBABILITIES)],
+            seed=stable_seed(dataset_seed, tag, i),
+            require_connected=True,
+        )
+        for i in range(num_graphs)
+    ]
+
+
+def _reweighted(graphs: list[Graph], low: float, high: float, *key) -> list[Graph]:
+    """The same topologies with i.i.d. uniform weights in ``[low, high]``
+    (canonical edge order), graph ``i``'s drawn from ``(*key, i)``."""
+    draws = (as_rng(stable_seed(*key, i)) for i in range(len(graphs)))
+    return [
+        Graph(g.num_nodes, g.edges, tuple(rng.uniform(low, high, g.num_edges).tolist()))
+        for g, rng in zip(graphs, draws)
+    ]
+
+
 def paper_er_dataset(
     num_graphs: int = 20,
     num_nodes: int = 10,
@@ -44,20 +71,7 @@ def paper_er_dataset(
     derived stably from ``(dataset_seed, "er", i)``. All instances are
     required to be connected so max-cut energies are comparable.
     """
-    check_positive(num_graphs, "num_graphs")
-    check_positive(num_nodes, "num_nodes")
-    graphs = []
-    for i in range(num_graphs):
-        p = ER_PROBABILITIES[i % len(ER_PROBABILITIES)]
-        graphs.append(
-            erdos_renyi_graph(
-                num_nodes,
-                p,
-                seed=stable_seed(dataset_seed, "er", i),
-                require_connected=True,
-            )
-        )
-    return graphs
+    return _connected_er(num_graphs, num_nodes, dataset_seed, "er")
 
 
 #: the degree of §3.2's regular graphs
@@ -83,11 +97,6 @@ def paper_regular_dataset(
     ]
 
 
-def _reweighted(graph: Graph, weights) -> Graph:
-    """The same topology with new edge weights (canonical edge order)."""
-    return Graph(graph.num_nodes, graph.edges, tuple(float(w) for w in weights))
-
-
 def paper_weighted_dataset(
     num_graphs: int = 20,
     num_nodes: int = 10,
@@ -100,13 +109,8 @@ def paper_weighted_dataset(
     unweighted dataset). Weight draws are keyed by
     ``(dataset_seed, "wmaxcut", i)`` — stable across processes.
     """
-    graphs = []
-    for i, base in enumerate(
-        paper_er_dataset(num_graphs, num_nodes, dataset_seed=dataset_seed)
-    ):
-        rng = as_rng(stable_seed(dataset_seed, "wmaxcut", i))
-        graphs.append(_reweighted(base, rng.uniform(0.25, 1.75, base.num_edges)))
-    return graphs
+    er = paper_er_dataset(num_graphs, num_nodes, dataset_seed=dataset_seed)
+    return _reweighted(er, 0.25, 1.75, dataset_seed, "wmaxcut")
 
 
 def paper_maxsat_dataset(
@@ -119,20 +123,8 @@ def paper_maxsat_dataset(
     read as 2-literal clauses (polarities derived stably per edge by the
     workload), with clause weights uniform in ``[0.5, 1.5]``.
     """
-    check_positive(num_graphs, "num_graphs")
-    check_positive(num_nodes, "num_nodes")
-    graphs = []
-    for i in range(num_graphs):
-        p = ER_PROBABILITIES[i % len(ER_PROBABILITIES)]
-        base = erdos_renyi_graph(
-            num_nodes,
-            p,
-            seed=stable_seed(dataset_seed, "maxsat", i),
-            require_connected=True,
-        )
-        rng = as_rng(stable_seed(dataset_seed, "maxsat", "weights", i))
-        graphs.append(_reweighted(base, rng.uniform(0.5, 1.5, base.num_edges)))
-    return graphs
+    er = _connected_er(num_graphs, num_nodes, dataset_seed, "maxsat")
+    return _reweighted(er, 0.5, 1.5, dataset_seed, "maxsat", "weights")
 
 
 def paper_spin_glass_dataset(
@@ -145,20 +137,8 @@ def paper_spin_glass_dataset(
     couplings ``J_e`` uniform in ``[-1, 1]`` (ferro- and antiferromagnetic
     bonds mixed, the portfolio-Ising regime).
     """
-    check_positive(num_graphs, "num_graphs")
-    check_positive(num_nodes, "num_nodes")
-    graphs = []
-    for i in range(num_graphs):
-        p = ER_PROBABILITIES[i % len(ER_PROBABILITIES)]
-        base = erdos_renyi_graph(
-            num_nodes,
-            p,
-            seed=stable_seed(dataset_seed, "ising", i),
-            require_connected=True,
-        )
-        rng = as_rng(stable_seed(dataset_seed, "ising", "couplings", i))
-        graphs.append(_reweighted(base, rng.uniform(-1.0, 1.0, base.num_edges)))
-    return graphs
+    er = _connected_er(num_graphs, num_nodes, dataset_seed, "ising")
+    return _reweighted(er, -1.0, 1.0, dataset_seed, "ising", "couplings")
 
 
 #: Dataset family -> (implied workload registry key, instance factory).
@@ -175,10 +155,14 @@ DATASET_FAMILIES = {
 }
 
 
-def profiling_graph(*, dataset_seed: int = 2023) -> Graph:
+#: the dataset seed of :func:`profiling_graph`'s ER instance
+PROFILING_SEED = 2023
+
+
+def profiling_graph() -> Graph:
     """The single ER graph used for the Fig. 5 core-count sweep.
 
     The paper profiles "a graph" at p=2; we pin the first instance of the ER
     dataset so the Fig. 4 and Fig. 5 benches share a workload.
     """
-    return paper_er_dataset(1, dataset_seed=dataset_seed)[0]
+    return paper_er_dataset(1, dataset_seed=PROFILING_SEED)[0]

@@ -6,16 +6,15 @@ parameter-dict optimizers (:mod:`~repro.ml.optim`), and REINFORCE
 so gradients are manual and finite-difference-tested.
 """
 
-from repro.ml.activations import dsigmoid, dtanh, log_softmax, sigmoid, softmax, tanh
+from repro.ml.activations import dsigmoid, dtanh, sigmoid, softmax, tanh
 from repro.ml.layers import Dense, Embedding, LSTMCell
-from repro.ml.optim import SGD, AdamUpdater, clip_gradients, global_grad_norm
+from repro.ml.optim import AdamUpdater, clip_gradients, global_grad_norm
 from repro.ml.reinforce import Episode, MovingBaseline
 
 __all__ = [
     "Dense",
     "Embedding",
     "LSTMCell",
-    "SGD",
     "AdamUpdater",
     "clip_gradients",
     "global_grad_norm",
@@ -26,5 +25,4 @@ __all__ = [
     "tanh",
     "dtanh",
     "softmax",
-    "log_softmax",
 ]

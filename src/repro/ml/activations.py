@@ -1,15 +1,14 @@
 """Numerically-stable activations and their derivatives.
 
-Minimal by design: the controller needs softmax sampling, tanh/sigmoid for
-the LSTM gates, and log-softmax for REINFORCE losses. Everything is
-vectorized over leading batch axes.
+Minimal by design: the controller needs softmax sampling and tanh/sigmoid
+for the LSTM gates. Everything is vectorized over leading batch axes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sigmoid", "dsigmoid", "tanh", "dtanh", "softmax", "log_softmax"]
+__all__ = ["sigmoid", "dsigmoid", "tanh", "dtanh", "softmax"]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -41,10 +40,3 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """``log softmax`` along the last axis, computed without forming the
-    ratio (stable)."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

@@ -11,9 +11,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-__all__ = ["SGD", "AdamUpdater", "clip_gradients", "global_grad_norm"]
-
-Array = np.ndarray
+__all__ = ["AdamUpdater", "clip_gradients", "global_grad_norm"]
 
 
 def global_grad_norm(layers: Iterable) -> float:
@@ -36,30 +34,6 @@ def clip_gradients(layers: Iterable, max_norm: float) -> float:
             for g in layer.grads.values():
                 g *= scale
     return norm
-
-
-class SGD:
-    """Plain (optionally momentum) SGD over layer dicts."""
-
-    def __init__(self, layers: Iterable, lr: float = 0.01, momentum: float = 0.0) -> None:
-        self.layers = list(layers)
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self._velocity: list[dict[str, Array]] = [
-            {k: np.zeros_like(v) for k, v in layer.params.items()} for layer in self.layers
-        ]
-
-    def step(self) -> None:
-        for layer, velocity in zip(self.layers, self._velocity):
-            for key, param in layer.params.items():
-                v = velocity[key]
-                v *= self.momentum
-                v -= self.lr * layer.grads[key]
-                param += v
-
-    def zero_grad(self) -> None:
-        for layer in self.layers:
-            layer.zero_grad()
 
 
 class AdamUpdater:

@@ -165,6 +165,15 @@ class JobQueue:
         renewals, lease-expiry reclaims, and dead-letter transitions.
     """
 
+    @staticmethod
+    def check_settings(lease_seconds: float, max_attempts: int) -> None:
+        """Refuse a lease or a retry budget the queue cannot run with,
+        before anything is opened."""
+        if not 0 < lease_seconds < math.inf:  # NaN fails both
+            raise ValueError(f"lease_seconds must be positive and finite, got {lease_seconds}")
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+
     def __init__(
         self,
         service_dir: str | Path,
@@ -175,10 +184,7 @@ class JobQueue:
         backoff_cap: float = 30.0,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if not 0 < lease_seconds < math.inf:  # NaN fails both
-            raise ValueError(f"lease_seconds must be positive and finite, got {lease_seconds}")
-        if max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+        self.check_settings(lease_seconds, max_attempts)
         if backoff_base < 0 or backoff_cap < 0:
             raise ValueError("backoff_base/backoff_cap must be >= 0")
         self.service_dir = Path(service_dir)

@@ -186,18 +186,16 @@ class SweepMultiplexer:
     #: finished-sweep progress snapshots kept for late ``/status`` polls
     PROGRESS_KEEP = 256
 
-    def __init__(
-        self,
-        queue: JobQueue,
-        *,
-        executor: Executor | None = None,
-        cache: ResultCache | None = None,
-        max_concurrent: int = 2,
-        tenant_weights: dict[str, float] | None = None,
-        max_running_per_tenant: int | None = None,
-        drain_timeout: float | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
+    @staticmethod
+    def check_settings(
+        max_concurrent: int,
+        tenant_weights: dict[str, float] | None,
+        max_running_per_tenant: int | None,
+        drain_timeout: float | None,
+    ) -> dict[str, float]:
+        """Refuse a slot count, tenant cap, tenant weight or drain timeout
+        the multiplexer cannot run with, before anything is opened; returns
+        the weights as floats."""
         if max_concurrent < 1:
             raise ValueError(f"max_concurrent must be >= 1, got {max_concurrent}")
         if max_running_per_tenant is not None and max_running_per_tenant < 1:
@@ -210,6 +208,23 @@ class SweepMultiplexer:
             raise ValueError(f"tenant weights must be positive and finite, got {refused}")
         if drain_timeout is not None and not 0 <= drain_timeout < math.inf:
             raise ValueError(f"drain_timeout must be finite and >= 0, got {drain_timeout}")
+        return weights
+
+    def __init__(
+        self,
+        queue: JobQueue,
+        *,
+        executor: Executor | None = None,
+        cache: ResultCache | None = None,
+        max_concurrent: int = 2,
+        tenant_weights: dict[str, float] | None = None,
+        max_running_per_tenant: int | None = None,
+        drain_timeout: float | None = None,
+        metrics: MetricsRegistry | None = None,
+    ) -> None:
+        weights = self.check_settings(
+            max_concurrent, tenant_weights, max_running_per_tenant, drain_timeout
+        )
         self.queue = queue
         self._owns_executor = executor is None
         self.executor = executor or MultiprocessingExecutor()

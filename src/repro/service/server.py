@@ -89,9 +89,9 @@ class SearchService:
 
     Its keywords are ``repro serve``'s flags, one for one (the CLI builds
     the service and hands it to :func:`serve`); ``workers`` of ``None`` or
-    0 means every usable core and a negative count raises
-    :class:`ValueError` before anything is forked. Hardening knobs (all
-    optional):
+    0 means every usable core. A setting the service, its fleet, queue,
+    cache or multiplexer refuses raises :class:`ValueError` before
+    anything is forked or a file is made. Hardening knobs (all optional):
 
     * ``max_queue_depth`` / ``max_queued_per_tenant`` — admission control:
       a submit that would exceed either cap is rejected with 429 +
@@ -123,6 +123,13 @@ class SearchService:
         drain_timeout: float | None = None,
         trace_log: str | Path | None = None,
     ) -> None:
+        # every forwarded setting is refused here, before the fleet forks
+        # or a file is made
+        JobQueue.check_settings(lease_seconds, max_attempts)
+        ResultCache.check_settings(CACHE_FLUSH_EVERY, cache_max_entries)
+        SweepMultiplexer.check_settings(
+            max_concurrent, tenant_weights, max_running_per_tenant, drain_timeout
+        )
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(f"max_queue_depth must be >= 1, got {max_queue_depth}")
         if max_queued_per_tenant is not None and max_queued_per_tenant < 1:
@@ -137,9 +144,8 @@ class SearchService:
         self.metrics = MetricsRegistry()
         self._executor = MultiprocessingExecutor(workers, metrics=self.metrics)
         # the outermost directory this constructor makes (None when
-        # ``service_dir`` exists): a setting refused below removes it again,
-        # so a refused start leaves no directory behind and never removes
-        # one that was there before
+        # ``service_dir`` exists): a start that fails below removes it
+        # again, and never removes one that was there before
         made = next(
             (d for d in reversed((self.service_dir, *self.service_dir.parents)) if not d.exists()),
             None,

@@ -86,6 +86,11 @@ class TestLRUEviction:
         with pytest.raises(ValueError, match="max_entries"):
             ResultCache(tmp_path, max_entries=0)
 
+    def test_a_refused_bound_makes_no_directory(self, tmp_path):
+        with pytest.raises(ValueError, match="max_entries must be >= 1, got 0"):
+            ResultCache(tmp_path / "cache", max_entries=0)
+        assert not (tmp_path / "cache").exists()
+
 
 class TestClaims:
     def test_unshared_cache_every_tenant_owns_every_key(self, tmp_path):

@@ -1,10 +1,7 @@
-"""QBuilder: encoded candidates -> circuits."""
+"""QBuilder: token tuples -> circuits."""
 
-import numpy as np
 import pytest
 
-from repro.core.alphabet import GateAlphabet
-from repro.core.encoding import encode_sequence
 from repro.core.qbuilder import QBuilder
 from repro.graphs.generators import cycle_graph
 
@@ -55,26 +52,3 @@ class TestBuildQaoa:
         with_h = builder.build_qaoa(graph, ("rx",), 1)
         assert with_h.circuit.count_ops()["h"] == graph.num_nodes
 
-
-class TestFromEncoding:
-    def test_decode_and_build(self, builder, graph):
-        enc = encode_sequence(("ry", "p"), GateAlphabet(), 4)
-        ansatz = builder.from_encoding(enc, graph, p=1)
-        assert ansatz.mixer_tokens == ("ry", "p")
-
-    def test_matches_direct_build(self, builder, graph):
-        enc = encode_sequence(("rx", "ry"), GateAlphabet(), 4)
-        via_encoding = builder.from_encoding(enc, graph, p=1)
-        direct = builder.build_qaoa(graph, ("rx", "ry"), 1)
-        assert via_encoding.circuit.count_ops() == direct.circuit.count_ops()
-
-    def test_invalid_encoding_rejected(self, builder, graph):
-        with pytest.raises(ValueError):
-            builder.from_encoding(np.ones((4, 6)), graph, p=1)
-
-    def test_custom_alphabet(self, graph):
-        alphabet = GateAlphabet(("ry", "h"))
-        builder = QBuilder(alphabet)
-        enc = encode_sequence(("h", "ry"), alphabet, 2)
-        ansatz = builder.from_encoding(enc, graph, p=1)
-        assert ansatz.mixer_tokens == ("h", "ry")

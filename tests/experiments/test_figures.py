@@ -55,3 +55,10 @@ class TestSeries:
         header = text.splitlines()[0]
         assert "serial" in header and "parallel" in header
         assert "20.000" in text
+
+    def test_float_cells_follow_the_series_format(self, monkeypatch):
+        from repro.experiments import figures
+
+        monkeypatch.setattr(figures, "SERIES_FORMAT", "{:.1f}")
+        text = render_series("p", [1], {"serial": [10.25]})
+        assert "10.2" in text and "10.25" not in text

@@ -1,11 +1,46 @@
 """Paper dataset pinning."""
 
+import pytest
+
+from repro.core.cache import workload_fingerprint
 from repro.graphs.datasets import (
+    DATASET_FAMILIES,
     ER_PROBABILITIES,
     paper_er_dataset,
     paper_regular_dataset,
     profiling_graph,
 )
+
+#: ``workload_fingerprint`` of each family's graphs at ``(count,
+#: dataset_seed)``: every dataset is part of every cache key, so a family
+#: whose instances change turns each stored result into a miss
+DIGESTS = {
+    ("er", 3, 2023): "85f5370811f1410b24a9dba6b1b6ca4d7a3b31ed7d9b07f955dcc0e51944c0df",
+    ("er", 6, 7): "9b0accad9b33dc6444e84d88d7cff80c5542006284cfaa2802ef9062717593e2",
+    ("regular", 3, 2023): "16514958c4a8cb57cb960e334017ff45bb0c96f634d49ea7d648af91902e4780",
+    ("regular", 6, 7): "398f633ebf49cdd609363acdd536cd11cb6795c234ad4e81a00073361add747a",
+    ("wmaxcut", 3, 2023): "2611881fa977aca4902df07466c7a91d383e61bc561d3f858af4cac29a581079",
+    ("wmaxcut", 6, 7): "ade363c1227910a10b7c0cc02c048a9c74741954474907373ce39cf013d01543",
+    ("maxsat", 3, 2023): "23bbcd31c5df7c15261b10cb32515df076da1bea2aa11fcc8baedb0488a593a6",
+    ("maxsat", 6, 7): "ad32e30a44879245f03bf67b479bf8b5becd24b6d622c7de9c9445255bd828f2",
+    ("ising", 3, 2023): "a38de779af569ec06beaa493731c79f2c049a0d02f2622a339e67aa676fb7a24",
+    ("ising", 6, 7): "f71672db37b3d133c867c8967ad7058b034c2be6ae7fd818abd385d5e5fb3dec",
+}
+
+
+@pytest.mark.parametrize("family, count, dataset_seed", sorted(DIGESTS))
+def test_every_family_keeps_its_instances(family, count, dataset_seed):
+    _, factory = DATASET_FAMILIES[family]
+    graphs = factory(count, dataset_seed=dataset_seed)
+    assert workload_fingerprint(graphs) == DIGESTS[family, count, dataset_seed]
+
+
+@pytest.mark.parametrize("family", sorted(DATASET_FAMILIES))
+def test_every_family_is_prefix_stable(family):
+    """Fewer graphs are a prefix of more, topology and weights alike, so a
+    scaled-down run sees the paper-scale run's first instances."""
+    _, factory = DATASET_FAMILIES[family]
+    assert factory(3, dataset_seed=9) == factory(7, dataset_seed=9)[:3]
 
 
 class TestERDataset:

@@ -27,12 +27,14 @@ hook such as ``BaseHTTPRequestHandler.log_message``), or sit in
 
 Below methods, keywords: every keyword-only parameter of a public
 function, a public method or a public class's ``__init__`` must be passed
-as ``name=`` by some call in the same files, or sit in
-``TEST_ONLY_KEYWORDS`` under ``module.callable(name=)`` with its reason.
-Any callee counts, a forward in the callable's own body included (the
-conservative direction, as for attributes); a ``**kwargs`` forward passes
-nothing. A knob only tests turn becomes a module or class constant the
-test monkeypatches.
+as ``name=`` by some call in the same files, and some call of its own
+callable outside the callable's body must be able to carry it — by that
+name, through a ``**`` spread, or by handing the callable over as a value
+(a call matches by the name it spells, as for defaulted parameters) — or
+it sits in ``TEST_ONLY_KEYWORDS`` under ``module.callable(name=)`` with its
+reason. A ``name=`` passed to another callable, or forwarded by the
+callable to itself, passes nothing. A knob only tests turn becomes a
+module or class constant the test monkeypatches.
 
 Beside keywords, defaulted parameters: every defaulted positional-or-keyword
 parameter of a public callable must be reached by a call outside its own
@@ -92,10 +94,9 @@ UNSERVED = {
 _CONSTRAINTS = "§6 constraint vocabulary: what a caller puts in SearchConfig(constraints=)"
 _GRAPH_FAMILY = "fixture graph family with a known optimum (tests, docs, notebooks)"
 
-_DEFERRED = "controller substrate beside softmax/AdamUpdater; decided with it (--strategy)"
 _PREDICTOR = "predictor protocol beside the --strategy seam; the ROADMAP --strategy item decides it"
 _QTENSOR = "the tensor-network package's own surface; the ROADMAP qtensor/ item decides it"
-_API = "docs/architecture.md § API stability: a Client method's keywords are the contract"
+_API = "docs/architecture.md § API stability: the facade's keywords are the contract"
 _TIMER = "operator API: the span helper docs/observability.md offers for an operator's own code"
 _LAYER = (
     "one layer as a circuit of its own (Eq. 2's U_C, the RX baseline U_B) for inspection; "
@@ -117,10 +118,6 @@ TEST_ONLY = {
     "repro.core.constraints.PredicateConstraint": _CONSTRAINTS,
     "repro.core.constraints.RequiredTokens": _CONSTRAINTS,
     "repro.core.constraints.RequiresParameterizedGate": _CONSTRAINTS,
-    "repro.core.encoding.encode_sequence": (
-        "the §2.1 predictor tensor's writer, beside from_encoding; the ROADMAP --strategy "
-        "item decides it"
-    ),
     "repro.core.predictor.make_predictor": (
         "the --strategy seam (ROADMAP): strategy name -> PREDICTORS entry, driven in-process "
         "until Config.strategy lands"
@@ -129,8 +126,6 @@ TEST_ONLY = {
     "repro.graphs.generators.cycle_graph": _GRAPH_FAMILY,
     "repro.graphs.generators.path_graph": _GRAPH_FAMILY,
     "repro.graphs.generators.star_graph": _GRAPH_FAMILY,
-    "repro.ml.activations.log_softmax": _DEFERRED,
-    "repro.ml.optim.SGD": _DEFERRED,
     "repro.qaoa.analytic.grid_search_p1": (
         "closed-form p=1 optimum: the oracle test_optimizers/test_evaluator train against"
     ),
@@ -154,10 +149,6 @@ TEST_ONLY = {
     "repro.core.predictor.ExhaustivePredictor.reset": _PREDICTOR,
     "repro.core.predictor.ExhaustivePredictor.space_size": _PREDICTOR,
     "repro.core.predictor.Predictor.exhausted": _PREDICTOR,
-    "repro.core.qbuilder.QBuilder.from_encoding": (
-        "the §2.1 predictor -> builder tensor, the one edge that keeps core/encoding.py "
-        "reachable; the ROADMAP --strategy item decides it"
-    ),
     "repro.core.results.SearchResult.load": (
         "docs/architecture.md § API stability: load() reads every prior payload version"
     ),
@@ -186,24 +177,44 @@ TEST_ONLY = {
 
 _STRATEGY = "the --strategy seam: the ROADMAP --strategy item decides whether Config carries it"
 
-#: ``module.callable(name=)`` for every keyword-only parameter no call
-#: outside ``tests/`` passes, each with the reason it is not a constant
+_COUNT = "the closed-form oracle of gate_sequences: a test checks each enumeration's size"
+
+#: ``module.callable(name=)`` for every keyword-only parameter no call of
+#: its own callable outside ``tests/`` passes, each with the reason it is
+#: not a constant
 TEST_ONLY_KEYWORDS = {
     "repro.api.Client.wait(poll=)": _API,
     "repro.api.Client.wait(poll_cap=)": _API,
+    "repro.api.connect(timeout=)": _API,
+    "repro.core.alphabet.count_sequences(ordered=)": _COUNT,
+    "repro.core.alphabet.count_sequences(repetition=)": _COUNT,
     "repro.core.controller.PolicyController(allow_end=)": _STRATEGY,
+    "repro.core.predictor.ExhaustivePredictor(mode=)": _STRATEGY,
+    "repro.core.predictor.make_predictor(seed=)": _STRATEGY,
     "repro.core.search.search_mixer(candidates_per_depth=)": _STRATEGY,
     "repro.core.search.search_mixer(predictor=)": _STRATEGY,
     "repro.qaoa.analytic.grid_search_p1(resolution=)": (
         "the grid of the p = 1 oracle: a test trades resolution for time"
+    ),
+    "repro.qtensor.contraction.choose_slice_vars(exclude=)": _QTENSOR,
+    "repro.qtensor.contraction.contract_sliced(method=)": _QTENSOR,
+    "repro.qtensor.lightcone.lightcone_qubits(diag_aware=)": _QTENSOR,
+    "repro.qtensor.ordering.min_degree_order(seed=)": _QTENSOR,
+    "repro.qtensor.ordering.min_fill_order(seed=)": _QTENSOR,
+    "repro.qtensor.simulator.QTensorSimulator.amplitude(bindings=)": _QTENSOR,
+    "repro.qtensor.simulator.QTensorSimulator.amplitude(initial_state=)": _QTENSOR,
+    "repro.qtensor.simulator.QTensorSimulator.maxcut_energy(bindings=)": _QTENSOR,
+    "repro.qtensor.simulator.QTensorSimulator.statevector(bindings=)": _QTENSOR,
+    "repro.qtensor.simulator.QTensorSimulator.statevector(initial_state=)": _QTENSOR,
+    "repro.workloads.registry.register_workload(replace=)": (
+        "docs/workloads.md's extension point; a caller's replace= swaps in a double, and "
+        "docs/architecture.md § API stability keeps its keywords"
     ),
 }
 
 #: ``module.callable(name=)`` for every defaulted positional-or-keyword
 #: parameter no call outside ``tests/`` reaches, each with its reason
 TEST_ONLY_DEFAULTS = {
-    "repro.ml.optim.SGD(lr=)": _DEFERRED,
-    "repro.ml.optim.SGD(momentum=)": _DEFERRED,
     "repro.obs.metrics.MetricsRegistry.timer(help=)": _TIMER,
     "repro.qtensor.variables.VariableFactory.fresh_many(prefix=)": _QTENSOR,
 }
@@ -216,7 +227,7 @@ TEST_ONLY_FIELDS = {
 
 #: the knob total (see :func:`knob_total`) may only go down: lower it with
 #: the change that cuts a knob
-KNOB_CEILING = 302
+KNOB_CEILING = 297
 
 #: ``(module, class)`` of the configs a sweep's settings are mapped onto
 INTERNAL_CONFIGS = (
@@ -402,12 +413,14 @@ class SourceTree:
         for module, tree in self.trees.items():
             yield from walk(module, tree.body, "")
 
-    def keyword_parameters(self) -> Iterator[tuple[str, str]]:
-        """``(module.callable(name=), name)`` for every keyword-only
-        parameter of a public callable (see :meth:`callables`)."""
-        for module, callable_, _, node, _ in self.callables():
+    def keyword_parameters(self) -> Iterator[tuple[str, str, str, tuple[str, int, int]]]:
+        """``(module.callable(name=), callee, name, own)`` for every
+        keyword-only parameter of a public callable (see :meth:`callables`),
+        ``own`` as in :meth:`defaulted_parameters`."""
+        for module, callable_, callee, node, _ in self.callables():
+            own = (module, _first_line(node), node.end_lineno)
             for arg in node.args.kwonlyargs:
-                yield f"{module}.{callable_}({arg.arg}=)", arg.arg
+                yield f"{module}.{callable_}({arg.arg}=)", callee, arg.arg, own
 
     def defaulted_parameters(self) -> Iterator[tuple[str, str, int, str, tuple[str, int, int]]]:
         """``(module.callable(name=), callee, position, name, own)`` for every
@@ -648,10 +661,19 @@ def passed_keywords(paths: list[Path]) -> set[str]:
 
 
 def unpassed_keywords(tree: SourceTree, others: list[Path]) -> list[str]:
-    """``module.callable(name=)`` for each keyword-only parameter no call in
-    ``src/`` or ``others`` passes by name."""
+    """``module.callable(name=)`` for each keyword-only parameter that no
+    call in ``src/`` or ``others`` passes by name, or that no call of its own
+    callable outside the callable's body can carry: by name, through a
+    ``**`` spread, or the callable handed over as a value."""
     passed = passed_keywords(list(tree.paths.values()) + others)
-    return sorted(key for key, name in tree.keyword_parameters() if name not in passed)
+    uses = _uses(tree, others)
+    return sorted(
+        key for key, callee, name, own in tree.keyword_parameters()
+        if name not in passed or not any(
+            (name in keywords or None in keywords) and _outside(own, where, line)
+            for where, line, _, keywords in uses.get(callee, ())
+        )
+    )
 
 
 #: the positional count of a call that may reach every parameter:
@@ -679,12 +701,14 @@ def _spread(call: ast.Call) -> bool:
     )
 
 
-def calls(tree: ast.AST) -> Iterator[tuple[str, int, int, frozenset[str]]]:
+def calls(tree: ast.AST) -> Iterator[tuple[str, int, int, frozenset[str | None]]]:
     """``(callee, line, positional count, keywords)`` for every call in
     ``tree`` — ``cls(...)`` calls the enclosing class, ``super().__init__``
-    its bases — and, as a call that passes everything (:data:`EVERY`), for
-    every name or attribute handed over as a value: ``as_completed(
-    evaluate_candidate, ...)``. An annotation is not a value."""
+    its bases — and, as a call that passes everything (:data:`EVERY`
+    positions, ``None`` among the keywords: any name), for every name or
+    attribute handed over as a value: ``as_completed(evaluate_candidate,
+    ...)``. A ``**`` spread puts ``None`` among a call's keywords. An
+    annotation is not a value."""
     annotations, called, enclosing = set(), set(), {}
     for node in ast.walk(tree):
         note = getattr(node, "annotation", None) or getattr(node, "returns", None)
@@ -695,7 +719,7 @@ def calls(tree: ast.AST) -> Iterator[tuple[str, int, int, frozenset[str]]]:
         if isinstance(node, ast.Call):
             called.add(id(node.func))
             count = EVERY if _spread(node) else len(node.args)
-            keywords = frozenset(k.arg for k in node.keywords if k.arg)
+            keywords = frozenset(k.arg for k in node.keywords)
             callee, cls = _name(node.func), enclosing.get(id(node))
             if callee == "cls" and cls is not None:
                 callees = [cls.name]
@@ -709,7 +733,7 @@ def calls(tree: ast.AST) -> Iterator[tuple[str, int, int, frozenset[str]]]:
             isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
             and id(node) not in called and id(node) not in annotations
         ):
-            yield _name(node), node.lineno, EVERY, frozenset()
+            yield _name(node), node.lineno, EVERY, frozenset([None])
 
 
 def _outside(own: tuple[str, int, int], where: str, line: int) -> bool:
@@ -717,14 +741,23 @@ def _outside(own: tuple[str, int, int], where: str, line: int) -> bool:
     return where != module or not first <= line <= last
 
 
+def _uses(
+    tree: SourceTree, others: list[Path]
+) -> dict[str, list[tuple[str, int, int, frozenset[str | None]]]]:
+    """``callee -> [(where, line, positional count, keywords)]`` over every
+    call (:func:`calls`) in ``src/`` and ``others``."""
+    uses: dict[str, list[tuple[str, int, int, frozenset[str | None]]]] = {}
+    for where, parsed in _parsed(tree, others):
+        for callee, line, count, keywords in calls(parsed):
+            uses.setdefault(callee, []).append((where, line, count, keywords))
+    return uses
+
+
 def unpassed_defaults(tree: SourceTree, others: list[Path]) -> list[str]:
     """``module.callable(name=)`` for each defaulted positional-or-keyword
     parameter no call in ``src/`` or ``others`` outside the callable's own
     body reaches, by name or by position."""
-    uses: dict[str, list[tuple[str, int, int, frozenset[str]]]] = {}
-    for where, parsed in _parsed(tree, others):
-        for callee, line, count, keywords in calls(parsed):
-            uses.setdefault(callee, []).append((where, line, count, keywords))
+    uses = _uses(tree, others)
     return sorted(
         key for key, callee, position, name, own in tree.defaulted_parameters()
         if not any(
@@ -911,6 +944,41 @@ def test_a_package_reexport_alone_keeps_nothing_alive(tmp_path):
     assert "pkg.sub.dead" in synthetic.reachable(("pkg.api",))
 
 
+def test_a_keyword_lives_only_by_a_call_of_its_own_callable(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "knobs.py").write_text(
+        "def fit(data, *, rate=0.1):\n"
+        "    return data\n"
+        "def tune(data, *, rate=0.1):\n"
+        "    return data\n"
+        "def solve(data, *, tries=3):\n"
+        "    return solve(data, tries=tries - 1) if tries else data\n"
+        "def spread(data, *, clip=5.0):\n"
+        "    return data\n"
+        "def handed(data, *, width=4):\n"
+        "    return data\n"
+    )
+    bench = tmp_path / "bench.py"
+    bench.write_text(
+        "from functools import partial\n"
+        "from pkg.knobs import fit, handed, solve, spread, tune\n"
+        "tune(fit([1]), rate=0.5)\n"
+        "solve([1])\n"
+        "settings = dict(clip=1.0)\n"
+        "spread([1], **settings)\n"
+        "narrow = partial(handed, width=2)\n"
+    )
+    synthetic = SourceTree(tmp_path, "pkg")
+    # `rate=` reaches `tune` only, a same-named parameter of another
+    # callable; `tries=` only `solve`'s own body forwards; `**settings`
+    # can carry `clip=` and `partial` is handed `handed` as a value
+    assert unpassed_keywords(synthetic, [bench]) == [
+        "pkg.knobs.fit(rate=)", "pkg.knobs.solve(tries=)",
+    ]
+
+
 def test_a_method_lives_by_attribute_reference_or_override(tmp_path):
     pkg = tmp_path / "pkg"
     pkg.mkdir()
@@ -977,7 +1045,7 @@ def test_a_keyword_lives_by_a_call_outside_tests(tmp_path):
     test = tmp_path / "test_knobs.py"
     test.write_text("from pkg.knobs import Model, fit\nfit([], tries=1)\nModel(width=2)\n")
     synthetic = SourceTree(tmp_path, "pkg")
-    assert {key for key, _ in synthetic.keyword_parameters()} == {
+    assert {key for key, *_ in synthetic.keyword_parameters()} == {
         "pkg.knobs.fit(rate=)", "pkg.knobs.fit(tries=)", "pkg.knobs.fit(clip=)",
         "pkg.knobs.Model(width=)",
     }

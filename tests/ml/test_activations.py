@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.activations import dsigmoid, dtanh, log_softmax, sigmoid, softmax, tanh
+from repro.ml.activations import dsigmoid, dtanh, sigmoid, softmax, tanh
 
 
 class TestSigmoid:
@@ -56,10 +56,3 @@ class TestSoftmax:
         p = softmax(logits)  # rows of a batch normalize along the last axis
         np.testing.assert_allclose(p.sum(axis=-1), np.ones(4))
 
-    def test_log_softmax_consistent(self):
-        logits = np.array([0.3, -1.2, 2.0])
-        np.testing.assert_allclose(log_softmax(logits), np.log(softmax(logits)), atol=1e-12)
-
-    def test_log_softmax_extreme_stable(self):
-        out = log_softmax(np.array([-1000.0, 0.0, 1000.0]))
-        assert np.all(np.isfinite(out))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml.layers import Dense
-from repro.ml.optim import SGD, AdamUpdater, clip_gradients, global_grad_norm
+from repro.ml.optim import AdamUpdater, clip_gradients, global_grad_norm
 
 
 def _layer_with_grad(grad_value=1.0):
@@ -31,30 +31,6 @@ class TestGradNorm:
         before = layer.grads["W"].copy()
         clip_gradients([layer], max_norm=10.0)
         np.testing.assert_array_equal(layer.grads["W"], before)
-
-
-class TestSGD:
-    def test_step_moves_against_gradient(self):
-        layer = _layer_with_grad(1.0)
-        before = layer.params["W"].copy()
-        SGD([layer], lr=0.1).step()
-        np.testing.assert_allclose(layer.params["W"], before - 0.1)
-
-    def test_momentum_accumulates(self):
-        layer = _layer_with_grad(1.0)
-        opt = SGD([layer], lr=0.1, momentum=0.9)
-        before = layer.params["W"].copy()
-        opt.step()
-        layer.grads["W"][...] = 1.0
-        layer.grads["b"][...] = 1.0
-        opt.step()
-        # second step: v = 0.9*(-0.1) - 0.1 = -0.19
-        np.testing.assert_allclose(layer.params["W"], before - 0.1 - 0.19)
-
-    def test_zero_grad(self):
-        layer = _layer_with_grad(1.0)
-        SGD([layer]).zero_grad()
-        assert np.all(layer.grads["W"] == 0)
 
 
 class TestAdamUpdater:

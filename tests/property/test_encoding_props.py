@@ -1,36 +1,12 @@
-"""Property-based tests: encodings, expressions, scheduling invariants."""
+"""Property-based tests: expressions and scheduling invariants."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.parameters import Parameter
-from repro.core.alphabet import GateAlphabet
-from repro.core.encoding import decode_encoding, encode_sequence, is_valid_encoding
 from repro.experiments.profiling import _replayed
 from repro.parallel.cluster import least_loaded_partition
-
-ALPHABET = GateAlphabet()
-TOKENS = st.sampled_from(ALPHABET.tokens)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(TOKENS, min_size=1, max_size=4))
-def test_encoding_roundtrip(tokens):
-    enc = encode_sequence(tokens, ALPHABET, 4)
-    assert is_valid_encoding(enc, ALPHABET)
-    assert decode_encoding(enc, ALPHABET) == tuple(tokens)
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.lists(TOKENS, min_size=1, max_size=4))
-def test_encoding_is_one_hot(tokens):
-    enc = encode_sequence(tokens, ALPHABET, 4)
-    assert enc.shape == (4, 6)
-    np.testing.assert_array_equal(enc.sum(axis=1), np.ones(4))
-    assert set(np.unique(enc)) <= {0.0, 1.0}
-
 
 FLOATS = st.floats(-100, 100, allow_nan=False, allow_infinity=False)
 

@@ -198,12 +198,21 @@ def test_serve_refuses_a_number_that_breaks_the_service(tmp_path, monkeypatch, f
 
 
 @pytest.mark.parametrize(
-    "flags", [["--workers", "-1"], ["--lease-seconds", "nan"], ["--drain-timeout", "nan"]]
+    "flags",
+    [
+        ["--workers", "-1"],
+        ["--lease-seconds", "nan"],
+        ["--drain-timeout", "nan"],
+        ["--tenant-weight", "a=0"],
+        ["--cache-max-entries", "0"],
+        ["--max-concurrent", "0"],
+        ["--max-running-per-tenant", "0"],
+    ],
 )
 def test_a_refused_serve_leaves_no_directory_behind(tmp_path, flags):
-    """Refused by the fleet, by the queue, or by the multiplexer once the
-    queue and the cache have opened their files: the directories the
-    command made are gone, and one that was there before is left alone."""
+    """Refused by the fleet, the queue, the cache or the multiplexer: the
+    directories the command made are gone, and one that was there before
+    is left exactly as it was."""
     from repro.cli import main
 
     fresh = tmp_path / "fresh" / "service"
@@ -216,6 +225,7 @@ def test_a_refused_serve_leaves_no_directory_behind(tmp_path, flags):
     with pytest.raises(SystemExit):
         main(["serve", "--dir", str(kept), "--port", "0", "--workers", "1", *flags])
     assert (kept / "notes.txt").read_text() == "mine"
+    assert sorted(path.name for path in kept.iterdir()) == ["notes.txt"]
 
 
 def test_serve_runs_the_service_the_cli_built(tmp_path, monkeypatch, capsys):

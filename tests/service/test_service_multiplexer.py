@@ -223,6 +223,17 @@ class TestRefusedSettings:
             with pytest.raises(ValueError, match="drain_timeout must be finite and >= 0"):
                 SweepMultiplexer(queue, executor=SerialExecutor(), drain_timeout=timeout)
 
+    @pytest.mark.parametrize("setting", ["max_concurrent", "max_running_per_tenant"])
+    def test_a_slot_count_and_a_tenant_cap_must_be_at_least_one(self, tmp_path, setting):
+        with JobQueue(tmp_path) as queue:
+            with pytest.raises(ValueError, match=f"{setting} must be >= 1, got 0"):
+                SweepMultiplexer(queue, executor=SerialExecutor(), **{setting: 0})
+
+    def test_the_checked_weights_come_back_as_floats(self):
+        weights = SweepMultiplexer.check_settings(1, {"a": 2, "b": 0.5}, None, None)
+        assert weights == {"a": 2.0, "b": 0.5}
+        assert all(type(w) is float for w in weights.values())
+
     def test_a_weight_splits_claims_by_its_ratio(self):
         stride = multiplexer_module._TenantStride({"a": 2.0})
         picks = [stride.pick(["a", "b"]) for _ in range(30)]

@@ -26,6 +26,11 @@ class TestRefusedSettings:
         with pytest.raises(ValueError, match="lease_seconds must be positive and finite"):
             JobQueue(tmp_path, lease_seconds=lease)
 
+    def test_a_retry_budget_must_be_at_least_one_and_opens_nothing(self, tmp_path):
+        with pytest.raises(ValueError, match="max_attempts must be >= 1, got 0"):
+            JobQueue(tmp_path / "queue", max_attempts=0)
+        assert not (tmp_path / "queue").exists()
+
 
 class TestLifecycle:
     def test_submit_claim_done_roundtrip(self, tmp_path):

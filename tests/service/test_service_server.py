@@ -261,6 +261,51 @@ class TestValidation:
         assert info.value.code == 400
 
 
+class TestRefusedSettings:
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            pytest.param({"cache_max_entries": 0}, "max_entries must be >= 1", id="cache"),
+            pytest.param(
+                {"drain_timeout": float("nan")}, "drain_timeout must be finite", id="drain"
+            ),
+            pytest.param(
+                {"tenant_weights": {"a": 0}}, "tenant weights must be positive", id="weight"
+            ),
+            pytest.param({"max_concurrent": 0}, "max_concurrent must be >= 1", id="slots"),
+            pytest.param(
+                {"max_running_per_tenant": 0}, "max_running_per_tenant must be >= 1", id="cap"
+            ),
+            pytest.param(
+                {"lease_seconds": float("nan")}, "lease_seconds must be positive", id="lease"
+            ),
+            pytest.param({"max_attempts": 0}, "max_attempts must be >= 1", id="attempts"),
+            pytest.param({"max_queue_depth": 0}, "max_queue_depth must be >= 1", id="depth"),
+        ],
+    )
+    def test_a_refused_setting_forks_nothing_and_makes_no_file(
+        self, tmp_path, monkeypatch, setting, message
+    ):
+        """Whichever layer owns the rule, the constructor refuses the setting
+        before the fleet forks or a file is made: a directory that was there
+        is left exactly as it was, and one that was not is never made."""
+        from repro.service import server as server_module
+
+        forked = []
+        monkeypatch.setattr(
+            server_module, "MultiprocessingExecutor", lambda *a, **k: forked.append(a)
+        )
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_text("mine")
+        for service_dir in (kept, tmp_path / "fresh" / "service"):
+            with pytest.raises(ValueError, match=message):
+                SearchService(service_dir, workers=1, **setting)
+        assert forked == []
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["kept"]
+        assert sorted(path.name for path in kept.iterdir()) == ["notes.txt"]
+
+
 class TestHardening:
     @pytest.fixture
     def cold_service(self, tmp_path):
