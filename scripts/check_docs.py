@@ -32,8 +32,8 @@ Six checks, run by CI's docs job (and ``scripts/run_ci_locally.sh``):
 * **Rejection table** — the table between the ``REJECTED`` markers of
   ``docs/architecture.md`` must be, line for line, what
   ``repro.core.runtime.REJECTED`` renders to (one row per refused
-  composition: features, message, where checked, why). A rejection added,
-  reworded or moved to the other stage fails here until the page says so.
+  composition: features, message, why). A rejection added or reworded
+  fails here until the page says so.
 * **Ledger sizes** — the section *Not on the serving path* of
   ``docs/architecture.md`` quotes how many names, methods, keywords,
   defaulted parameters and config fields the ledgers of
@@ -172,11 +172,6 @@ def check_cited_pages() -> list[str]:
     ]
 
 
-#: where each stage of ``REJECTED`` is checked, as the docs table words it
-_CHECKED = {
-    "configs": "`SearchRuntime.__init__`, before any optimum is computed or any file created",
-    "run": "first thing in `SearchRuntime.run`, once the proposer and the store exist",
-}
 _TABLE = re.compile(r"<!-- REJECTED:begin -->\n(.*?)<!-- REJECTED:end -->", re.DOTALL)
 
 
@@ -184,10 +179,10 @@ def rejection_table() -> str:
     """``repro.core.runtime.REJECTED`` as the markdown table the docs carry."""
     from repro.core.runtime import REJECTED
 
-    lines = ["| Features | `ConfigError` message | Checked | Why |", "| --- | --- | --- | --- |"]
+    lines = ["| Features | `ConfigError` message | Why |", "| --- | --- | --- |"]
     for row in REJECTED:
         features = " × ".join(f"`{feature}`" for feature in row.features)
-        lines.append(f"| {features} | {row.message} | {_CHECKED[row.checked]} | {row.reason} |")
+        lines.append(f"| {features} | {row.message} | {row.reason} |")
     return "\n".join(lines) + "\n"
 
 

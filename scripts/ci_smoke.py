@@ -72,7 +72,11 @@ that :func:`~repro.circuits.qasm.from_qasm` reads back.
 ``--surrogate`` through the CLI and one through the service's HTTP
 submit, asserting the trained ranker actually pruned candidates (the
 skipped counter is nonzero in the result config and in the service's
-``repro_surrogate_*`` metric families).
+``repro_surrogate_*`` metric families). Then it runs the CLI's
+multi-process recipe with ``--surrogate --init-strategy interp`` on one
+``--cache-dir``: ``--shards 2 --shard-index 0``, then ``--shard-index 1``,
+then the merge run, which must have 0 misses and the plain run's winner
+tokens, depth and energy.
 """
 
 from __future__ import annotations
@@ -681,6 +685,33 @@ def smoke_surrogate() -> int:
             f"ratio {saved['best_ratio']:.4f}; "
             f"{saved['config']['surrogate_kept']} kept / "
             f"{saved['config']['surrogate_skipped']} skipped"
+        )
+
+    # -- CLI path: the ranker and INTERP compose with --shard-index ---------
+    with tempfile.TemporaryDirectory() as out_dir:
+        out = Path(out_dir)
+        recipe = [
+            "search", "--dataset", "er", "--graphs", "2", "--dataset-seed", "7",
+            "--steps", "10", "--p-max", "3", "--k-min", "1", "--k-max", "2",
+            "--surrogate", "--init-strategy", "interp",
+        ]
+
+        def sweep(name: str, *flags: str) -> dict:
+            assert cli_main([*recipe, "--out", str(out / name), *flags]) == 0, name
+            return json.loads((out / name).read_text())
+
+        plain = sweep("plain.json")
+        store = ("--cache-dir", str(out / "store"))
+        for index in ("0", "1"):
+            sweep(f"shard-{index}.json", *store, "--shards", "2", "--shard-index", index)
+        merged = sweep("merged.json", *store)
+        assert merged["config"]["cache_misses"] == 0, merged["config"]
+        for field in ("best_tokens", "best_p", "best_energy"):
+            assert merged[field] == plain[field], (field, merged[field], plain[field])
+        print(
+            f"cli[surrogate+interp, 2 shard processes]: merge of "
+            f"{merged['config']['cache_hits']} hits, 0 misses; winner "
+            f"{tuple(merged['best_tokens'])} at p={merged['best_p']}, as the plain run"
         )
 
     # -- service path: same sweep over HTTP submit -------------------------

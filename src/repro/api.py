@@ -218,7 +218,7 @@ class Config:
     surrogate: bool = _setting(
         False, "surrogate-assisted search: learn a ranker from completed "
         "evaluations and evaluate only the predicted-top slice of each "
-        "depth's candidates (incompatible with --shard-index)",
+        "depth's candidates",
     )
     surrogate_keep: float = _setting(
         0.5, "fraction of each depth's candidate pool forwarded to real "

@@ -175,7 +175,9 @@ def _cmd_search(args) -> int:
               f"evaluated, {result.config['surrogate_skipped']} skipped by "
               f"the ranker")
     if config.shard_index is not None:
-        print(f"shard {config.shard_index}/{config.shards}: partial sweep; "
+        # A learning shard also evaluates the rest of each depth (its ranker needs it).
+        sweep = "whole sweep" if config.surrogate else "partial sweep"
+        print(f"shard {config.shard_index}/{config.shards}: {sweep}; "
               f"results persisted to the shared cache — merge with a run "
               f"omitting --shard-index")
     elif config.shards > 1:

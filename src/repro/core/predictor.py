@@ -250,8 +250,9 @@ class Proposer:
     Fig. 1's reward arrow, once per depth."""
 
     name: str = "abstract"
-    #: True when sibling ``shard_index`` processes would propose identical
-    #: pools — i.e. proposals never depend on the rewards fed back
+    #: True when proposals never depend on the rewards fed back: a
+    #: ``shard_index`` process then evaluates only its slice of each depth
+    #: (a learning one evaluates the rest too, to propose the plain run's pools)
     shard_safe: bool = False
     #: pool entries a filtering proposer forwarded to / withheld from
     #: evaluation (the result config's ``surrogate_kept``/``_skipped``)

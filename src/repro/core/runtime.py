@@ -184,43 +184,25 @@ class RuntimeConfig:
 
 
 class Rejection(NamedTuple):
-    """One composition the runtime refuses: it applies when both features are on."""
+    """One composition the runtime refuses: it applies when both features are
+    on, decided from the configs before any optimum or file is made."""
 
     features: tuple[str, str]
-    #: ``"configs"``: decided by the two configs alone, before any optimum is
-    #: computed or any file created; ``"run"``: needs the proposer or the
-    #: opened store, so it is checked first thing in ``run()``
-    checked: str
     #: the ``ConfigError`` text, whichever front-end the settings came through
     message: str
     reason: str
 
 
 #: Every refused composition, in the order checked. ``docs/architecture.md``
-#: renders this table; the composition-matrix test triggers every row.
+#: renders this table; the composition property reaches every row.
 REJECTED = (
     Rejection(
-        ("resume", "no cache_dir"), "configs",
+        ("resume", "no cache_dir"),
         "resume requires cache_dir (the checkpoint it restores lives there)",
         "depth rows go only to a store the sweep owns (cache_dir); a cache= store has none",
     ),
     Rejection(
-        ("init_strategy=interp", "shard_index"), "configs",
-        "init_strategy='interp' cannot run under shard_index: the INTERP "
-        "hand-off needs every previous-depth result in one process",
-        "a shard process sees only its slice of depth p-1, so siblings would train one "
-        "depth-p key from different (or missing) warm starts and poison the shared cache",
-    ),
-    Rejection(
-        ("predictor or surrogate", "shard_index"), "run",
-        "shard_index requires a proposer whose pools ignore reward feedback "
-        "(the exhaustive pool); a predictor or surrogate filter would diverge "
-        "between shard processes",
-        "siblings must slice the same pool, but a feedback-driven proposer sees only its "
-        "own slice of the rewards: the shards would neither cover the bag nor stay disjoint",
-    ),
-    Rejection(
-        ("shard_index", "no store"), "run",
+        ("shard_index", "no store"),
         "shard_index requires a result store (cache_dir, or a shared cache): "
         "it is where the shard processes' results meet",
         "a shard keeps only what it stores; with no store its slice of the sweep is lost",
@@ -228,21 +210,16 @@ REJECTED = (
 )
 
 
-def _check_rejected(
-    checked: str, config: SearchConfig, runtime: RuntimeConfig,
-    proposer: Proposer | None = None, store: ResultCache | NullStore | None = None,
-) -> None:
-    """Raise the first :data:`REJECTED` row of stage ``checked`` whose features are on."""
+def _check_rejected(runtime: RuntimeConfig, cache: ResultCache | None) -> None:
+    """Raise the first :data:`REJECTED` row whose features are on."""
     on = {
         "resume": runtime.resume,
         "no cache_dir": runtime.cache_dir is None,
-        "init_strategy=interp": config.evaluation.init_strategy == "interp",
         "shard_index": runtime.shard_index is not None,
-        "predictor or surrogate": proposer is not None and not proposer.shard_safe,
-        "no store": isinstance(store, NullStore),
+        "no store": runtime.cache_dir is None and cache is None,
     }
     for row in REJECTED:
-        if row.checked == checked and all(on[feature] for feature in row.features):
+        if all(on[feature] for feature in row.features):
             raise ConfigError(row.message)
 
 
@@ -275,8 +252,8 @@ class SearchRuntime:
         metrics: MetricsRegistry | None = None,
         progress: SweepProgress | None = None,
     ) -> None:
-        # Config-only refusals cost nothing: no optimum, no file yet.
-        _check_rejected("configs", config, runtime)
+        # Refusals cost nothing: no optimum, no file yet.
+        _check_rejected(runtime, cache)
         sequence_given = executor is not None and not isinstance(executor, Executor)
         if sequence_given and runtime.shard_index is not None:
             raise ValueError(
@@ -388,7 +365,6 @@ class SearchRuntime:
         learning predictor (or a surrogate filter) steer its own later
         pools.
         """
-        _check_rejected("run", self.config, self.runtime, proposer, self.cache)
         if isinstance(self.cache, StoredOnly) and not proposer.shard_safe:
             # Lookup-only runs only a pool that ignores rewards: a learning
             # proposer would fit its model here, stored rows or not.
@@ -404,7 +380,7 @@ class SearchRuntime:
             # starting the next depth batch; finished depths (and every
             # evaluation already streamed into the cache) are kept.
             self.cancel.raise_if_cancelled()
-            depth_result = self._run_depth(p, proposer.propose(p))
+            depth_result = self._run_depth(p, proposer.propose(p), not proposer.shard_safe)
             depth_results.append(depth_result)
             # Restored/cached evaluations are observed too: after a kill
             # the proposer's in-memory state is gone, so replaying recorded
@@ -438,19 +414,34 @@ class SearchRuntime:
 
     # -- internals ---------------------------------------------------------
 
-    def _run_depth(self, p: int, candidates: Sequence[Tokens]) -> DepthResult:
-        """restore → shard slice → lookup → resolve → finish; the loop here
-        is the one place a result is delivered."""
-        if isinstance(self.cache, StoredOnly) and candidates:
+    def _run_depth(self, p: int, candidates: Sequence[Tokens], learns: bool) -> DepthResult:
+        """restore → shard slice → lookup → resolve → finish; the loop in
+        :meth:`_evaluate` is the one place a result is delivered."""
+        mine = self._shard_slice(p, candidates)
+        if isinstance(self.cache, StoredOnly) and mine:
             # Lookup-only: a depth whose first candidate is not stored stops
             # before the rest of its keys, or its fingerprint, are derived.
-            self.cache.require([self._candidate_key(candidates[0], p)])
+            self.cache.require([self._candidate_key(candidates[mine[0]], p)])
         depth_fp = depth_fingerprint(self._workload_fp, self._depth_config_fp, candidates, p)
         restored = self._restore(p, depth_fp)
         if restored is not None:
             return restored
-        candidates = self._shard_slice(p, candidates)
         depth_start = time.perf_counter()
+        keys, evaluations = self._evaluate(p, [candidates[i] for i in mine])
+        if learns and len(mine) < len(candidates):
+            # A learning proposer steers its next pool by the whole depth, so
+            # its shard then looks up the rest — siblings' rows are hits — and
+            # trains what is still missing: the proposer, the warm starts and
+            # the winner see the plain run's depth, in pool order.
+            rest = sorted(set(range(len(candidates))) - set(mine))
+            found = dict(zip(mine, zip(keys, evaluations)))
+            found.update(zip(rest, zip(*self._evaluate(p, [candidates[i] for i in rest]))))
+            keys, evaluations = map(list, zip(*(found[i] for i in range(len(candidates)))))
+        self.progress.finish_depth(p)
+        return self._finish(p, depth_fp, keys, evaluations, depth_start)
+
+    def _evaluate(self, p: int, candidates: list[Tokens]) -> tuple[list[str], list]:
+        """The candidates' keys and evaluations: hits, then misses trained."""
         keys = [self._candidate_key(tokens, p) for tokens in candidates]
         evaluations, misses = self._lookup(keys)
         # Positions already filled by lookups count as done from the
@@ -476,8 +467,7 @@ class SearchRuntime:
                 self.cancel.raise_if_cancelled()
         if misses and not self._saves_rows:
             self.cache.flush()  # else the depth row's transaction flushes them
-        self.progress.finish_depth(p)
-        return self._finish(p, depth_fp, keys, evaluations, depth_start)
+        return keys, evaluations
 
     def _restore(self, p: int, depth_fp: str) -> DepthResult | None:
         """The depth as its row recorded it, under ``resume``."""
@@ -493,16 +483,16 @@ class SearchRuntime:
         self.progress.finish_depth(p)
         return restored
 
-    def _shard_slice(self, p: int, candidates: Sequence[Tokens]) -> Sequence[Tokens]:
-        """Under ``shard_index`` this process is one node of a multi-process
-        deployment: it owns a deterministic slice of the full bag (every
-        sibling computes the same partition of the same list) and its
-        results meet the others' in the shared cache."""
+    def _shard_slice(self, p: int, candidates: Sequence[Tokens]) -> Sequence[int]:
+        """The pool positions this process evaluates, in pool order: under
+        ``shard_index`` a slice every sibling computes alike. ``p`` scales
+        every static LPT cost alike, so a fixed pool keeps each token in one
+        shard at every depth and a shard's INTERP warm starts (so its keys)
+        are the plain run's: ``test_sharded.py::test_placement_is_depth_stable``."""
         if self.runtime.shard_index is None:
-            return candidates
+            return range(len(candidates))
         costs = [predicted_cost(tokens, p) for tokens in candidates]
-        mine = least_loaded_partition(costs, self.runtime.shards)[self.runtime.shard_index]
-        return [candidates[i] for i in sorted(mine)]
+        return sorted(least_loaded_partition(costs, self.runtime.shards)[self.runtime.shard_index])
 
     def _lookup(self, keys: list[str]) -> tuple[list, dict[str, list[int]]]:
         """One slot per position, hits filled in; misses as key -> positions
@@ -643,8 +633,9 @@ class SearchRuntime:
         Sharded, the misses are placed on the scheduler's lanes by
         ``_predicted_cost`` — the running proposer's estimate: a surrogate
         filter's fitted cost model (measured seconds), the static heuristic
-        otherwise; all lanes are placed by this process, so a learned model
-        cannot desynchronise siblings the way ``shard_index`` would.
+        otherwise. All lanes are placed by this process, and a
+        ``shard_index`` slice by the static cost alone, so a learned model
+        never decides what a sibling process owns.
         """
         costs = [self._predicted_cost(job[1], p) for job in jobs] if self._sharded else None
         for job_index, result in self.scheduler.as_completed(evaluate_candidate, jobs, costs):

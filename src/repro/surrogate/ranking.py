@@ -80,8 +80,9 @@ class SurrogateAssistant(Proposer):
     rank" — and the accounting (candidates kept/skipped, ranking
     latency) feeds the result config and, when a registry is wired, the
     ``repro_surrogate_*`` metric families. Never ``shard_safe``: the
-    ranker trains on every previous-depth result, and sibling shard
-    processes would prune divergent slices.
+    ranker trains on every previous-depth result, so a ``shard_index``
+    process running it takes in the whole depth — its siblings' stored
+    rows, trained here when missing — and prunes as the plain run does.
     """
 
     def __init__(

@@ -133,18 +133,19 @@ class TestSearchCommand:
         with pytest.raises(SystemExit, match="shard_index requires a result store"):
             main(["search", "--shards", "2", "--shard-index", "0"])
 
-    def test_surrogate_with_shard_index_exits_with_the_runtime_message(
-        self, tmp_path
-    ):
-        """No CLI pre-check: the runtime's single rejection surfaces as
-        the exit message."""
-        with pytest.raises(SystemExit, match="shard_index requires a proposer"):
-            main([
-                "search", "--graphs", "1", "--steps", "4", "--p-max", "1",
-                "--k-min", "1", "--k-max", "1", "--metric", "energy",
-                "--surrogate", "--shards", "2", "--shard-index", "0",
-                "--cache-dir", str(tmp_path),
-            ])
+    def test_surrogate_interp_shard_processes_meet_in_cache(self, tmp_path, capsys):
+        """The ranker and INTERP warm starts compose with --shard-index: the
+        merge run after both shards is pure cache hits."""
+        base = [
+            "search", "--graphs", "1", "--steps", "4", "--p-max", "2",
+            "--k-min", "1", "--k-max", "2", "--metric", "energy",
+            "--surrogate", "--init-strategy", "interp", "--cache-dir", str(tmp_path),
+        ]
+        for index in ("0", "1"):
+            assert main(base + ["--shards", "2", "--shard-index", index]) == 0
+            assert f"shard {index}/2: whole sweep" in capsys.readouterr().out
+        assert main(base) == 0
+        assert " 0 misses" in capsys.readouterr().out
 
     def test_shard_index_range_checked(self, tmp_path):
         with pytest.raises(SystemExit, match="shard_index must be in"):

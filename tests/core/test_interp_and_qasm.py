@@ -8,13 +8,22 @@ an interp run and a cold run of the same config are *different*
 computations and may never alias in a shared cache.
 """
 
+import json
+import os
 import sqlite3
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from tests.conftest import evaluations
 
+from repro.api import Config, search
 from repro.circuits.qasm import from_qasm, to_qasm
+from repro.core import runtime
+from repro.core.cache import ResultCache
 from repro.core.evaluator import EvaluationConfig, Evaluator
-from repro.core.runtime import RuntimeConfig, SearchRuntime
+from repro.core.runtime import RuntimeConfig
 from repro.core.search import SearchConfig, search_mixer
 from repro.graphs.generators import erdos_renyi_graph
 from repro.qaoa.ansatz import build_qaoa_ansatz
@@ -73,13 +82,90 @@ class TestInterpRuntime:
             d.best.tokens for d in second.depth_results
         ]
 
-    def test_interp_rejects_shard_index_runs(self, graphs):
-        with pytest.raises(ValueError, match="interp"):
-            SearchRuntime(
-                graphs,
-                _config("interp"),
-                runtime=RuntimeConfig(shards=2, shard_index=0, cache_dir="x"),
+
+#: the search features whose sweeps a shard_index process used to refuse
+SHARDED_FEATURES = {
+    "interp": dict(init_strategy="interp"),
+    "surrogate": dict(surrogate=True),
+    "surrogate+interp": dict(surrogate=True, init_strategy="interp"),
+}
+SRC = Path(__file__).resolve().parents[2] / "src"
+#: one shard process: sweeps ``er:1`` with the settings in argv[1] and
+#: prints how many candidates it trained
+SHARD_PROCESS = """
+import json, sys
+from repro.api import Config, search
+result = search("er:1", depths=3, config=Config(**json.loads(sys.argv[1])))
+print(result.config["cache_misses"])
+"""
+
+
+class TestShardIndexMerges:
+    """Shard processes on one ``cache_dir``, then the plain run trains
+    nothing and reports the plain run's evaluations."""
+
+    @staticmethod
+    def settings(features, **settings):
+        return dict(k_max=2, steps=8, **SHARDED_FEATURES[features], **settings)
+
+    @classmethod
+    def sweep(cls, features, **settings):
+        return search("er:1", depths=3, config=Config(**cls.settings(features, **settings)))
+
+    @pytest.mark.parametrize("features", SHARDED_FEATURES)
+    def test_shards_merge_into_the_plain_run(self, features, tmp_path):
+        for index in (0, 1):
+            self.sweep(features, cache_dir=str(tmp_path), shards=2, shard_index=index)
+        merged = self.sweep(features, cache_dir=str(tmp_path))
+        assert merged.config["cache_misses"] == 0
+        assert evaluations(merged) == evaluations(self.sweep(features))
+
+    @pytest.mark.parametrize("features", ["surrogate", "surrogate+interp"])
+    def test_a_lone_learning_shard_is_the_plain_run(self, features, tmp_path):
+        lone = self.sweep(features, cache_dir=str(tmp_path), shards=2, shard_index=1)
+        plain = self.sweep(features)
+        assert evaluations(lone) == evaluations(plain)
+        assert plain.config["surrogate_skipped"] > 0  # the ranker pruned: not vacuous
+
+    @pytest.mark.parametrize("features", SHARDED_FEATURES)
+    def test_concurrent_shards_merge_into_the_plain_run(self, features, tmp_path, record_property):
+        """The recipe runs the shard processes at once. A learning shard
+        retrains each row of the rest of a depth its sibling has not stored
+        yet, so a candidate may be trained twice; the merge trains nothing."""
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", SHARD_PROCESS, json.dumps(self.settings(
+                    features, cache_dir=str(tmp_path), shards=2, shard_index=index,
+                ))],
+                env={**os.environ, "PYTHONPATH": str(SRC)}, stdout=subprocess.PIPE, text=True,
             )
+            for index in (0, 1)
+        ]
+        trained = [int(child.communicate(timeout=120)[0]) for child in children]
+        assert [child.returncode for child in children] == [0, 0]
+        merged = self.sweep(features, cache_dir=str(tmp_path))
+        assert merged.config["cache_misses"] == 0
+        assert evaluations(merged) == evaluations(self.sweep(features))
+        with ResultCache(tmp_path) as store:
+            distinct = len(store)
+        assert max(trained) <= distinct <= sum(trained)
+        if features == "interp":  # slices only: nothing is trained twice
+            assert sum(trained) == distinct
+        record_property("trained_twice", sum(trained) - distinct)
+
+    def test_a_learning_shard_keys_the_whole_depth(self, tmp_path, monkeypatch):
+        """Each depth it finishes pairs every evaluation with its own key."""
+        finished = []
+        finish = runtime.SearchRuntime._finish
+
+        def spy(self, p, depth_fp, keys, slots, start):
+            finished.append([key == self._candidate_key(e.tokens, p) for key, e in zip(keys, slots)]
+                            + [len(keys) == len(slots)])
+            return finish(self, p, depth_fp, keys, slots, start)
+
+        monkeypatch.setattr(runtime.SearchRuntime, "_finish", spy)
+        self.sweep("surrogate+interp", cache_dir=str(tmp_path), shards=2, shard_index=1)
+        assert len(finished) == 3 and all(all(depth) for depth in finished)
 
 
 class TestEvaluatorWarmStarts:

@@ -4,12 +4,15 @@ scheduler — placement, migration, merging, and stopping when the sweep ends.""
 import threading
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import ShardFailedError
 from repro.core.evaluator import EvaluationConfig
-from repro.core.predictor import FixedPoolProposer, RandomPredictor
+from repro.core.predictor import EpsilonGreedyPredictor, FixedPoolProposer, RandomPredictor
 from repro.core.runtime import (
     CancellationToken,
     RuntimeConfig,
@@ -34,11 +37,6 @@ def tiny_config():
     return SearchConfig(
         p_max=2, k_max=1, evaluation=EvaluationConfig(max_steps=10, seed=1)
     )
-
-
-#: the one message every shard_index x feedback-driven-proposer pair gets
-#: (tests/surrogate/test_search_equivalence.py pins the surrogate pair)
-SHARD_INDEX_REJECTION = "shard_index requires a proposer whose pools ignore reward"
 
 
 def evaluation_payload(result):
@@ -389,22 +387,31 @@ class TestShardIndexProcesses:
         )
 
 
-    def test_predictor_rejected_in_shard_index_mode(self, graphs, tmp_path):
-        """Predictor proposals depend on per-shard reward feedback, so
-        sibling shard processes would silently diverge — refuse upfront."""
+    def test_a_learning_shard_proposes_the_plain_runs_pools(self, graphs, tmp_path):
+        """A learner's next pool follows every reward of the depth, so its
+        shard takes in the whole depth — siblings' stored rows, trained
+        here when missing: alone it is the plain run, and a sibling run
+        after it trains nothing."""
         config = SearchConfig(
-            p_max=2, k_max=2, evaluation=EvaluationConfig(max_steps=10, seed=1)
+            p_max=3, k_max=2, evaluation=EvaluationConfig(max_steps=10, seed=1)
         )
-        with pytest.raises(ValueError, match=SHARD_INDEX_REJECTION):
-            search_mixer(
+
+        def sweep(**runtime):
+            return search_mixer(
                 graphs,
                 config,
-                predictor=RandomPredictor(config.alphabet, k_max=2, seed=5),
+                predictor=EpsilonGreedyPredictor(config.alphabet, k_max=2, seed=5),
                 candidates_per_depth=4,
-                runtime=RuntimeConfig(
-                    cache_dir=str(tmp_path), shards=2, shard_index=0
-                ),
+                runtime=RuntimeConfig(**runtime),
             )
+
+        plain = sweep()
+        lone, sibling = (
+            sweep(cache_dir=str(tmp_path), shards=2, shard_index=index) for index in (0, 1)
+        )
+        assert evaluation_payload(lone) == evaluation_payload(plain)
+        assert sibling.config["cache_misses"] == 0
+        assert evaluation_payload(sibling) == evaluation_payload(plain)
 
     def test_more_shards_than_candidates_gives_clear_error(
         self, graphs, tiny_config, tmp_path
@@ -475,3 +482,26 @@ class TestPredictedCost:
     def test_scales_with_tokens_and_depth(self):
         assert predicted_cost(("rx", "ry"), 2) > predicted_cost(("rx",), 2)
         assert predicted_cost(("rx",), 3) > predicted_cost(("rx",), 1)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    pool=st.lists(
+        st.lists(st.sampled_from(("rx", "ry", "rz", "h", "p")), min_size=1, max_size=4).map(tuple),
+        min_size=1, max_size=40, unique=True,
+    ),
+    shards=st.integers(2, 5),
+)
+def test_placement_is_depth_stable(pool, shards):
+    """A fixed pool puts each token in one shard at every depth — what the
+    INTERP hand-off under ``shard_index`` relies on: a shard trained depth
+    p - 1 for exactly its depth-p tokens."""
+    owner = {}
+    for p in range(1, 7):
+        placed = []
+        for index in range(shards):
+            process = SimpleNamespace(runtime=RuntimeConfig(shards=shards, shard_index=index))
+            for position in SearchRuntime._shard_slice(process, p, pool):
+                assert owner.setdefault(pool[position], index) == index
+                placed.append(position)
+        assert sorted(placed) == list(range(len(pool)))

@@ -13,7 +13,7 @@ import pytest
 from repro.api import Config, search
 from repro.core.evaluator import EvaluationConfig
 from repro.core.predictor import RandomPredictor
-from repro.core.runtime import RuntimeConfig, SearchRuntime
+from repro.core.runtime import SearchRuntime
 from repro.core.search import SearchConfig, search_mixer
 from repro.graphs.datasets import DATASET_FAMILIES
 from repro.surrogate import SurrogateConfig
@@ -168,21 +168,6 @@ class TestFilterOverPredictor:
 
 
 class TestGuards:
-    def test_surrogate_forbidden_with_shard_index(self):
-        graphs = DATASET_FAMILIES["er"][1](2, dataset_seed=2023)
-        config = SearchConfig(
-            p_max=1, k_max=1, surrogate=SurrogateConfig(enabled=True)
-        )
-        with pytest.raises(
-            ValueError,
-            match="shard_index requires a proposer whose pools ignore reward",
-        ):
-            search_mixer(
-                graphs,
-                config,
-                runtime=RuntimeConfig(shards=2, shard_index=0, cache_dir=None),
-            )
-
     def test_bad_surrogate_knobs_rejected_through_flat_config(self):
         with pytest.raises(ValueError, match="keep_fraction"):
             Config(surrogate=True, surrogate_keep=0.0).search_config(2)
